@@ -2,8 +2,10 @@
 //! prediction over the acceptance-bar workload (5,000 slots × 3 groups ×
 //! 200 users per group), the chunked **parallel** knowledge-base scan versus
 //! the sequential best-first scan on a 100,000-slot single-tenant history
-//! (threads 1/2/4/8), and the vantage-point **metric index** versus the
-//! pruned linear scan over a 100k → 1M slot scaling sweep.
+//! (threads 1/2/4/8), and the **block-summary tree** versus the pruned
+//! linear scan in steady state — a history grown by `observe_slot` from 100k
+//! to 1M slots, 1,000 distinct probes per point, p50/p99 — plus one
+//! stationary-population row.
 //!
 //! Run with `cargo run --release -p mca-bench --bin bench_prediction`.
 //!
@@ -11,8 +13,9 @@
 //!   5× pruned-vs-naive bar, below the core-aware parallel bar (judged at
 //!   the best thread count the runner's `available_parallelism` can
 //!   exploit — a single-core runner is only held to ≥1×), below 5×
-//!   indexed-vs-pruned at 1M slots, at an indexed scaling ratio ≥3× for the
-//!   10× size span, or on any forecast divergence.
+//!   tree-vs-pruned at 1M slots, at a tree scaling ratio (median query) ≥3×
+//!   for the 10× size span, or on any forecast divergence. The stationary
+//!   row is reported, not gated.
 //! * `--smoke`: a small CI gate — serial, chunked, indexed and naive
 //!   forecasts must all be bit-identical on small histories; exits non-zero
 //!   only on divergence (no speedup gates: CI runner core counts vary).
@@ -80,6 +83,7 @@ fn main() {
         index.sizes = vec![workload.slots];
         index.users_per_group = workload.users_per_group;
         index.verify_naive_up_to = workload.slots;
+        index.stationary_slots = Some(workload.slots);
         (workload, parallel, index, rounds, Some(5.0), false)
     } else {
         (
@@ -98,7 +102,7 @@ fn main() {
     let parallel = prediction::run_parallel(&parallel_workload, rounds);
     prediction::print_parallel(&parallel);
     println!();
-    let index = prediction::run_index(&index_workload, rounds);
+    let index = prediction::run_index(&index_workload);
     prediction::print_index(&index);
 
     let json = prediction::combined_json(&report, &parallel, &index);

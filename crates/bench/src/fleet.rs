@@ -91,7 +91,7 @@ pub fn bench_config() -> SystemConfig {
 }
 
 /// The configuration of the tenant-alone bit-identity replicas: identical
-/// to [`bench_config`] except the vantage-point index is forced on (built
+/// to [`bench_config`] except the block-summary tree is forced on (kept
 /// once a tenant retains 64 slots, well inside the 168-slot window). The
 /// per-slot forecast comparison therefore proves indexed and linear scans
 /// agree bit-for-bit across every tenant and every slot of continuous

@@ -46,8 +46,8 @@ pub struct SystemConfig {
     /// (serial by default; forecasts are identical either way, so this is
     /// purely a throughput knob for 100k+ slot knowledge bases).
     pub parallelism: ParallelismPolicy,
-    /// Whether the predictor builds the vantage-point metric index over its
-    /// retained slots (linear by default; forecasts are identical either
+    /// Whether the predictor keeps the block-summary tree over its retained
+    /// slots' signatures (linear by default; forecasts are identical either
     /// way, so — like `parallelism` — this is purely a throughput knob, the
     /// one that makes million-slot knowledge bases sublinear per predict).
     pub index_policy: IndexPolicy,
@@ -148,8 +148,8 @@ impl SystemConfig {
         self
     }
 
-    /// Turns on the predictor's vantage-point metric index with the default
-    /// pivot count and build threshold (see [`IndexPolicy::indexed`]).
+    /// Turns on the predictor's block-summary tree with the default build
+    /// threshold (see [`IndexPolicy::indexed`]).
     pub fn with_indexed_scan(mut self) -> Self {
         self.index_policy = IndexPolicy::indexed();
         self
@@ -299,9 +299,7 @@ mod tests {
         assert_eq!(c.index_policy, IndexPolicy::indexed());
         assert_eq!(c.build_predictor().index_policy(), IndexPolicy::indexed());
 
-        let custom = IndexPolicy::indexed()
-            .with_pivots(2)
-            .with_min_indexed_slots(64);
+        let custom = IndexPolicy::indexed().with_min_indexed_slots(64);
         let c = c.with_index_policy(custom);
         assert_eq!(c.build_predictor().index_policy(), custom);
     }

@@ -25,8 +25,6 @@
 
 use crate::timeslot::TimeSlot;
 use mca_offload::{AccelerationGroupId, UserId};
-use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Edit distance between the user sets of one acceleration group in two
@@ -473,129 +471,6 @@ pub fn slot_levenshtein_distance_bounded(
     Some(total)
 }
 
-/// One acceleration group's user run as a word-aligned u64 bitset: bit
-/// `id % 64` of word `id / 64 - first_word` is set exactly for the assigned
-/// user ids. Because both sides align words to absolute `id / 64` positions,
-/// the symmetric difference — [`group_distance`] — is a straight
-/// XOR-popcount over the overlapping words with no bit shifting.
-///
-/// Construction refuses runs whose id span is sparse relative to their
-/// population (the words would dwarf the run itself); callers fall back to
-/// the linear merge, so the guard never affects results. The metric index
-/// caches one bitset per retained slot and group for the set-edit distance.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GroupBitset {
-    first_word: u32,
-    words: Vec<u64>,
-}
-
-impl GroupBitset {
-    /// Densest span allowed: at most `max(16, len)` words for `len` ids,
-    /// i.e. on average at least one assigned id per 64-id word.
-    const MAX_WORDS_FACTOR: usize = 1;
-
-    /// Packs a sorted, deduplicated user run ([`TimeSlot::users_in`]'s
-    /// guarantee) into a bitset, or `None` when the id span is too sparse
-    /// for the packing to pay off.
-    pub fn from_run(users: &[UserId]) -> Option<Self> {
-        let (Some(first), Some(last)) = (users.first(), users.last()) else {
-            return Some(Self::default());
-        };
-        let first_word = first.0 / 64;
-        let span = (last.0 / 64 - first_word) as usize + 1;
-        if span > users.len().saturating_mul(Self::MAX_WORDS_FACTOR).max(16) {
-            return None;
-        }
-        let mut words = vec![0u64; span];
-        for u in users {
-            words[(u.0 / 64 - first_word) as usize] |= 1u64 << (u.0 % 64);
-        }
-        Some(Self { first_word, words })
-    }
-
-    /// Number of assigned ids in the bitset.
-    pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Half-open absolute word range `[first_word, first_word + len)`.
-    fn word_range(&self) -> (usize, usize) {
-        (
-            self.first_word as usize,
-            self.first_word as usize + self.words.len(),
-        )
-    }
-}
-
-impl Snapshot for GroupBitset {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.first_word.encode(out);
-        self.words.encode(out);
-    }
-}
-
-impl Restore for GroupBitset {
-    fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            first_word: u32::decode(cur)?,
-            words: Vec::<u64>::decode(cur)?,
-        })
-    }
-}
-
-/// [`group_distance`] over two packed runs: the popcount of the XOR of the
-/// aligned words. Exact — the bitsets encode the full sets.
-pub fn bitset_group_distance(a: &GroupBitset, b: &GroupBitset) -> usize {
-    bitset_group_distance_bounded(a, b, usize::MAX).expect("an uncapped distance always evaluates")
-}
-
-/// [`bitset_group_distance`] with an early exit once the accumulated
-/// popcount exceeds `cap`.
-pub fn bitset_group_distance_bounded(
-    a: &GroupBitset,
-    b: &GroupBitset,
-    cap: usize,
-) -> Option<usize> {
-    if a.words.is_empty() || b.words.is_empty() {
-        let distance = a.count() + b.count(); // one of the two is zero
-        return (distance <= cap).then_some(distance);
-    }
-    let (a_lo, a_hi) = a.word_range();
-    let (b_lo, b_hi) = b.word_range();
-    let mut distance = 0usize;
-    // words covered by only one side contribute their own popcount; the
-    // overlap contributes the popcount of the XOR
-    let lo = a_lo.max(b_lo); // >= both starts
-    let hi = a_hi.min(b_hi);
-    for w in &a.words[..lo.min(a_hi) - a_lo] {
-        distance += w.count_ones() as usize;
-    }
-    for w in &b.words[..lo.min(b_hi) - b_lo] {
-        distance += w.count_ones() as usize;
-    }
-    if distance > cap {
-        return None;
-    }
-    if lo < hi {
-        for (wa, wb) in a.words[lo - a_lo..hi - a_lo]
-            .iter()
-            .zip(&b.words[lo - b_lo..hi - b_lo])
-        {
-            distance += (wa ^ wb).count_ones() as usize;
-            if distance > cap {
-                return None;
-            }
-        }
-    }
-    for w in &a.words[(hi.clamp(a_lo, a_hi)) - a_lo..] {
-        distance += w.count_ones() as usize;
-    }
-    for w in &b.words[(hi.clamp(b_lo, b_hi)) - b_lo..] {
-        distance += w.count_ones() as usize;
-    }
-    (distance <= cap).then_some(distance)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -805,42 +680,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn bitset_distance_matches_merge_and_naive() {
-        let cases = [
-            (users(&[]), users(&[])),
-            (users(&[1, 2, 3]), users(&[])),
-            (users(&[1, 2, 3]), users(&[2, 3, 4])),
-            (users(&[0, 63, 64, 127, 128]), users(&[63, 64, 65])),
-            (users(&[1_000_000, 1_000_001]), users(&[1, 2])), // disjoint spans
-            (users(&[10, 20, 700]), users(&[15, 700])),
-        ];
-        for (a, b) in &cases {
-            let (Some(ba), Some(bb)) = (GroupBitset::from_run(a), GroupBitset::from_run(b)) else {
-                panic!("dense test runs always pack");
-            };
-            let expect = group_distance(a, b);
-            assert_eq!(expect, group_distance_naive(a, b));
-            assert_eq!(bitset_group_distance(&ba, &bb), expect, "{a:?} vs {b:?}");
-            assert_eq!(
-                bitset_group_distance_bounded(&ba, &bb, expect),
-                Some(expect)
-            );
-            if expect > 0 {
-                assert_eq!(bitset_group_distance_bounded(&ba, &bb, expect - 1), None);
-            }
-            assert_eq!(ba.count(), a.len());
-        }
-    }
-
-    #[test]
-    fn sparse_runs_refuse_to_pack() {
-        let sparse: Vec<UserId> = (0..20u32).map(|i| UserId(i * 10_000)).collect();
-        assert_eq!(GroupBitset::from_run(&sparse), None);
-        // a dense run packs even when short
-        assert!(GroupBitset::from_run(&users(&[5, 6, 7])).is_some());
     }
 
     #[test]

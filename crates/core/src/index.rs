@@ -1,117 +1,83 @@
-//! The vantage-point metric index over retained slots.
+//! The block-summary tree over the predictor's slot signatures.
 //!
-//! # The pivot / triangle-inequality invariant
+//! # The envelope invariant
 //!
-//! Every distance the nearest-slot search runs on — the set-edit slot
-//! distance and the Levenshtein slot distance — is a metric over time
-//! slots: non-negative, symmetric, and satisfying the triangle inequality
-//! (property-tested in [`crate::distance`]). The index exploits exactly
-//! that: it fixes a few retained slots as **pivots** `p_0 … p_{K-1}` and
-//! caches, for every retained slot `s`, the exact distances `d(s, p_k)`.
-//! For any probe `t` the triangle inequality gives, per pivot,
+//! The predictor keeps, for every retained slot and group, a *signature*:
+//! the user count and the `(min, max)` user id of the group's sorted run.
+//! From two signatures alone `group_bound` lower-bounds the group's edit
+//! distance — two sorted deduplicated runs share at most
+//! `min(|A|, |B|, range overlap)` ids — and the linear scans use that bound
+//! to skip candidates without touching their user lists.
 //!
-//! ```text
-//! d(t, s)  >=  |d(t, p_k) - d(s, p_k)|
-//! ```
+//! The tree summarises those signatures so whole stretches of history are
+//! skipped without touching even their signatures. Slots are grouped into
+//! **blocks** of 64 consecutive *global* slot indices (block `b`
+//! covers indices `64 b .. 64 b + 64`), blocks into level-1 nodes of 64
+//! blocks, and so on; a level is added while the one below it holds more
+//! than 64 nodes. Every node stores, per group, the **envelope** of its
+//! members: `(min count, max count, min id, max id)`. Because every member's
+//! id range lies inside the envelope's and its count inside
+//! `[min count, max count]`, evaluating `group_bound` at the most
+//! favourable count of that interval against the envelope's range overlap
+//! never exceeds any member's own signature bound (the bound is convex in
+//! the candidate's count, so the interval's minimum sits at the clamped
+//! unconstrained minimum). A node whose bound cannot beat the incumbent
+//! therefore refutes every slot below it.
 //!
-//! so one `O(K)` pass over cached numbers lower-bounds the true distance
-//! without touching the candidate's user lists. The search keeps the
-//! candidates ordered by their distance to pivot 0 (a `BTreeSet` of
-//! `(d(s, p_0), global slot index)` keys) and expands outward from the
-//! probe's own `d(t, p_0)`: every candidate in the ring at offset `r` is at
-//! least `r` away from the probe, the offsets are visited in non-decreasing
-//! order, and the walk stops as soon as the ring offset alone exceeds the
-//! best distance found — everything beyond is refuted wholesale, which is
-//! what makes the scan sublinear when the history clusters. Within the
-//! probe's own ring (offset zero) candidates are visited in ascending
-//! global index, so a perfect match terminates at the **earliest** equal
-//! slot, preserving the first-minimum tie-break of the linear scans
-//! bit-for-bit.
-//!
-//! The index is maintained incrementally alongside the predictor's
-//! count/id-range signatures: each observed slot appends its pivot
-//! distances (and, for the set-edit distance, its cached
-//! [`GroupBitset`] packings) and window eviction drains them from the
-//! front. Pivots are snapshots, so eviction never invalidates cached
-//! distances. The ring pivot `p_0` is a clone of the **most recent**
-//! retained slot: probes are current slots and workloads drift slowly, so
-//! the probe's ring walk starts in the recent cluster and the far past
-//! sits in rings the walk never reaches; the remaining pivots spread
-//! evenly across the history so drifted-apart epochs still separate in
-//! the per-candidate bounds. The
-//! whole index is rebuilt with fresh pivots once as many slots have been
-//! observed as were retained at build time, keeping the pivots
-//! representative of a drifting population at amortized `O(K)` distance
-//! evaluations per observation.
+//! Envelopes are minima and maxima, so appending a slot touches one node per
+//! level — `O(groups × depth)` — and a window eviction drops whole nodes and
+//! refolds only the partial first node of each level from its survivors.
+//! The tree is a pure function of the retained signatures: it is rebuilt on
+//! restore like the signatures themselves and never written to a
+//! checkpoint.
 
-use crate::distance::{slot_distance, slot_levenshtein_distance, GroupBitset};
 use crate::predictor::DistanceKind;
-use crate::timeslot::TimeSlot;
-use mca_offload::AccelerationGroupId;
 use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::ops::Range;
 
-/// Whether (and how) the predictor's nearest-slot search uses the
-/// vantage-point metric index.
+/// Whether (and from which history length) the predictor's nearest-slot
+/// search descends the block-summary tree.
 ///
 /// Like [`crate::predictor::ParallelismPolicy`] this is purely a
-/// performance knob: the indexed search returns bit-identical forecasts to
-/// the serial and chunked scans at any configuration, because the triangle
-/// inequality only ever *refutes* candidates. When both an index policy and
-/// a parallelism policy are active, an eligible history takes the indexed
-/// path (its pruning strictly dominates fanning the linear scan out).
+/// performance knob: the tree search returns bit-identical forecasts to the
+/// serial and chunked scans, because a summary bound only ever *refutes*
+/// candidates. When both an index policy and a parallelism policy are
+/// active, an eligible history takes the tree (its pruning strictly
+/// dominates fanning the linear scan out).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IndexPolicy {
-    /// Number of pivot slots (`0` disables the index entirely).
-    pub pivots: usize,
-    /// Minimum retained history length before the index is first built.
-    /// Below it the linear scans win: the per-probe pivot distances cost
-    /// more than they prune.
-    pub min_indexed_slots: usize,
+    /// Retained history length from which the tree is kept and queried
+    /// (`None` never builds it). Below it the serial best-first scan runs.
+    pub min_indexed_slots: Option<usize>,
 }
 
 impl IndexPolicy {
-    /// Default pivot count: enough for drifted populations to separate,
-    /// cheap enough that per-probe pivot distances stay negligible.
-    pub const DEFAULT_PIVOTS: usize = 4;
     /// Default build threshold, aligned with
     /// [`crate::predictor::ParallelismPolicy::DEFAULT_MIN_PARALLEL_SLOTS`].
     pub const DEFAULT_MIN_INDEXED_SLOTS: usize = 4096;
 
-    /// The linear policy (the default): never build the index.
+    /// The linear policy (the default): never build the tree.
     pub fn linear() -> Self {
         Self {
-            pivots: 0,
-            min_indexed_slots: Self::DEFAULT_MIN_INDEXED_SLOTS,
+            min_indexed_slots: None,
         }
     }
 
-    /// Builds the index with the default pivot count once the history
-    /// reaches the default threshold.
+    /// Builds the tree once the history reaches the default threshold.
     pub fn indexed() -> Self {
-        Self {
-            pivots: Self::DEFAULT_PIVOTS,
-            min_indexed_slots: Self::DEFAULT_MIN_INDEXED_SLOTS,
-        }
+        Self::linear().with_min_indexed_slots(Self::DEFAULT_MIN_INDEXED_SLOTS)
     }
 
-    /// Overrides the pivot count (clamped to at least one; use
-    /// [`IndexPolicy::linear`] to disable the index).
-    pub fn with_pivots(mut self, pivots: usize) -> Self {
-        self.pivots = pivots.max(1);
-        self
-    }
-
-    /// Overrides the build threshold.
+    /// Builds the tree once the history reaches `min_indexed_slots`.
     pub fn with_min_indexed_slots(mut self, min_indexed_slots: usize) -> Self {
-        self.min_indexed_slots = min_indexed_slots;
+        self.min_indexed_slots = Some(min_indexed_slots);
         self
     }
 
-    /// Whether this policy ever builds the index.
+    /// Whether this policy ever builds the tree.
     pub fn is_indexed(&self) -> bool {
-        self.pivots > 0
+        self.min_indexed_slots.is_some()
     }
 }
 
@@ -123,7 +89,6 @@ impl Default for IndexPolicy {
 
 impl Snapshot for IndexPolicy {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.pivots.encode(out);
         self.min_indexed_slots.encode(out);
     }
 }
@@ -131,178 +96,237 @@ impl Snapshot for IndexPolicy {
 impl Restore for IndexPolicy {
     fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
         Ok(Self {
-            pivots: usize::decode(cur)?,
-            min_indexed_slots: usize::decode(cur)?,
+            min_indexed_slots: Option::<usize>::decode(cur)?,
         })
     }
 }
 
-/// The distance between two slots under the metric the index accelerates.
-/// The count distance never builds an index — its signature scan is already
-/// `O(groups)` per candidate.
-fn metric(kind: DistanceKind, groups: &[AccelerationGroupId], a: &TimeSlot, b: &TimeSlot) -> usize {
+/// Upper bound on how many ids two sorted, deduplicated runs with the given
+/// `(min, max)` ranges can share: the number of integers in the overlap of
+/// the ranges (zero when either run is empty — the `(u32::MAX, 0)` sentinel
+/// — or the ranges are disjoint).
+pub(crate) fn range_overlap(a: (u32, u32), b: (u32, u32)) -> usize {
+    if a.0 > a.1 || b.0 > b.1 {
+        return 0;
+    }
+    let low = a.0.max(b.0);
+    let high = a.1.min(b.1);
+    if low > high {
+        0
+    } else {
+        (high - low) as usize + 1
+    }
+}
+
+/// Lower bound on one group's edit distance between runs of `ca` and `cb`
+/// users whose id ranges overlap in `overlap` integers. With
+/// `shared = min(ca, cb, overlap)` an upper bound on the ids (equivalently,
+/// on any common subsequence) the runs can have in common,
+/// `set edit >= ca + cb - 2 * shared` and
+/// `Levenshtein >= max(ca, cb) - shared`; both reduce to the count
+/// difference when the ranges fully overlap and refute drifted-apart
+/// populations outright when they do not.
+pub(crate) fn group_bound(kind: DistanceKind, ca: usize, cb: usize, overlap: usize) -> usize {
+    let shared = ca.min(cb).min(overlap);
     match kind {
-        DistanceKind::SetEdit => slot_distance(a, b, groups),
-        DistanceKind::Levenshtein => slot_levenshtein_distance(a, b, groups),
-        DistanceKind::CountDifference => {
-            unreachable!("the count distance takes its dedicated linear scan")
+        DistanceKind::SetEdit => ca + cb - 2 * shared,
+        _ => ca.max(cb) - shared,
+    }
+}
+
+/// Slots per block and children per inner node.
+const FANOUT: usize = 64;
+const FANOUT_BITS: u32 = FANOUT.trailing_zeros();
+
+/// Global-index shift from a slot to its node at `level`.
+fn shift(level: usize) -> u32 {
+    FANOUT_BITS * (level as u32 + 1)
+}
+
+/// The envelope of one group over a node's member slots.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+struct Envelope {
+    min_count: usize,
+    max_count: usize,
+    min_id: u32,
+    max_id: u32,
+}
+
+impl Envelope {
+    /// The envelope of no slots: absorbing anything replaces it. Its id
+    /// range is the empty-run sentinel, which an empty run leaves untouched.
+    const EMPTY: Self = Self {
+        min_count: usize::MAX,
+        max_count: 0,
+        min_id: u32::MAX,
+        max_id: 0,
+    };
+
+    fn of_slot(count: usize, id_range: (u32, u32)) -> Self {
+        Self {
+            min_count: count,
+            max_count: count,
+            min_id: id_range.0,
+            max_id: id_range.1,
+        }
+    }
+
+    fn absorb(&mut self, other: Envelope) {
+        self.min_count = self.min_count.min(other.min_count);
+        self.max_count = self.max_count.max(other.max_count);
+        self.min_id = self.min_id.min(other.min_id);
+        self.max_id = self.max_id.max(other.max_id);
+    }
+}
+
+/// One level of the tree: the envelopes of consecutive nodes, `group_count`
+/// entries per node, starting at node number `first_node` (a node's number
+/// is its first global slot index shifted down by the level's [`shift`]).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+struct Level {
+    first_node: usize,
+    envelopes: Vec<Envelope>,
+}
+
+impl Level {
+    /// Folds one member's per-group envelopes into `node`, which is either
+    /// a stored node or the next one to append.
+    fn absorb(&mut self, node: usize, member: impl ExactSizeIterator<Item = Envelope>) {
+        let group_count = member.len();
+        let at = (node - self.first_node) * group_count;
+        debug_assert!(at <= self.envelopes.len());
+        if at == self.envelopes.len() {
+            self.envelopes
+                .extend(std::iter::repeat_n(Envelope::EMPTY, group_count));
+        }
+        for (envelope, member) in self.envelopes[at..].iter_mut().zip(member) {
+            envelope.absorb(member);
         }
     }
 }
 
-/// Saturating cast of a slot distance into the index's `u32` keys. If a
-/// distance ever saturates, `|sat(x) - sat(y)| <= |x - y|`, so every cached
-/// bound stays a valid lower bound and the search stays exact.
-fn key_distance(d: usize) -> u32 {
-    u32::try_from(d).unwrap_or(u32::MAX)
-}
-
-/// The incremental vantage-point index. See the module docs for the
-/// invariant; [`crate::predictor::WorkloadPredictor`] owns one per
-/// configured [`IndexPolicy`] and keeps it aligned with the retained
-/// history.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub(crate) struct SlotIndex {
-    /// Pivot snapshots (clones survive window eviction).
-    pivots: Vec<TimeSlot>,
-    /// Flat cached distances, `pivots.len()` entries per retained slot,
-    /// aligned with the predictor's signatures.
-    pivot_distances: Vec<u32>,
-    /// `(d(s, p_0), global index of s)` for every retained slot: the ring
-    /// order the search walks outward from the probe's own key.
-    order: BTreeSet<(u32, u64)>,
-    /// Cached set-edit bitset packings, `groups.len()` entries per retained
-    /// slot (`None` per group when the run is too sparse to pack, empty
-    /// altogether for the Levenshtein metric).
-    bitsets: Vec<Option<GroupBitset>>,
+/// The block-summary tree. See the module docs for the invariant;
+/// [`crate::predictor::WorkloadPredictor`] owns one while its
+/// [`IndexPolicy`] and history length call for it and keeps it aligned with
+/// the signatures.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub(crate) struct SummaryTree {
+    group_count: usize,
     /// Global index of the first covered slot.
     first_index: usize,
-    /// Retained history length when the pivots were (re)chosen.
-    built_len: usize,
-    /// Observations since the pivots were (re)chosen.
-    observed_since_build: usize,
+    /// Number of covered slots.
+    len: usize,
+    /// `levels[0]` holds the blocks; the last level holds at most
+    /// [`FANOUT`] nodes.
+    levels: Vec<Level>,
 }
 
-impl SlotIndex {
-    /// Builds a fresh index over the retained slots: pivots chosen evenly
-    /// across the history, every slot's pivot distances (and bitsets, for
-    /// the set-edit metric) computed from scratch.
+impl SummaryTree {
+    /// Builds the tree over the flat signatures (`group_count` entries per
+    /// slot) of the slots from global index `first_index` on.
     pub(crate) fn build(
-        slots: &[TimeSlot],
+        group_count: usize,
         first_index: usize,
-        kind: DistanceKind,
-        groups: &[AccelerationGroupId],
-        pivot_count: usize,
+        counts: &[usize],
+        id_ranges: &[(u32, u32)],
     ) -> Self {
-        let len = slots.len();
-        debug_assert!(len > 0 && pivot_count > 0);
-        let pivot_count = pivot_count.min(len);
-        // Pivot 0 — the ring-order pivot — is the most recent retained
-        // slot: probes are current slots and workloads drift slowly, so the
-        // probe's own ring lands in the recent cluster and far-past
-        // candidates fall in distant rings the walk never reaches. The
-        // remaining pivots spread evenly across the history so drifted-apart
-        // epochs still separate in the per-candidate bounds.
-        let pivots: Vec<TimeSlot> = (0..pivot_count)
-            .map(|i| {
-                let position = if i == 0 {
-                    len - 1
-                } else {
-                    (i - 1) * (len - 1) / (pivot_count - 1)
-                };
-                slots[position].clone()
-            })
-            .collect();
-        let mut index = Self {
-            pivots,
-            pivot_distances: Vec::with_capacity(len * pivot_count),
-            order: BTreeSet::new(),
-            bitsets: Vec::new(),
+        debug_assert!(group_count > 0);
+        let mut tree = Self::empty(group_count, first_index);
+        tree.sync(first_index, counts, id_ranges);
+        tree
+    }
+
+    /// The tree over no slots, the next one being `first_index`.
+    fn empty(group_count: usize, first_index: usize) -> Self {
+        Self {
+            group_count,
             first_index,
-            built_len: len,
-            observed_since_build: 0,
+            len: 0,
+            levels: vec![Level {
+                first_node: first_index >> shift(0),
+                envelopes: Vec::new(),
+            }],
+        }
+    }
+
+    /// Brings the tree in line with the signatures after the history
+    /// evicted from the front (up to `first_index`) and grew at the back.
+    pub(crate) fn sync(&mut self, first_index: usize, counts: &[usize], id_ranges: &[(u32, u32)]) {
+        let group_count = self.group_count;
+        debug_assert_eq!(counts.len(), id_ranges.len());
+        let signature = |global: usize| {
+            let at = (global - first_index) * group_count;
+            counts[at..at + group_count]
+                .iter()
+                .zip(&id_ranges[at..at + group_count])
+                .map(|(count, id_range)| Envelope::of_slot(*count, *id_range))
         };
-        for (position, slot) in slots.iter().enumerate() {
-            index.append(slot, first_index + position, kind, groups);
-        }
-        index
-    }
-
-    /// Whether enough observations accumulated since the last build that
-    /// the pivots should be re-chosen (the doubling rule: amortized `O(K)`
-    /// distance evaluations per observation, periodic refresh under a
-    /// retention window).
-    pub(crate) fn should_rebuild(&self) -> bool {
-        self.observed_since_build >= self.built_len.max(1)
-    }
-
-    /// Appends one observed slot: cache its pivot distances, insert its
-    /// ring key, pack its bitsets.
-    pub(crate) fn push(
-        &mut self,
-        slot: &TimeSlot,
-        global_index: usize,
-        kind: DistanceKind,
-        groups: &[AccelerationGroupId],
-    ) {
-        self.append(slot, global_index, kind, groups);
-        self.observed_since_build += 1;
-    }
-
-    fn append(
-        &mut self,
-        slot: &TimeSlot,
-        global_index: usize,
-        kind: DistanceKind,
-        groups: &[AccelerationGroupId],
-    ) {
-        debug_assert_eq!(
-            global_index,
-            self.first_index + self.pivot_distances.len() / self.pivots.len().max(1)
-        );
-        let mut ring_key = 0;
-        for (k, pivot) in self.pivots.iter().enumerate() {
-            let d = key_distance(metric(kind, groups, slot, pivot));
-            if k == 0 {
-                ring_key = d;
+        let mut covered_end = self.first_index + self.len;
+        if first_index >= covered_end {
+            // nothing covered survives (a window of one slot evicts it all)
+            *self = Self::empty(group_count, first_index);
+            covered_end = first_index;
+        } else if first_index > self.first_index {
+            self.first_index = first_index;
+            for level in 0..self.levels.len() {
+                let (below, here) = self.levels.split_at_mut(level);
+                let here = &mut here[0];
+                let node = first_index >> shift(level);
+                here.envelopes
+                    .drain(..(node - here.first_node) * group_count);
+                here.first_node = node;
+                // refold the (possibly partial) first node from its survivors
+                here.envelopes[..group_count].fill(Envelope::EMPTY);
+                match below.last() {
+                    None => {
+                        let block_end = ((node + 1) << shift(0)).min(covered_end);
+                        for global in first_index..block_end {
+                            here.absorb(node, signature(global));
+                        }
+                    }
+                    Some(below) => {
+                        for child in below
+                            .envelopes
+                            .chunks_exact(group_count)
+                            .take(((node + 1) << FANOUT_BITS) - below.first_node)
+                        {
+                            here.absorb(node, child.iter().copied());
+                        }
+                    }
+                }
             }
-            self.pivot_distances.push(d);
         }
-        self.order.insert((ring_key, global_index as u64));
-        if kind == DistanceKind::SetEdit {
-            self.bitsets.extend(
-                groups
-                    .iter()
-                    .map(|g| GroupBitset::from_run(slot.users_in(*g))),
-            );
+        let end = first_index + counts.len() / group_count;
+        for global in covered_end..end {
+            for (level, here) in self.levels.iter_mut().enumerate() {
+                here.absorb(global >> shift(level), signature(global));
+            }
         }
+        self.len = end - first_index;
+        self.fit_levels();
     }
 
-    /// Drops every slot before `first_index` (window eviction from the
-    /// front), removing their ring keys through the cached distances.
-    pub(crate) fn evict_to(&mut self, first_index: usize, group_count: usize) {
-        if first_index <= self.first_index {
-            return;
+    /// Adds or removes top levels until the depth is the smallest at which
+    /// the top level holds at most [`FANOUT`] nodes.
+    fn fit_levels(&mut self) {
+        let group_count = self.group_count;
+        let nodes = |level: &Level| level.envelopes.len() / group_count;
+        while self.levels.len() > 1 && nodes(&self.levels[self.levels.len() - 2]) <= FANOUT {
+            self.levels.pop();
         }
-        let pivot_count = self.pivots.len();
-        let drop = (first_index - self.first_index).min(self.len());
-        for position in 0..drop {
-            let ring_key = self.pivot_distances[position * pivot_count];
-            let removed = self
-                .order
-                .remove(&(ring_key, (self.first_index + position) as u64));
-            debug_assert!(removed, "every covered slot has a ring key");
+        while let Some(below) = self.levels.last().filter(|top| nodes(top) > FANOUT) {
+            let mut top = Level {
+                first_node: below.first_node >> FANOUT_BITS,
+                envelopes: Vec::new(),
+            };
+            for (offset, child) in below.envelopes.chunks_exact(group_count).enumerate() {
+                top.absorb(
+                    (below.first_node + offset) >> FANOUT_BITS,
+                    child.iter().copied(),
+                );
+            }
+            self.levels.push(top);
         }
-        self.pivot_distances.drain(0..drop * pivot_count);
-        if !self.bitsets.is_empty() {
-            self.bitsets.drain(0..drop * group_count);
-        }
-        self.first_index = first_index;
-    }
-
-    /// Number of covered slots.
-    pub(crate) fn len(&self) -> usize {
-        self.pivot_distances.len() / self.pivots.len().max(1)
     }
 
     /// Global index of the first covered slot.
@@ -310,149 +334,63 @@ impl SlotIndex {
         self.first_index
     }
 
-    /// The pivot snapshots.
-    pub(crate) fn pivots(&self) -> &[TimeSlot] {
-        &self.pivots
+    /// Number of levels (at least one).
+    pub(crate) fn depth(&self) -> usize {
+        self.levels.len()
     }
 
-    /// Cached pivot distances of the slot at `position` (local, within the
-    /// retained slots).
-    pub(crate) fn pivot_distances_of(&self, position: usize) -> &[u32] {
-        let k = self.pivots.len();
-        &self.pivot_distances[position * k..(position + 1) * k]
+    /// The node numbers stored at `level`, in chronological order.
+    pub(crate) fn nodes(&self, level: usize) -> Range<usize> {
+        let first = self.levels[level].first_node;
+        first..first + self.levels[level].envelopes.len() / self.group_count
     }
 
-    /// Cached bitset packings of the slot at `position`, or an empty slice
-    /// for the Levenshtein metric.
-    pub(crate) fn bitsets_of(&self, position: usize, group_count: usize) -> &[Option<GroupBitset>] {
-        if self.bitsets.is_empty() {
-            return &[];
-        }
-        &self.bitsets[position * group_count..(position + 1) * group_count]
+    /// What lies below `node` of `level`, in chronological order: node
+    /// numbers of the level below, or global slot indices under a block.
+    pub(crate) fn children(&self, level: usize, node: usize) -> Range<usize> {
+        let stored = match level {
+            0 => self.first_index..self.first_index + self.len,
+            _ => self.nodes(level - 1),
+        };
+        (node << FANOUT_BITS).max(stored.start)..((node + 1) << FANOUT_BITS).min(stored.end)
     }
 
-    /// Walks the candidates in non-decreasing ring offset `|d(s, p_0) -
-    /// probe_key|` — the triangle lower bound each ring guarantees — with
-    /// the probe's own ring first in ascending global index.
-    pub(crate) fn ring_walk(&self, probe_key: u32) -> RingWalk<'_> {
-        RingWalk {
-            own: self
-                .order
-                .range((probe_key, u64::MIN)..=(probe_key, u64::MAX)),
-            down: self.order.range(..(probe_key, u64::MIN)).rev(),
-            up: self.order.range((
-                std::ops::Bound::Excluded((probe_key, u64::MAX)),
-                std::ops::Bound::Unbounded,
-            )),
-            probe_key,
-        }
+    /// Global index of the first covered slot below `node` of `level`.
+    pub(crate) fn first_slot(&self, level: usize, node: usize) -> usize {
+        (node << shift(level)).max(self.first_index)
     }
-}
 
-/// The ring order is derived state — `(pivot_distances[position * K],
-/// first_index + position)` for every covered slot — so the wire carries
-/// only the caches and the decode rebuilds the `BTreeSet` deterministically.
-impl Snapshot for SlotIndex {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.pivots.encode(out);
-        self.pivot_distances.encode(out);
-        self.bitsets.encode(out);
-        self.first_index.encode(out);
-        self.built_len.encode(out);
-        self.observed_since_build.encode(out);
-    }
-}
-
-impl Restore for SlotIndex {
-    fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
-        let pivots = Vec::<TimeSlot>::decode(cur)?;
-        let pivot_distances = Vec::<u32>::decode(cur)?;
-        let bitsets = Vec::<Option<GroupBitset>>::decode(cur)?;
-        let first_index = usize::decode(cur)?;
-        let built_len = usize::decode(cur)?;
-        let observed_since_build = usize::decode(cur)?;
-        let pivot_count = pivots.len();
-        if pivot_count == 0 {
-            return Err(SnapshotError::Malformed {
-                context: "slot index with no pivots",
-            });
-        }
-        if pivot_distances.len() % pivot_count != 0 {
-            return Err(SnapshotError::Malformed {
-                context: "pivot distance cache not a multiple of the pivot count",
-            });
-        }
-        let len = pivot_distances.len() / pivot_count;
-        let mut order = BTreeSet::new();
-        for position in 0..len {
-            let ring_key = pivot_distances[position * pivot_count];
-            if !order.insert((ring_key, (first_index + position) as u64)) {
-                return Err(SnapshotError::Malformed {
-                    context: "duplicate ring key in slot index",
-                });
-            }
-        }
-        Ok(Self {
-            pivots,
-            pivot_distances,
-            order,
-            bitsets,
-            first_index,
-            built_len,
-            observed_since_build,
-        })
-    }
-}
-
-/// Iterator over `(ring offset, global slot index)` in non-decreasing ring
-/// offset; see [`SlotIndex::ring_walk`].
-pub(crate) struct RingWalk<'a> {
-    own: std::collections::btree_set::Range<'a, (u32, u64)>,
-    down: std::iter::Rev<std::collections::btree_set::Range<'a, (u32, u64)>>,
-    up: std::collections::btree_set::Range<'a, (u32, u64)>,
-    probe_key: u32,
-}
-
-impl Iterator for RingWalk<'_> {
-    type Item = (u32, u64);
-
-    fn next(&mut self) -> Option<(u32, u64)> {
-        if let Some(&(_, global)) = self.own.next() {
-            return Some((0, global));
-        }
-        // merge the two outward directions by ring offset; clone() of a
-        // BTreeSet range is a cheap cursor copy, so peeking stays allocation-free
-        let down = self
-            .down
-            .clone()
-            .next()
-            .map(|&(key, _)| self.probe_key - key);
-        let up = self.up.clone().next().map(|&(key, _)| key - self.probe_key);
-        match (down, up) {
-            (Some(d), Some(u)) if d <= u => {
-                self.down.next().map(|&(key, g)| (self.probe_key - key, g))
-            }
-            (Some(_), Some(_)) => self.up.next().map(|&(key, g)| (key - self.probe_key, g)),
-            (Some(_), None) => self.down.next().map(|&(key, g)| (self.probe_key - key, g)),
-            (None, Some(_)) => self.up.next().map(|&(key, g)| (key - self.probe_key, g)),
-            (None, None) => None,
-        }
+    /// Lower bound on the `kind` distance between the probe (described by
+    /// its per-group counts and id ranges) and *every* slot below `node` of
+    /// `level`: never above any member's own signature bound.
+    pub(crate) fn node_bound(
+        &self,
+        level: usize,
+        node: usize,
+        kind: DistanceKind,
+        probe_counts: &[usize],
+        probe_ranges: &[(u32, u32)],
+    ) -> usize {
+        let here = &self.levels[level];
+        let at = (node - here.first_node) * self.group_count;
+        here.envelopes[at..at + self.group_count]
+            .iter()
+            .zip(probe_counts.iter().zip(probe_ranges))
+            .map(|(envelope, (&ca, &probe_range))| {
+                let overlap = range_overlap(probe_range, (envelope.min_id, envelope.max_id));
+                let cb = ca
+                    .min(overlap)
+                    .max(envelope.min_count)
+                    .min(envelope.max_count);
+                group_bound(kind, ca, cb, overlap)
+            })
+            .sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mca_offload::UserId;
-
-    const GROUPS: [AccelerationGroupId; 2] = [AccelerationGroupId(1), AccelerationGroupId(2)];
-
-    fn slot(index: usize, base: u32, n: u32) -> TimeSlot {
-        TimeSlot::from_assignments(
-            index,
-            (0..n).map(|u| (AccelerationGroupId(1 + (u % 2) as u8), UserId(base + u))),
-        )
-    }
 
     #[test]
     fn policy_defaults_to_linear() {
@@ -460,69 +398,92 @@ mod tests {
         assert_eq!(policy, IndexPolicy::linear());
         assert!(!policy.is_indexed());
         assert!(IndexPolicy::indexed().is_indexed());
-        assert_eq!(IndexPolicy::indexed().with_pivots(0).pivots, 1, "clamped");
         assert_eq!(
-            IndexPolicy::indexed()
+            IndexPolicy::indexed().min_indexed_slots,
+            Some(IndexPolicy::DEFAULT_MIN_INDEXED_SLOTS)
+        );
+        assert_eq!(
+            IndexPolicy::linear()
                 .with_min_indexed_slots(7)
                 .min_indexed_slots,
-            7
+            Some(7)
         );
     }
 
-    #[test]
-    fn cached_distances_are_exact_and_survive_eviction() {
-        let slots: Vec<TimeSlot> = (0..20).map(|i| slot(i, (i as u32) * 3, 10)).collect();
-        let mut index = SlotIndex::build(&slots, 0, DistanceKind::SetEdit, &GROUPS, 3);
-        assert_eq!(index.len(), 20);
-        for (position, s) in slots.iter().enumerate() {
-            for (k, pivot) in index.pivots().to_vec().iter().enumerate() {
-                assert_eq!(
-                    index.pivot_distances_of(position)[k] as usize,
-                    slot_distance(s, pivot, &GROUPS)
-                );
+    /// Flat two-group signatures of `len` slots starting at global `first`;
+    /// group 2 is empty in every fifth slot.
+    fn signatures(first: usize, len: usize) -> (Vec<usize>, Vec<(u32, u32)>) {
+        let mut counts = Vec::new();
+        let mut id_ranges = Vec::new();
+        for global in first..first + len {
+            let low = (global * 3) as u32;
+            counts.push(5 + global % 7);
+            id_ranges.push((low, low + 20));
+            if global % 5 == 0 {
+                counts.push(0);
+                id_ranges.push((u32::MAX, 0));
+            } else {
+                counts.push(1 + global % 3);
+                id_ranges.push((1_000_000 + low, 1_000_002 + low));
             }
         }
-        index.evict_to(5, GROUPS.len());
-        assert_eq!(index.len(), 15);
-        assert_eq!(index.first_index(), 5);
-        // cached distances still refer to the original pivots
-        assert_eq!(
-            index.pivot_distances_of(0)[0] as usize,
-            slot_distance(&slots[5], &index.pivots()[0], &GROUPS)
-        );
+        (counts, id_ranges)
     }
 
     #[test]
-    fn ring_walk_visits_every_slot_in_nondecreasing_offset() {
-        let slots: Vec<TimeSlot> = (0..30).map(|i| slot(i, (i as u32) * 7, 8)).collect();
-        let index = SlotIndex::build(&slots, 0, DistanceKind::SetEdit, &GROUPS, 2);
-        for probe_key in [0u32, 3, 10, 500] {
-            let visited: Vec<(u32, u64)> = index.ring_walk(probe_key).collect();
-            assert_eq!(visited.len(), 30, "every candidate appears exactly once");
-            let mut seen: Vec<u64> = visited.iter().map(|&(_, g)| g).collect();
-            seen.sort_unstable();
-            assert_eq!(seen, (0..30u64).collect::<Vec<_>>());
-            for pair in visited.windows(2) {
-                assert!(pair[0].0 <= pair[1].0, "ring offsets are non-decreasing");
+    fn incremental_upkeep_equals_a_from_scratch_build_across_level_changes() {
+        let build = |first, len| {
+            let (counts, id_ranges) = signatures(first, len);
+            SummaryTree::build(2, first, &counts, &id_ranges)
+        };
+        let sync = |tree: &mut SummaryTree, first, len| {
+            let (counts, id_ranges) = signatures(first, len);
+            tree.sync(first, &counts, &id_ranges);
+        };
+        // growth: the 65th block (slot 4,097) brings the second level
+        let mut tree = build(0, 1);
+        for len in 2..=4_200 {
+            sync(&mut tree, 0, len);
+            assert_eq!(tree.depth(), if len > 4_096 { 2 } else { 1 }, "{len}");
+            if len % 61 == 0 || (4_090..4_100).contains(&len) {
+                assert_eq!(tree, build(0, len), "grown to {len}");
             }
-            // the probe's own ring comes first, in ascending global index
-            let own: Vec<u64> = visited
-                .iter()
-                .take_while(|&&(ring, _)| ring == 0)
-                .map(|&(_, g)| g)
-                .collect();
-            assert!(own.windows(2).all(|w| w[0] < w[1]));
         }
+        // a sliding window: every step evicts one slot and appends one
+        for first in 1..200 {
+            sync(&mut tree, first, 4_200);
+            assert_eq!(tree, build(first, 4_200), "window at {first}");
+        }
+        // eviction and growth in one step, landing mid-block
+        sync(&mut tree, 1_000, 3_500);
+        assert_eq!(tree, build(1_000, 3_500));
+        assert_eq!(tree.depth(), 1, "55 blocks need one level");
+        assert_eq!(tree.nodes(0), 15..71);
+        assert_eq!(tree.children(0, 15), 1_000..1_024);
+        assert_eq!(tree.first_slot(0, 15), 1_000);
+        // a window of one slot evicts everything that was covered
+        sync(&mut tree, 4_500, 1);
+        assert_eq!(tree, build(4_500, 1));
     }
 
     #[test]
-    fn rebuild_trigger_follows_the_doubling_rule() {
-        let slots: Vec<TimeSlot> = (0..8).map(|i| slot(i, i as u32, 4)).collect();
-        let mut index = SlotIndex::build(&slots, 0, DistanceKind::SetEdit, &GROUPS, 2);
-        assert!(!index.should_rebuild());
-        for i in 8..16 {
-            index.push(&slot(i, i as u32, 4), i, DistanceKind::SetEdit, &GROUPS);
-        }
-        assert!(index.should_rebuild(), "as many observed as built over");
+    fn a_node_bound_is_the_signature_bound_at_the_most_favourable_count() {
+        // one group, one block: counts 4..=9, ids 100..=180
+        let counts = [4, 9, 6];
+        let id_ranges = [(100, 120), (150, 180), (110, 130)];
+        let tree = SummaryTree::build(1, 0, &counts, &id_ranges);
+        let bound = |kind, ca: usize, range| tree.node_bound(0, 0, kind, &[ca], &[range]);
+        // full overlap: only the count interval matters
+        assert_eq!(bound(DistanceKind::SetEdit, 6, (0, 500)), 0);
+        assert_eq!(bound(DistanceKind::SetEdit, 12, (0, 500)), 3);
+        assert_eq!(bound(DistanceKind::SetEdit, 1, (0, 500)), 3);
+        // disjoint ids: nothing shared, the smallest member is the cheapest
+        assert_eq!(bound(DistanceKind::SetEdit, 6, (900, 950)), 6 + 4);
+        assert_eq!(bound(DistanceKind::Levenshtein, 6, (900, 950)), 6);
+        // two ids of overlap
+        assert_eq!(bound(DistanceKind::SetEdit, 6, (179, 300)), 6 + 4 - 2 * 2);
+        assert_eq!(bound(DistanceKind::Levenshtein, 6, (179, 300)), 6 - 2);
+        // an empty probe group against a node that is never empty
+        assert_eq!(bound(DistanceKind::SetEdit, 0, (u32::MAX, 0)), 4);
     }
 }

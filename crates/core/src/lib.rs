@@ -23,10 +23,10 @@
 //!   `δ` and slot distance `Δ` as allocation-free linear merges over the
 //!   sorted runs, plus banded early-exit Levenshtein / normalized variants
 //!   and the retained `*_naive` references.
-//! * [`index`] — the vantage-point metric index over retained slots: cached
-//!   pivot distances turn the triangle inequality into a sublinear
-//!   nearest-slot search for 100k+ slot histories, maintained incrementally
-//!   alongside the predictor's signatures.
+//! * [`index`] — the block-summary tree over the predictor's per-slot
+//!   signatures: per-block count/id-range envelopes refute whole stretches
+//!   of a 100k+ slot history per query, maintained incrementally alongside
+//!   the signatures.
 //! * [`predictor`] — workload prediction (§IV-B): pruned nearest-neighbour
 //!   search over the slot history (cached per-slot count signatures give an
 //!   `O(groups)` lower bound that skips most candidates), with alternative

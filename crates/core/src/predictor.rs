@@ -52,14 +52,20 @@
 //! shorter than [`ParallelismPolicy::min_parallel_slots`] stay on the
 //! sequential path, and the count distance keeps its dedicated
 //! allocation-free linear scan.
+//!
+//! # Block-summary tree
+//!
+//! Under an [`IndexPolicy`] that asks for it, a history past the policy's
+//! threshold is searched through the per-block signature envelopes of
+//! [`crate::index`] instead: whole stretches of history are refuted by one
+//! bound each, and only the surviving blocks are scanned as above.
 
 use crate::distance::{
-    bitset_group_distance_bounded, count_distance, group_distance_bounded, slot_distance,
-    slot_distance_bounded, slot_distance_naive, slot_levenshtein_distance,
-    slot_levenshtein_distance_bounded, DistanceScratch, GroupBitset,
+    count_distance, slot_distance, slot_distance_bounded, slot_distance_naive,
+    slot_levenshtein_distance, slot_levenshtein_distance_bounded, DistanceScratch,
 };
 use crate::error::CoreError;
-use crate::index::{IndexPolicy, SlotIndex};
+use crate::index::{group_bound, range_overlap, IndexPolicy, SummaryTree};
 use crate::timeslot::{SlotHistory, TimeSlot};
 use mca_offload::AccelerationGroupId;
 use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
@@ -181,22 +187,6 @@ fn id_range(users: &[mca_offload::UserId]) -> (u32, u32) {
     }
 }
 
-/// Upper bound on how many ids two sorted, deduplicated runs with the given
-/// `(min, max)` ranges can share: the number of integers in the overlap of
-/// the ranges (zero when either run is empty or the ranges are disjoint).
-fn range_overlap(a: (u32, u32), b: (u32, u32)) -> usize {
-    if a.0 > a.1 || b.0 > b.1 {
-        return 0;
-    }
-    let low = a.0.max(b.0);
-    let high = a.1.min(b.1);
-    if low > high {
-        0
-    } else {
-        (high - low) as usize + 1
-    }
-}
-
 /// One chunk of the parallel scan: its chronological range, the signature
 /// lower bound of every candidate in it, and the chunk's first-minimum
 /// bound (the chunk's nomination for the shared seed candidate).
@@ -206,6 +196,101 @@ struct ChunkCandidates {
     bounds: Vec<usize>,
     min_bound: usize,
     min_position: usize,
+}
+
+/// The best candidate a nearest-slot scan has found so far.
+#[derive(Debug)]
+struct Incumbent {
+    distance: usize,
+    /// Position within the retained slots.
+    position: usize,
+    /// Full distance evaluations spent so far.
+    evaluated: u64,
+}
+
+impl Incumbent {
+    /// No candidate yet: anything evaluated replaces it.
+    const NONE: Self = Self {
+        distance: usize::MAX,
+        position: usize::MAX,
+        evaluated: 0,
+    };
+
+    /// Whether slots from `position` on, all at least `lower_bound` away,
+    /// cannot replace the incumbent: they are farther, or can at best tie
+    /// and would lose the earliest-slot tie-break.
+    fn refutes(&self, lower_bound: usize, position: usize) -> bool {
+        lower_bound > self.distance || (lower_bound == self.distance && position > self.position)
+    }
+}
+
+/// The state of one query descending the block-summary tree; see
+/// [`WorkloadPredictor::nearest_position_indexed`].
+struct TreeSearch<'a> {
+    predictor: &'a WorkloadPredictor,
+    tree: &'a SummaryTree,
+    current: &'a TimeSlot,
+    current_signature: &'a [usize],
+    current_ranges: &'a [(u32, u32)],
+    /// The block the seeding descent scanned; the walk does not rescan it.
+    seed_block: usize,
+    incumbent: Incumbent,
+    scratch: DistanceScratch,
+    nodes_bounded: u64,
+    slots_bounded: u64,
+}
+
+impl TreeSearch<'_> {
+    fn node_bound(&mut self, level: usize, node: usize) -> usize {
+        self.nodes_bounded += 1;
+        self.tree.node_bound(
+            level,
+            node,
+            self.predictor.distance,
+            self.current_signature,
+            self.current_ranges,
+        )
+    }
+
+    /// Scans the slots at the given global indices chronologically.
+    fn scan_slots(&mut self, slots: Range<usize>) {
+        self.slots_bounded += slots.len() as u64;
+        for global in slots {
+            let position = global - self.tree.first_index();
+            let lower_bound = self.predictor.signature_bound(
+                self.current_signature,
+                self.current_ranges,
+                position,
+            );
+            self.predictor.consider(
+                self.current,
+                position,
+                lower_bound,
+                &mut self.incumbent,
+                &mut self.scratch,
+            );
+        }
+    }
+
+    /// Walks `nodes` of `level` chronologically, descending into those the
+    /// incumbent does not refute.
+    fn walk(&mut self, level: usize, nodes: Range<usize>) {
+        for node in nodes {
+            if level == 0 && node == self.seed_block {
+                continue;
+            }
+            let lower_bound = self.node_bound(level, node);
+            let first_position = self.tree.first_slot(level, node) - self.tree.first_index();
+            if self.incumbent.refutes(lower_bound, first_position) {
+                continue;
+            }
+            let children = self.tree.children(level, node);
+            match level {
+                0 => self.scan_slots(children),
+                _ => self.walk(level - 1, children),
+            }
+        }
+    }
 }
 
 /// The per-group workload forecast for the next provisioning interval.
@@ -247,15 +332,15 @@ impl WorkloadForecast {
 #[derive(Debug, Default, Serialize, Deserialize)]
 pub struct PredictorStats {
     /// Nearest-slot scan queries answered (all paths: serial best-first,
-    /// count-signature linear, chunked parallel, indexed).
+    /// count-signature linear, chunked parallel, summary tree).
     queries: AtomicU64,
     /// `observe_and_predict` calls resolved by the signature-equality
     /// shortcut, never evaluating a distance.
     fast_predictions: AtomicU64,
-    /// Candidates visited by [`SlotIndex::ring_walk`] before the ring bound
-    /// terminated the walk.
+    /// Summary-tree nodes whose envelope bound was computed
+    /// ([`SummaryTree::node_bound`]); the name predates the tree.
     rings_walked: AtomicU64,
-    /// Candidates whose signature/triangle lower bound was computed.
+    /// Candidates whose signature lower bound was computed.
     candidates_bounded: AtomicU64,
     /// Candidates that survived the bounds and had a full (early-exit)
     /// distance evaluation.
@@ -263,11 +348,13 @@ pub struct PredictorStats {
     /// Times a [`DistanceScratch`] buffer had to grow mid-query (see
     /// [`DistanceScratch::grows`]).
     scratch_grows: AtomicU64,
-    /// Metric-index builds from scratch (first build after crossing
-    /// [`IndexPolicy::min_indexed_slots`], or a policy/distance change).
+    /// Summary-tree builds from scratch (the history crossed
+    /// [`IndexPolicy::min_indexed_slots`], was replaced, or the policy or
+    /// distance changed).
     index_builds: AtomicU64,
-    /// Metric-index rebuilds triggered by the doubling rule
-    /// ([`SlotIndex::should_rebuild`]).
+    /// Always zero: the summary tree is kept current in place and has no
+    /// rebuild schedule. The counter stays for the readers of
+    /// [`PredictorStatsSnapshot`].
     index_rebuilds: AtomicU64,
 }
 
@@ -322,7 +409,7 @@ pub struct PredictorStatsSnapshot {
     pub queries: u64,
     /// Fast-path `observe_and_predict` resolutions.
     pub fast_predictions: u64,
-    /// Index ring-walk candidates visited.
+    /// Summary-tree nodes bounded.
     pub rings_walked: u64,
     /// Candidates with a lower bound computed.
     pub candidates_bounded: u64,
@@ -332,7 +419,7 @@ pub struct PredictorStatsSnapshot {
     pub scratch_grows: u64,
     /// Index builds from scratch.
     pub index_builds: u64,
-    /// Doubling-rule index rebuilds.
+    /// Scheduled index rebuilds (always zero).
     pub index_rebuilds: u64,
 }
 
@@ -490,15 +577,17 @@ pub struct WorkloadPredictor {
     signature_first_index: usize,
     /// How the nearest-neighbour scan fans out over threads.
     parallelism: ParallelismPolicy,
-    /// Whether (and when) the vantage-point metric index takes over the
+    /// Whether (and when) the block-summary tree takes over the
     /// nearest-slot search.
     index_policy: IndexPolicy,
-    /// The metric index itself, built once the retained history crosses
-    /// [`IndexPolicy::min_indexed_slots`] and maintained incrementally
+    /// The block-summary tree over `signatures` and `id_ranges`, kept
+    /// exactly while the retained history is at least
+    /// [`IndexPolicy::min_indexed_slots`] long and maintained incrementally
     /// alongside the signatures. `None` while the policy is linear, the
     /// history is short, or the distance is the count difference (whose
-    /// signature scan is already `O(groups)` per candidate).
-    index: Option<SlotIndex>,
+    /// signature scan is already `O(groups)` per candidate). Derived state
+    /// like the signatures: always equal to a from-scratch build.
+    summaries: Option<SummaryTree>,
     /// Cumulative query and index-health counters. Excluded from equality
     /// (see [`PredictorStats`]).
     stats: PredictorStats,
@@ -519,16 +608,16 @@ impl WorkloadPredictor {
             signature_first_index: 0,
             parallelism: ParallelismPolicy::default(),
             index_policy: IndexPolicy::default(),
-            index: None,
+            summaries: None,
             stats: PredictorStats::default(),
         }
     }
 
     /// Plain-integer snapshot of the cumulative query and index-health
-    /// counters: scan queries answered, candidates bounded vs. evaluated,
-    /// index ring-walk lengths, [`DistanceScratch`] growths, and index
-    /// builds/rebuilds. Counters only ever increase; diff two snapshots to
-    /// rate a window.
+    /// counters: scan queries answered, summary nodes and candidates bounded
+    /// vs. candidates evaluated, [`DistanceScratch`] growths, and summary-tree
+    /// builds. Counters only ever increase; diff two snapshots to rate a
+    /// window.
     pub fn stats(&self) -> PredictorStatsSnapshot {
         self.stats.snapshot()
     }
@@ -539,12 +628,11 @@ impl WorkloadPredictor {
         self
     }
 
-    /// Overrides the distance function. Any existing metric index is
-    /// rebuilt — its cached pivot distances belong to the old metric.
+    /// Overrides the distance function. The summary tree follows: the
+    /// count distance drops it, an edit distance (re)gains it.
     pub fn with_distance(mut self, distance: DistanceKind) -> Self {
         self.distance = distance;
-        self.index = None;
-        self.sync_index();
+        self.sync_summaries();
         self
     }
 
@@ -570,12 +658,11 @@ impl WorkloadPredictor {
         self
     }
 
-    /// Changes the metric-index policy in place, rebuilding (or dropping)
-    /// the index to match.
+    /// Changes the metric-index policy in place, building (or dropping)
+    /// the summary tree to match.
     pub fn set_index_policy(&mut self, policy: IndexPolicy) {
         self.index_policy = policy;
-        self.index = None;
-        self.sync_index();
+        self.sync_summaries();
     }
 
     /// The metric-index policy in force.
@@ -583,11 +670,11 @@ impl WorkloadPredictor {
         self.index_policy
     }
 
-    /// Whether the vantage-point index is currently built and answering
+    /// Whether the summary tree is currently kept and answering
     /// nearest-slot queries (benchmarks assert the indexed path is really
     /// exercised).
     pub fn index_active(&self) -> bool {
-        self.index.is_some()
+        self.summaries.is_some()
     }
 
     /// Caps the knowledge base at the `window` most recent slots, bounding
@@ -636,11 +723,7 @@ impl WorkloadPredictor {
     /// window configured on the new history.
     pub fn set_history(&mut self, history: SlotHistory) {
         self.history = history;
-        self.signatures.clear();
-        self.id_ranges.clear();
-        self.signature_first_index = self.history.first_index();
-        self.index = None;
-        self.sync_signatures();
+        self.rebuild_signatures();
     }
 
     /// Moves the accumulated knowledge base out of the predictor without
@@ -653,11 +736,18 @@ impl WorkloadPredictor {
         let mut empty = SlotHistory::new(self.history.slot_length_ms);
         empty.set_window(self.history.window());
         let history = std::mem::replace(&mut self.history, empty);
+        self.rebuild_signatures();
+        history
+    }
+
+    /// Recomputes every derived cache — signatures and summary tree — from
+    /// the retained slots, after the history was replaced wholesale.
+    fn rebuild_signatures(&mut self) {
         self.signatures.clear();
         self.id_ranges.clear();
-        self.signature_first_index = 0;
-        self.index = None;
-        history
+        self.signature_first_index = self.history.first_index();
+        self.summaries = None;
+        self.sync_signatures();
     }
 
     /// Brings the cached count signatures back in line with the retained
@@ -683,66 +773,37 @@ impl WorkloadPredictor {
         }
         debug_assert_eq!(self.signatures.len(), self.history.len() * group_count);
         debug_assert_eq!(self.id_ranges.len(), self.signatures.len());
-        self.sync_index();
+        self.sync_summaries();
     }
 
-    /// Brings the metric index in line with the retained slots: builds it
-    /// once the history crosses the policy threshold, evicts and appends
-    /// incrementally alongside the signatures, and re-chooses pivots under
-    /// the doubling rule. A no-op for linear policies and for the count
+    /// Brings the summary tree in line with the signatures: builds it when
+    /// the history reaches the policy threshold, evicts and appends
+    /// alongside the signatures, and drops it when the history falls back
+    /// below the threshold — so whether and what it is depends on the
+    /// retained slots alone. Never kept for linear policies or the count
     /// distance.
-    fn sync_index(&mut self) {
-        let Self {
-            index,
-            index_policy,
-            history,
-            groups,
-            distance,
-            stats,
-            ..
-        } = self;
-        if !index_policy.is_indexed()
-            || groups.is_empty()
-            || *distance == DistanceKind::CountDifference
-        {
-            *index = None;
+    fn sync_summaries(&mut self) {
+        let wanted = !self.groups.is_empty()
+            && self.distance != DistanceKind::CountDifference
+            && self
+                .index_policy
+                .min_indexed_slots
+                .is_some_and(|min| self.history.len() >= min.max(1));
+        if !wanted {
+            self.summaries = None;
             return;
         }
-        let len = history.len();
-        match index {
+        let first_index = self.history.first_index();
+        match &mut self.summaries {
+            Some(tree) => tree.sync(first_index, &self.signatures, &self.id_ranges),
             None => {
-                if len >= index_policy.min_indexed_slots.max(1) {
-                    *index = Some(SlotIndex::build(
-                        history.slots(),
-                        history.first_index(),
-                        *distance,
-                        groups,
-                        index_policy.pivots,
-                    ));
-                    stats.index_builds.fetch_add(1, Relaxed);
-                }
-            }
-            Some(existing) => {
-                existing.evict_to(history.first_index(), groups.len());
-                let covered = existing.len();
-                for (offset, slot) in history.slots()[covered..].iter().enumerate() {
-                    existing.push(
-                        slot,
-                        history.first_index() + covered + offset,
-                        *distance,
-                        groups,
-                    );
-                }
-                if existing.should_rebuild() {
-                    *index = Some(SlotIndex::build(
-                        history.slots(),
-                        history.first_index(),
-                        *distance,
-                        groups,
-                        index_policy.pivots,
-                    ));
-                    stats.index_rebuilds.fetch_add(1, Relaxed);
-                }
+                self.summaries = Some(SummaryTree::build(
+                    self.groups.len(),
+                    first_index,
+                    &self.signatures,
+                    &self.id_ranges,
+                ));
+                self.stats.index_builds.fetch_add(1, Relaxed);
             }
         }
     }
@@ -752,13 +813,7 @@ impl WorkloadPredictor {
     /// `position`, computed from the cached signatures alone — `O(groups)`,
     /// no user lists touched. For the count distance the count signature
     /// *is* the distance. For the edit distances the bound is the id-range
-    /// bound, which dominates the count difference: with `c_a`/`c_b` run
-    /// lengths and `shared = min(c_a, c_b, range overlap)` an upper bound on
-    /// the ids (equivalently, on any common subsequence) the runs can have
-    /// in common, `set edit >= c_a + c_b - 2*shared` and
-    /// `Levenshtein >= max(c_a, c_b) - shared`; both reduce to the count
-    /// difference when the ranges fully overlap and refute drifted-apart
-    /// populations outright when they do not.
+    /// bound of [`group_bound`], which dominates the count difference.
     fn signature_bound(
         &self,
         probe_counts: &[usize],
@@ -773,16 +828,12 @@ impl WorkloadPredictor {
                 .zip(counts)
                 .map(|(a, b)| a.abs_diff(*b))
                 .sum(),
-            DistanceKind::SetEdit | DistanceKind::Levenshtein => {
+            kind => {
                 let ranges = &self.id_ranges[position * group_count..(position + 1) * group_count];
                 let mut bound = 0usize;
                 for g in 0..group_count {
-                    let (ca, cb) = (probe_counts[g], counts[g]);
-                    let shared = ca.min(cb).min(range_overlap(probe_ranges[g], ranges[g]));
-                    bound += match self.distance {
-                        DistanceKind::SetEdit => ca + cb - 2 * shared,
-                        _ => ca.max(cb) - shared,
-                    };
+                    let overlap = range_overlap(probe_ranges[g], ranges[g]);
+                    bound += group_bound(kind, probe_counts[g], counts[g], overlap);
                 }
                 bound
             }
@@ -878,12 +929,12 @@ impl WorkloadPredictor {
             .iter()
             .map(|g| id_range(current.users_in(*g)))
             .collect();
-        if let Some(index) = &self.index {
+        if let Some(tree) = &self.summaries {
             return Some(self.nearest_position_indexed(
                 current,
                 &current_signature,
                 &current_ranges,
-                index,
+                tree,
             ));
         }
         if self.parallelism.is_parallel() && slots.len() >= self.parallelism.min_parallel_slots {
@@ -908,45 +959,63 @@ impl WorkloadPredictor {
         self.stats
             .candidates_bounded
             .fetch_add(order.len() as u64, Relaxed);
-        let mut evaluated = 0u64;
         let mut scratch = DistanceScratch::new();
-        let mut best = usize::MAX;
-        let mut best_position = usize::MAX;
+        let mut incumbent = Incumbent::NONE;
         for &(lower_bound, position) in &order {
-            if lower_bound > best {
+            if lower_bound > incumbent.distance {
                 break; // bounds ascend: no remaining candidate can win
             }
-            if lower_bound == best && position > best_position {
-                continue; // can at best tie, and would lose the tie-break
-            }
-            // an equal distance only helps for slots earlier than the
-            // incumbent match
-            let cap = if position < best_position {
-                best
-            } else {
-                best - 1 // position > best_position implies best > lower_bound >= 0
-            };
-            let candidate = self.bounded_distance(current, &slots[position], cap, &mut scratch);
-            evaluated += 1;
-            if let Some(distance) = candidate {
-                if distance < best || (distance == best && position < best_position) {
-                    best = distance;
-                    best_position = position;
-                    if best == 0 {
-                        // a perfect match: every earlier slot that could tie
-                        // had bound zero and was already visited
-                        break;
-                    }
-                }
+            self.consider(current, position, lower_bound, &mut incumbent, &mut scratch);
+            if incumbent.distance == 0 {
+                // a perfect match: every earlier slot that could tie had
+                // bound zero and was already visited
+                break;
             }
         }
+        self.record_evaluations(&incumbent, &scratch);
+        Some(incumbent.position)
+    }
+
+    /// Evaluates the candidate at `position`, whose lower bound is
+    /// `lower_bound`, unless the bound already shows it cannot replace the
+    /// incumbent. The full distance runs through the `*_bounded` early-exit
+    /// kernels, capped at the incumbent's distance for earlier candidates
+    /// (where an equal distance wins the tie) and one below it for later
+    /// ones (where only a strictly smaller distance helps) — so a distance
+    /// that comes back at all replaces the incumbent.
+    fn consider(
+        &self,
+        current: &TimeSlot,
+        position: usize,
+        lower_bound: usize,
+        incumbent: &mut Incumbent,
+        scratch: &mut DistanceScratch,
+    ) {
+        if incumbent.refutes(lower_bound, position) {
+            return;
+        }
+        let cap = if position < incumbent.position {
+            incumbent.distance
+        } else {
+            // not refuted, so lower_bound < distance and the cap cannot wrap
+            incumbent.distance - 1
+        };
+        incumbent.evaluated += 1;
+        let candidate = &self.history.slots()[position];
+        if let Some(distance) = self.bounded_distance(current, candidate, cap, scratch) {
+            incumbent.distance = distance;
+            incumbent.position = position;
+        }
+    }
+
+    /// Adds one scan's evaluation and scratch-growth counts to the stats.
+    fn record_evaluations(&self, incumbent: &Incumbent, scratch: &DistanceScratch) {
         self.stats
             .candidates_evaluated
-            .fetch_add(evaluated, Relaxed);
+            .fetch_add(incumbent.evaluated, Relaxed);
         self.stats
             .scratch_grows
             .fetch_add(scratch.grows() as u64, Relaxed);
-        Some(best_position)
     }
 
     /// The configured early-exit distance between `current` and one
@@ -1086,197 +1155,87 @@ impl WorkloadPredictor {
         seed_distance: usize,
         seed_position: usize,
     ) -> (usize, usize) {
-        let slots = self.history.slots();
         let mut scratch = DistanceScratch::new();
-        let mut evaluated = 0u64;
-        let mut best = seed_distance;
-        let mut best_position = seed_position;
+        let mut incumbent = Incumbent {
+            distance: seed_distance,
+            position: seed_position,
+            evaluated: 0,
+        };
         for (offset, position) in chunk.range.clone().enumerate() {
             if position == seed_position {
                 continue;
             }
-            let lower_bound = chunk.bounds[offset];
-            if lower_bound > best || (lower_bound == best && position > best_position) {
-                continue;
-            }
-            // an equal distance only helps for slots earlier than the
-            // incumbent; position > best_position passed the filter above
-            // with lower_bound < best, so best >= 1 and the cap cannot wrap
-            let cap = if position < best_position {
-                best
-            } else {
-                best - 1
-            };
-            let candidate = self.bounded_distance(current, &slots[position], cap, &mut scratch);
-            evaluated += 1;
-            if let Some(distance) = candidate {
-                if distance < best || (distance == best && position < best_position) {
-                    best = distance;
-                    best_position = position;
-                    if best == 0 {
-                        // chronological scan: every earlier in-chunk candidate
-                        // was already visited, later ones tie at best and lose
-                        break;
-                    }
-                }
+            self.consider(
+                current,
+                position,
+                chunk.bounds[offset],
+                &mut incumbent,
+                &mut scratch,
+            );
+            if incumbent.distance == 0 {
+                // chronological scan: every earlier in-chunk candidate was
+                // already visited, later ones tie at best and lose
+                break;
             }
         }
-        self.stats
-            .candidates_evaluated
-            .fetch_add(evaluated, Relaxed);
-        self.stats
-            .scratch_grows
-            .fetch_add(scratch.grows() as u64, Relaxed);
-        (best, best_position)
+        self.record_evaluations(&incumbent, &scratch);
+        (incumbent.distance, incumbent.position)
     }
 
-    /// Position of the nearest slot via the vantage-point metric index.
+    /// Position of the nearest slot via the block-summary tree.
     ///
-    /// The probe's exact distance to every pivot is computed once; each
-    /// candidate then carries two families of lower bounds that are pure
-    /// cached-number arithmetic: the triangle bound
-    /// `|d(probe, p_k) - d(candidate, p_k)|` per pivot, and the
-    /// count/id-range signature bound of the linear scans. Candidates are
-    /// walked in non-decreasing ring offset to pivot 0
-    /// ([`SlotIndex::ring_walk`]), so when the ring offset alone exceeds
-    /// the best distance found the walk stops — every remaining candidate
-    /// is refuted wholesale without being visited, which is where the
-    /// sublinear behaviour comes from. Survivors are evaluated with the
-    /// same `*_bounded` early-exit kernels and the same cap and tie rules
-    /// as the serial scan (cap `best` for candidates earlier than the
-    /// incumbent, `best - 1` for later ones), with the set-edit distance
-    /// additionally taking the cached XOR-popcount bitsets. The probe's
-    /// own ring is visited first in ascending global index, so a perfect
-    /// match terminates at the earliest equal slot — the forecast is
-    /// bit-identical to the serial, chunked and naive scans.
+    /// The search first **seeds** the incumbent: from the top level it
+    /// follows the child with the (first) minimum envelope bound down to one
+    /// block and scans that block's slots. It then walks the whole tree in
+    /// chronological order, skipping every node whose envelope bound shows
+    /// that no slot below it can replace the incumbent — the same
+    /// bound-and-tie rule single candidates are refuted by, applied to the
+    /// node's first slot — and scanning the blocks that survive with the
+    /// signature bounds, `*_bounded` kernels and cap rules of the serial
+    /// scan. A node bound never exceeds a member's signature bound, which
+    /// never exceeds its distance, so only losers are skipped and the
+    /// forecast is bit-identical to the serial, chunked and naive scans,
+    /// earliest slot winning every tie. Nothing is allocated per query
+    /// beyond the probe's signature.
     fn nearest_position_indexed(
         &self,
         current: &TimeSlot,
         current_signature: &[usize],
         current_ranges: &[(u32, u32)],
-        index: &SlotIndex,
+        tree: &SummaryTree,
     ) -> usize {
-        let slots = self.history.slots();
-        let first_index = self.history.first_index();
-        debug_assert_eq!(index.first_index(), first_index);
-        debug_assert_eq!(index.len(), slots.len());
-        let mut scratch = DistanceScratch::new();
-        let probe_pivot: Vec<u32> = index
-            .pivots()
-            .iter()
-            .map(|p| self.distance_between(current, p).min(u32::MAX as usize) as u32)
-            .collect();
-        let probe_bitsets: Vec<Option<GroupBitset>> = match self.distance {
-            DistanceKind::SetEdit => self
-                .groups
-                .iter()
-                .map(|g| GroupBitset::from_run(current.users_in(*g)))
-                .collect(),
-            _ => Vec::new(),
+        debug_assert_eq!(tree.first_index(), self.history.first_index());
+        let mut search = TreeSearch {
+            predictor: self,
+            tree,
+            current,
+            current_signature,
+            current_ranges,
+            seed_block: 0,
+            incumbent: Incumbent::NONE,
+            scratch: DistanceScratch::new(),
+            nodes_bounded: 0,
+            slots_bounded: 0,
         };
-        let probe_key = probe_pivot[0];
+        let top = tree.depth() - 1;
+        let mut children = tree.nodes(top);
+        for level in (0..=top).rev() {
+            search.seed_block = children
+                .min_by_key(|&node| search.node_bound(level, node))
+                .expect("a kept tree covers at least one slot");
+            children = tree.children(level, search.seed_block);
+        }
+        search.scan_slots(children);
+        search.walk(top, tree.nodes(top));
         self.stats.queries.fetch_add(1, Relaxed);
-        let mut walked = 0u64;
-        let mut bounded = 0u64;
-        let mut evaluated = 0u64;
-        let mut best = usize::MAX;
-        let mut best_global = u64::MAX;
-        for (ring, global) in index.ring_walk(probe_key) {
-            walked += 1;
-            if ring as usize > best {
-                break; // rings ascend: everything further is refuted wholesale
-            }
-            bounded += 1;
-            let position = (global as usize) - first_index;
-            let mut bound = ring as usize;
-            for (probe_d, cached_d) in probe_pivot.iter().zip(index.pivot_distances_of(position)) {
-                bound = bound.max(probe_d.abs_diff(*cached_d) as usize);
-            }
-            bound = bound.max(self.signature_bound(current_signature, current_ranges, position));
-            if bound > best || (bound == best && global > best_global) {
-                continue; // cannot win, or can at best tie and lose the tie-break
-            }
-            // an equal distance only helps for slots earlier than the
-            // incumbent; global > best_global passed the filter above with
-            // bound < best, so best >= 1 and the cap cannot wrap
-            let cap = if global < best_global { best } else { best - 1 };
-            let candidate = self.indexed_bounded_distance(
-                current,
-                &probe_bitsets,
-                index,
-                position,
-                cap,
-                &mut scratch,
-            );
-            evaluated += 1;
-            if let Some(distance) = candidate {
-                if distance < best || (distance == best && global < best_global) {
-                    best = distance;
-                    best_global = global;
-                    if best == 0 {
-                        // only the probe's own ring can hold distance-zero
-                        // candidates (triangle inequality), and that ring is
-                        // walked in ascending global index: this is the
-                        // earliest perfect match
-                        break;
-                    }
-                }
-            }
-        }
-        self.stats.rings_walked.fetch_add(walked, Relaxed);
-        self.stats.candidates_bounded.fetch_add(bounded, Relaxed);
         self.stats
-            .candidates_evaluated
-            .fetch_add(evaluated, Relaxed);
+            .rings_walked
+            .fetch_add(search.nodes_bounded, Relaxed);
         self.stats
-            .scratch_grows
-            .fetch_add(scratch.grows() as u64, Relaxed);
-        (best_global as usize) - first_index
-    }
-
-    /// The configured early-exit distance for the indexed scan: like
-    /// [`WorkloadPredictor::bounded_distance`], but the set-edit distance
-    /// runs over the index's cached bitset packings (XOR + popcount per
-    /// 64-id word) wherever both sides packed, falling back to the linear
-    /// merge per group otherwise. Exact either way.
-    fn indexed_bounded_distance(
-        &self,
-        current: &TimeSlot,
-        probe_bitsets: &[Option<GroupBitset>],
-        index: &SlotIndex,
-        position: usize,
-        cap: usize,
-        scratch: &mut DistanceScratch,
-    ) -> Option<usize> {
-        match self.distance {
-            DistanceKind::CountDifference => {
-                unreachable!("the count distance never builds an index")
-            }
-            DistanceKind::Levenshtein => slot_levenshtein_distance_bounded(
-                current,
-                &self.history.slots()[position],
-                &self.groups,
-                cap,
-                scratch,
-            ),
-            DistanceKind::SetEdit => {
-                let candidate = &self.history.slots()[position];
-                let cached = index.bitsets_of(position, self.groups.len());
-                let mut total = 0;
-                for (g, group) in self.groups.iter().enumerate() {
-                    let remaining = cap - total;
-                    total += match (&probe_bitsets[g], cached.get(g).and_then(|b| b.as_ref())) {
-                        (Some(a), Some(b)) => bitset_group_distance_bounded(a, b, remaining)?,
-                        _ => group_distance_bounded(
-                            current.users_in(*group),
-                            candidate.users_in(*group),
-                            remaining,
-                        )?,
-                    };
-                }
-                Some(total)
-            }
-        }
+            .candidates_bounded
+            .fetch_add(search.slots_bounded, Relaxed);
+        self.record_evaluations(&search.incumbent, &search.scratch);
+        search.incumbent.position
     }
 
     /// Observes `slot` and immediately forecasts the next slot — the closed
@@ -1464,14 +1423,11 @@ impl Restore for WorkloadForecast {
     }
 }
 
-/// The predictor checkpoints its knowledge base (history and metric index)
-/// plus configuration and counters; the count/id-range signatures are
-/// derived caches and are rebuilt deterministically on decode. The decode
-/// path deliberately bypasses [`WorkloadPredictor::set_history`] — a
-/// post-restore `sync_index` would count a spurious index build — and
-/// restores the index exactly as checkpointed, so `observed_since_build`
-/// (and with it the doubling-rule rebuild schedule) resumes where the
-/// original run left it.
+/// The predictor checkpoints its knowledge base, configuration and
+/// counters. The count/id-range signatures and the summary tree over them
+/// are derived caches: they stay off the wire and the decode recomputes
+/// them from the restored slots, leaving the restored counters as
+/// checkpointed (the recompute is not a build the original run performed).
 impl Snapshot for WorkloadPredictor {
     fn encode(&self, out: &mut Vec<u8>) {
         self.history.encode(out);
@@ -1480,53 +1436,27 @@ impl Snapshot for WorkloadPredictor {
         self.groups.encode(out);
         self.parallelism.encode(out);
         self.index_policy.encode(out);
-        self.index.encode(out);
         self.stats.encode(out);
     }
 }
 
 impl Restore for WorkloadPredictor {
     fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
-        let history = SlotHistory::decode(cur)?;
-        let strategy = PredictionStrategy::decode(cur)?;
-        let distance = DistanceKind::decode(cur)?;
-        let groups = Vec::<AccelerationGroupId>::decode(cur)?;
-        let parallelism = ParallelismPolicy::decode(cur)?;
-        let index_policy = IndexPolicy::decode(cur)?;
-        let index = Option::<SlotIndex>::decode(cur)?;
-        let stats = PredictorStats::decode(cur)?;
-        if let Some(index) = &index {
-            if index.first_index() != history.first_index() || index.len() != history.len() {
-                return Err(SnapshotError::Malformed {
-                    context: "metric index out of step with the history",
-                });
-            }
-        }
         let mut predictor = Self {
-            history,
-            strategy,
-            distance,
-            groups,
+            history: SlotHistory::decode(cur)?,
+            strategy: PredictionStrategy::decode(cur)?,
+            distance: DistanceKind::decode(cur)?,
+            groups: Vec::<AccelerationGroupId>::decode(cur)?,
             signatures: Vec::new(),
             id_ranges: Vec::new(),
             signature_first_index: 0,
-            parallelism,
-            index_policy,
-            index,
-            stats,
+            parallelism: ParallelismPolicy::decode(cur)?,
+            index_policy: IndexPolicy::decode(cur)?,
+            summaries: None,
+            stats: PredictorStats::default(),
         };
-        predictor.signature_first_index = predictor.history.first_index();
-        let group_count = predictor.groups.len();
-        if group_count > 0 {
-            for slot in predictor.history.slots() {
-                predictor
-                    .signatures
-                    .extend(predictor.groups.iter().map(|g| slot.load_of(*g)));
-                predictor
-                    .id_ranges
-                    .extend(predictor.groups.iter().map(|g| id_range(slot.users_in(*g))));
-            }
-        }
+        predictor.rebuild_signatures();
+        predictor.stats = PredictorStats::decode(cur)?;
         Ok(predictor)
     }
 }
@@ -1863,7 +1793,7 @@ mod tests {
     #[test]
     fn indexed_scan_is_bit_identical_to_serial_chunked_and_naive() {
         // near-duplicates and exact ties, so equal-distance candidates land
-        // in different rings of different pivot partitions
+        // in different blocks
         let history: Vec<TimeSlot> = (0..160u32)
             .map(|i| slot(5 + (i * 7) % 13, (i * 3) % 5, (i * 5) % 4))
             .collect();
@@ -1885,31 +1815,27 @@ mod tests {
                 let chunked = serial
                     .clone()
                     .with_parallelism(ParallelismPolicy::parallel(4).with_min_parallel_slots(1));
-                for pivots in [1, 2, 4, 9] {
-                    let indexed = serial.clone().with_index_policy(
-                        IndexPolicy::indexed()
-                            .with_pivots(pivots)
-                            .with_min_indexed_slots(1),
+                let indexed = serial
+                    .clone()
+                    .with_index_policy(IndexPolicy::indexed().with_min_indexed_slots(1));
+                assert!(indexed.index_active(), "history is long enough");
+                for probe in &probes {
+                    let forecast = indexed.predict(probe).unwrap();
+                    assert_eq!(
+                        forecast,
+                        serial.predict(probe).unwrap(),
+                        "{kind:?}/{strategy:?} vs serial"
                     );
-                    assert!(indexed.index_active(), "history is long enough");
-                    for probe in &probes {
-                        let forecast = indexed.predict(probe).unwrap();
-                        assert_eq!(
-                            forecast,
-                            serial.predict(probe).unwrap(),
-                            "{kind:?}/{strategy:?}/pivots={pivots} vs serial"
-                        );
-                        assert_eq!(
-                            forecast,
-                            chunked.predict(probe).unwrap(),
-                            "{kind:?}/{strategy:?}/pivots={pivots} vs chunked"
-                        );
-                        assert_eq!(
-                            forecast,
-                            serial.predict_naive(probe).unwrap(),
-                            "{kind:?}/{strategy:?}/pivots={pivots} vs naive"
-                        );
-                    }
+                    assert_eq!(
+                        forecast,
+                        chunked.predict(probe).unwrap(),
+                        "{kind:?}/{strategy:?} vs chunked"
+                    );
+                    assert_eq!(
+                        forecast,
+                        serial.predict_naive(probe).unwrap(),
+                        "{kind:?}/{strategy:?} vs naive"
+                    );
                 }
             }
         }
@@ -1917,9 +1843,9 @@ mod tests {
 
     #[test]
     fn indexed_scan_keeps_the_earliest_slot_on_ties() {
-        // identical slots: every candidate sits in the probe's own ring and
-        // the ascending walk must return the globally earliest one
-        let p = predictor_with_history(vec![slot(4, 2, 1); 25])
+        // identical slots: every block bounds the same, and the search must
+        // still return the globally earliest one
+        let p = predictor_with_history(vec![slot(4, 2, 1); 150])
             .with_index_policy(IndexPolicy::indexed().with_min_indexed_slots(1));
         assert!(p.index_active());
         for probe in [slot(4, 2, 1), slot(5, 2, 1), slot(0, 0, 0)] {
@@ -1980,15 +1906,181 @@ mod tests {
             p.predict(&slot(3, 0, 0)).unwrap(),
             p.predict_naive(&slot(3, 0, 0)).unwrap()
         );
-        // switching the distance rebuilds the index for the new metric
-        let p = predictor_with_history(history)
-            .with_index_policy(IndexPolicy::indexed().with_min_indexed_slots(1))
-            .with_distance(DistanceKind::Levenshtein);
+        // switching the distance keeps the tree for the other edit metric,
+        // and switching away from the count distance gains it
+        for from in [DistanceKind::SetEdit, DistanceKind::CountDifference] {
+            let p = predictor_with_history(history.clone())
+                .with_distance(from)
+                .with_index_policy(IndexPolicy::indexed().with_min_indexed_slots(1))
+                .with_distance(DistanceKind::Levenshtein);
+            assert!(p.index_active());
+            assert_eq!(
+                p.predict(&slot(3, 0, 0)).unwrap(),
+                p.predict_naive(&slot(3, 0, 0)).unwrap()
+            );
+        }
+    }
+
+    /// A predictor whose caches were recomputed from the retained slots
+    /// alone: derived equality makes `==` against it compare the
+    /// signatures and the summary tree field by field.
+    fn recomputed(p: &WorkloadPredictor) -> WorkloadPredictor {
+        let mut fresh = p.clone();
+        fresh.rebuild_signatures();
+        fresh
+    }
+
+    #[test]
+    fn derived_caches_always_equal_a_from_scratch_recompute() {
+        let policy = IndexPolicy::indexed().with_min_indexed_slots(3);
+        let load = |i: u32| slot(3 + (i * 7) % 11, (i * 3) % 6, i % 3);
+        let mut p = WorkloadPredictor::new(GROUPS.to_vec(), 3_600_000.0).with_index_policy(policy);
+        for i in 0..200 {
+            p.observe_slot(load(i));
+        }
         assert!(p.index_active());
+        assert_eq!(p, recomputed(&p), "grown by observe_slot");
+
+        // a window shrink evicts into the middle of a block: the first block
+        // is partial and must be refolded from its survivors
+        p.set_window(Some(100));
+        assert_eq!(p.history().first_index(), 100);
+        assert_eq!(p, recomputed(&p), "after a shrink");
+        for i in 200..330 {
+            p.observe_slot(load(i));
+            assert_eq!(p, recomputed(&p), "windowed eviction, step {i}");
+        }
+
+        // a checkpoint taken with a partial first block restores to the live
+        // predictor, tree included
+        assert_eq!(p.history().first_index() % 64, 38);
+        let mut bytes = Vec::new();
+        p.encode(&mut bytes);
+        let restored = WorkloadPredictor::decode(&mut Cursor::new(&bytes)).unwrap();
+        assert_eq!(restored, p);
+        assert_eq!(restored.stats(), p.stats(), "the decode counts no build");
+
+        // policy and distance changes
+        p.set_index_policy(IndexPolicy::linear());
+        assert!(!p.index_active());
+        p.set_index_policy(policy);
+        assert_eq!(p, recomputed(&p), "policy re-armed");
+        let p = p.with_distance(DistanceKind::CountDifference);
+        assert!(!p.index_active());
+        let mut p = p.with_distance(DistanceKind::Levenshtein);
+        assert_eq!(p, recomputed(&p), "distance changed");
+
+        // shrinking below the threshold drops the tree, as a restore would
+        p.set_window(Some(2));
+        assert!(!p.index_active());
+        assert_eq!(p, recomputed(&p));
+        p.set_window(None);
+
+        // migration: the history leaves one predictor and seeds another
+        for i in 330..400 {
+            p.observe_slot(load(i));
+        }
+        let history = p.take_history();
+        assert!(!p.index_active());
+        assert_eq!(p, recomputed(&p), "donor after take_history");
+        let mut receiver = WorkloadPredictor::new(GROUPS.to_vec(), 3_600_000.0)
+            .with_index_policy(policy)
+            .with_distance(DistanceKind::Levenshtein);
+        receiver.observe_slot(load(0));
+        receiver.set_history(history);
+        assert!(receiver.index_active());
         assert_eq!(
-            p.predict(&slot(3, 0, 0)).unwrap(),
-            p.predict_naive(&slot(3, 0, 0)).unwrap()
+            receiver,
+            recomputed(&receiver),
+            "receiver after set_history"
         );
+        let probe = load(7);
+        assert_eq!(
+            receiver.predict(&probe).unwrap(),
+            receiver.predict_naive(&probe).unwrap()
+        );
+    }
+
+    /// Global indices of the slots below `node` of `level`.
+    fn members(tree: &SummaryTree, level: usize, node: usize) -> Range<usize> {
+        let children = tree.children(level, node);
+        match level {
+            0 => children,
+            _ => {
+                members(tree, level - 1, children.start).start
+                    ..members(tree, level - 1, children.end - 1).end
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The chain the tree search rests on, for both edit distances: a
+        /// node's envelope bound never exceeds the signature bound of any
+        /// slot below it, which never exceeds that slot's true distance.
+        /// The history cycles through a small pool of slots — empty groups
+        /// (the `(u32::MAX, 0)` id-range sentinel) and the empty slot
+        /// included — long enough for partial first blocks (the window) and,
+        /// at the larger sizes, a second level.
+        #[test]
+        fn summary_bound_never_exceeds_signature_bound_nor_true_distance(
+            pool in proptest::collection::vec(
+                proptest::collection::vec((1u8..4, 0u32..400), 0..9),
+                1..7,
+            ),
+            probe in proptest::collection::vec((1u8..4, 0u32..400), 0..9),
+            len in proptest::sample::select(vec![1usize, 64, 65, 200, 4_097, 4_300]),
+            evicted in 0usize..70,
+            levenshtein in 0u8..2,
+        ) {
+            let slot_of = |pairs: &Vec<(u8, u32)>| {
+                TimeSlot::from_assignments(
+                    0,
+                    pairs.iter().map(|&(g, u)| (AccelerationGroupId(g), UserId(u))),
+                )
+            };
+            let kind = if levenshtein == 1 { DistanceKind::Levenshtein } else { DistanceKind::SetEdit };
+            let mut p = WorkloadPredictor::new(GROUPS.to_vec(), 3_600_000.0)
+                .with_distance(kind)
+                .with_index_policy(IndexPolicy::indexed().with_min_indexed_slots(1))
+                .with_window(len);
+            for i in 0..len + evicted {
+                // a stride coprime to the pool sizes, so blocks mix the pool
+                p.observe_slot(slot_of(&pool[(i * 7 + i / 64) % pool.len()]));
+            }
+            let probe = slot_of(&probe);
+            let counts: Vec<usize> = GROUPS.iter().map(|g| probe.load_of(*g)).collect();
+            let ranges: Vec<(u32, u32)> =
+                GROUPS.iter().map(|g| id_range(probe.users_in(*g))).collect();
+            let tree = p.summaries.as_ref().expect("threshold 1");
+            let first = p.history().first_index();
+            proptest::prop_assert_eq!(first, evicted);
+            proptest::prop_assert_eq!(tree.depth(), if len > 4_096 { 2 } else { 1 });
+            let slot_bounds: Vec<usize> = (0..len)
+                .map(|position| p.signature_bound(&counts, &ranges, position))
+                .collect();
+            for (position, bound) in slot_bounds.iter().enumerate() {
+                let distance = p.distance_between(&probe, &p.history().slots()[position]);
+                proptest::prop_assert!(*bound <= distance, "slot {position}: {bound} > {distance}");
+            }
+            for level in 0..tree.depth() {
+                let mut covered = first;
+                for node in tree.nodes(level) {
+                    let below = members(tree, level, node);
+                    proptest::prop_assert_eq!(below.start, covered, "nodes tile the history");
+                    proptest::prop_assert_eq!(below.start, tree.first_slot(level, node));
+                    covered = below.end;
+                    let tightest = below.map(|global| slot_bounds[global - first]).min();
+                    let bound = tree.node_bound(level, node, kind, &counts, &ranges);
+                    proptest::prop_assert!(
+                        Some(bound) <= tightest,
+                        "level {level} node {node}: {bound} > {tightest:?}"
+                    );
+                }
+                proptest::prop_assert_eq!(covered, first + len);
+            }
+        }
     }
 
     #[test]
@@ -2056,13 +2148,18 @@ mod tests {
         assert_eq!(serial.stats().queries, 1);
         assert_eq!(chunked.stats().queries, 1);
 
-        // the indexed path reports ring-walk coverage and index builds
+        // the tree path reports the nodes it bounded and the tree's build
         let indexed = predictor_with_history(slots)
             .with_index_policy(IndexPolicy::indexed().with_min_indexed_slots(1));
         indexed.predict(&probe).unwrap();
         let stats = indexed.stats();
         assert_eq!(stats.index_builds, 1);
-        assert!(stats.rings_walked >= stats.candidates_bounded);
+        assert_eq!(stats.index_rebuilds, 0);
+        assert_eq!(
+            stats.rings_walked, 1,
+            "one block, bounded by the seeding descent"
+        );
+        assert_eq!(stats.candidates_bounded, 64);
         assert!(stats.candidates_bounded >= stats.candidates_evaluated);
         assert!(stats.candidates_evaluated >= 1);
     }

@@ -394,7 +394,7 @@ fn datacenter_accounting_survives_a_mid_drive_migration_schedule() {
 // ---------------------------------------------------------------------------
 
 /// The full-featured configuration the resume bar is set against:
-/// datacenter billing and the vantage-point index both on.
+/// datacenter billing and the indexed scan policy both on.
 fn resume_config() -> SystemConfig {
     dc_config(PlacementKind::BestFit).with_indexed_scan()
 }
@@ -433,8 +433,7 @@ fn restore_then_drive_is_bit_identical_to_the_uninterrupted_run() {
     // report (forecasts, metrics, datacenter accounting, ingestion
     // accounting) plus the logical-clock telemetry snapshot must equal the
     // uninterrupted run bit for bit, at any thread count. Slot 18 is past
-    // the 16-slot window, so that checkpoint lands mid-eviction with the
-    // vantage-point index mid-rebuild.
+    // the 16-slot window, so that checkpoint lands mid-eviction.
     let baseline = {
         let mut driver = resume_driver(1);
         driver.run(SLOTS).expect("mix sources never misbehave")

@@ -44,7 +44,12 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"MCAS";
 /// any other version outright ([`SnapshotError::UnsupportedVersion`]) rather
 /// than guessing at field offsets. Additive evolution bumps the version and
 /// teaches the reader both layouts.
-pub const SNAPSHOT_VERSION: u16 = 1;
+///
+/// Version 2 dropped the predictor's metric index from the predictor
+/// payload (the block-summary tree that replaced it is derived state,
+/// recomputed on restore) and the pivot count from `IndexPolicy`; version-1
+/// streams are rejected.
+pub const SNAPSHOT_VERSION: u16 = 2;
 
 /// The reserved end-of-stream section tag.
 pub const END_TAG: u16 = 0xFFFF;
@@ -720,6 +725,17 @@ mod tests {
         assert!(matches!(
             SnapshotReader::new(buf.as_slice()).unwrap_err(),
             SnapshotError::UnsupportedVersion { found: 0x7F, .. }
+        ));
+        // version 1 carried the pivot index inside the predictor payload;
+        // its streams are refused, not misread
+        let mut buf = write_two_sections();
+        buf[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert!(matches!(
+            SnapshotReader::new(buf.as_slice()).unwrap_err(),
+            SnapshotError::UnsupportedVersion {
+                found: 1,
+                supported: 2
+            }
         ));
     }
 

@@ -5,10 +5,10 @@
 //! engine combines the slice forecasts into the tenant-wide view. The
 //! predictor is configured with the chunked parallel knowledge-base scan
 //! (`with_parallel_scan`), which takes over automatically once a replica's
-//! history crosses the fan-out threshold, and with the vantage-point metric
-//! index (`with_index_policy`), which takes precedence once a replica
-//! retains 24 slots and keeps the nearest-slot search sublinear as the
-//! knowledge base grows toward its six-month window.
+//! history crosses the fan-out threshold, and with the block-summary tree
+//! (`with_index_policy`), which takes precedence once a replica retains 24
+//! slots and keeps the nearest-slot search sublinear as the knowledge base
+//! grows toward its six-month window.
 //!
 //! ```bash
 //! cargo run --release --example huge_tenant

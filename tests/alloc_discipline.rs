@@ -86,6 +86,13 @@ fn warmed_predictor(
 fn steady_state_allocations(
     configure: impl Fn(WorkloadPredictor) -> WorkloadPredictor + Copy,
 ) -> (usize, usize) {
+    steady_state_allocations_at([500, 2_000], configure)
+}
+
+fn steady_state_allocations_at(
+    sizes: [usize; 2],
+    configure: impl Fn(WorkloadPredictor) -> WorkloadPredictor + Copy,
+) -> (usize, usize) {
     let _serialized = MEASURE_LOCK.lock().expect("no poisoned measurements");
     let measure = |slots: usize| {
         let predictor = warmed_predictor(slots, configure);
@@ -95,7 +102,7 @@ fn steady_state_allocations(
             std::hint::black_box(predictor.predict(&probe).expect("non-empty history"));
         })
     };
-    (measure(500), measure(2_000))
+    (measure(sizes[0]), measure(sizes[1]))
 }
 
 #[test]
@@ -148,19 +155,25 @@ fn levenshtein_scan_reuses_the_distance_scratch() {
 
 #[test]
 fn indexed_probe_allocates_a_small_constant() {
-    let configure = |p: WorkloadPredictor| {
-        p.with_index_policy(IndexPolicy::indexed().with_min_indexed_slots(16))
-    };
-    let (small, large) = steady_state_allocations(configure);
-    let probe_check = warmed_predictor(500, configure);
-    assert!(probe_check.index_active(), "the index must be live");
+    let configure = |p: WorkloadPredictor| p.with_index_policy(IndexPolicy::indexed());
+    {
+        // building a predictor allocates: not while another test measures
+        let _serialized = MEASURE_LOCK.lock().expect("no poisoned measurements");
+        assert!(
+            warmed_predictor(5_000, configure).index_active(),
+            "the summary tree must be live"
+        );
+    }
+    // one level at 10k slots, two at 100k
+    let (small, large) = steady_state_allocations_at([10_000, 100_000], configure);
     assert!(
-        small < 64,
-        "one warmed indexed prediction allocated {small} times; expected a small constant"
+        small < 16,
+        "one warmed indexed prediction allocated {small} times; expected the probe's signature, \
+         the scratch and the forecast"
     );
-    assert!(
-        large <= small + 8,
-        "indexed-probe allocations grew with history length ({small} at 500 slots, {large} at \
-         2000): the probe is allocating per candidate"
+    assert_eq!(
+        small, large,
+        "indexed-probe allocations differ between 10k and 100k slots: a per-query buffer scales \
+         with the history"
     );
 }

@@ -5,10 +5,9 @@
 
 use mobile_code_acceleration::core::{
     distance::{
-        bitset_group_distance, bitset_group_distance_bounded, group_distance,
-        group_distance_bounded, group_distance_naive, levenshtein, levenshtein_bounded,
-        levenshtein_myers, levenshtein_myers_bounded, normalized_levenshtein, slot_distance,
-        slot_distance_bounded, slot_distance_naive, GroupBitset,
+        group_distance, group_distance_bounded, group_distance_naive, levenshtein,
+        levenshtein_bounded, levenshtein_myers, levenshtein_myers_bounded, normalized_levenshtein,
+        slot_distance, slot_distance_bounded, slot_distance_naive,
     },
     ParallelismPolicy, SlotHistory, TimeSlot, WorkloadForecast, WorkloadPredictor,
 };
@@ -18,6 +17,7 @@ use mobile_code_acceleration::lp::{
 };
 use mobile_code_acceleration::offload::{ApplicationState, TaskKind, TaskSpec};
 use mobile_code_acceleration::prelude::*;
+use mobile_code_acceleration::snapshot::Cursor;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -468,66 +468,69 @@ proptest! {
         );
     }
 
-    /// The word-aligned bitset distance agrees exactly with the merge
-    /// implementation and the set-based reference, including the bounded
-    /// variant's prune semantics. Ids span several 64-bit words so the
-    /// prefix/overlap/suffix decomposition is exercised on every shape.
-    #[test]
-    fn bitset_distance_matches_merge_and_naive(
-        a in proptest::collection::vec(0u16..300, 0..40),
-        b in proptest::collection::vec(0u16..300, 0..40),
-        cap in 0usize..90,
-    ) {
-        let (a, b) = (user_run(a), user_run(b));
-        let exact = group_distance_naive(&a, &b);
-        let set_a = GroupBitset::from_run(&a).expect("dense-enough run packs");
-        let set_b = GroupBitset::from_run(&b).expect("dense-enough run packs");
-        prop_assert_eq!(set_a.count(), a.len());
-        prop_assert_eq!(bitset_group_distance(&set_a, &set_b), exact);
-        prop_assert_eq!(bitset_group_distance(&set_a, &set_b), group_distance(&a, &b));
-        let bounded = bitset_group_distance_bounded(&set_a, &set_b, cap);
-        if cap >= exact {
-            prop_assert_eq!(bounded, Some(exact));
-        } else {
-            prop_assert_eq!(bounded, None);
-        }
-    }
-
-    /// The vantage-point indexed nearest-slot scan is bit-identical to the
-    /// pruned serial scan and the naive full scan for every pivot count,
-    /// with and without a retention window. The tight user universe (ids
-    /// 0..40) makes duplicate slots and exact-distance ties common, so ties
-    /// straddle pivot ring partitions and the earliest-slot tie-break is
-    /// exercised across them; the window exercises incremental eviction
-    /// maintenance of the index.
+    /// The block-summary tree search is bit-identical to the pruned serial
+    /// scan and the naive full scan through arbitrary histories of
+    /// observations, windowed evictions, window shrinks and
+    /// checkpoint/restore round trips, for both edit distances. A prefix of
+    /// identical filler slots moves the random slots to global positions
+    /// around 63|64 (a block boundary) or 4095|4096 (a level boundary: more
+    /// than 64 blocks give the tree a second level). The filler ties with
+    /// itself across every boundary, and the tight user universe (ids
+    /// 0..12) makes the random slots tie with each other across the one
+    /// they straddle, so the earliest-slot tie-break is exercised there.
     #[test]
     fn indexed_prediction_matches_pruned_and_naive(
-        history in proptest::collection::vec(
-            proptest::collection::vec((0u8..3, 0u16..40), 0..12),
-            1..14,
+        prefix in proptest::sample::select(vec![0usize, 58, 4_090]),
+        window_raw in proptest::sample::select(vec![0usize, 1, 3, 70, 4_100]),
+        levenshtein in 0u8..2,
+        ops in proptest::collection::vec(
+            (0u8..8, proptest::collection::vec((0u8..3, 0u16..12), 0..6), 1usize..80),
+            1..16,
         ),
-        probe in proptest::collection::vec((0u8..3, 0u16..40), 0..12),
-        pivots in 1usize..5,
-        window_raw in 0usize..10,
+        probe in proptest::collection::vec((0u8..3, 0u16..12), 0..6),
     ) {
-        // draws below 2 mean "unbounded history" (the vendored proptest has
-        // no option combinator); 2..10 bound the retention window
-        let window = (window_raw >= 2).then_some(window_raw);
-        let probe = slot_of(0, &probe);
-        let mut serial = WorkloadPredictor::new(SLOT_GROUPS.to_vec(), 3_600_000.0);
+        let window = (window_raw > 0).then_some(window_raw);
+        let distance = if levenshtein == 1 { DistanceKind::Levenshtein } else { DistanceKind::SetEdit };
+        let mut serial = WorkloadPredictor::new(SLOT_GROUPS.to_vec(), 3_600_000.0)
+            .with_distance(distance);
         serial.set_window(window);
-        let mut indexed = serial.clone().with_index_policy(
-            IndexPolicy::indexed().with_pivots(pivots).with_min_indexed_slots(1),
-        );
-        for assignments in &history {
-            let slot = slot_of(0, assignments);
-            serial.observe_slot(slot.clone());
-            indexed.observe_slot(slot);
+        let mut indexed = serial
+            .clone()
+            .with_index_policy(IndexPolicy::indexed().with_min_indexed_slots(1));
+        let filler = slot_of(0, &[(0, 5), (1, 5)]);
+        for _ in 0..prefix {
+            serial.observe_slot(filler.clone());
+            indexed.observe_slot(filler.clone());
         }
-        prop_assert!(indexed.index_active());
-        let fast = indexed.predict(&probe);
-        prop_assert_eq!(&fast, &serial.predict(&probe));
-        prop_assert_eq!(fast.unwrap(), serial.predict_naive(&probe).unwrap());
+        let probes = [slot_of(0, &probe), filler];
+        for (kind, assignments, shrink_to) in &ops {
+            match kind {
+                // shrink the window (never grow it back: retention is what is tested)
+                0 if serial.history().len() > *shrink_to => {
+                    serial.set_window(Some(*shrink_to));
+                    indexed.set_window(Some(*shrink_to));
+                }
+                // checkpoint + restore: the derived tree is recomputed
+                1 => {
+                    let mut bytes = Vec::new();
+                    indexed.encode(&mut bytes);
+                    let restored = WorkloadPredictor::decode(&mut Cursor::new(&bytes));
+                    prop_assert_eq!(restored.as_ref().ok(), Some(&indexed));
+                    indexed = restored.unwrap();
+                }
+                _ => {
+                    let slot = slot_of(0, assignments);
+                    serial.observe_slot(slot.clone());
+                    indexed.observe_slot(slot);
+                }
+            }
+            prop_assert_eq!(indexed.index_active(), !indexed.history().is_empty());
+            for probe in &probes {
+                let fast = indexed.predict(probe);
+                prop_assert_eq!(&fast, &serial.predict(probe));
+                prop_assert_eq!(fast, indexed.predict_naive(probe));
+            }
+        }
     }
 }
 
