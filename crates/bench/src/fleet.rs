@@ -12,9 +12,10 @@
 //!   ordered insert (`O(n)` per out-of-order user — and a multi-tenant
 //!   arrival stream is almost entirely out of order), then runs one
 //!   predict→allocate cycle over the merged knowledge base;
-//! * the **fleet** buckets the batch by shard in one pass, builds each
-//!   tenant's slot with one sort + dedup ([`mca_core::TimeSlotBuilder`])
-//!   and ticks every tenant's own predictor/allocator in parallel.
+//! * the **fleet** scatters the batch in one pass into per-tenant
+//!   builders, builds each tenant's slot with one sort + dedup
+//!   ([`mca_core::TimeSlotBuilder`]) and ticks every tenant's own
+//!   predictor/allocator in parallel.
 //!
 //! Alongside the timing comparison the harness replays every tenant
 //! **alone** (a bare [`TenantShard`], no engine) on the same records and
@@ -270,7 +271,7 @@ pub fn run(workload: &FleetWorkload, seed: u64) -> FleetBenchReport {
         single.tick(merged, now_ms);
         single_ms += start.elapsed().as_secs_f64() * 1_000.0;
 
-        // fleet: live-lane push + driver step (bucketed batch ingest +
+        // fleet: live-lane push + driver step (one-pass batch ingest +
         // parallel per-shard tick)
         let start = Instant::now();
         feed.push_slot(batch);

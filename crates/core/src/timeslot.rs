@@ -110,31 +110,43 @@ impl TimeSlot {
         self.runs.iter().map(|r| (r.group, r.users.len()))
     }
 
-    /// Total number of distinct users active in the slot.
+    /// Total number of distinct users active in the slot (allocation-free).
     pub fn total_users(&self) -> usize {
-        match self.runs.len() {
-            0 => 0,
-            1 => self.runs[0].users.len(),
-            _ => {
-                // count the union of the sorted runs with a k-way merge
-                let mut cursors = vec![0usize; self.runs.len()];
-                let mut distinct = 0usize;
-                loop {
-                    let mut lowest: Option<UserId> = None;
-                    for (run, &cursor) in self.runs.iter().zip(&cursors) {
-                        if let Some(&user) = run.users.get(cursor) {
-                            lowest = Some(lowest.map_or(user, |low: UserId| low.min(user)));
-                        }
+        // a k-way merge over one cursor per run; group ids are `u8`, so 256
+        // cursors cover any slot
+        let mut cursors = [0usize; 256];
+        let mut distinct = 0;
+        loop {
+            // the lowest head, its run, and the lowest head of the other runs
+            let (mut lowest, mut bound) = (None, None);
+            for (at, run) in self.runs.iter().enumerate() {
+                match (run.users.get(cursors[at]), lowest) {
+                    (None, _) => {}
+                    (Some(&head), Some((low, _))) if head >= low => {
+                        bound = Some(bound.map_or(head, |b: UserId| b.min(head)));
                     }
-                    let Some(lowest) = lowest else { break };
-                    distinct += 1;
-                    for (run, cursor) in self.runs.iter().zip(&mut cursors) {
-                        if run.users.get(*cursor) == Some(&lowest) {
-                            *cursor += 1;
-                        }
+                    (Some(&head), _) => {
+                        bound = lowest.map(|(low, _)| low);
+                        lowest = Some((head, at));
                     }
                 }
-                distinct
+            }
+            let Some((low, at)) = lowest else {
+                return distinct;
+            };
+            if bound == Some(low) {
+                // shared: every run listing `low` steps over it
+                distinct += 1;
+                for (run, cursor) in self.runs.iter().zip(&mut cursors) {
+                    *cursor += usize::from(run.users.get(*cursor) == Some(&low));
+                }
+            } else {
+                // everything below the other heads is this run's alone, so
+                // runs with disjoint id ranges cost one step each
+                let rest = &self.runs[at].users[cursors[at]..];
+                let alone = bound.map_or(rest.len(), |b| rest.partition_point(|&u| u < b));
+                distinct += alone;
+                cursors[at] += alone;
             }
         }
     }
@@ -213,75 +225,135 @@ impl Restore for TimeSlot {
 /// which costs `O(n)` per *out-of-order* user — fine for a trickle of
 /// mostly-ordered arrivals, quadratic for a bulk feed of interleaved users
 /// (many tenants, shuffled ingest). The builder instead collects raw
-/// `(group, user)` assignments unordered and produces the slot with **one**
-/// sort + dedup pass in [`TimeSlotBuilder::build`], yielding exactly the slot
-/// the per-record path would have built. The fleet ingest and the
-/// trace-replay path ([`SlotHistory::from_log`]) go through the builder.
+/// assignments unordered, packed as `group << 32 | user` so that key order
+/// is `(group, user)` order, and produces the slot with **one** radix sort +
+/// dedup pass, yielding exactly the slot the per-record path would have
+/// built. The trace-replay path ([`SlotHistory::from_log`]) builds and drops
+/// a builder per slot; the fleet ingest keeps one per tenant and drains it
+/// with [`TimeSlotBuilder::finish`], reusing both buffers.
 #[derive(Debug, Clone, Default)]
 pub struct TimeSlotBuilder {
     index: usize,
-    pairs: Vec<(AccelerationGroupId, UserId)>,
+    keys: Vec<u64>,
+    /// The radix sort's second buffer.
+    scratch: Vec<u64>,
+}
+
+/// Bits of a packed key: a `u8` group above a `u32` user.
+const KEY_BITS: u32 = 40;
+
+/// Below this many keys the 256-counter passes cost more than comparing.
+const RADIX_MIN_KEYS: usize = 64;
+
+/// Sorts packed keys ascending with an LSD byte-radix sort over the bytes
+/// that differ somewhere in the batch. Returns at once on sorted input, the
+/// shape of a recorded trace. On return `scratch` holds unspecified keys.
+fn sort_keys(keys: &mut Vec<u64>, scratch: &mut Vec<u64>) {
+    if keys.windows(2).all(|w| w[0] <= w[1]) {
+        return;
+    }
+    if keys.len() < RADIX_MIN_KEYS {
+        keys.sort_unstable();
+        return;
+    }
+    let (any, all) = keys
+        .iter()
+        .fold((0, u64::MAX), |(any, all), &key| (any | key, all & key));
+    // one tenant's users share their high id bits: while sorting, drop them,
+    // so that the group sits next to the user bits that vary and shares
+    // their digits (a digit of three group values alone serializes the
+    // counter updates)
+    let user_bits = 64 - ((any ^ all) & 0xffff_ffff).leading_zeros();
+    let low = (1u64 << user_bits) - 1;
+    let shared = all & 0xffff_ffff & !low;
+    let squeeze = |key: u64| (key >> 32 << user_bits) | (key & low);
+    keys.iter_mut().for_each(|key| *key = squeeze(*key));
+    let varying = squeeze(any ^ all);
+    scratch.resize(keys.len(), 0);
+    for shift in (0..KEY_BITS).step_by(8) {
+        if (varying >> shift) & 0xff == 0 {
+            continue;
+        }
+        let byte = |key: u64| (key >> shift) as usize & 0xff;
+        let mut offsets = [0usize; 256];
+        for &key in keys.iter() {
+            offsets[byte(key)] += 1;
+        }
+        let mut next = 0;
+        for offset in &mut offsets {
+            next += std::mem::replace(offset, next);
+        }
+        for &key in keys.iter() {
+            scratch[offsets[byte(key)]] = key;
+            offsets[byte(key)] += 1;
+        }
+        std::mem::swap(keys, scratch);
+    }
+    let widen = |key: u64| (key >> user_bits << 32) | shared | (key & low);
+    keys.iter_mut().for_each(|key| *key = widen(*key));
 }
 
 impl TimeSlotBuilder {
     /// Creates an empty builder for the slot at `index`.
     pub fn new(index: usize) -> Self {
-        Self {
-            index,
-            pairs: Vec::new(),
-        }
+        Self::with_capacity(index, 0)
     }
 
     /// Creates a builder with room for `capacity` assignments.
     pub fn with_capacity(index: usize, capacity: usize) -> Self {
         Self {
             index,
-            pairs: Vec::with_capacity(capacity),
+            keys: Vec::with_capacity(capacity),
+            scratch: Vec::new(),
         }
     }
 
     /// Records that `user` was active in `group` (duplicates are cheap and
-    /// collapse in [`TimeSlotBuilder::build`]).
+    /// collapse when the slot is built).
     pub fn assign(&mut self, group: AccelerationGroupId, user: UserId) {
-        self.pairs.push((group, user));
+        self.keys.push(u64::from(group.0) << 32 | u64::from(user.0));
     }
 
     /// Records a batch of `(group, user)` assignments.
     pub fn extend(&mut self, pairs: impl IntoIterator<Item = (AccelerationGroupId, UserId)>) {
-        self.pairs.extend(pairs);
+        for (group, user) in pairs {
+            self.assign(group, user);
+        }
     }
 
     /// Number of recorded assignments (before deduplication).
     pub fn len(&self) -> usize {
-        self.pairs.len()
+        self.keys.len()
     }
 
     /// Returns `true` when no assignment has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
+        self.keys.is_empty()
     }
 
     /// Sorts and deduplicates the collected assignments once and builds the
-    /// slot. Equal to feeding every pair through [`TimeSlot::assign`] in any
-    /// order.
-    pub fn build(self) -> TimeSlot {
-        let mut pairs = self.pairs;
-        pairs.sort_unstable();
-        pairs.dedup();
-        let mut runs: Vec<GroupRun> = Vec::new();
-        for (group, user) in pairs {
-            match runs.last_mut() {
-                Some(run) if run.group == group => run.users.push(user),
-                _ => runs.push(GroupRun {
-                    group,
-                    users: vec![user],
-                }),
-            }
-        }
-        TimeSlot {
-            index: self.index,
-            runs,
-        }
+    /// slot at the builder's index. Equal to feeding every pair through
+    /// [`TimeSlot::assign`] in any order.
+    pub fn build(mut self) -> TimeSlot {
+        let index = self.index;
+        self.finish(index)
+    }
+
+    /// [`TimeSlotBuilder::build`] for a builder that lives on: builds the
+    /// slot at `index` and leaves the builder empty with its buffers'
+    /// capacity, ready for the next slot's assignments.
+    pub fn finish(&mut self, index: usize) -> TimeSlot {
+        sort_keys(&mut self.keys, &mut self.scratch);
+        self.keys.dedup();
+        // collected from exact-size slices: a retained slot has no slack
+        let same_group = |a: &u64, b: &u64| a >> 32 == b >> 32;
+        let cut = |run: &[u64]| GroupRun {
+            group: AccelerationGroupId((run[0] >> 32) as u8),
+            users: run.iter().map(|&key| UserId(key as u32)).collect(),
+        };
+        let runs = self.keys.chunk_by(same_group).map(cut).collect();
+        self.keys.clear();
+        TimeSlot { index, runs }
     }
 }
 
@@ -736,6 +808,139 @@ mod tests {
         let built = builder.build();
         assert_eq!(built, reference);
         assert_eq!(built.index, 7);
+    }
+
+    /// A cheap deterministic key stream (SplitMix64).
+    fn mixed(seed: u64) -> u64 {
+        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn radix_sort_equals_sort_unstable_at_every_length_around_the_cut_over() {
+        let mut scratch = Vec::new();
+        // masks: all 40 key bits, one tenant's id window under three groups,
+        // and each single byte varying alone
+        let masks = [(1u64 << KEY_BITS) - 1, 0x3_0000_03ff]
+            .into_iter()
+            .chain((0..KEY_BITS).step_by(8).map(|shift| 0xff << shift));
+        for mask in masks {
+            for len in 0..=300u64 {
+                let fixed = 0x17_a5a5_a5a5 & !mask;
+                let shuffled: Vec<u64> = (0..len)
+                    .map(|i| fixed | mixed(len << 32 | i) & mask)
+                    .collect();
+                let mut expected = shuffled.clone();
+                expected.sort_unstable();
+                let reversed: Vec<u64> = expected.iter().rev().copied().collect();
+                for input in [&shuffled, &expected, &reversed] {
+                    let mut keys = input.clone();
+                    sort_keys(&mut keys, &mut scratch);
+                    assert_eq!(keys, expected, "mask {mask:#x}, {len} keys");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn finish_drains_the_builder_and_keeps_its_buffers() {
+        let pairs = |slot: u32| {
+            (0..200u32).rev().map(move |u| {
+                (
+                    AccelerationGroupId((u % 3) as u8 * 127),
+                    UserId(u * 7 + slot),
+                )
+            })
+        };
+        let mut builder = TimeSlotBuilder::new(0);
+        builder.extend(pairs(0));
+        let first = builder.finish(4);
+        assert_eq!(first, TimeSlot::from_assignments(4, pairs(0)));
+        assert!(builder.is_empty());
+        // the sort leaves the two buffers in either role
+        let capacities = |b: &TimeSlotBuilder| {
+            let (keys, scratch) = (b.keys.capacity(), b.scratch.capacity());
+            (keys.min(scratch), keys.max(scratch))
+        };
+        let warm = capacities(&builder);
+        assert!(warm.0 >= 200);
+        builder.extend(pairs(1));
+        let second = builder.finish(5);
+        assert_eq!(second, TimeSlot::from_assignments(5, pairs(1)));
+        assert_eq!(second.index, 5);
+        assert_eq!(
+            capacities(&builder),
+            warm,
+            "the second slot reuses the first one's buffers"
+        );
+        // runs hold exactly their users
+        assert!(second
+            .runs
+            .iter()
+            .all(|r| r.users.capacity() == r.users.len()));
+    }
+
+    #[test]
+    fn builder_keeps_the_extreme_ids_apart() {
+        let pairs = [
+            (AccelerationGroupId(255), UserId(0)),
+            (AccelerationGroupId(0), UserId(u32::MAX)),
+            (AccelerationGroupId(255), UserId(u32::MAX)),
+            (AccelerationGroupId(0), UserId(0)),
+            (AccelerationGroupId(0), UserId(u32::MAX)),
+        ];
+        let mut reference = TimeSlot::new(0);
+        for (group, user) in pairs {
+            reference.assign(group, user);
+        }
+        let built = TimeSlot::from_assignments(0, pairs);
+        assert_eq!(built, reference);
+        assert_eq!(
+            built.users_in(AccelerationGroupId(0)),
+            &[UserId(0), UserId(u32::MAX)]
+        );
+        assert_eq!(built.load_of(AccelerationGroupId(255)), 2);
+    }
+
+    #[test]
+    fn total_users_counts_the_union_of_the_runs() {
+        // the definition: distinct user ids over all groups
+        let union = |slot: &TimeSlot| {
+            slot.groups()
+                .flat_map(|g| slot.users_in(g).iter().copied())
+                .collect::<std::collections::BTreeSet<UserId>>()
+                .len()
+        };
+        let window = |group: u8, users: std::ops::Range<u32>| {
+            users.map(move |u| (AccelerationGroupId(group), UserId(u)))
+        };
+        let cases: Vec<Vec<(AccelerationGroupId, UserId)>> = vec![
+            vec![],
+            window(1, 0..40).collect(),
+            // disjoint windows, in and out of group order
+            window(1, 0..40).chain(window(2, 40..70)).collect(),
+            window(1, 100..140).chain(window(2, 0..30)).collect(),
+            // touching, nested and interleaved ranges
+            window(1, 0..40).chain(window(2, 39..70)).collect(),
+            window(1, 0..100).chain(window(2, 40..50)).collect(),
+            window(1, 0..100)
+                .step_by(2)
+                .chain(window(2, 0..100).skip(1).step_by(2))
+                .collect(),
+            // one user in every group, and ranges that overlap without sharing
+            (0..=255).flat_map(|g| window(g, 7..9)).collect(),
+            window(1, 0..60)
+                .chain(window(2, 50..90))
+                .chain(window(3, 55..58))
+                .chain(window(9, 89..200))
+                .collect(),
+        ];
+        for pairs in cases {
+            let slot = TimeSlot::from_assignments(0, pairs);
+            assert_eq!(slot.total_users(), union(&slot), "{slot:?}");
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! [`FleetEngine`] owns `N` shards, each holding the [`TenantShard`]s the
 //! [`ShardRouter`] hashes onto it. Every provisioning slot the engine
-//! ingests one batch of arrival records, buckets it by shard, and runs every
-//! shard's predict→allocate→bill cycle **in parallel** over a rayon thread
+//! ingests one batch of arrival records, scatters it in one pass into the
+//! hosted tenants' slot builders, and runs every shard's
+//! build→predict→allocate→bill cycle **in parallel** over a rayon thread
 //! pool. Three properties make the parallel tick safe and reproducible:
 //!
 //! * shards share no state — each tenant's knowledge base, allocator, pool
@@ -16,7 +17,7 @@
 //!   or thread count.
 
 use crate::error::FleetError;
-use crate::ingest::{bucket_by_shard, SlotRecord};
+use crate::ingest::{RouteTable, SlotRecord};
 use crate::metrics::{FleetMetrics, TenantMetrics};
 use crate::rebalance::{MigrationRecord, Rebalancer, RebalancerConfig};
 use crate::router::ShardRouter;
@@ -44,14 +45,18 @@ pub(crate) const SECTION_ENGINE: u16 = 0x0003;
 pub(crate) const SECTION_REBALANCER: u16 = 0x0004;
 pub(crate) const SECTION_SHARD: u16 = 0x0005;
 
-/// One worker partition: the tenants a shard index owns, plus the staging
-/// buffer the engine fills before a parallel tick.
+/// One worker partition: the tenants a shard index owns, plus the slot
+/// builders the engine fills before a parallel tick.
 #[derive(Debug)]
 struct Shard {
     /// The shard's tenants, sorted by tenant id.
     tenants: Vec<TenantShard>,
-    /// Records staged for the next tick.
-    inbox: Vec<SlotRecord>,
+    /// One slot builder per tenant, parallel to `tenants`. Builders are
+    /// empty between slots and only lend their buffers' capacity, so the
+    /// list is just resized to `tenants` at the top of every slot.
+    builders: Vec<TimeSlotBuilder>,
+    /// Records routed here for the next tick, unknown tenants' included.
+    staged: usize,
     /// The shard's private instrumentation state: its own clock (so logical
     /// timestamps are deterministic under any thread schedule), stage
     /// histograms and load accounting.
@@ -59,37 +64,28 @@ struct Shard {
 }
 
 impl Shard {
-    /// Consumes the inbox: builds each tenant's slot with one sort + dedup
-    /// pass and runs the tenant's provisioning tick, timing the windowing
-    /// and per-tenant stages against the shard's telemetry. Returns how many
-    /// records named each tenant this shard does not host.
-    fn tick_inbox(&mut self, slot_index: usize, now_ms: f64) -> BTreeMap<TenantId, usize> {
-        let Shard {
+    fn new(tenants: Vec<TenantShard>, telemetry: ShardTelemetry) -> Self {
+        Self {
             tenants,
-            inbox,
+            builders: Vec::new(),
+            staged: 0,
             telemetry,
-        } = self;
-        let tick_timer = telemetry.start_stage();
-        let staged = inbox.len();
-        let mut builders: Vec<TimeSlotBuilder> = tenants
-            .iter()
-            .map(|_| TimeSlotBuilder::new(slot_index))
-            .collect();
-        let mut unknown: BTreeMap<TenantId, usize> = BTreeMap::new();
-        for record in inbox.drain(..) {
-            match tenants.binary_search_by_key(&record.tenant, TenantShard::id) {
-                Ok(at) => builders[at].assign(record.group, record.user),
-                Err(_) => *unknown.entry(record.tenant).or_insert(0) += 1,
-            }
         }
-        for (tenant, builder) in tenants.iter_mut().zip(builders) {
+    }
+
+    /// Drains the builders: materializes each tenant's slot with one sort +
+    /// dedup pass and runs the tenant's provisioning tick, timing the
+    /// windowing and per-tenant stages against the shard's telemetry.
+    fn tick(&mut self, slot_index: usize, now_ms: f64) {
+        let telemetry = &mut self.telemetry;
+        let tick_timer = telemetry.start_stage();
+        for (tenant, builder) in self.tenants.iter_mut().zip(&mut self.builders) {
             let timer = telemetry.start_stage();
-            let slot = builder.build();
+            let slot = builder.finish(slot_index);
             telemetry.end_windowing(timer);
             tenant.tick_instrumented(slot, now_ms, telemetry);
         }
-        telemetry.finish_tick(staged, tick_timer);
-        unknown
+        telemetry.finish_tick(std::mem::take(&mut self.staged), tick_timer);
     }
 }
 
@@ -100,6 +96,8 @@ pub struct FleetEngine {
     seed: u64,
     router: ShardRouter,
     shards: Vec<Shard>,
+    /// Shard and position of every tenant hosted whole; rebuilt every slot.
+    routes: RouteTable,
     pool: rayon::ThreadPool,
     threads: usize,
     slot_index: usize,
@@ -143,11 +141,7 @@ impl FleetEngine {
         let mode = TelemetryMode::default();
         let router = ShardRouter::new(shards);
         let shards = (0..shards)
-            .map(|_| Shard {
-                tenants: Vec::new(),
-                inbox: Vec::new(),
-                telemetry: ShardTelemetry::new(mode),
-            })
+            .map(|_| Shard::new(Vec::new(), ShardTelemetry::new(mode)))
             .collect();
         let pool = rayon::ThreadPoolBuilder::new()
             .build()
@@ -158,6 +152,7 @@ impl FleetEngine {
             seed,
             router,
             shards,
+            routes: RouteTable::new(),
             pool,
             threads,
             slot_index: 0,
@@ -517,36 +512,65 @@ impl FleetEngine {
         self.router.displaced_tenants()
     }
 
-    /// Ticks one provisioning slot on a batch of arrival records: buckets
-    /// the batch by shard (one router pass), then runs every shard's
-    /// predict→allocate→bill cycle in parallel. Records naming unknown
-    /// tenants are counted in [`FleetEngine::dropped_records`]. This is the
-    /// single ingestion primitive every front-end funnels into. When a
-    /// rebalancer is configured its periodic check runs first, between
-    /// slots.
+    /// Ticks one provisioning slot on a batch of arrival records: appends
+    /// every record to its tenant's slot builder (one pass over the batch),
+    /// then runs every shard's build→predict→allocate→bill cycle in
+    /// parallel. Records naming unknown tenants are counted in
+    /// [`FleetEngine::dropped_records`], and against the shard
+    /// [`crate::ingest::bucket_by_shard`] names. This is the single
+    /// ingestion primitive every front-end funnels into. When a rebalancer
+    /// is configured its periodic check runs first, between slots.
     pub(crate) fn ingest_batch(&mut self, records: &[SlotRecord]) {
         self.maybe_rebalance();
         let timer = StageTimer::start(&mut self.clock);
         let slot_index = self.slot_index;
         let now_ms = (slot_index + 1) as f64 * self.config.slot_length_ms;
-        let buckets = bucket_by_shard(records, &self.router, &self.user_sharded);
-        for (shard, bucket) in self.shards.iter_mut().zip(buckets) {
-            shard.inbox = bucket;
-        }
-        let shards = &mut self.shards;
-        let dropped_per_shard: Vec<BTreeMap<TenantId, usize>> = self.pool.install(|| {
-            shards
-                .par_iter_mut()
-                .map(|shard| shard.tick_inbox(slot_index, now_ms))
-                .collect()
-        });
-        // merged in shard order, so the fold is deterministic
-        for dropped in dropped_per_shard {
-            for (tenant, count) in dropped {
-                self.dropped_records += count;
-                *self.dropped_by_tenant.entry(tenant).or_insert(0) += count;
+        // where every tenant hosted whole sits right now: O(tenants) per
+        // slot, so no control-plane operation has a table to invalidate
+        self.routes
+            .reset(self.shards.iter().map(|s| s.tenants.len()).sum());
+        for (index, shard) in self.shards.iter_mut().enumerate() {
+            let hosted = shard.tenants.len();
+            shard.builders.resize_with(hosted, TimeSlotBuilder::default);
+            for (at, tenant) in shard.tenants.iter().enumerate() {
+                if !self.user_sharded.contains(&tenant.id()) {
+                    self.routes.insert(tenant.id(), index, at);
+                }
             }
         }
+        for record in records {
+            let tenant = record.tenant;
+            let (shard, at) = match self.routes.get(tenant) {
+                Some((shard, at)) => (shard, Some(at)),
+                // a user-sharded replica or an unknown tenant: the reference
+                // routing, then a search of the shard it names
+                None => {
+                    let shard = if self.user_sharded.contains(&tenant) {
+                        self.router.shard_of_user(record.user)
+                    } else {
+                        self.router.shard_of_tenant(tenant)
+                    };
+                    let hosted = &self.shards[shard].tenants;
+                    let at = hosted.binary_search_by_key(&tenant, TenantShard::id);
+                    (shard, at.ok())
+                }
+            };
+            let shard = &mut self.shards[shard];
+            shard.staged += 1;
+            match at {
+                Some(at) => shard.builders[at].assign(record.group, record.user),
+                None => {
+                    self.dropped_records += 1;
+                    *self.dropped_by_tenant.entry(tenant).or_insert(0) += 1;
+                }
+            }
+        }
+        let shards = &mut self.shards;
+        self.pool.install(|| {
+            shards
+                .par_iter_mut()
+                .for_each(|shard| shard.tick(slot_index, now_ms))
+        });
         if self.clock.enabled() {
             let slowest = self
                 .shards
@@ -901,8 +925,8 @@ impl FleetEngine {
     /// [`FleetMetrics`] and logical-clock telemetry at any thread count.
     ///
     /// Checkpoints are taken **between slots** — after an ingest returns and
-    /// before the next one — so shard inboxes are empty by construction and
-    /// never travel on the wire. The [`SystemConfig`] itself is not
+    /// before the next one — so the slot builders are empty by construction
+    /// and never travel on the wire. The [`SystemConfig`] itself is not
     /// serialized; restore receives it from the caller, the same way
     /// [`FleetEngine::new`] does.
     ///
@@ -925,7 +949,9 @@ impl FleetEngine {
         writer: &mut SnapshotWriter<W>,
     ) -> Result<(), SnapshotError> {
         debug_assert!(
-            self.shards.iter().all(|s| s.inbox.is_empty()),
+            self.shards
+                .iter()
+                .all(|s| s.builders.iter().all(TimeSlotBuilder::is_empty)),
             "checkpoints are taken between slots"
         );
         let mut meta = Vec::new();
@@ -1081,11 +1107,7 @@ impl FleetEngine {
                     context: "tenant hosted away from its routed shard",
                 });
             }
-            shards.push(Shard {
-                tenants,
-                inbox: Vec::new(),
-                telemetry,
-            });
+            shards.push(Shard::new(tenants, telemetry));
         }
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads.max(1))
@@ -1097,6 +1119,7 @@ impl FleetEngine {
             seed,
             router,
             shards,
+            routes: RouteTable::new(),
             pool,
             threads,
             slot_index,

@@ -4,11 +4,10 @@
 //! records per provisioning slot, in arrival order — which interleaves
 //! tenants and user ids arbitrarily. Feeding such a stream through
 //! [`mca_core::TimeSlot::assign`] pays an ordered insert per record
-//! (`O(n)` per out-of-order user); the fleet instead buckets the batch by
-//! shard with one [`crate::ShardRouter`] pass and lets every shard build
-//! each tenant's slot through [`mca_core::TimeSlotBuilder`] — a single
-//! sort + dedup pass per tenant, identical in result to the per-record
-//! path.
+//! (`O(n)` per out-of-order user); the engine instead walks the batch once,
+//! looks every record's tenant up in a `RouteTable` and appends it to that
+//! tenant's [`mca_core::TimeSlotBuilder`], which sorts and deduplicates once
+//! per slot — identical in result to the per-record path.
 
 use crate::router::ShardRouter;
 use mca_offload::{AccelerationGroupId, TenantId, UserId};
@@ -57,15 +56,78 @@ impl Restore for SlotRecord {
     }
 }
 
+/// Tenant → `(shard, position in the shard's tenant list)`: the table the
+/// engine refills every slot and looks up once per record. Open addressing
+/// with linear probing over a power-of-two slot array at most half full — a
+/// lookup is one multiplication and, nearly always, one slot read, where the
+/// standard `HashMap` costs about as much as the append it routes.
+#[derive(Debug)]
+pub(crate) struct RouteTable {
+    /// `(tenant, shard, position)`; a [`VACANT`] shard marks a free slot.
+    slots: Vec<(TenantId, usize, usize)>,
+}
+
+const VACANT: usize = usize::MAX;
+
+impl RouteTable {
+    /// A table with room for no tenant.
+    pub(crate) fn new() -> Self {
+        let mut table = Self { slots: Vec::new() };
+        table.reset(0);
+        table
+    }
+
+    /// Empties the table and sizes it for up to `tenants` entries.
+    pub(crate) fn reset(&mut self, tenants: usize) {
+        self.slots.clear();
+        let slots = (2 * tenants).next_power_of_two().max(2);
+        self.slots.resize(slots, (TenantId(0), VACANT, 0));
+    }
+
+    /// The slot `tenant` probes first: the top bits of a golden-ratio
+    /// product (Fibonacci hashing), which spreads sequential ids evenly.
+    fn home(&self, tenant: TenantId) -> usize {
+        let hash = u64::from(tenant.0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (hash >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// Routes `tenant`, not yet in the table, to `shard` at `at`.
+    pub(crate) fn insert(&mut self, tenant: TenantId, shard: usize, at: usize) {
+        let mut slot = self.home(tenant);
+        while self.slots[slot].1 != VACANT {
+            slot = (slot + 1) & (self.slots.len() - 1);
+        }
+        self.slots[slot] = (tenant, shard, at);
+    }
+
+    /// Where `tenant` was routed to, if it was.
+    pub(crate) fn get(&self, tenant: TenantId) -> Option<(usize, usize)> {
+        let mut slot = self.home(tenant);
+        loop {
+            match self.slots[slot] {
+                (_, VACANT, _) => return None,
+                (key, shard, at) if key == tenant => return Some((shard, at)),
+                _ => slot = (slot + 1) & (self.slots.len() - 1),
+            }
+        }
+    }
+}
+
 /// Buckets a flat arrival-order batch into one vector per shard, preserving
 /// the batch's relative order within each bucket (one linear pass).
+///
+/// This is the **reference** routing: the engine no longer calls it — it
+/// scatters records straight into per-tenant builders — but counts every
+/// record against the shard this function would have bucketed it to, and the
+/// property tests and the benchmark's layer replay rebuild slots from these
+/// buckets to check the engine against.
 ///
 /// Tenants listed in `user_sharded` are the fleet's *huge* tenants — one
 /// CloneCloud-style app with a user population too large for a single
 /// predictor — and their records route by **user** hash
 /// ([`ShardRouter::shard_of_user`]) instead of tenant hash, so every shard
 /// serves its own slice of that tenant's population. All other tenants
-/// route whole, exactly as before.
+/// route whole.
 pub fn bucket_by_shard(
     records: &[SlotRecord],
     router: &ShardRouter,
@@ -86,6 +148,31 @@ pub fn bucket_by_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn route_table_finds_what_was_inserted_and_nothing_else() {
+        let mut table = RouteTable::new();
+        assert_eq!(table.get(TenantId(0)), None);
+        // sequential ids, ids a power of two apart (equal low bits) and the
+        // extremes, refilled at several sizes
+        for tenants in [1usize, 2, 3, 64, 65, 1000] {
+            let ids: Vec<TenantId> = (0..tenants as u32)
+                .map(|i| TenantId(if i % 3 == 2 { i << 12 } else { i }))
+                .chain([TenantId(u32::MAX), TenantId(u32::MAX - 1)])
+                .collect();
+            table.reset(ids.len());
+            for (at, &id) in ids.iter().enumerate() {
+                table.insert(id, at % 7, at);
+            }
+            for (at, &id) in ids.iter().enumerate() {
+                assert_eq!(table.get(id), Some((at % 7, at)), "{id:?} of {tenants}");
+            }
+            assert_eq!(table.get(TenantId(u32::MAX - 2)), None);
+            assert_eq!(table.get(TenantId(1 << 30)), None);
+        }
+        table.reset(0);
+        assert_eq!(table.get(TenantId(1)), None, "a reset forgets every route");
+    }
 
     #[test]
     fn bucketing_routes_every_record_and_keeps_relative_order() {

@@ -160,9 +160,10 @@ pub struct RebalanceSnapshot {
     pub migrations: u64,
     /// The max/mean load ratio the most recent check observed.
     pub last_ratio: f64,
-    /// Per-shard loads when the trigger last fired, before any move.
+    /// Per-shard loads before the moves of the last check that planned one
+    /// (a trigger the improvement guard answers with no move leaves it).
     pub loads_before: Vec<f64>,
-    /// Per-shard loads after the moves of the last firing check.
+    /// Per-shard loads after the moves of that check.
     pub loads_after: Vec<f64>,
     /// The most recent migrations, oldest first (capped).
     pub recent: Vec<MigrationRecord>,
@@ -225,7 +226,7 @@ impl Rebalancer {
             return Vec::new();
         }
         self.triggers += 1;
-        self.loads_before = loads.to_vec();
+        let before = loads.to_vec();
         let mut moves = Vec::new();
         for _ in 0..self.config.max_moves_per_check {
             let Some(record) = self.plan_one(slot, loads, movable) else {
@@ -233,6 +234,10 @@ impl Rebalancer {
             };
             moves.push(record);
         }
+        if moves.is_empty() {
+            return moves;
+        }
+        self.loads_before = before;
         self.loads_after = loads.to_vec();
         self.migrations += moves.len() as u64;
         self.log.extend(moves.iter().copied());
@@ -485,6 +490,28 @@ mod tests {
         let snapshot = rebalancer.snapshot();
         assert_eq!(snapshot.triggers, 1, "the trigger fired");
         assert_eq!(snapshot.migrations, 0, "but nothing improved");
+    }
+
+    #[test]
+    fn a_trigger_without_a_move_keeps_the_last_real_before_and_after() {
+        let mut rebalancer = Rebalancer::new(RebalancerConfig::default().with_ratio(1.0));
+        let per_shard = vec![vec![50.0, 30.0], vec![10.0]];
+        let mut movable = movable_of(&per_shard);
+        let mut loads = vec![80.0, 10.0];
+        assert_eq!(rebalancer.check(0, &mut loads, &mut movable).len(), 1);
+        let moved = rebalancer.snapshot();
+        assert_eq!(moved.loads_before, vec![80.0, 10.0]);
+        assert_eq!(moved.loads_after, vec![30.0, 60.0]);
+
+        // 30 onto 60 would only swap the hot shard: the trigger fires, the
+        // guard plans nothing
+        let mut loads = vec![60.0, 30.0];
+        let mut movable = movable_of(&[vec![60.0], vec![30.0]]);
+        assert!(rebalancer.check(1, &mut loads, &mut movable).is_empty());
+        let idle = rebalancer.snapshot();
+        assert_eq!((idle.checks, idle.triggers, idle.migrations), (2, 2, 1));
+        assert_eq!(idle.loads_before, moved.loads_before);
+        assert_eq!(idle.loads_after, moved.loads_after);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! is warm, one prediction must allocate only a small constant number of
 //! times (the forecast itself plus the per-probe scratch), **independent of
 //! the history length** — the scan reuses one `DistanceScratch` per chunk
-//! (and per index probe) instead of allocating per candidate.
+//! (and per index probe) instead of allocating per candidate. A second gate
+//! holds the fleet's slot ingest to a count **independent of the records
+//! per tenant**.
 //!
 //! This lives in its own integration-test binary because the counting
 //! `#[global_allocator]` is process-wide.
@@ -10,8 +12,11 @@
 use mobile_code_acceleration::core::{
     DistanceKind, IndexPolicy, ParallelismPolicy, WorkloadPredictor,
 };
+use mobile_code_acceleration::fleet::SlotBatchSource;
 use mobile_code_acceleration::offload::{AccelerationGroupId, UserId};
-use mobile_code_acceleration::prelude::TimeSlot;
+use mobile_code_acceleration::prelude::{
+    FleetDriver, FleetEngine, SlotRecord, SystemConfig, TenantId, TimeSlot,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -175,5 +180,59 @@ fn indexed_probe_allocates_a_small_constant() {
         small, large,
         "indexed-probe allocations differ between 10k and 100k slots: a per-query buffer scales \
          with the history"
+    );
+}
+
+/// Allocations of one warmed `FleetDriver::step` over `tenants` steady
+/// tenants of `users` users each, spread over the three groups and fed in
+/// an interleaved arrival order with duplicates.
+fn warmed_step_allocations(tenants: u32, users: u32) -> usize {
+    let _serialized = MEASURE_LOCK.lock().expect("no poisoned measurements");
+    let batch = || -> Vec<SlotRecord> {
+        // a stride coprime to the user count visits every user, out of order
+        (0..users + users / 4)
+            .flat_map(|i| {
+                let u = (i * 7919) % users;
+                (0..tenants).map(move |t| {
+                    let group = GROUPS[(u * 3 / users) as usize];
+                    SlotRecord::new(TenantId(t), group, UserId(t * 1_000_000 + u))
+                })
+            })
+            .collect()
+    };
+    let config = SystemConfig::paper_three_groups().with_history_window(16);
+    let mut engine = FleetEngine::new(config, 4, 1).with_threads(1);
+    engine.add_tenants((0..tenants).map(TenantId));
+    let (lane, source) = SlotBatchSource::channel();
+    let mut driver = FleetDriver::new(engine).with_shared_source(source);
+    // past the history window, so eviction, the builders' buffers and the
+    // allocation memo are all in steady state
+    for _ in 0..40 {
+        lane.push_slot(batch());
+        driver.step().expect("a shared lane never misroutes");
+    }
+    lane.push_slot(batch());
+    allocations_during(|| {
+        driver.step().expect("a shared lane never misroutes");
+    })
+}
+
+#[test]
+fn slot_ingest_allocations_do_not_grow_with_records_per_tenant() {
+    let (light, heavy) = (
+        warmed_step_allocations(6, 200),
+        warmed_step_allocations(6, 800),
+    );
+    assert_eq!(
+        light, heavy,
+        "one warmed slot allocated {light} times at 250 records per tenant and {heavy} at 1,000: \
+         a per-record buffer is growing inside the ingest"
+    );
+    // what a slot does allocate is its own: a run per non-empty group, the
+    // forecast, the memoized allocation handed to billing
+    let more_tenants = warmed_step_allocations(12, 200);
+    assert!(
+        light < more_tenants && more_tenants <= 2 * light,
+        "allocations should scale with tenants: {light} for 6, {more_tenants} for 12"
     );
 }

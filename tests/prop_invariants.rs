@@ -11,6 +11,7 @@ use mobile_code_acceleration::core::{
     },
     ParallelismPolicy, SlotHistory, TimeSlot, WorkloadForecast, WorkloadPredictor,
 };
+use mobile_code_acceleration::fleet::{ingest::bucket_by_shard, TenantMetrics};
 use mobile_code_acceleration::lp::{
     BranchBoundOptions, LpBackend, LpError, Problem, Sense, SimplexOutcome, SimplexSolver,
     SparseOutcome, SparseProblem, VarKind,
@@ -19,7 +20,7 @@ use mobile_code_acceleration::offload::{ApplicationState, TaskKind, TaskSpec};
 use mobile_code_acceleration::prelude::*;
 use mobile_code_acceleration::snapshot::Cursor;
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 // ---------------------------------------------------------------------------
 // ILP solver
@@ -632,6 +633,230 @@ proptest! {
             if let Ok(over) = &over {
                 prop_assert!(allocation.hourly_cost <= over.hourly_cost + 1e-9);
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Fleet ingest
+// ---------------------------------------------------------------------------
+
+/// The two-pass reference fleet the engine's one-pass ingest must equal:
+/// `bucket_by_shard`, one `TimeSlot::assign` per record, a bare
+/// `TenantShard` tick per hosted tenant.
+struct ReferenceFleet {
+    config: SystemConfig,
+    seed: u64,
+    router: ShardRouter,
+    user_sharded: BTreeSet<TenantId>,
+    shards: Vec<BTreeMap<TenantId, TenantShard>>,
+    /// Records bucketed to each shard so far.
+    records: Vec<u64>,
+    dropped: BTreeMap<TenantId, usize>,
+    slot: usize,
+}
+
+impl ReferenceFleet {
+    fn new(config: SystemConfig, shards: usize, seed: u64) -> Self {
+        Self {
+            config,
+            seed,
+            router: ShardRouter::new(shards),
+            user_sharded: BTreeSet::new(),
+            shards: (0..shards).map(|_| BTreeMap::new()).collect(),
+            records: vec![0; shards],
+            dropped: BTreeMap::new(),
+            slot: 0,
+        }
+    }
+
+    fn hosts(&self, tenant: TenantId) -> bool {
+        self.shards.iter().any(|s| s.contains_key(&tenant))
+    }
+
+    fn add(&mut self, tenant: TenantId) {
+        let state = TenantShard::new(tenant, &self.config, self.seed);
+        self.shards[self.router.shard_of_tenant(tenant)].insert(tenant, state);
+    }
+
+    fn add_user_sharded(&mut self, tenant: TenantId) {
+        for shard in &mut self.shards {
+            shard.insert(tenant, TenantShard::new(tenant, &self.config, self.seed));
+        }
+        self.user_sharded.insert(tenant);
+    }
+
+    fn extract(&mut self, tenant: TenantId) {
+        for shard in &mut self.shards {
+            shard.remove(&tenant);
+        }
+        self.user_sharded.remove(&tenant);
+    }
+
+    fn migrate(&mut self, tenant: TenantId, to: usize) {
+        let from = self.router.shard_of_tenant(tenant);
+        let state = self.shards[from].remove(&tenant).expect("hosted");
+        self.shards[to].insert(tenant, state);
+        self.router.place(tenant, to);
+    }
+
+    fn tick(&mut self, batch: &[SlotRecord]) {
+        let now_ms = (self.slot + 1) as f64 * self.config.slot_length_ms;
+        let buckets = bucket_by_shard(batch, &self.router, &self.user_sharded);
+        for (at, bucket) in buckets.into_iter().enumerate() {
+            self.records[at] += bucket.len() as u64;
+            let mut slots: BTreeMap<TenantId, TimeSlot> = self.shards[at]
+                .keys()
+                .map(|&tenant| (tenant, TimeSlot::new(self.slot)))
+                .collect();
+            for record in bucket {
+                match slots.get_mut(&record.tenant) {
+                    Some(slot) => slot.assign(record.group, record.user),
+                    None => *self.dropped.entry(record.tenant).or_insert(0) += 1,
+                }
+            }
+            for (tenant, slot) in slots {
+                let state = self.shards[at].get_mut(&tenant).expect("hosted");
+                state.tick(slot, now_ms);
+            }
+        }
+        self.slot += 1;
+    }
+
+    /// A user-sharded tenant's replicas fold into one entry, as in
+    /// `FleetEngine::forecasts` / `FleetEngine::metrics`.
+    fn forecasts(&self) -> Vec<(TenantId, Option<WorkloadForecast>)> {
+        let mut forecasts: BTreeMap<TenantId, Option<WorkloadForecast>> = BTreeMap::new();
+        for (&tenant, state) in self.shards.iter().flatten() {
+            let entry = forecasts.entry(tenant).or_insert(None);
+            if !self.user_sharded.contains(&tenant) {
+                *entry = state.forecast().cloned();
+            } else if let Some(slice) = state.forecast() {
+                let combined = entry.get_or_insert_with(|| WorkloadForecast {
+                    per_group: self
+                        .config
+                        .groups
+                        .ids()
+                        .into_iter()
+                        .map(|g| (g, 0))
+                        .collect(),
+                    matched_slot: None,
+                });
+                for (group, load) in &mut combined.per_group {
+                    *load += slice.load_of(*group);
+                }
+            }
+        }
+        forecasts.into_iter().collect()
+    }
+
+    fn metrics(&self) -> FleetMetrics {
+        let mut per_tenant: BTreeMap<TenantId, TenantMetrics> = BTreeMap::new();
+        for (&tenant, state) in self.shards.iter().flatten() {
+            per_tenant
+                .entry(tenant)
+                .and_modify(|m| m.absorb(state.metrics()))
+                .or_insert_with(|| state.metrics().clone());
+        }
+        FleetMetrics::aggregate(per_tenant.into_values().collect())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Scattering records straight into per-tenant packed-key builders
+    /// serves every tenant exactly what bucketing by shard and assigning
+    /// record by record does — under duplicates, shuffled and pre-sorted
+    /// arrival order, unknown tenants, a user-sharded tenant, the extreme
+    /// ids, empty slots, and tenants added, extracted and migrated between
+    /// slots — and charges every record to the same shard.
+    #[test]
+    fn fleet_ingest_matches_the_two_pass_reference(
+        shards in 1usize..5,
+        slots in proptest::collection::vec(
+            (
+                0u8..10,
+                0usize..24,
+                proptest::collection::vec((0usize..16, 0usize..5, 0u32..400), 0..400),
+                0u8..3,
+            ),
+            3..8,
+        ),
+    ) {
+        const HUGE: TenantId = TenantId(5);
+        // one heavy tenant (its slots cross the radix cut-over), the
+        // user-sharded one, light ones, one at the top of the id space, one
+        // onboarded only by a script, one never onboarded
+        let plain = [TenantId(0), TenantId(1), TenantId(2), TenantId(3), TenantId(u32::MAX), TenantId(4)];
+        let tenant_of = |pick: usize| match pick {
+            0..=5 => plain[0],
+            6..=9 => HUGE,
+            10..=14 => plain[pick - 9],
+            _ => TenantId(77),
+        };
+        let groups = [0u8, 1, 2, 3, 255].map(AccelerationGroupId);
+        let config = SystemConfig::paper_three_groups().with_history_window(4);
+        let mut engine = FleetEngine::new(config.clone(), shards, 9).with_threads(2);
+        let mut reference = ReferenceFleet::new(config, shards, 9);
+        for &tenant in &plain[..5] {
+            engine.add_tenant(tenant);
+            reference.add(tenant);
+        }
+        engine.add_user_sharded_tenant(HUGE);
+        reference.add_user_sharded(HUGE);
+
+        for (op, arg, picks, order) in slots {
+            let tenant = plain[arg % plain.len()];
+            match op {
+                0 if reference.hosts(tenant) => {
+                    engine.extract_tenant(tenant).expect("hosted");
+                    reference.extract(tenant);
+                }
+                1 if !reference.hosts(tenant) => {
+                    engine.add_tenant(tenant);
+                    reference.add(tenant);
+                }
+                2 | 3 if reference.hosts(tenant) => {
+                    let to = arg % shards;
+                    engine.migrate_tenant(tenant, to).expect("hosted, in range");
+                    reference.migrate(tenant, to);
+                }
+                4 if reference.hosts(HUGE) => {
+                    engine.extract_user_sharded_tenant(HUGE).expect("hosted");
+                    reference.extract(HUGE);
+                }
+                4 => {
+                    engine.add_user_sharded_tenant(HUGE);
+                    reference.add_user_sharded(HUGE);
+                }
+                _ => {}
+            }
+            let mut batch: Vec<SlotRecord> = picks
+                .into_iter()
+                .map(|(tenant, group, user)| {
+                    let user = if user < 4 { u32::MAX - user } else { user };
+                    SlotRecord::new(tenant_of(tenant), groups[group], UserId(user))
+                })
+                .collect();
+            match order {
+                0 => {}
+                1 => batch.sort_unstable_by_key(|r| (r.tenant, r.group, r.user)),
+                _ => batch.extend_from_within(..batch.len() / 2),
+            }
+            #[allow(deprecated)]
+            engine.tick_slot(&batch);
+            reference.tick(&batch);
+
+            prop_assert_eq!(engine.forecasts(), reference.forecasts());
+            prop_assert_eq!(engine.metrics(), reference.metrics());
+            prop_assert_eq!(engine.dropped_by_tenant(), &reference.dropped);
+            prop_assert_eq!(
+                engine.dropped_records(),
+                reference.dropped.values().sum::<usize>()
+            );
+            let staged: Vec<u64> = engine.telemetry().shards.iter().map(|s| s.records).collect();
+            prop_assert_eq!(staged, reference.records.clone());
         }
     }
 }
