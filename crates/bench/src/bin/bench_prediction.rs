@@ -1,29 +1,24 @@
 //! Regenerates `BENCH_prediction.json`: pruned versus naive nearest-slot
 //! prediction over the acceptance-bar workload (5,000 slots × 3 groups ×
-//! 200 users per group), the chunked **parallel** knowledge-base scan versus
-//! the sequential best-first scan on a 100,000-slot single-tenant history
-//! (threads 1/2/4/8), and the **block-summary tree** versus the pruned
+//! 200 users per group), and the **block-summary tree** versus the pruned
 //! linear scan in steady state — a history grown by `observe_slot` from 100k
 //! to 1M slots, 1,000 distinct probes per point, p50/p99 — plus one
 //! stationary-population row.
 //!
 //! Run with `cargo run --release -p mca-bench --bin bench_prediction`.
 //!
-//! * default: all three acceptance-bar workloads; exits non-zero below the
-//!   5× pruned-vs-naive bar, below the core-aware parallel bar (judged at
-//!   the best thread count the runner's `available_parallelism` can
-//!   exploit — a single-core runner is only held to ≥1×), below 5×
-//!   tree-vs-pruned at 1M slots, at a tree scaling ratio (median query) ≥3×
-//!   for the 10× size span, or on any forecast divergence. The stationary
-//!   row is reported, not gated.
-//! * `--smoke`: a small CI gate — serial, chunked, indexed and naive
-//!   forecasts must all be bit-identical on small histories; exits non-zero
-//!   only on divergence (no speedup gates: CI runner core counts vary).
+//! * default: both acceptance-bar workloads; exits non-zero below the 5×
+//!   pruned-vs-naive bar, below 5× tree-vs-pruned at 1M slots, at a tree
+//!   scaling ratio (median query) ≥3× for the 10× size span, or on any
+//!   forecast divergence. The stationary row is reported, not gated.
+//! * `--smoke`: a small CI gate — serial, indexed and naive forecasts must
+//!   all be bit-identical on small histories; exits non-zero only on
+//!   divergence (no speedup gates: CI runners vary).
 //! * `bench_prediction [slots] [users_per_group] [rounds]`: custom shape;
-//!   the pruned-vs-naive 5× gate and the forecast-identity gates apply, the
-//!   parallel and index sweeps run on the same shape without speedup gates.
+//!   the pruned-vs-naive 5× gate and the forecast-identity gate apply, the
+//!   index sweep runs on the same shape without speedup gates.
 
-use mca_bench::prediction::{self, IndexScanWorkload, ParallelScanWorkload, PredictionWorkload};
+use mca_bench::prediction::{self, IndexScanWorkload, PredictionWorkload};
 
 fn parse_arg(value: Option<String>, name: &str, default: usize) -> usize {
     match value {
@@ -39,36 +34,18 @@ fn parse_arg(value: Option<String>, name: &str, default: usize) -> usize {
     }
 }
 
-/// The parallel bar scales with what the runner can exploit: a 4-core
-/// machine must show ≥2× somewhere in the feasible sweep, a dual-core ≥1.2×,
-/// a single core is only held to not regressing (≥1× within noise).
-fn parallel_bar(available: usize) -> f64 {
-    match available {
-        0 | 1 => 0.9,
-        2 | 3 => 1.2,
-        _ => 2.0,
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.first().map(String::as_str) == Some("--smoke");
     let custom = !smoke && !args.is_empty();
 
-    let (workload, parallel_workload, index_workload, rounds, pruned_gate, speed_gates) = if smoke {
+    let (workload, index_workload, rounds, pruned_gate, speed_gates) = if smoke {
         let workload = PredictionWorkload {
             slots: 2_000,
             groups: 3,
             users_per_group: 40,
         };
-        (
-            workload,
-            ParallelScanWorkload::smoke(),
-            IndexScanWorkload::smoke(),
-            3,
-            None,
-            false,
-        )
+        (workload, IndexScanWorkload::smoke(), 3, None, false)
     } else if custom {
         let mut args = args.into_iter();
         let mut workload = PredictionWorkload::headline();
@@ -76,19 +53,15 @@ fn main() {
         workload.users_per_group =
             parse_arg(args.next(), "users_per_group", workload.users_per_group);
         let rounds = parse_arg(args.next(), "rounds", 10);
-        let mut parallel = ParallelScanWorkload::smoke();
-        parallel.slots = workload.slots;
-        parallel.users_per_group = workload.users_per_group;
         let mut index = IndexScanWorkload::smoke();
         index.sizes = vec![workload.slots];
         index.users_per_group = workload.users_per_group;
         index.verify_naive_up_to = workload.slots;
         index.stationary_slots = Some(workload.slots);
-        (workload, parallel, index, rounds, Some(5.0), false)
+        (workload, index, rounds, Some(5.0), false)
     } else {
         (
             PredictionWorkload::headline(),
-            ParallelScanWorkload::headline(),
             IndexScanWorkload::headline(),
             10,
             Some(5.0),
@@ -99,23 +72,16 @@ fn main() {
     let report = prediction::run(&workload, rounds);
     prediction::print(&report);
     println!();
-    let parallel = prediction::run_parallel(&parallel_workload, rounds);
-    prediction::print_parallel(&parallel);
-    println!();
     let index = prediction::run_index(&index_workload);
     prediction::print_index(&index);
 
-    let json = prediction::combined_json(&report, &parallel, &index);
+    let json = prediction::combined_json(&report, &index);
     let path = "BENCH_prediction.json";
     std::fs::write(path, &json).expect("write BENCH_prediction.json");
     println!("wrote {path}");
 
-    if !parallel.forecasts_identical {
-        eprintln!("ERROR: the chunked parallel scan diverged from the serial scan");
-        std::process::exit(1);
-    }
     if !index.forecasts_identical() {
-        eprintln!("ERROR: the indexed scan diverged from the serial/chunked/naive forecast");
+        eprintln!("ERROR: the indexed scan diverged from the serial/naive forecast");
         std::process::exit(1);
     }
     if let Some(gate) = pruned_gate {
@@ -128,18 +94,6 @@ fn main() {
         }
     }
     if speed_gates {
-        let bar = parallel_bar(parallel.available_parallelism);
-        let (threads, best) = parallel
-            .best_feasible_speedup()
-            .expect("the headline sweep includes threads=1");
-        if best < bar {
-            eprintln!(
-                "WARNING: best feasible parallel speedup {best:.1}x (at {threads} threads, \
-                 {} cores available) is below the {bar}x acceptance bar",
-                parallel.available_parallelism,
-            );
-            std::process::exit(1);
-        }
         let at_largest = index.speedup_at_largest().unwrap_or(0.0);
         if at_largest < 5.0 {
             eprintln!(

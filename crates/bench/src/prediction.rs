@@ -8,20 +8,12 @@
 //! naive scan. `cargo run --release -p mca-bench --bin bench_prediction`
 //! regenerates `BENCH_prediction.json` at the repository root.
 //!
-//! A second harness ([`run_parallel`]) sweeps the chunked **parallel**
-//! knowledge-base scan against the sequential best-first scan on a huge
-//! single-tenant history (100k slots — the CloneCloud-style regime), over
-//! thread counts 1/2/4/8, asserting every configuration returns the
-//! bit-identical forecast (the naive scan included). The report records the
-//! machine's `available_parallelism` so the acceptance gate can judge the
-//! best thread count the runner can actually exploit.
-//!
-//! A third harness ([`run_index`]) times the **block-summary tree** in
+//! A second harness ([`run_index`]) times the **block-summary tree** in
 //! steady state: one predictor grown by `observe_slot` from 100k to 1M slots
 //! and, at every point, 1,000 distinct probes (70 % resemble the next slot,
 //! 30 % revisit a random old epoch) reported as p50/p99, against the pruned
-//! linear scan on a sample of the same probes, asserting the serial, chunked
-//! and tree paths all return the bit-identical forecast. The acceptance bar:
+//! linear scan on a sample of the same probes, asserting the serial and tree
+//! paths return the bit-identical forecast. The acceptance bar:
 //! ≥5× over the pruned scan at 1M slots and sub-linear growth (10× more
 //! history must cost the tree's median query <3× more time). One further row
 //! runs the same protocol on a **stationary** population — id windows that
@@ -29,7 +21,7 @@
 //! — where the tree can only degrade to the linear signature pass; it is
 //! reported, not gated.
 
-use mca_core::{IndexPolicy, ParallelismPolicy, SlotHistory, TimeSlot, WorkloadPredictor};
+use mca_core::{IndexPolicy, SlotHistory, TimeSlot, WorkloadPredictor};
 use mca_offload::{AccelerationGroupId, UserId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -186,232 +178,6 @@ pub fn run(workload: &PredictionWorkload, rounds: usize) -> PredictionBenchRepor
     }
 }
 
-/// Shape of the parallel-scan sweep: a huge single-tenant history scanned
-/// by one predictor, serial versus chunked across a rayon pool.
-#[derive(Debug, Clone)]
-pub struct ParallelScanWorkload {
-    /// Number of historical slots (the CloneCloud-style regime: 100k+).
-    pub slots: usize,
-    /// Number of acceleration groups.
-    pub groups: usize,
-    /// Nominal users per group per slot.
-    pub users_per_group: usize,
-    /// Thread counts swept (each with a matching chunk count and pool).
-    pub thread_counts: Vec<usize>,
-}
-
-impl ParallelScanWorkload {
-    /// The acceptance-bar sweep: a 100,000-slot history, threads 1/2/4/8,
-    /// ≥2× over the sequential scan required at 4 threads.
-    pub fn headline() -> Self {
-        Self {
-            slots: 100_000,
-            groups: 3,
-            users_per_group: 48,
-            thread_counts: vec![1, 2, 4, 8],
-        }
-    }
-
-    /// The CI smoke shape: small enough to run in seconds, large enough to
-    /// clear the fan-out threshold so the chunked path genuinely runs.
-    pub fn smoke() -> Self {
-        Self {
-            slots: 6_000,
-            groups: 3,
-            users_per_group: 12,
-            thread_counts: vec![1, 2, 4],
-        }
-    }
-
-    fn as_prediction_workload(&self) -> PredictionWorkload {
-        PredictionWorkload {
-            slots: self.slots,
-            groups: self.groups,
-            users_per_group: self.users_per_group,
-        }
-    }
-}
-
-/// One point of the parallel sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct ParallelScanMeasurement {
-    /// Chunk count and pool width of this configuration.
-    pub threads: usize,
-    /// Mean wall-clock time of one prediction, milliseconds.
-    pub ms_per_prediction: f64,
-}
-
-/// Measurements of one serial-versus-parallel sweep.
-#[derive(Debug, Clone)]
-pub struct ParallelScanReport {
-    /// The workload swept.
-    pub workload: ParallelScanWorkload,
-    /// Number of predictions timed per configuration.
-    pub rounds: usize,
-    /// Mean wall-clock time of one sequential (best-first) prediction, ms.
-    pub serial_ms: f64,
-    /// One measurement per swept thread count.
-    pub sweep: Vec<ParallelScanMeasurement>,
-    /// Whether every configuration (and the naive full scan) returned the
-    /// bit-identical forecast.
-    pub forecasts_identical: bool,
-    /// `std::thread::available_parallelism()` of the machine that produced
-    /// the report. Speedup gates must only judge thread counts the runner
-    /// can actually exploit — a single-core CI container legitimately shows
-    /// ~1× at every width.
-    pub available_parallelism: usize,
-}
-
-impl ParallelScanReport {
-    /// Serial time over the parallel time at `threads`, when measured.
-    pub fn speedup_at(&self, threads: usize) -> Option<f64> {
-        self.sweep
-            .iter()
-            .find(|m| m.threads == threads)
-            .map(|m| self.serial_ms / m.ms_per_prediction)
-    }
-
-    /// The best speedup among sweep entries whose thread count does not
-    /// exceed the runner's `available_parallelism`, with the thread count
-    /// that achieved it. `None` when no swept width fits the machine.
-    pub fn best_feasible_speedup(&self) -> Option<(usize, f64)> {
-        self.sweep
-            .iter()
-            .filter(|m| m.threads <= self.available_parallelism)
-            .map(|m| (m.threads, self.serial_ms / m.ms_per_prediction))
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-    }
-
-    /// The report as a JSON object (hand-rolled: serde_json is unavailable
-    /// offline).
-    pub fn to_json(&self) -> String {
-        let sweep: Vec<String> = self
-            .sweep
-            .iter()
-            .map(|m| {
-                format!(
-                    "    {{ \"threads\": {}, \"ms_per_prediction\": {:.4}, \"speedup\": {:.2} }}",
-                    m.threads,
-                    m.ms_per_prediction,
-                    self.serial_ms / m.ms_per_prediction,
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"history_slots\": {},\n  \"groups\": {},\n  \"users_per_group\": {},\n  \
-             \"rounds\": {},\n  \"available_parallelism\": {},\n  \
-             \"serial_ms_per_prediction\": {:.4},\n  \
-             \"forecasts_identical\": {},\n  \"sweep\": [\n{}\n  ]\n}}",
-            self.workload.slots,
-            self.workload.groups,
-            self.workload.users_per_group,
-            self.rounds,
-            self.available_parallelism,
-            self.serial_ms,
-            self.forecasts_identical,
-            sweep.join(",\n"),
-        )
-    }
-}
-
-/// `std::thread::available_parallelism()` with a single-core fallback.
-pub fn available_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Sweeps the chunked parallel scan against the sequential scan on one huge
-/// history. Every configuration runs inside a rayon pool of exactly
-/// `threads` workers with a matching chunk count; every forecast (including
-/// the naive full scan's, checked once) must be bit-identical to the
-/// sequential scan's.
-pub fn run_parallel(workload: &ParallelScanWorkload, rounds: usize) -> ParallelScanReport {
-    assert!(rounds > 0, "at least one timed round");
-    let inner = workload.as_prediction_workload();
-    let history = synthetic_history(&inner);
-    let probe = current_probe_slot(&inner);
-    let mut predictor = WorkloadPredictor::new(inner.group_ids(), history.slot_length_ms);
-    predictor.set_history(history);
-
-    let reference = predictor.predict(&probe).expect("non-empty history");
-    let mut forecasts_identical =
-        reference == predictor.predict_naive(&probe).expect("non-empty history");
-
-    let serial_ms = time_ms(rounds, || {
-        std::hint::black_box(predictor.predict(&probe).expect("non-empty history"));
-    });
-
-    let mut sweep = Vec::with_capacity(workload.thread_counts.len());
-    for &threads in &workload.thread_counts {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads.max(1))
-            .build()
-            .expect("thread pool construction cannot fail");
-        // force the fan-out threshold down so the sweep measures the chunked
-        // path even on custom sub-threshold history shapes — without this a
-        // <4096-slot workload would silently re-time the serial scan under a
-        // "chunked" label
-        predictor.set_parallelism(ParallelismPolicy::parallel(threads).with_min_parallel_slots(1));
-        let forecast = pool.install(|| predictor.predict(&probe).expect("non-empty history"));
-        forecasts_identical &= forecast == reference;
-        let ms_per_prediction = time_ms(rounds, || {
-            pool.install(|| {
-                std::hint::black_box(predictor.predict(&probe).expect("non-empty history"));
-            });
-        });
-        sweep.push(ParallelScanMeasurement {
-            threads,
-            ms_per_prediction,
-        });
-    }
-    predictor.set_parallelism(ParallelismPolicy::serial());
-
-    ParallelScanReport {
-        workload: workload.clone(),
-        rounds,
-        serial_ms,
-        sweep,
-        forecasts_identical,
-        available_parallelism: available_parallelism(),
-    }
-}
-
-/// Prints the parallel sweep as an aligned table.
-pub fn print_parallel(report: &ParallelScanReport) {
-    println!(
-        "chunked parallel scan over {} slots x {} groups x {} users/group ({} rounds)",
-        report.workload.slots,
-        report.workload.groups,
-        report.workload.users_per_group,
-        report.rounds,
-    );
-    println!(
-        "  {:<28} {:>12} {:>10}",
-        "configuration", "ms/predict", "speedup"
-    );
-    println!(
-        "  {:<28} {:>12.3} {:>10}",
-        "serial best-first scan", report.serial_ms, "1.0x"
-    );
-    for m in &report.sweep {
-        println!(
-            "  {:<28} {:>12.3} {:>9.1}x",
-            format!("chunked, {} thread(s)", m.threads),
-            m.ms_per_prediction,
-            report.serial_ms / m.ms_per_prediction,
-        );
-    }
-    println!(
-        "  forecasts identical across every configuration: {}",
-        report.forecasts_identical
-    );
-    println!(
-        "  available parallelism on this machine: {}",
-        report.available_parallelism
-    );
-}
-
 /// Shape of the summary-tree steady-state sweep: one predictor grown slot
 /// by slot through the swept sizes, tree versus pruned linear scan at each.
 #[derive(Debug, Clone)]
@@ -425,8 +191,8 @@ pub struct IndexScanWorkload {
     pub users_per_group: usize,
     /// Distinct probes timed on the tree at every point.
     pub probes: usize,
-    /// How many of those probes are also answered by the serial and the
-    /// chunked scan (timing the former) and held to the same forecast.
+    /// How many of those probes are also answered (and timed) by the serial
+    /// scan and held to the same forecast.
     pub checked_probes: usize,
     /// Largest size at which the naive full scan also answers the first few
     /// checked probes (it is infeasible to run at 1M slots).
@@ -493,9 +259,8 @@ pub struct IndexScanPoint {
     pub indexed_p50_ms: f64,
     /// 99th-percentile wall-clock time of one tree prediction, ms.
     pub indexed_p99_ms: f64,
-    /// Whether the serial, chunked and tree paths (and the naive scan,
-    /// where checked) returned the bit-identical forecast on every checked
-    /// probe.
+    /// Whether the serial and tree paths (and the naive scan, where
+    /// checked) returned the bit-identical forecast on every checked probe.
     pub forecasts_identical: bool,
 }
 
@@ -615,7 +380,7 @@ fn grow(
 }
 
 /// Times one point: `probes` fresh probes on the tree, the checked ones on
-/// the serial and chunked scans (and the naive scan, when `verify_naive`).
+/// the serial scan (and the naive scan, when `verify_naive`).
 fn measure_point(
     predictor: &mut WorkloadPredictor,
     workload: &IndexScanWorkload,
@@ -659,11 +424,6 @@ fn measure_point(
         pruned_ms.push(start.elapsed().as_secs_f64() * 1_000.0);
         forecasts_identical &= forecast.as_ref() == Ok(&forecasts[at]);
     }
-    predictor.set_parallelism(ParallelismPolicy::parallel(2).with_min_parallel_slots(1));
-    for at in checked() {
-        forecasts_identical &= predictor.predict(&probes[at]).as_ref() == Ok(&forecasts[at]);
-    }
-    predictor.set_parallelism(ParallelismPolicy::serial());
     if verify_naive {
         for at in checked().take(NAIVE_CHECKS) {
             forecasts_identical &=
@@ -688,8 +448,8 @@ fn measure_point(
 /// Runs the steady-state sweep: a predictor under the indexed policy grows
 /// by `observe_slot` through the swept sizes and is measured at each; a
 /// second predictor does the same once on the stationary population. At
-/// every point the serial scan, the chunked scan (2 chunks) and the tree
-/// must return bit-identical forecasts on the checked probes; up to
+/// every point the serial scan and the tree must return bit-identical
+/// forecasts on the checked probes; up to
 /// [`IndexScanWorkload::verify_naive_up_to`] slots the naive full scan is
 /// held to the same bar.
 pub fn run_index(workload: &IndexScanWorkload) -> IndexScanReport {
@@ -776,23 +536,14 @@ pub fn print_index(report: &IndexScanReport) {
     }
 }
 
-/// The three prediction reports combined into the `BENCH_prediction.json`
+/// The two prediction reports combined into the `BENCH_prediction.json`
 /// document.
-pub fn combined_json(
-    pruned: &PredictionBenchReport,
-    parallel: &ParallelScanReport,
-    index: &IndexScanReport,
-) -> String {
-    let pruned = pruned.to_json();
-    let pruned = pruned.trim_end();
-    let parallel = parallel.to_json().replace('\n', "\n  ");
-    let index = index.to_json().replace('\n', "\n  ");
+pub fn combined_json(pruned: &PredictionBenchReport, index: &IndexScanReport) -> String {
     format!(
         "{{\n  \"benchmark\": \"nearest_slot_prediction\",\n  \"pruned_vs_naive\": {},\n  \
-         \"parallel_scan\": {},\n  \"index\": {}\n}}\n",
-        indent_object(pruned),
-        parallel,
-        index,
+         \"index\": {}\n}}\n",
+        indent_object(&pruned.to_json()),
+        indent_object(&index.to_json()),
     )
 }
 
@@ -847,33 +598,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_agrees_and_reports_every_thread_count() {
-        let workload = ParallelScanWorkload {
-            slots: 80,
-            groups: 3,
-            users_per_group: 10,
-            thread_counts: vec![1, 2, 4],
-        };
-        let report = run_parallel(&workload, 2);
-        assert!(report.forecasts_identical, "parallel diverged from serial");
-        assert_eq!(report.sweep.len(), 3);
-        assert!(report.serial_ms > 0.0);
-        assert!(report.sweep.iter().all(|m| m.ms_per_prediction > 0.0));
-        assert!(report.speedup_at(4).is_some());
-        assert!(report.speedup_at(16).is_none());
-        assert!(report.available_parallelism >= 1);
-        let (threads, speedup) = report
-            .best_feasible_speedup()
-            .expect("threads=1 always fits the machine");
-        assert!(threads <= report.available_parallelism);
-        assert!(speedup > 0.0);
-        let json = report.to_json();
-        assert!(json.contains("\"forecasts_identical\": true"));
-        assert!(json.contains("\"threads\": 4"));
-        assert!(json.contains("\"available_parallelism\""));
-    }
-
-    #[test]
     fn index_sweep_agrees_and_reports_every_size() {
         let workload = IndexScanWorkload {
             sizes: vec![60, 120],
@@ -922,15 +646,6 @@ mod tests {
             },
             1,
         );
-        let parallel = run_parallel(
-            &ParallelScanWorkload {
-                slots: 40,
-                groups: 2,
-                users_per_group: 8,
-                thread_counts: vec![2],
-            },
-            1,
-        );
         let index = run_index(&IndexScanWorkload {
             sizes: vec![40],
             groups: 2,
@@ -940,11 +655,9 @@ mod tests {
             verify_naive_up_to: 40,
             stationary_slots: None,
         });
-        let json = combined_json(&pruned, &parallel, &index);
+        let json = combined_json(&pruned, &index);
         assert!(json.contains("\"benchmark\": \"nearest_slot_prediction\""));
         assert!(json.contains("\"pruned_vs_naive\""));
-        assert!(json.contains("\"parallel_scan\""));
-        assert!(json.contains("\"sweep\""));
         assert!(json.contains("\"index\""));
         assert!(json.contains("\"points\""));
     }

@@ -350,7 +350,7 @@ pub struct SlaAssessment {
 
 /// Configuration of a simulated datacenter: host fleet shape, placement
 /// policy, power and SLA models. Carried by `SystemConfig::with_datacenter`
-/// the same way the index and parallelism policies are.
+/// the same way the index policy is.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DatacenterConfig {
     /// Number of hosts.

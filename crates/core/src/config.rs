@@ -4,7 +4,7 @@ use crate::accel::AccelerationGroups;
 use crate::allocator::{AllocationPolicy, ResourceAllocator};
 use crate::billing::{ArithmeticBilling, BillingEngine, DatacenterBilling};
 use crate::index::IndexPolicy;
-use crate::predictor::{DistanceKind, ParallelismPolicy, PredictionStrategy, WorkloadPredictor};
+use crate::predictor::{DistanceKind, PredictionStrategy, WorkloadPredictor};
 use mca_cloudsim::DatacenterConfig;
 use mca_mobile::{DeviceClass, PromotionPolicy};
 use mca_network::{CellularNetwork, Operator, Technology};
@@ -42,14 +42,10 @@ pub struct SystemConfig {
     /// nearest-neighbour scan and the history's memory footprint constant
     /// for long-running deployments.
     pub history_window: Option<usize>,
-    /// How the predictor's nearest-neighbour scan fans out across threads
-    /// (serial by default; forecasts are identical either way, so this is
-    /// purely a throughput knob for 100k+ slot knowledge bases).
-    pub parallelism: ParallelismPolicy,
     /// Whether the predictor keeps the block-summary tree over its retained
     /// slots' signatures (linear by default; forecasts are identical either
-    /// way, so — like `parallelism` — this is purely a throughput knob, the
-    /// one that makes million-slot knowledge bases sublinear per predict).
+    /// way, so this is purely a throughput knob, the one that makes
+    /// million-slot knowledge bases sublinear per predict).
     pub index_policy: IndexPolicy,
     /// Size of the downlink result payload, bytes.
     pub result_bytes: usize,
@@ -82,7 +78,6 @@ impl SystemConfig {
             prediction_strategy: PredictionStrategy::NearestSlot,
             distance_kind: DistanceKind::SetEdit,
             history_window: None,
-            parallelism: ParallelismPolicy::serial(),
             index_policy: IndexPolicy::linear(),
             result_bytes: 256,
             start_hour_of_day: 9.0,
@@ -135,19 +130,6 @@ impl SystemConfig {
         self
     }
 
-    /// Fans the predictor's nearest-neighbour scan out over `threads`
-    /// chunks (histories below the default threshold stay serial).
-    pub fn with_parallel_scan(mut self, threads: usize) -> Self {
-        self.parallelism = ParallelismPolicy::parallel(threads);
-        self
-    }
-
-    /// Overrides the full scan parallelism policy.
-    pub fn with_parallelism(mut self, parallelism: ParallelismPolicy) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
     /// Turns on the predictor's block-summary tree with the default build
     /// threshold (see [`IndexPolicy::indexed`]).
     pub fn with_indexed_scan(mut self) -> Self {
@@ -155,7 +137,7 @@ impl SystemConfig {
         self
     }
 
-    /// Overrides the full metric-index policy.
+    /// Overrides the full summary-tree policy.
     pub fn with_index_policy(mut self, index_policy: IndexPolicy) -> Self {
         self.index_policy = index_policy;
         self
@@ -178,7 +160,6 @@ impl SystemConfig {
         let mut predictor = WorkloadPredictor::new(self.groups.ids(), self.slot_length_ms)
             .with_strategy(self.prediction_strategy)
             .with_distance(self.distance_kind)
-            .with_parallelism(self.parallelism)
             .with_index_policy(self.index_policy);
         predictor.set_window(self.history_window);
         predictor
@@ -266,27 +247,6 @@ mod tests {
             billing.datacenter().unwrap().placement_kind(),
             mca_cloudsim::PlacementKind::BestFit
         );
-    }
-
-    #[test]
-    fn parallel_scan_knob_reaches_the_built_predictor() {
-        let c = SystemConfig::paper_three_groups();
-        assert_eq!(c.parallelism, ParallelismPolicy::serial());
-        assert_eq!(
-            c.build_predictor().parallelism(),
-            ParallelismPolicy::serial()
-        );
-
-        let c = c.with_parallel_scan(4);
-        assert_eq!(c.parallelism, ParallelismPolicy::parallel(4));
-        assert_eq!(
-            c.build_predictor().parallelism(),
-            ParallelismPolicy::parallel(4)
-        );
-
-        let custom = ParallelismPolicy::parallel(8).with_min_parallel_slots(10);
-        let c = c.with_parallelism(custom);
-        assert_eq!(c.build_predictor().parallelism(), custom);
     }
 
     #[test]

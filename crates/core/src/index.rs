@@ -39,12 +39,9 @@ use std::ops::Range;
 /// Whether (and from which history length) the predictor's nearest-slot
 /// search descends the block-summary tree.
 ///
-/// Like [`crate::predictor::ParallelismPolicy`] this is purely a
-/// performance knob: the tree search returns bit-identical forecasts to the
-/// serial and chunked scans, because a summary bound only ever *refutes*
-/// candidates. When both an index policy and a parallelism policy are
-/// active, an eligible history takes the tree (its pruning strictly
-/// dominates fanning the linear scan out).
+/// This is purely a performance knob: the tree search returns bit-identical
+/// forecasts to the serial scan, because a summary bound only ever
+/// *refutes* candidates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IndexPolicy {
     /// Retained history length from which the tree is kept and queried
@@ -53,8 +50,8 @@ pub struct IndexPolicy {
 }
 
 impl IndexPolicy {
-    /// Default build threshold, aligned with
-    /// [`crate::predictor::ParallelismPolicy::DEFAULT_MIN_PARALLEL_SLOTS`].
+    /// Default build threshold: histories below ~4k slots stay on the
+    /// serial scan.
     pub const DEFAULT_MIN_INDEXED_SLOTS: usize = 4096;
 
     /// The linear policy (the default): never build the tree.

@@ -102,8 +102,8 @@ pub use metrics::{
     accuracy, cross_validate, learning_curve, CrossValidationReport, PredictionQuality,
 };
 pub use predictor::{
-    DistanceKind, ParallelismPolicy, PredictionStrategy, PredictorStats, PredictorStatsSnapshot,
-    WorkloadForecast, WorkloadPredictor,
+    DistanceKind, PredictionStrategy, PredictorStats, PredictorStatsSnapshot, WorkloadForecast,
+    WorkloadPredictor,
 };
 pub use sdn::{RoutedRequest, SdnAccelerator};
 pub use system::{PromotionEvent, SlotObservation, System, SystemReport, UserPerception};

@@ -31,28 +31,6 @@
 //! order); [`WorkloadPredictor::predict_naive`] retains that scan as the
 //! reference and benchmark baseline.
 //!
-//! # Parallel knowledge-base scan
-//!
-//! For one huge tenant — the CloneCloud-style "millions of clones of one
-//! app" deployment — the knowledge base reaches 100k+ slots and even the
-//! pruned scan saturates a single thread. [`ParallelismPolicy`] lets the
-//! scan fan out: the candidate list is split into [`ParallelismPolicy::threads`]
-//! contiguous chronological chunks; the chunks compute their signature
-//! lower bounds in parallel, the globally most promising candidate (first
-//! minimum bound) is evaluated once as the shared *seed* cap, each chunk
-//! prunes its own range against that cap with its own best-so-far, and the
-//! per-chunk minima merge by lexicographic `(distance, position)` — the
-//! earliest slot still wins every tie, so the forecast is **bit-identical**
-//! to the sequential scan and the naive reference at any chunk or thread
-//! count. The chunk count is fixed by
-//! the policy (not by the machine), which keeps results reproducible across
-//! hosts; the executing thread count comes from the ambient rayon pool.
-//! Because no chunk needs the global best-first ordering, the parallel path
-//! also sheds the serial path's `O(n log n)` candidate sort. Histories
-//! shorter than [`ParallelismPolicy::min_parallel_slots`] stay on the
-//! sequential path, and the count distance keeps its dedicated
-//! allocation-free linear scan.
-//!
 //! # Block-summary tree
 //!
 //! Under an [`IndexPolicy`] that asks for it, a history past the policy's
@@ -69,7 +47,6 @@ use crate::index::{group_bound, range_overlap, IndexPolicy, SummaryTree};
 use crate::timeslot::{SlotHistory, TimeSlot};
 use mca_offload::AccelerationGroupId;
 use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -104,80 +81,6 @@ pub enum DistanceKind {
     CountDifference,
 }
 
-/// How the nearest-neighbour knowledge-base scan fans out across threads.
-///
-/// The policy fixes the number of *chunks* the candidate list splits into;
-/// the ambient rayon pool decides how many actually run concurrently. The
-/// forecast does not depend on either number — per-chunk minima merge with
-/// the same first-minimum tie-break the sequential scan applies — so the
-/// policy is purely a performance knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ParallelismPolicy {
-    /// Number of chunks the candidate list splits into (`<= 1` keeps the
-    /// sequential best-first scan unconditionally).
-    pub threads: usize,
-    /// Minimum retained history length before the scan fans out. Below it
-    /// the sequential path runs: for small knowledge bases the per-chunk
-    /// bound buffers and thread hand-off cost more than they save.
-    pub min_parallel_slots: usize,
-}
-
-impl ParallelismPolicy {
-    /// Default fan-out threshold: histories below ~4k slots scan serially.
-    pub const DEFAULT_MIN_PARALLEL_SLOTS: usize = 4096;
-
-    /// The sequential policy (the default): never fan out.
-    pub fn serial() -> Self {
-        Self {
-            threads: 1,
-            min_parallel_slots: Self::DEFAULT_MIN_PARALLEL_SLOTS,
-        }
-    }
-
-    /// Fans the scan out over `threads` chunks once the history reaches the
-    /// default threshold.
-    pub fn parallel(threads: usize) -> Self {
-        Self {
-            threads: threads.max(1),
-            min_parallel_slots: Self::DEFAULT_MIN_PARALLEL_SLOTS,
-        }
-    }
-
-    /// Overrides the fan-out threshold.
-    pub fn with_min_parallel_slots(mut self, min_parallel_slots: usize) -> Self {
-        self.min_parallel_slots = min_parallel_slots;
-        self
-    }
-
-    /// Whether this policy can ever take the chunked path.
-    pub fn is_parallel(&self) -> bool {
-        self.threads > 1
-    }
-}
-
-impl Default for ParallelismPolicy {
-    fn default() -> Self {
-        Self::serial()
-    }
-}
-
-/// Splits `0..len` into at most `parts` contiguous near-equal ranges, in
-/// chronological order (mirrors rayon's slice chunking, but the count here
-/// is fixed by [`ParallelismPolicy`] rather than by the executing pool).
-fn chunk_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
-    let parts = parts.clamp(1, len.max(1));
-    let base = len / parts;
-    let extra = len % parts;
-    let mut ranges = Vec::with_capacity(parts);
-    let mut start = 0;
-    for part in 0..parts {
-        let size = base + usize::from(part < extra);
-        ranges.push(start..start + size);
-        start += size;
-    }
-    ranges
-}
-
 /// The `(min, max)` id range of one sorted user run (`(u32::MAX, 0)` for an
 /// empty run).
 fn id_range(users: &[mca_offload::UserId]) -> (u32, u32) {
@@ -185,17 +88,6 @@ fn id_range(users: &[mca_offload::UserId]) -> (u32, u32) {
         (Some(first), Some(last)) => (first.0, last.0),
         _ => (u32::MAX, 0),
     }
-}
-
-/// One chunk of the parallel scan: its chronological range, the signature
-/// lower bound of every candidate in it, and the chunk's first-minimum
-/// bound (the chunk's nomination for the shared seed candidate).
-#[derive(Debug)]
-struct ChunkCandidates {
-    range: Range<usize>,
-    bounds: Vec<usize>,
-    min_bound: usize,
-    min_position: usize,
 }
 
 /// The best candidate a nearest-slot scan has found so far.
@@ -321,18 +213,18 @@ impl WorkloadForecast {
 
 /// Cumulative query and index-health counters of one predictor.
 ///
-/// The counters are atomics because the chunked parallel scan increments
-/// them from worker threads through `&self`; every total is nonetheless a
-/// deterministic function of the query sequence (per-chunk work is fixed by
-/// the [`ParallelismPolicy`], not by the executing thread count). Like
-/// [`crate::AllocationStats`] on [`crate::Allocation`], the stats are
-/// observability data, **not** part of the predictor's semantic state: two
-/// predictors with identical knowledge bases compare equal regardless of how
-/// many queries each has answered, so `PartialEq` here is identically true.
+/// The counters are atomics because [`WorkloadPredictor::predict`] counts
+/// through `&self` and a shared predictor may be queried from several
+/// threads; every total is a deterministic function of the queries
+/// answered. Like [`crate::AllocationStats`] on [`crate::Allocation`], the
+/// stats are observability data, **not** part of the predictor's semantic
+/// state: two predictors with identical knowledge bases compare equal
+/// regardless of how many queries each has answered, so `PartialEq` here is
+/// identically true.
 #[derive(Debug, Default, Serialize, Deserialize)]
 pub struct PredictorStats {
     /// Nearest-slot scan queries answered (all paths: serial best-first,
-    /// count-signature linear, chunked parallel, summary tree).
+    /// count-signature linear, summary tree).
     queries: AtomicU64,
     /// `observe_and_predict` calls resolved by the signature-equality
     /// shortcut, never evaluating a distance.
@@ -488,22 +380,6 @@ impl Restore for DistanceKind {
     }
 }
 
-impl Snapshot for ParallelismPolicy {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.threads.encode(out);
-        self.min_parallel_slots.encode(out);
-    }
-}
-
-impl Restore for ParallelismPolicy {
-    fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            threads: usize::decode(cur)?,
-            min_parallel_slots: usize::decode(cur)?,
-        })
-    }
-}
-
 impl Snapshot for PredictorStatsSnapshot {
     fn encode(&self, out: &mut Vec<u8>) {
         self.queries.encode(out);
@@ -575,8 +451,6 @@ pub struct WorkloadPredictor {
     id_ranges: Vec<(u32, u32)>,
     /// Global index of the slot `signatures[0..groups.len()]` belongs to.
     signature_first_index: usize,
-    /// How the nearest-neighbour scan fans out over threads.
-    parallelism: ParallelismPolicy,
     /// Whether (and when) the block-summary tree takes over the
     /// nearest-slot search.
     index_policy: IndexPolicy,
@@ -606,7 +480,6 @@ impl WorkloadPredictor {
             signatures: Vec::new(),
             id_ranges: Vec::new(),
             signature_first_index: 0,
-            parallelism: ParallelismPolicy::default(),
             index_policy: IndexPolicy::default(),
             summaries: None,
             stats: PredictorStats::default(),
@@ -636,36 +509,20 @@ impl WorkloadPredictor {
         self
     }
 
-    /// Overrides the scan parallelism policy.
-    pub fn with_parallelism(mut self, parallelism: ParallelismPolicy) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// Changes the scan parallelism policy in place.
-    pub fn set_parallelism(&mut self, parallelism: ParallelismPolicy) {
-        self.parallelism = parallelism;
-    }
-
-    /// The scan parallelism policy in force.
-    pub fn parallelism(&self) -> ParallelismPolicy {
-        self.parallelism
-    }
-
-    /// Overrides the metric-index policy (builder form).
+    /// Overrides the summary-tree policy (builder form).
     pub fn with_index_policy(mut self, policy: IndexPolicy) -> Self {
         self.set_index_policy(policy);
         self
     }
 
-    /// Changes the metric-index policy in place, building (or dropping)
+    /// Changes the summary-tree policy in place, building (or dropping)
     /// the summary tree to match.
     pub fn set_index_policy(&mut self, policy: IndexPolicy) {
         self.index_policy = policy;
         self.sync_summaries();
     }
 
-    /// The metric-index policy in force.
+    /// The summary-tree policy in force.
     pub fn index_policy(&self) -> IndexPolicy {
         self.index_policy
     }
@@ -873,6 +730,11 @@ impl WorkloadPredictor {
     /// Position (within the retained slots) of the nearest historical slot.
     /// Ties resolve to the earliest slot, exactly like the naive linear scan.
     ///
+    /// One search per regime: the count distance takes its exact signature
+    /// scan, a kept summary tree answers through
+    /// [`Self::nearest_position_indexed`], and every other history runs the
+    /// serial scan described here.
+    ///
     /// Candidates are visited **best-first**: the signature lower bound of
     /// every slot is computed up front (`O(groups)` each) and candidates are
     /// evaluated by ascending bound — with the chronological position as the
@@ -935,13 +797,6 @@ impl WorkloadPredictor {
                 &current_signature,
                 &current_ranges,
                 tree,
-            ));
-        }
-        if self.parallelism.is_parallel() && slots.len() >= self.parallelism.min_parallel_slots {
-            return Some(self.nearest_position_chunked(
-                current,
-                &current_signature,
-                &current_ranges,
             ));
         }
         // `(signature lower bound, position)`, sorted ascending: best-first
@@ -1040,148 +895,6 @@ impl WorkloadPredictor {
         }
     }
 
-    /// Position of the nearest slot via the chunked parallel scan, in three
-    /// steps:
-    ///
-    /// 1. **Bounds (parallel):** the candidate list splits into
-    ///    [`ParallelismPolicy::threads`] contiguous chronological chunks and
-    ///    every chunk computes its signature lower bounds, reporting its
-    ///    first-minimum bound.
-    /// 2. **Seed (sequential, one candidate):** the global first-minimum
-    ///    bound candidate is evaluated fully. This is the candidate the
-    ///    sequential best-first scan would visit first, and its distance is
-    ///    the tight cap that lets *every* chunk prune as hard as the global
-    ///    scan — chunk-local seeds would leave far-past chunks burning full
-    ///    evaluations on candidates the global best already rules out.
-    /// 3. **Scan (parallel):** every chunk scans its range chronologically
-    ///    against the shared seed incumbent and reports its exact
-    ///    first-minimum `(distance, position)`; the lexicographic minimum of
-    ///    the chunk results reproduces the sequential scan's earliest-slot
-    ///    tie-break bit-for-bit — for any chunk count and any executing
-    ///    thread count.
-    ///
-    /// Unlike the sequential path no global best-first ordering is needed,
-    /// so the `O(n log n)` candidate sort disappears — which is why the
-    /// chunked scan wins even before threads multiply the bounds and scan
-    /// steps.
-    fn nearest_position_chunked(
-        &self,
-        current: &TimeSlot,
-        current_signature: &[usize],
-        current_ranges: &[(u32, u32)],
-    ) -> usize {
-        let chunks = chunk_ranges(self.history.len(), self.parallelism.threads);
-        self.stats.queries.fetch_add(1, Relaxed);
-        self.stats
-            .candidates_bounded
-            .fetch_add(self.history.len() as u64, Relaxed);
-        let prepared: Vec<ChunkCandidates> = chunks
-            .par_iter()
-            .map(|range| self.chunk_bounds(current_signature, current_ranges, range.clone()))
-            .collect();
-        let (seed_bound, seed_position) = prepared
-            .iter()
-            .map(|chunk| (chunk.min_bound, chunk.min_position))
-            .min()
-            .expect("a non-empty history yields at least one chunk");
-        let mut scratch = DistanceScratch::new();
-        let seed_distance = self
-            .bounded_distance(
-                current,
-                &self.history.slots()[seed_position],
-                usize::MAX,
-                &mut scratch,
-            )
-            .expect("an uncapped distance always evaluates");
-        self.stats.candidates_evaluated.fetch_add(1, Relaxed);
-        self.stats
-            .scratch_grows
-            .fetch_add(scratch.grows() as u64, Relaxed);
-        if seed_distance == 0 {
-            // the seed is the globally FIRST minimum bound: every earlier
-            // candidate has a strictly larger bound (> seed_bound == 0),
-            // hence a non-zero distance; later ones tie at best and lose
-            debug_assert_eq!(seed_bound, 0);
-            return seed_position;
-        }
-        let per_chunk: Vec<(usize, usize)> = prepared
-            .par_iter()
-            .map(|chunk| self.scan_chunk(current, chunk, seed_distance, seed_position))
-            .collect();
-        per_chunk
-            .into_iter()
-            .min()
-            .map(|(_, position)| position)
-            .expect("a non-empty history yields at least one chunk")
-    }
-
-    /// Step 1 of the chunked scan: the signature lower bounds of one chunk,
-    /// with the chunk's first-minimum bound and its position.
-    fn chunk_bounds(
-        &self,
-        current_signature: &[usize],
-        current_ranges: &[(u32, u32)],
-        range: Range<usize>,
-    ) -> ChunkCandidates {
-        let mut bounds = Vec::with_capacity(range.len());
-        let mut min_position = range.start;
-        let mut min_bound = usize::MAX;
-        for position in range.clone() {
-            let lower_bound = self.signature_bound(current_signature, current_ranges, position);
-            bounds.push(lower_bound);
-            if lower_bound < min_bound {
-                min_bound = lower_bound;
-                min_position = position;
-            }
-        }
-        ChunkCandidates {
-            range,
-            bounds,
-            min_bound,
-            min_position,
-        }
-    }
-
-    /// Step 3 of the chunked scan: the exact first-minimum
-    /// `(distance, position)` over one chunk's range *and* the shared seed
-    /// incumbent. Candidates are visited chronologically with the same cap
-    /// rules as the sequential path, starting from the globally tight seed
-    /// cap; a chunk that cannot improve on the seed returns the seed
-    /// incumbent itself, so the merge minimum is always exact.
-    fn scan_chunk(
-        &self,
-        current: &TimeSlot,
-        chunk: &ChunkCandidates,
-        seed_distance: usize,
-        seed_position: usize,
-    ) -> (usize, usize) {
-        let mut scratch = DistanceScratch::new();
-        let mut incumbent = Incumbent {
-            distance: seed_distance,
-            position: seed_position,
-            evaluated: 0,
-        };
-        for (offset, position) in chunk.range.clone().enumerate() {
-            if position == seed_position {
-                continue;
-            }
-            self.consider(
-                current,
-                position,
-                chunk.bounds[offset],
-                &mut incumbent,
-                &mut scratch,
-            );
-            if incumbent.distance == 0 {
-                // chronological scan: every earlier in-chunk candidate was
-                // already visited, later ones tie at best and lose
-                break;
-            }
-        }
-        self.record_evaluations(&incumbent, &scratch);
-        (incumbent.distance, incumbent.position)
-    }
-
     /// Position of the nearest slot via the block-summary tree.
     ///
     /// The search first **seeds** the incumbent: from the top level it
@@ -1194,9 +907,9 @@ impl WorkloadPredictor {
     /// signature bounds, `*_bounded` kernels and cap rules of the serial
     /// scan. A node bound never exceeds a member's signature bound, which
     /// never exceeds its distance, so only losers are skipped and the
-    /// forecast is bit-identical to the serial, chunked and naive scans,
-    /// earliest slot winning every tie. Nothing is allocated per query
-    /// beyond the probe's signature.
+    /// forecast is bit-identical to the serial and naive scans, earliest
+    /// slot winning every tie. Nothing is allocated per query beyond the
+    /// probe's signature.
     fn nearest_position_indexed(
         &self,
         current: &TimeSlot,
@@ -1434,7 +1147,6 @@ impl Snapshot for WorkloadPredictor {
         self.strategy.encode(out);
         self.distance.encode(out);
         self.groups.encode(out);
-        self.parallelism.encode(out);
         self.index_policy.encode(out);
         self.stats.encode(out);
     }
@@ -1450,7 +1162,6 @@ impl Restore for WorkloadPredictor {
             signatures: Vec::new(),
             id_ranges: Vec::new(),
             signature_first_index: 0,
-            parallelism: ParallelismPolicy::decode(cur)?,
             index_policy: IndexPolicy::decode(cur)?,
             summaries: None,
             stats: PredictorStats::default(),
@@ -1717,81 +1428,7 @@ mod tests {
     }
 
     #[test]
-    fn parallelism_policy_defaults_to_serial() {
-        let policy = ParallelismPolicy::default();
-        assert_eq!(policy, ParallelismPolicy::serial());
-        assert!(!policy.is_parallel());
-        assert!(ParallelismPolicy::parallel(4).is_parallel());
-        assert_eq!(ParallelismPolicy::parallel(0).threads, 1, "clamped");
-        let p = WorkloadPredictor::new(GROUPS.to_vec(), 3_600_000.0);
-        assert_eq!(p.parallelism(), ParallelismPolicy::serial());
-    }
-
-    #[test]
-    fn chunked_parallel_scan_is_bit_identical_to_serial_and_naive() {
-        // a history with many near-duplicates and exact ties, so the
-        // earliest-slot tie-break is genuinely exercised across chunk
-        // boundaries
-        let history: Vec<TimeSlot> = (0..120u32)
-            .map(|i| slot(5 + (i * 7) % 13, (i * 3) % 5, (i * 5) % 4))
-            .collect();
-        let probes = [
-            slot(9, 2, 1),
-            slot(0, 0, 0),
-            slot(12, 4, 3),
-            slot(5, 0, 0),
-            slot(300, 9, 2),
-        ];
-        for kind in [
-            DistanceKind::SetEdit,
-            DistanceKind::Levenshtein,
-            DistanceKind::CountDifference,
-        ] {
-            for strategy in [
-                PredictionStrategy::NearestSlot,
-                PredictionStrategy::SuccessorOfNearest,
-            ] {
-                let serial = predictor_with_history(history.clone())
-                    .with_distance(kind)
-                    .with_strategy(strategy);
-                for threads in [1, 2, 4, 8, 120, 1000] {
-                    let parallel = serial.clone().with_parallelism(
-                        ParallelismPolicy::parallel(threads).with_min_parallel_slots(1),
-                    );
-                    for probe in &probes {
-                        let chunked = parallel.predict(probe).unwrap();
-                        assert_eq!(
-                            chunked,
-                            serial.predict(probe).unwrap(),
-                            "{kind:?}/{strategy:?}/threads={threads}"
-                        );
-                        assert_eq!(
-                            chunked,
-                            serial.predict_naive(probe).unwrap(),
-                            "{kind:?}/{strategy:?}/threads={threads} vs naive"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_scan_respects_the_fan_out_threshold_and_ties() {
-        // identical slots everywhere: every chunk reports distance zero and
-        // the merge must still return the globally earliest slot
-        let p = predictor_with_history(vec![slot(4, 2, 1); 30])
-            .with_parallelism(ParallelismPolicy::parallel(7).with_min_parallel_slots(1));
-        let forecast = p.predict(&slot(4, 2, 1)).unwrap();
-        assert_eq!(forecast.matched_slot, Some(0));
-        // below the threshold the serial path runs and agrees
-        let gated = predictor_with_history(vec![slot(4, 2, 1); 30])
-            .with_parallelism(ParallelismPolicy::parallel(7).with_min_parallel_slots(1000));
-        assert_eq!(gated.predict(&slot(4, 2, 1)).unwrap(), forecast);
-    }
-
-    #[test]
-    fn indexed_scan_is_bit_identical_to_serial_chunked_and_naive() {
+    fn indexed_scan_is_bit_identical_to_serial_and_naive() {
         // near-duplicates and exact ties, so equal-distance candidates land
         // in different blocks
         let history: Vec<TimeSlot> = (0..160u32)
@@ -1812,9 +1449,6 @@ mod tests {
                 let serial = predictor_with_history(history.clone())
                     .with_distance(kind)
                     .with_strategy(strategy);
-                let chunked = serial
-                    .clone()
-                    .with_parallelism(ParallelismPolicy::parallel(4).with_min_parallel_slots(1));
                 let indexed = serial
                     .clone()
                     .with_index_policy(IndexPolicy::indexed().with_min_indexed_slots(1));
@@ -1825,11 +1459,6 @@ mod tests {
                         forecast,
                         serial.predict(probe).unwrap(),
                         "{kind:?}/{strategy:?} vs serial"
-                    );
-                    assert_eq!(
-                        forecast,
-                        chunked.predict(probe).unwrap(),
-                        "{kind:?}/{strategy:?} vs chunked"
                     );
                     assert_eq!(
                         forecast,
@@ -2138,15 +1767,9 @@ mod tests {
         let serial = predictor_with_history(slots.clone());
         serial.predict(&probe).unwrap();
 
-        let chunked = predictor_with_history(slots.clone())
-            .with_parallelism(ParallelismPolicy::parallel(4).with_min_parallel_slots(1));
-        chunked.predict(&probe).unwrap();
-
-        // both linear paths bound every candidate exactly once per query
+        // the linear path bounds every candidate exactly once per query
         assert_eq!(serial.stats().candidates_bounded, 64);
-        assert_eq!(chunked.stats().candidates_bounded, 64);
         assert_eq!(serial.stats().queries, 1);
-        assert_eq!(chunked.stats().queries, 1);
 
         // the tree path reports the nodes it bounded and the tree's build
         let indexed = predictor_with_history(slots)

@@ -217,12 +217,12 @@ impl FleetDriver {
     }
 
     /// Registers a [`TenantMixSource`] for every onboarded tenant — the
-    /// driver equivalent of the deprecated `tick_mix`, including for
+    /// driver equivalent of `FleetEngine::try_tick_mix`, including for
     /// user-sharded tenants (whose generated records route per user like any
-    /// other batch, the configuration `tick_mix` had to reject). The mix is
-    /// shared across the per-tenant sources (one allocation), and every
-    /// tenant is validated against the mix **before** any source is
-    /// registered, so a failed call leaves the driver unchanged.
+    /// other batch). The mix is shared across the per-tenant sources (one
+    /// allocation), and every tenant is validated against the mix **before**
+    /// any source is registered, so a failed call leaves the driver
+    /// unchanged.
     ///
     /// # Errors
     ///

@@ -644,21 +644,6 @@ impl FleetEngine {
         Ok(())
     }
 
-    /// Ticks one provisioning slot generated from a [`TenantMix`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a hosted tenant is not part of the mix.
-    #[deprecated(
-        note = "drive the engine through `mca_fleet::FleetDriver::with_mix` (or call \
-                `try_tick_mix` for the typed-error form)"
-    )]
-    pub fn tick_mix(&mut self, mix: &TenantMix) {
-        if let Err(error) = self.try_tick_mix(mix) {
-            panic!("tick_mix: {error}");
-        }
-    }
-
     /// Every tenant's standing forecast for the next slot, sorted by tenant
     /// id. A user-sharded tenant appears once, with the combined forecast of
     /// its replicas.
@@ -1141,8 +1126,8 @@ impl FleetEngine {
 
 #[cfg(test)]
 mod tests {
-    // the deprecated tick_slot/tick_mix shims are exercised on purpose: they
-    // must stay bit-identical to the ingest paths they wrap
+    // the deprecated tick_slot shim is exercised on purpose: it must stay
+    // bit-identical to the ingest path it wraps
     #![allow(deprecated)]
 
     use super::*;
@@ -1685,7 +1670,7 @@ mod tests {
 
     #[test]
     fn try_tick_mix_drives_user_sharded_tenants_through_the_batch_path() {
-        // the configuration the old generate-inside-the-shard tick_mix had
+        // the configuration the old generate-inside-the-shard mix path had
         // to reject: a user-sharded tenant driven from a mix. Routing the
         // generated records through the batch ingest must match generating
         // the same records by hand and feeding them to the ingest directly.

@@ -1,7 +1,7 @@
 //! Typed errors for the fleet engine and the streaming ingestion driver.
 //!
 //! The pre-driver API reported misuse with `assert!`/`expect` panics deep in
-//! the engine (the `tick_mix` user-sharded rejection, the `extract_*` replica
+//! the engine (the mix path's user-sharded rejection, the `extract_*` replica
 //! lookups). The ingestion redesign surfaces every such condition as a
 //! [`FleetError`] returned through [`crate::FleetDriver`] and the engine's
 //! fallible methods, so a control plane can handle a misconfigured tenant or

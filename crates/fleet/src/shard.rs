@@ -70,7 +70,7 @@ impl TenantShard {
     /// Derives the tenant's RNG stream seed from the fleet seed. The
     /// derivation matches `TenantMix::stream_for`, so a mix-driven fleet run
     /// (same fleet and mix seed) is replayable either through a standalone
-    /// `TenantShard` or through the mix's own stream API — `tick_mix`
+    /// `TenantShard` or through the mix's own stream API — `try_tick_mix`
     /// generates exactly the records `TenantMix::stream_for` would.
     pub fn stream_seed(fleet_seed: u64, tenant: TenantId) -> u64 {
         fleet_seed ^ u64::from(tenant.0).wrapping_mul(0xBF58_476D_1CE4_E5B9)

@@ -7,8 +7,7 @@
 //! [`crate::FleetDriver`] multiplexes many sources and drives the engine's
 //! predict→allocate→bill cycle slot by slot, so recorded, synthetic and live
 //! workloads all travel the **same** ingestion path (and user-sharded
-//! tenants, which the old `tick_mix` generation path had to reject, are
-//! routed per record like any other batch).
+//! tenants are routed per record like any other batch).
 //!
 //! Timestamped sources fold their events into slot batches with
 //! [`mca_core::SlotWindower`]: out-of-order events within a slot are
@@ -283,8 +282,7 @@ impl RecordSource for TraceLogSource {
 ///
 /// Because the generated records travel the ordinary per-record batch path,
 /// a mix-backed source drives **user-sharded** tenants correctly (each
-/// record routes to its user's shard) — the configuration the old
-/// generation-inside-the-shard `tick_mix` path had to reject.
+/// record routes to its user's shard).
 #[derive(Debug, Clone)]
 pub struct TenantMixSource {
     /// Shared, not cloned per tenant: a fleet-wide `with_mix` registers one

@@ -3,11 +3,11 @@
 //! counts, across shard counts — and per-tenant results must be
 //! bit-identical to running each tenant alone. All runs are driven through
 //! the streaming ingestion API (`FleetDriver` over per-tenant
-//! `TenantMixSource`s), which is itself required to reproduce the
-//! deprecated `tick_mix` path exactly.
+//! `TenantMixSource`s), which is itself required to reproduce the engine's
+//! own `try_tick_mix` path exactly.
 
 use mca_cloudsim::{DatacenterConfig, PlacementKind};
-use mca_core::{ParallelismPolicy, SystemConfig, TimeSlotBuilder, WorkloadForecast};
+use mca_core::{SystemConfig, TimeSlotBuilder, WorkloadForecast};
 use mca_fleet::{
     DriveReport, FleetDriver, FleetEngine, FleetError, FleetMetrics, RebalancerConfig,
     RecordSource, TelemetryMode, TenantMixSource, TenantShard,
@@ -98,45 +98,21 @@ fn shard_layout_does_not_change_results() {
 }
 
 #[test]
-#[allow(deprecated)]
 fn deprecated_tick_mix_shim_matches_the_driver_exactly() {
-    // the legacy entry point is a shim over the same ingest path the driver
+    // the engine's own mix entry point runs the same ingest path the driver
     // uses — fleet seed == mix seed makes the shard streams canonical, so
     // the two runs must agree bit for bit
     let mix = mix();
     let mut engine = FleetEngine::new(config(), 4, SEED).with_threads(2);
     engine.add_tenants(mix.tenant_ids());
     for _ in 0..SLOTS {
-        engine.tick_mix(&mix);
+        engine
+            .try_tick_mix(&mix)
+            .expect("every tenant is in the mix");
     }
     let (driver_metrics, driver_forecasts) = run_fleet(4, 2);
     assert_eq!(engine.metrics(), driver_metrics);
     assert_eq!(engine.forecasts(), driver_forecasts);
-}
-
-#[test]
-fn intra_predictor_parallel_scan_does_not_change_fleet_results() {
-    // the chunked knowledge-base scan inside each predictor must be
-    // invisible in every rollup, for any chunk count — even forced onto the
-    // small histories of this mix
-    let mix = mix();
-    let baseline = {
-        let mut engine = FleetEngine::new(config(), 4, SEED).with_threads(2);
-        engine.add_tenants(mix.tenant_ids());
-        let mut driver = FleetDriver::new(engine).with_mix(&mix).unwrap();
-        let report = driver.run(SLOTS).unwrap();
-        (report.metrics, report.forecasts)
-    };
-    for chunks in [2, 4, 16] {
-        let parallel_config = config()
-            .with_parallelism(ParallelismPolicy::parallel(chunks).with_min_parallel_slots(1));
-        let mut engine = FleetEngine::new(parallel_config, 4, SEED).with_threads(2);
-        engine.add_tenants(mix.tenant_ids());
-        let mut driver = FleetDriver::new(engine).with_mix(&mix).unwrap();
-        let report = driver.run(SLOTS).unwrap();
-        assert_eq!(report.metrics, baseline.0, "chunks={chunks}");
-        assert_eq!(report.forecasts, baseline.1, "chunks={chunks}");
-    }
 }
 
 #[test]

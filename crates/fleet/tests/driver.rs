@@ -4,7 +4,7 @@
 //! batches through the engine's batch ingest — and every misuse the old API
 //! answered with a panic must surface as a typed `FleetError`.
 
-#![allow(deprecated)] // the tick_slot/tick_mix shims are the equivalence references
+#![allow(deprecated)] // the tick_slot shim is the equivalence reference
 
 use mca_core::{SystemConfig, TraceLog};
 use mca_fleet::{
@@ -198,14 +198,14 @@ fn shared_replay_source_matches_per_tenant_bound_sources() {
 fn mix_backed_driver_reproduces_tick_mix_for_user_sharded_tenants() {
     // the acceptance hole the redesign closes: the old mix path rejected
     // user-sharded tenants outright; the driver must serve them and agree
-    // bit for bit with the (now shimmed, batch-routed) tick_mix
+    // bit for bit with the engine's own batch-routed try_tick_mix
     let mix = TenantMix::heterogeneous(3, 14, config().groups.ids(), SEED);
 
     let mut shim = FleetEngine::new(config(), 4, SEED).with_threads(2);
     shim.add_user_sharded_tenant(TenantId(0));
     shim.add_tenants([TenantId(1), TenantId(2)]);
     for _ in 0..10 {
-        shim.tick_mix(&mix);
+        shim.try_tick_mix(&mix).expect("every tenant is in the mix");
     }
 
     let mut engine = FleetEngine::new(config(), 4, SEED).with_threads(2);

@@ -47,9 +47,11 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"MCAS";
 ///
 /// Version 2 dropped the predictor's metric index from the predictor
 /// payload (the block-summary tree that replaced it is derived state,
-/// recomputed on restore) and the pivot count from `IndexPolicy`; version-1
-/// streams are rejected.
-pub const SNAPSHOT_VERSION: u16 = 2;
+/// recomputed on restore) and the pivot count from `IndexPolicy`. Version 3
+/// dropped the scan parallelism policy (two `usize`s) from the predictor
+/// payload along with the chunked scan it selected. Streams of either older
+/// version are rejected.
+pub const SNAPSHOT_VERSION: u16 = 3;
 
 /// The reserved end-of-stream section tag.
 pub const END_TAG: u16 = 0xFFFF;
@@ -734,7 +736,17 @@ mod tests {
             SnapshotReader::new(buf.as_slice()).unwrap_err(),
             SnapshotError::UnsupportedVersion {
                 found: 1,
-                supported: 2
+                supported: 3
+            }
+        ));
+        // version 2 carried 16 bytes of scan parallelism policy inside every
+        // predictor; a complete (empty) version-2 stream is refused at the
+        // header, not decoded 16 bytes late
+        assert!(matches!(
+            SnapshotReader::new(&b"MCAS\x02\x00\xFF\xFF"[..]).unwrap_err(),
+            SnapshotError::UnsupportedVersion {
+                found: 2,
+                supported: 3
             }
         ));
     }

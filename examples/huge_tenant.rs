@@ -3,12 +3,10 @@
 //! `ShardRouter` splits the population across every shard by user hash, each
 //! shard's replica predicts and allocates over its own slice, and the
 //! engine combines the slice forecasts into the tenant-wide view. The
-//! predictor is configured with the chunked parallel knowledge-base scan
-//! (`with_parallel_scan`), which takes over automatically once a replica's
-//! history crosses the fan-out threshold, and with the block-summary tree
-//! (`with_index_policy`), which takes precedence once a replica retains 24
-//! slots and keeps the nearest-slot search sublinear as the knowledge base
-//! grows toward its six-month window.
+//! predictor is configured with the block-summary tree
+//! (`with_index_policy`), which takes over once a replica retains 24 slots
+//! and keeps the nearest-slot search sublinear as the knowledge base grows
+//! toward its six-month window.
 //!
 //! ```bash
 //! cargo run --release --example huge_tenant
@@ -25,11 +23,10 @@ const SEED: u64 = 20170605;
 
 fn main() {
     // Paper defaults except: a raised account cap (one huge tenant needs
-    // more than 20 instances), a bounded knowledge base, the chunked
-    // parallel scan, and the metric index for the nearest-neighbour search.
+    // more than 20 instances), a bounded knowledge base, and the summary
+    // tree for the nearest-neighbour search.
     let mut config = SystemConfig::paper_three_groups()
         .with_history_window(4_320) // six months of hourly slots
-        .with_parallel_scan(SHARDS)
         .with_index_policy(IndexPolicy::indexed().with_min_indexed_slots(24));
     config.account_cap = 5_000;
 

@@ -1,17 +1,14 @@
 //! Allocation-discipline gate for the nearest-slot scan: once a predictor
 //! is warm, one prediction must allocate only a small constant number of
 //! times (the forecast itself plus the per-probe scratch), **independent of
-//! the history length** — the scan reuses one `DistanceScratch` per chunk
-//! (and per index probe) instead of allocating per candidate. A second gate
-//! holds the fleet's slot ingest to a count **independent of the records
-//! per tenant**.
+//! the history length** — the scan reuses one `DistanceScratch` per query
+//! instead of allocating per candidate. A second gate holds the fleet's
+//! slot ingest to a count **independent of the records per tenant**.
 //!
 //! This lives in its own integration-test binary because the counting
 //! `#[global_allocator]` is process-wide.
 
-use mobile_code_acceleration::core::{
-    DistanceKind, IndexPolicy, ParallelismPolicy, WorkloadPredictor,
-};
+use mobile_code_acceleration::core::{DistanceKind, IndexPolicy, WorkloadPredictor};
 use mobile_code_acceleration::fleet::SlotBatchSource;
 use mobile_code_acceleration::offload::{AccelerationGroupId, UserId};
 use mobile_code_acceleration::prelude::{
@@ -121,25 +118,6 @@ fn serial_set_edit_scan_allocates_a_small_constant() {
         large <= small + 8,
         "allocations grew with history length ({small} at 500 slots, {large} at 2000): \
          the scan is allocating per candidate"
-    );
-}
-
-#[test]
-fn chunked_scan_reuses_one_scratch_per_chunk() {
-    let configure = |p: WorkloadPredictor| {
-        p.with_parallelism(ParallelismPolicy::parallel(4).with_min_parallel_slots(1))
-    };
-    let (small, large) = steady_state_allocations(configure);
-    // 4 chunks: one scratch (a handful of buffers) per chunk plus rayon's
-    // own join bookkeeping — still a constant, never per candidate
-    assert!(
-        small < 160,
-        "one warmed chunked prediction allocated {small} times; expected a per-chunk constant"
-    );
-    assert!(
-        large <= small + 32,
-        "chunked-scan allocations grew with history length ({small} at 500 slots, {large} at \
-         2000): a chunk is allocating per candidate"
     );
 }
 

@@ -9,7 +9,7 @@ use mobile_code_acceleration::core::{
         levenshtein_bounded, levenshtein_myers, levenshtein_myers_bounded, normalized_levenshtein,
         slot_distance, slot_distance_bounded, slot_distance_naive,
     },
-    ParallelismPolicy, SlotHistory, TimeSlot, WorkloadForecast, WorkloadPredictor,
+    SlotHistory, TimeSlot, WorkloadForecast, WorkloadPredictor,
 };
 use mobile_code_acceleration::fleet::{ingest::bucket_by_shard, TenantMetrics};
 use mobile_code_acceleration::lp::{
@@ -363,34 +363,6 @@ proptest! {
         let fast = predictor.predict(&probe);
         let naive = predictor.predict_naive(&probe);
         prop_assert_eq!(fast.unwrap(), naive.unwrap());
-    }
-
-    /// The chunked parallel knowledge-base scan is bit-identical to the
-    /// sequential best-first scan and to the naive full scan, for every
-    /// chunk count — including chunk counts above the history length. The
-    /// tight universe again makes exact ties common, so the per-chunk
-    /// first-minimum merge is exercised on equal distances that straddle
-    /// chunk boundaries.
-    #[test]
-    fn parallel_prediction_matches_serial_and_naive(
-        history in proptest::collection::vec(
-            proptest::collection::vec((0u8..3, 0u16..40), 0..12),
-            1..14,
-        ),
-        probe in proptest::collection::vec((0u8..3, 0u16..40), 0..12),
-        chunks in 2usize..9,
-    ) {
-        let probe = slot_of(0, &probe);
-        let mut serial = WorkloadPredictor::new(SLOT_GROUPS.to_vec(), 3_600_000.0);
-        for assignments in &history {
-            serial.observe_slot(slot_of(0, assignments));
-        }
-        let parallel = serial
-            .clone()
-            .with_parallelism(ParallelismPolicy::parallel(chunks).with_min_parallel_slots(1));
-        let chunked = parallel.predict(&probe);
-        prop_assert_eq!(&chunked, &serial.predict(&probe));
-        prop_assert_eq!(chunked.unwrap(), serial.predict_naive(&probe).unwrap());
     }
 
     /// `observe_and_predict` (the closed loop's per-interval fast path) is
