@@ -412,16 +412,20 @@ pub fn skew_rebalancer_config() -> RebalancerConfig {
 /// Measurements of one static-placement-versus-rebalanced comparison on the
 /// Zipf-skewed workload.
 ///
-/// Three cost models, weakest hardware dependence first:
+/// Four cost models, weakest hardware dependence first:
 ///
+/// * **projected work** — per slot, the most *records* any chunk of shards
+///   ingests under the bundled thread pool's contiguous chunking at
+///   [`SkewWorkload::threads`] threads. Counts, not clocks: identical on
+///   every machine, run and telemetry mode, which is why the gate reads
+///   this model and only reports the three timed ones (a shard tick here is
+///   tens of microseconds, within scheduler jitter of its neighbours);
 /// * **critical path** — per slot, the slowest shard tick (what the slot
 ///   would cost with one thread per shard); measured single-threaded, so it
 ///   is meaningful on any machine including a single-core CI runner;
-/// * **projected** — per slot, the slowest *chunk* of shards under the
-///   bundled thread pool's contiguous chunking at
-///   [`SkewWorkload::threads`] threads, from the same single-threaded tick
-///   samples: the multicore slot cost this machine would pay if it had the
-///   cores;
+/// * **projected** — per slot, the slowest chunk of shards under the same
+///   chunking, from the same single-threaded tick samples: the multicore
+///   slot cost this machine would pay if it had the cores;
 /// * **measured** — wall-clock ms per slot of full runs at the configured
 ///   thread count; only a fair comparison when
 ///   [`SkewBenchReport::available_parallelism`] covers the thread count.
@@ -442,6 +446,12 @@ pub struct SkewBenchReport {
     pub loads_before: Vec<f64>,
     /// Per-shard loads after the last firing check's moves.
     pub loads_after: Vec<f64>,
+    /// Sum over slots of the heaviest chunk's record count at the target
+    /// thread count, static placement.
+    pub static_projected_records: u64,
+    /// Sum over slots of the heaviest chunk's record count at the target
+    /// thread count, rebalanced.
+    pub rebalanced_projected_records: u64,
     /// Critical-path ms per slot, static placement.
     pub static_critical_ms: f64,
     /// Critical-path ms per slot, rebalanced.
@@ -458,6 +468,12 @@ pub struct SkewBenchReport {
 }
 
 impl SkewBenchReport {
+    /// Static over rebalanced, projected record counts at the target thread
+    /// count — the gated figure.
+    pub fn work_speedup(&self) -> f64 {
+        self.static_projected_records as f64 / self.rebalanced_projected_records as f64
+    }
+
     /// Static over rebalanced, critical-path model.
     pub fn critical_speedup(&self) -> f64 {
         self.static_critical_ms / self.rebalanced_critical_ms
@@ -490,6 +506,9 @@ impl SkewBenchReport {
              \"available_parallelism\": {},\n    \"forecasts_identical\": {},\n    \
              \"migrations\": {},\n    \"trigger_last_ratio\": {:.3},\n    \
              \"loads_before\": {},\n    \"loads_after\": {},\n    \
+             \"static_projected_records\": {},\n    \
+             \"rebalanced_projected_records\": {},\n    \
+             \"projected_work_speedup\": {:.3},\n    \
              \"static_critical_ms_per_slot\": {:.4},\n    \
              \"rebalanced_critical_ms_per_slot\": {:.4},\n    \
              \"critical_path_speedup\": {:.2},\n    \
@@ -511,6 +530,9 @@ impl SkewBenchReport {
             self.trigger_last_ratio,
             loads(&self.loads_before),
             loads(&self.loads_after),
+            self.static_projected_records,
+            self.rebalanced_projected_records,
+            self.work_speedup(),
             self.static_critical_ms,
             self.rebalanced_critical_ms,
             self.critical_speedup(),
@@ -525,14 +547,15 @@ impl SkewBenchReport {
 }
 
 /// One slot's cost at `threads` threads under the bundled thread pool's
-/// contiguous chunking, from the per-shard tick times: the pool splits the
+/// contiguous chunking, from the per-shard costs (tick times, or record
+/// counts): the pool splits the
 /// shard list into `threads` contiguous chunks (the first `len % threads`
 /// chunks one longer), runs each chunk on one worker, and the slot ends when
 /// the slowest chunk does. Mirrors `chunk_ranges` in the bundled rayon
 /// stand-in exactly, so the projection is the arithmetic the real pool
 /// executes.
-fn projected_slot_ns(ticks: &[u64], threads: usize) -> u64 {
-    let len = ticks.len();
+fn projected_slot_cost(per_shard: &[u64], threads: usize) -> u64 {
+    let len = per_shard.len();
     let parts = threads.clamp(1, len.max(1));
     let base = len / parts;
     let extra = len % parts;
@@ -540,11 +563,27 @@ fn projected_slot_ns(ticks: &[u64], threads: usize) -> u64 {
     let mut slowest = 0u64;
     for part in 0..parts {
         let size = base + usize::from(part < extra);
-        let chunk: u64 = ticks[start..start + size].iter().sum();
+        let chunk: u64 = per_shard[start..start + size].iter().sum();
         start += size;
         slowest = slowest.max(chunk);
     }
     slowest
+}
+
+/// Records each shard ingested in the slot just ticked: the deltas of the
+/// shards' cumulative [`mca_fleet::ShardLoad::records`] against `seen`,
+/// which is brought up to date.
+fn slot_records(engine: &FleetEngine, seen: &mut [u64]) -> Vec<u64> {
+    let shards = engine.telemetry().shards;
+    shards
+        .iter()
+        .zip(seen)
+        .map(|(shard, seen)| {
+            let delta = shard.records - *seen;
+            *seen = shard.records;
+            delta
+        })
+        .collect()
 }
 
 /// Drives a full skewed run at the workload's thread count with telemetry
@@ -578,9 +617,9 @@ fn measure_skewed(
 /// lockstep, with forecasts compared bit for bit after **every** slot — the
 /// perf claim is only admissible because the rebalanced fleet provably
 /// computes the same answers. The lockstep pass runs single-threaded with
-/// monotonic telemetry, sampling each shard's tick time per slot for the
-/// critical-path and projected models; a second pass measures wall-clock
-/// runs at the target thread count.
+/// monotonic telemetry, sampling each shard's record count and tick time
+/// per slot for the projected-work, critical-path and projected models; a
+/// second pass measures wall-clock runs at the target thread count.
 pub fn run_skewed(workload: &SkewWorkload, seed: u64) -> SkewBenchReport {
     let config = bench_config();
     let mix = TenantMix::zipf(
@@ -603,6 +642,10 @@ pub fn run_skewed(workload: &SkewWorkload, seed: u64) -> SkewBenchReport {
     let mut rebalanced_critical_ns = 0u64;
     let mut static_projected_ns = 0u64;
     let mut rebalanced_projected_ns = 0u64;
+    let mut static_projected_records = 0u64;
+    let mut rebalanced_projected_records = 0u64;
+    let mut static_records = vec![0u64; workload.shards];
+    let mut rebalanced_records = vec![0u64; workload.shards];
     for _ in 0..workload.slots {
         static_engine
             .try_tick_mix(&mix)
@@ -617,8 +660,16 @@ pub fn run_skewed(workload: &SkewWorkload, seed: u64) -> SkewBenchReport {
         let rebalanced_ticks = rebalanced_engine.last_shard_tick_ns();
         static_critical_ns += static_ticks.iter().copied().max().unwrap_or(0);
         rebalanced_critical_ns += rebalanced_ticks.iter().copied().max().unwrap_or(0);
-        static_projected_ns += projected_slot_ns(&static_ticks, workload.threads);
-        rebalanced_projected_ns += projected_slot_ns(&rebalanced_ticks, workload.threads);
+        static_projected_ns += projected_slot_cost(&static_ticks, workload.threads);
+        rebalanced_projected_ns += projected_slot_cost(&rebalanced_ticks, workload.threads);
+        static_projected_records += projected_slot_cost(
+            &slot_records(&static_engine, &mut static_records),
+            workload.threads,
+        );
+        rebalanced_projected_records += projected_slot_cost(
+            &slot_records(&rebalanced_engine, &mut rebalanced_records),
+            workload.threads,
+        );
     }
     if static_engine.metrics() != rebalanced_engine.metrics() {
         forecasts_identical = false;
@@ -648,6 +699,8 @@ pub fn run_skewed(workload: &SkewWorkload, seed: u64) -> SkewBenchReport {
         trigger_last_ratio: rebalance.last_ratio,
         loads_before: rebalance.loads_before,
         loads_after: rebalance.loads_after,
+        static_projected_records,
+        rebalanced_projected_records,
         static_critical_ms: to_ms(static_critical_ns),
         rebalanced_critical_ms: to_ms(rebalanced_critical_ns),
         static_projected_ms: to_ms(static_projected_ns),
@@ -672,6 +725,13 @@ pub fn print_skewed(report: &SkewBenchReport) {
     println!(
         "  {:<26} {:>14} {:>14} {:>9}",
         "cost model", "static ms/slot", "rebal ms/slot", "speedup"
+    );
+    println!(
+        "  {:<26} {:>14} {:>14} {:>8.3}x",
+        format!("records @{} threads (total)", report.workload.threads),
+        report.static_projected_records,
+        report.rebalanced_projected_records,
+        report.work_speedup(),
     );
     println!(
         "  {:<26} {:>14.3} {:>14.3} {:>8.2}x",
@@ -1028,9 +1088,13 @@ mod tests {
         // the projected model can never beat the critical path (one thread
         // per shard is its limit), and never lose to a single thread
         assert!(report.static_projected_ms >= report.static_critical_ms);
+        // the gated model counts records: every slot of either arm has some
+        assert!(report.static_projected_records >= workload.slots as u64);
+        assert!(report.rebalanced_projected_records >= workload.slots as u64);
         let json = report.json_object();
         assert!(json.contains("\"forecasts_identical\": true"));
         assert!(json.contains("\"projected_speedup\""));
+        assert!(json.contains("\"projected_work_speedup\""));
         // the embedded form stays valid JSON
         let full = FleetBenchReport {
             workload: FleetWorkload {
@@ -1059,11 +1123,11 @@ mod tests {
     #[test]
     fn projected_slot_model_mirrors_the_pool_chunking() {
         // 5 shards at 2 threads: chunks [0..3], [3..5]
-        assert_eq!(projected_slot_ns(&[5, 1, 1, 4, 4], 2), 8);
+        assert_eq!(projected_slot_cost(&[5, 1, 1, 4, 4], 2), 8);
         // more threads than shards: one shard per worker = critical path
-        assert_eq!(projected_slot_ns(&[5, 1, 1], 8), 5);
+        assert_eq!(projected_slot_cost(&[5, 1, 1], 8), 5);
         // one thread: the full serial sum
-        assert_eq!(projected_slot_ns(&[5, 1, 1], 1), 7);
+        assert_eq!(projected_slot_cost(&[5, 1, 1], 1), 7);
     }
 
     #[test]

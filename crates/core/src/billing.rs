@@ -11,7 +11,7 @@
 //!   allocation to the instance pool and charge the prorated hourly cost.
 //! * [`DatacenterBilling`] — the same pool transaction and *bit-identical*
 //!   cost, but the allocation additionally lands on a simulated
-//!   [`Datacenter`](mca_cloudsim::Datacenter): instances are placed onto
+//!   [`Datacenter`]: instances are placed onto
 //!   finite-capacity hosts under a deterministic policy, the slot's actual
 //!   arrivals are scored against the capacity the *previous* forecast
 //!   provisioned (the SLA signal), and host power is metered over the slot

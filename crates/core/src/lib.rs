@@ -16,9 +16,9 @@
 //! * [`timeslot`] — time slots `T = {t_i}`: per-slot assignment of users to
 //!   acceleration groups, built from the log. Each slot stores one sorted,
 //!   deduplicated `Vec<UserId>` run per group, so
-//!   [`TimeSlot::users_in`](timeslot::TimeSlot::users_in) hands out a
-//!   borrowed `&[UserId]` (zero-copy); [`SlotHistory`](timeslot::SlotHistory)
-//!   optionally retains only a sliding window of recent slots.
+//!   [`TimeSlot::users_in`] hands out a borrowed `&[UserId]` (zero-copy);
+//!   [`SlotHistory`] optionally retains only a sliding window of recent
+//!   slots.
 //! * [`distance`] — the distance metric of §IV-B-1: per-group edit distance
 //!   `δ` and slot distance `Δ` as allocation-free linear merges over the
 //!   sorted runs, plus banded early-exit Levenshtein / normalized variants
@@ -33,7 +33,7 @@
 //!   strategies for ablation and the naive full scan as baseline.
 //! * [`metrics`] — prediction accuracy (the paper's 87.5 % headline metric)
 //!   and k-fold cross-validation.
-//! * [`window`] — [`SlotWindower`](window::SlotWindower): folds timestamped
+//! * [`window`] — [`SlotWindower`]: folds timestamped
 //!   events (log records, trace arrivals, live streams) into
 //!   provisioning-slot batches — out-of-order tolerance within a slot,
 //!   empty slots for gaps, deterministic boundary assignment, late-event
@@ -45,9 +45,13 @@
 //!   simulated datacenter with placement, SLA and energy accounting.
 //! * [`sdn`] — the SDN-accelerator front-end: request handler, code
 //!   offloader/router, per-component timing `T1`/`T2`/`T_cloud` (Fig. 7a).
+//! * [`control`] — [`ControlLoop`]: the score → learn → predict → allocate →
+//!   bill cycle closed once per provisioning slot, with the allocation memo
+//!   beside it. The one spelling of the loop: [`System`] closes its slots
+//!   through it, a fleet runs one per tenant.
 //! * [`system`] — the closed-loop system of Fig. 2: workload →
-//!   SDN-accelerator → back-end pool, with per-interval re-provisioning and
-//!   client-side promotions.
+//!   SDN-accelerator → back-end pool, re-provisioned every interval by its
+//!   [`ControlLoop`], with client-side promotions.
 //! * [`config`] — system configuration builder.
 //!
 //! # Quick start
@@ -77,6 +81,7 @@ pub mod accel;
 pub mod allocator;
 pub mod billing;
 pub mod config;
+pub mod control;
 pub mod distance;
 pub mod error;
 pub mod index;
@@ -95,6 +100,7 @@ pub use billing::{
     SlotSettlement,
 };
 pub use config::SystemConfig;
+pub use control::{ControlLoop, Provisioned, SlotOutcome, Stage, StageObserver};
 pub use error::CoreError;
 pub use index::IndexPolicy;
 pub use logs::TraceLog;

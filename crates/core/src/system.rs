@@ -1,14 +1,16 @@
 //! The closed-loop system of Fig. 2: workload → SDN-accelerator → back-end
-//! pool, with per-interval prediction, allocation and client-side promotion.
+//! pool, with client-side promotion. The per-interval score → learn →
+//! predict → allocate → bill cycle is [`crate::control::ControlLoop`]'s —
+//! the same loop a fleet runs per tenant, so the system is a one-tenant
+//! fleet behind an SDN front-end (`tests/integration_system.rs` replays one
+//! through the other).
 
-use crate::allocator::{Allocation, ResourceAllocator};
-use crate::billing::{BillingBackend, BillingEngine, DatacenterUsage, SlotSettlement};
+use crate::billing::DatacenterUsage;
 use crate::config::SystemConfig;
-use crate::metrics::accuracy;
-use crate::predictor::{WorkloadForecast, WorkloadPredictor};
+use crate::control::{ControlLoop, Provisioned};
+use crate::predictor::WorkloadForecast;
 use crate::sdn::SdnAccelerator;
 use crate::timeslot::TimeSlot;
-use mca_cloudsim::InstancePool;
 use mca_mobile::{Battery, DeviceProfile, Moderator};
 use mca_offload::{AccelerationGroupId, OffloadRequest, RequestId, TraceRecord, UserId};
 use mca_workload::ArrivalTrace;
@@ -140,10 +142,7 @@ struct DeviceState {
 pub struct System {
     config: SystemConfig,
     sdn: SdnAccelerator,
-    allocator: ResourceAllocator,
-    predictor: WorkloadPredictor,
-    pool: InstancePool,
-    billing: BillingEngine,
+    control: ControlLoop,
     usage: DatacenterUsage,
     devices: HashMap<UserId, DeviceState>,
     next_request_id: u64,
@@ -152,18 +151,12 @@ pub struct System {
 impl System {
     /// Builds a system from a configuration.
     pub fn new(config: SystemConfig) -> Self {
-        let allocator = config.build_allocator();
-        let predictor = config.build_predictor();
-        let pool = config.build_pool();
-        let billing = config.build_billing();
+        let control = ControlLoop::new(&config);
         let sdn = SdnAccelerator::new(config.clone());
         Self {
             config,
             sdn,
-            allocator,
-            predictor,
-            pool,
-            billing,
+            control,
             usage: DatacenterUsage::default(),
             devices: HashMap::new(),
             next_request_id: 1,
@@ -187,30 +180,24 @@ impl System {
         let mut slot_start = 0.0f64;
         let mut slot_index = 0usize;
         let mut slots: Vec<SlotObservation> = Vec::new();
-        let mut pending_forecast: Option<WorkloadForecast> = None;
         let mut promotions = Vec::new();
 
-        // Initial minimum fleet.
-        let initial = self
-            .allocator
-            .allocate(&WorkloadForecast {
-                per_group: self.config.groups.ids().iter().map(|g| (*g, 0)).collect(),
-                matched_slot: None,
-            })
-            .expect("the minimum fleet always fits the account cap");
-        self.settle_allocation(&initial, &[], 0.0);
+        // Initial minimum fleet. One that does not fit the account cap is
+        // skipped like any later infeasible allocation: requests still
+        // route, against no instances.
+        let minimum = WorkloadForecast {
+            per_group: self.config.groups.ids().iter().map(|g| (*g, 0)).collect(),
+            matched_slot: None,
+        };
+        if let Ok(provisioned) = self.control.provision(&minimum, &[], 0.0, &mut ()) {
+            self.apply(&provisioned);
+        }
 
         for arrival in workload.iter() {
             // Close every slot boundary we have passed.
             while arrival.time_ms >= slot_start + slot_len {
-                let observation = self.close_slot(
-                    slot_index,
-                    &current_slot,
-                    &mut pending_forecast,
-                    slot_start + slot_len,
-                );
-                slots.push(observation);
-                current_slot = TimeSlot::new(slot_index + 1);
+                let closed = std::mem::replace(&mut current_slot, TimeSlot::new(slot_index + 1));
+                slots.push(self.close_slot(slot_index, closed, slot_start + slot_len));
                 slot_index += 1;
                 slot_start += slot_len;
             }
@@ -270,12 +257,8 @@ impl System {
 
         // Close the final (partial) slot.
         let final_time = slot_start + slot_len;
-        let observation =
-            self.close_slot(slot_index, &current_slot, &mut pending_forecast, final_time);
-        slots.push(observation);
-
-        self.pool.terminate_all(final_time);
-        self.billing.reset();
+        slots.push(self.close_slot(slot_index, current_slot, final_time));
+        self.control.stand_down(final_time);
 
         let records: Vec<TraceRecord> = self.sdn.log().records().to_vec();
         let mean_response_ms = self.sdn.log().mean_response_ms();
@@ -285,82 +268,55 @@ impl System {
             promotions,
             slots,
             perceptions,
-            total_cost: self.pool.billing().total_cost(),
+            total_cost: self.control.pool().billing().total_cost(),
             mean_response_ms,
             datacenter: std::mem::take(&mut self.usage),
         }
     }
 
-    fn close_slot(
-        &mut self,
-        index: usize,
-        slot: &TimeSlot,
-        pending_forecast: &mut Option<WorkloadForecast>,
-        now_ms: f64,
-    ) -> SlotObservation {
-        let groups = self.config.groups.ids();
-        let actual: Vec<(AccelerationGroupId, usize)> =
-            groups.iter().map(|g| (*g, slot.load_of(*g))).collect();
-
-        // Score the forecast that was made for this slot.
-        let previous_forecast_accuracy = pending_forecast
-            .as_ref()
-            .map(|f| accuracy(f, slot, &groups).overall);
-
-        // Learn from this slot and forecast the next one (the fast path is
-        // exactly observe_slot + predict on the same slot).
-        let forecast = self.predictor.observe_and_predict(slot.clone()).ok();
-
-        let (allocation_cost, allocated_instances) = if let Some(f) = &forecast {
-            match self.allocator.allocate(f) {
-                Ok(allocation) => {
-                    self.settle_allocation(&allocation, &actual, now_ms);
-                    (allocation.hourly_cost, allocation.total_instances())
-                }
-                Err(_) => (0.0, 0),
+    /// Closes `slot` through the control loop and records what it saw.
+    fn close_slot(&mut self, index: usize, slot: TimeSlot, now_ms: f64) -> SlotObservation {
+        let actual: Vec<(AccelerationGroupId, usize)> = self
+            .config
+            .groups
+            .ids()
+            .iter()
+            .map(|g| (*g, slot.load_of(*g)))
+            .collect();
+        let outcome = self.control.close_slot(slot, now_ms, &mut ());
+        let (allocation_cost, allocated_instances) = match &outcome.provision {
+            Some(Ok(provisioned)) => {
+                self.apply(provisioned);
+                (
+                    provisioned.allocation.hourly_cost,
+                    provisioned.allocation.total_instances(),
+                )
             }
-        } else {
-            (0.0, 0)
+            _ => (0.0, 0),
         };
-
-        *pending_forecast = forecast.clone();
         SlotObservation {
             index,
             actual,
-            forecast,
-            previous_forecast_accuracy,
+            forecast: self.control.forecast().cloned(),
+            previous_forecast_accuracy: outcome.forecast_accuracy,
             allocation_cost,
             allocated_instances,
         }
     }
 
-    /// Settles an allocation through the billing backend: the pool
-    /// transaction (and, under datacenter billing, SLA scoring of `observed`
-    /// against the standing placement, energy metering and re-placement),
-    /// then the SDN capacity update when the pool accepted it.
-    fn settle_allocation(
-        &mut self,
-        allocation: &Allocation,
-        observed: &[(AccelerationGroupId, usize)],
-        now_ms: f64,
-    ) -> SlotSettlement {
-        let settlement = self.billing.settle(
-            &mut self.pool,
-            allocation,
-            observed,
-            self.config.slot_length_ms,
-            now_ms,
-        );
-        self.usage.absorb(&settlement);
-        if settlement.pool_applied {
-            let per_group: Vec<(AccelerationGroupId, usize)> = allocation
+    /// Folds a settled allocation into the run: the datacenter rollup, and
+    /// the SDN capacity update when the pool accepted it.
+    fn apply(&mut self, provisioned: &Provisioned) {
+        self.usage.absorb(&provisioned.settlement);
+        if provisioned.settlement.pool_applied {
+            let per_group: Vec<(AccelerationGroupId, usize)> = provisioned
+                .allocation
                 .per_group
                 .iter()
                 .map(|(g, counts)| (*g, counts.iter().map(|(_, n)| n).sum()))
                 .collect();
             self.sdn.apply_allocation(&per_group);
         }
-        settlement
     }
 
     fn build_perceptions(&self, records: &[TraceRecord]) -> Vec<UserPerception> {
@@ -575,6 +531,20 @@ mod tests {
         assert!(datacenter.datacenter.placements > 0);
         assert!(datacenter.datacenter.energy_wh > 0.0);
         assert_eq!(datacenter.datacenter.placement_failures, 0);
+    }
+
+    #[test]
+    fn a_minimum_fleet_over_the_account_cap_is_skipped_not_fatal() {
+        // three groups need three instances; a cap of two admits no
+        // allocation at all, from the initial minimum fleet onwards
+        let mut rng = StdRng::seed_from_u64(9);
+        let workload = minimax_workload(6, 4.0 * 60_000.0, 19);
+        let mut config = SystemConfig::paper_three_groups().with_slot_length_ms(60_000.0);
+        config.account_cap = 2;
+        let report = System::new(config).run(&workload, &mut rng);
+        assert_eq!(report.records.len(), workload.len());
+        assert!(report.slots.iter().all(|s| s.allocated_instances == 0));
+        assert_eq!(report.total_cost, 0.0);
     }
 
     #[test]

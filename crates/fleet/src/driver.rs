@@ -1,7 +1,7 @@
 //! The streaming ingestion driver: one front-end for every workload shape.
 //!
 //! [`FleetDriver`] owns a [`FleetEngine`] and a set of [`RecordSource`]s.
-//! Each [`FleetDriver::step`] pulls one [`SourceBatch`] per live source (in
+//! Each [`FleetDriver::step`] pulls one [`crate::SourceBatch`] per live source (in
 //! registration order), concatenates the records into the slot's batch and
 //! runs the engine's predict→allocate→bill tick — exactly the batch the
 //! caller would have hand-built for `tick_slot`, so driver-fed runs are bit-

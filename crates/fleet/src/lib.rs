@@ -12,11 +12,11 @@
 //! * [`router`] — [`ShardRouter`]: a pure SplitMix64 hash from tenant (or
 //!   user) id to shard index, so every front-end and every replay agrees on
 //!   placement without coordination.
-//! * [`shard`] — [`TenantShard`]: one tenant's [`mca_core::WorkloadPredictor`]
-//!   plus [`mca_core::ResourceAllocator`] plus [`mca_cloudsim::InstancePool`]
-//!   and a private RNG stream; its `tick` replays the exact
-//!   score→learn→predict→allocate→bill cycle of the single-operator
-//!   [`mca_core::System`].
+//! * [`shard`] — [`TenantShard`]: one tenant's [`mca_core::ControlLoop`]
+//!   (predictor, allocator, instance pool, billing, allocation memo) plus a
+//!   private RNG stream and the tenant's accounting; its `tick` is the
+//!   same `ControlLoop::close_slot` — score→learn→predict→allocate→bill —
+//!   the single-operator [`mca_core::System`] calls.
 //! * [`ingest`] — batched slot ingest: one flat arrival-order record batch
 //!   per slot, bucketed by shard in one pass and materialized per tenant
 //!   with [`mca_core::TimeSlotBuilder`]'s single sort + dedup instead of a

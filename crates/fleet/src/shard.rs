@@ -1,64 +1,35 @@
 //! The per-tenant provisioning state: one closed loop per tenant.
 //!
-//! A [`TenantShard`] is the multi-tenant unit of the paper's Fig. 2 loop: it
-//! owns one tenant's [`WorkloadPredictor`] (the tenant's private knowledge
-//! base), [`ResourceAllocator`] and [`InstancePool`], plus the tenant's own
-//! deterministic RNG stream. Every provisioning tick replays the cycle the
-//! single-operator [`mca_core::System`] runs at each slot boundary — score
-//! the previous forecast, learn the observed slot, forecast the next one,
-//! allocate and bill — so a fleet of shards is semantically *exactly* a set
-//! of independent single-tenant systems, just executed batched and in
-//! parallel.
+//! A [`TenantShard`] is the multi-tenant unit of the paper's Fig. 2 loop: one
+//! tenant's [`ControlLoop`] — its private knowledge base, allocator,
+//! instance pool, billing backend and allocation memo — plus the tenant's
+//! own deterministic RNG stream and its accounting. A provisioning tick
+//! *is* [`ControlLoop::close_slot`], the same call the single-operator
+//! [`mca_core::System`] makes at each slot boundary, so a fleet of shards is
+//! by construction a set of independent single-tenant systems, just
+//! executed batched and in parallel
+//! (`tests/integration_system.rs::system_is_a_one_tenant_fleet` replays a
+//! `System::run` through a one-tenant fleet and compares every forecast).
 
 use crate::metrics::TenantMetrics;
 use crate::telemetry::{ewma, ShardTelemetry};
 use mca_cloudsim::{Datacenter, InstancePool, PlacementError};
 use mca_core::{
-    accuracy, Allocation, BillingBackend, BillingEngine, ResourceAllocator, SlotHistory,
-    SystemConfig, TimeSlot, WorkloadForecast, WorkloadPredictor,
+    BillingEngine, ControlLoop, SlotHistory, SlotOutcome, SystemConfig, TimeSlot, WorkloadForecast,
+    WorkloadPredictor,
 };
-use mca_offload::{AccelerationGroupId, TenantId};
+use mca_offload::TenantId;
 use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{HashMap, VecDeque};
 
-/// Upper bound on memoized allocations per tenant. Steady tenants cycle
-/// through a handful of workload vectors, so the cap is generous; a tenant
-/// that exceeds it evicts one entry per new insertion, oldest first (FIFO
-/// by insertion order), so the recent working set keeps serving hits and
-/// the just-inserted vector is never the victim. Eviction depends only on
-/// the tenant's own forecast sequence, so it is deterministic across runs,
-/// shard layouts and thread counts.
-const ALLOC_CACHE_CAP: usize = 1024;
-
-/// One tenant's predictor + allocator + instance pool + RNG stream.
+/// One tenant's control loop + RNG stream + accounting.
 #[derive(Debug, Clone)]
 pub struct TenantShard {
     id: TenantId,
-    predictor: WorkloadPredictor,
-    allocator: ResourceAllocator,
-    pool: InstancePool,
-    /// The bill stage's backend: pure arithmetic by default, a transaction
-    /// against a per-tenant simulated datacenter when the configuration
-    /// enabled one. Lives inside the shard, so a tenant migration carries
-    /// the standing placement with it.
-    billing: BillingEngine,
+    control: ControlLoop,
     rng: StdRng,
     metrics: TenantMetrics,
-    /// Forecast produced at the end of the previous slot, scored against the
-    /// next observed slot.
-    pending_forecast: Option<WorkloadForecast>,
-    slot_length_ms: f64,
-    /// Memoized allocations keyed by the forecast workload vector: steady
-    /// tenants re-predict the same per-group loads slot after slot, so the
-    /// ILP re-solve is skipped entirely on repeats. The allocator is a pure
-    /// function of the forecast, which makes the cache exact.
-    alloc_cache: HashMap<Vec<(AccelerationGroupId, usize)>, Allocation>,
-    /// Insertion order of the memoized workload vectors (front = oldest):
-    /// the FIFO eviction queue behind [`ALLOC_CACHE_CAP`]. Always in sync
-    /// with `alloc_cache` — entries enter and leave both together.
-    alloc_cache_order: VecDeque<Vec<(AccelerationGroupId, usize)>>,
     /// EWMA of observed users per tick — the tenant's contribution to its
     /// shard's load, and the signal the rebalancer ranks tenants by. Derived
     /// purely from the observed slot populations, so it is independent of
@@ -79,20 +50,13 @@ impl TenantShard {
     /// Creates the tenant's provisioning state from the shared system
     /// configuration (groups, strategies, caps and history window all come
     /// from [`SystemConfig`], exactly as [`mca_core::System::new`] builds
-    /// its single-operator equivalents).
+    /// its own loop).
     pub fn new(id: TenantId, config: &SystemConfig, fleet_seed: u64) -> Self {
         Self {
             id,
-            predictor: config.build_predictor(),
-            allocator: config.build_allocator(),
-            pool: config.build_pool(),
-            billing: config.build_billing(),
+            control: ControlLoop::new(config),
             rng: StdRng::seed_from_u64(Self::stream_seed(fleet_seed, id)),
             metrics: TenantMetrics::new(id),
-            pending_forecast: None,
-            slot_length_ms: config.slot_length_ms,
-            alloc_cache: HashMap::new(),
-            alloc_cache_order: VecDeque::new(),
             load_ewma: 0.0,
         }
     }
@@ -109,34 +73,34 @@ impl TenantShard {
 
     /// The forecast standing for the *next* slot, if one was produced.
     pub fn forecast(&self) -> Option<&WorkloadForecast> {
-        self.pending_forecast.as_ref()
+        self.control.forecast()
     }
 
     /// The tenant's knowledge base.
     pub fn predictor(&self) -> &WorkloadPredictor {
-        &self.predictor
+        self.control.predictor()
     }
 
     /// The tenant's instance pool.
     pub fn pool(&self) -> &InstancePool {
-        &self.pool
+        self.control.pool()
     }
 
     /// The tenant's billing engine.
     pub fn billing(&self) -> &BillingEngine {
-        &self.billing
+        self.control.billing()
     }
 
     /// The tenant's simulated datacenter, when the fleet bills against one.
     pub fn datacenter(&self) -> Option<&Datacenter> {
-        self.billing.datacenter()
+        self.billing().datacenter()
     }
 
     /// The tenant's standing placement failure, if its most recent
     /// placement transaction found no host (host exhaustion never panics —
     /// the engine surfaces it as `FleetError::Placement`).
     pub fn placement_error(&self) -> Option<&PlacementError> {
-        self.billing.placement_error()
+        self.billing().placement_error()
     }
 
     /// The tenant's private RNG stream (used by synthetic workload
@@ -159,151 +123,86 @@ impl TenantShard {
     /// allocation for one slot length. `now_ms` is the closing slot
     /// boundary.
     pub fn tick(&mut self, slot: TimeSlot, now_ms: f64) {
-        self.tick_instrumented(slot, now_ms, &mut ShardTelemetry::disabled());
+        let outcome = self.control.close_slot(slot, now_ms, &mut ());
+        self.fold(outcome);
     }
 
     /// [`TenantShard::tick`] with stage tracing: the predict, allocate and
     /// billing phases are each timed against `telemetry`'s clock. The
-    /// instrumented and plain ticks are the same code — `tick` delegates here
-    /// with a disabled telemetry whose clock reads cost one branch — so
-    /// forecasts and metrics are bit-identical in every telemetry mode.
+    /// instrumented and plain ticks are the same [`ControlLoop::close_slot`],
+    /// watched or not, so forecasts and metrics are bit-identical in every
+    /// telemetry mode.
     pub fn tick_instrumented(
         &mut self,
         slot: TimeSlot,
         now_ms: f64,
         telemetry: &mut ShardTelemetry,
     ) {
-        let groups = self.predictor.groups();
-        // the datacenter backend scores the slot's actual per-group arrivals
-        // against the standing capacity; captured here because the predict
-        // stage consumes the slot. Arithmetic billing skips the collection.
-        let observed_demand: Vec<(AccelerationGroupId, usize)> = if self.billing.observes_demand() {
-            groups.iter().map(|g| (*g, slot.load_of(*g))).collect()
-        } else {
-            Vec::new()
-        };
-        self.metrics.slots += 1;
-        let observed_users = slot.total_users();
-        self.metrics.total_user_slots += observed_users;
-        self.metrics.peak_users = self.metrics.peak_users.max(observed_users);
-        self.load_ewma = ewma(
-            self.load_ewma,
-            observed_users as f64,
-            self.metrics.slots as u64,
-        );
-
-        if let Some(forecast) = &self.pending_forecast {
-            self.metrics.scored_slots += 1;
-            self.metrics.accuracy_sum += accuracy(forecast, &slot, groups).overall;
-        }
-
-        // the slot moves into the knowledge base (no clone) and the forecast
-        // comes from the observe-and-predict fast path — identical to
-        // `observe_slot` + `predict` on the same slot
-        let timer = telemetry.start_stage();
-        let forecast = self.predictor.observe_and_predict(slot).ok();
-        telemetry.end_predict(timer);
-        if let Some(forecast) = &forecast {
-            let timer = telemetry.start_stage();
-            let allocated = self.allocate_memoized(forecast);
-            telemetry.end_allocate(timer);
-            match allocated {
-                Ok(allocation) => {
-                    let timer = telemetry.start_stage();
-                    self.metrics.allocations += 1;
-                    self.metrics.allocated_instance_slots += allocation.total_instances();
-                    // the backend applies the pool transaction (pool failures
-                    // cannot occur: the allocator respects the same account
-                    // cap the pool enforces) and — under datacenter billing —
-                    // scores the elapsed slot, meters energy and re-places.
-                    // The settled cost is the exact arithmetic expression this
-                    // line always computed, so it is bit-identical across
-                    // backends.
-                    let settlement = self.billing.settle(
-                        &mut self.pool,
-                        &allocation,
-                        &observed_demand,
-                        self.slot_length_ms,
-                        now_ms,
-                    );
-                    self.metrics.total_cost += settlement.cost;
-                    self.metrics.sla_violations += settlement.sla_violations;
-                    self.metrics.sla_dropped_users += settlement.sla_dropped_users;
-                    self.metrics.sla_latency_ms += settlement.sla_latency_ms;
-                    self.metrics.energy_wh += settlement.energy_wh;
-                    self.metrics.placed_instance_slots += settlement.placements;
-                    self.metrics.placement_failures += settlement.placement_failures;
-                    telemetry.end_bill(timer);
-                }
-                Err(_) => self.metrics.infeasible_allocations += 1,
-            }
-        }
-        self.pending_forecast = forecast;
+        let outcome = self.control.close_slot(slot, now_ms, telemetry);
+        self.fold(outcome);
     }
 
-    /// Serves an allocation for `forecast`, from the memo cache when this
-    /// workload vector was allocated before, solving (and caching) it
-    /// otherwise. Cache-served allocations are clones of the original
-    /// solve's result, so the tick's behaviour is bit-identical with and
-    /// without the cache; only the hit/miss counters differ.
-    fn allocate_memoized(
-        &mut self,
-        forecast: &WorkloadForecast,
-    ) -> Result<Allocation, mca_core::CoreError> {
-        if let Some(hit) = self.alloc_cache.get(&forecast.per_group) {
-            self.metrics.alloc_cache_hits += 1;
-            return Ok(hit.clone());
+    /// Folds one closed slot into the tenant's accounting.
+    fn fold(&mut self, outcome: SlotOutcome) {
+        let metrics = &mut self.metrics;
+        metrics.slots += 1;
+        metrics.total_user_slots += outcome.observed_users;
+        metrics.peak_users = metrics.peak_users.max(outcome.observed_users);
+        self.load_ewma = ewma(
+            self.load_ewma,
+            outcome.observed_users as f64,
+            metrics.slots as u64,
+        );
+        if let Some(score) = outcome.forecast_accuracy {
+            metrics.scored_slots += 1;
+            metrics.accuracy_sum += score;
         }
-        self.metrics.alloc_cache_misses += 1;
-        let allocation = self.allocator.allocate(forecast)?;
-        // solver work is accounted where it happens: cache hits replay a
-        // clone of the original solve and must not re-count its effort
-        self.metrics.solver_nodes += allocation.stats.nodes;
-        self.metrics.solver_pivots += allocation.stats.pivots;
-        self.metrics.solver_phase1_skips += allocation.stats.phase1_skips;
-        if self.alloc_cache.len() >= ALLOC_CACHE_CAP {
-            // bounded FIFO eviction: drop the oldest memoized vector. The
-            // key being inserted is by construction not in the cache (this
-            // is a miss), so the hot key can never be its own victim — the
-            // previous wholesale `clear()` here thrashed a >CAP-vector
-            // tenant to a ~0% hit rate right after warm-up.
-            if let Some(oldest) = self.alloc_cache_order.pop_front() {
-                self.alloc_cache.remove(&oldest);
-                self.metrics.alloc_cache_evictions += 1;
+        match outcome.provision {
+            None => {}
+            Some(Ok(provisioned)) => {
+                if provisioned.memo_hit {
+                    metrics.alloc_cache_hits += 1;
+                } else {
+                    // solver work is accounted where it happens: memo hits
+                    // replay a clone of the original solve and must not
+                    // re-count its effort
+                    metrics.alloc_cache_misses += 1;
+                    metrics.solver_nodes += provisioned.allocation.stats.nodes;
+                    metrics.solver_pivots += provisioned.allocation.stats.pivots;
+                    metrics.solver_phase1_skips += provisioned.allocation.stats.phase1_skips;
+                }
+                metrics.alloc_cache_evictions += usize::from(provisioned.memo_evicted);
+                metrics.allocations += 1;
+                metrics.allocated_instance_slots += provisioned.allocation.total_instances();
+                let settlement = provisioned.settlement;
+                metrics.total_cost += settlement.cost;
+                metrics.sla_violations += settlement.sla_violations;
+                metrics.sla_dropped_users += settlement.sla_dropped_users;
+                metrics.sla_latency_ms += settlement.sla_latency_ms;
+                metrics.energy_wh += settlement.energy_wh;
+                metrics.placed_instance_slots += settlement.placements;
+                metrics.placement_failures += settlement.placement_failures;
+            }
+            Some(Err(_)) => {
+                metrics.alloc_cache_misses += 1;
+                metrics.infeasible_allocations += 1;
             }
         }
-        self.alloc_cache
-            .insert(forecast.per_group.clone(), allocation.clone());
-        self.alloc_cache_order.push_back(forecast.per_group.clone());
-        Ok(allocation)
     }
 
     /// Number of distinct workload vectors currently memoized.
     pub fn cached_allocations(&self) -> usize {
-        self.alloc_cache.len()
+        self.control.cached_allocations()
     }
 
     /// Serializes the shard's full tick state for a checkpoint: identity,
-    /// knowledge base, instance pool, billing backend (standing datacenter
-    /// placement included), the raw RNG stream words, metrics, the standing
-    /// forecast, the allocation memo cache **in FIFO insertion order** (so
-    /// the restored cache evicts the same victims), and the load EWMA. The
-    /// allocator and slot length are not on the wire — both are pure
-    /// functions of the [`SystemConfig`] the restore receives.
+    /// the control loop (see its [`Snapshot`] impl), the raw RNG stream
+    /// words, metrics and the load EWMA.
     pub(crate) fn encode_state(&self, out: &mut Vec<u8>) {
         self.id.encode(out);
-        self.predictor.encode(out);
-        self.pool.encode(out);
-        self.billing.encode(out);
+        self.control.encode(out);
         self.rng.state().encode(out);
         self.metrics.encode(out);
-        self.pending_forecast.encode(out);
-        // the HashMap is rebuilt from the FIFO queue: one pass, exact order
-        self.alloc_cache_order.len().encode(out);
-        for key in &self.alloc_cache_order {
-            key.encode(out);
-            self.alloc_cache[key].encode(out);
-        }
         self.load_ewma.encode(out);
     }
 
@@ -315,30 +214,9 @@ impl TenantShard {
         config: &SystemConfig,
     ) -> Result<Self, SnapshotError> {
         let id = TenantId::decode(cur)?;
-        let predictor = WorkloadPredictor::decode(cur)?;
-        let pool = InstancePool::decode(cur)?;
-        let billing = BillingEngine::decode(cur)?;
+        let control = ControlLoop::decode(cur, config)?;
         let rng = StdRng::from_state(<[u64; 4]>::decode(cur)?);
         let metrics = TenantMetrics::decode(cur)?;
-        let pending_forecast = Option::<WorkloadForecast>::decode(cur)?;
-        let entries = usize::decode(cur)?;
-        if entries > ALLOC_CACHE_CAP {
-            return Err(SnapshotError::Malformed {
-                context: "allocation memo cache over its cap",
-            });
-        }
-        let mut alloc_cache = HashMap::with_capacity(entries);
-        let mut alloc_cache_order = VecDeque::with_capacity(entries);
-        for _ in 0..entries {
-            let key = Vec::<(AccelerationGroupId, usize)>::decode(cur)?;
-            let allocation = Allocation::decode(cur)?;
-            if alloc_cache.insert(key.clone(), allocation).is_some() {
-                return Err(SnapshotError::Malformed {
-                    context: "duplicate workload vector in the memo cache",
-                });
-            }
-            alloc_cache_order.push_back(key);
-        }
         let load_ewma = f64::decode(cur)?;
         if metrics.tenant != id {
             return Err(SnapshotError::Malformed {
@@ -347,16 +225,9 @@ impl TenantShard {
         }
         Ok(Self {
             id,
-            predictor,
-            allocator: config.build_allocator(),
-            pool,
-            billing,
+            control,
             rng,
             metrics,
-            pending_forecast,
-            slot_length_ms: config.slot_length_ms,
-            alloc_cache,
-            alloc_cache_order,
             load_ewma,
         })
     }
@@ -366,18 +237,14 @@ impl TenantShard {
     /// copying, the standing forecast is dropped, the allocation memo is
     /// cleared and the instance pool is terminated at `now_ms`.
     pub fn decommission(&mut self, now_ms: f64) -> SlotHistory {
-        self.pending_forecast = None;
-        self.alloc_cache.clear();
-        self.alloc_cache_order.clear();
-        self.pool.terminate_all(now_ms);
-        self.billing.reset();
-        self.predictor.take_history()
+        self.control.decommission(now_ms)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mca_core::control::ALLOC_CACHE_CAP;
     use mca_core::{AllocationPolicy, PredictionStrategy};
     use mca_offload::{AccelerationGroupId, UserId};
 

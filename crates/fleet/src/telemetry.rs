@@ -17,6 +17,7 @@
 //! branch.
 
 use crate::rebalance::RebalanceSnapshot;
+use mca_core::{Stage, StageObserver};
 use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
 use mca_telemetry::{
     LatencyHistogram, LogicalClock, MonotonicClock, Registry, StageTimer, TelemetryClock,
@@ -149,30 +150,6 @@ impl ShardTelemetry {
         }
     }
 
-    /// Stops `timer` and records the predict stage.
-    pub fn end_predict(&mut self, timer: StageTimer) {
-        let elapsed = timer.stop(&mut self.clock);
-        if self.enabled() {
-            self.stages.predict.record(elapsed);
-        }
-    }
-
-    /// Stops `timer` and records the allocate stage.
-    pub fn end_allocate(&mut self, timer: StageTimer) {
-        let elapsed = timer.stop(&mut self.clock);
-        if self.enabled() {
-            self.stages.allocate.record(elapsed);
-        }
-    }
-
-    /// Stops `timer` and records the billing stage.
-    pub fn end_bill(&mut self, timer: StageTimer) {
-        let elapsed = timer.stop(&mut self.clock);
-        if self.enabled() {
-            self.stages.bill.record(elapsed);
-        }
-    }
-
     /// Closes one shard tick: records the whole-tick latency and folds
     /// `records` into the shard's load accounting. The load EWMA runs in
     /// every mode (it is a deterministic function of the record counts); the
@@ -235,6 +212,31 @@ impl ShardTelemetry {
             tick_ewma_ns: self.tick_ewma_ns,
             tick_p99_ns: self.stages.tick.p99(),
             last_tick_ns: self.last_tick_ns,
+        }
+    }
+}
+
+/// The shard's clock watches [`mca_core::ControlLoop::close_slot`]: each
+/// stage is two reads of it and one histogram sample, taken inside the loop
+/// at the loop's own stage boundaries — so the stage counts are the loop's
+/// arithmetic (allocate = allocations + infeasible, bill = allocations) by
+/// construction.
+impl StageObserver for ShardTelemetry {
+    type Mark = StageTimer;
+
+    fn begin(&mut self) -> StageTimer {
+        self.start_stage()
+    }
+
+    fn end(&mut self, stage: Stage, mark: StageTimer) {
+        let elapsed = mark.stop(&mut self.clock);
+        if self.enabled() {
+            let histogram = match stage {
+                Stage::Predict => &mut self.stages.predict,
+                Stage::Allocate => &mut self.stages.allocate,
+                Stage::Bill => &mut self.stages.bill,
+            };
+            histogram.record(elapsed);
         }
     }
 }
@@ -417,7 +419,7 @@ mod tests {
         assert!(!tel.enabled());
         let tick = tel.start_stage();
         let stage = tel.start_stage();
-        tel.end_predict(stage);
+        tel.end(Stage::Predict, stage);
         tel.finish_tick(10, tick);
         assert_eq!(tel.stages().total_samples(), 0, "nothing recorded");
         assert_eq!(tel.ticks(), 1);
@@ -434,9 +436,9 @@ mod tests {
                 let tick = tel.start_stage();
                 for _ in 0..3 {
                     let t = tel.start_stage();
-                    tel.end_predict(t);
+                    tel.end(Stage::Predict, t);
                     let t = tel.start_stage();
-                    tel.end_allocate(t);
+                    tel.end(Stage::Allocate, t);
                 }
                 tel.finish_tick(slot * 2, tick);
             }

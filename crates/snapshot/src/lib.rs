@@ -49,9 +49,12 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"MCAS";
 /// payload (the block-summary tree that replaced it is derived state,
 /// recomputed on restore) and the pivot count from `IndexPolicy`. Version 3
 /// dropped the scan parallelism policy (two `usize`s) from the predictor
-/// payload along with the chunked scan it selected. Streams of either older
-/// version are rejected.
-pub const SNAPSHOT_VERSION: u16 = 3;
+/// payload along with the chunked scan it selected. Version 4 reordered the
+/// tenant state inside a shard section (the control loop's fields —
+/// predictor, pool, billing, standing forecast, memo — now sit together,
+/// ahead of the RNG words and rollups; same bytes, different order). Streams
+/// of any older version are rejected.
+pub const SNAPSHOT_VERSION: u16 = 4;
 
 /// The reserved end-of-stream section tag.
 pub const END_TAG: u16 = 0xFFFF;
@@ -736,7 +739,7 @@ mod tests {
             SnapshotReader::new(buf.as_slice()).unwrap_err(),
             SnapshotError::UnsupportedVersion {
                 found: 1,
-                supported: 3
+                supported: 4
             }
         ));
         // version 2 carried 16 bytes of scan parallelism policy inside every
@@ -746,7 +749,17 @@ mod tests {
             SnapshotReader::new(&b"MCAS\x02\x00\xFF\xFF"[..]).unwrap_err(),
             SnapshotError::UnsupportedVersion {
                 found: 2,
-                supported: 3
+                supported: 4
+            }
+        ));
+        // version 3 kept a tenant's standing forecast and memo after its
+        // metrics; its field order is refused, not decoded into the wrong
+        // fields
+        assert!(matches!(
+            SnapshotReader::new(&b"MCAS\x03\x00\xFF\xFF"[..]).unwrap_err(),
+            SnapshotError::UnsupportedVersion {
+                found: 3,
+                supported: 4
             }
         ));
     }

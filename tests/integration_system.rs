@@ -1,6 +1,7 @@
 //! End-to-end behaviour of the closed-loop system: the headline claims of the
 //! paper's evaluation, checked against the simulator at a reduced scale.
 
+use mobile_code_acceleration::fleet::SlotBatchSource;
 use mobile_code_acceleration::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -164,4 +165,63 @@ fn battery_aware_policy_promotes_low_battery_devices() {
     // with the threshold effectively always met, every device is promoted to
     // the ceiling almost immediately
     assert!(report.promoted_user_fraction(AccelerationGroupId(1)) > 0.99);
+}
+
+/// Replays a `System::run` through a one-tenant fleet: the arrivals, tagged
+/// with the group that served them, bucketed into provisioning slots and fed
+/// to a `FleetDriver`. After every slot the shard's standing forecast must
+/// be the one the system recorded, and over the run both must have bought
+/// the same number of instance-slots.
+fn assert_system_equals_one_tenant_fleet(config: SystemConfig, workload_seed: u64) {
+    let tenant = TenantId(7);
+    let slot_len = config.slot_length_ms;
+    let workload = static_minimax_workload(14, 12.0 * 60_000.0, workload_seed);
+    let mut rng = StdRng::seed_from_u64(workload_seed + 1);
+    let report = System::new(config.clone()).run(&workload, &mut rng);
+    assert_eq!(report.records.len(), workload.len());
+    assert!(!report.promotions.is_empty(), "users spread over groups");
+
+    let mut batches: Vec<Vec<SlotRecord>> = vec![Vec::new(); report.slots.len()];
+    for (arrival, record) in workload.iter().zip(&report.records) {
+        assert_eq!(arrival.user, record.user, "records keep arrival order");
+        let slot = (arrival.time_ms / slot_len).floor() as usize;
+        batches[slot].push(SlotRecord::new(tenant, record.group, record.user));
+    }
+
+    let mut engine = FleetEngine::new(config, 1, 99);
+    engine.add_tenant(tenant);
+    let mut driver = FleetDriver::new(engine)
+        .with_source(tenant, SlotBatchSource::new(batches))
+        .expect("the tenant is onboarded and has no other source");
+    for observation in &report.slots {
+        driver.step().expect("a bound replay never misroutes");
+        let shard = driver.engine().tenant(tenant).expect("onboarded");
+        assert_eq!(
+            shard.forecast(),
+            observation.forecast.as_ref(),
+            "standing forecast after slot {}",
+            observation.index
+        );
+    }
+    let shard = driver.engine().tenant(tenant).expect("onboarded");
+    let bought: usize = report.slots.iter().map(|s| s.allocated_instances).sum();
+    assert_eq!(bought, shard.metrics().allocated_instance_slots);
+    assert_eq!(report.slots.len(), shard.metrics().slots);
+}
+
+#[test]
+fn system_is_a_one_tenant_fleet() {
+    // Fig. 2 has one control loop; the fleet runs it per tenant. Promotions
+    // spread the users over all three groups, so the slots are not trivial.
+    let config = SystemConfig::paper_three_groups()
+        .with_slot_length_ms(60_000.0)
+        .with_background_load(5)
+        .with_promotion_policy(PromotionPolicy::ResponseTimeThreshold {
+            threshold_ms: 400.0,
+        });
+    assert_system_equals_one_tenant_fleet(config.clone(), 21);
+    assert_system_equals_one_tenant_fleet(
+        config.with_datacenter(DatacenterConfig::paper_default()),
+        23,
+    );
 }
