@@ -1,6 +1,7 @@
-//! Regenerates `BENCH_snapshot.json`: checkpoint/restore wall-clock latency
-//! and wire bytes as the fleet grows, with every restore verified
-//! bit-identical against the uninterrupted run before it counts.
+//! Regenerates `BENCH_snapshot.json`: checkpoint wire bytes and sections as
+//! the fleet grows, with every restore verified bit-identical against the
+//! uninterrupted run. (Checkpoint and restore latency are measured by the
+//! end-to-end benchmark, `BENCHMARK.json`.)
 //!
 //! Run with `cargo run --release -p mca-bench --bin bench_snapshot`.
 //!

@@ -20,8 +20,8 @@
 //! the cold dense tableau, `bench_allocation` → `BENCH_allocation.json`),
 //! [`datacenter`] (the placement-policy sweep of the datacenter-backed
 //! bill stage, `bench_datacenter` → `BENCH_datacenter.json`) and
-//! [`snapshot`] (checkpoint/restore latency and wire bytes versus fleet
-//! size, `bench_snapshot` → `BENCH_snapshot.json`).
+//! [`snapshot`] (checkpoint wire bytes versus fleet size, every restore
+//! resumed bit-identically, `bench_snapshot` → `BENCH_snapshot.json`).
 
 #![forbid(unsafe_code)]
 

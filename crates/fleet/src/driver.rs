@@ -383,9 +383,10 @@ impl FleetDriver {
     ///
     /// Any [`SnapshotError::Io`] from the sink.
     pub fn checkpoint(&mut self, out: &mut impl Write) -> Result<SnapshotStats, SnapshotError> {
+        let mut body = self.engine.section_scratch();
         let mut writer = SnapshotWriter::new(out)?;
-        self.engine.write_sections(&mut writer)?;
-        let mut body = Vec::new();
+        self.engine.write_sections(&mut writer, &mut body)?;
+        body.clear();
         self.slots_driven.encode(&mut body);
         self.records_ingested.encode(&mut body);
         self.late_records.encode(&mut body);
@@ -401,7 +402,7 @@ impl FleetDriver {
         }
         writer.section(SECTION_DRIVER, &body)?;
         let stats = writer.finish()?;
-        self.engine.note_checkpoint(&stats);
+        self.engine.note_checkpoint(&stats, body);
         Ok(stats)
     }
 
@@ -428,8 +429,7 @@ impl FleetDriver {
     ) -> Result<Self, SnapshotError> {
         let mut reader = SnapshotReader::new(source)?;
         let mut engine = FleetEngine::read_sections(&mut reader, config)?;
-        let body = reader.section(SECTION_DRIVER)?;
-        let mut cur = Cursor::new(&body);
+        let mut cur = Cursor::new(reader.payload(SECTION_DRIVER)?);
         let slots_driven = usize::decode(&mut cur)?;
         let records_ingested = usize::decode(&mut cur)?;
         let late_records = usize::decode(&mut cur)?;

@@ -127,6 +127,10 @@ pub struct FleetEngine {
     /// Restores this engine went through (0 or 1; the drive history before a
     /// restore lives in the checkpoint's own counters).
     snapshot_restores: u64,
+    /// What the last checkpoint's section payload buffer had grown to; the
+    /// next one starts there ([`FleetEngine::section_scratch`]). The buffer
+    /// itself is not kept: it is as large as the largest shard section.
+    snapshot_scratch_capacity: usize,
 }
 
 impl FleetEngine {
@@ -168,6 +172,7 @@ impl FleetEngine {
             snapshot_bytes_read: 0,
             snapshot_sections: 0,
             snapshot_restores: 0,
+            snapshot_scratch_capacity: 0,
         }
     }
 
@@ -919,19 +924,24 @@ impl FleetEngine {
     ///
     /// Any [`SnapshotError::Io`] from the sink.
     pub fn checkpoint(&mut self, out: &mut impl Write) -> Result<SnapshotStats, SnapshotError> {
+        let mut scratch = self.section_scratch();
         let mut writer = SnapshotWriter::new(out)?;
-        self.write_sections(&mut writer)?;
+        self.write_sections(&mut writer, &mut scratch)?;
         let stats = writer.finish()?;
-        self.note_checkpoint(&stats);
+        self.note_checkpoint(&stats, scratch);
         Ok(stats)
     }
 
     /// Writes the engine's sections into an already-open writer — the shared
     /// body of [`FleetEngine::checkpoint`] and the driver checkpoint, which
-    /// appends its own cursor section before finishing the stream.
+    /// appends its own cursor section before finishing the stream. Every
+    /// section's payload is encoded into `scratch`
+    /// ([`FleetEngine::section_scratch`]), so the buffer grows to the largest
+    /// section once instead of once per section.
     pub(crate) fn write_sections<W: Write>(
         &self,
         writer: &mut SnapshotWriter<W>,
+        scratch: &mut Vec<u8>,
     ) -> Result<(), SnapshotError> {
         debug_assert!(
             self.shards
@@ -939,44 +949,52 @@ impl FleetEngine {
                 .all(|s| s.builders.iter().all(TimeSlotBuilder::is_empty)),
             "checkpoints are taken between slots"
         );
-        let mut meta = Vec::new();
-        self.seed.encode(&mut meta);
-        self.threads.encode(&mut meta);
-        self.slot_index.encode(&mut meta);
-        self.shards.len().encode(&mut meta);
+        scratch.clear();
+        self.seed.encode(scratch);
+        self.threads.encode(scratch);
+        self.slot_index.encode(scratch);
+        self.shards.len().encode(scratch);
         // a fingerprint of the configuration the checkpoint was taken under,
         // so restore can reject a disagreeing one instead of mis-resuming
-        self.config.slot_length_ms.encode(&mut meta);
-        self.config.groups.ids().encode(&mut meta);
-        writer.section(SECTION_META, &meta)?;
+        self.config.slot_length_ms.encode(scratch);
+        self.config.groups.ids().encode(scratch);
+        writer.section(SECTION_META, scratch)?;
         writer.encode_section(SECTION_ROUTER, &self.router)?;
-        let mut engine = Vec::new();
-        self.dropped_records.encode(&mut engine);
-        self.dropped_by_tenant.encode(&mut engine);
-        self.user_sharded.encode(&mut engine);
-        self.telemetry_mode.encode(&mut engine);
-        self.clock.encode(&mut engine);
-        self.slot_hist.encode(&mut engine);
-        self.critical_path_ns.encode(&mut engine);
-        writer.section(SECTION_ENGINE, &engine)?;
+        scratch.clear();
+        self.dropped_records.encode(scratch);
+        self.dropped_by_tenant.encode(scratch);
+        self.user_sharded.encode(scratch);
+        self.telemetry_mode.encode(scratch);
+        self.clock.encode(scratch);
+        self.slot_hist.encode(scratch);
+        self.critical_path_ns.encode(scratch);
+        writer.section(SECTION_ENGINE, scratch)?;
         writer.encode_section(SECTION_REBALANCER, &self.rebalancer)?;
-        let mut buf = Vec::new();
         for shard in &self.shards {
-            buf.clear();
-            shard.telemetry.encode(&mut buf);
-            shard.tenants.len().encode(&mut buf);
+            scratch.clear();
+            shard.telemetry.encode(scratch);
+            shard.tenants.len().encode(scratch);
             for tenant in &shard.tenants {
-                tenant.encode_state(&mut buf);
+                tenant.encode_state(scratch);
             }
-            writer.section(SECTION_SHARD, &buf)?;
+            writer.section(SECTION_SHARD, scratch)?;
         }
         Ok(())
     }
 
-    /// Credits a finished checkpoint to the engine's snapshot counters.
-    pub(crate) fn note_checkpoint(&mut self, stats: &SnapshotStats) {
+    /// An empty payload buffer for [`FleetEngine::write_sections`], sized
+    /// to what the previous checkpoint needed: one allocation, however large
+    /// the shards are.
+    pub(crate) fn section_scratch(&self) -> Vec<u8> {
+        Vec::with_capacity(self.snapshot_scratch_capacity)
+    }
+
+    /// Credits a finished checkpoint to the engine's snapshot counters and
+    /// remembers how large its payload buffer had to be.
+    pub(crate) fn note_checkpoint(&mut self, stats: &SnapshotStats, scratch: Vec<u8>) {
         self.snapshot_bytes_written += stats.bytes;
         self.snapshot_sections += u64::from(stats.sections);
+        self.snapshot_scratch_capacity = scratch.capacity();
     }
 
     /// Credits a finished restore to the engine's snapshot counters.
@@ -1017,8 +1035,7 @@ impl FleetEngine {
         reader: &mut SnapshotReader<R>,
         config: &SystemConfig,
     ) -> Result<Self, SnapshotError> {
-        let meta = reader.section(SECTION_META)?;
-        let mut cur = Cursor::new(&meta);
+        let mut cur = Cursor::new(reader.payload(SECTION_META)?);
         let seed = u64::decode(&mut cur)?;
         let threads = usize::decode(&mut cur)?;
         let slot_index = usize::decode(&mut cur)?;
@@ -1048,8 +1065,7 @@ impl FleetEngine {
                 context: "router shard count out of step with the engine",
             });
         }
-        let engine = reader.section(SECTION_ENGINE)?;
-        let mut cur = Cursor::new(&engine);
+        let mut cur = Cursor::new(reader.payload(SECTION_ENGINE)?);
         let dropped_records = usize::decode(&mut cur)?;
         let dropped_by_tenant = BTreeMap::<TenantId, usize>::decode(&mut cur)?;
         let user_sharded = BTreeSet::<TenantId>::decode(&mut cur)?;
@@ -1065,8 +1081,7 @@ impl FleetEngine {
         let rebalancer: Option<Rebalancer> = reader.decode_section(SECTION_REBALANCER)?;
         let mut shards = Vec::with_capacity(shard_count.min(4096));
         for index in 0..shard_count {
-            let payload = reader.section(SECTION_SHARD)?;
-            let mut cur = Cursor::new(&payload);
+            let mut cur = Cursor::new(reader.payload(SECTION_SHARD)?);
             let telemetry = ShardTelemetry::decode(&mut cur)?;
             let tenant_count = usize::decode(&mut cur)?;
             let mut tenants = Vec::with_capacity(tenant_count.min(4096));
@@ -1120,6 +1135,7 @@ impl FleetEngine {
             snapshot_bytes_read: 0,
             snapshot_sections: 0,
             snapshot_restores: 0,
+            snapshot_scratch_capacity: 0,
         })
     }
 }

@@ -6,7 +6,7 @@
 //! predictor learns from.
 
 use crate::task::TaskSpec;
-use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
+use mca_snapshot::{decode_le_run, encode_le_run, Cursor, Restore, Snapshot, SnapshotError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -83,10 +83,18 @@ macro_rules! impl_id_snapshot {
             fn encode(&self, out: &mut Vec<u8>) {
                 self.0.encode(out);
             }
+            fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+                encode_le_run(items, out, |id| id.0.to_le_bytes());
+            }
         }
         impl Restore for $id {
             fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
                 Ok(Self(<$repr>::decode(cur)?))
+            }
+            fn decode_many(cur: &mut Cursor<'_>, len: usize) -> Result<Vec<Self>, SnapshotError> {
+                decode_le_run(cur, len, stringify!($id), |word| {
+                    Self(<$repr>::from_le_bytes(word))
+                })
             }
         }
     )*};

@@ -156,10 +156,13 @@ impl From<io::Error> for SnapshotError {
     }
 }
 
-/// The IEEE CRC-32 lookup table (reflected, polynomial `0xEDB88320`),
-/// computed at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// The IEEE CRC-32 lookup tables (reflected, polynomial `0xEDB88320`) for
+/// slicing-by-16, computed at compile time: `CRC_TABLES[0]` is the classic
+/// bytewise table, and `CRC_TABLES[k][n]` is the CRC of byte `n` followed by
+/// `k` zero bytes, so sixteen input bytes fold into the running CRC with
+/// sixteen independent lookups instead of a sixteen-step dependency chain.
+const CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut n = 0;
     while n < 256 {
         let mut c = n as u32;
@@ -172,17 +175,45 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[n] = c;
+        tables[0][n] = c;
         n += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut n = 0;
+        while n < 256 {
+            let prev = tables[k - 1][n];
+            tables[k][n] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            n += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// IEEE CRC-32 of a byte slice (the zlib/PNG polynomial).
 pub fn crc32(data: &[u8]) -> u32 {
+    let word = |bytes: &[u8]| u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+    // folds one little-endian word that has `words_after` more words behind
+    // it in its 16-byte block: its last byte is `4 * words_after` bytes from
+    // the block's end, its first three bytes further
+    let fold = |w: u32, words_after: usize| {
+        let t = &CRC_TABLES[4 * words_after..4 * words_after + 4];
+        t[3][(w & 0xFF) as usize]
+            ^ t[2][((w >> 8) & 0xFF) as usize]
+            ^ t[1][((w >> 16) & 0xFF) as usize]
+            ^ t[0][(w >> 24) as usize]
+    };
     let mut c = 0xFFFF_FFFFu32;
-    for &byte in data {
-        c = CRC_TABLE[((c ^ u32::from(byte)) & 0xFF) as usize] ^ (c >> 8);
+    let mut blocks = data.chunks_exact(16);
+    for block in &mut blocks {
+        c = fold(word(&block[0..4]) ^ c, 3)
+            ^ fold(word(&block[4..8]), 2)
+            ^ fold(word(&block[8..12]), 1)
+            ^ fold(word(&block[12..16]), 0);
+    }
+    for &byte in blocks.remainder() {
+        c = CRC_TABLES[0][((c ^ u32::from(byte)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -237,7 +268,25 @@ impl<'a> Cursor<'a> {
 pub trait Snapshot {
     /// Appends this value's encoding to `out`.
     fn encode(&self, out: &mut Vec<u8>);
+
+    /// Appends the encodings of `items` back to back, with no length prefix
+    /// — the body of every `Vec<Self>` on the wire. Must produce exactly the
+    /// bytes of encoding each item in turn; fixed-width types override it to
+    /// move the run in one pass ([`encode_le_run`]).
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.encode(out);
+        }
+    }
 }
+
+/// [`Restore::decode_many`]'s default pre-allocates at most this many
+/// elements, so a corrupt length prefix cannot force a huge allocation
+/// before the payload bound catches it.
+const PREALLOC_CAP: usize = 4096;
 
 /// Deserializes a value from the snapshot wire format. Decoding must
 /// consume exactly the bytes [`Snapshot::encode`] produced and must never
@@ -245,6 +294,54 @@ pub trait Snapshot {
 pub trait Restore: Sized {
     /// Decodes one value from the cursor.
     fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError>;
+
+    /// Decodes `len` values laid back to back — the body of every
+    /// `Vec<Self>` on the wire. Must equal decoding each item in turn;
+    /// fixed-width types override it to claim the whole run with one bounds
+    /// check ([`decode_le_run`]). `len` comes off the wire: an
+    /// implementation must not allocate for it before the cursor has shown
+    /// the bytes are there.
+    fn decode_many(cur: &mut Cursor<'_>, len: usize) -> Result<Vec<Self>, SnapshotError> {
+        let mut items = Vec::with_capacity(len.min(PREALLOC_CAP));
+        for _ in 0..len {
+            items.push(Self::decode(cur)?);
+        }
+        Ok(items)
+    }
+}
+
+/// Appends `items` as a run of `W`-byte little-endian words: one `resize`,
+/// then one fill pass. The shared body of [`Snapshot::encode_slice`] for
+/// the fixed-width integers and for newtypes over them.
+pub fn encode_le_run<T, const W: usize>(
+    items: &[T],
+    out: &mut Vec<u8>,
+    to_le_bytes: impl Fn(&T) -> [u8; W],
+) {
+    let start = out.len();
+    out.resize(start + items.len() * W, 0);
+    let (words, _) = out[start..].as_chunks_mut::<W>();
+    for (word, item) in words.iter_mut().zip(items) {
+        *word = to_le_bytes(item);
+    }
+}
+
+/// Decodes `len` `W`-byte little-endian words: the run's `len × W` bytes are
+/// claimed from the cursor first (an overflowing or overlong `len` is
+/// [`SnapshotError::Truncated`], before anything is allocated) and
+/// collected after. The shared body of [`Restore::decode_many`] for the
+/// fixed-width integers and for newtypes over them.
+pub fn decode_le_run<T, const W: usize>(
+    cur: &mut Cursor<'_>,
+    len: usize,
+    context: &'static str,
+    from_le_bytes: impl Fn([u8; W]) -> T,
+) -> Result<Vec<T>, SnapshotError> {
+    let bytes = len
+        .checked_mul(W)
+        .ok_or(SnapshotError::Truncated { context })?;
+    let (words, _) = cur.take(bytes, context)?.as_chunks::<W>();
+    Ok(words.iter().map(|word| from_le_bytes(*word)).collect())
 }
 
 macro_rules! impl_le_int {
@@ -253,11 +350,17 @@ macro_rules! impl_le_int {
             fn encode(&self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_le_bytes());
             }
+            fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+                encode_le_run(items, out, |item| item.to_le_bytes());
+            }
         }
         impl Restore for $t {
             fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
                 let bytes = cur.take(std::mem::size_of::<$t>(), stringify!($t))?;
                 Ok(<$t>::from_le_bytes(bytes.try_into().expect("take returned the exact size")))
+            }
+            fn decode_many(cur: &mut Cursor<'_>, len: usize) -> Result<Vec<Self>, SnapshotError> {
+                decode_le_run(cur, len, stringify!($t), <$t>::from_le_bytes)
             }
         }
     )*};
@@ -331,37 +434,26 @@ impl<T: Restore> Restore for Option<T> {
     }
 }
 
-/// Decoded collection lengths pre-allocate at most this many elements, so a
-/// corrupt length prefix cannot force a huge allocation before the payload
-/// bound catches it.
-const PREALLOC_CAP: usize = 4096;
-
 impl<T: Snapshot> Snapshot for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         self.len().encode(out);
-        for item in self {
-            item.encode(out);
-        }
+        T::encode_slice(self, out);
     }
 }
 
 impl<T: Restore> Restore for Vec<T> {
     fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
         let len = usize::decode(cur)?;
-        let mut items = Vec::with_capacity(len.min(PREALLOC_CAP));
-        for _ in 0..len {
-            items.push(T::decode(cur)?);
-        }
-        Ok(items)
+        T::decode_many(cur, len)
     }
 }
 
 impl<T: Snapshot> Snapshot for VecDeque<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         self.len().encode(out);
-        for item in self {
-            item.encode(out);
-        }
+        let (front, back) = self.as_slices();
+        T::encode_slice(front, out);
+        T::encode_slice(back, out);
     }
 }
 
@@ -475,6 +567,9 @@ pub struct SnapshotWriter<W: Write> {
     sink: W,
     bytes: u64,
     sections: u32,
+    /// [`SnapshotWriter::encode_section`]'s payload buffer, reused across
+    /// sections: it grows to the largest one once per stream.
+    scratch: Vec<u8>,
 }
 
 impl<W: Write> SnapshotWriter<W> {
@@ -486,19 +581,27 @@ impl<W: Write> SnapshotWriter<W> {
             sink,
             bytes: 6,
             sections: 0,
+            scratch: Vec::new(),
         })
     }
 
     /// Writes one raw section.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `tag` is the reserved [`END_TAG`].
+    /// [`SnapshotError::Malformed`] when `tag` is the reserved [`END_TAG`]
+    /// (nothing is written), or any [`SnapshotError::Io`] from the sink.
     pub fn section(&mut self, tag: u16, payload: &[u8]) -> Result<(), SnapshotError> {
-        assert_ne!(tag, END_TAG, "END_TAG is reserved for the end marker");
-        self.sink.write_all(&tag.to_le_bytes())?;
-        self.sink.write_all(&(payload.len() as u64).to_le_bytes())?;
-        self.sink.write_all(&crc32(payload).to_le_bytes())?;
+        if tag == END_TAG {
+            return Err(SnapshotError::Malformed {
+                context: "END_TAG is reserved",
+            });
+        }
+        let mut header = [0u8; 14];
+        header[0..2].copy_from_slice(&tag.to_le_bytes());
+        header[2..10].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        header[10..14].copy_from_slice(&crc32(payload).to_le_bytes());
+        self.sink.write_all(&header)?;
         self.sink.write_all(payload)?;
         self.bytes += 14 + payload.len() as u64;
         self.sections += 1;
@@ -511,9 +614,12 @@ impl<W: Write> SnapshotWriter<W> {
         tag: u16,
         value: &T,
     ) -> Result<(), SnapshotError> {
-        let mut payload = Vec::new();
+        let mut payload = std::mem::take(&mut self.scratch);
+        payload.clear();
         value.encode(&mut payload);
-        self.section(tag, &payload)
+        let written = self.section(tag, &payload);
+        self.scratch = payload;
+        written
     }
 
     /// Writes the end marker, flushes, and reports what was written.
@@ -535,6 +641,9 @@ pub struct SnapshotReader<R: Read> {
     source: R,
     bytes: u64,
     sections: u32,
+    /// The current section's payload, lent out by
+    /// [`SnapshotReader::payload`] and reused for the next section.
+    payload: Vec<u8>,
 }
 
 impl<R: Read> SnapshotReader<R> {
@@ -558,12 +667,14 @@ impl<R: Read> SnapshotReader<R> {
             source,
             bytes: 6,
             sections: 0,
+            payload: Vec::new(),
         })
     }
 
     /// Reads the next section, which must carry `expected` as its tag, and
-    /// returns its CRC-verified payload.
-    pub fn section(&mut self, expected: u16) -> Result<Vec<u8>, SnapshotError> {
+    /// lends out its CRC-verified payload. The bytes live in the reader's
+    /// own buffer until the next section is read.
+    pub fn payload(&mut self, expected: u16) -> Result<&[u8], SnapshotError> {
         let tag = self.read_tag()?;
         if tag != expected {
             return Err(SnapshotError::UnexpectedSection {
@@ -577,17 +688,17 @@ impl<R: Read> SnapshotReader<R> {
         let stored_crc = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
         // Read through `take` so a corrupt (huge) length yields Truncated at
         // the real end of data instead of a pre-allocation blow-up.
-        let mut payload = Vec::new();
+        self.payload.clear();
         (&mut self.source)
             .take(len)
-            .read_to_end(&mut payload)
+            .read_to_end(&mut self.payload)
             .map_err(SnapshotError::from)?;
-        if payload.len() as u64 != len {
+        if self.payload.len() as u64 != len {
             return Err(SnapshotError::Truncated {
                 context: "section payload",
             });
         }
-        let computed_crc = crc32(&payload);
+        let computed_crc = crc32(&self.payload);
         if computed_crc != stored_crc {
             return Err(SnapshotError::CorruptSection {
                 tag,
@@ -597,14 +708,19 @@ impl<R: Read> SnapshotReader<R> {
         }
         self.bytes += 12 + len; // the tag's 2 bytes were counted in read_tag
         self.sections += 1;
-        Ok(payload)
+        Ok(&self.payload)
+    }
+
+    /// [`SnapshotReader::payload`], copied out into a buffer the caller
+    /// owns.
+    pub fn section(&mut self, expected: u16) -> Result<Vec<u8>, SnapshotError> {
+        self.payload(expected).map(<[u8]>::to_vec)
     }
 
     /// Reads the next section and decodes it as `T`, requiring the payload
     /// to be consumed exactly.
     pub fn decode_section<T: Restore>(&mut self, tag: u16) -> Result<T, SnapshotError> {
-        let payload = self.section(tag)?;
-        let mut cur = Cursor::new(&payload);
+        let mut cur = Cursor::new(self.payload(tag)?);
         let value = T::decode(&mut cur)?;
         if !cur.is_empty() {
             return Err(SnapshotError::Malformed {
@@ -662,6 +778,39 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// The textbook bit-at-a-time CRC-32 the sliced kernel must equal.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        !data.iter().fold(!0u32, |crc, &byte| {
+            (0..8).fold(crc ^ u32::from(byte), |c, _| {
+                (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg())
+            })
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// Every length around the 16-byte block size (empty, a lone tail,
+        /// up to eight blocks plus a tail), at every alignment of the
+        /// slice's start.
+        #[test]
+        fn crc32_matches_the_bytewise_reference(
+            raw in proptest::collection::vec(0u16..256, 146..147),
+        ) {
+            let buffer: Vec<u8> = raw.into_iter().map(|b| b as u8).collect();
+            for start in 0..16 {
+                for len in 0..=130 {
+                    let data = &buffer[start..start + len];
+                    proptest::prop_assert_eq!(
+                        crc32(data),
+                        crc32_bytewise(data),
+                        "start {}, length {}", start, len
+                    );
+                }
+            }
+        }
+    }
+
     fn write_two_sections() -> Vec<u8> {
         let mut buf = Vec::new();
         let mut writer = SnapshotWriter::new(&mut buf).unwrap();
@@ -715,6 +864,28 @@ mod tests {
         assert!(bool::decode(&mut cur).unwrap());
         assert_eq!(i64::decode(&mut cur).unwrap(), -5);
         assert!(cur.is_empty());
+    }
+
+    #[test]
+    fn a_wrapped_deque_encodes_in_logical_order() {
+        let mut deque: VecDeque<u32> = (0..8).collect();
+        for next in 8..11 {
+            deque.pop_front();
+            deque.push_back(next);
+        }
+        assert!(
+            !deque.as_slices().1.is_empty(),
+            "the ring must wrap for the two-run encoding to be exercised"
+        );
+        let mut out = Vec::new();
+        deque.encode(&mut out);
+        let mut flat = Vec::new();
+        Vec::from(deque.clone()).encode(&mut flat);
+        assert_eq!(out, flat);
+        assert_eq!(
+            VecDeque::<u32>::decode(&mut Cursor::new(&out)).unwrap(),
+            deque
+        );
     }
 
     #[test]
@@ -841,6 +1012,26 @@ mod tests {
             BTreeMap::<u32, u8>::decode(&mut cur).unwrap_err(),
             SnapshotError::Malformed { .. }
         ));
+    }
+
+    #[test]
+    fn the_end_tag_cannot_name_a_section() {
+        let mut buf = Vec::new();
+        let mut writer = SnapshotWriter::new(&mut buf).unwrap();
+        assert!(matches!(
+            writer.section(END_TAG, b"payload").unwrap_err(),
+            SnapshotError::Malformed {
+                context: "END_TAG is reserved"
+            }
+        ));
+        assert!(matches!(
+            writer.encode_section(END_TAG, &7u64).unwrap_err(),
+            SnapshotError::Malformed { .. }
+        ));
+        // the refused sections left no bytes behind
+        let stats = writer.finish().unwrap();
+        assert_eq!((stats.sections, stats.bytes), (0, 8));
+        assert_eq!(buf, b"MCAS\x04\x00\xFF\xFF");
     }
 
     #[test]

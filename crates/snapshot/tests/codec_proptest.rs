@@ -36,6 +36,17 @@ fn read_stream(bytes: &[u8], tags: &[u16]) -> Result<Vec<Vec<u8>>, SnapshotError
     Ok(payloads)
 }
 
+/// Decodes a one-section stream whose payload is a `Vec<T>` length prefix
+/// announcing `len` items followed by `body` — CRC-valid, so only the codec
+/// stands between the length and an allocation.
+fn decode_announced<T: Restore>(len: u64, body: &[u8]) -> Result<Vec<T>, SnapshotError> {
+    let mut payload = len.to_le_bytes().to_vec();
+    payload.extend_from_slice(body);
+    let bytes = build_stream(&[(1, payload)]);
+    let mut source = bytes.as_slice();
+    SnapshotReader::new(&mut source)?.decode_section(1)
+}
+
 /// Narrows the generated `(tag, wide-byte payload)` list to real sections
 /// (the vendored strategy set has no `u8` inclusive range, so payload bytes
 /// travel as `u16` and fold down here).
@@ -119,6 +130,33 @@ proptest! {
                 "version flip at {} gave {:?}", at, result
             ),
             _ => prop_assert!(result.is_err(), "body flip at {} restored: {:?}", at, result),
+        }
+    }
+
+    /// A length prefix that announces more items than the payload holds —
+    /// by one, by terabytes, or by enough that `len × width` overflows — is
+    /// a typed truncation on the bulk path (`u32`) and on the generic
+    /// capped-preallocation path (`(u32, f64)`) alike, never an attempt to
+    /// allocate what was announced.
+    #[test]
+    fn hostile_run_lengths_are_truncations(
+        raw in proptest::collection::vec(0u16..256, 0..64),
+        excess in 1u64..(1 << 40),
+    ) {
+        let body: Vec<u8> = raw.into_iter().map(|b| b as u8).collect();
+        for len in [1 << 61, (body.len() / 4) as u64 + excess] {
+            let bulk = decode_announced::<u32>(len, &body);
+            prop_assert!(
+                matches!(bulk, Err(SnapshotError::Truncated { .. })),
+                "{} u32s announced over {} bytes gave {:?}", len, body.len(), bulk
+            );
+        }
+        for len in [1 << 61, (body.len() / 12) as u64 + excess] {
+            let generic = decode_announced::<(u32, f64)>(len, &body);
+            prop_assert!(
+                matches!(generic, Err(SnapshotError::Truncated { .. })),
+                "{} pairs announced over {} bytes gave {:?}", len, body.len(), generic
+            );
         }
     }
 

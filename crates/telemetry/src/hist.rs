@@ -211,14 +211,13 @@ impl Snapshot for LatencyHistogram {
         self.sum.encode(out);
         self.min.encode(out);
         self.max.encode(out);
-        let nonzero: Vec<(u32, u64)> = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(index, &n)| (index as u32, n))
-            .collect();
-        nonzero.encode(out);
+        // a `Vec<(u32, u64)>` on the wire, written without building one
+        let nonzero = || self.buckets.iter().enumerate().filter(|(_, &n)| n > 0);
+        nonzero().count().encode(out);
+        for (index, &n) in nonzero() {
+            (index as u32).encode(out);
+            n.encode(out);
+        }
     }
 }
 

@@ -3,7 +3,8 @@
 //! times (the forecast itself plus the per-probe scratch), **independent of
 //! the history length** — the scan reuses one `DistanceScratch` per query
 //! instead of allocating per candidate. A second gate holds the fleet's
-//! slot ingest to a count **independent of the records per tenant**.
+//! slot ingest to a count **independent of the records per tenant**, and a
+//! third holds a warmed engine's checkpoint to the same.
 //!
 //! This lives in its own integration-test binary because the counting
 //! `#[global_allocator]` is process-wide.
@@ -161,11 +162,12 @@ fn indexed_probe_allocates_a_small_constant() {
     );
 }
 
-/// Allocations of one warmed `FleetDriver::step` over `tenants` steady
-/// tenants of `users` users each, spread over the three groups and fed in
-/// an interleaved arrival order with duplicates.
-fn warmed_step_allocations(tenants: u32, users: u32) -> usize {
-    let _serialized = MEASURE_LOCK.lock().expect("no poisoned measurements");
+/// A driver over `tenants` steady tenants of `users` users each, spread
+/// over the three groups and fed in an interleaved arrival order with
+/// duplicates, stepped past the history window so eviction, the builders'
+/// buffers and the allocation memo are all in steady state; one more slot
+/// is queued.
+fn warmed_driver(tenants: u32, users: u32) -> FleetDriver {
     let batch = || -> Vec<SlotRecord> {
         // a stride coprime to the user count visits every user, out of order
         (0..users + users / 4)
@@ -183,13 +185,18 @@ fn warmed_step_allocations(tenants: u32, users: u32) -> usize {
     engine.add_tenants((0..tenants).map(TenantId));
     let (lane, source) = SlotBatchSource::channel();
     let mut driver = FleetDriver::new(engine).with_shared_source(source);
-    // past the history window, so eviction, the builders' buffers and the
-    // allocation memo are all in steady state
     for _ in 0..40 {
         lane.push_slot(batch());
         driver.step().expect("a shared lane never misroutes");
     }
     lane.push_slot(batch());
+    driver
+}
+
+/// Allocations of one warmed `FleetDriver::step`.
+fn warmed_step_allocations(tenants: u32, users: u32) -> usize {
+    let _serialized = MEASURE_LOCK.lock().expect("no poisoned measurements");
+    let mut driver = warmed_driver(tenants, users);
     allocations_during(|| {
         driver.step().expect("a shared lane never misroutes");
     })
@@ -212,5 +219,44 @@ fn slot_ingest_allocations_do_not_grow_with_records_per_tenant() {
     assert!(
         light < more_tenants && more_tenants <= 2 * light,
         "allocations should scale with tenants: {light} for 6, {more_tenants} for 12"
+    );
+}
+
+/// Allocations of the second `FleetEngine::checkpoint` of a warmed engine
+/// into a buffer the caller keeps.
+fn warmed_checkpoint_allocations(tenants: u32, users: u32) -> usize {
+    let _serialized = MEASURE_LOCK.lock().expect("no poisoned measurements");
+    let mut engine = warmed_driver(tenants, users).into_engine();
+    let mut bytes = Vec::new();
+    engine
+        .checkpoint(&mut bytes)
+        .expect("a Vec sink cannot fail");
+    let first = bytes.len();
+    bytes.clear();
+    let allocations = allocations_during(|| {
+        engine
+            .checkpoint(&mut bytes)
+            .expect("a Vec sink cannot fail");
+    });
+    assert_eq!(bytes.len(), first, "nothing ticked between the checkpoints");
+    allocations
+}
+
+#[test]
+fn checkpoint_allocations_do_not_grow_with_users_per_tenant() {
+    let (light, heavy) = (
+        warmed_checkpoint_allocations(6, 100),
+        warmed_checkpoint_allocations(6, 1_000),
+    );
+    // the section payload buffer at its remembered size, the writer's own
+    // for the two small sections, the config fingerprint
+    assert!(
+        light < 16,
+        "a warmed checkpoint allocated {light} times; expected a small constant"
+    );
+    assert_eq!(
+        light, heavy,
+        "a warmed checkpoint allocated {light} times at 100 users per tenant and {heavy} at \
+         1,000: a section payload buffer is regrowing"
     );
 }

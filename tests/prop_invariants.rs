@@ -556,6 +556,87 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Checkpoint codec: runs
+// ---------------------------------------------------------------------------
+
+/// A `Vec<T>` travels as its length and then its items as one run
+/// (`Snapshot::encode_slice` / `Restore::decode_many`); whether `T` moves
+/// the run in bulk or item by item, the bytes and the values must be those
+/// of encoding and decoding each item in turn.
+fn assert_run_codec_matches_per_item<T>(items: Vec<T>) -> Result<(), TestCaseError>
+where
+    T: Snapshot + Restore + PartialEq + std::fmt::Debug,
+{
+    let mut per_item = Vec::new();
+    items.len().encode(&mut per_item);
+    for item in &items {
+        item.encode(&mut per_item);
+    }
+    let mut run = Vec::new();
+    items.encode(&mut run);
+    prop_assert_eq!(&run, &per_item);
+
+    let mut cur = Cursor::new(&per_item[8..]);
+    let decoded = T::decode_many(&mut cur, items.len()).expect("a well-formed run");
+    prop_assert!(cur.is_empty());
+    let mut cur = Cursor::new(&per_item[8..]);
+    for item in &decoded {
+        prop_assert_eq!(item, &T::decode(&mut cur).expect("a well-formed item"));
+    }
+    prop_assert_eq!(decoded, items);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The fixed-width integers and the id newtypes over them move their
+    /// runs in bulk, and a composite falls through to the per-item default:
+    /// same bytes, same values.
+    #[test]
+    fn run_codecs_match_the_per_item_codec(
+        bytes in proptest::collection::vec(0u16..256, 0..40),
+        halves in proptest::collection::vec(0u16..u16::MAX, 0..40),
+        words in proptest::collection::vec(0u32..u32::MAX, 0..40),
+        longs in proptest::collection::vec(0u64..u64::MAX, 0..40),
+        signed in proptest::collection::vec(i64::MIN..i64::MAX, 0..40),
+        pairs in proptest::collection::vec((0u32..u32::MAX, -1.0e9f64..1.0e9), 0..40),
+    ) {
+        let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
+        assert_run_codec_matches_per_item(bytes.iter().copied().map(AccelerationGroupId).collect())?;
+        assert_run_codec_matches_per_item(bytes)?;
+        assert_run_codec_matches_per_item(halves)?;
+        assert_run_codec_matches_per_item(words.iter().copied().map(UserId).collect())?;
+        assert_run_codec_matches_per_item(words.iter().copied().map(TenantId).collect())?;
+        assert_run_codec_matches_per_item(words)?;
+        assert_run_codec_matches_per_item(longs)?;
+        assert_run_codec_matches_per_item(signed)?;
+        assert_run_codec_matches_per_item(pairs)?;
+    }
+
+    /// A user run announcing more ids than the bytes that remain — or so
+    /// many that `len × 4` overflows — is a typed truncation, not an
+    /// allocation of what was announced.
+    #[test]
+    fn hostile_user_run_lengths_are_truncations(
+        users in proptest::collection::vec(0u32..u32::MAX, 0..40),
+        excess in 1u64..(1 << 40),
+    ) {
+        let users: Vec<UserId> = users.into_iter().map(UserId).collect();
+        let mut bytes = Vec::new();
+        users.encode(&mut bytes);
+        for len in [1u64 << 61, users.len() as u64 + excess] {
+            bytes[..8].copy_from_slice(&len.to_le_bytes());
+            let decoded = Vec::<UserId>::decode(&mut Cursor::new(&bytes));
+            prop_assert!(
+                matches!(decoded, Err(SnapshotError::Truncated { .. })),
+                "{} ids announced over {} gave {:?}", len, users.len(), decoded
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Cloud substrate and allocator
 // ---------------------------------------------------------------------------
 
