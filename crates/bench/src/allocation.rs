@@ -21,12 +21,14 @@
 //! same instances, same cost, same capacities — so the speedup can never
 //! come from answering a different question. `cargo run --release -p
 //! mca-bench --bin bench_allocation` regenerates `BENCH_allocation.json`
-//! at the repository root.
+//! at the repository root; `--check` re-runs the sweep and compares its
+//! counted columns with that file ([`count_differences`]).
 
 use mca_cloudsim::InstanceType;
 use mca_core::{AccelerationGroups, AllocationPolicy, ResourceAllocator, WorkloadForecast};
 use mca_lp::LpBackend;
 use mca_offload::AccelerationGroupId;
+use mca_telemetry::json::{self, JsonValue};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -182,6 +184,57 @@ impl AllocationBenchReport {
     }
 }
 
+/// The columns of a row that count work instead of timing it. They repeat
+/// exactly on any machine: a difference means the solver's arithmetic, a
+/// tie-break or the search order changed.
+pub const COUNT_COLUMNS: [&str; 8] = [
+    "groups",
+    "instance_types",
+    "forecasts",
+    "allocations_identical",
+    "nodes_mean",
+    "dense_pivots_mean",
+    "revised_pivots_mean",
+    "phase1_skip_rate",
+];
+
+/// Compares the [`COUNT_COLUMNS`] of two reports in their JSON form (what
+/// [`AllocationBenchReport::to_json`] writes and `BENCH_allocation.json`
+/// holds), row by row; the timing columns are ignored. Returns one line per
+/// difference.
+///
+/// # Errors
+///
+/// When either document is not a report.
+pub fn count_differences(expected: &str, actual: &str) -> Result<Vec<String>, String> {
+    let rows = |name: &str, document: &str| -> Result<Vec<JsonValue>, String> {
+        let parsed = json::parse(document).map_err(|e| format!("{name}: {e}"))?;
+        let rows = parsed.get("rows").and_then(JsonValue::as_array);
+        Ok(rows.ok_or(format!("{name}: no `rows` array"))?.to_vec())
+    };
+    let (expected, actual) = (rows("expected", expected)?, rows("actual", actual)?);
+    let mut differences = Vec::new();
+    if expected.len() != actual.len() {
+        differences.push(format!(
+            "{} rows expected, {} measured",
+            expected.len(),
+            actual.len()
+        ));
+    }
+    for (i, (e, a)) in expected.iter().zip(&actual).enumerate() {
+        for column in COUNT_COLUMNS {
+            if e.get(column).is_none() || e.get(column) != a.get(column) {
+                differences.push(format!(
+                    "row {i} `{column}`: {:?} expected, {:?} measured",
+                    e.get(column),
+                    a.get(column)
+                ));
+            }
+        }
+    }
+    Ok(differences)
+}
+
 /// Largest per-group forecast load, in concurrent users — the scale of the
 /// fleet benchmark's heavy tenants. Loads of this order need double-digit
 /// instance mixes (and brush against the account cap), while staying far
@@ -329,6 +382,41 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"allocations_identical\": true"));
         assert!(json.contains("\"instance_types\": 12"));
+    }
+
+    #[test]
+    fn the_count_check_reads_counts_and_ignores_timings() {
+        let workload = AllocationWorkload {
+            group_counts: vec![1, 2],
+            forecasts: 4,
+        };
+        let mut report = run(&workload, crate::DEFAULT_SEED);
+        let checked_in = report.to_json();
+        // another machine, another day: every timing differs
+        for row in &mut report.rows {
+            row.dense_ms *= 3.0;
+            row.revised_ms *= 0.5;
+        }
+        assert_eq!(
+            count_differences(&checked_in, &report.to_json()),
+            Ok(Vec::new())
+        );
+        // one more pivot in 4 solves moves the mean's printed digit
+        report.rows[1].revised_pivots_mean += 0.25;
+        report.rows[0].identical = false;
+        let differences = count_differences(&checked_in, &report.to_json()).unwrap();
+        assert_eq!(differences.len(), 2, "{differences:?}");
+        assert!(differences[0].contains("row 0 `allocations_identical`"));
+        assert!(differences[1].contains("row 1 `revised_pivots_mean`"));
+        report.rows.pop();
+        assert_eq!(
+            count_differences(&checked_in, &report.to_json())
+                .unwrap()
+                .len(),
+            2,
+            "a missing row is reported beside the remaining difference"
+        );
+        assert!(count_differences("{}", &checked_in).is_err());
     }
 
     #[test]

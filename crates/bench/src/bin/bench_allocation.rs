@@ -9,17 +9,25 @@
 //!   variables or if any allocation differs between the backends.
 //! * `--smoke`: a small CI gate; exits non-zero if the revised path is
 //!   slower than dense at ≥ 32 variables or any allocation differs.
+//! * `--check`: the deterministic half of the gate. Runs the default sweep,
+//!   writes nothing, and exits non-zero if a counted column of any row —
+//!   allocations identical, mean nodes, mean pivots per backend, phase-1
+//!   skip rate — differs from the checked-in `BENCH_allocation.json`; the
+//!   timing columns are not read.
 
 use mca_bench::allocation::{self, AllocationWorkload};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.first().map(String::as_str) == Some("--smoke");
-    if !smoke && !args.is_empty() {
-        eprintln!("usage: bench_allocation [--smoke]");
-        std::process::exit(2);
-    }
-    let (workload, speedup_gate) = if smoke {
+    let mode = match args.as_slice() {
+        [] => None,
+        [flag] if flag == "--smoke" || flag == "--check" => Some(flag.as_str()),
+        _ => {
+            eprintln!("usage: bench_allocation [--smoke | --check]");
+            std::process::exit(2);
+        }
+    };
+    let (workload, speedup_gate) = if mode == Some("--smoke") {
         (AllocationWorkload::smoke(), 1.0)
     } else {
         (AllocationWorkload::headline(), 3.0)
@@ -30,6 +38,22 @@ fn main() {
 
     let json = report.to_json();
     let path = "BENCH_allocation.json";
+    if mode == Some("--check") {
+        let checked_in = std::fs::read_to_string(path).expect("read BENCH_allocation.json");
+        match allocation::count_differences(&checked_in, &json) {
+            Ok(differences) if differences.is_empty() => {
+                println!("check: every counted column matches {path}");
+                return;
+            }
+            Ok(differences) => {
+                for difference in differences {
+                    eprintln!("ERROR: {difference}");
+                }
+            }
+            Err(malformed) => eprintln!("ERROR: {malformed}"),
+        }
+        std::process::exit(1);
+    }
     std::fs::write(path, &json).expect("write BENCH_allocation.json");
     println!("wrote {path}");
 

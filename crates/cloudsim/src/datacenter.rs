@@ -434,6 +434,20 @@ pub struct Datacenter {
     placements: Vec<PlacedInstance>,
 }
 
+/// What the instances of one type serving one group's demand have in
+/// common, whichever host each sits on.
+#[derive(Clone, Copy)]
+struct TypeShare {
+    instance_type: InstanceType,
+    vcpus: u32,
+    /// Users each instance serves.
+    share: usize,
+    /// Modeled response to that share on a host of its own, ms.
+    alone_ms: f64,
+    /// Users an instance admits before it drops the rest.
+    limit: usize,
+}
+
 impl Datacenter {
     /// Builds an empty datacenter from its configuration.
     pub fn new(config: &DatacenterConfig) -> Self {
@@ -487,7 +501,11 @@ impl Datacenter {
             .iter()
             .map(|h| Host::new(h.id, h.vcpus, h.memory_gib))
             .collect();
-        let mut placements = Vec::new();
+        let instances = per_group
+            .iter()
+            .flat_map(|(_, counts)| counts.iter().map(|&(_, count)| count))
+            .sum();
+        let mut placements = Vec::with_capacity(instances);
         for (group, counts) in per_group {
             for &(instance_type, count) in counts {
                 let spec = instance_type.spec();
@@ -550,40 +568,54 @@ impl Datacenter {
             if demand.demand == 0 {
                 continue;
             }
-            let members: Vec<&PlacedInstance> = self
-                .placements
-                .iter()
-                .filter(|p| p.group == demand.group)
-                .collect();
-            if members.is_empty() {
+            // the group's instances, in placement order: instances of one
+            // type sit next to each other
+            let members = || self.placements.iter().filter(|p| p.group == demand.group);
+            if members().next().is_none() {
                 // nothing serves the group: every user is both violated and
                 // dropped
                 out.violations += 1;
                 out.dropped_users += demand.demand;
                 continue;
             }
-            let weights: Vec<f64> = members
-                .iter()
+            let total_weight: f64 = members()
                 .map(|p| p.instance_type.spec().aggregate_throughput())
-                .collect();
-            let total_weight: f64 = weights.iter().sum();
+                .sum();
             let mut worst_response = 0.0f64;
-            for (placed, weight) in members.iter().zip(&weights) {
-                // each instance serves its throughput-proportional share of
-                // the demand, rounded up (users are indivisible)
-                let share = (demand.demand as f64 * weight / total_weight).ceil() as usize;
-                let server = Server::new(placed.instance_type);
+            let mut of_type: Option<TypeShare> = None;
+            for placed in members() {
+                let TypeShare {
+                    vcpus,
+                    share,
+                    alone_ms,
+                    limit,
+                    ..
+                } = match of_type {
+                    Some(known) if known.instance_type == placed.instance_type => known,
+                    _ => {
+                        let spec = placed.instance_type.spec();
+                        // each instance serves its throughput-proportional
+                        // share of the demand, rounded up (users are
+                        // indivisible)
+                        let share = (demand.demand as f64 * spec.aggregate_throughput()
+                            / total_weight)
+                            .ceil() as usize;
+                        let server = Server::new(placed.instance_type);
+                        *of_type.insert(TypeShare {
+                            instance_type: placed.instance_type,
+                            vcpus: spec.vcpus,
+                            share,
+                            alone_ms: server.expected_execution_ms(self.sla.work_units, share),
+                            limit: server.config().max_outstanding,
+                        })
+                    }
+                };
                 let host = &self.hosts[placed.host];
-                let foreign = host
-                    .used_vcpus
-                    .saturating_sub(placed.instance_type.spec().vcpus);
+                let foreign = host.used_vcpus.saturating_sub(vcpus);
                 let co_location = 1.0
                     + self.sla.co_location_penalty * f64::from(foreign)
                         / f64::from(host.vcpus.max(1));
-                let response =
-                    server.expected_execution_ms(self.sla.work_units, share) * co_location;
-                worst_response = worst_response.max(response);
-                let limit = server.config().max_outstanding;
+                worst_response = worst_response.max(alone_ms * co_location);
                 out.dropped_users += share.saturating_sub(limit);
             }
             if demand.demand > demand.capacity || worst_response > self.sla.target_response_ms {

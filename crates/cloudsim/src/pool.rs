@@ -178,15 +178,13 @@ impl InstancePool {
         }
         // Terminate surplus instances per type.
         for &(ty, wanted) in allocation {
-            let mut running: Vec<u64> = self
-                .instances
-                .iter()
-                .filter(|i| i.instance_type == ty)
-                .map(|i| i.id)
-                .collect();
-            while running.len() > wanted {
-                let id = running.pop().expect("non-empty by loop condition");
-                self.terminate(id, now_ms)?;
+            let of_type = |i: &&RunningInstance| i.instance_type == ty;
+            let running = self.instances.iter().filter(of_type).count();
+            for _ in wanted..running {
+                // the youngest goes first
+                if let Some(id) = self.instances.iter().rev().find(of_type).map(|i| i.id) {
+                    self.terminate(id, now_ms)?;
+                }
             }
         }
         // Terminate instances of types not present in the allocation at all.

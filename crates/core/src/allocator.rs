@@ -14,7 +14,7 @@ use crate::accel::AccelerationGroups;
 use crate::error::CoreError;
 use crate::predictor::WorkloadForecast;
 use mca_cloudsim::{InstanceType, Server};
-use mca_lp::{BranchBoundOptions, LpBackend, Problem, Sense, VarKind};
+use mca_lp::{BranchBoundOptions, LpBackend, Problem, Sense, Solution, SparseProblem, VarKind};
 use mca_offload::AccelerationGroupId;
 use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
 use serde::{Deserialize, Serialize};
@@ -169,16 +169,22 @@ pub struct ResourceAllocator {
     policy: AllocationPolicy,
     lp_backend: LpBackend,
     /// Cloud account instance cap (`CC`).
-    pub account_cap: usize,
+    account_cap: usize,
     /// Minimum number of instances kept running per group even when the
     /// predicted workload is zero (so that a newly promoted device always has
     /// a server to land on).
-    pub min_instances_per_group: usize,
+    min_instances_per_group: usize,
     /// Typical task work used to derive per-type capacities, work units.
     pub typical_work_units: f64,
     /// Per-type capacity under the response-time target, in concurrent users
     /// (the paper's `K_s`).
     capacities: Vec<(AccelerationGroupId, InstanceType, usize)>,
+    /// The §IV-C program over the fields above, compiled once with every
+    /// demand at zero: between two solves only the per-group demand
+    /// right-hand sides differ. A pure function of the other fields, rebuilt
+    /// by every `with_*` that changes one of them; `None` where no solve
+    /// would read it (the closed-form policies, the dense reference backend).
+    compiled: Option<SparseProblem>,
 }
 
 impl ResourceAllocator {
@@ -190,29 +196,43 @@ impl ResourceAllocator {
 
     /// Creates an allocator with an explicit policy.
     pub fn with_policy(groups: AccelerationGroups, policy: AllocationPolicy) -> Self {
+        Self::configured(groups, policy, mca_cloudsim::pool::DEFAULT_ACCOUNT_CAP)
+    }
+
+    /// [`with_policy`](Self::with_policy) and
+    /// [`with_account_cap`](Self::with_account_cap) in one step, so that
+    /// [`crate::SystemConfig::build_allocator`] — once per tenant, again at
+    /// every restore — compiles the program once.
+    pub(crate) fn configured(
+        groups: AccelerationGroups,
+        policy: AllocationPolicy,
+        account_cap: usize,
+    ) -> Self {
         let typical_work_units = 65.0;
         let capacities = Self::derive_capacities(&groups, typical_work_units);
         Self {
             groups,
             policy,
             lp_backend: LpBackend::default(),
-            account_cap: mca_cloudsim::pool::DEFAULT_ACCOUNT_CAP,
+            account_cap,
             min_instances_per_group: 1,
             typical_work_units,
             capacities,
+            compiled: None,
         }
+        .recompiled()
     }
 
     /// Overrides the account cap.
     pub fn with_account_cap(mut self, cap: usize) -> Self {
         self.account_cap = cap;
-        self
+        self.recompiled()
     }
 
     /// Overrides the per-group minimum.
     pub fn with_min_instances(mut self, min: usize) -> Self {
         self.min_instances_per_group = min;
-        self
+        self.recompiled()
     }
 
     /// Overrides the LP engine used by the ILP policy (the default is the
@@ -220,7 +240,32 @@ impl ResourceAllocator {
     /// [`LpBackend::DenseTableau`] selects the cold dense reference).
     pub fn with_lp_backend(mut self, backend: LpBackend) -> Self {
         self.lp_backend = backend;
+        self.recompiled()
+    }
+
+    /// Brings the compiled program in line with the parameters.
+    fn recompiled(mut self) -> Self {
+        let solves_compiled = self.policy == AllocationPolicy::IlpExact
+            && self.lp_backend == LpBackend::RevisedWarmStart;
+        // a program the solver would refuse stays uncompiled: the solve then
+        // builds it afresh and reports why
+        self.compiled = if solves_compiled {
+            self.ilp_problem(|_| 0).compile().ok()
+        } else {
+            None
+        };
         self
+    }
+
+    /// Cloud account instance cap (`CC`).
+    pub fn account_cap(&self) -> usize {
+        self.account_cap
+    }
+
+    /// Minimum number of instances kept running per group even when the
+    /// predicted workload is zero.
+    pub fn min_instances_per_group(&self) -> usize {
+        self.min_instances_per_group
     }
 
     /// The LP engine the ILP policy solves with.
@@ -281,9 +326,18 @@ impl ResourceAllocator {
         }
     }
 
-    fn allocate_ilp(&self, forecast: &WorkloadForecast) -> Result<Allocation, CoreError> {
+    /// Row of the compiled program that carries the demand of the group at
+    /// position `g` of `self.groups` (see [`Self::ilp_problem`]).
+    const fn demand_row(g: usize) -> usize {
+        2 * g
+    }
+
+    /// The §IV-C program: one integer variable per (group, instance type) in
+    /// group-then-type order; per group a capacity row (at least
+    /// `demand(group)` users served) followed by a minimum-instances row;
+    /// the account cap last.
+    fn ilp_problem(&self, demand: impl Fn(AccelerationGroupId) -> usize) -> Problem {
         let mut problem = Problem::minimize();
-        // one variable per (group, instance type)
         let mut vars = Vec::new();
         for group in self.groups.groups() {
             for &ty in &group.instance_types {
@@ -298,9 +352,7 @@ impl ResourceAllocator {
                 vars.push((group.id, ty, var));
             }
         }
-        // per-group capacity and minimum-instance constraints
         for group in self.groups.groups() {
-            let workload = forecast.load_of(group.id);
             let capacity_terms: Vec<(mca_lp::VarId, f64)> = vars
                 .iter()
                 .filter(|(g, _, _)| *g == group.id)
@@ -310,7 +362,7 @@ impl ResourceAllocator {
                 format!("capacity-{}", group.id),
                 &capacity_terms,
                 Sense::Ge,
-                workload as f64,
+                demand(group.id) as f64,
             );
             let count_terms: Vec<(mca_lp::VarId, f64)> = vars
                 .iter()
@@ -324,7 +376,6 @@ impl ResourceAllocator {
                 self.min_instances_per_group as f64,
             );
         }
-        // account cap
         let all_terms: Vec<(mca_lp::VarId, f64)> = vars.iter().map(|(_, _, v)| (*v, 1.0)).collect();
         problem.add_constraint(
             "account-cap",
@@ -332,38 +383,62 @@ impl ResourceAllocator {
             Sense::Le,
             self.account_cap as f64,
         );
+        problem
+    }
 
-        // one solve builds the sparse problem representation once and shares
-        // it across every branch-and-bound node (the dense reference backend
-        // instead rebuilds its tableau per node)
+    fn allocate_ilp(&self, forecast: &WorkloadForecast) -> Result<Allocation, CoreError> {
         let options = BranchBoundOptions {
             backend: self.lp_backend,
             ..Default::default()
         };
-        let solution =
-            problem
-                .solve_with(&options)
-                .map_err(|e| CoreError::AllocationInfeasible {
-                    reason: e.to_string(),
-                })?;
-
-        let mut per_group: Vec<(AccelerationGroupId, Vec<(InstanceType, usize)>)> = Vec::new();
-        for group in self.groups.groups() {
-            let counts: Vec<(InstanceType, usize)> = vars
-                .iter()
-                .filter(|(g, _, _)| *g == group.id)
-                .map(|(_, ty, var)| (*ty, solution.value_rounded(*var).max(0) as usize))
-                .filter(|(_, n)| *n > 0)
-                .collect();
-            per_group.push((group.id, counts));
+        let solution = match &self.compiled {
+            // the compiled program takes this forecast's demands and
+            // nothing else
+            Some(compiled) => {
+                let demands: Vec<(usize, f64)> = self
+                    .groups
+                    .groups()
+                    .iter()
+                    .enumerate()
+                    .map(|(g, group)| (Self::demand_row(g), forecast.load_of(group.id) as f64))
+                    .collect();
+                compiled.solve_with_rhs(&demands, &options)
+            }
+            None => self
+                .ilp_problem(|group| forecast.load_of(group))
+                .solve_with(&options),
         }
+        .map_err(|e| CoreError::AllocationInfeasible {
+            reason: e.to_string(),
+        })?;
+        Ok(self.allocation_of(&solution))
+    }
+
+    /// Reads a solution of [`Self::ilp_problem`] back into an allocation.
+    fn allocation_of(&self, solution: &Solution) -> Allocation {
+        let mut values = solution.values.iter();
+        let per_group = self
+            .groups
+            .groups()
+            .iter()
+            .map(|group| {
+                let counts: Vec<(InstanceType, usize)> = group
+                    .instance_types
+                    .iter()
+                    .zip(&mut values)
+                    .map(|(&ty, value)| (ty, (value.round() as i64).max(0) as usize))
+                    .filter(|(_, n)| *n > 0)
+                    .collect();
+                (group.id, counts)
+            })
+            .collect();
         let mut allocation = self.build_allocation(per_group);
         allocation.stats = AllocationStats {
             nodes: solution.stats.nodes,
             pivots: solution.stats.pivots,
             phase1_skips: solution.stats.phase1_skips,
         };
-        Ok(allocation)
+        allocation
     }
 
     fn allocate_greedy(

@@ -168,8 +168,11 @@ impl SystemConfig {
     /// Builds a resource allocator configured exactly as [`crate::System`]
     /// would build its own: same groups, policy and account cap.
     pub fn build_allocator(&self) -> ResourceAllocator {
-        ResourceAllocator::with_policy(self.groups.clone(), self.allocation_policy)
-            .with_account_cap(self.account_cap)
+        ResourceAllocator::configured(
+            self.groups.clone(),
+            self.allocation_policy,
+            self.account_cap,
+        )
     }
 
     /// Builds an instance pool capped at this configuration's account cap.
@@ -233,7 +236,7 @@ mod tests {
         assert_eq!(predictor.history().window(), Some(5));
         let allocator = c.build_allocator();
         assert_eq!(allocator.policy(), AllocationPolicy::GreedyCheapest);
-        assert_eq!(allocator.account_cap, c.account_cap);
+        assert_eq!(allocator.account_cap(), c.account_cap);
         assert_eq!(c.build_pool().account_cap(), c.account_cap);
         // billing defaults to arithmetic; the datacenter knob switches the
         // engine and threads the placement policy through

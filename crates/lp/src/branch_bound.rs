@@ -1,17 +1,18 @@
 //! Branch-and-bound search over LP relaxations for integer variables.
 
 use crate::error::LpError;
-use crate::model::{Objective, Problem, Sense, Solution, SolveStats, VarKind};
+use crate::model::{Problem, Sense, Solution, SolveStats};
 use crate::simplex::{SimplexOutcome, SimplexSolver};
-use crate::sparse::{Basis, SparseOutcome, SparseProblem};
+use crate::sparse::{Relaxed, SparseProblem, WarmStart, Workspace};
 use crate::VarId;
 use serde::{Deserialize, Serialize};
+use std::rc::Rc;
 
 /// Which LP engine solves the relaxation at every branch-and-bound node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum LpBackend {
     /// Sparse revised simplex over one shared problem representation;
-    /// every child node warm-starts from its parent's optimal [`Basis`]
+    /// every child node warm-starts from its parent's optimal [`crate::Basis`]
     /// through dual-simplex re-entry (phase 1 is skipped).
     #[default]
     RevisedWarmStart,
@@ -47,53 +48,68 @@ impl Default for BranchBoundOptions {
     }
 }
 
-#[derive(Debug, Clone)]
+/// A node that branched: the bound it added to its own parent's, and what
+/// its two children share.
+struct Branch {
+    /// `None` at the root.
+    bound: Option<(VarId, Sense, f64)>,
+    up: Option<Rc<Branch>>,
+    /// Optimal basis of this node's relaxation with its factorization
+    /// (revised backend, and only when the basis is reusable): the children
+    /// re-enter from it instead of solving cold.
+    warm: Option<WarmStart>,
+}
+
+/// An open node: its parent's bounds plus one.
 struct Node {
-    bounds: Vec<(VarId, Sense, f64)>,
-    /// Optimal basis of the parent relaxation (revised backend only).
-    parent_basis: Option<Basis>,
+    /// `None` at the root.
+    bound: Option<(VarId, Sense, f64)>,
+    parent: Option<Rc<Branch>>,
 }
 
-/// Outcome of one node relaxation, backend-agnostic.
-enum NodeLp {
-    Optimal {
-        objective: f64,
-        values: Vec<f64>,
-        pivots: usize,
-        phase1_skipped: bool,
-        basis: Option<Basis>,
-    },
-    Infeasible,
-    Unbounded,
+impl Node {
+    /// The node's branching bounds, its own first and the root's child's
+    /// last.
+    fn bounds(&self) -> impl Iterator<Item = (VarId, Sense, f64)> + '_ {
+        let ancestors = std::iter::successors(self.parent.as_deref(), |b| b.up.as_deref());
+        self.bound
+            .into_iter()
+            .chain(ancestors.filter_map(|b| b.bound))
+    }
 }
 
-/// Solves `problem` (which may contain integer variables) by branch-and-bound.
-pub(crate) fn solve(problem: &Problem, options: &BranchBoundOptions) -> Result<Solution, LpError> {
-    let maximize = problem.objective_sense() == Objective::Maximize;
-    let integer_vars: Vec<usize> = problem
-        .variables()
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| v.kind == VarKind::Integer)
-        .map(|(j, _)| j)
-        .collect();
-
-    // The sparse row representation is built once and shared by every node;
-    // only the per-node variable bounds differ.
-    let sparse = match options.backend {
-        LpBackend::RevisedWarmStart => Some(SparseProblem::from_problem(problem)),
-        LpBackend::DenseTableau => None,
-    };
+/// Solves the compiled problem `sp` — integer variables included — by
+/// branch-and-bound, with the listed `(row, value)` right-hand sides
+/// replaced, every node working in `ws`. `dense` is the [`Problem`] `sp` was
+/// compiled from when the dense reference is to solve the node relaxations
+/// (it cannot work from the compiled form, and sees no replaced right-hand
+/// side).
+pub(crate) fn solve(
+    sp: &SparseProblem,
+    dense: Option<&Problem>,
+    rhs: &[(usize, f64)],
+    options: &BranchBoundOptions,
+    ws: &mut Workspace,
+) -> Result<Solution, LpError> {
+    ws.begin(sp, rhs)?;
+    if sp.num_vars() == 0 {
+        return Ok(Solution {
+            objective: 0.0,
+            values: Vec::new(),
+            stats: SolveStats::default(),
+        });
+    }
+    let maximize = sp.maximizes();
+    let integer_vars = sp.integers();
 
     let mut stack = vec![Node {
-        bounds: Vec::new(),
-        parent_basis: None,
+        bound: None,
+        parent: None,
     }];
     let mut incumbent: Option<Solution> = None;
     let mut nodes = 0usize;
     let mut pivots = 0usize;
     let mut phase1_skips = 0usize;
-    let mut root_infeasible = true;
     let mut root_unbounded = false;
 
     while let Some(node) = stack.pop() {
@@ -102,60 +118,56 @@ pub(crate) fn solve(problem: &Problem, options: &BranchBoundOptions) -> Result<S
         }
         nodes += 1;
 
-        let relaxation = match &sparse {
-            Some(sp) => {
-                let outcome = match &node.parent_basis {
-                    Some(basis) => sp.solve_warm(&node.bounds, basis)?,
-                    None => sp.solve_cold(&node.bounds)?,
-                };
-                match outcome {
-                    SparseOutcome::Optimal(sol) => NodeLp::Optimal {
-                        objective: sol.objective,
-                        values: sol.values,
-                        pivots: sol.pivots,
-                        // a stalled warm attempt that restarted cold is not a
-                        // phase-1 skip, even if the cold solve needed none
-                        phase1_skipped: sol.warm_started,
-                        basis: sol.basis,
-                    },
-                    SparseOutcome::Infeasible => NodeLp::Infeasible,
-                    SparseOutcome::Unbounded => NodeLp::Unbounded,
+        // either backend leaves the optimal values in the workspace
+        let relaxation = match dense {
+            None => {
+                let warm = node
+                    .parent
+                    .as_deref()
+                    .and_then(|branch| branch.warm.as_ref())
+                    .map(WarmStart::as_warm);
+                ws.relax(sp, node.bounds(), warm)?
+            }
+            Some(problem) => {
+                // the tableau takes each bound as a row, in root-to-node order
+                let mut bounds: Vec<(VarId, Sense, f64)> = node.bounds().collect();
+                bounds.reverse();
+                match SimplexSolver::from_problem(problem, &bounds).solve_dense()? {
+                    SimplexOutcome::Optimal {
+                        objective,
+                        values,
+                        pivots,
+                    } => {
+                        ws.values = values;
+                        Relaxed::Optimal {
+                            objective,
+                            pivots,
+                            used_phase1: true,
+                            warm_started: false,
+                        }
+                    }
+                    SimplexOutcome::Infeasible => Relaxed::Infeasible,
+                    SimplexOutcome::Unbounded => Relaxed::Unbounded,
                 }
             }
-            None => match SimplexSolver::from_problem(problem, &node.bounds).solve_dense()? {
-                SimplexOutcome::Optimal {
-                    objective,
-                    values,
-                    pivots,
-                } => NodeLp::Optimal {
-                    objective,
-                    values,
-                    pivots,
-                    phase1_skipped: false,
-                    basis: None,
-                },
-                SimplexOutcome::Infeasible => NodeLp::Infeasible,
-                SimplexOutcome::Unbounded => NodeLp::Unbounded,
-            },
         };
 
-        let (objective, values, node_basis) = match relaxation {
-            NodeLp::Optimal {
+        let objective = match relaxation {
+            Relaxed::Optimal {
                 objective,
-                values,
                 pivots: node_pivots,
-                phase1_skipped,
-                basis,
+                warm_started,
+                ..
             } => {
                 pivots += node_pivots;
-                if phase1_skipped {
-                    phase1_skips += 1;
-                }
-                (objective, values, basis)
+                // a stalled warm attempt that restarted cold is not a
+                // phase-1 skip, even if the cold solve needed none
+                phase1_skips += usize::from(warm_started);
+                objective
             }
-            NodeLp::Infeasible => continue,
-            NodeLp::Unbounded => {
-                if node.bounds.is_empty() {
+            Relaxed::Infeasible => continue,
+            Relaxed::Unbounded => {
+                if node.parent.is_none() {
                     root_unbounded = true;
                 }
                 // An unbounded relaxation at the root means the ILP is
@@ -164,7 +176,6 @@ pub(crate) fn solve(problem: &Problem, options: &BranchBoundOptions) -> Result<S
                 continue;
             }
         };
-        root_infeasible = false;
 
         // Bound: prune nodes that cannot beat the incumbent.
         if let Some(ref inc) = incumbent {
@@ -182,7 +193,7 @@ pub(crate) fn solve(problem: &Problem, options: &BranchBoundOptions) -> Result<S
         let fractional = integer_vars
             .iter()
             .map(|&j| {
-                let x = values[j];
+                let x = ws.values[j];
                 let frac = (x - x.round()).abs();
                 (j, x, frac)
             })
@@ -193,11 +204,10 @@ pub(crate) fn solve(problem: &Problem, options: &BranchBoundOptions) -> Result<S
             None => {
                 // Integral solution: round the integer coordinates exactly and
                 // keep it if it improves the incumbent.
-                let mut vals = values;
-                for &j in &integer_vars {
-                    vals[j] = vals[j].round();
+                for &j in integer_vars {
+                    ws.values[j] = ws.values[j].round();
                 }
-                let obj = problem.objective_value(&vals);
+                let obj = sp.objective_value(&ws.values);
                 let better = match &incumbent {
                     None => true,
                     Some(inc) => {
@@ -209,38 +219,43 @@ pub(crate) fn solve(problem: &Problem, options: &BranchBoundOptions) -> Result<S
                     }
                 };
                 if better {
-                    incumbent = Some(Solution {
+                    let solution = incumbent.get_or_insert_with(|| Solution {
                         objective: obj,
-                        values: vals,
-                        stats: SolveStats {
-                            nodes,
-                            pivots,
-                            phase1_skips,
-                        },
+                        values: Vec::new(),
+                        stats: SolveStats::default(),
                     });
+                    solution.objective = obj;
+                    solution.values.clone_from(&ws.values);
+                    solution.stats = SolveStats {
+                        nodes,
+                        pivots,
+                        phase1_skips,
+                    };
                 }
             }
             Some((j, x, _frac)) => {
                 let var = VarId(j);
-                let floor = x.floor();
-                let ceil = x.ceil();
-                let mut down = node.bounds.clone();
-                down.push((var, Sense::Le, floor));
-                let mut up = node.bounds.clone();
-                up.push((var, Sense::Ge, ceil));
+                // Both children re-enter the revised simplex from this
+                // node's optimal basis, through one shared factorization.
+                let branch = Rc::new(Branch {
+                    bound: node.bound,
+                    up: node.parent,
+                    warm: match dense {
+                        None => ws.warm_start(sp),
+                        Some(_) => None,
+                    },
+                });
                 // Depth-first: push the "up" branch last so it is explored
                 // first — for covering-style minimization problems (like the
                 // paper's allocation) rounding up tends to reach feasibility
-                // quickly and yields early incumbents for pruning. Both
-                // children re-enter the revised simplex from this node's
-                // optimal basis.
+                // quickly and yields early incumbents for pruning.
                 stack.push(Node {
-                    bounds: down,
-                    parent_basis: node_basis.clone(),
+                    bound: Some((var, Sense::Le, x.floor())),
+                    parent: Some(Rc::clone(&branch)),
                 });
                 stack.push(Node {
-                    bounds: up,
-                    parent_basis: node_basis,
+                    bound: Some((var, Sense::Ge, x.ceil())),
+                    parent: Some(branch),
                 });
             }
         }
@@ -256,7 +271,6 @@ pub(crate) fn solve(problem: &Problem, options: &BranchBoundOptions) -> Result<S
             Ok(sol)
         }
         None if root_unbounded => Err(LpError::Unbounded),
-        None if root_infeasible => Err(LpError::Infeasible),
         None => Err(LpError::Infeasible),
     }
 }
@@ -264,7 +278,7 @@ pub(crate) fn solve(problem: &Problem, options: &BranchBoundOptions) -> Result<S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Problem, VarKind};
+    use crate::model::{Objective, Problem, VarKind};
 
     /// Brute-force reference for small integer problems over a box.
     fn brute_force_min(problem: &Problem, max_value: i64) -> Option<(f64, Vec<f64>)> {
@@ -491,5 +505,250 @@ mod tests {
         let sol = p.solve().unwrap();
         let (bf, _) = brute_force_min(&p, 5).unwrap();
         assert!((sol.objective - bf).abs() < 1e-9);
+    }
+
+    /// The structure of a random covering ILP, apart from its right-hand
+    /// sides: what a caller compiles once.
+    struct Shape {
+        /// `(kind, upper, cost)` per variable.
+        vars: Vec<(VarKind, Option<f64>, f64)>,
+        /// `(terms, sense)` per row.
+        rows: Vec<(Vec<(usize, f64)>, Sense)>,
+    }
+
+    impl Shape {
+        /// 2–12 columns under 1–6 rows (or none at all): covering rows
+        /// (`>=`, so a positive demand starts in phase 1), instance-count
+        /// caps (`<=`, the source of infeasibility) and, one catalogue in
+        /// four, a single price for every column (ties under Bland's rule).
+        fn random(rng: &mut XorShift, rows: usize) -> Self {
+            let n = 2 + rng.below(11);
+            let equal_price = rng.below(4) == 0;
+            let vars = (0..n)
+                .map(|_| {
+                    let kind = if rng.below(5) == 0 {
+                        VarKind::Continuous
+                    } else {
+                        VarKind::Integer
+                    };
+                    let upper = (rng.below(6) != 0).then(|| 2.0 + rng.below(9) as f64);
+                    let cost = if equal_price {
+                        1.0
+                    } else {
+                        rng.uniform(0.05, 3.0)
+                    };
+                    (kind, upper, cost)
+                })
+                .collect();
+            let rows = (0..rows)
+                .map(|_| {
+                    let cover = rng.below(3) != 0;
+                    let terms = (0..n)
+                        .filter_map(|j| {
+                            let a = if cover {
+                                rng.uniform(1.0, 12.0).round()
+                            } else {
+                                1.0
+                            };
+                            (rng.below(3) != 0).then_some((j, a))
+                        })
+                        .collect();
+                    (terms, if cover { Sense::Ge } else { Sense::Le })
+                })
+                .collect();
+            Self { vars, rows }
+        }
+
+        /// Right-hand sides for the rows: demands to cover, caps to respect.
+        fn random_rhs(&self, rng: &mut XorShift) -> Vec<f64> {
+            self.rows
+                .iter()
+                .map(|(_, sense)| match sense {
+                    Sense::Ge => rng.uniform(0.0, 70.0).round(),
+                    _ => rng.uniform(1.0, 14.0).round(),
+                })
+                .collect()
+        }
+
+        fn problem(&self, rhs: &[f64]) -> Problem {
+            let mut p = Problem::minimize();
+            let ids: Vec<VarId> = self
+                .vars
+                .iter()
+                .enumerate()
+                .map(|(j, &(kind, upper, cost))| p.add_var(format!("x{j}"), kind, 0.0, upper, cost))
+                .collect();
+            for (r, ((terms, sense), &rhs)) in self.rows.iter().zip(rhs).enumerate() {
+                let terms: Vec<(VarId, f64)> = terms.iter().map(|&(j, a)| (ids[j], a)).collect();
+                p.add_constraint(format!("r{r}"), &terms, *sense, rhs);
+            }
+            p
+        }
+    }
+
+    /// `problem` solved alone: compiled afresh, in a workspace of its own.
+    fn alone(problem: &Problem, budget: usize) -> Result<Solution, LpError> {
+        problem
+            .compile()?
+            .with_max_iterations(budget)
+            .solve_with_rhs(&[], &BranchBoundOptions::default())
+    }
+
+    fn assert_same(
+        shared: &Result<Solution, LpError>,
+        alone: &Result<Solution, LpError>,
+        what: &str,
+    ) {
+        match (shared, alone) {
+            (Ok(s), Ok(a)) => {
+                let bits =
+                    |sol: &Solution| sol.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(s), bits(a), "{what}: values");
+                assert_eq!(s.objective.to_bits(), a.objective.to_bits(), "{what}");
+                assert_eq!(s.stats, a.stats, "{what}");
+            }
+            (Err(s), Err(a)) => assert_eq!(s, a, "{what}"),
+            (s, a) => panic!("{what}: shared {s:?} vs alone {a:?}"),
+        }
+    }
+
+    #[test]
+    fn one_workspace_serves_problems_of_every_shape_without_leaking_state() {
+        // Problems of different shapes solved back to back through ONE
+        // workspace, each structure compiled once and re-solved under
+        // successively replaced right-hand sides: every outcome — values,
+        // objective bits, node / pivot / skip counts, errors — must be the
+        // one the same problem gives when built, compiled and solved alone.
+        let options = BranchBoundOptions::default();
+        let mut rng = XorShift(0x2545_F491_4F6C_DD1D);
+        let mut ws = Workspace::default();
+        let (mut optimal, mut infeasible, mut branched, mut phase1, mut limited) = (0, 0, 0, 0, 0);
+        for case in 0..160 {
+            // an unconstrained problem every eighth case, between two
+            // constrained ones
+            let rows = if case % 8 == 3 { 0 } else { 1 + rng.below(6) };
+            let shape = Shape::random(&mut rng, rows);
+            // one case in five runs on a pivot budget small enough to stall
+            // warm re-entries into their cold fallback, or to fail outright
+            let budget = if rng.below(5) == 0 {
+                1 + rng.below(12)
+            } else {
+                20_000
+            };
+            let base = shape.random_rhs(&mut rng);
+            let compiled = shape
+                .problem(&base)
+                .compile()
+                .expect("valid")
+                .with_max_iterations(budget);
+            for round in 0..4 {
+                // a random subset of the rows replaced, the others as compiled
+                let mut rhs = base.clone();
+                let mut replaced = Vec::new();
+                for (row, value) in shape.random_rhs(&mut rng).into_iter().enumerate() {
+                    if rng.below(3) != 0 {
+                        rhs[row] = value;
+                        replaced.push((row, value));
+                    }
+                }
+                let shared = solve(&compiled, None, &replaced, &options, &mut ws);
+                let alone = alone(&shape.problem(&rhs), budget);
+                assert_same(&shared, &alone, &format!("case {case} round {round}"));
+                match &alone {
+                    Ok(sol) => {
+                        optimal += 1;
+                        branched += usize::from(sol.stats.nodes > 1);
+                        phase1 += usize::from(sol.stats.pivots > 0);
+                    }
+                    Err(LpError::Infeasible) => infeasible += 1,
+                    Err(LpError::IterationLimit) => limited += 1,
+                    Err(other) => panic!("case {case} round {round}: {other}"),
+                }
+            }
+        }
+        assert!(
+            optimal > 200 && infeasible > 40 && branched > 60 && phase1 > 100 && limited > 5,
+            "the sweep must reach every regime: {optimal} optimal, {infeasible} infeasible, \
+             {branched} branched, {phase1} pivoted, {limited} out of budget"
+        );
+    }
+
+    #[test]
+    fn an_infeasible_right_hand_side_leaves_nothing_behind() {
+        // min x + 1.3 y, 2x + 3y >= demand, x + y <= 4: a demand the cap
+        // cannot cover, then one it can, through the same workspace
+        let build = |demand: f64| {
+            let mut p = Problem::minimize();
+            let x = p.add_var("x", VarKind::Integer, 0.0, Some(10.0), 1.0);
+            let y = p.add_var("y", VarKind::Integer, 0.0, Some(10.0), 1.3);
+            p.add_constraint("cover", &[(x, 2.0), (y, 3.0)], Sense::Ge, demand);
+            p.add_constraint("cap", &[(x, 1.0), (y, 1.0)], Sense::Le, 4.0);
+            p
+        };
+        let compiled = build(0.0).compile().unwrap();
+        let options = BranchBoundOptions::default();
+        let mut ws = Workspace::default();
+        for demand in [100.0, 10.5, 13.0, 0.0, 11.5] {
+            let shared = solve(&compiled, None, &[(0, demand)], &options, &mut ws);
+            assert_eq!(shared.is_err(), demand > 12.0, "demand {demand}");
+            assert_same(&shared, &build(demand).solve(), &format!("demand {demand}"));
+        }
+        assert_eq!(
+            compiled.solve_with_rhs(&[(2, 1.0)], &options),
+            Err(LpError::UnknownRow { index: 2 })
+        );
+        assert!(matches!(
+            compiled.solve_with_rhs(&[(0, f64::NAN)], &options),
+            Err(LpError::NonFiniteInput { .. })
+        ));
+    }
+
+    #[test]
+    fn a_stalled_warm_re_entry_restarts_cold_in_the_same_workspace() {
+        // max x, 2x <= 5, x integer in [0, 10], two iterations per attempt:
+        // the root pivots once and checks; the `x <= 2` child re-enters warm,
+        // pivots once, checks, and has no iteration left for its polish, so
+        // it restarts cold (one bound flip, one check) on a fresh budget
+        let mut p = Problem::maximize();
+        let x = p.add_var("x", VarKind::Integer, 0.0, Some(10.0), 1.0);
+        p.add_constraint("c", &[(x, 2.0)], Sense::Le, 5.0);
+        let stalled = alone(&p, 2).unwrap();
+        assert_eq!(stalled.values, [2.0]);
+        assert_eq!(
+            stalled.stats,
+            SolveStats {
+                nodes: 3,
+                // the root's pivot; the warm attempt's is discarded with it
+                pivots: 1,
+                phase1_skips: 0
+            },
+            "the child that reached the optimum did so cold"
+        );
+        assert_eq!(
+            p.solve().unwrap().stats.phase1_skips,
+            1,
+            "and warm otherwise"
+        );
+
+        // the same through a workspace another problem has just used, and
+        // that problem again afterwards
+        let mut q = Problem::minimize();
+        let a = q.add_var("a", VarKind::Integer, 0.0, Some(10.0), 1.0);
+        let b = q.add_var("b", VarKind::Integer, 0.0, Some(10.0), 1.3);
+        q.add_constraint("c", &[(a, 2.0), (b, 3.0)], Sense::Ge, 12.5);
+        q.add_constraint("cc", &[(a, 1.0), (b, 1.0)], Sense::Le, 8.0);
+        let options = BranchBoundOptions::default();
+        let (sp, sq) = (
+            p.compile().unwrap().with_max_iterations(2),
+            q.compile().unwrap(),
+        );
+        let mut ws = Workspace::default();
+        assert_same(&solve(&sq, None, &[], &options, &mut ws), &q.solve(), "q");
+        assert_same(
+            &solve(&sp, None, &[], &options, &mut ws),
+            &Ok(stalled),
+            "stalled p",
+        );
+        assert_same(&solve(&sq, None, &[], &options, &mut ws), &q.solve(), "q");
     }
 }

@@ -26,8 +26,20 @@ pub enum LpError {
         /// Number of nodes explored before giving up.
         explored: usize,
     },
-    /// The simplex iteration limit was exceeded (numerical trouble).
+    /// A right-hand-side replacement named a row that does not belong to the
+    /// problem.
+    UnknownRow {
+        /// The offending row index.
+        index: usize,
+    },
+    /// The simplex iteration limit was exceeded.
     IterationLimit,
+    /// The arithmetic reached a state no valid problem leads to (a singular
+    /// start basis, an unbounded phase 1, a ratio test over NaNs).
+    Numerical {
+        /// What broke down.
+        context: &'static str,
+    },
     /// A variable's lower bound exceeds its upper bound.
     InvalidBounds {
         /// Name of the variable with inconsistent bounds.
@@ -52,7 +64,11 @@ impl fmt::Display for LpError {
                     "branch-and-bound node limit reached after {explored} nodes"
                 )
             }
+            LpError::UnknownRow { index } => {
+                write!(f, "row {index} does not belong to this problem")
+            }
             LpError::IterationLimit => write!(f, "simplex iteration limit exceeded"),
+            LpError::Numerical { context } => write!(f, "numerical breakdown: {context}"),
             LpError::InvalidBounds { name } => {
                 write!(
                     f,
@@ -79,7 +95,11 @@ mod tests {
             },
             LpError::UnknownVariable { index: 3 },
             LpError::NodeLimit { explored: 10 },
+            LpError::UnknownRow { index: 9 },
             LpError::IterationLimit,
+            LpError::Numerical {
+                context: "singular start basis",
+            },
             LpError::InvalidBounds { name: "x".into() },
         ];
         for e in errors {

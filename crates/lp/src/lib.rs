@@ -10,13 +10,18 @@
 //! * [`Problem`] — a small modelling API (continuous and integer variables,
 //!   linear constraints, minimize/maximize objectives),
 //! * a sparse **revised simplex** with a factorized basis and warm-started
-//!   re-entry ([`SparseProblem`], [`Basis`]) — the default LP engine,
+//!   re-entry ([`SparseProblem`], [`Basis`]) — the default LP engine. A
+//!   [`Problem`] is compiled into a [`SparseProblem`] once
+//!   ([`Problem::compile`]); a caller that re-solves one structure under
+//!   changing right-hand sides keeps the compiled form
+//!   ([`SparseProblem::solve_with_rhs`]), and every solve runs in one
+//!   reused workspace, so its pivots allocate nothing,
 //! * a two-phase dense tableau simplex kept as the reference implementation
 //!   ([`SimplexSolver::solve_dense`]), and
 //! * **branch-and-bound** for integrality (configured by
 //!   [`BranchBoundOptions`]); with the default [`LpBackend`] every child
 //!   node warm-starts from its parent's optimal basis instead of solving
-//!   cold.
+//!   cold, and the two children of a node share one factorization of it.
 //!
 //! The allocation instances produced by the paper's model grow with the
 //! instance-type catalogue (one variable per group × type); the revised

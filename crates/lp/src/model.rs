@@ -1,9 +1,9 @@
 //! The problem-building API: variables, constraints, objectives, solutions.
 
-use crate::branch_bound::{self, BranchBoundOptions};
+use crate::branch_bound::{self, BranchBoundOptions, LpBackend};
 use crate::error::LpError;
 use crate::expr::{LinearExpr, VarId};
-use crate::sparse::{SparseOutcome, SparseProblem};
+use crate::sparse::{SparseOutcome, SparseProblem, Workspace};
 use serde::{Deserialize, Serialize};
 
 /// Whether a variable must take integer values in the final solution.
@@ -306,22 +306,30 @@ impl Problem {
         self.solve_with(&BranchBoundOptions::default())
     }
 
-    /// Solves the problem with explicit branch-and-bound options.
+    /// Validates the problem and compiles it into the sparse form every
+    /// solve works from. A caller that re-solves one structure under
+    /// changing right-hand sides keeps the compiled form and calls
+    /// [`SparseProblem::solve_with_rhs`].
+    ///
+    /// # Errors
+    ///
+    /// Input-validation errors for malformed models.
+    pub fn compile(&self) -> Result<SparseProblem, LpError> {
+        self.validate()?;
+        Ok(SparseProblem::from_problem(self))
+    }
+
+    /// Solves the problem with explicit branch-and-bound options: compile,
+    /// then the solve [`SparseProblem::solve_with_rhs`] runs.
     ///
     /// # Errors
     ///
     /// See [`Problem::solve`]; additionally returns [`LpError::NodeLimit`]
     /// when the node budget is exhausted before the search completes.
     pub fn solve_with(&self, options: &BranchBoundOptions) -> Result<Solution, LpError> {
-        self.validate()?;
-        if self.variables.is_empty() {
-            return Ok(Solution {
-                objective: 0.0,
-                values: Vec::new(),
-                stats: SolveStats::default(),
-            });
-        }
-        branch_bound::solve(self, options)
+        let compiled = self.compile()?;
+        let dense = (options.backend == LpBackend::DenseTableau).then_some(self);
+        branch_bound::solve(&compiled, dense, &[], options, &mut Workspace::default())
     }
 
     /// Solves only the LP relaxation (integrality requirements dropped),
@@ -332,8 +340,7 @@ impl Problem {
     /// Returns [`LpError::Infeasible`] / [`LpError::Unbounded`] like
     /// [`Problem::solve`].
     pub fn solve_relaxation(&self) -> Result<Solution, LpError> {
-        self.validate()?;
-        match SparseProblem::from_problem(self).solve_cold(&[])? {
+        match self.compile()?.solve_cold(&[])? {
             SparseOutcome::Optimal(sol) => Ok(Solution {
                 objective: sol.objective,
                 values: sol.values,

@@ -5,25 +5,31 @@
 //! row. This module keeps the problem in **bounded-variable standard form**
 //! instead:
 //!
-//! * one [`SparseProblem`] is built per [`Problem`] and shared, immutable, by
-//!   every branch-and-bound node (CSR rows for activities, CSC columns for
-//!   pricing),
+//! * one [`SparseProblem`] is compiled per [`Problem`] — or once for a whole
+//!   family of problems that differ in their right-hand sides only
+//!   ([`SparseProblem::solve_with_rhs`]) — and shared, immutable, by every
+//!   branch-and-bound node (CSR rows for activities, CSC columns for
+//!   pricing, the integer set for branching),
 //! * variable bounds — including the single-variable bounds branch-and-bound
 //!   imposes — are handled natively by the simplex instead of as rows, so
 //!   the basis dimension is the number of structural constraints only,
 //! * the basis inverse is maintained in factorized form (dense inverse of
 //!   the refactorization point plus product-form eta updates) rather than by
-//!   full tableau pivots, and
+//!   full tableau pivots,
 //! * an optimal [`Basis`] can be handed back to the caller and used to
 //!   **warm-start** the solve of a neighbouring problem (same rows, tighter
-//!   bounds) through dual-simplex re-entry, skipping phase 1 entirely.
+//!   bounds) through dual-simplex re-entry, skipping phase 1 entirely, and
+//! * every buffer the iterations touch lives in one [`Workspace`] that a
+//!   branch-and-bound search reuses from node to node: a pivot allocates
+//!   nothing.
 //!
 //! Entering/leaving choices use Bland's smallest-index rule throughout, as
 //! the dense solver does, which guarantees termination of the primal
 //! iterations and keeps every run deterministic.
 
+use crate::branch_bound::{self, BranchBoundOptions};
 use crate::error::LpError;
-use crate::model::{Objective, Problem, Sense};
+use crate::model::{Objective, Problem, Sense, Solution, VarKind};
 use crate::VarId;
 
 const TOL: f64 = 1e-9;
@@ -70,6 +76,16 @@ impl Basis {
     }
 }
 
+/// The optimal basis of a branching node beside its dense inverse. Both
+/// children re-enter from the same basis, and the inverse is a pure function
+/// of the basic column list, so it is factorized once and copied twice.
+#[derive(Debug)]
+pub(crate) struct WarmStart {
+    basis: Basis,
+    /// Row-major `B⁻¹` of `basis`, as [`Workspace::refactorize`] builds it.
+    binv: Vec<f64>,
+}
+
 /// Statistics and result of one sparse solve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseSolution {
@@ -101,13 +117,29 @@ pub enum SparseOutcome {
     Unbounded,
 }
 
-/// A [`Problem`] in sparse bounded-variable form, shared by every
-/// branch-and-bound node: CSR rows, CSC columns, per-column bounds and
-/// minimization costs. Columns are `[structural | one slack per row]`; a
-/// row's sense is encoded in its slack's bounds (`<=` → `[0, ∞)`, `>=` →
-/// `(-∞, 0]`, `==` → `[0, 0]`), so negative right-hand sides need no
-/// normalization pass.
-#[derive(Debug, Clone)]
+/// How one relaxation ended inside a [`Workspace`]: the optimal values stay
+/// in [`Workspace::values`] and the basis in the workspace, to be copied out
+/// only by a caller that needs them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Relaxed {
+    Optimal {
+        /// Objective value in the original problem's direction.
+        objective: f64,
+        pivots: usize,
+        used_phase1: bool,
+        warm_started: bool,
+    },
+    Infeasible,
+    Unbounded,
+}
+
+/// A [`Problem`] compiled into sparse bounded-variable form, shared by every
+/// branch-and-bound node: CSR rows, CSC columns, per-column bounds,
+/// minimization costs and the integer set. Columns are `[structural | one
+/// slack per row]`; a row's sense is encoded in its slack's bounds (`<=` →
+/// `[0, ∞)`, `>=` → `(-∞, 0]`, `==` → `[0, 0]`), so negative right-hand
+/// sides need no normalization pass.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SparseProblem {
     n_struct: usize,
     m: usize,
@@ -127,13 +159,16 @@ pub struct SparseProblem {
     /// Base bounds per column (structural + slack).
     lower: Vec<f64>,
     upper: Vec<f64>,
+    /// Structural columns that must take integer values.
+    integers: Vec<usize>,
+    maximize: bool,
     max_iterations: usize,
 }
 
 impl SparseProblem {
     /// Builds the shared sparse representation of `problem`. The problem
     /// must satisfy the same contract as [`Problem::solve`] (finite,
-    /// non-negative lower bounds); call after validation.
+    /// non-negative lower bounds); [`Problem::compile`] validates first.
     pub fn from_problem(problem: &Problem) -> Self {
         let n = problem.num_vars();
         let m = problem.constraints().len();
@@ -196,6 +231,13 @@ impl SparseProblem {
             lower.push(lo);
             upper.push(up);
         }
+        let integers = problem
+            .variables()
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| v.kind == VarKind::Integer)
+            .map(|(j, _)| j)
+            .collect();
 
         Self {
             n_struct: n,
@@ -211,6 +253,8 @@ impl SparseProblem {
             objective,
             lower,
             upper,
+            integers,
+            maximize,
             max_iterations: 20_000,
         }
     }
@@ -236,27 +280,43 @@ impl SparseProblem {
         self.n_struct + self.m
     }
 
-    /// Effective per-column bounds after applying the extra single-variable
-    /// bounds (`var sense rhs`), or `None` when a variable's bounds cross
-    /// (immediately infeasible).
-    fn effective_bounds(&self, extra: &[(VarId, Sense, f64)]) -> Option<(Vec<f64>, Vec<f64>)> {
-        let mut lower = self.lower.clone();
-        let mut upper = self.upper.clone();
-        for &(var, sense, rhs) in extra {
-            let j = var.index();
-            match sense {
-                Sense::Le => upper[j] = upper[j].min(rhs),
-                Sense::Ge => lower[j] = lower[j].max(rhs),
-                Sense::Eq => {
-                    lower[j] = lower[j].max(rhs);
-                    upper[j] = upper[j].min(rhs);
-                }
-            }
-        }
-        if lower.iter().zip(&upper).any(|(&l, &u)| l > u + TOL) {
-            return None;
-        }
-        Some((lower, upper))
+    /// Structural columns that must take integer values, ascending.
+    pub(crate) fn integers(&self) -> &[usize] {
+        &self.integers
+    }
+
+    /// Whether the compiled problem maximizes.
+    pub(crate) fn maximizes(&self) -> bool {
+        self.maximize
+    }
+
+    /// Objective of `values` in the original problem's direction.
+    pub(crate) fn objective_value(&self, values: &[f64]) -> f64 {
+        dot(&self.objective, values)
+    }
+
+    /// Solves the compiled problem, integer variables included, with the
+    /// right-hand side of each listed `(row, value)` replaced — rows count
+    /// in [`Problem::add_constraint`] order. A caller that re-solves one
+    /// structure under changing demands compiles once and pays neither the
+    /// rebuild nor the re-validation per solve: the outcome is the one a
+    /// [`Problem`] freshly built with those right-hand sides would return,
+    /// to the bit and to the pivot.
+    ///
+    /// The compiled form is the revised simplex's own, so `options.backend`
+    /// is not consulted: the dense reference works from a [`Problem`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Problem::solve_with`]; [`LpError::UnknownRow`] for a row the
+    /// problem does not have and [`LpError::NonFiniteInput`] for a
+    /// non-finite value.
+    pub fn solve_with_rhs(
+        &self,
+        rhs: &[(usize, f64)],
+        options: &BranchBoundOptions,
+    ) -> Result<Solution, LpError> {
+        branch_bound::solve(self, None, rhs, options, &mut Workspace::default())
     }
 
     /// Solves the problem from scratch: slack basis, phase 1 over artificial
@@ -267,13 +327,7 @@ impl SparseProblem {
     /// Returns [`LpError::IterationLimit`] when the pivot budget is
     /// exhausted.
     pub fn solve_cold(&self, extra: &[(VarId, Sense, f64)]) -> Result<SparseOutcome, LpError> {
-        let Some((lower, upper)) = self.effective_bounds(extra) else {
-            return Ok(SparseOutcome::Infeasible);
-        };
-        if self.m == 0 {
-            return Ok(self.solve_unconstrained(&lower, &upper));
-        }
-        Worker::cold(self, lower, upper)?.run_cold()
+        self.solve_alone(extra, None)
     }
 
     /// Re-enters the solve from `basis` — typically the parent node's
@@ -290,74 +344,61 @@ impl SparseProblem {
         extra: &[(VarId, Sense, f64)],
         basis: &Basis,
     ) -> Result<SparseOutcome, LpError> {
-        let Some((lower, upper)) = self.effective_bounds(extra) else {
-            return Ok(SparseOutcome::Infeasible);
-        };
-        if self.m == 0 {
-            return Ok(self.solve_unconstrained(&lower, &upper));
-        }
-        debug_assert_eq!(basis.basic.len(), self.m);
-        debug_assert_eq!(basis.state.len(), self.ncols());
-        match Worker::warm(self, lower.clone(), upper.clone(), basis) {
-            Some(worker) => match worker.run_warm()? {
-                Some(outcome) => Ok(outcome),
-                // dual re-entry stalled: restart cold on the same bounds
-                None => Worker::cold(self, lower, upper)?.run_cold(),
-            },
-            // singular warm basis: restart cold
-            None => Worker::cold(self, lower, upper)?.run_cold(),
-        }
+        self.solve_alone(extra, Some((basis, None)))
     }
 
-    /// Optimum of a problem with no rows: every variable sits on the bound
-    /// its cost prefers.
-    fn solve_unconstrained(&self, lower: &[f64], upper: &[f64]) -> SparseOutcome {
-        let mut values = Vec::with_capacity(self.n_struct);
-        let mut state = Vec::with_capacity(self.n_struct);
-        for j in 0..self.n_struct {
-            if self.cost[j] < -TOL {
-                if upper[j] == INF {
-                    return SparseOutcome::Unbounded;
-                }
-                values.push(upper[j]);
-                state.push(ColState::AtUpper);
-            } else {
-                values.push(lower[j]);
-                state.push(ColState::AtLower);
-            }
-        }
-        for v in &mut values {
-            if v.abs() < TOL {
-                *v = 0.0;
-            }
-        }
-        let objective = dot(&self.objective, &values);
-        SparseOutcome::Optimal(SparseSolution {
-            objective,
-            values,
-            pivots: 0,
-            used_phase1: false,
-            warm_started: false,
-            basis: Some(Basis {
-                basic: Vec::new(),
-                state,
+    /// One relaxation in a workspace of its own, copied out.
+    fn solve_alone(
+        &self,
+        extra: &[(VarId, Sense, f64)],
+        warm: Option<(&Basis, Option<&[f64]>)>,
+    ) -> Result<SparseOutcome, LpError> {
+        let mut ws = Workspace::default();
+        ws.begin(self, &[])?;
+        Ok(match ws.relax(self, extra.iter().copied(), warm)? {
+            Relaxed::Optimal {
+                objective,
+                pivots,
+                used_phase1,
+                warm_started,
+            } => SparseOutcome::Optimal(SparseSolution {
+                objective,
+                basis: ws.basis(self),
+                values: ws.values,
+                pivots,
+                used_phase1,
+                warm_started,
             }),
+            Relaxed::Infeasible => SparseOutcome::Infeasible,
+            Relaxed::Unbounded => SparseOutcome::Unbounded,
         })
     }
 
-    /// Entries of persistent column `j`: CSC slice for structural columns,
-    /// the unit slack entry otherwise.
-    fn col_entries(&self, j: usize) -> ColEntries<'_> {
+    /// Entries of persistent or artificial column `j`: the CSC slice of a
+    /// structural column, the unit entry of a slack, or the signed unit
+    /// entry of artificial `j - ncols` (`art_signs[k]` in row `art_rows[k]`).
+    fn col_entries<'a>(
+        &'a self,
+        art_rows: &[usize],
+        art_signs: &[f64],
+        j: usize,
+    ) -> ColEntries<'a> {
         if j < self.n_struct {
             ColEntries::Struct {
                 rows: &self.col_rows[self.col_starts[j]..self.col_starts[j + 1]],
                 vals: &self.col_vals[self.col_starts[j]..self.col_starts[j + 1]],
                 at: 0,
             }
-        } else {
+        } else if j < self.ncols() {
             ColEntries::Unit {
                 row: j - self.n_struct,
                 sign: 1.0,
+                done: false,
+            }
+        } else {
+            ColEntries::Unit {
+                row: art_rows[j - self.ncols()],
+                sign: art_signs[j - self.ncols()],
                 done: false,
             }
         }
@@ -418,201 +459,386 @@ enum DualEnd {
     Stalled,
 }
 
-/// Mutable solver state: bounds, values, basis and the factorized inverse.
-struct Worker<'a> {
-    sp: &'a SparseProblem,
-    /// Persistent columns (structural + slack).
-    ncols: usize,
-    /// Persistent + artificial columns.
-    total: usize,
-    /// Artificial k is column `ncols + k`: a single `art_signs[k]` entry in
-    /// row `art_rows[k]`.
-    art_rows: Vec<usize>,
-    art_signs: Vec<f64>,
+/// Every buffer the revised simplex works in: the solve's right-hand sides,
+/// the node's bounds, values and basis, the factorized inverse and the
+/// iteration scratch. One workspace serves every node of a branch-and-bound
+/// search, and may go on to serve the next search over a problem of any
+/// other shape: each buffer is sized by [`begin`](Self::begin) or rewritten
+/// in full before it is read, so nothing carries over but capacity.
+#[derive(Debug, Default)]
+pub(crate) struct Workspace {
+    /// Right-hand sides of the solve in progress: the compiled problem's,
+    /// with the caller's replacements applied.
+    rhs: Vec<f64>,
+    /// Bounds of the node in progress, per persistent column; a cold solve
+    /// appends its artificial columns to these and to `x` and `state`.
     lower: Vec<f64>,
     upper: Vec<f64>,
     x: Vec<f64>,
     state: Vec<ColState>,
     basic: Vec<usize>,
+    /// Artificial k is column `ncols + k`: a single `art_signs[k]` entry in
+    /// row `art_rows[k]`.
+    art_rows: Vec<usize>,
+    art_signs: Vec<f64>,
     /// Dense inverse of the basis at the last refactorization, row-major.
     binv: Vec<f64>,
-    /// Product-form eta updates applied since: `(pivot row, B⁻¹·column)`.
-    etas: Vec<(usize, Vec<f64>)>,
+    /// Gauss-Jordan scratch: the basis matrix being reduced and the inverse
+    /// being built, swapped into `binv` only when the reduction succeeds.
+    gj_basis: Vec<f64>,
+    gj_inverse: Vec<f64>,
+    /// Product-form eta updates applied since the last refactorization:
+    /// update `k` pivoted on row `eta_rows[k]` with the direction vector
+    /// `eta_vals[k * m..(k + 1) * m]`.
+    eta_rows: Vec<usize>,
+    eta_vals: Vec<f64>,
+    /// `m`-vectors: the input of a transform (`c_B`, a unit vector, a dense
+    /// column, a residual), the duals `y`, the pricing row `ρ` and the
+    /// direction `w`.
+    input: Vec<f64>,
+    y: Vec<f64>,
+    rho: Vec<f64>,
+    w: Vec<f64>,
+    /// Cost vector of the phase in progress, over all current columns.
+    cost: Vec<f64>,
+    /// Cleaned structural values of the last optimal relaxation.
+    pub(crate) values: Vec<f64>,
     pivots: usize,
     iters: usize,
 }
 
-impl<'a> Worker<'a> {
-    /// Cold start: structural columns at their lower bound, slack basis,
-    /// one artificial per row whose slack start violates the slack bounds.
-    fn cold(sp: &'a SparseProblem, lower: Vec<f64>, upper: Vec<f64>) -> Result<Self, LpError> {
+/// Clears `v` and refills it with `len` copies of `value`, within capacity
+/// once the workspace is warm.
+fn refill<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
+    v.clear();
+    v.resize(len, value);
+}
+
+/// Clears `v` and refills it from `source`.
+fn reload<T: Clone>(v: &mut Vec<T>, source: &[T]) {
+    v.clear();
+    v.extend_from_slice(source);
+}
+
+impl Workspace {
+    /// Opens a solve of `sp` with the listed right-hand sides replaced, and
+    /// sizes the buffers whose shape only the problem decides.
+    ///
+    /// # Errors
+    ///
+    /// [`LpError::UnknownRow`] and [`LpError::NonFiniteInput`], see
+    /// [`SparseProblem::solve_with_rhs`].
+    pub(crate) fn begin(
+        &mut self,
+        sp: &SparseProblem,
+        rhs: &[(usize, f64)],
+    ) -> Result<(), LpError> {
+        reload(&mut self.rhs, &sp.rhs);
+        for &(row, value) in rhs {
+            if !value.is_finite() {
+                return Err(LpError::NonFiniteInput {
+                    what: format!("right-hand side of row {row}"),
+                });
+            }
+            *self
+                .rhs
+                .get_mut(row)
+                .ok_or(LpError::UnknownRow { index: row })? = value;
+        }
         let m = sp.m;
-        let ncols = sp.ncols();
-        let mut x = vec![0.0; ncols];
-        let mut state = vec![ColState::AtLower; ncols];
-        x[..sp.n_struct].copy_from_slice(&lower[..sp.n_struct]);
-        // slack start: d_i = rhs_i - A_i·x
-        let mut d = sp.rhs.clone();
-        for (i, di) in d.iter_mut().enumerate() {
-            for k in sp.row_starts[i]..sp.row_starts[i + 1] {
-                *di -= sp.row_vals[k] * x[sp.row_cols[k]];
+        for v in [&mut self.input, &mut self.y, &mut self.rho, &mut self.w] {
+            refill(v, m, 0.0);
+        }
+        for v in [&mut self.binv, &mut self.gj_basis, &mut self.gj_inverse] {
+            refill(v, m * m, 0.0);
+        }
+        self.eta_rows.clear();
+        self.eta_vals.clear();
+        self.eta_vals.reserve((Self::eta_limit(m) + 1) * m);
+        Ok(())
+    }
+
+    /// Eta updates tolerated before the inverse is rebuilt.
+    fn eta_limit(m: usize) -> usize {
+        (2 * m).max(20)
+    }
+
+    /// Solves one relaxation of `sp` under the extra single-variable
+    /// `bounds` (`var sense rhs`), warm from a basis — and its inverse, when
+    /// the caller kept one — or cold. A warm attempt that stalls, or whose
+    /// basis is singular, restarts cold on the same bounds.
+    ///
+    /// # Errors
+    ///
+    /// [`LpError::IterationLimit`] when the cold solve exhausts its pivot
+    /// budget, [`LpError::Numerical`] when the arithmetic broke down.
+    pub(crate) fn relax(
+        &mut self,
+        sp: &SparseProblem,
+        bounds: impl Iterator<Item = (VarId, Sense, f64)>,
+        warm: Option<(&Basis, Option<&[f64]>)>,
+    ) -> Result<Relaxed, LpError> {
+        if !self.load_bounds(sp, bounds) {
+            return Ok(Relaxed::Infeasible);
+        }
+        if sp.m == 0 {
+            return Ok(self.solve_unconstrained(sp));
+        }
+        if let Some((basis, binv)) = warm {
+            debug_assert_eq!(basis.basic.len(), sp.m);
+            debug_assert_eq!(basis.state.len(), sp.ncols());
+            if self.start_warm(sp, basis, binv) {
+                if let Some(end) = self.run_warm(sp)? {
+                    return Ok(end);
+                }
             }
         }
-        let mut basic = Vec::with_capacity(m);
-        let mut art_rows = Vec::new();
-        let mut art_signs = Vec::new();
-        let mut art_lower = Vec::new();
-        let mut art_upper = Vec::new();
-        let mut art_x = Vec::new();
+        self.start_cold(sp)?;
+        self.run_cold(sp)
+    }
+
+    /// Writes the node's effective per-column bounds: the problem's, with
+    /// `extra` applied. `false` when a variable's bounds cross (immediately
+    /// infeasible).
+    fn load_bounds(
+        &mut self,
+        sp: &SparseProblem,
+        extra: impl Iterator<Item = (VarId, Sense, f64)>,
+    ) -> bool {
+        reload(&mut self.lower, &sp.lower);
+        reload(&mut self.upper, &sp.upper);
+        for (var, sense, rhs) in extra {
+            let j = var.index();
+            match sense {
+                Sense::Le => self.upper[j] = self.upper[j].min(rhs),
+                Sense::Ge => self.lower[j] = self.lower[j].max(rhs),
+                Sense::Eq => {
+                    self.lower[j] = self.lower[j].max(rhs);
+                    self.upper[j] = self.upper[j].min(rhs);
+                }
+            }
+        }
+        !self
+            .lower
+            .iter()
+            .zip(&self.upper)
+            .any(|(&l, &u)| l > u + TOL)
+    }
+
+    /// Optimum of a problem with no rows: every variable sits on the bound
+    /// its cost prefers.
+    fn solve_unconstrained(&mut self, sp: &SparseProblem) -> Relaxed {
+        self.basic.clear();
+        self.state.clear();
+        self.values.clear();
+        for j in 0..sp.n_struct {
+            if sp.cost[j] < -TOL {
+                if self.upper[j] == INF {
+                    return Relaxed::Unbounded;
+                }
+                self.values.push(self.upper[j]);
+                self.state.push(ColState::AtUpper);
+            } else {
+                self.values.push(self.lower[j]);
+                self.state.push(ColState::AtLower);
+            }
+        }
+        for v in &mut self.values {
+            if v.abs() < TOL {
+                *v = 0.0;
+            }
+        }
+        Relaxed::Optimal {
+            objective: dot(&sp.objective, &self.values),
+            pivots: 0,
+            used_phase1: false,
+            warm_started: false,
+        }
+    }
+
+    /// Cold start on the loaded bounds: structural columns at their lower
+    /// bound, slack basis, one artificial per row whose slack start violates
+    /// the slack bounds.
+    fn start_cold(&mut self, sp: &SparseProblem) -> Result<(), LpError> {
+        let ncols = sp.ncols();
+        debug_assert_eq!(self.lower.len(), ncols);
+        refill(&mut self.x, ncols, 0.0);
+        refill(&mut self.state, ncols, ColState::AtLower);
+        self.x[..sp.n_struct].copy_from_slice(&self.lower[..sp.n_struct]);
+        // slack start: d_i = rhs_i - A_i·x
+        let d = &mut self.input;
+        d.copy_from_slice(&self.rhs);
+        for (i, di) in d.iter_mut().enumerate() {
+            for k in sp.row_starts[i]..sp.row_starts[i + 1] {
+                *di -= sp.row_vals[k] * self.x[sp.row_cols[k]];
+            }
+        }
+        self.basic.clear();
+        self.art_rows.clear();
+        self.art_signs.clear();
         for (i, &di) in d.iter().enumerate() {
             let s = sp.n_struct + i;
-            if di >= lower[s] - TOL && di <= upper[s] + TOL {
+            if di >= self.lower[s] - TOL && di <= self.upper[s] + TOL {
                 // slack basic at its start value
-                state[s] = ColState::Basic;
-                x[s] = di;
-                basic.push(s);
+                self.state[s] = ColState::Basic;
+                self.x[s] = di;
+                self.basic.push(s);
             } else {
                 // slack rests on its nearest bound, an artificial column
                 // carries the violation into the basis
-                let clamped = di.clamp(lower[s], upper[s]);
-                state[s] = if di < lower[s] {
+                let clamped = di.clamp(self.lower[s], self.upper[s]);
+                self.state[s] = if di < self.lower[s] {
                     ColState::AtLower
                 } else {
                     ColState::AtUpper
                 };
-                x[s] = clamped;
+                self.x[s] = clamped;
                 let sign = if di > clamped { 1.0 } else { -1.0 };
-                basic.push(ncols + art_rows.len());
-                art_rows.push(i);
-                art_signs.push(sign);
-                art_lower.push(0.0);
-                art_upper.push(INF);
-                art_x.push((di - clamped) * sign);
+                self.basic.push(ncols + self.art_rows.len());
+                self.art_rows.push(i);
+                self.art_signs.push(sign);
+                self.lower.push(0.0);
+                self.upper.push(INF);
+                self.x.push((di - clamped) * sign);
             }
         }
-        let total = ncols + art_rows.len();
-        let mut lower = lower;
-        let mut upper = upper;
-        lower.extend(art_lower);
-        upper.extend(art_upper);
-        x.extend(art_x);
-        state.resize(total, ColState::Basic);
-
-        let mut worker = Self {
-            sp,
-            ncols,
-            total,
-            art_rows,
-            art_signs,
-            lower,
-            upper,
-            x,
-            state,
-            basic,
-            binv: Vec::new(),
-            etas: Vec::new(),
-            pivots: 0,
-            iters: 0,
-        };
-        if !worker.refactorize() {
-            // the start basis is diagonal; singularity here means a
-            // malformed problem rather than a numerical accident
-            return Err(LpError::IterationLimit);
-        }
-        Ok(worker)
+        self.state.resize(self.x.len(), ColState::Basic);
+        self.pivots = 0;
+        self.iters = 0;
+        self.factorize_start(sp)
     }
 
-    /// Warm start from a prior basis under (possibly tightened) bounds.
-    /// Returns `None` when the basis matrix is singular.
-    fn warm(
-        sp: &'a SparseProblem,
-        lower: Vec<f64>,
-        upper: Vec<f64>,
-        basis: &Basis,
-    ) -> Option<Self> {
+    /// Factorizes the start basis of a cold solve. It is a signed identity
+    /// by construction, so a singular one is broken arithmetic, not a
+    /// property of the problem.
+    fn factorize_start(&mut self, sp: &SparseProblem) -> Result<(), LpError> {
+        if self.refactorize(sp) {
+            Ok(())
+        } else {
+            Err(LpError::Numerical {
+                context: "singular start basis",
+            })
+        }
+    }
+
+    /// Warm start on the loaded bounds from a prior basis; `binv` is that
+    /// basis's inverse when the caller already factorized it. Returns
+    /// `false` when the basis matrix is singular.
+    fn start_warm(&mut self, sp: &SparseProblem, basis: &Basis, binv: Option<&[f64]>) -> bool {
         let ncols = sp.ncols();
-        let mut x = vec![0.0; ncols];
+        refill(&mut self.x, ncols, 0.0);
         for j in 0..ncols {
             match basis.state[j] {
                 ColState::Basic => {}
-                ColState::AtLower => x[j] = lower[j],
-                ColState::AtUpper => x[j] = upper[j],
+                ColState::AtLower => self.x[j] = self.lower[j],
+                ColState::AtUpper => self.x[j] = self.upper[j],
             }
         }
-        let mut worker = Self {
-            sp,
-            ncols,
-            total: ncols,
-            art_rows: Vec::new(),
-            art_signs: Vec::new(),
-            lower,
-            upper,
-            x,
-            state: basis.state.clone(),
-            basic: basis.basic.clone(),
-            binv: Vec::new(),
-            etas: Vec::new(),
-            pivots: 0,
-            iters: 0,
-        };
-        if !worker.refactorize() {
-            return None;
+        reload(&mut self.state, &basis.state);
+        reload(&mut self.basic, &basis.basic);
+        self.art_rows.clear();
+        self.art_signs.clear();
+        self.pivots = 0;
+        self.iters = 0;
+        match binv {
+            Some(binv) => {
+                self.binv.copy_from_slice(binv);
+                self.eta_rows.clear();
+                self.eta_vals.clear();
+            }
+            None => {
+                if !self.refactorize(sp) {
+                    return false;
+                }
+            }
         }
-        worker.compute_basics();
-        Some(worker)
+        self.compute_basics(sp);
+        true
     }
 
-    /// Entries of column `j`, including artificial columns.
-    fn col_entries(&self, j: usize) -> ColEntries<'_> {
-        if j < self.ncols {
-            self.sp.col_entries(j)
-        } else {
-            ColEntries::Unit {
-                row: self.art_rows[j - self.ncols],
-                sign: self.art_signs[j - self.ncols],
-                done: false,
-            }
+    /// The optimal basis just reached together with its inverse, for the
+    /// children of a branching node; the workspace's own factorization is
+    /// spent on it. `None` when an artificial column stayed basic or the
+    /// basis does not factorize: the children then solve cold.
+    pub(crate) fn warm_start(&mut self, sp: &SparseProblem) -> Option<WarmStart> {
+        let basis = self.basis(sp)?;
+        if sp.m > 0 && !self.refactorize(sp) {
+            return None;
         }
+        Some(WarmStart {
+            basis,
+            binv: self.binv.clone(),
+        })
+    }
+
+    /// The basis just reached, reusable when no artificial column is left
+    /// in it.
+    fn basis(&self, sp: &SparseProblem) -> Option<Basis> {
+        let ncols = sp.ncols();
+        self.basic.iter().all(|&b| b < ncols).then(|| Basis {
+            basic: self.basic.clone(),
+            state: self.state[..ncols].to_vec(),
+        })
     }
 
     /// `column_j · y`.
-    fn col_dot(&self, j: usize, y: &[f64]) -> f64 {
-        self.col_entries(j).map(|(i, a)| a * y[i]).sum()
+    fn col_dot(&self, sp: &SparseProblem, j: usize, y: &[f64]) -> f64 {
+        sp.col_entries(&self.art_rows, &self.art_signs, j)
+            .map(|(i, a)| a * y[i])
+            .sum()
     }
 
-    /// Column `j` as a dense vector.
-    fn col_dense(&self, j: usize) -> Vec<f64> {
-        let mut v = vec![0.0; self.sp.m];
-        for (i, a) in self.col_entries(j) {
-            v[i] += a;
+    /// Writes column `j` as a dense vector into the transform input.
+    fn load_column(&mut self, sp: &SparseProblem, j: usize) {
+        self.input.fill(0.0);
+        for (i, a) in sp.col_entries(&self.art_rows, &self.art_signs, j) {
+            self.input[i] += a;
         }
-        v
+    }
+
+    /// Writes the unit vector of row `r` into the transform input.
+    fn load_unit(&mut self, r: usize) {
+        self.input.fill(0.0);
+        self.input[r] = 1.0;
+    }
+
+    /// Writes the basic costs `c_B` into the transform input.
+    fn load_basic_costs(&mut self) {
+        for (slot, &b) in self.input.iter_mut().zip(&self.basic) {
+            *slot = self.cost[b];
+        }
     }
 
     /// Rebuilds the dense basis inverse from the current basic columns and
-    /// clears the eta file. Returns `false` when the basis is singular.
-    fn refactorize(&mut self) -> bool {
-        let m = self.sp.m;
+    /// clears the eta file. Returns `false`, leaving both as they were, when
+    /// the basis is singular.
+    fn refactorize(&mut self, sp: &SparseProblem) -> bool {
+        let m = sp.m;
         // Gauss-Jordan with partial pivoting on [B | I]
-        let mut b = vec![0.0; m * m];
+        let b = &mut self.gj_basis;
+        let inv = &mut self.gj_inverse;
+        b.fill(0.0);
         for (i, &j) in self.basic.iter().enumerate() {
-            for (row, a) in self.col_entries(j) {
+            for (row, a) in sp.col_entries(&self.art_rows, &self.art_signs, j) {
                 b[row * m + i] += a;
             }
         }
-        let mut inv = vec![0.0; m * m];
+        inv.fill(0.0);
         for i in 0..m {
             inv[i * m + i] = 1.0;
         }
         for col in 0..m {
-            let pivot_row = (col..m)
-                .max_by(|&r1, &r2| {
-                    b[r1 * m + col]
-                        .abs()
-                        .partial_cmp(&b[r2 * m + col].abs())
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .expect("non-empty pivot range");
+            // the largest entry of the column at or below the diagonal, the
+            // last one of equals
+            let mut pivot_row = col;
+            for r in col + 1..m {
+                let ahead = b[pivot_row * m + col]
+                    .abs()
+                    .partial_cmp(&b[r * m + col].abs());
+                if ahead != Some(std::cmp::Ordering::Greater) {
+                    pivot_row = r;
+                }
+            }
             let p = b[pivot_row * m + col];
             if p.abs() < 1e-11 {
                 return false;
@@ -640,68 +866,78 @@ impl<'a> Worker<'a> {
                 }
             }
         }
-        self.binv = inv;
-        self.etas.clear();
+        std::mem::swap(&mut self.binv, &mut self.gj_inverse);
+        self.eta_rows.clear();
+        self.eta_vals.clear();
         true
     }
 
     /// Recomputes the basic values from the nonbasic ones:
     /// `x_B = B⁻¹ (rhs − A_N x_N)`.
-    fn compute_basics(&mut self) {
-        let mut r = self.sp.rhs.clone();
-        for j in 0..self.total {
+    fn compute_basics(&mut self, sp: &SparseProblem) {
+        self.input.copy_from_slice(&self.rhs);
+        for j in 0..self.x.len() {
             if self.state[j] != ColState::Basic && self.x[j] != 0.0 {
-                for (i, a) in self.col_entries(j) {
-                    r[i] -= a * self.x[j];
+                for (i, a) in sp.col_entries(&self.art_rows, &self.art_signs, j) {
+                    self.input[i] -= a * self.x[j];
                 }
             }
         }
-        let xb = self.ftran(r);
-        for (&b, &value) in self.basic.iter().zip(&xb) {
+        self.ftran(sp.m);
+        for (&b, &value) in self.basic.iter().zip(&self.w) {
             self.x[b] = value;
         }
     }
 
-    /// `B⁻¹ v`: dense inverse of the refactorization point, then the eta
-    /// file in application order.
-    fn ftran(&self, v: Vec<f64>) -> Vec<f64> {
-        let m = self.sp.m;
-        let mut w = vec![0.0; m];
+    /// `w = B⁻¹ input`: dense inverse of the refactorization point, then
+    /// the eta file in application order.
+    fn ftran(&mut self, m: usize) {
+        let w = &mut self.w;
         for (row, wi) in w.iter_mut().enumerate() {
             *wi = self.binv[row * m..(row + 1) * m]
                 .iter()
-                .zip(&v)
+                .zip(&self.input)
                 .map(|(b, vk)| b * vk)
                 .sum();
         }
-        for (r, e) in &self.etas {
-            let t = w[*r] / e[*r];
-            w[*r] = t;
+        for (&r, e) in self.eta_rows.iter().zip(self.eta_vals.chunks_exact(m)) {
+            let t = w[r] / e[r];
+            w[r] = t;
             if t != 0.0 {
                 for (i, (wi, ei)) in w.iter_mut().zip(e).enumerate() {
-                    if i != *r && *ei != 0.0 {
+                    if i != r && *ei != 0.0 {
                         *wi -= ei * t;
                     }
                 }
             }
         }
-        w
     }
 
-    /// `B⁻ᵀ v`: eta transposes in reverse order, then the dense inverse
-    /// transposed.
-    fn btran(&self, mut v: Vec<f64>) -> Vec<f64> {
-        let m = self.sp.m;
-        for (r, e) in self.etas.iter().rev() {
-            let mut acc = v[*r];
+    /// `B⁻ᵀ input`, consuming the input: eta transposes in reverse order,
+    /// then the dense inverse transposed. The result lands in `ρ` when
+    /// `pricing_row` is set and in the duals `y` otherwise.
+    fn btran(&mut self, m: usize, pricing_row: bool) {
+        let v = &mut self.input;
+        for (&r, e) in self
+            .eta_rows
+            .iter()
+            .zip(self.eta_vals.chunks_exact(m))
+            .rev()
+        {
+            let mut acc = v[r];
             for (i, (vi, ei)) in v.iter().zip(e).enumerate() {
-                if i != *r && *ei != 0.0 {
+                if i != r && *ei != 0.0 {
                     acc -= ei * vi;
                 }
             }
-            v[*r] = acc / e[*r];
+            v[r] = acc / e[r];
         }
-        let mut y = vec![0.0; m];
+        let y = if pricing_row {
+            &mut self.rho
+        } else {
+            &mut self.y
+        };
+        y.fill(0.0);
         for (i, &vi) in v.iter().enumerate() {
             if vi != 0.0 {
                 for (yk, b) in y.iter_mut().zip(&self.binv[i * m..(i + 1) * m]) {
@@ -709,39 +945,40 @@ impl<'a> Worker<'a> {
                 }
             }
         }
-        y
     }
 
     /// Replaces the basic column of row `r` with column `j` (direction
     /// vector `w = B⁻¹ A_j`), records the eta update and refactorizes when
     /// the eta file has grown past its threshold.
-    fn apply_pivot(&mut self, r: usize, j: usize, w: Vec<f64>) {
+    fn apply_pivot(&mut self, sp: &SparseProblem, r: usize, j: usize) {
         self.basic[r] = j;
         self.state[j] = ColState::Basic;
-        self.etas.push((r, w));
+        self.eta_rows.push(r);
+        self.eta_vals.extend_from_slice(&self.w);
         self.pivots += 1;
-        if self.etas.len() > (2 * self.sp.m).max(20) && self.refactorize() {
-            self.compute_basics();
+        if self.eta_rows.len() > Self::eta_limit(sp.m) && self.refactorize(sp) {
+            self.compute_basics(sp);
         }
     }
 
-    /// Bounded-variable primal simplex on cost vector `cost` (length
-    /// `total`), Bland's rule for entering and leaving choices.
-    fn primal(&mut self, cost: &[f64], max_iters: usize) -> Result<PrimalEnd, LpError> {
+    /// Bounded-variable primal simplex on the phase's cost vector, Bland's
+    /// rule for entering and leaving choices.
+    fn primal(&mut self, sp: &SparseProblem) -> Result<PrimalEnd, LpError> {
+        let m = sp.m;
         loop {
-            if self.iters >= max_iters {
+            if self.iters >= sp.max_iterations {
                 return Err(LpError::IterationLimit);
             }
             self.iters += 1;
-            let cb: Vec<f64> = self.basic.iter().map(|&b| cost[b]).collect();
-            let y = self.btran(cb);
+            self.load_basic_costs();
+            self.btran(m, false);
             // entering: smallest-index nonbasic with an improving reduced cost
             let mut entering = None;
-            for (j, &cj) in cost.iter().enumerate() {
+            for (j, &cj) in self.cost.iter().enumerate() {
                 if self.state[j] == ColState::Basic || self.lower[j] >= self.upper[j] {
                     continue;
                 }
-                let d = cj - self.col_dot(j, &y);
+                let d = cj - self.col_dot(sp, j, &self.y);
                 let improves = match self.state[j] {
                     ColState::AtLower => d < -TOL,
                     ColState::AtUpper => d > TOL,
@@ -760,11 +997,12 @@ impl<'a> Worker<'a> {
             } else {
                 -1.0
             };
-            let w = self.ftran(self.col_dense(q));
+            self.load_column(sp, q);
+            self.ftran(m);
             // ratio test over the basic bounds, Bland tie-break
             let mut limit = INF;
             let mut leave: Option<(usize, bool)> = None; // (row, hits lower)
-            for (i, (&wi, &b)) in w.iter().zip(&self.basic).enumerate() {
+            for (i, (&wi, &b)) in self.w.iter().zip(&self.basic).enumerate() {
                 let a = dir * wi;
                 let (ratio, to_lower) = if a > TOL {
                     (((self.x[b] - self.lower[b]) / a).max(0.0), true)
@@ -793,7 +1031,7 @@ impl<'a> Worker<'a> {
             }
             if flip < limit {
                 // bound flip: no basis change
-                for (&b, &wi) in self.basic.iter().zip(&w) {
+                for (&b, &wi) in self.basic.iter().zip(&self.w) {
                     self.x[b] -= dir * flip * wi;
                 }
                 self.x[q] = if dir > 0.0 {
@@ -808,9 +1046,15 @@ impl<'a> Worker<'a> {
                 };
                 continue;
             }
-            let (r, to_lower) = leave.expect("finite limit implies a leaving row");
+            // a finite limit names its row; only a NaN ratio or span gets here
+            // without one
+            let Some((r, to_lower)) = leave else {
+                return Err(LpError::Numerical {
+                    context: "ratio test found no leaving row",
+                });
+            };
             let entering_value = self.x[q] + dir * limit;
-            for (&b, &wi) in self.basic.iter().zip(&w) {
+            for (&b, &wi) in self.basic.iter().zip(&self.w) {
                 self.x[b] -= dir * limit * wi;
             }
             let lv = self.basic[r];
@@ -822,18 +1066,18 @@ impl<'a> Worker<'a> {
                 self.state[lv] = ColState::AtUpper;
             }
             self.x[q] = entering_value;
-            self.apply_pivot(r, q, w);
+            self.apply_pivot(sp, r, q);
         }
     }
 
-    /// Bounded-variable dual simplex on cost vector `cost`: repairs primal
-    /// feasibility while preserving dual feasibility. Used for warm-started
-    /// re-entry after bounds tighten.
-    fn dual(&mut self, cost: &[f64], max_iters: usize) -> Result<DualEnd, LpError> {
-        let m = self.sp.m;
+    /// Bounded-variable dual simplex on the phase's cost vector: repairs
+    /// primal feasibility while preserving dual feasibility. Used for
+    /// warm-started re-entry after bounds tighten.
+    fn dual(&mut self, sp: &SparseProblem) -> DualEnd {
+        let m = sp.m;
         loop {
-            if self.iters >= max_iters {
-                return Ok(DualEnd::Stalled);
+            if self.iters >= sp.max_iterations {
+                return DualEnd::Stalled;
             }
             self.iters += 1;
             // leaving: most-violated basic, smallest variable index on ties
@@ -858,20 +1102,19 @@ impl<'a> Worker<'a> {
                 }
             }
             let Some((r, _, below)) = leave else {
-                return Ok(DualEnd::Optimal);
+                return DualEnd::Optimal;
             };
-            let cb: Vec<f64> = self.basic.iter().map(|&b| cost[b]).collect();
-            let y = self.btran(cb);
-            let mut e_r = vec![0.0; m];
-            e_r[r] = 1.0;
-            let rho = self.btran(e_r);
+            self.load_basic_costs();
+            self.btran(m, false);
+            self.load_unit(r);
+            self.btran(m, true);
             // entering: dual ratio test, smallest |d/α|, smallest index on ties
             let mut best: Option<(usize, f64)> = None;
-            for (j, &cj) in cost.iter().enumerate() {
+            for (j, &cj) in self.cost.iter().enumerate() {
                 if self.state[j] == ColState::Basic || self.lower[j] >= self.upper[j] {
                     continue;
                 }
-                let alpha = self.col_dot(j, &rho);
+                let alpha = self.col_dot(sp, j, &self.rho);
                 let eligible = if below {
                     // leaving variable must increase to its lower bound
                     (self.state[j] == ColState::AtLower && alpha < -TOL)
@@ -883,7 +1126,7 @@ impl<'a> Worker<'a> {
                 if !eligible {
                     continue;
                 }
-                let d = cj - self.col_dot(j, &y);
+                let d = cj - self.col_dot(sp, j, &self.y);
                 let ratio = (d / alpha).abs();
                 let better = match best {
                     None => true,
@@ -894,14 +1137,15 @@ impl<'a> Worker<'a> {
                 }
             }
             let Some((q, _)) = best else {
-                return Ok(DualEnd::Infeasible);
+                return DualEnd::Infeasible;
             };
-            let w = self.ftran(self.col_dense(q));
-            let alpha = w[r];
+            self.load_column(sp, q);
+            self.ftran(m);
+            let alpha = self.w[r];
             if alpha.abs() <= TOL {
                 // the eta-updated direction disagrees with the pricing row:
                 // numerically degenerate, restart cold
-                return Ok(DualEnd::Stalled);
+                return DualEnd::Stalled;
             }
             let lv = self.basic[r];
             let target = if below {
@@ -911,7 +1155,7 @@ impl<'a> Worker<'a> {
             };
             let delta = (self.x[lv] - target) / alpha;
             let entering_value = self.x[q] + delta;
-            for (&b, &wi) in self.basic.iter().zip(&w) {
+            for (&b, &wi) in self.basic.iter().zip(&self.w) {
                 self.x[b] -= delta * wi;
             }
             self.x[lv] = target;
@@ -921,72 +1165,70 @@ impl<'a> Worker<'a> {
                 ColState::AtUpper
             };
             self.x[q] = entering_value;
-            self.apply_pivot(r, q, w);
+            self.apply_pivot(sp, r, q);
         }
     }
 
-    /// Phase-2 cost vector over all current columns.
-    fn phase2_cost(&self) -> Vec<f64> {
-        let mut cost = vec![0.0; self.total];
-        cost[..self.sp.n_struct].copy_from_slice(&self.sp.cost);
-        cost
+    /// Loads the phase-2 cost vector over all current columns.
+    fn load_phase2_cost(&mut self, sp: &SparseProblem) {
+        refill(&mut self.cost, self.x.len(), 0.0);
+        self.cost[..sp.n_struct].copy_from_slice(&sp.cost);
     }
 
     /// Cold solve: phase 1 when artificials exist, then phase 2.
-    fn run_cold(mut self) -> Result<SparseOutcome, LpError> {
-        let max_iters = self.sp.max_iterations;
+    fn run_cold(&mut self, sp: &SparseProblem) -> Result<Relaxed, LpError> {
+        let ncols = sp.ncols();
+        let total = self.x.len();
         let used_phase1 = !self.art_rows.is_empty();
         if used_phase1 {
-            let mut cost = vec![0.0; self.total];
-            for c in cost.iter_mut().skip(self.ncols) {
+            refill(&mut self.cost, total, 0.0);
+            for c in self.cost.iter_mut().skip(ncols) {
                 *c = 1.0;
             }
-            match self.primal(&cost, max_iters)? {
+            match self.primal(sp)? {
                 PrimalEnd::Optimal => {}
-                // phase 1 is bounded below by zero; an unbounded report is
-                // numerical trouble
-                PrimalEnd::Unbounded => return Err(LpError::IterationLimit),
+                // phase 1 is bounded below by zero
+                PrimalEnd::Unbounded => {
+                    return Err(LpError::Numerical {
+                        context: "unbounded phase 1",
+                    })
+                }
             }
-            let infeasibility: f64 = self.x[self.ncols..].iter().sum();
+            let infeasibility: f64 = self.x[ncols..].iter().sum();
             if infeasibility > PHASE1_TOL {
-                return Ok(SparseOutcome::Infeasible);
+                return Ok(Relaxed::Infeasible);
             }
             // pin artificials to zero and drive basic ones out where possible
-            for j in self.ncols..self.total {
+            for j in ncols..total {
                 self.lower[j] = 0.0;
                 self.upper[j] = 0.0;
                 if self.state[j] != ColState::Basic {
                     self.x[j] = 0.0;
                 }
             }
-            self.expel_artificials();
+            self.expel_artificials(sp);
         }
-        let cost = self.phase2_cost();
-        match self.primal(&cost, max_iters)? {
-            PrimalEnd::Optimal => Ok(SparseOutcome::Optimal(self.extract(used_phase1))),
-            PrimalEnd::Unbounded => Ok(SparseOutcome::Unbounded),
+        self.load_phase2_cost(sp);
+        match self.primal(sp)? {
+            PrimalEnd::Optimal => Ok(self.extract(sp, used_phase1, false)),
+            PrimalEnd::Unbounded => Ok(Relaxed::Unbounded),
         }
     }
 
     /// Warm solve: dual re-entry, then a primal polish. `Ok(None)` signals
     /// the caller to restart cold — including when either warm phase runs
     /// out of iterations, so the cold path gets its own fresh budget.
-    fn run_warm(mut self) -> Result<Option<SparseOutcome>, LpError> {
-        let max_iters = self.sp.max_iterations;
-        let cost = self.phase2_cost();
-        match self.dual(&cost, max_iters)? {
+    fn run_warm(&mut self, sp: &SparseProblem) -> Result<Option<Relaxed>, LpError> {
+        self.load_phase2_cost(sp);
+        match self.dual(sp) {
             DualEnd::Optimal => {}
-            DualEnd::Infeasible => return Ok(Some(SparseOutcome::Infeasible)),
+            DualEnd::Infeasible => return Ok(Some(Relaxed::Infeasible)),
             DualEnd::Stalled => return Ok(None),
         }
         // polish: repair any residual dual infeasibility (usually a no-op)
-        match self.primal(&cost, max_iters) {
-            Ok(PrimalEnd::Optimal) => {
-                let mut sol = self.extract(false);
-                sol.warm_started = true;
-                Ok(Some(SparseOutcome::Optimal(sol)))
-            }
-            Ok(PrimalEnd::Unbounded) => Ok(Some(SparseOutcome::Unbounded)),
+        match self.primal(sp) {
+            Ok(PrimalEnd::Optimal) => Ok(Some(self.extract(sp, false, true))),
+            Ok(PrimalEnd::Unbounded) => Ok(Some(Relaxed::Unbounded)),
             Err(LpError::IterationLimit) => Ok(None),
             Err(other) => Err(other),
         }
@@ -996,56 +1238,54 @@ impl<'a> Worker<'a> {
     /// column can replace them (mirrors the dense solver's post-phase-1
     /// cleanup; rows that stay artificial are redundant and keep a
     /// zero-fixed artificial basic).
-    fn expel_artificials(&mut self) {
-        let m = self.sp.m;
+    fn expel_artificials(&mut self, sp: &SparseProblem) {
+        let m = sp.m;
+        let ncols = sp.ncols();
         for r in 0..m {
-            if self.basic[r] < self.ncols {
+            if self.basic[r] < ncols {
                 continue;
             }
-            let mut e_r = vec![0.0; m];
-            e_r[r] = 1.0;
-            let rho = self.btran(e_r);
-            let candidate = (0..self.ncols)
-                .find(|&j| self.state[j] != ColState::Basic && self.col_dot(j, &rho).abs() > TOL);
+            self.load_unit(r);
+            self.btran(m, true);
+            let candidate = (0..ncols).find(|&j| {
+                self.state[j] != ColState::Basic && self.col_dot(sp, j, &self.rho).abs() > TOL
+            });
             if let Some(j) = candidate {
-                let w = self.ftran(self.col_dense(j));
+                self.load_column(sp, j);
+                self.ftran(m);
                 let art = self.basic[r];
                 // the artificial sits at zero, so the swap moves nothing
                 self.x[art] = 0.0;
                 self.state[art] = ColState::AtLower;
                 self.state[j] = ColState::Basic;
-                self.apply_pivot(r, j, w);
+                self.apply_pivot(sp, r, j);
                 // entering keeps its bound value; it is now basic at it
             }
         }
     }
 
-    /// Builds the outcome: cleaned structural values, original-direction
-    /// objective and the reusable basis.
-    fn extract(self, used_phase1: bool) -> SparseSolution {
-        let mut values: Vec<f64> = self.x[..self.sp.n_struct].to_vec();
-        for v in &mut values {
+    /// Reports the optimum: cleaned structural values into `values`, the
+    /// original-direction objective into the outcome.
+    fn extract(&mut self, sp: &SparseProblem, used_phase1: bool, warm_started: bool) -> Relaxed {
+        reload(&mut self.values, &self.x[..sp.n_struct]);
+        for v in &mut self.values {
             if v.abs() < TOL {
                 *v = 0.0;
             }
         }
-        let objective = dot(&self.sp.objective, &values);
-        let basis = if self.basic.iter().all(|&b| b < self.ncols) {
-            Some(Basis {
-                basic: self.basic,
-                state: self.state[..self.ncols].to_vec(),
-            })
-        } else {
-            None
-        };
-        SparseSolution {
-            objective,
-            values,
+        Relaxed::Optimal {
+            objective: dot(&sp.objective, &self.values),
             pivots: self.pivots,
             used_phase1,
-            warm_started: false,
-            basis,
+            warm_started,
         }
+    }
+}
+
+impl WarmStart {
+    /// The pair [`Workspace::relax`] re-enters from.
+    pub(crate) fn as_warm(&self) -> (&Basis, Option<&[f64]>) {
+        (&self.basis, Some(&self.binv))
     }
 }
 
@@ -1115,6 +1355,35 @@ mod tests {
             SparseProblem::from_problem(&p).solve_cold(&[]).unwrap(),
             SparseOutcome::Unbounded
         );
+    }
+
+    #[test]
+    fn a_singular_start_basis_is_a_numerical_error() {
+        // no cold start builds one — its basis is a signed identity — so the
+        // factorization is handed the same column twice
+        let mut p = Problem::minimize();
+        let x = p.add_var("x", VarKind::Continuous, 0.0, None, 1.0);
+        p.add_constraint("a", &[(x, 1.0)], Sense::Ge, 1.0);
+        p.add_constraint("b", &[(x, 2.0)], Sense::Ge, 1.0);
+        let sp = SparseProblem::from_problem(&p);
+        let mut ws = Workspace::default();
+        ws.begin(&sp, &[]).unwrap();
+        ws.basic = vec![0, 0];
+        let err = ws.factorize_start(&sp).unwrap_err();
+        assert_eq!(
+            err,
+            LpError::Numerical {
+                context: "singular start basis"
+            }
+        );
+        assert_ne!(
+            err,
+            LpError::IterationLimit,
+            "what it used to be reported as"
+        );
+        // and a proper start basis goes through
+        ws.basic = vec![1, 2];
+        assert_eq!(ws.factorize_start(&sp), Ok(()));
     }
 
     #[test]

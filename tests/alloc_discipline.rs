@@ -3,13 +3,20 @@
 //! times (the forecast itself plus the per-probe scratch), **independent of
 //! the history length** — the scan reuses one `DistanceScratch` per query
 //! instead of allocating per candidate. A second gate holds the fleet's
-//! slot ingest to a count **independent of the records per tenant**, and a
-//! third holds a warmed engine's checkpoint to the same.
+//! slot ingest to a count **independent of the records per tenant**, a
+//! third holds a warmed engine's checkpoint to the same, a fourth holds one
+//! ILP solve to a few allocations per branch-and-bound node **independent of
+//! the pivot count**, and a fifth holds the datacenter's bill stage to a
+//! count **independent of the placed instances**.
 //!
 //! This lives in its own integration-test binary because the counting
 //! `#[global_allocator]` is process-wide.
 
-use mobile_code_acceleration::core::{DistanceKind, IndexPolicy, WorkloadPredictor};
+use mobile_code_acceleration::cloudsim::{DatacenterConfig, InstanceType};
+use mobile_code_acceleration::core::{
+    AccelerationGroups, BillingBackend, DistanceKind, IndexPolicy, WorkloadForecast,
+    WorkloadPredictor,
+};
 use mobile_code_acceleration::fleet::SlotBatchSource;
 use mobile_code_acceleration::offload::{AccelerationGroupId, UserId};
 use mobile_code_acceleration::prelude::{
@@ -258,5 +265,134 @@ fn checkpoint_allocations_do_not_grow_with_users_per_tenant() {
         light, heavy,
         "a warmed checkpoint allocated {light} times at 100 users per tenant and {heavy} at \
          1,000: a section payload buffer is regrowing"
+    );
+}
+
+/// `groups` acceleration groups that each offer six instance types of
+/// pairwise distinct price structure: the catalogue of the end-to-end
+/// benchmark's `fleet_solver` (4 groups) and of `bench_allocation`.
+fn wide_catalogue(groups: u8, account_cap: usize) -> SystemConfig {
+    let types = vec![
+        InstanceType::T2Nano,
+        InstanceType::T2Small,
+        InstanceType::T2Large,
+        InstanceType::M4_4XLarge,
+        InstanceType::M4_10XLarge,
+        InstanceType::C4_8XLarge,
+    ];
+    let assignments: Vec<(AccelerationGroupId, Vec<InstanceType>)> = (1..=groups)
+        .map(|g| (AccelerationGroupId(g), types.clone()))
+        .collect();
+    let mut config = SystemConfig::paper_three_groups();
+    config.groups = AccelerationGroups::from_assignments(&assignments, 500.0, 65.0);
+    config.account_cap = account_cap;
+    config
+}
+
+/// Allocations, nodes and pivots of one warmed ILP solve.
+fn warmed_solve(config: &SystemConfig, loads: &[usize]) -> (usize, usize, usize) {
+    let _serialized = MEASURE_LOCK.lock().expect("no poisoned measurements");
+    let allocator = config.build_allocator();
+    let forecast = WorkloadForecast {
+        per_group: config
+            .groups
+            .ids()
+            .into_iter()
+            .zip(loads.iter().copied())
+            .collect(),
+        matched_slot: None,
+    };
+    allocator.allocate(&forecast).expect("feasible");
+    let mut stats = None;
+    let allocations = allocations_during(|| {
+        stats = Some(allocator.allocate(&forecast).expect("feasible").stats);
+    });
+    let stats = stats.expect("solved");
+    (allocations, stats.nodes, stats.pivots)
+}
+
+#[test]
+fn an_ilp_solve_allocates_per_branching_node_never_per_pivot() {
+    // the per-solve workspace, the demand vector and the allocation handed
+    // back are the constant; a branching node keeps its basis and inverse
+    // for its two children; a pivot, a transform or a refactorization
+    // allocates nothing
+    let bound = |nodes: usize| 5 * nodes + 64;
+    let (allocations, nodes, pivots) =
+        warmed_solve(&wide_catalogue(4, 2_000), &[231, 173, 116, 58]);
+    assert!(nodes > 10 && pivots > 20, "{nodes} nodes, {pivots} pivots");
+    assert!(
+        allocations <= bound(nodes),
+        "a 4 x 6 solve of {nodes} nodes and {pivots} pivots allocated {allocations} times, over \
+         {}",
+        bound(nodes)
+    );
+    // the same bound where a solve pivots some thirty times as often
+    let (allocations, nodes, pivots) = warmed_solve(
+        &wide_catalogue(8, 160),
+        &[628, 21, 542, 1_084, 436, 1_002, 660, 1_981],
+    );
+    assert!(pivots > 1_000, "{nodes} nodes, {pivots} pivots");
+    assert!(
+        allocations <= bound(nodes),
+        "an 8 x 6 solve of {nodes} nodes and {pivots} pivots allocated {allocations} times, over \
+         {}",
+        bound(nodes)
+    );
+}
+
+/// Allocations of one warmed datacenter-backed `settle`, and the instances
+/// it placed: the paper's three groups at `users` users each, the same
+/// allocation settled until the pool and the standing placement are the
+/// ones being re-applied and scored.
+fn warmed_settle(users: usize) -> (usize, usize) {
+    let _serialized = MEASURE_LOCK.lock().expect("no poisoned measurements");
+    let mut config = SystemConfig::paper_three_groups()
+        .with_datacenter(DatacenterConfig::paper_default().with_hosts(64, 48, 192.0));
+    config.account_cap = 2_000;
+    let observed: Vec<(AccelerationGroupId, usize)> =
+        GROUPS.into_iter().map(|group| (group, users)).collect();
+    let allocation = config
+        .build_allocator()
+        .allocate(&WorkloadForecast {
+            per_group: observed.clone(),
+            matched_slot: None,
+        })
+        .expect("feasible");
+    let (mut pool, mut billing) = (config.build_pool(), config.build_billing());
+    let mut settle = |slot: usize| {
+        let now_ms = slot as f64 * config.slot_length_ms;
+        billing.settle(
+            &mut pool,
+            &allocation,
+            &observed,
+            config.slot_length_ms,
+            now_ms,
+        )
+    };
+    settle(0);
+    settle(1);
+    let mut placed = 0;
+    let allocations = allocations_during(|| placed = settle(2).placements);
+    (allocations, placed)
+}
+
+#[test]
+fn datacenter_settle_allocations_do_not_grow_with_placed_instances() {
+    let ((few, few_placed), (many, many_placed)) = (warmed_settle(50), warmed_settle(8_000));
+    assert!(
+        few_placed < 5 && many_placed > 100,
+        "{few_placed} and {many_placed} instances placed"
+    );
+    // the demand vector, the pool's type list and target, fresh hosts, the
+    // placement list at its final size, the standing capacity
+    assert!(
+        few < 16,
+        "a warmed settle allocated {few} times; expected a small constant"
+    );
+    assert_eq!(
+        few, many,
+        "a warmed settle allocated {few} times over {few_placed} placed instances and {many} \
+         over {many_placed}: the SLA assessment or the placement is allocating per instance"
     );
 }
