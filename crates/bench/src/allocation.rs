@@ -19,16 +19,21 @@
 //! Alongside the timing comparison the harness asserts that **every**
 //! allocation the revised path produces is identical to the dense path's —
 //! same instances, same cost, same capacities — so the speedup can never
-//! come from answering a different question. `cargo run --release -p
-//! mca-bench --bin bench_allocation` regenerates `BENCH_allocation.json`
-//! at the repository root; `--check` re-runs the sweep and compares its
-//! counted columns with that file ([`count_differences`]).
+//! come from answering a different question. The end-to-end benchmark has
+//! no dense-backend workload, so this is one of the two places `mca-bench`
+//! reads a clock; the timings explain `lp.us_per_pivot` and
+//! `core.allocator.allocate_us_per_slot` on `fleet_solver` and are
+//! **reported, never gated** — the gates are allocation identity and the
+//! counted columns. `cargo run --release -p mca-bench --bin
+//! bench_allocation` regenerates `BENCH_allocation.json` at the repository
+//! root; `--check` re-runs the sweep and compares its counted columns with
+//! that file ([`count_differences`]).
 
 use mca_cloudsim::InstanceType;
 use mca_core::{AccelerationGroups, AllocationPolicy, ResourceAllocator, WorkloadForecast};
 use mca_lp::LpBackend;
 use mca_offload::AccelerationGroupId;
-use mca_telemetry::json::{self, JsonValue};
+use mca_telemetry::json::{self, JsonValue, JsonWriter};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -140,47 +145,32 @@ impl AllocationBenchReport {
         self.rows.iter().all(|r| r.identical)
     }
 
-    /// The smallest speedup among rows with at least `min_vars` decision
-    /// variables (`None` when the sweep has no such row).
-    pub fn min_speedup_at(&self, min_vars: usize) -> Option<f64> {
-        self.rows
-            .iter()
-            .filter(|r| r.instance_types >= min_vars)
-            .map(AllocationRow::speedup)
-            .min_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
-    }
-
-    /// The report as a JSON object (hand-rolled: serde_json is unavailable
-    /// offline).
+    /// The report as the `BENCH_allocation.json` document.
     pub fn to_json(&self) -> String {
-        let mut out = String::from(
-            "{\n  \"benchmark\": \"allocation_solver\",\n  \
-             \"baseline\": \"dense_tableau_cold\",\n  \
-             \"candidate\": \"revised_simplex_warm_started\",\n  \"rows\": [\n",
-        );
-        for (i, r) in self.rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"groups\": {}, \"instance_types\": {}, \"forecasts\": {}, \
-                 \"dense_ms_per_solve\": {:.4}, \"revised_ms_per_solve\": {:.4}, \
-                 \"speedup\": {:.2}, \"allocations_identical\": {}, \
-                 \"nodes_mean\": {:.1}, \"dense_pivots_mean\": {:.1}, \
-                 \"revised_pivots_mean\": {:.1}, \"phase1_skip_rate\": {:.3}}}{}\n",
-                r.groups,
-                r.instance_types,
-                r.forecasts,
-                r.dense_ms,
-                r.revised_ms,
-                r.speedup(),
-                r.identical,
-                r.nodes_mean,
-                r.dense_pivots_mean,
-                r.revised_pivots_mean,
-                r.phase1_skip_rate,
-                if i + 1 < self.rows.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let mut w = JsonWriter::pretty(2);
+        w.object(|w| {
+            w.key("benchmark").string("allocation_solver");
+            w.key("baseline").string("dense_tableau_cold");
+            w.key("candidate").string("revised_simplex_warm_started");
+            w.key("rows").array(|w| {
+                for r in &self.rows {
+                    w.object(|w| {
+                        w.key("groups").u64(r.groups as u64);
+                        w.key("instance_types").u64(r.instance_types as u64);
+                        w.key("forecasts").u64(r.forecasts as u64);
+                        w.key("dense_ms_per_solve").f64(r.dense_ms, 4);
+                        w.key("revised_ms_per_solve").f64(r.revised_ms, 4);
+                        w.key("speedup").f64(r.speedup(), 2);
+                        w.key("allocations_identical").bool(r.identical);
+                        w.key("nodes_mean").f64(r.nodes_mean, 1);
+                        w.key("dense_pivots_mean").f64(r.dense_pivots_mean, 1);
+                        w.key("revised_pivots_mean").f64(r.revised_pivots_mean, 1);
+                        w.key("phase1_skip_rate").f64(r.phase1_skip_rate, 3);
+                    });
+                }
+            });
+        });
+        w.finish()
     }
 }
 

@@ -21,8 +21,7 @@ use mca_bench::datacenter::{self, DatacenterWorkload};
 const ENERGY_SPREAD_GATE: f64 = 1.01;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.first().map(String::as_str) == Some("--smoke");
+    let smoke = mca_bench::util::mode_flag("bench_datacenter", &["--smoke"]).is_some();
     let workload = if smoke {
         DatacenterWorkload::smoke()
     } else {

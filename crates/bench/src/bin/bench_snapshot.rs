@@ -12,12 +12,7 @@
 use mca_bench::snapshot::{self, SnapshotWorkload};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.first().map(String::as_str) == Some("--smoke");
-    if !smoke && !args.is_empty() {
-        eprintln!("usage: bench_snapshot [--smoke]");
-        std::process::exit(2);
-    }
+    let smoke = mca_bench::util::mode_flag("bench_snapshot", &["--smoke"]).is_some();
     let workload = if smoke {
         SnapshotWorkload::smoke()
     } else {

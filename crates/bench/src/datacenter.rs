@@ -19,13 +19,15 @@
 //!
 //! `cargo run --release -p mca-bench --bin bench_datacenter` regenerates
 //! `BENCH_datacenter.json` at the repository root; `--smoke` runs the small
-//! CI shape and gates on both contracts.
+//! CI shape and gates on both contracts. Every field is counted or metered
+//! by the simulation, so the file regenerates byte for byte; what the bill
+//! stage costs in time is `core.billing.settle_us_per_slot` in
+//! `BENCHMARK.json`.
 
 use mca_cloudsim::{DatacenterConfig, PlacementKind};
 use mca_fleet::FleetEngine;
+use mca_telemetry::json::JsonWriter;
 use mca_workload::TenantMix;
-use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Shape of the Zipf-skewed placement-sweep workload.
 #[derive(Debug, Clone, Copy)]
@@ -90,8 +92,6 @@ pub struct PolicyOutcome {
     pub placed_instance_slots: usize,
     /// Allocations no host could fit (must be zero on this workload).
     pub placement_failures: usize,
-    /// Mean wall-clock ms per slot of this arm's lockstep drive.
-    pub ms_per_slot: f64,
 }
 
 /// Measurements of one placement sweep.
@@ -108,8 +108,6 @@ pub struct DatacenterBenchReport {
     pub costs_identical: bool,
     /// The arithmetic baseline's total billed cost, USD.
     pub arithmetic_cost: f64,
-    /// The baseline's mean wall-clock ms per slot.
-    pub arithmetic_ms_per_slot: f64,
     /// One outcome per placement policy, in [`PlacementKind::ALL`] order.
     pub outcomes: Vec<PolicyOutcome>,
 }
@@ -143,56 +141,45 @@ impl DatacenterBenchReport {
         self.outcomes.iter().all(|o| o.placement_failures == 0)
     }
 
-    /// The report as a JSON object (hand-rolled: serde_json is unavailable
-    /// offline).
+    /// The report as the `BENCH_datacenter.json` document.
     pub fn to_json(&self) -> String {
-        let mut policies = String::new();
-        for (index, outcome) in self.outcomes.iter().enumerate() {
-            let _ = write!(
-                policies,
-                "{}\n    {{\"placement\": \"{}\", \"total_cost\": {:.6}, \
-                 \"sla_violations\": {}, \"sla_dropped_users\": {}, \
-                 \"sla_latency_ms\": {:.3}, \"energy_wh\": {:.3}, \
-                 \"placed_instance_slots\": {}, \"placement_failures\": {}, \
-                 \"ms_per_slot\": {:.4}}}",
-                if index > 0 { "," } else { "" },
-                outcome.placement.label(),
-                outcome.total_cost,
-                outcome.sla_violations,
-                outcome.sla_dropped_users,
-                outcome.sla_latency_ms,
-                outcome.energy_wh,
-                outcome.placed_instance_slots,
-                outcome.placement_failures,
-                outcome.ms_per_slot,
-            );
-        }
-        format!(
-            "{{\n  \"benchmark\": \"datacenter_placement\",\n  \"tenants\": {},\n  \
-             \"slots\": {},\n  \"max_users\": {},\n  \"zipf_s\": {:.2},\n  \
-             \"shards\": {},\n  \"threads\": {},\n  \"hosts_per_tenant\": {},\n  \
-             \"host_vcpus\": {},\n  \"host_memory_gib\": {:.1},\n  \
-             \"forecasts_identical\": {},\n  \"costs_identical\": {},\n  \
-             \"arithmetic_cost\": {:.6},\n  \"arithmetic_ms_per_slot\": {:.4},\n  \
-             \"energy_spread\": {:.4},\n  \"latency_spread\": {:.4},\n  \
-             \"policies\": [{}\n  ]\n}}\n",
-            self.workload.tenants,
-            self.workload.slots,
-            self.workload.max_users,
-            self.workload.zipf_s,
-            self.workload.shards,
-            self.workload.threads,
-            self.datacenter.hosts,
-            self.datacenter.host_vcpus,
-            self.datacenter.host_memory_gib,
-            self.forecasts_identical,
-            self.costs_identical,
-            self.arithmetic_cost,
-            self.arithmetic_ms_per_slot,
-            self.energy_spread(),
-            self.latency_spread(),
-            policies,
-        )
+        let mut w = JsonWriter::pretty(2);
+        w.object(|w| {
+            w.key("benchmark").string("datacenter_placement");
+            w.key("tenants").u64(self.workload.tenants as u64);
+            w.key("slots").u64(self.workload.slots as u64);
+            w.key("max_users").u64(self.workload.max_users as u64);
+            w.key("zipf_s").f64(self.workload.zipf_s, 2);
+            w.key("shards").u64(self.workload.shards as u64);
+            w.key("threads").u64(self.workload.threads as u64);
+            w.key("hosts_per_tenant").u64(self.datacenter.hosts as u64);
+            w.key("host_vcpus").u64(self.datacenter.host_vcpus as u64);
+            w.key("host_memory_gib")
+                .f64(self.datacenter.host_memory_gib, 1);
+            w.key("forecasts_identical").bool(self.forecasts_identical);
+            w.key("costs_identical").bool(self.costs_identical);
+            w.key("arithmetic_cost").f64(self.arithmetic_cost, 6);
+            w.key("energy_spread").f64(self.energy_spread(), 4);
+            w.key("latency_spread").f64(self.latency_spread(), 4);
+            w.key("policies").array(|w| {
+                for outcome in &self.outcomes {
+                    w.object(|w| {
+                        w.key("placement").string(outcome.placement.label());
+                        w.key("total_cost").f64(outcome.total_cost, 6);
+                        w.key("sla_violations").u64(outcome.sla_violations as u64);
+                        w.key("sla_dropped_users")
+                            .u64(outcome.sla_dropped_users as u64);
+                        w.key("sla_latency_ms").f64(outcome.sla_latency_ms, 3);
+                        w.key("energy_wh").f64(outcome.energy_wh, 3);
+                        w.key("placed_instance_slots")
+                            .u64(outcome.placed_instance_slots as u64);
+                        w.key("placement_failures")
+                            .u64(outcome.placement_failures as u64);
+                    });
+                }
+            });
+        });
+        w.finish()
     }
 }
 
@@ -231,21 +218,15 @@ pub fn run(workload: &DatacenterWorkload, seed: u64) -> DatacenterBenchReport {
         .collect();
 
     let mut forecasts_identical = true;
-    let mut baseline_ms = 0.0f64;
-    let mut arm_ms = vec![0.0f64; arms.len()];
     for _ in 0..workload.slots {
-        let start = Instant::now();
         baseline
             .try_tick_mix(&mix)
             .expect("every hosted tenant is in the mix");
-        baseline_ms += start.elapsed().as_secs_f64() * 1_000.0;
         let reference = baseline.forecasts();
-        for (index, (_, engine)) in arms.iter_mut().enumerate() {
-            let start = Instant::now();
+        for (_, engine) in &mut arms {
             engine
                 .try_tick_mix(&mix)
                 .expect("every hosted tenant is in the mix");
-            arm_ms[index] += start.elapsed().as_secs_f64() * 1_000.0;
             if engine.forecasts() != reference {
                 forecasts_identical = false;
             }
@@ -256,8 +237,7 @@ pub fn run(workload: &DatacenterWorkload, seed: u64) -> DatacenterBenchReport {
     let mut costs_identical = true;
     let outcomes: Vec<PolicyOutcome> = arms
         .iter()
-        .zip(&arm_ms)
-        .map(|((placement, engine), ms)| {
+        .map(|(placement, engine)| {
             let metrics = engine.metrics();
             if metrics.total_cost.to_bits() != arithmetic_cost.to_bits() {
                 costs_identical = false;
@@ -271,7 +251,6 @@ pub fn run(workload: &DatacenterWorkload, seed: u64) -> DatacenterBenchReport {
                 energy_wh: metrics.total_energy_wh,
                 placed_instance_slots: metrics.total_placed_instance_slots,
                 placement_failures: metrics.total_placement_failures,
-                ms_per_slot: ms / workload.slots as f64,
             }
         })
         .collect();
@@ -282,7 +261,6 @@ pub fn run(workload: &DatacenterWorkload, seed: u64) -> DatacenterBenchReport {
         forecasts_identical,
         costs_identical,
         arithmetic_cost,
-        arithmetic_ms_per_slot: baseline_ms / workload.slots as f64,
         outcomes,
     }
 }
@@ -301,23 +279,16 @@ pub fn print(report: &DatacenterBenchReport) {
         report.datacenter.host_vcpus,
     );
     println!(
-        "  {:<12} {:>12} {:>8} {:>9} {:>14} {:>12} {:>8} {:>10}",
-        "policy", "cost $", "viol", "dropped", "latency ms", "energy wh", "fails", "ms/slot"
+        "  {:<12} {:>12} {:>8} {:>9} {:>14} {:>12} {:>8}",
+        "policy", "cost $", "viol", "dropped", "latency ms", "energy wh", "fails"
     );
     println!(
-        "  {:<12} {:>12.4} {:>8} {:>9} {:>14} {:>12} {:>8} {:>10.3}",
-        "arithmetic",
-        report.arithmetic_cost,
-        "-",
-        "-",
-        "-",
-        "-",
-        "-",
-        report.arithmetic_ms_per_slot,
+        "  {:<12} {:>12.4} {:>8} {:>9} {:>14} {:>12} {:>8}",
+        "arithmetic", report.arithmetic_cost, "-", "-", "-", "-", "-",
     );
     for outcome in &report.outcomes {
         println!(
-            "  {:<12} {:>12.4} {:>8} {:>9} {:>14.1} {:>12.1} {:>8} {:>10.3}",
+            "  {:<12} {:>12.4} {:>8} {:>9} {:>14.1} {:>12.1} {:>8}",
             outcome.placement.label(),
             outcome.total_cost,
             outcome.sla_violations,
@@ -325,7 +296,6 @@ pub fn print(report: &DatacenterBenchReport) {
             outcome.sla_latency_ms,
             outcome.energy_wh,
             outcome.placement_failures,
-            outcome.ms_per_slot,
         );
     }
     println!(

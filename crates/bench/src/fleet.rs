@@ -1,44 +1,37 @@
-//! Performance harness for the multi-tenant fleet engine: the sharded,
-//! batch-ingesting parallel tick of `mca-fleet` versus the sequential
-//! single-shard loop the pre-fleet architecture would run.
+//! Bit-identity and placement harness for the multi-tenant fleet engine.
+//! Nothing here reads a clock: what a fleet slot costs is the end-to-end
+//! benchmark's to say (`service_p50_ms` and `records_per_s` on
+//! `fleet_steady`, `fleet.engine.critical_path_share` and
+//! `fleet.rebalance.max_mean_ratio` on `fleet_elastic`, `trace.overhead_pct`
+//! for the instrumentation — see `BENCHMARK.json`), so `BENCH_fleet.json`
+//! is a pure function of the code and regenerates byte for byte.
 //!
-//! Both paths consume the **identical** interleaved arrival batch every
-//! slot and run the identical score→learn→predict→allocate→bill cycle
-//! ([`mca_fleet::TenantShard::tick`]); they differ exactly where the
-//! architectures differ:
+//! Two sections, both counted:
 //!
-//! * the **single-shard baseline** merges every tenant into one slot
-//!   history, ingesting the batch through [`TimeSlot::assign`]'s per-record
-//!   ordered insert (`O(n)` per out-of-order user — and a multi-tenant
-//!   arrival stream is almost entirely out of order), then runs one
-//!   predict→allocate cycle over the merged knowledge base;
-//! * the **fleet** scatters the batch in one pass into per-tenant
-//!   builders, builds each tenant's slot with one sort + dedup
-//!   ([`mca_core::TimeSlotBuilder`]) and ticks every tenant's own
-//!   predictor/allocator in parallel.
+//! * [`run`] drives the sharded engine through the streaming ingestion API —
+//!   a [`FleetDriver`] over a live [`SlotBatchSource`] lane fed one
+//!   interleaved arrival batch per slot — and replays every tenant **alone**
+//!   (a bare [`TenantShard`], no engine, the block-summary tree forced on)
+//!   on the same records, asserting the fleet's per-tenant forecasts are
+//!   bit-identical slot by slot. The headline configuration is 64 tenants ×
+//!   2,000 slots.
+//! * [`run_skewed`] runs a Zipf-skewed fleet under static hash placement and
+//!   under the elastic rebalancer in lockstep, forecasts compared after
+//!   every slot, and gates on the per-shard record counts the two placements
+//!   produce.
 //!
-//! Alongside the timing comparison the harness replays every tenant
-//! **alone** (a bare [`TenantShard`], no engine) on the same records and
-//! asserts the fleet's per-tenant forecasts are bit-identical, slot by
-//! slot. The fleet side is driven through the streaming ingestion API — a
-//! [`FleetDriver`] over a live [`SlotBatchSource`] lane, the path a real
-//! front-end feeds — so the measured cost includes the driver multiplexing.
-//! The headline configuration is 64 tenants × 2,000 slots; `cargo run
-//! --release -p mca-bench --bin bench_fleet` regenerates `BENCH_fleet.json`
-//! at the repository root.
+//! `cargo run --release -p mca-bench --bin bench_fleet` regenerates
+//! `BENCH_fleet.json` at the repository root.
 
-use mca_core::{AllocationPolicy, IndexPolicy, SystemConfig, TimeSlot, TimeSlotBuilder};
+use mca_core::{AllocationPolicy, IndexPolicy, SystemConfig, TimeSlotBuilder};
 use mca_fleet::{
-    FleetDriver, FleetEngine, FleetTelemetry, RebalancerConfig, SlotBatchSource, SlotRecord,
-    TelemetryMode, TenantShard,
+    FleetDriver, FleetEngine, RebalancerConfig, ShardLoad, SlotBatchSource, SlotRecord, TenantShard,
 };
 use mca_offload::{AccelerationGroupId, TenantId, UserId};
-use mca_telemetry::{json, json_snapshot, prometheus_text, SNAPSHOT_VERSION};
+use mca_telemetry::json::JsonWriter;
 use mca_workload::TenantMix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Knowledge-base window of the benchmark configuration: a week of hourly
 /// slots, the regime a long-running deployment operates in.
@@ -54,6 +47,9 @@ pub struct FleetWorkload {
     /// Nominal users per tenant per slot (the mix varies per tenant and
     /// slot: steady / ramp / doubling shapes).
     pub users_per_tenant: usize,
+    /// Thread count of the engine (forecasts are identical at any count;
+    /// pinned so the report does not depend on the machine).
+    pub threads: usize,
 }
 
 impl FleetWorkload {
@@ -63,6 +59,7 @@ impl FleetWorkload {
             tenants: 64,
             slots: 2_000,
             users_per_tenant: 800,
+            threads: 2,
         }
     }
 
@@ -72,18 +69,18 @@ impl FleetWorkload {
             tenants: 16,
             slots: 200,
             users_per_tenant: 800,
+            threads: 2,
         }
     }
 }
 
-/// The shared system configuration of both timed paths. Allocation uses
-/// the greedy policy on both sides so the comparison isolates the ingest
-/// and prediction engine rather than ILP solve time. The timed paths scan
-/// linearly: at a 168-slot window the pruned scan is already microseconds,
-/// so per-observe index maintenance would cost both sides more than it
-/// saves (that regime is exactly why `IndexPolicy` defaults the index off
-/// below 4096 retained slots). The tenant-alone reference replicas run
-/// indexed instead — see [`reference_config`].
+/// The system configuration every `bench_*` fleet runs. Allocation uses the
+/// greedy policy so the harnesses exercise ingest, prediction and billing
+/// rather than ILP solves, and the engines scan linearly: at a 168-slot
+/// window the pruned scan is already microseconds (that regime is exactly
+/// why `IndexPolicy` defaults the index off below 4096 retained slots). The
+/// tenant-alone reference replicas run indexed instead — see
+/// [`reference_config`].
 pub fn bench_config() -> SystemConfig {
     SystemConfig::paper_three_groups()
         .with_history_window(HISTORY_WINDOW)
@@ -102,102 +99,58 @@ pub fn reference_config() -> SystemConfig {
     bench_config().with_index_policy(IndexPolicy::indexed().with_min_indexed_slots(64))
 }
 
-/// Measurements of one fleet-versus-single-shard comparison.
+/// Outcome of one fleet-versus-tenant-alone comparison.
 #[derive(Debug, Clone)]
 pub struct FleetBenchReport {
-    /// The workload shape measured.
+    /// The workload shape driven.
     pub workload: FleetWorkload,
     /// Shards the fleet engine ran with.
     pub shards: usize,
-    /// Threads the fleet tick ran with.
-    pub threads: usize,
-    /// Mean wall-clock time of one single-shard slot (ingest + tick), ms.
-    pub single_ms_per_slot: f64,
-    /// Mean wall-clock time of one fleet slot (ingest + parallel tick), ms.
-    pub fleet_ms_per_slot: f64,
     /// Whether every per-tenant fleet forecast matched the tenant-alone
     /// replay bit for bit, every slot.
     pub forecasts_identical: bool,
-    /// The fleet engine's telemetry snapshot at the end of the run: per-slot
-    /// tick latency tails, stage histograms and per-shard load.
-    pub telemetry: FleetTelemetry,
+    /// Every shard's end-of-run load view (the counted columns are
+    /// reported: tenants, ticks, records, records-per-tick EWMA).
+    pub shard_loads: Vec<ShardLoad>,
 }
 
 impl FleetBenchReport {
-    /// Single-shard time over fleet time.
-    pub fn speedup(&self) -> f64 {
-        self.single_ms_per_slot / self.fleet_ms_per_slot
-    }
-
-    /// The report's fields, without the enclosing braces, so the caller can
-    /// append sibling sections ([`FleetBenchReport::to_json_with_skew`]).
-    fn json_fields(&self) -> String {
-        let slot = &self.telemetry.slot;
-        let mut shard_loads = String::new();
-        for (index, shard) in self.telemetry.shards.iter().enumerate() {
-            let _ = write!(
-                shard_loads,
-                "{}\n    {{\"shard\": {}, \"tenants\": {}, \"ticks\": {}, \"records\": {}, \
-                 \"load_ewma\": {:.4}, \"tick_ewma_ns\": {:.1}, \"tick_p99_ns\": {}}}",
-                if index > 0 { "," } else { "" },
-                shard.shard,
-                shard.tenants,
-                shard.ticks,
-                shard.records,
-                shard.load_ewma,
-                shard.tick_ewma_ns,
-                shard.tick_p99_ns,
-            );
-        }
-        format!(
-            "  \"benchmark\": \"fleet_tick\",\n  \"tenants\": {},\n  \"slots\": {},\n  \
-             \"users_per_tenant\": {},\n  \"shards\": {},\n  \"threads\": {},\n  \
-             \"history_window\": {},\n  \"single_shard_ms_per_slot\": {:.4},\n  \
-             \"fleet_ms_per_slot\": {:.4},\n  \"speedup\": {:.2},\n  \
-             \"forecasts_bit_identical\": {},\n  \
-             \"slot_tick_ns\": {{\"count\": {}, \"p50\": {}, \"p99\": {}, \"p999\": {}, \
-             \"max\": {}}},\n  \"shard_loads\": [{}\n  ]",
-            self.workload.tenants,
-            self.workload.slots,
-            self.workload.users_per_tenant,
-            self.shards,
-            self.threads,
-            HISTORY_WINDOW,
-            self.single_ms_per_slot,
-            self.fleet_ms_per_slot,
-            self.speedup(),
-            self.forecasts_identical,
-            slot.count(),
-            slot.p50(),
-            slot.p99(),
-            slot.p999(),
-            slot.max(),
-            shard_loads,
-        )
-    }
-
-    /// The report as a JSON object (hand-rolled: serde_json is unavailable
-    /// offline).
-    pub fn to_json(&self) -> String {
-        format!("{{\n{}\n}}\n", self.json_fields())
-    }
-
-    /// The report as a JSON object with the Zipf-skew comparison embedded as
-    /// a `skewed` section — the shape `BENCH_fleet.json` records.
-    pub fn to_json_with_skew(&self, skew: &SkewBenchReport) -> String {
-        format!(
-            "{{\n{},\n  \"skewed\": {}\n}}\n",
-            self.json_fields(),
-            skew.json_object()
-        )
+    /// The `BENCH_fleet.json` document: this report with the Zipf-skew
+    /// comparison embedded as its `skewed` section.
+    pub fn to_json(&self, skew: &SkewBenchReport) -> String {
+        let mut w = JsonWriter::pretty(2);
+        w.object(|w| {
+            w.key("benchmark").string("fleet_tick");
+            w.key("tenants").u64(self.workload.tenants as u64);
+            w.key("slots").u64(self.workload.slots as u64);
+            w.key("users_per_tenant")
+                .u64(self.workload.users_per_tenant as u64);
+            w.key("shards").u64(self.shards as u64);
+            w.key("threads").u64(self.workload.threads as u64);
+            w.key("history_window").u64(HISTORY_WINDOW as u64);
+            w.key("forecasts_bit_identical")
+                .bool(self.forecasts_identical);
+            w.key("shard_loads").array(|w| {
+                for shard in &self.shard_loads {
+                    w.object(|w| {
+                        w.key("shard").u64(shard.shard as u64);
+                        w.key("tenants").u64(shard.tenants as u64);
+                        w.key("ticks").u64(shard.ticks);
+                        w.key("records").u64(shard.records);
+                        w.key("load_ewma").f64(shard.load_ewma, 4);
+                    });
+                }
+            });
+            w.key("skewed").object(|w| skew.write_json(w));
+        });
+        w.finish()
     }
 }
 
 /// Interleaves the per-tenant records in a seeded random arrival order, the
 /// way concurrent arrivals from many tenants reach a front-end: consecutive
 /// records almost never belong to the same tenant or follow user-id order,
-/// so an ordered-insert ingest pays its `O(n)` insert on nearly every
-/// record.
+/// so the ingest path has real scattering and sorting to do.
 fn interleave<R: Rng>(
     per_tenant: &[Vec<(AccelerationGroupId, UserId)>],
     rng: &mut R,
@@ -216,9 +169,8 @@ fn interleave<R: Rng>(
     batch
 }
 
-/// Times `slots` slots of the single-shard loop and the sharded fleet on
-/// identical batches, verifying fleet forecasts against tenant-alone
-/// replays throughout.
+/// Drives `slots` slots of the sharded fleet, verifying its forecasts
+/// against tenant-alone replays after every slot.
 pub fn run(workload: &FleetWorkload, seed: u64) -> FleetBenchReport {
     let config = bench_config();
     let mix = TenantMix::heterogeneous(
@@ -228,15 +180,13 @@ pub fn run(workload: &FleetWorkload, seed: u64) -> FleetBenchReport {
         seed,
     );
 
-    // the single merged shard of the pre-fleet architecture
-    let mut single = TenantShard::new(TenantId(u32::MAX), &config, seed);
     // the sharded fleet, driven through the streaming ingestion API: the
     // bench plays the front-end, pushing each slot's batch into the live
     // lane the driver drains
-    let mut engine = FleetEngine::new(config.clone(), workload.tenants, seed);
+    let mut engine =
+        FleetEngine::new(config.clone(), workload.tenants, seed).with_threads(workload.threads);
     engine.add_tenants(mix.tenant_ids());
     let shards = engine.shard_count();
-    let threads = engine.threads();
     let (feed, source) = SlotBatchSource::channel();
     let mut driver = FleetDriver::new(engine).with_shared_source(source);
     // each tenant alone: the bit-identity reference, run with the index
@@ -249,36 +199,18 @@ pub fn run(workload: &FleetWorkload, seed: u64) -> FleetBenchReport {
 
     let mut streams: Vec<StdRng> = mix.tenant_ids().map(|t| mix.stream_for(t)).collect();
     let mut arrival_rng = StdRng::seed_from_u64(seed ^ 0x5bd1_e995);
-    let mut single_ms = 0.0f64;
-    let mut fleet_ms = 0.0f64;
     let mut forecasts_identical = true;
 
     for slot in 0..workload.slots {
-        // generation is shared by every path and excluded from the timings
         let per_tenant: Vec<Vec<(AccelerationGroupId, UserId)>> = mix
             .tenant_ids()
             .map(|t| mix.slot_records(t, slot, &mut streams[t.0 as usize]))
             .collect();
-        let batch = interleave(&per_tenant, &mut arrival_rng);
         let now_ms = (slot + 1) as f64 * config.slot_length_ms;
 
-        // single-shard loop: per-record ordered-insert ingest, one merged tick
-        let start = Instant::now();
-        let mut merged = TimeSlot::new(slot);
-        for record in &batch {
-            merged.assign(record.group, record.user);
-        }
-        single.tick(merged, now_ms);
-        single_ms += start.elapsed().as_secs_f64() * 1_000.0;
-
-        // fleet: live-lane push + driver step (one-pass batch ingest +
-        // parallel per-shard tick)
-        let start = Instant::now();
-        feed.push_slot(batch);
+        feed.push_slot(interleave(&per_tenant, &mut arrival_rng));
         driver.step().expect("the shared lane never misroutes");
-        fleet_ms += start.elapsed().as_secs_f64() * 1_000.0;
 
-        // bit-identity: every tenant alone, same records (untimed)
         for (tenant, records) in alone.iter_mut().zip(&per_tenant) {
             let mut builder = TimeSlotBuilder::with_capacity(slot, records.len());
             builder.extend(records.iter().copied());
@@ -294,11 +226,8 @@ pub fn run(workload: &FleetWorkload, seed: u64) -> FleetBenchReport {
     FleetBenchReport {
         workload: *workload,
         shards,
-        threads,
-        single_ms_per_slot: single_ms / workload.slots as f64,
-        fleet_ms_per_slot: fleet_ms / workload.slots as f64,
         forecasts_identical,
-        telemetry: driver.engine().telemetry(),
+        shard_loads: driver.engine().telemetry().shards,
     }
 }
 
@@ -310,48 +239,21 @@ pub fn print(report: &FleetBenchReport) {
         report.workload.slots,
         report.workload.users_per_tenant,
         report.shards,
-        report.threads,
+        report.workload.threads,
     );
-    println!("  {:<32} {:>12}", "architecture", "ms/slot");
-    println!(
-        "  {:<32} {:>12.3}",
-        "single shard, per-record ingest", report.single_ms_per_slot
-    );
-    println!(
-        "  {:<32} {:>12.3}",
-        "sharded fleet, batched ingest", report.fleet_ms_per_slot
-    );
-    println!("  speedup: {:.1}x", report.speedup());
     println!(
         "  per-tenant forecasts bit-identical to tenant-alone replay: {}",
         report.forecasts_identical
     );
-    let slot = &report.telemetry.slot;
-    if slot.count() > 0 {
+    println!(
+        "  {:<8} {:>8} {:>10} {:>12}",
+        "shard", "tenants", "records", "load ewma"
+    );
+    for shard in &report.shard_loads {
         println!(
-            "  slot tick latency: p50 {:.1} us, p99 {:.1} us, p999 {:.1} us, max {:.1} us",
-            slot.p50() as f64 / 1_000.0,
-            slot.p99() as f64 / 1_000.0,
-            slot.p999() as f64 / 1_000.0,
-            slot.max() as f64 / 1_000.0,
+            "  {:<8} {:>8} {:>10} {:>12.1}",
+            shard.shard, shard.tenants, shard.records, shard.load_ewma,
         );
-    }
-    if !report.telemetry.shards.is_empty() {
-        println!(
-            "  {:<8} {:>8} {:>10} {:>12} {:>14} {:>14}",
-            "shard", "tenants", "records", "load ewma", "tick ewma us", "tick p99 us"
-        );
-        for shard in &report.telemetry.shards {
-            println!(
-                "  {:<8} {:>8} {:>10} {:>12.1} {:>14.1} {:>14.1}",
-                shard.shard,
-                shard.tenants,
-                shard.records,
-                shard.load_ewma,
-                shard.tick_ewma_ns / 1_000.0,
-                shard.tick_p99_ns as f64 / 1_000.0,
-            );
-        }
     }
 }
 
@@ -371,7 +273,8 @@ pub struct SkewWorkload {
     pub max_users: usize,
     /// Number of provisioning slots.
     pub slots: usize,
-    /// The thread count the projected and measured comparisons target.
+    /// The pool size the record-count projection models (both engines tick
+    /// on one thread: nothing here depends on how many actually run).
     pub threads: usize,
 }
 
@@ -409,32 +312,20 @@ pub fn skew_rebalancer_config() -> RebalancerConfig {
         .with_warmup_slots(8)
 }
 
-/// Measurements of one static-placement-versus-rebalanced comparison on the
+/// Outcome of one static-placement-versus-rebalanced comparison on the
 /// Zipf-skewed workload.
 ///
-/// Four cost models, weakest hardware dependence first:
-///
-/// * **projected work** — per slot, the most *records* any chunk of shards
-///   ingests under the bundled thread pool's contiguous chunking at
-///   [`SkewWorkload::threads`] threads. Counts, not clocks: identical on
-///   every machine, run and telemetry mode, which is why the gate reads
-///   this model and only reports the three timed ones (a shard tick here is
-///   tens of microseconds, within scheduler jitter of its neighbours);
-/// * **critical path** — per slot, the slowest shard tick (what the slot
-///   would cost with one thread per shard); measured single-threaded, so it
-///   is meaningful on any machine including a single-core CI runner;
-/// * **projected** — per slot, the slowest chunk of shards under the same
-///   chunking, from the same single-threaded tick samples: the multicore
-///   slot cost this machine would pay if it had the cores;
-/// * **measured** — wall-clock ms per slot of full runs at the configured
-///   thread count; only a fair comparison when
-///   [`SkewBenchReport::available_parallelism`] covers the thread count.
+/// The cost model is **projected work**: per slot, the most *records* any
+/// chunk of shards ingests under the bundled thread pool's contiguous
+/// chunking at [`SkewWorkload::threads`] threads, summed over the run.
+/// Counts, not clocks — identical on every machine, run and telemetry mode
+/// (a shard tick here is tens of microseconds, within scheduler jitter of
+/// its neighbours; the measured view of the same imbalance is
+/// `fleet.engine.critical_path_share` on `fleet_elastic`).
 #[derive(Debug, Clone)]
 pub struct SkewBenchReport {
-    /// The workload shape measured.
+    /// The workload shape driven.
     pub workload: SkewWorkload,
-    /// Cores the machine exposes (what the measured model actually ran on).
-    pub available_parallelism: usize,
     /// Whether static and rebalanced forecasts matched bit for bit after
     /// every slot.
     pub forecasts_identical: bool,
@@ -452,19 +343,6 @@ pub struct SkewBenchReport {
     /// Sum over slots of the heaviest chunk's record count at the target
     /// thread count, rebalanced.
     pub rebalanced_projected_records: u64,
-    /// Critical-path ms per slot, static placement.
-    pub static_critical_ms: f64,
-    /// Critical-path ms per slot, rebalanced.
-    pub rebalanced_critical_ms: f64,
-    /// Projected ms per slot at the target thread count, static placement.
-    pub static_projected_ms: f64,
-    /// Projected ms per slot at the target thread count, rebalanced.
-    pub rebalanced_projected_ms: f64,
-    /// Measured wall-clock ms per slot at the target thread count, static.
-    pub static_measured_ms: f64,
-    /// Measured wall-clock ms per slot at the target thread count,
-    /// rebalanced.
-    pub rebalanced_measured_ms: f64,
 }
 
 impl SkewBenchReport {
@@ -474,85 +352,41 @@ impl SkewBenchReport {
         self.static_projected_records as f64 / self.rebalanced_projected_records as f64
     }
 
-    /// Static over rebalanced, critical-path model.
-    pub fn critical_speedup(&self) -> f64 {
-        self.static_critical_ms / self.rebalanced_critical_ms
-    }
-
-    /// Static over rebalanced, projected at the target thread count.
-    pub fn projected_speedup(&self) -> f64 {
-        self.static_projected_ms / self.rebalanced_projected_ms
-    }
-
-    /// Static over rebalanced, measured wall clock.
-    pub fn measured_speedup(&self) -> f64 {
-        self.static_measured_ms / self.rebalanced_measured_ms
-    }
-
-    /// The report as a JSON object (no trailing newline — embeddable as a
-    /// section of `BENCH_fleet.json`).
-    pub fn json_object(&self) -> String {
-        let loads = |values: &[f64]| {
-            let mut out = String::from("[");
-            for (i, v) in values.iter().enumerate() {
-                let _ = write!(out, "{}{:.2}", if i > 0 { ", " } else { "" }, v);
-            }
-            out.push(']');
-            out
+    /// The report's members, written into the object the caller opened (the
+    /// `skewed` section of `BENCH_fleet.json`).
+    fn write_json(&self, w: &mut JsonWriter) {
+        let loads = |w: &mut JsonWriter, values: &[f64]| {
+            w.array(|w| {
+                for &value in values {
+                    w.f64(value, 2);
+                }
+            });
         };
-        format!(
-            "{{\n    \"shards\": {},\n    \"tenants\": {},\n    \"zipf_s\": {:.2},\n    \
-             \"max_users\": {},\n    \"slots\": {},\n    \"threads\": {},\n    \
-             \"available_parallelism\": {},\n    \"forecasts_identical\": {},\n    \
-             \"migrations\": {},\n    \"trigger_last_ratio\": {:.3},\n    \
-             \"loads_before\": {},\n    \"loads_after\": {},\n    \
-             \"static_projected_records\": {},\n    \
-             \"rebalanced_projected_records\": {},\n    \
-             \"projected_work_speedup\": {:.3},\n    \
-             \"static_critical_ms_per_slot\": {:.4},\n    \
-             \"rebalanced_critical_ms_per_slot\": {:.4},\n    \
-             \"critical_path_speedup\": {:.2},\n    \
-             \"static_projected_ms_per_slot\": {:.4},\n    \
-             \"rebalanced_projected_ms_per_slot\": {:.4},\n    \
-             \"projected_speedup\": {:.2},\n    \
-             \"static_measured_ms_per_slot\": {:.4},\n    \
-             \"rebalanced_measured_ms_per_slot\": {:.4},\n    \
-             \"measured_speedup\": {:.2}\n  }}",
-            self.workload.shards,
-            self.workload.tenants,
-            self.workload.zipf_s,
-            self.workload.max_users,
-            self.workload.slots,
-            self.workload.threads,
-            self.available_parallelism,
-            self.forecasts_identical,
-            self.migrations,
-            self.trigger_last_ratio,
-            loads(&self.loads_before),
-            loads(&self.loads_after),
-            self.static_projected_records,
-            self.rebalanced_projected_records,
-            self.work_speedup(),
-            self.static_critical_ms,
-            self.rebalanced_critical_ms,
-            self.critical_speedup(),
-            self.static_projected_ms,
-            self.rebalanced_projected_ms,
-            self.projected_speedup(),
-            self.static_measured_ms,
-            self.rebalanced_measured_ms,
-            self.measured_speedup(),
-        )
+        w.key("shards").u64(self.workload.shards as u64);
+        w.key("tenants").u64(self.workload.tenants as u64);
+        w.key("zipf_s").f64(self.workload.zipf_s, 2);
+        w.key("max_users").u64(self.workload.max_users as u64);
+        w.key("slots").u64(self.workload.slots as u64);
+        w.key("threads").u64(self.workload.threads as u64);
+        w.key("forecasts_identical").bool(self.forecasts_identical);
+        w.key("migrations").u64(self.migrations);
+        w.key("trigger_last_ratio").f64(self.trigger_last_ratio, 3);
+        loads(w.key("loads_before"), &self.loads_before);
+        loads(w.key("loads_after"), &self.loads_after);
+        w.key("static_projected_records")
+            .u64(self.static_projected_records);
+        w.key("rebalanced_projected_records")
+            .u64(self.rebalanced_projected_records);
+        w.key("projected_work_speedup").f64(self.work_speedup(), 3);
     }
 }
 
 /// One slot's cost at `threads` threads under the bundled thread pool's
-/// contiguous chunking, from the per-shard costs (tick times, or record
-/// counts): the pool splits the
-/// shard list into `threads` contiguous chunks (the first `len % threads`
-/// chunks one longer), runs each chunk on one worker, and the slot ends when
-/// the slowest chunk does. Mirrors `chunk_ranges` in the bundled rayon
-/// stand-in exactly, so the projection is the arithmetic the real pool
+/// contiguous chunking, from the per-shard record counts: the pool splits
+/// the shard list into `threads` contiguous chunks (the first `len %
+/// threads` chunks one longer), runs each chunk on one worker, and the slot
+/// ends when the slowest chunk does. Mirrors `chunk_ranges` in the bundled
+/// rayon stand-in exactly, so the projection is the arithmetic the real pool
 /// executes.
 fn projected_slot_cost(per_shard: &[u64], threads: usize) -> u64 {
     let len = per_shard.len();
@@ -586,40 +420,12 @@ fn slot_records(engine: &FleetEngine, seen: &mut [u64]) -> Vec<u64> {
         .collect()
 }
 
-/// Drives a full skewed run at the workload's thread count with telemetry
-/// disabled and returns the mean wall-clock ms per slot (generation
-/// included, identically on both arms).
-fn measure_skewed(
-    workload: &SkewWorkload,
-    seed: u64,
-    config: &SystemConfig,
-    mix: &TenantMix,
-    rebalancer: Option<RebalancerConfig>,
-) -> f64 {
-    let mut engine = FleetEngine::new(config.clone(), workload.shards, seed)
-        .with_threads(workload.threads)
-        .with_telemetry(TelemetryMode::Disabled);
-    if let Some(rebalancer) = rebalancer {
-        engine = engine.with_rebalancer(rebalancer);
-    }
-    engine.add_tenants(mix.tenant_ids());
-    let start = Instant::now();
-    for _ in 0..workload.slots {
-        engine
-            .try_tick_mix(mix)
-            .expect("every hosted tenant is in the mix");
-    }
-    start.elapsed().as_secs_f64() * 1_000.0 / workload.slots as f64
-}
-
 /// Runs the Zipf-skew comparison: a static-placement fleet and a rebalanced
 /// fleet drive the identical heavy-tailed [`TenantMix::zipf`] workload in
 /// lockstep, with forecasts compared bit for bit after **every** slot — the
-/// perf claim is only admissible because the rebalanced fleet provably
-/// computes the same answers. The lockstep pass runs single-threaded with
-/// monotonic telemetry, sampling each shard's record count and tick time
-/// per slot for the projected-work, critical-path and projected models; a
-/// second pass measures wall-clock runs at the target thread count.
+/// balance claim is only admissible because the rebalanced fleet provably
+/// computes the same answers — sampling each shard's record count per slot
+/// for the projected-work model.
 pub fn run_skewed(workload: &SkewWorkload, seed: u64) -> SkewBenchReport {
     let config = bench_config();
     let mix = TenantMix::zipf(
@@ -632,16 +438,12 @@ pub fn run_skewed(workload: &SkewWorkload, seed: u64) -> SkewBenchReport {
 
     let mut static_engine = FleetEngine::new(config.clone(), workload.shards, seed).with_threads(1);
     static_engine.add_tenants(mix.tenant_ids());
-    let mut rebalanced_engine = FleetEngine::new(config.clone(), workload.shards, seed)
+    let mut rebalanced_engine = FleetEngine::new(config, workload.shards, seed)
         .with_threads(1)
         .with_rebalancer(skew_rebalancer_config());
     rebalanced_engine.add_tenants(mix.tenant_ids());
 
     let mut forecasts_identical = true;
-    let mut static_critical_ns = 0u64;
-    let mut rebalanced_critical_ns = 0u64;
-    let mut static_projected_ns = 0u64;
-    let mut rebalanced_projected_ns = 0u64;
     let mut static_projected_records = 0u64;
     let mut rebalanced_projected_records = 0u64;
     let mut static_records = vec![0u64; workload.shards];
@@ -656,12 +458,6 @@ pub fn run_skewed(workload: &SkewWorkload, seed: u64) -> SkewBenchReport {
         if static_engine.forecasts() != rebalanced_engine.forecasts() {
             forecasts_identical = false;
         }
-        let static_ticks = static_engine.last_shard_tick_ns();
-        let rebalanced_ticks = rebalanced_engine.last_shard_tick_ns();
-        static_critical_ns += static_ticks.iter().copied().max().unwrap_or(0);
-        rebalanced_critical_ns += rebalanced_ticks.iter().copied().max().unwrap_or(0);
-        static_projected_ns += projected_slot_cost(&static_ticks, workload.threads);
-        rebalanced_projected_ns += projected_slot_cost(&rebalanced_ticks, workload.threads);
         static_projected_records += projected_slot_cost(
             &slot_records(&static_engine, &mut static_records),
             workload.threads,
@@ -679,21 +475,8 @@ pub fn run_skewed(workload: &SkewWorkload, seed: u64) -> SkewBenchReport {
         .rebalance
         .expect("the rebalanced arm runs a rebalancer");
 
-    let static_measured_ms = measure_skewed(workload, seed, &config, &mix, None);
-    let rebalanced_measured_ms = measure_skewed(
-        workload,
-        seed,
-        &config,
-        &mix,
-        Some(skew_rebalancer_config()),
-    );
-
-    let to_ms = |ns: u64| ns as f64 / 1e6 / workload.slots as f64;
     SkewBenchReport {
         workload: *workload,
-        available_parallelism: std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1),
         forecasts_identical,
         migrations: rebalance.migrations,
         trigger_last_ratio: rebalance.last_ratio,
@@ -701,30 +484,21 @@ pub fn run_skewed(workload: &SkewWorkload, seed: u64) -> SkewBenchReport {
         loads_after: rebalance.loads_after,
         static_projected_records,
         rebalanced_projected_records,
-        static_critical_ms: to_ms(static_critical_ns),
-        rebalanced_critical_ms: to_ms(rebalanced_critical_ns),
-        static_projected_ms: to_ms(static_projected_ns),
-        rebalanced_projected_ms: to_ms(rebalanced_projected_ns),
-        static_measured_ms,
-        rebalanced_measured_ms,
     }
 }
 
 /// Prints the skew comparison as an aligned table.
 pub fn print_skewed(report: &SkewBenchReport) {
     println!(
-        "\nzipf skew (s={:.1}) over {} tenants x {} slots, {} shards, target {} threads \
-         ({} core(s) available)",
+        "\nzipf skew (s={:.1}) over {} tenants x {} slots, {} shards",
         report.workload.zipf_s,
         report.workload.tenants,
         report.workload.slots,
         report.workload.shards,
-        report.workload.threads,
-        report.available_parallelism,
     );
     println!(
         "  {:<26} {:>14} {:>14} {:>9}",
-        "cost model", "static ms/slot", "rebal ms/slot", "speedup"
+        "cost model", "static", "rebalanced", "ratio"
     );
     println!(
         "  {:<26} {:>14} {:>14} {:>8.3}x",
@@ -732,27 +506,6 @@ pub fn print_skewed(report: &SkewBenchReport) {
         report.static_projected_records,
         report.rebalanced_projected_records,
         report.work_speedup(),
-    );
-    println!(
-        "  {:<26} {:>14.3} {:>14.3} {:>8.2}x",
-        "critical path (1/shard)",
-        report.static_critical_ms,
-        report.rebalanced_critical_ms,
-        report.critical_speedup(),
-    );
-    println!(
-        "  {:<26} {:>14.3} {:>14.3} {:>8.2}x",
-        format!("projected @{} threads", report.workload.threads),
-        report.static_projected_ms,
-        report.rebalanced_projected_ms,
-        report.projected_speedup(),
-    );
-    println!(
-        "  {:<26} {:>14.3} {:>14.3} {:>8.2}x",
-        "measured wall clock",
-        report.static_measured_ms,
-        report.rebalanced_measured_ms,
-        report.measured_speedup(),
     );
     println!(
         "  migrations: {} (last trigger ratio {:.2}); forecasts identical every slot: {}",
@@ -774,254 +527,6 @@ pub fn print_skewed(report: &SkewBenchReport) {
     }
 }
 
-/// Absolute slack added to the telemetry-overhead gate, ms per slot. The
-/// 3% relative bound is the real bar; on a smoke-sized workload a slot is a
-/// few milliseconds, so scheduler jitter alone can swing two identical runs
-/// past a bare percentage — the fixed slack absorbs that noise while still
-/// failing on any per-record cost sneaking into the hot path.
-pub const OVERHEAD_SLACK_MS: f64 = 0.25;
-
-/// Relative telemetry-overhead bound: instrumented ticks may cost at most
-/// this fraction more than uninstrumented ones.
-pub const OVERHEAD_BOUND: f64 = 0.03;
-
-/// Results and gate verdicts of the telemetry smoke run: one fleet pass
-/// with monotonic telemetry, one with telemetry disabled, on identical
-/// record streams.
-#[derive(Debug, Clone)]
-pub struct TelemetrySmokeReport {
-    /// The workload shape measured.
-    pub workload: FleetWorkload,
-    /// Mean wall-clock time of one fleet slot with monotonic telemetry, ms.
-    pub enabled_ms_per_slot: f64,
-    /// Mean wall-clock time of one fleet slot with telemetry disabled, ms.
-    pub disabled_ms_per_slot: f64,
-    /// The instrumented engine's telemetry snapshot.
-    pub telemetry: FleetTelemetry,
-    /// The instrumented engine's registry as a versioned JSON snapshot.
-    pub snapshot_json: String,
-    /// Correctness-gate failures: histogram totals that disagree with event
-    /// counts, or a snapshot that fails to round-trip. Empty on success.
-    pub failures: Vec<String>,
-    /// Whether the instrumented pass stayed within the overhead bound.
-    pub overhead_within_bound: bool,
-}
-
-impl TelemetrySmokeReport {
-    /// Instrumented cost over uninstrumented cost, as a percentage.
-    pub fn overhead_percent(&self) -> f64 {
-        (self.enabled_ms_per_slot / self.disabled_ms_per_slot - 1.0) * 100.0
-    }
-
-    /// Whether every gate passed.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty() && self.overhead_within_bound
-    }
-
-    /// The report as a JSON object; `snapshot` embeds the registry snapshot
-    /// verbatim (it is already JSON).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"benchmark\": \"fleet_telemetry\",\n  \"tenants\": {},\n  \"slots\": {},\n  \
-             \"users_per_tenant\": {},\n  \"enabled_ms_per_slot\": {:.4},\n  \
-             \"disabled_ms_per_slot\": {:.4},\n  \"overhead_percent\": {:.2},\n  \
-             \"overhead_within_bound\": {},\n  \"checks_passed\": {},\n  \"snapshot\": {}\n}}\n",
-            self.workload.tenants,
-            self.workload.slots,
-            self.workload.users_per_tenant,
-            self.enabled_ms_per_slot,
-            self.disabled_ms_per_slot,
-            self.overhead_percent(),
-            self.overhead_within_bound,
-            self.failures.is_empty(),
-            self.snapshot_json.trim_end(),
-        )
-    }
-}
-
-/// Drives the fleet path alone (no single-shard baseline, no tenant-alone
-/// replicas) over the workload's record stream and returns the mean ms per
-/// slot plus the driver for inspection.
-fn drive_fleet(workload: &FleetWorkload, seed: u64, mode: TelemetryMode) -> (f64, FleetDriver) {
-    let config = bench_config();
-    let mix = TenantMix::heterogeneous(
-        workload.tenants,
-        workload.users_per_tenant,
-        config.groups.ids(),
-        seed,
-    );
-    let mut engine = FleetEngine::new(config, workload.tenants, seed).with_telemetry(mode);
-    engine.add_tenants(mix.tenant_ids());
-    let (feed, source) = SlotBatchSource::channel();
-    let mut driver = FleetDriver::new(engine).with_shared_source(source);
-
-    let mut streams: Vec<StdRng> = mix.tenant_ids().map(|t| mix.stream_for(t)).collect();
-    let mut arrival_rng = StdRng::seed_from_u64(seed ^ 0x5bd1_e995);
-    let mut fleet_ms = 0.0f64;
-    for slot in 0..workload.slots {
-        let per_tenant: Vec<Vec<(AccelerationGroupId, UserId)>> = mix
-            .tenant_ids()
-            .map(|t| mix.slot_records(t, slot, &mut streams[t.0 as usize]))
-            .collect();
-        let batch = interleave(&per_tenant, &mut arrival_rng);
-        let start = Instant::now();
-        feed.push_slot(batch);
-        driver.step().expect("the shared lane never misroutes");
-        fleet_ms += start.elapsed().as_secs_f64() * 1_000.0;
-    }
-    (fleet_ms / workload.slots as f64, driver)
-}
-
-/// The telemetry smoke gate: proves the instrumentation layer's three
-/// contracts on a live fleet run.
-///
-/// 1. **Histogram totals equal event counts** — the stage-count arithmetic
-///    (`windowing == predict == tenant-ticks`, `allocate == allocations +
-///    infeasible`, `bill == allocations`, `tick == shards × slots`, `slot ==
-///    slots`) holds exactly; a missed or double-counted timer fails the gate.
-/// 2. **The exposition round-trips** — the versioned JSON snapshot parses
-///    with the in-tree parser, carries [`SNAPSHOT_VERSION`], and its
-///    histogram counts agree with the live histograms; the Prometheus text
-///    carries the slot-tick series.
-/// 3. **The hot path stays cheap** — the instrumented pass costs at most
-///    [`OVERHEAD_BOUND`] more than a telemetry-disabled pass over identical
-///    records (plus [`OVERHEAD_SLACK_MS`] for timing noise).
-pub fn telemetry_smoke(workload: &FleetWorkload, seed: u64) -> TelemetrySmokeReport {
-    // a short untimed pass warms the allocator and the rayon pool so the
-    // disabled-vs-enabled comparison does not charge warmup to either side
-    let warmup = FleetWorkload {
-        slots: workload.slots.min(16),
-        ..*workload
-    };
-    drive_fleet(&warmup, seed, TelemetryMode::Disabled);
-
-    let (disabled_ms, _) = drive_fleet(workload, seed, TelemetryMode::Disabled);
-    let (enabled_ms, driver) = drive_fleet(workload, seed, TelemetryMode::Monotonic);
-
-    let report = driver.report();
-    let telemetry = report.telemetry.clone();
-    let mut failures = Vec::new();
-    let mut check = |name: &str, got: u64, want: u64| {
-        if got != want {
-            failures.push(format!("{name}: got {got}, want {want}"));
-        }
-    };
-
-    let slots = workload.slots as u64;
-    let shards = telemetry.shards.len() as u64;
-    check("slot histogram count", telemetry.slot.count(), slots);
-    check(
-        "tick histogram count",
-        telemetry.stages.tick.count(),
-        shards * slots,
-    );
-    check(
-        "windowing histogram count",
-        telemetry.stages.windowing.count(),
-        workload.tenants as u64 * slots,
-    );
-    check(
-        "predict histogram count",
-        telemetry.stages.predict.count(),
-        telemetry.stages.windowing.count(),
-    );
-    check(
-        "allocate histogram count",
-        telemetry.stages.allocate.count(),
-        (report.metrics.total_allocations + report.metrics.total_infeasible) as u64,
-    );
-    check(
-        "bill histogram count",
-        telemetry.stages.bill.count(),
-        report.metrics.total_allocations as u64,
-    );
-    let staged: u64 = telemetry.shards.iter().map(|s| s.records).sum();
-    check(
-        "records staged across shards",
-        staged,
-        report.records as u64,
-    );
-
-    let registry = driver.engine().telemetry_registry();
-    let snapshot_json = json_snapshot(&registry);
-    match json::parse(&snapshot_json) {
-        Err(error) => failures.push(format!("snapshot does not parse: {error}")),
-        Ok(doc) => {
-            if doc.get("version").and_then(|v| v.as_u64()) != Some(SNAPSHOT_VERSION) {
-                failures.push(format!("snapshot version is not {SNAPSHOT_VERSION}"));
-            }
-            let hist_count = |name: &str| {
-                doc.get("histograms")
-                    .and_then(|h| h.get(name))
-                    .and_then(|h| h.get("count"))
-                    .and_then(|c| c.as_u64())
-            };
-            if hist_count("fleet_slot_tick_ns") != Some(telemetry.slot.count()) {
-                failures.push("snapshot fleet_slot_tick_ns count disagrees".to_string());
-            }
-            let counter = |name: &str| {
-                doc.get("counters")
-                    .and_then(|c| c.get(name))
-                    .and_then(|c| c.as_u64())
-            };
-            if counter("fleet_records_total") != Some(report.records as u64) {
-                failures.push("snapshot fleet_records_total disagrees".to_string());
-            }
-        }
-    }
-    if !prometheus_text(&registry).contains("fleet_slot_tick_ns_count") {
-        failures.push("prometheus text is missing the slot-tick series".to_string());
-    }
-
-    let overhead_within_bound =
-        enabled_ms <= disabled_ms * (1.0 + OVERHEAD_BOUND) + OVERHEAD_SLACK_MS;
-
-    TelemetrySmokeReport {
-        workload: *workload,
-        enabled_ms_per_slot: enabled_ms,
-        disabled_ms_per_slot: disabled_ms,
-        telemetry,
-        snapshot_json,
-        failures,
-        overhead_within_bound,
-    }
-}
-
-/// Prints the telemetry smoke verdicts as an aligned table.
-pub fn print_telemetry_smoke(report: &TelemetrySmokeReport) {
-    println!(
-        "\ntelemetry smoke over {} tenants x {} slots",
-        report.workload.tenants, report.workload.slots
-    );
-    println!("  {:<32} {:>12}", "fleet path", "ms/slot");
-    println!(
-        "  {:<32} {:>12.3}",
-        "telemetry disabled", report.disabled_ms_per_slot
-    );
-    println!(
-        "  {:<32} {:>12.3}",
-        "telemetry enabled (monotonic)", report.enabled_ms_per_slot
-    );
-    println!(
-        "  overhead: {:+.2}% (bound {:.0}% + {:.2} ms slack) -> {}",
-        report.overhead_percent(),
-        OVERHEAD_BOUND * 100.0,
-        OVERHEAD_SLACK_MS,
-        if report.overhead_within_bound {
-            "ok"
-        } else {
-            "EXCEEDED"
-        },
-    );
-    if report.failures.is_empty() {
-        println!("  histogram totals equal event counts; snapshot round-trips: ok");
-    } else {
-        for failure in &report.failures {
-            println!("  FAILED: {failure}");
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1032,40 +537,16 @@ mod tests {
             tenants: 6,
             slots: 12,
             users_per_tenant: 20,
+            threads: 2,
         };
         let report = run(&workload, crate::DEFAULT_SEED);
         assert!(report.forecasts_identical);
-        assert!(report.single_ms_per_slot > 0.0 && report.fleet_ms_per_slot > 0.0);
-        // the engine defaults to monotonic telemetry, so the bench report
-        // carries real tail latencies and per-shard load
-        assert_eq!(report.telemetry.slot.count(), 12);
-        assert!(report.telemetry.slot.p99() > 0);
-        assert_eq!(report.telemetry.shards.len(), report.shards);
-        let json = report.to_json();
-        assert!(json.contains("\"tenants\": 6"));
-        assert!(json.contains("\"forecasts_bit_identical\": true"));
-        assert!(json.contains("\"slot_tick_ns\""));
-        assert!(json.contains("\"p999\""));
-        assert!(json.contains("\"shard_loads\""));
-        assert!(json.contains("\"load_ewma\""));
-    }
-
-    #[test]
-    fn telemetry_smoke_gates_pass_on_a_small_fleet() {
-        let workload = FleetWorkload {
-            tenants: 6,
-            slots: 12,
-            users_per_tenant: 20,
-        };
-        let report = telemetry_smoke(&workload, crate::DEFAULT_SEED);
-        // the correctness gates are deterministic; the overhead gate is a
-        // wall-clock comparison and is only asserted at smoke scale in CI
-        assert_eq!(report.failures, Vec::<String>::new());
-        assert_eq!(report.telemetry.slot.count(), 12);
-        let json = report.to_json();
-        assert!(json.contains("\"benchmark\": \"fleet_telemetry\""));
-        assert!(json.contains("\"snapshot\": {\"version\":1,"));
-        mca_telemetry::json::parse(&json).expect("the telemetry report is valid JSON");
+        assert_eq!(report.shard_loads.len(), report.shards);
+        assert!(report.shard_loads.iter().all(|s| s.ticks == 12));
+        assert_eq!(
+            report.shard_loads.iter().map(|s| s.tenants).sum::<usize>(),
+            6
+        );
     }
 
     #[test]
@@ -1084,40 +565,23 @@ mod tests {
             "rebalancing must not change a single forecast or metric"
         );
         assert!(report.migrations > 0, "the Zipf skew must trigger moves");
-        assert!(report.static_critical_ms > 0.0 && report.rebalanced_critical_ms > 0.0);
-        // the projected model can never beat the critical path (one thread
-        // per shard is its limit), and never lose to a single thread
-        assert!(report.static_projected_ms >= report.static_critical_ms);
         // the gated model counts records: every slot of either arm has some
         assert!(report.static_projected_records >= workload.slots as u64);
         assert!(report.rebalanced_projected_records >= workload.slots as u64);
-        let json = report.json_object();
-        assert!(json.contains("\"forecasts_identical\": true"));
-        assert!(json.contains("\"projected_speedup\""));
-        assert!(json.contains("\"projected_work_speedup\""));
-        // the embedded form stays valid JSON
-        let full = FleetBenchReport {
-            workload: FleetWorkload {
-                tenants: 2,
-                slots: 1,
-                users_per_tenant: 1,
-            },
-            shards: 1,
-            threads: 1,
-            single_ms_per_slot: 1.0,
-            fleet_ms_per_slot: 1.0,
-            forecasts_identical: true,
-            telemetry: FleetTelemetry {
-                mode: TelemetryMode::Disabled,
-                slot: Default::default(),
-                stages: Default::default(),
-                shards: Vec::new(),
-                rebalance: None,
-                critical_path_ns: 0,
-            },
-        }
-        .to_json_with_skew(&report);
-        mca_telemetry::json::parse(&full).expect("the skewed report is valid JSON");
+    }
+
+    #[test]
+    fn reports_reproduce_byte_for_byte_at_the_smoke_shape() {
+        let json = || {
+            run(&FleetWorkload::smoke(), crate::DEFAULT_SEED)
+                .to_json(&run_skewed(&SkewWorkload::smoke(), crate::DEFAULT_SEED))
+        };
+        let first = json();
+        assert_eq!(first, json(), "BENCH_fleet.json is a function of the code");
+        // the Zipf gate's figures at this shape, every run, on any machine
+        assert!(first.contains("\"static_projected_records\": 101640"));
+        assert!(first.contains("\"rebalanced_projected_records\": 54420"));
+        assert!(first.contains("\"projected_work_speedup\": 1.868"));
     }
 
     #[test]

@@ -1,88 +1,37 @@
-//! Performance harness for the nearest-slot workload predictor: the pruned,
-//! allocation-free search of `mca-core` versus the retained naive baseline
-//! (full scan, per-candidate set construction — the seed's cost model).
+//! Micro-benchmark of the nearest-slot predictor's **block-summary tree** in
+//! steady state — the one regime the end-to-end benchmark has no workload
+//! for (`forecast_indexed` stops at 100,000 slots; `forecast_linear` owns
+//! the serial scan below the index threshold, `service_p50_ms`): one
+//! predictor grown by `observe_slot` from 100k to 1M slots and, at every
+//! point, 1,000 distinct probes (70 % resemble the next slot, 30 % revisit a
+//! random old epoch) reported as p50/p99, against the pruned linear scan on
+//! a sample of the same probes. One further row runs the same protocol on a
+//! **stationary** population — id windows that never drift, so no envelope
+//! separates one stretch of history from another — where the tree can only
+//! degrade to the linear signature pass.
 //!
-//! The headline configuration follows the acceptance bar of the time-slot
-//! engine rework: a 5,000-slot × 3-group × 200-users-per-group synthetic
-//! history, on which the pruned search must be at least 5× faster than the
-//! naive scan. `cargo run --release -p mca-bench --bin bench_prediction`
-//! regenerates `BENCH_prediction.json` at the repository root.
-//!
-//! A second harness ([`run_index`]) times the **block-summary tree** in
-//! steady state: one predictor grown by `observe_slot` from 100k to 1M slots
-//! and, at every point, 1,000 distinct probes (70 % resemble the next slot,
-//! 30 % revisit a random old epoch) reported as p50/p99, against the pruned
-//! linear scan on a sample of the same probes, asserting the serial and tree
-//! paths return the bit-identical forecast. The acceptance bar:
-//! ≥5× over the pruned scan at 1M slots and sub-linear growth (10× more
-//! history must cost the tree's median query <3× more time). One further row
-//! runs the same protocol on a **stationary** population — id windows that
-//! never drift, so no envelope separates one stretch of history from another
-//! — where the tree can only degrade to the linear signature pass; it is
-//! reported, not gated.
+//! The timings explain the end-to-end number and are **reported, never
+//! gated**. The gate is agreement: at every point the serial and tree paths
+//! (and, on small histories, the naive full scan) must return the
+//! bit-identical forecast. `cargo run --release -p mca-bench --bin
+//! bench_prediction` regenerates `BENCH_prediction.json` at the repository
+//! root.
 
 use mca_core::{IndexPolicy, SlotHistory, TimeSlot, WorkloadPredictor};
 use mca_offload::{AccelerationGroupId, UserId};
+use mca_telemetry::json::JsonWriter;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
-/// Shape of the synthetic prediction workload.
-#[derive(Debug, Clone, Copy)]
-pub struct PredictionWorkload {
-    /// Number of historical slots (`H`).
-    pub slots: usize,
-    /// Number of acceleration groups.
-    pub groups: usize,
-    /// Nominal users per group per slot.
-    pub users_per_group: usize,
-}
-
-impl PredictionWorkload {
-    /// The acceptance-bar configuration: 5,000 slots × 3 groups × 200 users.
-    pub fn headline() -> Self {
-        Self {
-            slots: 5_000,
-            groups: 3,
-            users_per_group: 200,
-        }
-    }
-
-    /// The acceleration-group universe of this workload.
-    pub fn group_ids(&self) -> Vec<AccelerationGroupId> {
-        (1..=self.groups as u8).map(AccelerationGroupId).collect()
-    }
-}
-
-/// Builds a drifting synthetic history: each group's user population is a
-/// contiguous id window that slides slowly over time while the load ramps
-/// diurnally, so consecutive slots share most users (as the paper's traces
-/// do) and distances between far-apart slots are large — the regime the
-/// signature pruning exploits.
-pub fn synthetic_history(workload: &PredictionWorkload) -> SlotHistory {
-    let mut rng = StdRng::seed_from_u64(crate::DEFAULT_SEED);
-    let mut history = SlotHistory::hourly();
-    for hour in 0..workload.slots {
-        history.push(synthetic_slot(workload, hour, &mut rng));
-    }
-    history
-}
-
-/// The probe used as the "current" slot: a fresh slot resembling (but not
-/// equal to) the most recent history entries.
-pub fn current_probe_slot(workload: &PredictionWorkload) -> TimeSlot {
-    let mut rng = StdRng::seed_from_u64(crate::DEFAULT_SEED ^ 0x5bd1e995);
-    synthetic_slot(workload, workload.slots, &mut rng)
-}
-
-fn synthetic_slot(workload: &PredictionWorkload, hour: usize, rng: &mut StdRng) -> TimeSlot {
-    synthetic_slot_drifted(workload, hour, hour, rng)
-}
-
-/// A slot at the diurnal phase of `hour` whose id windows have slid for
-/// `drift_hours` slots (`0` at every hour makes the population stationary).
+/// A slot at the diurnal phase of `hour` whose per-group user populations
+/// are contiguous id windows that have slid for `drift_hours` slots (`0` at
+/// every hour makes the population stationary). With `drift_hours == hour`
+/// consecutive slots share most users (as the paper's traces do) and
+/// distances between far-apart slots are large — the regime the signature
+/// pruning exploits.
 fn synthetic_slot_drifted(
-    workload: &PredictionWorkload,
+    workload: &IndexScanWorkload,
     hour: usize,
     drift_hours: usize,
     rng: &mut StdRng,
@@ -107,75 +56,6 @@ fn synthetic_slot_drifted(
         }
     }
     slot
-}
-
-/// Measurements of one pruned-versus-naive comparison.
-#[derive(Debug, Clone)]
-pub struct PredictionBenchReport {
-    /// The workload shape measured.
-    pub workload: PredictionWorkload,
-    /// Number of predictions timed per implementation.
-    pub rounds: usize,
-    /// Mean wall-clock time of one naive prediction, milliseconds.
-    pub naive_ms: f64,
-    /// Mean wall-clock time of one pruned prediction, milliseconds.
-    pub pruned_ms: f64,
-}
-
-impl PredictionBenchReport {
-    /// Naive time over pruned time.
-    pub fn speedup(&self) -> f64 {
-        self.naive_ms / self.pruned_ms
-    }
-
-    /// The report as a JSON object (hand-rolled: serde_json is unavailable
-    /// offline).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"history_slots\": {},\n  \
-             \"groups\": {},\n  \"users_per_group\": {},\n  \"rounds\": {},\n  \
-             \"naive_ms_per_prediction\": {:.4},\n  \"pruned_ms_per_prediction\": {:.4},\n  \
-             \"speedup\": {:.2}\n}}",
-            self.workload.slots,
-            self.workload.groups,
-            self.workload.users_per_group,
-            self.rounds,
-            self.naive_ms,
-            self.pruned_ms,
-            self.speedup(),
-        )
-    }
-}
-
-/// Times `rounds` naive and pruned `NearestSlot` predictions over the same
-/// predictor state and probe, and checks both return identical forecasts.
-pub fn run(workload: &PredictionWorkload, rounds: usize) -> PredictionBenchReport {
-    assert!(rounds > 0, "at least one timed round");
-    let history = synthetic_history(workload);
-    let probe = current_probe_slot(workload);
-    let mut predictor = WorkloadPredictor::new(workload.group_ids(), history.slot_length_ms);
-    predictor.set_history(history);
-
-    // correctness first: the pruned search must reproduce the naive forecast
-    let fast = predictor.predict(&probe).expect("non-empty history");
-    let naive = predictor.predict_naive(&probe).expect("non-empty history");
-    assert_eq!(
-        fast, naive,
-        "pruned search diverged from the naive reference"
-    );
-
-    let naive_ms = time_ms(rounds, || {
-        std::hint::black_box(predictor.predict_naive(&probe).expect("non-empty history"));
-    });
-    let pruned_ms = time_ms(rounds, || {
-        std::hint::black_box(predictor.predict(&probe).expect("non-empty history"));
-    });
-    PredictionBenchReport {
-        workload: *workload,
-        rounds,
-        naive_ms,
-        pruned_ms,
-    }
 }
 
 /// Shape of the summary-tree steady-state sweep: one predictor grown slot
@@ -208,9 +88,7 @@ const REVISIT_SHARE: f64 = 0.3;
 const NAIVE_CHECKS: usize = 3;
 
 impl IndexScanWorkload {
-    /// The acceptance-bar sweep: 100k → 1M slots; the tree's median query
-    /// must beat the pruned linear scan ≥5× at 1M, and 10× more history must
-    /// cost it <3× more time.
+    /// The headline sweep: 100k → 1M slots.
     pub fn headline() -> Self {
         Self {
             sizes: vec![100_000, 300_000, 1_000_000],
@@ -236,12 +114,9 @@ impl IndexScanWorkload {
         }
     }
 
-    fn as_prediction_workload(&self) -> PredictionWorkload {
-        PredictionWorkload {
-            slots: *self.sizes.last().expect("non-empty sweep"),
-            groups: self.groups,
-            users_per_group: self.users_per_group,
-        }
+    /// The acceleration-group universe of this workload.
+    pub fn group_ids(&self) -> Vec<AccelerationGroupId> {
+        (1..=self.groups as u8).map(AccelerationGroupId).collect()
     }
 }
 
@@ -307,55 +182,49 @@ impl IndexScanReport {
 
     /// Median tree query at the largest size over the one at the smallest:
     /// the sub-linearity figure (a linear search would scale with the size
-    /// ratio; the acceptance bar demands <3× for 10× more history).
+    /// ratio).
     pub fn indexed_scaling_ratio(&self) -> Option<f64> {
         let (first, last) = (self.drifting().next()?, self.drifting().next_back()?);
         (first.slots < last.slots).then(|| last.indexed_p50_ms / first.indexed_p50_ms)
     }
 
-    /// The report as a JSON object (hand-rolled: serde_json is unavailable
-    /// offline).
+    /// The report as the `BENCH_prediction.json` document.
     pub fn to_json(&self) -> String {
-        let points: Vec<String> = self
-            .points
-            .iter()
-            .map(|p| {
-                format!(
-                    "    {{ \"history_slots\": {}, \"population\": \"{}\", \
-                     \"pruned_p50_ms\": {:.4}, \"indexed_p50_ms\": {:.4}, \
-                     \"indexed_p99_ms\": {:.4}, \"speedup\": {:.2}, \
-                     \"forecasts_identical\": {} }}",
-                    p.slots,
-                    p.population(),
-                    p.pruned_p50_ms,
-                    p.indexed_p50_ms,
-                    p.indexed_p99_ms,
-                    p.speedup(),
-                    p.forecasts_identical,
-                )
-            })
-            .collect();
-        let scaling = self
-            .indexed_scaling_ratio()
-            .map(|r| format!("{r:.2}"))
-            .unwrap_or_else(|| "null".into());
-        format!(
-            "{{\n  \"protocol\": \"history grown by observe_slot; {} distinct probes per point \
-             ({} revisit a random old epoch, the rest resemble the next slot); {} of them also \
-             timed on the pruned scan\",\n  \"groups\": {},\n  \"users_per_group\": {},\n  \
-             \"forecasts_identical\": {},\n  \
-             \"speedup_at_largest\": {:.2},\n  \"indexed_scaling_ratio\": {},\n  \
-             \"points\": [\n{}\n  ]\n}}",
-            self.workload.probes,
-            REVISIT_SHARE,
-            self.workload.checked_probes,
-            self.workload.groups,
-            self.workload.users_per_group,
-            self.forecasts_identical(),
-            self.speedup_at_largest().unwrap_or(0.0),
-            scaling,
-            points.join(",\n"),
-        )
+        let mut w = JsonWriter::pretty(3);
+        w.object(|w| {
+            w.key("benchmark").string("nearest_slot_prediction");
+            w.key("index").object(|w| {
+                w.key("protocol").string(&format!(
+                    "history grown by observe_slot; {} distinct probes per point ({} revisit a \
+                     random old epoch, the rest resemble the next slot); {} of them also timed \
+                     on the pruned scan",
+                    self.workload.probes, REVISIT_SHARE, self.workload.checked_probes,
+                ));
+                w.key("groups").u64(self.workload.groups as u64);
+                w.key("users_per_group")
+                    .u64(self.workload.users_per_group as u64);
+                w.key("forecasts_identical")
+                    .bool(self.forecasts_identical());
+                w.key("speedup_at_largest")
+                    .f64(self.speedup_at_largest().unwrap_or(f64::NAN), 2);
+                w.key("indexed_scaling_ratio")
+                    .f64(self.indexed_scaling_ratio().unwrap_or(f64::NAN), 2);
+                w.key("points").array(|w| {
+                    for p in &self.points {
+                        w.object(|w| {
+                            w.key("history_slots").u64(p.slots as u64);
+                            w.key("population").string(p.population());
+                            w.key("pruned_p50_ms").f64(p.pruned_p50_ms, 4);
+                            w.key("indexed_p50_ms").f64(p.indexed_p50_ms, 4);
+                            w.key("indexed_p99_ms").f64(p.indexed_p99_ms, 4);
+                            w.key("speedup").f64(p.speedup(), 2);
+                            w.key("forecasts_identical").bool(p.forecasts_identical);
+                        });
+                    }
+                });
+            });
+        });
+        w.finish()
     }
 }
 
@@ -368,14 +237,14 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 /// Grows `predictor` to `slots` slots by `observe_slot`, the tree live.
 fn grow(
     predictor: &mut WorkloadPredictor,
-    template: &PredictionWorkload,
+    workload: &IndexScanWorkload,
     stationary: bool,
     slots: usize,
     rng: &mut StdRng,
 ) {
     for hour in predictor.history().len()..slots {
         let drift_hours = if stationary { 0 } else { hour };
-        predictor.observe_slot(synthetic_slot_drifted(template, hour, drift_hours, rng));
+        predictor.observe_slot(synthetic_slot_drifted(workload, hour, drift_hours, rng));
     }
 }
 
@@ -388,7 +257,6 @@ fn measure_point(
     verify_naive: bool,
     rng: &mut StdRng,
 ) -> IndexScanPoint {
-    let template = workload.as_prediction_workload();
     let slots = predictor.history().len();
     let indexed = predictor.index_policy();
     assert!(predictor.index_active(), "the tree must be live");
@@ -400,7 +268,7 @@ fn measure_point(
                 slots
             };
             let drift_hours = if stationary { 0 } else { epoch };
-            synthetic_slot_drifted(&template, epoch, drift_hours, rng)
+            synthetic_slot_drifted(workload, epoch, drift_hours, rng)
         })
         .collect();
     let mut forecasts = Vec::with_capacity(probes.len());
@@ -458,17 +326,16 @@ pub fn run_index(workload: &IndexScanWorkload) -> IndexScanReport {
         "sweep sizes must be ascending and non-empty"
     );
     assert!(workload.probes > 0, "at least one probe per point");
-    let template = workload.as_prediction_workload();
     let mut rng = StdRng::seed_from_u64(crate::DEFAULT_SEED);
-    // threshold 1 so that custom sub-threshold shapes still measure the tree
+    // threshold 1 so that sub-threshold test shapes still run the tree
     let fresh = || {
-        WorkloadPredictor::new(template.group_ids(), SlotHistory::hourly().slot_length_ms)
+        WorkloadPredictor::new(workload.group_ids(), SlotHistory::hourly().slot_length_ms)
             .with_index_policy(IndexPolicy::indexed().with_min_indexed_slots(1))
     };
     let mut points = Vec::with_capacity(workload.sizes.len() + 1);
     let mut predictor = fresh();
     for &size in &workload.sizes {
-        grow(&mut predictor, &template, false, size, &mut rng);
+        grow(&mut predictor, workload, false, size, &mut rng);
         let verify_naive = size <= workload.verify_naive_up_to;
         points.push(measure_point(
             &mut predictor,
@@ -480,7 +347,7 @@ pub fn run_index(workload: &IndexScanWorkload) -> IndexScanReport {
     }
     if let Some(slots) = workload.stationary_slots {
         predictor = fresh(); // frees the swept history first
-        grow(&mut predictor, &template, true, slots, &mut rng);
+        grow(&mut predictor, workload, true, slots, &mut rng);
         let verify_naive = slots <= workload.verify_naive_up_to;
         points.push(measure_point(
             &mut predictor,
@@ -536,66 +403,9 @@ pub fn print_index(report: &IndexScanReport) {
     }
 }
 
-/// The two prediction reports combined into the `BENCH_prediction.json`
-/// document.
-pub fn combined_json(pruned: &PredictionBenchReport, index: &IndexScanReport) -> String {
-    format!(
-        "{{\n  \"benchmark\": \"nearest_slot_prediction\",\n  \"pruned_vs_naive\": {},\n  \
-         \"index\": {}\n}}\n",
-        indent_object(&pruned.to_json()),
-        indent_object(&index.to_json()),
-    )
-}
-
-/// Re-indents a one-object JSON string by two spaces for nesting.
-fn indent_object(json: &str) -> String {
-    json.replace('\n', "\n  ")
-}
-
-fn time_ms(rounds: usize, mut body: impl FnMut()) -> f64 {
-    body(); // warm-up
-    let start = Instant::now();
-    for _ in 0..rounds {
-        body();
-    }
-    start.elapsed().as_secs_f64() * 1_000.0 / rounds as f64
-}
-
-/// Prints the report as an aligned table.
-pub fn print(report: &PredictionBenchReport) {
-    println!(
-        "nearest-slot prediction over {} slots x {} groups x {} users/group ({} rounds)",
-        report.workload.slots,
-        report.workload.groups,
-        report.workload.users_per_group,
-        report.rounds,
-    );
-    println!("  {:<28} {:>12}", "implementation", "ms/predict");
-    println!("  {:<28} {:>12.3}", "naive full scan", report.naive_ms);
-    println!(
-        "  {:<28} {:>12.3}",
-        "pruned nearest-neighbour", report.pruned_ms
-    );
-    println!("  speedup: {:.1}x", report.speedup());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pruned_and_naive_agree_on_a_small_workload() {
-        let workload = PredictionWorkload {
-            slots: 60,
-            groups: 3,
-            users_per_group: 12,
-        };
-        let report = run(&workload, 2);
-        assert!(report.naive_ms > 0.0 && report.pruned_ms > 0.0);
-        let json = report.to_json();
-        assert!(json.contains("\"history_slots\": 60"));
-        assert!(json.contains("speedup"));
-    }
 
     #[test]
     fn index_sweep_agrees_and_reports_every_size() {
@@ -620,7 +430,7 @@ mod tests {
             [60, 120, 90]
         );
         assert!(report.points[2].stationary && !report.points[1].stationary);
-        // the gates read the drifting sweep only
+        // the summary figures read the drifting sweep only
         assert_eq!(
             report.speedup_at_largest(),
             Some(report.points[1].speedup())
@@ -629,49 +439,23 @@ mod tests {
             report.indexed_scaling_ratio(),
             Some(report.points[1].indexed_p50_ms / report.points[0].indexed_p50_ms)
         );
-        let json = report.to_json();
-        assert!(json.contains("\"history_slots\": 120"));
-        assert!(json.contains("\"population\": \"stationary\""));
-        assert!(json.contains("\"forecasts_identical\": true"));
-        assert!(json.contains("\"indexed_scaling_ratio\""));
-    }
-
-    #[test]
-    fn combined_json_nests_both_reports() {
-        let pruned = run(
-            &PredictionWorkload {
-                slots: 40,
-                groups: 2,
-                users_per_group: 8,
-            },
-            1,
-        );
-        let index = run_index(&IndexScanWorkload {
-            sizes: vec![40],
-            groups: 2,
-            users_per_group: 8,
-            probes: 10,
-            checked_probes: 2,
-            verify_naive_up_to: 40,
-            stationary_slots: None,
-        });
-        let json = combined_json(&pruned, &index);
-        assert!(json.contains("\"benchmark\": \"nearest_slot_prediction\""));
-        assert!(json.contains("\"pruned_vs_naive\""));
-        assert!(json.contains("\"index\""));
-        assert!(json.contains("\"points\""));
     }
 
     #[test]
     fn synthetic_history_is_deterministic_and_diurnal() {
-        let workload = PredictionWorkload {
-            slots: 48,
+        let workload = IndexScanWorkload {
             groups: 2,
             users_per_group: 20,
+            ..IndexScanWorkload::smoke()
         };
-        let a = synthetic_history(&workload);
-        let b = synthetic_history(&workload);
-        assert_eq!(a, b);
+        let history = || {
+            let mut predictor = WorkloadPredictor::new(workload.group_ids(), 3_600_000.0);
+            let mut rng = StdRng::seed_from_u64(crate::DEFAULT_SEED);
+            grow(&mut predictor, &workload, false, 48, &mut rng);
+            predictor.take_history()
+        };
+        let a = history();
+        assert_eq!(a, history());
         assert_eq!(a.len(), 48);
         let loads: Vec<usize> = a
             .slots()

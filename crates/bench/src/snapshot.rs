@@ -11,13 +11,13 @@
 //! forecasts and metrics equal the uninterrupted one exactly.
 //!
 //! `cargo run --release -p mca-bench --bin bench_snapshot` regenerates
-//! `BENCH_snapshot.json` at the repository root; `--smoke` runs the small
-//! CI shape and gates on resume identity.
+//! `BENCH_snapshot.json` at the repository root, byte for byte (the engines
+//! run under the logical clock); `--smoke` runs the small CI shape and
+//! gates on resume identity.
 
-use mca_core::SystemConfig;
-use mca_fleet::FleetEngine;
+use mca_fleet::{FleetEngine, TelemetryMode};
+use mca_telemetry::json::JsonWriter;
 use mca_workload::TenantMix;
-use std::fmt::Write as _;
 
 /// Shape of the checkpoint/restore sweep.
 #[derive(Debug, Clone)]
@@ -91,46 +91,37 @@ impl SnapshotBenchReport {
         self.points.iter().all(|p| p.resume_identical)
     }
 
-    /// The report as a JSON object (hand-rolled: serde_json is unavailable
-    /// offline).
+    /// The report as the `BENCH_snapshot.json` document.
     pub fn to_json(&self) -> String {
-        let mut points = String::new();
-        for (index, point) in self.points.iter().enumerate() {
-            let _ = write!(
-                points,
-                "{}\n    {{\"tenants\": {}, \"bytes\": {}, \"sections\": {}, \
-                 \"resume_identical\": {}}}",
-                if index > 0 { "," } else { "" },
-                point.tenants,
-                point.bytes,
-                point.sections,
-                point.resume_identical,
-            );
-        }
-        format!(
-            "{{\n  \"benchmark\": \"fleet_snapshot\",\n  \"users_per_tenant\": {},\n  \
-             \"shards\": {},\n  \"threads\": {},\n  \"warmup_slots\": {},\n  \
-             \"resume_slots\": {},\n  \"all_identical\": {},\n  \
-             \"points\": [{}\n  ]\n}}\n",
-            self.workload.users_per_tenant,
-            self.workload.shards,
-            self.workload.threads,
-            self.workload.warmup_slots,
-            self.workload.resume_slots,
-            self.all_identical(),
-            points,
-        )
+        let mut w = JsonWriter::pretty(2);
+        w.object(|w| {
+            w.key("benchmark").string("fleet_snapshot");
+            w.key("users_per_tenant")
+                .u64(self.workload.users_per_tenant as u64);
+            w.key("shards").u64(self.workload.shards as u64);
+            w.key("threads").u64(self.workload.threads as u64);
+            w.key("warmup_slots").u64(self.workload.warmup_slots as u64);
+            w.key("resume_slots").u64(self.workload.resume_slots as u64);
+            w.key("all_identical").bool(self.all_identical());
+            w.key("points").array(|w| {
+                for point in &self.points {
+                    w.object(|w| {
+                        w.key("tenants").u64(point.tenants as u64);
+                        w.key("bytes").u64(point.bytes);
+                        w.key("sections").u64(u64::from(point.sections));
+                        w.key("resume_identical").bool(point.resume_identical);
+                    });
+                }
+            });
+        });
+        w.finish()
     }
-}
-
-fn snapshot_config() -> SystemConfig {
-    crate::fleet::bench_config()
 }
 
 /// Runs the sweep: per fleet size, warm up, checkpoint, restore, and drive
 /// both the original and the resumed engine to the end under the same mix.
 pub fn run(workload: &SnapshotWorkload, seed: u64) -> SnapshotBenchReport {
-    let config = snapshot_config();
+    let config = crate::fleet::bench_config();
     let points = workload
         .fleet_sizes
         .iter()
@@ -141,8 +132,11 @@ pub fn run(workload: &SnapshotWorkload, seed: u64) -> SnapshotBenchReport {
                 config.groups.ids(),
                 seed,
             );
+            // the logical clock: the stage histograms ride in the checkpoint,
+            // and under the monotonic one their sizes differ run to run
             let mut engine = FleetEngine::new(config.clone(), workload.shards, seed)
-                .with_threads(workload.threads);
+                .with_threads(workload.threads)
+                .with_telemetry(TelemetryMode::Logical);
             engine.add_tenants(mix.tenant_ids());
             for _ in 0..workload.warmup_slots {
                 engine

@@ -17,8 +17,6 @@
 //!   request grows with the number of concurrently served requests, flattening
 //!   for larger instances (Fig. 4), and an event-driven open-loop simulation
 //!   that reproduces the saturation knee and request drops of Fig. 8b/8c.
-//! * [`surrogate`] — the Dalvik-x86 surrogate model (per-request `dalvikvm`
-//!   process, APK registry, reduced storage footprint).
 //! * [`billing`] and [`pool`] — per-hour billing and the instance pool with
 //!   the 20-instances-per-account cap (`CC` in the allocation model).
 //! * [`datacenter`] — the simulated substrate *under* the billing stage:
@@ -26,7 +24,6 @@
 //!   worst fit), an SLA model scoring actual arrivals against forecast
 //!   capacity, and a linear-interpolation power model metered per host per
 //!   slot.
-//! * [`events`] — the discrete-event machinery shared by the simulations.
 //! * [`benchmark`] — the concurrent-mode characterization harness of §VI-A
 //!   that stresses each instance with 1–100 concurrent users and classifies
 //!   instances into acceleration levels.
@@ -38,11 +35,9 @@ pub mod benchmark;
 pub mod billing;
 pub mod credits;
 pub mod datacenter;
-pub mod events;
 pub mod instance;
 pub mod pool;
 pub mod server;
-pub mod surrogate;
 
 pub use benchmark::{
     AccelerationLevel, CharacterizationPoint, InstanceBenchmark, LevelClassification,
@@ -53,8 +48,6 @@ pub use datacenter::{
     BestFit, Datacenter, DatacenterConfig, FirstFit, GroupDemand, Host, PlacedInstance,
     PlacementError, PlacementKind, PlacementPolicy, PowerModel, SlaAssessment, SlaModel, WorstFit,
 };
-pub use events::{EventQueue, SimTime};
 pub use instance::{InstanceSpec, InstanceType};
 pub use pool::{InstancePool, PoolError, RunningInstance};
 pub use server::{ClosedLoopResult, OpenLoopResult, Server, ServerConfig};
-pub use surrogate::{ApkPackage, DalvikSurrogate};

@@ -3,9 +3,9 @@
 //! [`FleetDriver`] owns a [`FleetEngine`] and a set of [`RecordSource`]s.
 //! Each [`FleetDriver::step`] pulls one [`crate::SourceBatch`] per live source (in
 //! registration order), concatenates the records into the slot's batch and
-//! runs the engine's predict→allocate→bill tick — exactly the batch the
-//! caller would have hand-built for `tick_slot`, so driver-fed runs are bit-
-//! identical to batch-fed ones. Sources that raise their end-of-stream
+//! runs the engine's predict→allocate→bill tick — exactly the batch a
+//! caller would have built by hand, which a [`crate::SlotBatchSource`]
+//! replays through the same step. Sources that raise their end-of-stream
 //! marker stop being polled; misuse (a source for an unknown tenant, two
 //! sources for one tenant, a bound source producing another tenant's
 //! records) surfaces as a typed [`FleetError`] instead of a panic.

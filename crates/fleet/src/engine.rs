@@ -592,16 +592,6 @@ impl FleetEngine {
         }
     }
 
-    /// Ticks one provisioning slot on a hand-built batch of arrival
-    /// records.
-    #[deprecated(
-        note = "drive the engine through `mca_fleet::FleetDriver` (a `SlotBatchSource` replays \
-                hand-built batches); this shim runs the identical ingest"
-    )]
-    pub fn tick_slot(&mut self, records: &[SlotRecord]) {
-        self.ingest_batch(records);
-    }
-
     /// Ticks one provisioning slot generated from a [`TenantMix`]: every
     /// tenant's records are drawn from its private RNG stream (in tenant-id
     /// order within each shard, streams independent) and routed through the
@@ -613,6 +603,13 @@ impl FleetEngine {
     /// replica on shard 0 (replica RNGs are never consumed by batched
     /// ingest, so the other replicas' streams staying untouched is
     /// harmless).
+    ///
+    /// This is the one way to tick the engine without a
+    /// [`crate::FleetDriver`] (which drives a mix through
+    /// [`crate::TenantMixSource`] to the same result). It is kept only
+    /// because the per-tenant RNG stream and the engine `seed` exist for it
+    /// and `benchmark/` passes that seed: all three go together, after the
+    /// benchmark refresh (ROADMAP open items 3 and 4).
     ///
     /// # Errors
     ///
@@ -759,17 +756,6 @@ impl FleetEngine {
             rebalance: self.rebalancer.as_ref().map(Rebalancer::snapshot),
             critical_path_ns: self.critical_path_ns,
         }
-    }
-
-    /// Latency of each shard's most recent tick, ns, in shard order (all 0
-    /// while stage measurements are disabled). What the skew bench samples
-    /// per slot to project multicore speedups from a single-threaded
-    /// measured run.
-    pub fn last_shard_tick_ns(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|s| s.telemetry.last_tick_ns())
-            .collect()
     }
 
     /// Assembles the full metrics registry for exposition
@@ -1142,10 +1128,6 @@ impl FleetEngine {
 
 #[cfg(test)]
 mod tests {
-    // the deprecated tick_slot shim is exercised on purpose: it must stay
-    // bit-identical to the ingest path it wraps
-    #![allow(deprecated)]
-
     use super::*;
     use mca_offload::{AccelerationGroupId, UserId};
 
@@ -1175,8 +1157,8 @@ mod tests {
         assert_eq!(engine.tenants(), 6);
         assert_eq!(engine.shard_count(), 4);
 
-        engine.tick_slot(&records(6, 8));
-        engine.tick_slot(&records(6, 8));
+        engine.ingest_batch(&records(6, 8));
+        engine.ingest_batch(&records(6, 8));
         assert_eq!(engine.slot_index(), 2);
         assert_eq!(engine.dropped_records(), 0);
 
@@ -1202,7 +1184,7 @@ mod tests {
             AccelerationGroupId(1),
             UserId(1),
         ));
-        engine.tick_slot(&batch);
+        engine.ingest_batch(&batch);
         assert_eq!(engine.dropped_records(), 1);
         assert_eq!(engine.dropped_by_tenant().get(&TenantId(99)), Some(&1));
         assert_eq!(engine.metrics().tenants, 1);
@@ -1213,7 +1195,7 @@ mod tests {
         let mut engine = FleetEngine::new(config(), 2, 1).with_telemetry(TelemetryMode::Logical);
         engine.add_tenants((0..3).map(TenantId));
         for _ in 0..4 {
-            engine.tick_slot(&records(3, 6));
+            engine.ingest_batch(&records(3, 6));
         }
         let telemetry = engine.telemetry();
         let metrics = engine.metrics();
@@ -1247,7 +1229,7 @@ mod tests {
     fn disabled_telemetry_records_nothing_but_still_counts_load() {
         let mut engine = FleetEngine::new(config(), 2, 1).with_telemetry(TelemetryMode::Disabled);
         engine.add_tenants((0..2).map(TenantId));
-        engine.tick_slot(&records(2, 5));
+        engine.ingest_batch(&records(2, 5));
         let telemetry = engine.telemetry();
         assert_eq!(telemetry.slot.count(), 0);
         assert_eq!(telemetry.stages.total_samples(), 0);
@@ -1261,7 +1243,7 @@ mod tests {
         let mut engine = FleetEngine::new(config(), 2, 1).with_telemetry(TelemetryMode::Logical);
         engine.add_tenants((0..3).map(TenantId));
         for _ in 0..3 {
-            engine.tick_slot(&records(3, 4));
+            engine.ingest_batch(&records(3, 4));
         }
         let metrics = engine.metrics();
         let registry = engine.telemetry_registry();
@@ -1309,7 +1291,7 @@ mod tests {
         // arithmetic engines expose the new families at zero and stay healthy
         let mut plain = FleetEngine::new(config(), 2, 1);
         plain.add_tenants((0..2).map(TenantId));
-        plain.tick_slot(&records(2, 4));
+        plain.ingest_batch(&records(2, 4));
         let registry = plain.telemetry_registry();
         assert_eq!(registry.counter("fleet_sla_violations_total"), Some(0));
         assert_eq!(registry.counter("fleet_placement_placed_total"), Some(0));
@@ -1323,7 +1305,7 @@ mod tests {
         let mut engine = FleetEngine::new(dc_config, 2, 1);
         engine.add_tenants((0..2).map(TenantId));
         for _ in 0..3 {
-            engine.tick_slot(&records(2, 4));
+            engine.ingest_batch(&records(2, 4));
         }
         let metrics = engine.metrics();
         assert!(metrics.total_placed_instance_slots > 0);
@@ -1349,7 +1331,7 @@ mod tests {
             config().with_datacenter(DatacenterConfig::paper_default().with_hosts(1, 1, 0.5));
         let mut engine = FleetEngine::new(starved, 2, 1);
         engine.add_tenants((0..2).map(TenantId));
-        engine.tick_slot(&records(2, 4));
+        engine.ingest_batch(&records(2, 4));
         let err = engine.placement_health().unwrap_err();
         assert!(matches!(err, FleetError::Placement { .. }));
         assert!(err.to_string().contains("placement failed"));
@@ -1361,7 +1343,7 @@ mod tests {
         let mut engine = FleetEngine::new(config(), 3, 9);
         engine.add_tenants((0..4).map(TenantId));
         for _ in 0..3 {
-            engine.tick_slot(&records(4, 5));
+            engine.ingest_batch(&records(4, 5));
         }
         let history = engine.extract_tenant(TenantId(2)).expect("tenant exists");
         assert_eq!(history.len(), 3);
@@ -1374,7 +1356,7 @@ mod tests {
             }
         );
         // the remaining tenants keep ticking
-        engine.tick_slot(&records(4, 5));
+        engine.ingest_batch(&records(4, 5));
         assert_eq!(engine.dropped_records(), 5, "tenant 2's records now drop");
     }
 
@@ -1411,8 +1393,8 @@ mod tests {
         );
 
         let batch = huge_tenant_batch(TenantId(0), 64, 0);
-        engine.tick_slot(&batch);
-        engine.tick_slot(&batch);
+        engine.ingest_batch(&batch);
+        engine.ingest_batch(&batch);
         assert_eq!(engine.dropped_records(), 0, "every shard hosts a replica");
 
         let metrics = engine.metrics();
@@ -1441,8 +1423,8 @@ mod tests {
         by_tenant.add_tenant(TenantId(3));
         for i in 0..5u32 {
             let batch = huge_tenant_batch(TenantId(3), 20 + i, i);
-            by_user.tick_slot(&batch);
-            by_tenant.tick_slot(&batch);
+            by_user.ingest_batch(&batch);
+            by_tenant.ingest_batch(&batch);
         }
         assert_eq!(by_user.metrics(), by_tenant.metrics());
         let combined = by_user.combined_forecast(TenantId(3)).unwrap();
@@ -1459,7 +1441,7 @@ mod tests {
             for i in 0..6u32 {
                 let mut batch = huge_tenant_batch(TenantId(7), 40, i);
                 batch.extend(huge_tenant_batch(TenantId(1), 8, 0));
-                engine.tick_slot(&batch);
+                engine.ingest_batch(&batch);
             }
             (engine.metrics(), engine.forecasts())
         };
@@ -1474,7 +1456,7 @@ mod tests {
         let mut engine = FleetEngine::new(config(), 3, 9);
         engine.add_user_sharded_tenant(TenantId(2));
         for i in 0..3u32 {
-            engine.tick_slot(&huge_tenant_batch(TenantId(2), 30, i));
+            engine.ingest_batch(&huge_tenant_batch(TenantId(2), 30, i));
         }
         let histories = engine.extract_user_sharded_tenant(TenantId(2)).unwrap();
         assert_eq!(histories.len(), 3, "one slice history per shard");
@@ -1537,8 +1519,8 @@ mod tests {
         let mut control = FleetEngine::new(config(), 3, 9);
         control.add_tenants((0..4).map(TenantId));
         for _ in 0..3 {
-            migrated.tick_slot(&records(4, 5));
-            control.tick_slot(&records(4, 5));
+            migrated.ingest_batch(&records(4, 5));
+            control.ingest_batch(&records(4, 5));
         }
         let tenant = TenantId(2);
         let home = migrated.shard_of(tenant);
@@ -1562,8 +1544,8 @@ mod tests {
         assert_eq!(after.cached_allocations(), cached, "warm cache survives");
 
         for _ in 0..3 {
-            migrated.tick_slot(&records(4, 5));
-            control.tick_slot(&records(4, 5));
+            migrated.ingest_batch(&records(4, 5));
+            control.ingest_batch(&records(4, 5));
         }
         assert_eq!(migrated.dropped_records(), 0, "records follow the move");
         assert_eq!(migrated.metrics(), control.metrics());
@@ -1643,7 +1625,7 @@ mod tests {
         };
         // four slots stay inside the default warmup: no automatic check yet
         for _ in 0..4 {
-            engine.tick_slot(&batch());
+            engine.ingest_batch(&batch());
         }
 
         let forecasts_before = engine.forecasts();
@@ -1664,7 +1646,7 @@ mod tests {
         assert!(snapshot.loads_before[0] > snapshot.loads_after[0]);
 
         // records keep finding their tenants after the move
-        engine.tick_slot(&batch());
+        engine.ingest_batch(&batch());
         assert_eq!(engine.dropped_records(), 0);
         assert!(engine.telemetry().critical_path_ns > 0);
     }
@@ -1714,7 +1696,7 @@ mod tests {
                         .map(|(g, u)| SlotRecord::new(tenant, g, u)),
                 );
             }
-            via_batches.tick_slot(&batch);
+            via_batches.ingest_batch(&batch);
         }
         assert_eq!(via_mix.metrics(), via_batches.metrics());
         assert_eq!(via_mix.forecasts(), via_batches.forecasts());

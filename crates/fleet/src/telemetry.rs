@@ -195,8 +195,7 @@ impl ShardTelemetry {
     }
 
     /// Latency of the most recent shard tick, ns (0 while disabled). What
-    /// the engine's critical-path accounting and the skew bench read per
-    /// slot.
+    /// the engine's critical-path accounting reads per slot.
     pub fn last_tick_ns(&self) -> u64 {
         self.last_tick_ns
     }

@@ -1,10 +1,8 @@
 //! End-to-end acceptance of the unified streaming ingestion API: driving a
 //! fleet from trace-, log-, mix- and stream-backed `RecordSource`s through
-//! `FleetDriver` must be bit-identical to feeding the equivalent hand-built
-//! batches through the engine's batch ingest — and every misuse the old API
-//! answered with a panic must surface as a typed `FleetError`.
-
-#![allow(deprecated)] // the tick_slot shim is the equivalence reference
+//! `FleetDriver` must be bit-identical to replaying the equivalent hand-built
+//! batches (a `SlotBatchSource`) — and every misuse the old API answered
+//! with a panic must surface as a typed `FleetError`.
 
 use mca_core::{SystemConfig, TraceLog};
 use mca_fleet::{
@@ -75,6 +73,8 @@ fn trace_driven_fleet_is_bit_identical_to_hand_built_batches() {
 
     let mut by_hand = FleetEngine::new(config(), 3, SEED);
     by_hand.add_tenants(traces.iter().map(|(t, _)| *t));
+    let batches = (0..SLOTS).map(|s| hand_batch(&traces, s)).collect();
+    let mut by_hand = FleetDriver::new(by_hand).with_shared_source(SlotBatchSource::new(batches));
 
     let mut engine = FleetEngine::new(config(), 3, SEED);
     engine.add_tenants(traces.iter().map(|(t, _)| *t));
@@ -89,23 +89,28 @@ fn trace_driven_fleet_is_bit_identical_to_hand_built_batches() {
     }
 
     for slot in 0..SLOTS {
-        by_hand.tick_slot(&hand_batch(&traces, slot));
+        by_hand.step().expect("a shared lane is never quarantined");
         driver.step().expect("bound sources stay on their tenant");
         // bit-identity after every slot, not just at the end
         assert_eq!(
             driver.engine().forecasts(),
-            by_hand.forecasts(),
+            by_hand.engine().forecasts(),
             "slot {slot}"
         );
     }
     let report = driver.report();
-    assert_eq!(report.metrics, by_hand.metrics());
+    assert_eq!(report.metrics, by_hand.engine().metrics());
     assert_eq!(report.slots, SLOTS);
     assert_eq!(report.late_records, 0);
     assert_eq!(report.dropped_records, 0);
     assert_eq!(
         report.records,
         traces.iter().map(|(_, t)| t.len()).sum::<usize>()
+    );
+    let staged: u64 = report.telemetry.shards.iter().map(|s| s.records).sum();
+    assert_eq!(
+        staged, report.records as u64,
+        "every ingested record is staged on exactly one shard"
     );
 }
 
@@ -138,15 +143,19 @@ fn trace_log_replay_tolerates_out_of_order_and_matches_hand_batches() {
 
     let mut by_hand = FleetEngine::new(config(), 2, SEED);
     by_hand.add_tenant(tenant);
-    for slot in 0..4 {
-        let batch: Vec<SlotRecord> = log
-            .records()
-            .iter()
-            .filter(|r| (r.timestamp_ms / SLOT_MS).floor() as usize == slot)
-            .map(|r| SlotRecord::new(tenant, r.group, r.user))
-            .collect();
-        by_hand.tick_slot(&batch);
-    }
+    let batches: Vec<Vec<SlotRecord>> = (0..4)
+        .map(|slot| {
+            log.records()
+                .iter()
+                .filter(|r| (r.timestamp_ms / SLOT_MS).floor() as usize == slot)
+                .map(|r| SlotRecord::new(tenant, r.group, r.user))
+                .collect()
+        })
+        .collect();
+    let by_hand = FleetDriver::new(by_hand)
+        .with_shared_source(SlotBatchSource::new(batches))
+        .run(4)
+        .unwrap();
 
     let mut engine = FleetEngine::new(config(), 2, SEED);
     engine.add_tenant(tenant);
@@ -158,8 +167,8 @@ fn trace_log_replay_tolerates_out_of_order_and_matches_hand_batches() {
     let report = driver.run_until_exhausted(64).unwrap();
 
     assert_eq!(report.slots, 4, "the log spans four slots, gap included");
-    assert_eq!(report.metrics, by_hand.metrics());
-    assert_eq!(report.forecasts, by_hand.forecasts());
+    assert_eq!(report.metrics, by_hand.metrics);
+    assert_eq!(report.forecasts, by_hand.forecasts);
     assert_eq!(report.exhausted_sources, 1);
 }
 
@@ -351,12 +360,11 @@ fn replay_sources_anchor_at_their_first_polled_slot() {
     let tenant = TenantId(0);
     let mut engine = FleetEngine::new(config(), 2, SEED);
     engine.add_tenant(tenant);
-    for _ in 0..3 {
-        engine.tick_slot(&[]);
-    }
+    let mut driver = FleetDriver::new(engine);
+    driver.run(3).expect("no source, nothing to quarantine");
     let trace = trace_for(0, 4);
-    let mut driver = FleetDriver::new(engine)
-        .with_source(
+    driver
+        .add_source(
             tenant,
             ArrivalTraceSource::new(tenant, &trace, SLOT_MS, ENTRY),
         )
@@ -373,11 +381,10 @@ fn replay_sources_anchor_at_their_first_polled_slot() {
     let batches = vec![vec![SlotRecord::new(tenant, ENTRY, UserId(1))]; 2];
     let mut engine = FleetEngine::new(config(), 2, SEED);
     engine.add_tenant(tenant);
-    for _ in 0..5 {
-        engine.tick_slot(&[]);
-    }
-    let mut driver = FleetDriver::new(engine)
-        .with_source(tenant, SlotBatchSource::new(batches))
+    let mut driver = FleetDriver::new(engine);
+    driver.run(5).expect("no source, nothing to quarantine");
+    driver
+        .add_source(tenant, SlotBatchSource::new(batches))
         .unwrap();
     let report = driver.run_until_exhausted(16).unwrap();
     assert_eq!(report.records, 2);

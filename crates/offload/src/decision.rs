@@ -98,7 +98,7 @@ impl OffloadDecision {
 /// Policy weights for the decision rule.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DecisionEngine {
-    /// Weight of the time criterion in \[0, 1\]; the energy criterion gets the
+    /// Weight of the time objective in \[0, 1\]; the energy objective gets the
     /// complement. 1.0 reproduces the paper's pure performance focus
     /// (assumption (d) in §IV).
     pub time_weight: f64,

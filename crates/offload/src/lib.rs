@@ -7,10 +7,9 @@
 //!   simulator (minimax, n-queens, quicksort, bubblesort, …), with both a
 //!   deterministic *work model* (how many abstract work units a task costs)
 //!   and real, executable Rust implementations used to validate results.
-//! * [`flavor`] — the three offloading implementation models of §II-A
-//!   (homogeneous, heterogeneous, neutral) and their properties.
-//! * [`state`] — application-state encapsulation for the homogeneous model:
-//!   the mobile serializes the state needed by the method, the surrogate
+//! * [`state`] — application-state encapsulation for the homogeneous
+//!   offloading model of §II-A (the same runtime on both sides): the mobile
+//!   serializes the state needed by the method, the surrogate
 //!   reconstructs it and executes the task.
 //! * [`request`] — offloading requests and the trace record schema
 //!   `<timestamp, user-id, acceleration-group, battery-level, round-trip-time>`
@@ -31,7 +30,6 @@
 
 pub mod decision;
 pub mod error;
-pub mod flavor;
 pub mod profiler;
 pub mod request;
 pub mod state;
@@ -39,7 +37,6 @@ pub mod task;
 
 pub use decision::{DecisionEngine, DecisionInput, OffloadDecision};
 pub use error::OffloadError;
-pub use flavor::OffloadingModel;
 pub use profiler::{MethodProfile, Profiler};
 pub use request::{AccelerationGroupId, OffloadRequest, RequestId, TenantId, TraceRecord, UserId};
 pub use state::ApplicationState;

@@ -8,6 +8,7 @@
 use std::fmt::Write as _;
 
 use crate::hist::LatencyHistogram;
+use crate::json::write_json_string;
 use crate::registry::Registry;
 
 /// Version stamped into every JSON snapshot. Bump when the snapshot shape
@@ -131,25 +132,6 @@ fn write_histogram_json(out: &mut String, hist: &LatencyHistogram) {
     out.push_str("]}");
 }
 
-/// Append `value` as a JSON string literal, escaping as required by RFC 8259.
-fn write_json_string(out: &mut String, value: &str) {
-    out.push('"');
-    for ch in value.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,6 +167,17 @@ mod tests {
         assert!(a.starts_with("{\"version\":1,"));
         assert!(a.contains("\"fleet_records_total\":42"));
         assert!(a.contains("\"count\":4"));
+        // golden bytes, captured before the string escaper moved to `json`:
+        // name escaping and the `null` of a non-finite gauge included
+        let mut registry = sample_registry();
+        registry.set_gauge("bad\"name\n", f64::NAN);
+        assert_eq!(
+            json_snapshot(&registry),
+            "{\"version\":1,\"counters\":{\"fleet_records_total\":42},\"gauges\":{\"bad\\\"name\\n\":null,\
+             \"shard_load_ewma\":3.5},\"histograms\":{\"tick_latency_ns\":{\"count\":4,\"sum\":5130,\
+             \"min\":10,\"max\":5000,\"p50\":20,\"p99\":5000,\"p999\":5000,\
+             \"buckets\":[[10,1],[20,1],[101,1],[5119,1]]}}}"
+        );
     }
 
     #[test]

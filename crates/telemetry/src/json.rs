@@ -1,14 +1,16 @@
-//! A minimal recursive-descent JSON parser.
+//! A minimal recursive-descent JSON parser and its streaming dual,
+//! [`JsonWriter`].
 //!
 //! The workspace has no network access, so there is no `serde_json` to lean
-//! on; this parser exists so the benchmark smoke gates can *round-trip
-//! validate* the snapshots produced by [`crate::expo::json_snapshot`] — a
-//! snapshot that fails to parse, or whose histogram totals disagree with the
-//! recorded event counts, fails CI. It accepts strict RFC 8259 JSON (no
-//! comments, no trailing commas) and keeps object keys in a `BTreeMap` for
-//! deterministic iteration.
+//! on; the parser exists so tests and the benchmark gates can *round-trip
+//! validate* what the workspace writes — the snapshots produced by
+//! [`crate::expo::json_snapshot`] and the `BENCH_*.json` reports built on
+//! the writer. It accepts strict RFC 8259 JSON (no comments, no trailing
+//! commas) and keeps object keys in a `BTreeMap` for deterministic
+//! iteration.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,6 +78,165 @@ impl JsonValue {
             JsonValue::Object(map) => Some(map),
             _ => None,
         }
+    }
+}
+
+/// Append `value` as a JSON string literal, escaping as required by RFC 8259.
+pub(crate) fn write_json_string(out: &mut String, value: &str) {
+    out.push('"');
+    for ch in value.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// A streaming JSON writer: values are appended in call order, so object
+/// keys appear exactly as the caller wrote them and the same calls always
+/// produce the same bytes. Containers opened fewer than `inline_depth`
+/// levels deep put every item on its own two-space-indented line; deeper
+/// ones stay on one line — a report whose rows sit at that depth reads, and
+/// diffs, one row per line.
+///
+/// ```
+/// let mut w = mca_telemetry::json::JsonWriter::pretty(1);
+/// w.object(|w| {
+///     w.key("n").u64(2);
+///     w.key("row").array(|w| {
+///         w.f64(0.5, 2).bool(true);
+///     });
+/// });
+/// assert_eq!(w.finish(), "{\n  \"n\": 2,\n  \"row\": [0.50, true]\n}\n");
+/// ```
+#[derive(Debug)]
+pub struct JsonWriter {
+    out: String,
+    /// One entry per open container: whether it already holds an item.
+    open: Vec<bool>,
+    inline_depth: usize,
+    /// A key was just written; the next value completes that member.
+    keyed: bool,
+}
+
+impl JsonWriter {
+    /// A writer that breaks containers nested fewer than `inline_depth`
+    /// levels deep across lines (`0` keeps the whole document on one line).
+    pub fn pretty(inline_depth: usize) -> Self {
+        Self {
+            out: String::new(),
+            open: Vec::new(),
+            inline_depth,
+            keyed: false,
+        }
+    }
+
+    fn indent(&mut self) {
+        self.out.push('\n');
+        for _ in 0..self.open.len() {
+            self.out.push_str("  ");
+        }
+    }
+
+    /// Separates the next item from what precedes it in the innermost open
+    /// container; a value that follows its key needs nothing.
+    fn item(&mut self) {
+        if std::mem::take(&mut self.keyed) {
+            return;
+        }
+        let Some(holds_items) = self.open.last_mut() else {
+            return;
+        };
+        let first = !std::mem::replace(holds_items, true);
+        if !first {
+            self.out.push(',');
+        }
+        if self.open.len() <= self.inline_depth {
+            self.indent();
+        } else if !first {
+            self.out.push(' ');
+        }
+    }
+
+    fn container(&mut self, open: char, close: char, body: impl FnOnce(&mut Self)) -> &mut Self {
+        self.item();
+        self.out.push(open);
+        self.open.push(false);
+        body(self);
+        let held_items = self.open.pop().expect("pushed above");
+        if held_items && self.open.len() < self.inline_depth {
+            self.indent();
+        }
+        self.out.push(close);
+        self
+    }
+
+    /// Writes an object; `body` writes its members as [`JsonWriter::key`]
+    /// followed by one value each.
+    pub fn object(&mut self, body: impl FnOnce(&mut Self)) -> &mut Self {
+        self.container('{', '}', body)
+    }
+
+    /// Writes an array; `body` writes its elements.
+    pub fn array(&mut self, body: impl FnOnce(&mut Self)) -> &mut Self {
+        self.container('[', ']', body)
+    }
+
+    /// Writes a member key; the next value written belongs to it.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.item();
+        write_json_string(&mut self.out, key);
+        self.out.push_str(": ");
+        self.keyed = true;
+        self
+    }
+
+    /// Writes an unsigned integer.
+    pub fn u64(&mut self, value: u64) -> &mut Self {
+        self.item();
+        let _ = write!(self.out, "{value}");
+        self
+    }
+
+    /// Writes a float with exactly `decimals` fractional digits; non-finite
+    /// values become `null` (JSON has no NaN).
+    pub fn f64(&mut self, value: f64, decimals: usize) -> &mut Self {
+        self.item();
+        if value.is_finite() {
+            let _ = write!(self.out, "{value:.decimals$}");
+        } else {
+            self.out.push_str("null");
+        }
+        self
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, value: bool) -> &mut Self {
+        self.item();
+        self.out.push_str(if value { "true" } else { "false" });
+        self
+    }
+
+    /// Writes an escaped string literal.
+    pub fn string(&mut self, value: &str) -> &mut Self {
+        self.item();
+        write_json_string(&mut self.out, value);
+        self
+    }
+
+    /// The finished document, newline-terminated.
+    pub fn finish(mut self) -> String {
+        debug_assert!(self.open.is_empty() && !self.keyed, "unbalanced document");
+        self.out.push('\n');
+        self.out
     }
 }
 
@@ -343,6 +504,51 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\" 1}", "tru", "1 2", "\"unterminated"] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn writer_output_parses_back_to_what_was_written() {
+        let mut w = JsonWriter::pretty(1);
+        w.object(|w| {
+            w.key("na\"me\n").string("tab\there");
+            w.key("count").u64(u64::MAX);
+            w.key("ratio").f64(-0.126, 2);
+            w.key("missing").f64(f64::NAN, 2).key("ok").bool(false);
+            w.key("empty").array(|_| {}).key("none").object(|_| {});
+            w.key("rows").array(|w| {
+                w.array(|w| {
+                    w.u64(1).u64(2);
+                });
+                w.object(|w| {
+                    w.key("deep").array(|w| {
+                        w.f64(f64::INFINITY, 0);
+                    });
+                });
+            });
+        });
+        let text = w.finish();
+        assert_eq!(
+            text,
+            "{\n  \"na\\\"me\\n\": \"tab\\there\",\n  \"count\": 18446744073709551615,\n  \
+             \"ratio\": -0.13,\n  \"missing\": null,\n  \"ok\": false,\n  \"empty\": [],\n  \
+             \"none\": {},\n  \"rows\": [[1, 2], {\"deep\": [null]}]\n}\n"
+        );
+        let doc = parse(&text).unwrap();
+        assert_eq!(doc.get("na\"me\n").unwrap().as_str(), Some("tab\there"));
+        assert_eq!(doc.get("ratio").unwrap().as_f64(), Some(-0.13));
+        assert_eq!(doc.get("missing"), Some(&JsonValue::Null));
+        let rows = doc.get("rows").unwrap().as_array().unwrap();
+        assert_eq!(rows[0].as_array().unwrap()[1].as_u64(), Some(2));
+
+        // depth 0 keeps everything on one line
+        let mut w = JsonWriter::pretty(0);
+        w.array(|w| {
+            w.object(|w| {
+                w.key("a").u64(1);
+            })
+            .bool(true);
+        });
+        assert_eq!(w.finish(), "[{\"a\": 1}, true]\n");
     }
 
     #[test]

@@ -11,7 +11,7 @@ use mobile_code_acceleration::core::{
     },
     SlotHistory, TimeSlot, WorkloadForecast, WorkloadPredictor,
 };
-use mobile_code_acceleration::fleet::{ingest::bucket_by_shard, TenantMetrics};
+use mobile_code_acceleration::fleet::{ingest::bucket_by_shard, SlotBatchSource, TenantMetrics};
 use mobile_code_acceleration::lp::{
     BranchBoundOptions, LpBackend, LpError, Problem, Sense, SimplexOutcome, SimplexSolver,
     SparseOutcome, SparseProblem, VarKind,
@@ -859,7 +859,29 @@ proptest! {
         engine.add_user_sharded_tenant(HUGE);
         reference.add_user_sharded(HUGE);
 
-        for (op, arg, picks, order) in slots {
+        let batches: Vec<Vec<SlotRecord>> = slots
+            .iter()
+            .map(|(_, _, picks, order)| {
+                let mut batch: Vec<SlotRecord> = picks
+                    .iter()
+                    .map(|&(tenant, group, user)| {
+                        let user = if user < 4 { u32::MAX - user } else { user };
+                        SlotRecord::new(tenant_of(tenant), groups[group], UserId(user))
+                    })
+                    .collect();
+                match order {
+                    0 => {}
+                    1 => batch.sort_unstable_by_key(|r| (r.tenant, r.group, r.user)),
+                    _ => batch.extend_from_within(..batch.len() / 2),
+                }
+                batch
+            })
+            .collect();
+        let mut driver =
+            FleetDriver::new(engine).with_shared_source(SlotBatchSource::new(batches.clone()));
+
+        for ((op, arg, _, _), batch) in slots.into_iter().zip(&batches) {
+            let engine = driver.engine_mut();
             let tenant = plain[arg % plain.len()];
             match op {
                 0 if reference.hosts(tenant) => {
@@ -885,22 +907,10 @@ proptest! {
                 }
                 _ => {}
             }
-            let mut batch: Vec<SlotRecord> = picks
-                .into_iter()
-                .map(|(tenant, group, user)| {
-                    let user = if user < 4 { u32::MAX - user } else { user };
-                    SlotRecord::new(tenant_of(tenant), groups[group], UserId(user))
-                })
-                .collect();
-            match order {
-                0 => {}
-                1 => batch.sort_unstable_by_key(|r| (r.tenant, r.group, r.user)),
-                _ => batch.extend_from_within(..batch.len() / 2),
-            }
-            #[allow(deprecated)]
-            engine.tick_slot(&batch);
-            reference.tick(&batch);
+            driver.step().expect("a shared lane is never quarantined");
+            reference.tick(batch);
 
+            let engine = driver.engine();
             prop_assert_eq!(engine.forecasts(), reference.forecasts());
             prop_assert_eq!(engine.metrics(), reference.metrics());
             prop_assert_eq!(engine.dropped_by_tenant(), &reference.dropped);
