@@ -1,54 +1,35 @@
-//! Regenerates `BENCH_allocation.json`: the sparse revised simplex with
-//! warm-started branch-and-bound versus the cold dense tableau on the
-//! allocation ILP, swept across instance-type catalogue sizes.
+//! Regenerates `BENCH_allocation.json`: the scaling table of the allocation
+//! ILP under the one engine that ships, swept across instance-type catalogue
+//! sizes — mean nodes, pivots and phase-1 skip rate per solve. The file holds
+//! counts only and regenerates byte for byte; ms per solve is printed, never
+//! written.
 //!
 //! Run with `cargo run --release -p mca-bench --bin bench_allocation`.
 //!
-//! * default: the headline sweep (6–48 instance-type variables, 48
-//!   forecasts per point); exits non-zero if any allocation differs between
-//!   the backends. The timing columns are reported, never gated.
-//! * `--smoke`: a small CI gate with the same exit rule.
-//! * `--check`: runs the default sweep, writes nothing, and exits non-zero
-//!   if a counted column of any row — allocations identical, mean nodes,
-//!   mean pivots per backend, phase-1 skip rate — differs from the
-//!   checked-in `BENCH_allocation.json`; the timing columns are not read.
+//! * default: the sweep (6–48 instance-type variables, 48 forecasts per
+//!   point), written to `BENCH_allocation.json`.
+//! * `--check`: the same sweep, written nowhere; exits non-zero unless the
+//!   regenerated document equals the checked-in one byte for byte.
 
 use mca_bench::allocation::{self, AllocationWorkload};
 
 fn main() {
-    let mode = mca_bench::util::mode_flag("bench_allocation", &["--smoke", "--check"]);
-    let workload = if mode == Some("--smoke") {
-        AllocationWorkload::smoke()
-    } else {
-        AllocationWorkload::headline()
-    };
+    let check = mca_bench::util::mode_flag("bench_allocation", &["--check"]).is_some();
 
-    let report = allocation::run(&workload, mca_bench::DEFAULT_SEED);
+    let report = allocation::run(&AllocationWorkload::headline(), mca_bench::DEFAULT_SEED);
     allocation::print(&report);
 
     let json = report.to_json();
     let path = "BENCH_allocation.json";
-    if mode == Some("--check") {
+    if check {
         let checked_in = std::fs::read_to_string(path).expect("read BENCH_allocation.json");
-        match allocation::count_differences(&checked_in, &json) {
-            Ok(differences) if differences.is_empty() => {
-                println!("check: every counted column matches {path}");
-                return;
-            }
-            Ok(differences) => {
-                for difference in differences {
-                    eprintln!("ERROR: {difference}");
-                }
-            }
-            Err(malformed) => eprintln!("ERROR: {malformed}"),
+        if checked_in != json {
+            eprintln!("ERROR: the regenerated document differs from {path}:\n{json}");
+            std::process::exit(1);
         }
-        std::process::exit(1);
+        println!("check: the regenerated document equals {path} byte for byte");
+        return;
     }
     std::fs::write(path, &json).expect("write BENCH_allocation.json");
     println!("wrote {path}");
-
-    if !report.all_identical() {
-        eprintln!("ERROR: revised allocations diverged from the dense reference");
-        std::process::exit(1);
-    }
 }

@@ -5,7 +5,7 @@
 //! Run with `cargo run --release -p mca-bench --bin bench_datacenter`.
 //!
 //! * default: the acceptance-bar workload (24 tenants × 300 slots).
-//! * `--smoke`: a small CI gate (12 tenants × 72 slots).
+//! * `--smoke`: a small CI gate (12 tenants × 72 slots); writes nothing.
 //!
 //! Both shapes gate identically, on the two contracts of the datacenter
 //! refactor: every arm's forecasts and total cost must match the arithmetic
@@ -31,10 +31,11 @@ fn main() {
     let report = datacenter::run(&workload, mca_bench::DEFAULT_SEED);
     datacenter::print(&report);
 
-    let json = report.to_json();
-    let path = "BENCH_datacenter.json";
-    std::fs::write(path, &json).expect("write BENCH_datacenter.json");
-    println!("wrote {path}");
+    if !smoke {
+        let path = "BENCH_datacenter.json";
+        std::fs::write(path, report.to_json()).expect("write BENCH_datacenter.json");
+        println!("wrote {path}");
+    }
 
     if !report.forecasts_identical {
         eprintln!("ERROR: datacenter billing changed a forecast");

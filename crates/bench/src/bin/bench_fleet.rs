@@ -13,9 +13,10 @@
 //!   from per-shard per-slot record counts — the same figure on every
 //!   machine and run (989,600 ÷ 521,768 = 1.897×).
 //! * `--smoke`: a small CI gate (16 tenants × 200 slots), same identity
-//!   gate. The skew gate requires migrations to happen, forecasts to stay
-//!   identical, and the rebalanced fleet to beat static placement ≥ 1.2× on
-//!   projected record counts (101,640 ÷ 54,420 = 1.868×).
+//!   gate; writes nothing. The skew gate requires migrations to happen,
+//!   forecasts to stay identical, and the rebalanced fleet to beat static
+//!   placement ≥ 1.2× on projected record counts (101,640 ÷ 54,420 =
+//!   1.868×).
 
 use mca_bench::fleet::{self, FleetWorkload, SkewWorkload};
 
@@ -34,9 +35,11 @@ fn main() {
     let skew = fleet::run_skewed(&skew_workload, mca_bench::DEFAULT_SEED);
     fleet::print_skewed(&skew);
 
-    let path = "BENCH_fleet.json";
-    std::fs::write(path, report.to_json(&skew)).expect("write BENCH_fleet.json");
-    println!("wrote {path}");
+    if !smoke {
+        let path = "BENCH_fleet.json";
+        std::fs::write(path, report.to_json(&skew)).expect("write BENCH_fleet.json");
+        println!("wrote {path}");
+    }
 
     if !report.forecasts_identical {
         eprintln!("ERROR: fleet forecasts diverged from the tenant-alone replay");

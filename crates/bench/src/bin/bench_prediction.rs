@@ -11,7 +11,8 @@
 //! * default: the 100k → 1M sweep; exits non-zero if the serial, tree and
 //!   (up to 100k slots) naive scans ever disagree on a forecast.
 //! * `--smoke`: a small CI gate (6,000 slots) with the same exit rule —
-//!   serial, indexed and naive forecasts must all be bit-identical.
+//!   serial, indexed and naive forecasts must all be bit-identical; writes
+//!   nothing.
 
 use mca_bench::prediction::{self, IndexScanWorkload};
 
@@ -26,9 +27,11 @@ fn main() {
     let report = prediction::run_index(&workload);
     prediction::print_index(&report);
 
-    let path = "BENCH_prediction.json";
-    std::fs::write(path, report.to_json()).expect("write BENCH_prediction.json");
-    println!("wrote {path}");
+    if !smoke {
+        let path = "BENCH_prediction.json";
+        std::fs::write(path, report.to_json()).expect("write BENCH_prediction.json");
+        println!("wrote {path}");
+    }
 
     if !report.forecasts_identical() {
         eprintln!("ERROR: the indexed scan diverged from the serial/naive forecast");

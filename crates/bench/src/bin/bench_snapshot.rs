@@ -7,7 +7,8 @@
 //!
 //! * default: the acceptance-bar sweep (8–128 tenants); exits non-zero if
 //!   any arm's resumed drive diverges from the uninterrupted one.
-//! * `--smoke`: a small CI gate (4–16 tenants); same resume-identity gate.
+//! * `--smoke`: a small CI gate (4–16 tenants); same resume-identity gate,
+//!   writes nothing.
 
 use mca_bench::snapshot::{self, SnapshotWorkload};
 
@@ -22,9 +23,11 @@ fn main() {
     let report = snapshot::run(&workload, mca_bench::DEFAULT_SEED);
     snapshot::print(&report);
 
-    let path = "BENCH_snapshot.json";
-    std::fs::write(path, report.to_json()).expect("write BENCH_snapshot.json");
-    println!("wrote {path}");
+    if !smoke {
+        let path = "BENCH_snapshot.json";
+        std::fs::write(path, report.to_json()).expect("write BENCH_snapshot.json");
+        println!("wrote {path}");
+    }
 
     if !report.all_identical() {
         eprintln!("ERROR: a restored fleet diverged from the uninterrupted run");

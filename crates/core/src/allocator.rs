@@ -14,7 +14,7 @@ use crate::accel::AccelerationGroups;
 use crate::error::CoreError;
 use crate::predictor::WorkloadForecast;
 use mca_cloudsim::{InstanceType, Server};
-use mca_lp::{BranchBoundOptions, LpBackend, Problem, Sense, Solution, SparseProblem, VarKind};
+use mca_lp::{LpError, Problem, Sense, Solution, SparseProblem, VarId, VarKind};
 use mca_offload::AccelerationGroupId;
 use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
 use serde::{Deserialize, Serialize};
@@ -162,29 +162,29 @@ impl Restore for Allocation {
     }
 }
 
+/// Instances kept running per group even when the predicted workload is
+/// zero, so that a newly promoted device always has a server to land on.
+const MIN_INSTANCES_PER_GROUP: usize = 1;
+
+/// Typical task work the per-type capacities are derived for, work units.
+const TYPICAL_WORK_UNITS: f64 = 65.0;
+
 /// The dynamic resource allocator.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ResourceAllocator {
     groups: AccelerationGroups,
     policy: AllocationPolicy,
-    lp_backend: LpBackend,
     /// Cloud account instance cap (`CC`).
     account_cap: usize,
-    /// Minimum number of instances kept running per group even when the
-    /// predicted workload is zero (so that a newly promoted device always has
-    /// a server to land on).
-    min_instances_per_group: usize,
-    /// Typical task work used to derive per-type capacities, work units.
-    pub typical_work_units: f64,
     /// Per-type capacity under the response-time target, in concurrent users
     /// (the paper's `K_s`).
     capacities: Vec<(AccelerationGroupId, InstanceType, usize)>,
     /// The §IV-C program over the fields above, compiled once with every
     /// demand at zero: between two solves only the per-group demand
     /// right-hand sides differ. A pure function of the other fields, rebuilt
-    /// by every `with_*` that changes one of them; `None` where no solve
-    /// would read it (the closed-form policies, the dense reference backend).
-    compiled: Option<SparseProblem>,
+    /// by [`with_account_cap`](Self::with_account_cap); a program the solver
+    /// refuses keeps its error here, and every ILP solve returns it.
+    compiled: Result<SparseProblem, LpError>,
 }
 
 impl ResourceAllocator {
@@ -208,69 +208,27 @@ impl ResourceAllocator {
         policy: AllocationPolicy,
         account_cap: usize,
     ) -> Self {
-        let typical_work_units = 65.0;
-        let capacities = Self::derive_capacities(&groups, typical_work_units);
+        let capacities = Self::derive_capacities(&groups);
+        let compiled = Self::ilp_problem(&groups, &capacities, account_cap).compile();
         Self {
             groups,
             policy,
-            lp_backend: LpBackend::default(),
             account_cap,
-            min_instances_per_group: 1,
-            typical_work_units,
             capacities,
-            compiled: None,
+            compiled,
         }
-        .recompiled()
     }
 
     /// Overrides the account cap.
     pub fn with_account_cap(mut self, cap: usize) -> Self {
         self.account_cap = cap;
-        self.recompiled()
-    }
-
-    /// Overrides the per-group minimum.
-    pub fn with_min_instances(mut self, min: usize) -> Self {
-        self.min_instances_per_group = min;
-        self.recompiled()
-    }
-
-    /// Overrides the LP engine used by the ILP policy (the default is the
-    /// sparse revised simplex with warm-started branch-and-bound;
-    /// [`LpBackend::DenseTableau`] selects the cold dense reference).
-    pub fn with_lp_backend(mut self, backend: LpBackend) -> Self {
-        self.lp_backend = backend;
-        self.recompiled()
-    }
-
-    /// Brings the compiled program in line with the parameters.
-    fn recompiled(mut self) -> Self {
-        let solves_compiled = self.policy == AllocationPolicy::IlpExact
-            && self.lp_backend == LpBackend::RevisedWarmStart;
-        // a program the solver would refuse stays uncompiled: the solve then
-        // builds it afresh and reports why
-        self.compiled = if solves_compiled {
-            self.ilp_problem(|_| 0).compile().ok()
-        } else {
-            None
-        };
+        self.compiled = Self::ilp_problem(&self.groups, &self.capacities, cap).compile();
         self
     }
 
     /// Cloud account instance cap (`CC`).
     pub fn account_cap(&self) -> usize {
         self.account_cap
-    }
-
-    /// Minimum number of instances kept running per group even when the
-    /// predicted workload is zero.
-    pub fn min_instances_per_group(&self) -> usize {
-        self.min_instances_per_group
-    }
-
-    /// The LP engine the ILP policy solves with.
-    pub fn lp_backend(&self) -> LpBackend {
-        self.lp_backend
     }
 
     /// The allocation policy in force.
@@ -295,7 +253,6 @@ impl ResourceAllocator {
 
     fn derive_capacities(
         groups: &AccelerationGroups,
-        typical_work_units: f64,
     ) -> Vec<(AccelerationGroupId, InstanceType, usize)> {
         let target = groups.response_target_ms;
         groups
@@ -304,7 +261,7 @@ impl ResourceAllocator {
             .flat_map(|g| {
                 g.instance_types.iter().map(move |&t| {
                     let capacity = Server::new(t)
-                        .capacity_under(typical_work_units, target)
+                        .capacity_under(TYPICAL_WORK_UNITS, target)
                         .max(1);
                     (g.id, t, capacity)
                 })
@@ -332,69 +289,59 @@ impl ResourceAllocator {
         2 * g
     }
 
-    /// The §IV-C program: one integer variable per (group, instance type) in
-    /// group-then-type order; per group a capacity row (at least
-    /// `demand(group)` users served) followed by a minimum-instances row;
-    /// the account cap last.
-    fn ilp_problem(&self, demand: impl Fn(AccelerationGroupId) -> usize) -> Problem {
+    /// The §IV-C program with every demand at zero: one integer variable per
+    /// (group, instance type) in group-then-type order — the order of
+    /// `capacities`; per group a capacity row (at least the group's demand
+    /// in users served) followed by a minimum-instances row; the account cap
+    /// last.
+    fn ilp_problem(
+        groups: &AccelerationGroups,
+        capacities: &[(AccelerationGroupId, InstanceType, usize)],
+        account_cap: usize,
+    ) -> Problem {
         let mut problem = Problem::minimize();
-        let mut vars = Vec::new();
-        for group in self.groups.groups() {
-            for &ty in &group.instance_types {
-                let cost = ty.spec().cost_per_hour;
+        let vars: Vec<(AccelerationGroupId, VarId, f64)> = capacities
+            .iter()
+            .map(|&(group, ty, capacity)| {
                 let var = problem.add_var(
-                    format!("{}-{}", group.id, ty),
+                    format!("{group}-{ty}"),
                     VarKind::Integer,
                     0.0,
-                    Some(self.account_cap as f64),
-                    cost,
+                    Some(account_cap as f64),
+                    ty.spec().cost_per_hour,
                 );
-                vars.push((group.id, ty, var));
-            }
-        }
-        for group in self.groups.groups() {
-            let capacity_terms: Vec<(mca_lp::VarId, f64)> = vars
-                .iter()
-                .filter(|(g, _, _)| *g == group.id)
-                .map(|(_, ty, var)| (*var, self.capacity_of(group.id, *ty) as f64))
+                (group, var, capacity as f64)
+            })
+            .collect();
+        for group in groups.groups() {
+            let members = || vars.iter().filter(|(g, _, _)| *g == group.id);
+            let capacity_terms: Vec<(VarId, f64)> = members()
+                .map(|&(_, var, capacity)| (var, capacity))
                 .collect();
             problem.add_constraint(
                 format!("capacity-{}", group.id),
                 &capacity_terms,
                 Sense::Ge,
-                demand(group.id) as f64,
+                0.0,
             );
-            let count_terms: Vec<(mca_lp::VarId, f64)> = vars
-                .iter()
-                .filter(|(g, _, _)| *g == group.id)
-                .map(|(_, _, var)| (*var, 1.0))
-                .collect();
+            let count_terms: Vec<(VarId, f64)> = members().map(|&(_, var, _)| (var, 1.0)).collect();
             problem.add_constraint(
                 format!("min-{}", group.id),
                 &count_terms,
                 Sense::Ge,
-                self.min_instances_per_group as f64,
+                MIN_INSTANCES_PER_GROUP as f64,
             );
         }
-        let all_terms: Vec<(mca_lp::VarId, f64)> = vars.iter().map(|(_, _, v)| (*v, 1.0)).collect();
-        problem.add_constraint(
-            "account-cap",
-            &all_terms,
-            Sense::Le,
-            self.account_cap as f64,
-        );
+        let all_terms: Vec<(VarId, f64)> = vars.iter().map(|&(_, v, _)| (v, 1.0)).collect();
+        problem.add_constraint("account-cap", &all_terms, Sense::Le, account_cap as f64);
         problem
     }
 
     fn allocate_ilp(&self, forecast: &WorkloadForecast) -> Result<Allocation, CoreError> {
-        let options = BranchBoundOptions {
-            backend: self.lp_backend,
-            ..Default::default()
-        };
         let solution = match &self.compiled {
             // the compiled program takes this forecast's demands and
             // nothing else
-            Some(compiled) => {
+            Ok(compiled) => {
                 let demands: Vec<(usize, f64)> = self
                     .groups
                     .groups()
@@ -402,11 +349,9 @@ impl ResourceAllocator {
                     .enumerate()
                     .map(|(g, group)| (Self::demand_row(g), forecast.load_of(group.id) as f64))
                     .collect();
-                compiled.solve_with_rhs(&demands, &options)
+                compiled.solve_with_rhs(&demands)
             }
-            None => self
-                .ilp_problem(|group| forecast.load_of(group))
-                .solve_with(&options),
+            Err(refused) => Err(refused.clone()),
         }
         .map_err(|e| CoreError::AllocationInfeasible {
             reason: e.to_string(),
@@ -468,9 +413,7 @@ impl ResourceAllocator {
                 reason: format!("group {} has no instance types", group.id),
             })?;
             let capacity = self.capacity_of(group.id, chosen).max(1);
-            let mut count = workload
-                .div_ceil(capacity)
-                .max(self.min_instances_per_group);
+            let mut count = workload.div_ceil(capacity).max(MIN_INSTANCES_PER_GROUP);
             if over_provision {
                 count += 1;
             }
@@ -662,26 +605,6 @@ mod tests {
             .allocate(&forecast(&[(1, 60), (2, 120), (3, 40)]))
             .unwrap();
         assert_eq!(g.stats, AllocationStats::default());
-    }
-
-    #[test]
-    fn revised_and_dense_backends_allocate_identically() {
-        use mca_lp::LpBackend;
-        let revised = allocator(AllocationPolicy::IlpExact);
-        let dense = allocator(AllocationPolicy::IlpExact).with_lp_backend(LpBackend::DenseTableau);
-        assert_eq!(dense.lp_backend(), LpBackend::DenseTableau);
-        for loads in [
-            [(1u8, 0usize), (2, 0), (3, 0)],
-            [(1, 60), (2, 120), (3, 40)],
-            [(1, 150), (2, 300), (3, 100)],
-            [(1, 777), (2, 13), (3, 333)],
-        ] {
-            let f = forecast(&loads);
-            let a = revised.allocate(&f).unwrap();
-            let b = dense.allocate(&f).unwrap();
-            // equality ignores stats: same instances, cost and capacities
-            assert_eq!(a, b, "loads {loads:?}");
-        }
     }
 
     #[test]

@@ -1,52 +1,18 @@
 //! Branch-and-bound search over LP relaxations for integer variables.
 
 use crate::error::LpError;
-use crate::model::{Problem, Sense, Solution, SolveStats};
-use crate::simplex::{SimplexOutcome, SimplexSolver};
+use crate::model::{Sense, Solution, SolveStats};
 use crate::sparse::{Relaxed, SparseProblem, WarmStart, Workspace};
 use crate::VarId;
-use serde::{Deserialize, Serialize};
 use std::rc::Rc;
 
-/// Which LP engine solves the relaxation at every branch-and-bound node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum LpBackend {
-    /// Sparse revised simplex over one shared problem representation;
-    /// every child node warm-starts from its parent's optimal [`crate::Basis`]
-    /// through dual-simplex re-entry (phase 1 is skipped).
-    #[default]
-    RevisedWarmStart,
-    /// The original dense tableau, rebuilt and solved cold at every node.
-    /// Kept as the reference implementation for agreement tests and the
-    /// `bench_allocation` baseline.
-    DenseTableau,
-}
-
-/// Tuning knobs for the branch-and-bound search.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BranchBoundOptions {
-    /// Maximum number of nodes (LP relaxations) to explore before giving up
-    /// with [`LpError::NodeLimit`].
-    pub max_nodes: usize,
-    /// Integrality tolerance: an LP value within this distance of an integer
-    /// is considered integral.
-    pub integrality_tolerance: f64,
-    /// Absolute gap below which an incumbent is accepted as optimal early.
-    pub absolute_gap: f64,
-    /// LP engine used for node relaxations.
-    pub backend: LpBackend,
-}
-
-impl Default for BranchBoundOptions {
-    fn default() -> Self {
-        Self {
-            max_nodes: 100_000,
-            integrality_tolerance: 1e-6,
-            absolute_gap: 1e-9,
-            backend: LpBackend::default(),
-        }
-    }
-}
+/// Nodes (LP relaxations) explored before the search gives up with
+/// [`LpError::NodeLimit`].
+pub(crate) const MAX_NODES: usize = 100_000;
+/// An LP value within this distance of an integer is integral.
+const INTEGRALITY_TOLERANCE: f64 = 1e-6;
+/// A node must beat the incumbent by more than this to be explored or kept.
+const ABSOLUTE_GAP: f64 = 1e-9;
 
 /// A node that branched: the bound it added to its own parent's, and what
 /// its two children share.
@@ -54,14 +20,14 @@ struct Branch {
     /// `None` at the root.
     bound: Option<(VarId, Sense, f64)>,
     up: Option<Rc<Branch>>,
-    /// Optimal basis of this node's relaxation with its factorization
-    /// (revised backend, and only when the basis is reusable): the children
-    /// re-enter from it instead of solving cold.
+    /// Optimal basis of this node's relaxation with its factorization (only
+    /// when the basis is reusable): the children re-enter from it instead of
+    /// solving cold.
     warm: Option<WarmStart>,
 }
 
 /// An open node: its parent's bounds plus one.
-struct Node {
+pub(crate) struct Node {
     /// `None` at the root.
     bound: Option<(VarId, Sense, f64)>,
     parent: Option<Rc<Branch>>,
@@ -70,7 +36,7 @@ struct Node {
 impl Node {
     /// The node's branching bounds, its own first and the root's child's
     /// last.
-    fn bounds(&self) -> impl Iterator<Item = (VarId, Sense, f64)> + '_ {
+    pub(crate) fn bounds(&self) -> impl Iterator<Item = (VarId, Sense, f64)> + '_ {
         let ancestors = std::iter::successors(self.parent.as_deref(), |b| b.up.as_deref());
         self.bound
             .into_iter()
@@ -78,18 +44,68 @@ impl Node {
     }
 }
 
+/// What solves the relaxation at a node. [`Revised`] is the one
+/// implementation in a build; the crate's tests put the dense tableau oracle
+/// behind it (`crate::simplex`), so that the reference solve walks the same
+/// search as the one under test.
+pub(crate) trait Relaxation {
+    /// Solves the relaxation of `sp` under the bounds of `node`, leaving an
+    /// optimum's values in [`Workspace::values`].
+    fn relax(
+        &self,
+        sp: &SparseProblem,
+        node: &Node,
+        ws: &mut Workspace,
+    ) -> Result<Relaxed, LpError>;
+
+    /// What the children of the node just relaxed re-enter from; `None` has
+    /// them solve cold.
+    fn warm_start(&self, _sp: &SparseProblem, _ws: &mut Workspace) -> Option<WarmStart> {
+        None
+    }
+}
+
+/// The revised simplex in the search's workspace: a child re-enters from its
+/// parent's optimal basis through one shared factorization.
+struct Revised;
+
+impl Relaxation for Revised {
+    fn relax(
+        &self,
+        sp: &SparseProblem,
+        node: &Node,
+        ws: &mut Workspace,
+    ) -> Result<Relaxed, LpError> {
+        let warm = node
+            .parent
+            .as_deref()
+            .and_then(|branch| branch.warm.as_ref())
+            .map(WarmStart::as_warm);
+        ws.relax(sp, node.bounds(), warm)
+    }
+
+    fn warm_start(&self, sp: &SparseProblem, ws: &mut Workspace) -> Option<WarmStart> {
+        ws.warm_start(sp)
+    }
+}
+
 /// Solves the compiled problem `sp` — integer variables included — by
 /// branch-and-bound, with the listed `(row, value)` right-hand sides
-/// replaced, every node working in `ws`. `dense` is the [`Problem`] `sp` was
-/// compiled from when the dense reference is to solve the node relaxations
-/// (it cannot work from the compiled form, and sees no replaced right-hand
-/// side).
+/// replaced, every node working in `ws`.
 pub(crate) fn solve(
     sp: &SparseProblem,
-    dense: Option<&Problem>,
     rhs: &[(usize, f64)],
-    options: &BranchBoundOptions,
     ws: &mut Workspace,
+) -> Result<Solution, LpError> {
+    search(sp, rhs, ws, &Revised)
+}
+
+/// [`solve`], with the relaxation at every node left to `engine`.
+pub(crate) fn search(
+    sp: &SparseProblem,
+    rhs: &[(usize, f64)],
+    ws: &mut Workspace,
+    engine: &impl Relaxation,
 ) -> Result<Solution, LpError> {
     ws.begin(sp, rhs)?;
     if sp.num_vars() == 0 {
@@ -113,46 +129,12 @@ pub(crate) fn solve(
     let mut root_unbounded = false;
 
     while let Some(node) = stack.pop() {
-        if nodes >= options.max_nodes {
+        if nodes >= sp.max_nodes {
             return incumbent.ok_or(LpError::NodeLimit { explored: nodes });
         }
         nodes += 1;
 
-        // either backend leaves the optimal values in the workspace
-        let relaxation = match dense {
-            None => {
-                let warm = node
-                    .parent
-                    .as_deref()
-                    .and_then(|branch| branch.warm.as_ref())
-                    .map(WarmStart::as_warm);
-                ws.relax(sp, node.bounds(), warm)?
-            }
-            Some(problem) => {
-                // the tableau takes each bound as a row, in root-to-node order
-                let mut bounds: Vec<(VarId, Sense, f64)> = node.bounds().collect();
-                bounds.reverse();
-                match SimplexSolver::from_problem(problem, &bounds).solve_dense()? {
-                    SimplexOutcome::Optimal {
-                        objective,
-                        values,
-                        pivots,
-                    } => {
-                        ws.values = values;
-                        Relaxed::Optimal {
-                            objective,
-                            pivots,
-                            used_phase1: true,
-                            warm_started: false,
-                        }
-                    }
-                    SimplexOutcome::Infeasible => Relaxed::Infeasible,
-                    SimplexOutcome::Unbounded => Relaxed::Unbounded,
-                }
-            }
-        };
-
-        let objective = match relaxation {
+        let objective = match engine.relax(sp, &node, ws)? {
             Relaxed::Optimal {
                 objective,
                 pivots: node_pivots,
@@ -180,9 +162,9 @@ pub(crate) fn solve(
         // Bound: prune nodes that cannot beat the incumbent.
         if let Some(ref inc) = incumbent {
             let worse = if maximize {
-                objective <= inc.objective + options.absolute_gap
+                objective <= inc.objective + ABSOLUTE_GAP
             } else {
-                objective >= inc.objective - options.absolute_gap
+                objective >= inc.objective - ABSOLUTE_GAP
             };
             if worse {
                 continue;
@@ -197,7 +179,7 @@ pub(crate) fn solve(
                 let frac = (x - x.round()).abs();
                 (j, x, frac)
             })
-            .filter(|&(_, _, frac)| frac > options.integrality_tolerance)
+            .filter(|&(_, _, frac)| frac > INTEGRALITY_TOLERANCE)
             .max_by(|a, b| a.2.partial_cmp(&b.2).unwrap_or(std::cmp::Ordering::Equal));
 
         match fractional {
@@ -212,9 +194,9 @@ pub(crate) fn solve(
                     None => true,
                     Some(inc) => {
                         if maximize {
-                            obj > inc.objective + options.absolute_gap
+                            obj > inc.objective + ABSOLUTE_GAP
                         } else {
-                            obj < inc.objective - options.absolute_gap
+                            obj < inc.objective - ABSOLUTE_GAP
                         }
                     }
                 };
@@ -235,15 +217,10 @@ pub(crate) fn solve(
             }
             Some((j, x, _frac)) => {
                 let var = VarId(j);
-                // Both children re-enter the revised simplex from this
-                // node's optimal basis, through one shared factorization.
                 let branch = Rc::new(Branch {
                     bound: node.bound,
                     up: node.parent,
-                    warm: match dense {
-                        None => ws.warm_start(sp),
-                        Some(_) => None,
-                    },
+                    warm: engine.warm_start(sp, ws),
                 });
                 // Depth-first: push the "up" branch last so it is explored
                 // first — for covering-style minimization problems (like the
@@ -279,6 +256,7 @@ pub(crate) fn solve(
 mod tests {
     use super::*;
     use crate::model::{Objective, Problem, VarKind};
+    use crate::simplex::solve_ilp as solve_dense;
 
     /// Brute-force reference for small integer problems over a box.
     fn brute_force_min(problem: &Problem, max_value: i64) -> Option<(f64, Vec<f64>)> {
@@ -367,13 +345,9 @@ mod tests {
             .collect();
         let terms: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, 7.0)).collect();
         p.add_constraint("c", &terms, Sense::Ge, 100.0);
-        let options = BranchBoundOptions {
-            max_nodes: 1,
-            ..Default::default()
-        };
         // Either an incumbent was found within one node or we get NodeLimit;
         // with one node no incumbent can exist unless the relaxation is integral.
-        match p.solve_with(&options) {
+        match p.compile().unwrap().with_max_nodes(1).solve_with_rhs(&[]) {
             Ok(sol) => assert!(p.is_feasible(&sol.values, 1e-6)),
             Err(LpError::NodeLimit { explored }) => assert_eq!(explored, 1),
             Err(other) => panic!("unexpected error {other}"),
@@ -411,66 +385,69 @@ mod tests {
 
     use crate::test_rng::XorShift;
 
-    fn dense_options() -> BranchBoundOptions {
-        BranchBoundOptions {
-            backend: LpBackend::DenseTableau,
-            ..Default::default()
-        }
+    /// A random covering ILP (the allocation shape): integer types under a
+    /// cover row and an instance cap. `fractional` leaves capacities (to 40)
+    /// and demand unrounded, prices from a cent, bounds types by the cap.
+    fn random_covering(rng: &mut XorShift, fractional: bool) -> Problem {
+        let round = |x: f64| if fractional { x } else { x.round() };
+        let (types, min_price, max_capacity, max_demand, cc) = if fractional {
+            (3, 0.01, 40.0, 150.0, (2.5, 7.5))
+        } else {
+            (4, 0.05, 12.0, 60.0, (2.0, 10.0))
+        };
+        let n = 2 + rng.below(types);
+        let prices: Vec<f64> = (0..n).map(|_| rng.uniform(min_price, 2.0)).collect();
+        let capacities: Vec<f64> = (0..n)
+            .map(|_| round(rng.uniform(1.0, max_capacity)))
+            .collect();
+        let demand = round(rng.uniform(1.0, max_demand));
+        let cc = rng.uniform(cc.0, cc.1).round();
+        let upper = if fractional { cc } else { 8.0 };
+        let mut p = Problem::minimize();
+        let vars: Vec<VarId> = prices
+            .iter()
+            .map(|&price| p.add_var("x", VarKind::Integer, 0.0, Some(upper), price))
+            .collect();
+        let cover: Vec<(VarId, f64)> = vars.iter().copied().zip(capacities).collect();
+        p.add_constraint("cover", &cover, Sense::Ge, demand);
+        let count: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, 1.0)).collect();
+        p.add_constraint("cc", &count, Sense::Le, cc);
+        p
     }
 
     #[test]
     fn warm_started_backend_matches_dense_cold_backend() {
-        // Randomized covering ILPs (the allocation shape): the revised
-        // warm-started search and the dense cold search must agree on the
-        // optimal objective and on infeasibility, every time.
+        // The revised warm-started search and the dense cold search must
+        // agree on the optimal objective and on infeasibility, every time,
+        // and a revised search that branches must warm-start.
         let mut rng = XorShift(0xA076_1D64_78BD_642F);
-        let mut warm_runs = 0usize;
-        for case in 0..60 {
-            let n = 2 + rng.below(4);
-            let mut p = Problem::minimize();
-            let vars: Vec<VarId> = (0..n)
-                .map(|i| {
-                    p.add_var(
-                        format!("x{i}"),
-                        VarKind::Integer,
-                        0.0,
-                        Some(8.0),
-                        rng.uniform(0.05, 2.0),
-                    )
-                })
-                .collect();
-            let caps: Vec<(VarId, f64)> = vars
-                .iter()
-                .map(|&v| (v, rng.uniform(1.0, 12.0).round()))
-                .collect();
-            p.add_constraint("cover", &caps, Sense::Ge, rng.uniform(1.0, 60.0).round());
-            let count: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, 1.0)).collect();
-            p.add_constraint("cc", &count, Sense::Le, rng.uniform(2.0, 10.0).round());
-
-            let revised = p.solve();
-            let dense = p.solve_with(&dense_options());
-            match (revised, dense) {
-                (Ok(r), Ok(d)) => {
-                    assert!(
-                        (r.objective - d.objective).abs() < 1e-6,
-                        "case {case}: revised {} vs dense {}",
-                        r.objective,
-                        d.objective
-                    );
-                    assert!(p.is_feasible(&r.values, 1e-6), "case {case}");
-                    if r.stats.phase1_skips > 0 {
-                        warm_runs += 1;
+        for fractional in [false, true] {
+            let (mut warm_runs, mut branched) = (0usize, 0usize);
+            for case in 0..60 {
+                let p = random_covering(&mut rng, fractional);
+                let (revised, dense) = (p.solve(), solve_dense(&p));
+                match (revised, dense) {
+                    (Ok(r), Ok(d)) => {
+                        assert!(
+                            (r.objective - d.objective).abs() < 1e-6,
+                            "case {case}: revised {} vs dense {}",
+                            r.objective,
+                            d.objective
+                        );
+                        assert!(p.is_feasible(&r.values, 1e-6), "case {case}");
+                        assert_eq!(d.stats.phase1_skips, 0, "dense never warm-starts");
+                        warm_runs += usize::from(r.stats.phase1_skips > 0);
+                        branched += usize::from(r.stats.nodes > 1);
                     }
-                    assert_eq!(d.stats.phase1_skips, 0, "dense never warm-starts");
+                    (Err(re), Err(de)) => assert_eq!(re, de, "case {case}"),
+                    (r, d) => panic!("case {case}: revised {r:?} vs dense {d:?}"),
                 }
-                (Err(re), Err(de)) => assert_eq!(re, de, "case {case}"),
-                (r, d) => panic!("case {case}: revised {r:?} vs dense {d:?}"),
             }
+            assert!(
+                warm_runs > 10 && warm_runs == branched,
+                "branching cases must warm-start: {warm_runs} of {branched}"
+            );
         }
-        assert!(
-            warm_runs > 10,
-            "branching cases should exercise warm starts: {warm_runs}"
-        );
     }
 
     #[test]
@@ -490,7 +467,7 @@ mod tests {
             "warm starts expected: {:?}",
             sol.stats
         );
-        let dense = p.solve_with(&dense_options()).unwrap();
+        let dense = solve_dense(&p).unwrap();
         assert!((sol.objective - dense.objective).abs() < 1e-9);
         assert_eq!(sol.values, dense.values, "same incumbent on this problem");
     }
@@ -591,7 +568,7 @@ mod tests {
         problem
             .compile()?
             .with_max_iterations(budget)
-            .solve_with_rhs(&[], &BranchBoundOptions::default())
+            .solve_with_rhs(&[])
     }
 
     fn assert_same(
@@ -619,7 +596,6 @@ mod tests {
         // successively replaced right-hand sides: every outcome — values,
         // objective bits, node / pivot / skip counts, errors — must be the
         // one the same problem gives when built, compiled and solved alone.
-        let options = BranchBoundOptions::default();
         let mut rng = XorShift(0x2545_F491_4F6C_DD1D);
         let mut ws = Workspace::default();
         let (mut optimal, mut infeasible, mut branched, mut phase1, mut limited) = (0, 0, 0, 0, 0);
@@ -651,7 +627,7 @@ mod tests {
                         replaced.push((row, value));
                     }
                 }
-                let shared = solve(&compiled, None, &replaced, &options, &mut ws);
+                let shared = solve(&compiled, &replaced, &mut ws);
                 let alone = alone(&shape.problem(&rhs), budget);
                 assert_same(&shared, &alone, &format!("case {case} round {round}"));
                 match &alone {
@@ -686,19 +662,18 @@ mod tests {
             p
         };
         let compiled = build(0.0).compile().unwrap();
-        let options = BranchBoundOptions::default();
         let mut ws = Workspace::default();
         for demand in [100.0, 10.5, 13.0, 0.0, 11.5] {
-            let shared = solve(&compiled, None, &[(0, demand)], &options, &mut ws);
+            let shared = solve(&compiled, &[(0, demand)], &mut ws);
             assert_eq!(shared.is_err(), demand > 12.0, "demand {demand}");
             assert_same(&shared, &build(demand).solve(), &format!("demand {demand}"));
         }
         assert_eq!(
-            compiled.solve_with_rhs(&[(2, 1.0)], &options),
+            compiled.solve_with_rhs(&[(2, 1.0)]),
             Err(LpError::UnknownRow { index: 2 })
         );
         assert!(matches!(
-            compiled.solve_with_rhs(&[(0, f64::NAN)], &options),
+            compiled.solve_with_rhs(&[(0, f64::NAN)]),
             Err(LpError::NonFiniteInput { .. })
         ));
     }
@@ -737,18 +712,13 @@ mod tests {
         let b = q.add_var("b", VarKind::Integer, 0.0, Some(10.0), 1.3);
         q.add_constraint("c", &[(a, 2.0), (b, 3.0)], Sense::Ge, 12.5);
         q.add_constraint("cc", &[(a, 1.0), (b, 1.0)], Sense::Le, 8.0);
-        let options = BranchBoundOptions::default();
         let (sp, sq) = (
             p.compile().unwrap().with_max_iterations(2),
             q.compile().unwrap(),
         );
         let mut ws = Workspace::default();
-        assert_same(&solve(&sq, None, &[], &options, &mut ws), &q.solve(), "q");
-        assert_same(
-            &solve(&sp, None, &[], &options, &mut ws),
-            &Ok(stalled),
-            "stalled p",
-        );
-        assert_same(&solve(&sq, None, &[], &options, &mut ws), &q.solve(), "q");
+        assert_same(&solve(&sq, &[], &mut ws), &q.solve(), "q");
+        assert_same(&solve(&sp, &[], &mut ws), &Ok(stalled), "stalled p");
+        assert_same(&solve(&sq, &[], &mut ws), &q.solve(), "q");
     }
 }

@@ -10,23 +10,25 @@
 //! * [`Problem`] — a small modelling API (continuous and integer variables,
 //!   linear constraints, minimize/maximize objectives),
 //! * a sparse **revised simplex** with a factorized basis and warm-started
-//!   re-entry ([`SparseProblem`], [`Basis`]) — the default LP engine. A
-//!   [`Problem`] is compiled into a [`SparseProblem`] once
-//!   ([`Problem::compile`]); a caller that re-solves one structure under
-//!   changing right-hand sides keeps the compiled form
-//!   ([`SparseProblem::solve_with_rhs`]), and every solve runs in one
-//!   reused workspace, so its pivots allocate nothing,
-//! * a two-phase dense tableau simplex kept as the reference implementation
-//!   ([`SimplexSolver::solve_dense`]), and
-//! * **branch-and-bound** for integrality (configured by
-//!   [`BranchBoundOptions`]); with the default [`LpBackend`] every child
-//!   node warm-starts from its parent's optimal basis instead of solving
-//!   cold, and the two children of a node share one factorization of it.
+//!   re-entry — the one LP engine. A [`Problem`] is compiled into a
+//!   [`SparseProblem`] once ([`Problem::compile`]); a caller that re-solves
+//!   one structure under changing right-hand sides keeps the compiled form
+//!   ([`SparseProblem::solve_with_rhs`]), and every solve runs in one reused
+//!   workspace, so its pivots allocate nothing, and
+//! * **branch-and-bound** for integrality: every child node warm-starts from
+//!   its parent's optimal basis instead of solving cold, and the two
+//!   children of a node share one factorization of it.
+//!
+//! There is nothing to set: the node and pivot budgets, the integrality
+//! tolerance and the pruning gap are constants. The two-phase dense tableau
+//! this crate started from is the oracle of its own tests (`simplex.rs`,
+//! under `cfg(test)`), driven through the same branch-and-bound search by
+//! the search's private relaxation hook; `torture.rs` is the suite.
 //!
 //! The allocation instances produced by the paper's model grow with the
 //! instance-type catalogue (one variable per group × type); the revised
 //! simplex keeps the basis at the size of the constraint system so the
-//! per-node cost no longer scales with the variable count.
+//! per-node cost does not scale with the variable count.
 //!
 //! # Example
 //!
@@ -49,22 +51,25 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// the library returns typed errors; only its tests may panic on a `None`
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod branch_bound;
 mod error;
 mod expr;
 mod model;
+#[cfg(test)]
 mod simplex;
 mod sparse;
 #[cfg(test)]
 pub(crate) mod test_rng;
+#[cfg(test)]
+mod torture;
 
-pub use branch_bound::{BranchBoundOptions, LpBackend};
 pub use error::LpError;
 pub use expr::{LinearExpr, VarId};
 pub use model::{Constraint, Objective, Problem, Sense, Solution, SolveStats, VarKind, Variable};
-pub use simplex::{SimplexOutcome, SimplexSolver};
-pub use sparse::{Basis, SparseOutcome, SparseProblem, SparseSolution};
+pub use sparse::SparseProblem;
 
 #[cfg(test)]
 mod tests {

@@ -1,9 +1,8 @@
 //! The problem-building API: variables, constraints, objectives, solutions.
 
-use crate::branch_bound::{self, BranchBoundOptions, LpBackend};
 use crate::error::LpError;
 use crate::expr::{LinearExpr, VarId};
-use crate::sparse::{SparseOutcome, SparseProblem, Workspace};
+use crate::sparse::{Relaxed, SparseProblem, Workspace};
 use serde::{Deserialize, Serialize};
 
 /// Whether a variable must take integer values in the final solution.
@@ -86,7 +85,7 @@ pub struct SolveStats {
     /// Total simplex pivots across all LP relaxations.
     pub pivots: usize,
     /// Nodes re-entered from a parent basis without running phase 1
-    /// (warm-started dual-simplex re-entries; 0 for the dense backend).
+    /// (warm-started dual-simplex re-entries).
     pub phase1_skips: usize,
 }
 
@@ -296,14 +295,17 @@ impl Problem {
         Ok(())
     }
 
-    /// Solves the problem with default branch-and-bound options.
+    /// Solves the problem, integer variables included: compile, then the
+    /// solve [`SparseProblem::solve_with_rhs`] runs.
     ///
     /// # Errors
     ///
     /// Returns [`LpError::Infeasible`] or [`LpError::Unbounded`] when the
-    /// model has no optimum, and input-validation errors for malformed models.
+    /// model has no optimum, input-validation errors for malformed models,
+    /// and [`LpError::NodeLimit`] when the node budget is exhausted before
+    /// the search completes.
     pub fn solve(&self) -> Result<Solution, LpError> {
-        self.solve_with(&BranchBoundOptions::default())
+        self.compile()?.solve_with_rhs(&[])
     }
 
     /// Validates the problem and compiles it into the sparse form every
@@ -319,39 +321,30 @@ impl Problem {
         Ok(SparseProblem::from_problem(self))
     }
 
-    /// Solves the problem with explicit branch-and-bound options: compile,
-    /// then the solve [`SparseProblem::solve_with_rhs`] runs.
-    ///
-    /// # Errors
-    ///
-    /// See [`Problem::solve`]; additionally returns [`LpError::NodeLimit`]
-    /// when the node budget is exhausted before the search completes.
-    pub fn solve_with(&self, options: &BranchBoundOptions) -> Result<Solution, LpError> {
-        let compiled = self.compile()?;
-        let dense = (options.backend == LpBackend::DenseTableau).then_some(self);
-        branch_bound::solve(&compiled, dense, &[], options, &mut Workspace::default())
-    }
-
-    /// Solves only the LP relaxation (integrality requirements dropped),
-    /// using the sparse revised simplex.
+    /// Solves only the LP relaxation (integrality requirements dropped).
     ///
     /// # Errors
     ///
     /// Returns [`LpError::Infeasible`] / [`LpError::Unbounded`] like
     /// [`Problem::solve`].
     pub fn solve_relaxation(&self) -> Result<Solution, LpError> {
-        match self.compile()?.solve_cold(&[])? {
-            SparseOutcome::Optimal(sol) => Ok(Solution {
-                objective: sol.objective,
-                values: sol.values,
+        let compiled = self.compile()?;
+        let mut ws = Workspace::default();
+        ws.begin(&compiled, &[])?;
+        match ws.relax(&compiled, std::iter::empty(), None)? {
+            Relaxed::Optimal {
+                objective, pivots, ..
+            } => Ok(Solution {
+                objective,
+                values: ws.values,
                 stats: SolveStats {
                     nodes: 1,
-                    pivots: sol.pivots,
+                    pivots,
                     phase1_skips: 0,
                 },
             }),
-            SparseOutcome::Infeasible => Err(LpError::Infeasible),
-            SparseOutcome::Unbounded => Err(LpError::Unbounded),
+            Relaxed::Infeasible => Err(LpError::Infeasible),
+            Relaxed::Unbounded => Err(LpError::Unbounded),
         }
     }
 }
@@ -414,6 +407,12 @@ mod tests {
         let x = p.add_var("x", VarKind::Continuous, 0.0, None, f64::NAN);
         p.add_constraint("c", &[(x, 1.0)], Sense::Ge, 1.0);
         assert!(matches!(p.solve(), Err(LpError::NonFiniteInput { .. })));
+        assert!(matches!(p.compile(), Err(LpError::NonFiniteInput { .. })));
+        // a non-finite coefficient, which only the row carries
+        let mut p = Problem::minimize();
+        let x = p.add_var("x", VarKind::Continuous, 0.0, None, 1.0);
+        p.add_constraint("c", &[(x, f64::INFINITY)], Sense::Ge, 1.0);
+        assert!(matches!(p.compile(), Err(LpError::NonFiniteInput { .. })));
     }
 
     #[test]
@@ -482,6 +481,12 @@ mod tests {
         p.add_constraint("bad", &[(foreign, 1.0)], Sense::Le, 1.0);
         assert!(matches!(
             p.solve(),
+            Err(LpError::UnknownVariable { index: 5 })
+        ));
+        // the one public way to build a `SparseProblem` refuses it too,
+        // where an unvalidated transpose would index past its columns
+        assert!(matches!(
+            p.compile(),
             Err(LpError::UnknownVariable { index: 5 })
         ));
     }

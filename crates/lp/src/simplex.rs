@@ -1,4 +1,8 @@
-//! Two-phase dense primal simplex used for LP relaxations.
+//! Two-phase dense primal simplex: the **oracle** of this crate's tests,
+//! compiled under `cfg(test)` only. The agreement tests of `sparse.rs`,
+//! `branch_bound.rs` and `torture.rs` compare the revised simplex that ships
+//! against it, relaxation by relaxation ([`SimplexSolver::solve_dense`]) or
+//! through the branch-and-bound search that ships ([`solve_ilp`]).
 //!
 //! The implementation follows the classic tableau method:
 //!
@@ -15,8 +19,10 @@
 //! pivots — irrelevant at the problem sizes produced by the resource
 //! allocator (tens of columns).
 
+use crate::branch_bound::{self, Node, Relaxation};
 use crate::error::LpError;
-use crate::model::{Objective, Problem, Sense};
+use crate::model::{Objective, Problem, Sense, Solution};
+use crate::sparse::{Relaxed, SparseProblem, Workspace};
 use crate::VarId;
 
 const TOL: f64 = 1e-9;
@@ -49,7 +55,7 @@ struct Row {
 ///
 /// Construct with [`SimplexSolver::from_problem`], optionally passing extra
 /// single-variable bounds (used by branch-and-bound), then call
-/// [`SimplexSolver::solve`].
+/// [`SimplexSolver::solve_dense`].
 #[derive(Debug, Clone)]
 pub struct SimplexSolver {
     /// Objective coefficients over structural variables (original direction).
@@ -132,30 +138,13 @@ impl SimplexSolver {
         }
     }
 
-    /// Overrides the pivot iteration budget (default 20 000).
-    pub fn with_max_iterations(mut self, iterations: usize) -> Self {
-        self.max_iterations = iterations;
-        self
-    }
-
-    /// Runs the two-phase simplex method.
+    /// Runs the two-phase **dense tableau** simplex: the reference the
+    /// sparse revised simplex ([`crate::SparseProblem`]) is tested against.
     ///
     /// # Errors
     ///
     /// Returns [`LpError::IterationLimit`] if the pivot budget is exhausted
     /// (which indicates numerical trouble for well-posed inputs).
-    pub fn solve(&self) -> Result<SimplexOutcome, LpError> {
-        self.solve_dense()
-    }
-
-    /// Runs the two-phase **dense tableau** simplex. This is the reference
-    /// implementation the sparse revised simplex
-    /// ([`crate::SparseProblem`]) is property-tested against; production
-    /// paths use the revised solver.
-    ///
-    /// # Errors
-    ///
-    /// See [`SimplexSolver::solve`].
     pub fn solve_dense(&self) -> Result<SimplexOutcome, LpError> {
         let n = self.n_struct;
         let m = self.rows.len();
@@ -376,6 +365,50 @@ enum IterateError {
     IterationLimit,
 }
 
+/// The oracle behind the search's hook: every node's tableau is rebuilt from
+/// the [`Problem`] (the compiled form cannot give one back, so it sees no
+/// replaced right-hand side), each branching bound an extra row, solved cold.
+struct DenseOracle<'a>(&'a Problem);
+
+impl Relaxation for DenseOracle<'_> {
+    fn relax(
+        &self,
+        _sp: &SparseProblem,
+        node: &Node,
+        ws: &mut Workspace,
+    ) -> Result<Relaxed, LpError> {
+        // the tableau takes each bound as a row, in root-to-node order
+        let mut bounds: Vec<(VarId, Sense, f64)> = node.bounds().collect();
+        bounds.reverse();
+        Ok(
+            match SimplexSolver::from_problem(self.0, &bounds).solve_dense()? {
+                SimplexOutcome::Optimal {
+                    objective,
+                    values,
+                    pivots,
+                } => {
+                    ws.values = values;
+                    Relaxed::Optimal {
+                        objective,
+                        pivots,
+                        warm_started: false,
+                    }
+                }
+                SimplexOutcome::Infeasible => Relaxed::Infeasible,
+                SimplexOutcome::Unbounded => Relaxed::Unbounded,
+            },
+        )
+    }
+}
+
+/// `problem`, integer variables included, solved by the search that ships
+/// with the dense tableau at every node.
+pub(crate) fn solve_ilp(problem: &Problem) -> Result<Solution, LpError> {
+    let compiled = problem.compile()?;
+    let mut ws = Workspace::default();
+    branch_bound::search(&compiled, &[], &mut ws, &DenseOracle(problem))
+}
+
 fn effective_sense(sense: Sense, rhs_nonneg: bool) -> Sense {
     if rhs_nonneg {
         sense
@@ -450,7 +483,7 @@ mod tests {
         p.add_constraint("c1", &[(x, 1.0)], Sense::Le, 4.0);
         p.add_constraint("c2", &[(y, 2.0)], Sense::Le, 12.0);
         p.add_constraint("c3", &[(x, 3.0), (y, 2.0)], Sense::Le, 18.0);
-        let (obj, vals) = optimal(SimplexSolver::from_problem(&p, &[]).solve().unwrap());
+        let (obj, vals) = optimal(SimplexSolver::from_problem(&p, &[]).solve_dense().unwrap());
         assert!((obj - 36.0).abs() < 1e-6);
         assert!((vals[0] - 2.0).abs() < 1e-6);
         assert!((vals[1] - 6.0).abs() < 1e-6);
@@ -465,7 +498,7 @@ mod tests {
         let y = p.add_var("y", VarKind::Continuous, 0.0, None, 3.0);
         p.add_constraint("c1", &[(x, 1.0), (y, 1.0)], Sense::Ge, 10.0);
         p.add_constraint("c2", &[(x, 1.0)], Sense::Ge, 3.0);
-        let (obj, vals) = optimal(SimplexSolver::from_problem(&p, &[]).solve().unwrap());
+        let (obj, vals) = optimal(SimplexSolver::from_problem(&p, &[]).solve_dense().unwrap());
         assert!((obj - 20.0).abs() < 1e-6);
         assert!((vals[0] - 10.0).abs() < 1e-6);
     }
@@ -477,7 +510,7 @@ mod tests {
         p.add_constraint("lo", &[(x, 1.0)], Sense::Ge, 5.0);
         p.add_constraint("hi", &[(x, 1.0)], Sense::Le, 2.0);
         assert_eq!(
-            SimplexSolver::from_problem(&p, &[]).solve().unwrap(),
+            SimplexSolver::from_problem(&p, &[]).solve_dense().unwrap(),
             SimplexOutcome::Infeasible
         );
     }
@@ -490,7 +523,7 @@ mod tests {
         p.add_constraint("c", &[(y, 1.0)], Sense::Le, 4.0);
         // x does not appear in any constraint -> unbounded above
         assert_eq!(
-            SimplexSolver::from_problem(&p, &[]).solve().unwrap(),
+            SimplexSolver::from_problem(&p, &[]).solve_dense().unwrap(),
             SimplexOutcome::Unbounded
         );
     }
@@ -499,7 +532,7 @@ mod tests {
     fn no_constraints_origin_optimum() {
         let mut p = Problem::minimize();
         let _x = p.add_var("x", VarKind::Continuous, 2.0, None, 5.0);
-        let (obj, vals) = optimal(SimplexSolver::from_problem(&p, &[]).solve().unwrap());
+        let (obj, vals) = optimal(SimplexSolver::from_problem(&p, &[]).solve_dense().unwrap());
         assert!((vals[0] - 2.0).abs() < 1e-9);
         assert!((obj - 10.0).abs() < 1e-9);
     }
@@ -509,7 +542,7 @@ mod tests {
         let mut p = Problem::minimize();
         let _x = p.add_var("x", VarKind::Continuous, 0.0, None, -1.0);
         assert_eq!(
-            SimplexSolver::from_problem(&p, &[]).solve().unwrap(),
+            SimplexSolver::from_problem(&p, &[]).solve_dense().unwrap(),
             SimplexOutcome::Unbounded
         );
     }
@@ -521,7 +554,7 @@ mod tests {
         let x = p.add_var("x", VarKind::Continuous, 1.0, None, 1.0);
         let y = p.add_var("y", VarKind::Continuous, 2.0, None, 4.0);
         p.add_constraint("sum", &[(x, 1.0), (y, 1.0)], Sense::Eq, 8.0);
-        let (obj, vals) = optimal(SimplexSolver::from_problem(&p, &[]).solve().unwrap());
+        let (obj, vals) = optimal(SimplexSolver::from_problem(&p, &[]).solve_dense().unwrap());
         assert!((obj - 14.0).abs() < 1e-6, "obj={obj}");
         assert!((vals[0] - 6.0).abs() < 1e-6);
         assert!((vals[1] - 2.0).abs() < 1e-6);
@@ -533,7 +566,7 @@ mod tests {
         let mut p = Problem::maximize();
         let x = p.add_var("x", VarKind::Continuous, 0.0, Some(10.0), 1.0);
         let solver = SimplexSolver::from_problem(&p, &[(x, Sense::Le, 3.5)]);
-        let (obj, _) = optimal(solver.solve().unwrap());
+        let (obj, _) = optimal(solver.solve_dense().unwrap());
         assert!((obj - 3.5).abs() < 1e-6);
     }
 
@@ -558,7 +591,7 @@ mod tests {
             0.0,
         );
         p.add_constraint("c3", &[(x1, 1.0)], Sense::Le, 1.0);
-        let (obj, _) = optimal(SimplexSolver::from_problem(&p, &[]).solve().unwrap());
+        let (obj, _) = optimal(SimplexSolver::from_problem(&p, &[]).solve_dense().unwrap());
         assert!((obj - 1.0).abs() < 1e-6);
     }
 
@@ -568,7 +601,7 @@ mod tests {
         let mut p = Problem::minimize();
         let x = p.add_var("x", VarKind::Continuous, 0.0, None, 1.0);
         p.add_constraint("c", &[(x, -1.0)], Sense::Le, -3.0);
-        let (obj, _) = optimal(SimplexSolver::from_problem(&p, &[]).solve().unwrap());
+        let (obj, _) = optimal(SimplexSolver::from_problem(&p, &[]).solve_dense().unwrap());
         assert!((obj - 3.0).abs() < 1e-6);
     }
 }

@@ -1,9 +1,9 @@
 //! Sparse revised simplex over a shared CSR/CSC problem representation.
 //!
-//! The dense tableau of [`crate::SimplexSolver`] rebuilds an `m × n` matrix
-//! per branch-and-bound node and turns every variable bound into an extra
-//! row. This module keeps the problem in **bounded-variable standard form**
-//! instead:
+//! A dense tableau (the oracle this crate's tests compare against,
+//! `simplex.rs`) rebuilds an `m × n` matrix per branch-and-bound node and
+//! turns every variable bound into an extra row. This module keeps the
+//! problem in **bounded-variable standard form** instead:
 //!
 //! * one [`SparseProblem`] is compiled per [`Problem`] — or once for a whole
 //!   family of problems that differ in their right-hand sides only
@@ -16,24 +16,24 @@
 //! * the basis inverse is maintained in factorized form (dense inverse of
 //!   the refactorization point plus product-form eta updates) rather than by
 //!   full tableau pivots,
-//! * an optimal [`Basis`] can be handed back to the caller and used to
-//!   **warm-start** the solve of a neighbouring problem (same rows, tighter
-//!   bounds) through dual-simplex re-entry, skipping phase 1 entirely, and
+//! * the optimal [`Basis`] of a node **warm-starts** the solve of a
+//!   neighbouring problem (same rows, tighter bounds) through dual-simplex
+//!   re-entry, skipping phase 1 entirely, and
 //! * every buffer the iterations touch lives in one [`Workspace`] that a
 //!   branch-and-bound search reuses from node to node: a pivot allocates
 //!   nothing.
 //!
 //! Entering/leaving choices use Bland's smallest-index rule throughout, as
-//! the dense solver does, which guarantees termination of the primal
+//! the dense oracle does, which guarantees termination of the primal
 //! iterations and keeps every run deterministic.
 
-use crate::branch_bound::{self, BranchBoundOptions};
+use crate::branch_bound::{self, MAX_NODES};
 use crate::error::LpError;
 use crate::model::{Objective, Problem, Sense, Solution, VarKind};
 use crate::VarId;
 
 const TOL: f64 = 1e-9;
-/// Phase-1 infeasibility threshold — identical to the dense solver's.
+/// Phase-1 infeasibility threshold — identical to the dense oracle's.
 const PHASE1_TOL: f64 = 1e-7;
 const INF: f64 = f64::INFINITY;
 
@@ -51,9 +51,8 @@ enum ColState {
 /// A basis of the bounded-variable simplex: which column is basic in each
 /// row, plus the bound each nonbasic column rests on.
 ///
-/// A `Basis` returned by an optimal solve can warm-start
-/// [`SparseProblem::solve_warm`] on the same problem with tightened variable
-/// bounds (the branch-and-bound child relation): the solver re-enters
+/// The optimal `Basis` of a node warm-starts its branch-and-bound children —
+/// the same problem with one variable bound tightened: the solver re-enters
 /// through the dual simplex from this basis instead of running phase 1.
 ///
 /// A `Basis` is a **per-solve** artifact and is deliberately not part of
@@ -62,18 +61,11 @@ enum ColState {
 /// next solve, so serializing the basis would pin the solver's internals
 /// into the snapshot version for no resume benefit.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Basis {
+pub(crate) struct Basis {
     /// Basic column per row, `basic[i]` is the column basic in row `i`.
     basic: Vec<usize>,
     /// State of every persistent column (structural then slack).
     state: Vec<ColState>,
-}
-
-impl Basis {
-    /// Number of rows the basis covers.
-    pub fn rows(&self) -> usize {
-        self.basic.len()
-    }
 }
 
 /// The optimal basis of a branching node beside its dense inverse. Both
@@ -86,37 +78,6 @@ pub(crate) struct WarmStart {
     binv: Vec<f64>,
 }
 
-/// Statistics and result of one sparse solve.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SparseSolution {
-    /// Objective value in the original problem's direction.
-    pub objective: f64,
-    /// Values of the structural variables.
-    pub values: Vec<f64>,
-    /// Simplex pivots performed (basis changes, both phases).
-    pub pivots: usize,
-    /// Whether phase 1 ran (false for successful warm-started re-entries).
-    pub used_phase1: bool,
-    /// Whether the solve completed through the warm dual-simplex re-entry
-    /// (false for cold solves, including cold fallbacks of a stalled warm
-    /// attempt).
-    pub warm_started: bool,
-    /// The optimal basis, reusable for warm starts. `None` in the rare case
-    /// an artificial column could not be driven out of the basis.
-    pub basis: Option<Basis>,
-}
-
-/// Result of running the revised simplex.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SparseOutcome {
-    /// An optimal basic feasible solution was found.
-    Optimal(SparseSolution),
-    /// The constraints and bounds admit no feasible point.
-    Infeasible,
-    /// The objective is unbounded in the optimization direction.
-    Unbounded,
-}
-
 /// How one relaxation ended inside a [`Workspace`]: the optimal values stay
 /// in [`Workspace::values`] and the basis in the workspace, to be copied out
 /// only by a caller that needs them.
@@ -126,7 +87,8 @@ pub(crate) enum Relaxed {
         /// Objective value in the original problem's direction.
         objective: f64,
         pivots: usize,
-        used_phase1: bool,
+        /// Whether the warm dual-simplex re-entry completed the solve (not
+        /// so for a cold solve, the cold fallback of a stalled one included).
         warm_started: bool,
     },
     Infeasible,
@@ -162,14 +124,17 @@ pub struct SparseProblem {
     /// Structural columns that must take integer values.
     integers: Vec<usize>,
     maximize: bool,
+    /// Pivots per relaxation (20,000) and nodes per search ([`MAX_NODES`]);
+    /// only the crate's tests set anything else.
     max_iterations: usize,
+    pub(crate) max_nodes: usize,
 }
 
 impl SparseProblem {
-    /// Builds the shared sparse representation of `problem`. The problem
-    /// must satisfy the same contract as [`Problem::solve`] (finite,
-    /// non-negative lower bounds); [`Problem::compile`] validates first.
-    pub fn from_problem(problem: &Problem) -> Self {
+    /// Builds the shared sparse representation of `problem`, which
+    /// [`Problem::compile`] — the one way in from outside the crate — has
+    /// validated: every [`VarId`] the problem's own, every number finite.
+    pub(crate) fn from_problem(problem: &Problem) -> Self {
         let n = problem.num_vars();
         let m = problem.constraints().len();
         let maximize = problem.objective_sense() == Objective::Maximize;
@@ -256,12 +221,21 @@ impl SparseProblem {
             integers,
             maximize,
             max_iterations: 20_000,
+            max_nodes: MAX_NODES,
         }
     }
 
-    /// Overrides the simplex iteration budget (default 20 000).
-    pub fn with_max_iterations(mut self, iterations: usize) -> Self {
+    /// A pivot budget small enough to stall a warm re-entry.
+    #[cfg(test)]
+    pub(crate) fn with_max_iterations(mut self, iterations: usize) -> Self {
         self.max_iterations = iterations;
+        self
+    }
+
+    /// A node budget small enough to reach [`LpError::NodeLimit`].
+    #[cfg(test)]
+    pub(crate) fn with_max_nodes(mut self, nodes: usize) -> Self {
+        self.max_nodes = nodes;
         self
     }
 
@@ -303,75 +277,12 @@ impl SparseProblem {
     /// [`Problem`] freshly built with those right-hand sides would return,
     /// to the bit and to the pivot.
     ///
-    /// The compiled form is the revised simplex's own, so `options.backend`
-    /// is not consulted: the dense reference works from a [`Problem`].
-    ///
     /// # Errors
     ///
-    /// As [`Problem::solve_with`]; [`LpError::UnknownRow`] for a row the
-    /// problem does not have and [`LpError::NonFiniteInput`] for a
-    /// non-finite value.
-    pub fn solve_with_rhs(
-        &self,
-        rhs: &[(usize, f64)],
-        options: &BranchBoundOptions,
-    ) -> Result<Solution, LpError> {
-        branch_bound::solve(self, None, rhs, options, &mut Workspace::default())
-    }
-
-    /// Solves the problem from scratch: slack basis, phase 1 over artificial
-    /// columns when the start is infeasible, then phase 2.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LpError::IterationLimit`] when the pivot budget is
-    /// exhausted.
-    pub fn solve_cold(&self, extra: &[(VarId, Sense, f64)]) -> Result<SparseOutcome, LpError> {
-        self.solve_alone(extra, None)
-    }
-
-    /// Re-enters the solve from `basis` — typically the parent node's
-    /// optimal basis with `extra` containing one tightened bound — through
-    /// the dual simplex, skipping phase 1. Falls back to a cold solve when
-    /// the warm path stalls or the basis is numerically unusable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LpError::IterationLimit`] when even the cold fallback
-    /// exhausts the pivot budget.
-    pub fn solve_warm(
-        &self,
-        extra: &[(VarId, Sense, f64)],
-        basis: &Basis,
-    ) -> Result<SparseOutcome, LpError> {
-        self.solve_alone(extra, Some((basis, None)))
-    }
-
-    /// One relaxation in a workspace of its own, copied out.
-    fn solve_alone(
-        &self,
-        extra: &[(VarId, Sense, f64)],
-        warm: Option<(&Basis, Option<&[f64]>)>,
-    ) -> Result<SparseOutcome, LpError> {
-        let mut ws = Workspace::default();
-        ws.begin(self, &[])?;
-        Ok(match ws.relax(self, extra.iter().copied(), warm)? {
-            Relaxed::Optimal {
-                objective,
-                pivots,
-                used_phase1,
-                warm_started,
-            } => SparseOutcome::Optimal(SparseSolution {
-                objective,
-                basis: ws.basis(self),
-                values: ws.values,
-                pivots,
-                used_phase1,
-                warm_started,
-            }),
-            Relaxed::Infeasible => SparseOutcome::Infeasible,
-            Relaxed::Unbounded => SparseOutcome::Unbounded,
-        })
+    /// As [`Problem::solve`]; [`LpError::UnknownRow`] for a row the problem
+    /// does not have and [`LpError::NonFiniteInput`] for a non-finite value.
+    pub fn solve_with_rhs(&self, rhs: &[(usize, f64)]) -> Result<Solution, LpError> {
+        branch_bound::solve(self, rhs, &mut Workspace::default())
     }
 
     /// Entries of persistent or artificial column `j`: the CSC slice of a
@@ -651,7 +562,6 @@ impl Workspace {
         Relaxed::Optimal {
             objective: dot(&sp.objective, &self.values),
             pivots: 0,
-            used_phase1: false,
             warm_started: false,
         }
     }
@@ -1179,8 +1089,8 @@ impl Workspace {
     fn run_cold(&mut self, sp: &SparseProblem) -> Result<Relaxed, LpError> {
         let ncols = sp.ncols();
         let total = self.x.len();
-        let used_phase1 = !self.art_rows.is_empty();
-        if used_phase1 {
+        // phase 1 runs when the cold start needed an artificial column
+        if !self.art_rows.is_empty() {
             refill(&mut self.cost, total, 0.0);
             for c in self.cost.iter_mut().skip(ncols) {
                 *c = 1.0;
@@ -1210,7 +1120,7 @@ impl Workspace {
         }
         self.load_phase2_cost(sp);
         match self.primal(sp)? {
-            PrimalEnd::Optimal => Ok(self.extract(sp, used_phase1, false)),
+            PrimalEnd::Optimal => Ok(self.extract(sp, false)),
             PrimalEnd::Unbounded => Ok(Relaxed::Unbounded),
         }
     }
@@ -1227,7 +1137,7 @@ impl Workspace {
         }
         // polish: repair any residual dual infeasibility (usually a no-op)
         match self.primal(sp) {
-            Ok(PrimalEnd::Optimal) => Ok(Some(self.extract(sp, false, true))),
+            Ok(PrimalEnd::Optimal) => Ok(Some(self.extract(sp, true))),
             Ok(PrimalEnd::Unbounded) => Ok(Some(Relaxed::Unbounded)),
             Err(LpError::IterationLimit) => Ok(None),
             Err(other) => Err(other),
@@ -1266,7 +1176,7 @@ impl Workspace {
 
     /// Reports the optimum: cleaned structural values into `values`, the
     /// original-direction objective into the outcome.
-    fn extract(&mut self, sp: &SparseProblem, used_phase1: bool, warm_started: bool) -> Relaxed {
+    fn extract(&mut self, sp: &SparseProblem, warm_started: bool) -> Relaxed {
         reload(&mut self.values, &self.x[..sp.n_struct]);
         for v in &mut self.values {
             if v.abs() < TOL {
@@ -1276,7 +1186,6 @@ impl Workspace {
         Relaxed::Optimal {
             objective: dot(&sp.objective, &self.values),
             pivots: self.pivots,
-            used_phase1,
             warm_started,
         }
     }
@@ -1298,6 +1207,68 @@ mod tests {
     use super::*;
     use crate::model::{Problem, VarKind};
     use crate::simplex::{SimplexOutcome, SimplexSolver};
+
+    /// One relaxation solved in a workspace of its own, copied out.
+    #[derive(Debug, PartialEq)]
+    struct SparseSolution {
+        objective: f64,
+        values: Vec<f64>,
+        /// Whether phase 1 ran (false for successful warm-started re-entries).
+        used_phase1: bool,
+        warm_started: bool,
+        /// `None` in the rare case an artificial column stayed basic.
+        basis: Option<Basis>,
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum SparseOutcome {
+        Optimal(SparseSolution),
+        Infeasible,
+        Unbounded,
+    }
+
+    impl SparseProblem {
+        /// The relaxation under the `extra` bounds, solved from scratch.
+        fn solve_cold(&self, extra: &[(VarId, Sense, f64)]) -> Result<SparseOutcome, LpError> {
+            self.solve_alone(extra, None)
+        }
+
+        /// The same, re-entered from `basis` — the parent node's optimal
+        /// basis, `extra` tightening a bound — through the dual simplex.
+        fn solve_warm(
+            &self,
+            extra: &[(VarId, Sense, f64)],
+            basis: &Basis,
+        ) -> Result<SparseOutcome, LpError> {
+            self.solve_alone(extra, Some((basis, None)))
+        }
+
+        fn solve_alone(
+            &self,
+            extra: &[(VarId, Sense, f64)],
+            warm: Option<(&Basis, Option<&[f64]>)>,
+        ) -> Result<SparseOutcome, LpError> {
+            let mut ws = Workspace::default();
+            ws.begin(self, &[])?;
+            Ok(match ws.relax(self, extra.iter().copied(), warm)? {
+                Relaxed::Optimal {
+                    objective,
+                    warm_started,
+                    ..
+                } => SparseOutcome::Optimal(SparseSolution {
+                    objective,
+                    basis: ws.basis(self),
+                    // a warm start clears the artificials, a cold one keeps
+                    // those its phase 1 ran over
+                    used_phase1: !ws.art_rows.is_empty(),
+                    values: ws.values,
+                    warm_started,
+                }),
+                Relaxed::Infeasible => SparseOutcome::Infeasible,
+                Relaxed::Unbounded => SparseOutcome::Unbounded,
+            })
+        }
+    }
 
     fn optimal(outcome: SparseOutcome) -> SparseSolution {
         match outcome {
@@ -1408,19 +1379,7 @@ mod tests {
             let x = p.add_var("x", VarKind::Continuous, 0.0, Some(20.0), 1.0);
             let y = p.add_var("y", VarKind::Continuous, 0.0, Some(20.0), 2.0);
             p.add_constraint("neg", &[(x, -1.0), (y, -1.0)], sense, rhs);
-            let dense = SimplexSolver::from_problem(&p, &[]).solve_dense().unwrap();
-            let sparse = SparseProblem::from_problem(&p).solve_cold(&[]).unwrap();
-            match (dense, sparse) {
-                (SimplexOutcome::Optimal { objective: od, .. }, SparseOutcome::Optimal(sol)) => {
-                    assert!(
-                        (od - sol.objective).abs() < 1e-6,
-                        "{sense:?}: {od} vs sparse"
-                    );
-                }
-                (SimplexOutcome::Infeasible, SparseOutcome::Infeasible) => {}
-                (SimplexOutcome::Unbounded, SparseOutcome::Unbounded) => {}
-                (d, s) => panic!("{sense:?}: dense {d:?} vs sparse {s:?}"),
-            }
+            assert_relaxation_agrees_with_dense(&p, &format!("{sense:?}"));
         }
     }
 
@@ -1531,11 +1490,42 @@ mod tests {
         assert!((sol.objective - 1.0).abs() < 1e-6);
     }
 
+    /// The sparse cold solve of `p` must classify like the dense tableau and
+    /// match its optimal objective.
+    fn assert_relaxation_agrees_with_dense(p: &Problem, what: &str) {
+        let dense = SimplexSolver::from_problem(p, &[]).solve_dense();
+        let sparse = SparseProblem::from_problem(p).solve_cold(&[]);
+        match (dense, sparse) {
+            (
+                Ok(SimplexOutcome::Optimal { objective: od, .. }),
+                Ok(SparseOutcome::Optimal(sol)),
+            ) => {
+                assert!(
+                    (od - sol.objective).abs() < 1e-5,
+                    "{what}: dense {od} vs sparse {}",
+                    sol.objective
+                );
+            }
+            (Ok(SimplexOutcome::Infeasible), Ok(SparseOutcome::Infeasible)) => {}
+            (Ok(SimplexOutcome::Unbounded), Ok(SparseOutcome::Unbounded)) => {}
+            // iteration-limit blowups must at least agree on erroring
+            (Err(_), Err(_)) => {}
+            (d, s) => panic!("{what}: dense {d:?} vs sparse {s:?}"),
+        }
+    }
+
+    fn random_sense(rng: &mut XorShift) -> Sense {
+        match rng.below(3) {
+            0 => Sense::Le,
+            1 => Sense::Ge,
+            _ => Sense::Eq,
+        }
+    }
+
     #[test]
     fn randomized_relaxations_agree_with_dense() {
-        // 120 random LPs over mixed senses, signs and bounds: the sparse
-        // cold solve must classify identically to the dense tableau and
-        // match its optimal objective
+        // 120 random LPs over mixed senses, signs and bounds, rows that skip
+        // a variable in four
         let mut rng = XorShift(0x9E3779B97F4A7C15);
         for case in 0..120 {
             let nvars = 1 + rng.below(4);
@@ -1570,32 +1560,35 @@ mod tests {
                         terms.push((v, rng.uniform(-5.0, 5.0)));
                     }
                 }
-                let sense = match rng.below(3) {
-                    0 => Sense::Le,
-                    1 => Sense::Ge,
-                    _ => Sense::Eq,
-                };
+                let sense = random_sense(&mut rng);
                 p.add_constraint(format!("c{r}"), &terms, sense, rng.uniform(-20.0, 20.0));
             }
-            let dense = SimplexSolver::from_problem(&p, &[]).solve_dense();
-            let sparse = SparseProblem::from_problem(&p).solve_cold(&[]);
-            match (dense, sparse) {
-                (
-                    Ok(SimplexOutcome::Optimal { objective: od, .. }),
-                    Ok(SparseOutcome::Optimal(sol)),
-                ) => {
-                    assert!(
-                        (od - sol.objective).abs() < 1e-5,
-                        "case {case}: dense {od} vs sparse {}",
-                        sol.objective
-                    );
-                }
-                (Ok(SimplexOutcome::Infeasible), Ok(SparseOutcome::Infeasible)) => {}
-                (Ok(SimplexOutcome::Unbounded), Ok(SparseOutcome::Unbounded)) => {}
-                // iteration-limit blowups must at least agree on erroring
-                (Err(_), Err(_)) => {}
-                (d, s) => panic!("case {case}: dense {d:?} vs sparse {s:?}"),
+            assert_relaxation_agrees_with_dense(&p, &format!("case {case}"));
+        }
+
+        // 120 more, every lower bound at zero: minimizations under one to
+        // three rows, each a dense prefix of the variables, about half the
+        // variables unbounded above
+        for case in 0..120 {
+            let nvars = 1 + rng.below(4);
+            let mut p = Problem::minimize();
+            let vars: Vec<VarId> = (0..nvars)
+                .map(|i| {
+                    let draw = rng.uniform(-12.0, 12.0);
+                    let upper = (draw > 0.5).then_some(draw);
+                    let cost = rng.uniform(-3.0, 3.0);
+                    p.add_var(format!("x{i}"), VarKind::Continuous, 0.0, upper, cost)
+                })
+                .collect();
+            for r in 0..1 + rng.below(3) {
+                let terms: Vec<(VarId, f64)> = vars[..1 + rng.below(nvars)]
+                    .iter()
+                    .map(|&v| (v, rng.uniform(-5.0, 5.0)))
+                    .collect();
+                let sense = random_sense(&mut rng);
+                p.add_constraint(format!("c{r}"), &terms, sense, rng.uniform(-15.0, 15.0));
             }
+            assert_relaxation_agrees_with_dense(&p, &format!("zero-lower case {case}"));
         }
     }
 
