@@ -6,8 +6,7 @@
 use crate::fig9;
 use crate::util;
 use mca_core::{
-    cross_validate, learning_curve, DistanceKind, PredictionStrategy, SlotHistory, SystemReport,
-    TraceLog,
+    cross_validate, learning_curve, PredictionStrategy, SlotHistory, SystemReport, TraceLog,
 };
 use mca_offload::AccelerationGroupId;
 
@@ -41,7 +40,14 @@ pub fn run(
     let report: &SystemReport = &fig9.report;
 
     // Build the slot history for the predictor study from the logged traces.
-    let log: TraceLog = report.records.iter().cloned().collect();
+    // A request that completes after the end of the run would open one more
+    // slot holding a user or two; the study keeps the full slots only.
+    let log: TraceLog = report
+        .records
+        .iter()
+        .filter(|r| r.timestamp_ms < duration_ms)
+        .cloned()
+        .collect();
     let slot_length = duration_ms / slots.max(2) as f64;
     let history = SlotHistory::from_log(&log, slot_length);
     let groups = [
@@ -50,20 +56,9 @@ pub fn run(
         AccelerationGroupId(3),
     ];
 
-    let curve = learning_curve(
-        &history,
-        &groups,
-        PredictionStrategy::NearestSlot,
-        DistanceKind::SetEdit,
-    );
+    let curve = learning_curve(&history, &groups, PredictionStrategy::NearestSlot);
     let folds = 10.min(history.len().saturating_sub(1)).max(2);
-    let cv = cross_validate(
-        &history,
-        &groups,
-        PredictionStrategy::NearestSlot,
-        DistanceKind::SetEdit,
-        folds,
-    );
+    let cv = cross_validate(&history, &groups, PredictionStrategy::NearestSlot, folds);
 
     let responses: Vec<(usize, f64, u8)> = report
         .records
@@ -148,5 +143,57 @@ mod tests {
         assert!(!out.responses.is_empty());
         assert_eq!(out.promotions.len(), 30);
         assert!(out.promoted_fraction > 0.0, "some users must be promoted");
+    }
+
+    #[test]
+    fn a_request_completing_after_the_run_opens_no_extra_slot() {
+        // at seed 42 one request completes past the 16-hour mark
+        let slots = 16;
+        let out = run(100, 16.0 * 3_600_000.0, 8_000, slots, 42);
+        let sizes: Vec<usize> = out.learning_curve.iter().map(|(size, _)| *size).collect();
+        assert_eq!(
+            sizes,
+            (2..=slots - 2).collect::<Vec<_>>(),
+            "a history of exactly {slots} slots"
+        );
+        for (size, accuracy) in &out.learning_curve {
+            assert!(*accuracy >= 0.2, "history size {size} reads {accuracy}");
+        }
+    }
+
+    /// Fig. 10a at the paper configuration — what the `fig10` bin prints,
+    /// and the bits the decision to keep one distance rests on (see
+    /// `mca_core::distance`).
+    #[test]
+    fn paper_configuration_reads_the_pinned_figure() {
+        let out = run(100, 16.0 * 3_600_000.0, 8_000, 16, crate::DEFAULT_SEED);
+        assert_eq!(
+            out.cross_validated_accuracy.to_bits(),
+            0x3feb78df67f74c12,
+            "cross-validated accuracy {}",
+            out.cross_validated_accuracy
+        );
+        let curve: Vec<(usize, String)> = out
+            .learning_curve
+            .iter()
+            .map(|(size, accuracy)| (*size, util::f1(accuracy * 100.0)))
+            .collect();
+        let pinned = [
+            (2, "24.9"),
+            (3, "36.8"),
+            (4, "46.3"),
+            (5, "52.2"),
+            (6, "59.8"),
+            (7, "67.5"),
+            (8, "69.9"),
+            (9, "72.4"),
+            (10, "73.6"),
+            (11, "77.1"),
+            (12, "80.7"),
+            (13, "82.4"),
+            (14, "89.6"),
+        ]
+        .map(|(size, accuracy)| (size, accuracy.to_string()));
+        assert_eq!(curve, pinned);
     }
 }

@@ -4,7 +4,7 @@ use crate::accel::AccelerationGroups;
 use crate::allocator::{AllocationPolicy, ResourceAllocator};
 use crate::billing::{ArithmeticBilling, BillingEngine, DatacenterBilling};
 use crate::index::IndexPolicy;
-use crate::predictor::{DistanceKind, PredictionStrategy, WorkloadPredictor};
+use crate::predictor::{PredictionStrategy, WorkloadPredictor};
 use mca_cloudsim::DatacenterConfig;
 use mca_mobile::{DeviceClass, PromotionPolicy};
 use mca_network::{CellularNetwork, Operator, Technology};
@@ -35,8 +35,6 @@ pub struct SystemConfig {
     pub allocation_policy: AllocationPolicy,
     /// Prediction strategy.
     pub prediction_strategy: PredictionStrategy,
-    /// Distance function used by the predictor.
-    pub distance_kind: DistanceKind,
     /// Maximum number of slots the predictor's knowledge base retains
     /// (`None` = unbounded). Bounding the window keeps the per-interval
     /// nearest-neighbour scan and the history's memory footprint constant
@@ -76,7 +74,6 @@ impl SystemConfig {
             account_cap: 20,
             allocation_policy: AllocationPolicy::IlpExact,
             prediction_strategy: PredictionStrategy::NearestSlot,
-            distance_kind: DistanceKind::SetEdit,
             history_window: None,
             index_policy: IndexPolicy::linear(),
             result_bytes: 256,
@@ -153,13 +150,12 @@ impl SystemConfig {
     }
 
     /// Builds a workload predictor configured exactly as [`crate::System`]
-    /// would build its own: same groups, strategy, distance and history
+    /// would build its own: same groups, strategy, index policy and history
     /// window. A multi-tenant deployment (`mca-fleet`) constructs one per
     /// tenant shard from a shared configuration.
     pub fn build_predictor(&self) -> WorkloadPredictor {
         let mut predictor = WorkloadPredictor::new(self.groups.ids(), self.slot_length_ms)
             .with_strategy(self.prediction_strategy)
-            .with_distance(self.distance_kind)
             .with_index_policy(self.index_policy);
         predictor.set_window(self.history_window);
         predictor

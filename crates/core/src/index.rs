@@ -31,7 +31,6 @@
 //! restore like the signatures themselves and never written to a
 //! checkpoint.
 
-use crate::predictor::DistanceKind;
 use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -117,18 +116,13 @@ pub(crate) fn range_overlap(a: (u32, u32), b: (u32, u32)) -> usize {
 
 /// Lower bound on one group's edit distance between runs of `ca` and `cb`
 /// users whose id ranges overlap in `overlap` integers. With
-/// `shared = min(ca, cb, overlap)` an upper bound on the ids (equivalently,
-/// on any common subsequence) the runs can have in common,
-/// `set edit >= ca + cb - 2 * shared` and
-/// `Levenshtein >= max(ca, cb) - shared`; both reduce to the count
-/// difference when the ranges fully overlap and refute drifted-apart
-/// populations outright when they do not.
-pub(crate) fn group_bound(kind: DistanceKind, ca: usize, cb: usize, overlap: usize) -> usize {
+/// `shared = min(ca, cb, overlap)` an upper bound on the ids the runs can
+/// have in common, the distance is at least `ca + cb - 2 * shared`, which
+/// reduces to the count difference when the ranges fully overlap and
+/// refutes drifted-apart populations outright when they do not.
+pub(crate) fn group_bound(ca: usize, cb: usize, overlap: usize) -> usize {
     let shared = ca.min(cb).min(overlap);
-    match kind {
-        DistanceKind::SetEdit => ca + cb - 2 * shared,
-        _ => ca.max(cb) - shared,
-    }
+    ca + cb - 2 * shared
 }
 
 /// Slots per block and children per inner node.
@@ -357,14 +351,13 @@ impl SummaryTree {
         (node << shift(level)).max(self.first_index)
     }
 
-    /// Lower bound on the `kind` distance between the probe (described by
+    /// Lower bound on the slot distance between the probe (described by
     /// its per-group counts and id ranges) and *every* slot below `node` of
     /// `level`: never above any member's own signature bound.
     pub(crate) fn node_bound(
         &self,
         level: usize,
         node: usize,
-        kind: DistanceKind,
         probe_counts: &[usize],
         probe_ranges: &[(u32, u32)],
     ) -> usize {
@@ -379,7 +372,7 @@ impl SummaryTree {
                     .min(overlap)
                     .max(envelope.min_count)
                     .min(envelope.max_count);
-                group_bound(kind, ca, cb, overlap)
+                group_bound(ca, cb, overlap)
             })
             .sum()
     }
@@ -469,18 +462,16 @@ mod tests {
         let counts = [4, 9, 6];
         let id_ranges = [(100, 120), (150, 180), (110, 130)];
         let tree = SummaryTree::build(1, 0, &counts, &id_ranges);
-        let bound = |kind, ca: usize, range| tree.node_bound(0, 0, kind, &[ca], &[range]);
+        let bound = |ca: usize, range| tree.node_bound(0, 0, &[ca], &[range]);
         // full overlap: only the count interval matters
-        assert_eq!(bound(DistanceKind::SetEdit, 6, (0, 500)), 0);
-        assert_eq!(bound(DistanceKind::SetEdit, 12, (0, 500)), 3);
-        assert_eq!(bound(DistanceKind::SetEdit, 1, (0, 500)), 3);
+        assert_eq!(bound(6, (0, 500)), 0);
+        assert_eq!(bound(12, (0, 500)), 3);
+        assert_eq!(bound(1, (0, 500)), 3);
         // disjoint ids: nothing shared, the smallest member is the cheapest
-        assert_eq!(bound(DistanceKind::SetEdit, 6, (900, 950)), 6 + 4);
-        assert_eq!(bound(DistanceKind::Levenshtein, 6, (900, 950)), 6);
+        assert_eq!(bound(6, (900, 950)), 6 + 4);
         // two ids of overlap
-        assert_eq!(bound(DistanceKind::SetEdit, 6, (179, 300)), 6 + 4 - 2 * 2);
-        assert_eq!(bound(DistanceKind::Levenshtein, 6, (179, 300)), 6 - 2);
+        assert_eq!(bound(6, (179, 300)), 6 + 4 - 2 * 2);
         // an empty probe group against a node that is never empty
-        assert_eq!(bound(DistanceKind::SetEdit, 0, (u32::MAX, 0)), 4);
+        assert_eq!(bound(0, (u32::MAX, 0)), 4);
     }
 }

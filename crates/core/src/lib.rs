@@ -19,10 +19,10 @@
 //!   [`TimeSlot::users_in`] hands out a borrowed `&[UserId]` (zero-copy);
 //!   [`SlotHistory`] optionally retains only a sliding window of recent
 //!   slots.
-//! * [`distance`] — the distance metric of §IV-B-1: per-group edit distance
-//!   `δ` and slot distance `Δ` as allocation-free linear merges over the
-//!   sorted runs, plus banded early-exit Levenshtein / normalized variants
-//!   and the retained `*_naive` references.
+//! * [`distance`] — the one distance metric of §IV-B-1: per-group set edit
+//!   distance `δ` and slot distance `Δ` as allocation-free linear merges
+//!   over the sorted runs, their `*_bounded` early exits and the retained
+//!   `*_naive` references.
 //! * [`index`] — the block-summary tree over the predictor's per-slot
 //!   signatures: per-block count/id-range envelopes refute whole stretches
 //!   of a 100k+ slot history per query, maintained incrementally alongside
@@ -108,8 +108,7 @@ pub use metrics::{
     accuracy, cross_validate, learning_curve, CrossValidationReport, PredictionQuality,
 };
 pub use predictor::{
-    DistanceKind, PredictionStrategy, PredictorStats, PredictorStatsSnapshot, WorkloadForecast,
-    WorkloadPredictor,
+    PredictionStrategy, PredictorStats, PredictorStatsSnapshot, WorkloadForecast, WorkloadPredictor,
 };
 pub use sdn::{RoutedRequest, SdnAccelerator};
 pub use system::{PromotionEvent, SlotObservation, System, SystemReport, UserPerception};

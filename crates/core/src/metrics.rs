@@ -5,7 +5,7 @@
 //! validation over 16 hours of history, and shows how the accuracy grows with
 //! the amount of data available for learning.
 
-use crate::predictor::{DistanceKind, PredictionStrategy, WorkloadForecast, WorkloadPredictor};
+use crate::predictor::{PredictionStrategy, WorkloadForecast, WorkloadPredictor};
 use crate::timeslot::{SlotHistory, TimeSlot};
 use mca_offload::AccelerationGroupId;
 use serde::{Deserialize, Serialize};
@@ -79,7 +79,6 @@ pub fn cross_validate(
     history: &SlotHistory,
     groups: &[AccelerationGroupId],
     strategy: PredictionStrategy,
-    distance: DistanceKind,
     k: usize,
 ) -> CrossValidationReport {
     assert!(k >= 2, "cross-validation requires at least two folds");
@@ -101,9 +100,8 @@ pub fn cross_validate(
                 train.push(slot.clone());
             }
         }
-        let mut predictor = WorkloadPredictor::new(groups.to_vec(), history.slot_length_ms)
-            .with_strategy(strategy)
-            .with_distance(distance);
+        let mut predictor =
+            WorkloadPredictor::new(groups.to_vec(), history.slot_length_ms).with_strategy(strategy);
         predictor.set_history(train);
 
         let mut scores = Vec::new();
@@ -134,12 +132,12 @@ pub fn cross_validate(
 /// available. For each history size `h` the knowledge base is the first `h`
 /// slots and every later transition is predicted and scored.
 ///
-/// Returns `(history size, mean accuracy)` pairs for sizes `2 ..= len - 1`.
+/// Returns `(history size, mean accuracy)` pairs for sizes `2 ..= len - 2`
+/// (the last size has no transition left to score).
 pub fn learning_curve(
     history: &SlotHistory,
     groups: &[AccelerationGroupId],
     strategy: PredictionStrategy,
-    distance: DistanceKind,
 ) -> Vec<(usize, f64)> {
     let len = history.len();
     let mut curve = Vec::new();
@@ -148,9 +146,8 @@ pub fn learning_curve(
         for slot in &history.slots()[..h] {
             train.push(slot.clone());
         }
-        let mut predictor = WorkloadPredictor::new(groups.to_vec(), history.slot_length_ms)
-            .with_strategy(strategy)
-            .with_distance(distance);
+        let mut predictor =
+            WorkloadPredictor::new(groups.to_vec(), history.slot_length_ms).with_strategy(strategy);
         predictor.set_history(train);
         let mut scores = Vec::new();
         for i in h..len - 1 {
@@ -252,13 +249,7 @@ mod tests {
     #[test]
     fn cross_validation_on_periodic_history_is_accurate() {
         let history = periodic_history(16);
-        let report = cross_validate(
-            &history,
-            &GROUPS,
-            PredictionStrategy::NearestSlot,
-            DistanceKind::SetEdit,
-            10,
-        );
+        let report = cross_validate(&history, &GROUPS, PredictionStrategy::NearestSlot, 10);
         assert_eq!(report.fold_accuracies.len(), 10);
         assert!(report.evaluated_predictions >= 10);
         // The nearest-slot strategy matches the current slot's shape; on a
@@ -274,20 +265,9 @@ mod tests {
     #[test]
     fn both_history_strategies_learn_the_periodic_pattern() {
         let history = periodic_history(24);
-        let nearest = cross_validate(
-            &history,
-            &GROUPS,
-            PredictionStrategy::NearestSlot,
-            DistanceKind::SetEdit,
-            8,
-        );
-        let successor = cross_validate(
-            &history,
-            &GROUPS,
-            PredictionStrategy::SuccessorOfNearest,
-            DistanceKind::SetEdit,
-            8,
-        );
+        let nearest = cross_validate(&history, &GROUPS, PredictionStrategy::NearestSlot, 8);
+        let successor =
+            cross_validate(&history, &GROUPS, PredictionStrategy::SuccessorOfNearest, 8);
         // On a smooth ramp both strategies land in the same high-accuracy
         // band (the ramp is symmetric, so "the slot after the nearest match"
         // is ambiguous and does not strictly dominate plain matching).
@@ -307,12 +287,7 @@ mod tests {
     #[test]
     fn learning_curve_reaches_high_accuracy_with_enough_data() {
         let history = periodic_history(20);
-        let curve = learning_curve(
-            &history,
-            &GROUPS,
-            PredictionStrategy::NearestSlot,
-            DistanceKind::SetEdit,
-        );
+        let curve = learning_curve(&history, &GROUPS, PredictionStrategy::NearestSlot);
         assert!(!curve.is_empty());
         assert!(curve.windows(2).all(|w| w[1].0 > w[0].0), "sizes increase");
         let last = curve.last().unwrap().1;
@@ -328,25 +303,13 @@ mod tests {
     #[should_panic(expected = "at least two folds")]
     fn cross_validation_needs_two_folds() {
         let history = periodic_history(8);
-        let _ = cross_validate(
-            &history,
-            &GROUPS,
-            PredictionStrategy::NearestSlot,
-            DistanceKind::SetEdit,
-            1,
-        );
+        let _ = cross_validate(&history, &GROUPS, PredictionStrategy::NearestSlot, 1);
     }
 
     #[test]
     #[should_panic(expected = "history too short")]
     fn cross_validation_needs_enough_history() {
         let history = periodic_history(4);
-        let _ = cross_validate(
-            &history,
-            &GROUPS,
-            PredictionStrategy::NearestSlot,
-            DistanceKind::SetEdit,
-            10,
-        );
+        let _ = cross_validate(&history, &GROUPS, PredictionStrategy::NearestSlot, 10);
     }
 }

@@ -18,18 +18,17 @@
 //! [`WorkloadPredictor::predict`] does not evaluate the full distance for
 //! every candidate. The predictor caches a *count signature* (the per-group
 //! user count) and an *id-range signature* (the per-group `(min, max)` user
-//! id) for every historical slot; because every per-group edit distance —
-//! set edit or Levenshtein — is at least the difference of the two user
-//! counts, and because two sorted deduplicated runs cannot share more ids
-//! than their ranges overlap, the signatures give an `O(groups)` lower
-//! bound on the slot distance that also refutes drifted-apart user
-//! populations outright. Candidates whose bound cannot beat the best distance found
-//! so far are skipped without touching their user lists, and the remaining
-//! candidates are evaluated with the `*_bounded` early-exit distances of
-//! [`crate::distance`] capped at best-so-far. The result is exactly the
-//! slot the naive linear scan would pick (first minimum in chronological
-//! order); [`WorkloadPredictor::predict_naive`] retains that scan as the
-//! reference and benchmark baseline.
+//! id) for every historical slot; because a per-group set edit distance is
+//! at least the difference of the two user counts, and because two sorted
+//! deduplicated runs cannot share more ids than their ranges overlap, the
+//! signatures give an `O(groups)` lower bound on the slot distance that
+//! also refutes drifted-apart user populations outright. Candidates whose
+//! bound cannot beat the best distance found so far are skipped without
+//! touching their user lists, and the remaining candidates are evaluated
+//! with [`slot_distance_bounded`] capped at best-so-far. The result is
+//! exactly the slot the naive linear scan would pick (first minimum in
+//! chronological order); [`WorkloadPredictor::predict_naive`] retains that
+//! scan as the reference and benchmark baseline.
 //!
 //! # Block-summary tree
 //!
@@ -38,10 +37,7 @@
 //! [`crate::index`] instead: whole stretches of history are refuted by one
 //! bound each, and only the surviving blocks are scanned as above.
 
-use crate::distance::{
-    count_distance, slot_distance, slot_distance_bounded, slot_distance_naive,
-    slot_levenshtein_distance, slot_levenshtein_distance_bounded, DistanceScratch,
-};
+use crate::distance::{slot_distance, slot_distance_bounded, slot_distance_naive};
 use crate::error::CoreError;
 use crate::index::{group_bound, range_overlap, IndexPolicy, SummaryTree};
 use crate::timeslot::{SlotHistory, TimeSlot};
@@ -67,18 +63,6 @@ pub enum PredictionStrategy {
     /// Forecast the per-group mean load over the whole history (mean
     /// baseline; loses user identities).
     MeanOfHistory,
-}
-
-/// Which distance function drives the nearest-neighbour search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum DistanceKind {
-    /// Set edit distance over assigned users (insertions + deletions).
-    #[default]
-    SetEdit,
-    /// Levenshtein distance over the sorted user-id sequences.
-    Levenshtein,
-    /// Absolute difference of per-group user counts.
-    CountDifference,
 }
 
 /// The `(min, max)` id range of one sorted user run (`(u32::MAX, 0)` for an
@@ -127,7 +111,6 @@ struct TreeSearch<'a> {
     /// The block the seeding descent scanned; the walk does not rescan it.
     seed_block: usize,
     incumbent: Incumbent,
-    scratch: DistanceScratch,
     nodes_bounded: u64,
     slots_bounded: u64,
 }
@@ -135,13 +118,8 @@ struct TreeSearch<'a> {
 impl TreeSearch<'_> {
     fn node_bound(&mut self, level: usize, node: usize) -> usize {
         self.nodes_bounded += 1;
-        self.tree.node_bound(
-            level,
-            node,
-            self.predictor.distance,
-            self.current_signature,
-            self.current_ranges,
-        )
+        self.tree
+            .node_bound(level, node, self.current_signature, self.current_ranges)
     }
 
     /// Scans the slots at the given global indices chronologically.
@@ -154,13 +132,8 @@ impl TreeSearch<'_> {
                 self.current_ranges,
                 position,
             );
-            self.predictor.consider(
-                self.current,
-                position,
-                lower_bound,
-                &mut self.incumbent,
-                &mut self.scratch,
-            );
+            self.predictor
+                .consider(self.current, position, lower_bound, &mut self.incumbent);
         }
     }
 
@@ -223,8 +196,8 @@ impl WorkloadForecast {
 /// identically true.
 #[derive(Debug, Default, Serialize, Deserialize)]
 pub struct PredictorStats {
-    /// Nearest-slot scan queries answered (all paths: serial best-first,
-    /// count-signature linear, summary tree).
+    /// Nearest-slot scan queries answered (both paths: serial best-first,
+    /// summary tree).
     queries: AtomicU64,
     /// `observe_and_predict` calls resolved by the signature-equality
     /// shortcut, never evaluating a distance.
@@ -237,12 +210,9 @@ pub struct PredictorStats {
     /// Candidates that survived the bounds and had a full (early-exit)
     /// distance evaluation.
     candidates_evaluated: AtomicU64,
-    /// Times a [`DistanceScratch`] buffer had to grow mid-query (see
-    /// [`DistanceScratch::grows`]).
-    scratch_grows: AtomicU64,
     /// Summary-tree builds from scratch (the history crossed
-    /// [`IndexPolicy::min_indexed_slots`], was replaced, or the policy or
-    /// distance changed).
+    /// [`IndexPolicy::min_indexed_slots`], was replaced, or the policy
+    /// changed).
     index_builds: AtomicU64,
     /// Always zero: the summary tree is kept current in place and has no
     /// rebuild schedule. The counter stays for the readers of
@@ -259,7 +229,6 @@ impl PredictorStats {
             rings_walked: self.rings_walked.load(Relaxed),
             candidates_bounded: self.candidates_bounded.load(Relaxed),
             candidates_evaluated: self.candidates_evaluated.load(Relaxed),
-            scratch_grows: self.scratch_grows.load(Relaxed),
             index_builds: self.index_builds.load(Relaxed),
             index_rebuilds: self.index_rebuilds.load(Relaxed),
         }
@@ -275,7 +244,6 @@ impl Clone for PredictorStats {
             rings_walked: AtomicU64::new(snapshot.rings_walked),
             candidates_bounded: AtomicU64::new(snapshot.candidates_bounded),
             candidates_evaluated: AtomicU64::new(snapshot.candidates_evaluated),
-            scratch_grows: AtomicU64::new(snapshot.scratch_grows),
             index_builds: AtomicU64::new(snapshot.index_builds),
             index_rebuilds: AtomicU64::new(snapshot.index_rebuilds),
         }
@@ -307,8 +275,6 @@ pub struct PredictorStatsSnapshot {
     pub candidates_bounded: u64,
     /// Candidates fully evaluated.
     pub candidates_evaluated: u64,
-    /// Distance-scratch buffer growths.
-    pub scratch_grows: u64,
     /// Index builds from scratch.
     pub index_builds: u64,
     /// Scheduled index rebuilds (always zero).
@@ -324,7 +290,6 @@ impl PredictorStatsSnapshot {
         self.rings_walked += other.rings_walked;
         self.candidates_bounded += other.candidates_bounded;
         self.candidates_evaluated += other.candidates_evaluated;
-        self.scratch_grows += other.scratch_grows;
         self.index_builds += other.index_builds;
         self.index_rebuilds += other.index_rebuilds;
     }
@@ -356,30 +321,6 @@ impl Restore for PredictionStrategy {
     }
 }
 
-impl Snapshot for DistanceKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let tag: u8 = match self {
-            DistanceKind::SetEdit => 0,
-            DistanceKind::Levenshtein => 1,
-            DistanceKind::CountDifference => 2,
-        };
-        tag.encode(out);
-    }
-}
-
-impl Restore for DistanceKind {
-    fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
-        match u8::decode(cur)? {
-            0 => Ok(DistanceKind::SetEdit),
-            1 => Ok(DistanceKind::Levenshtein),
-            2 => Ok(DistanceKind::CountDifference),
-            _ => Err(SnapshotError::Malformed {
-                context: "distance kind tag",
-            }),
-        }
-    }
-}
-
 impl Snapshot for PredictorStatsSnapshot {
     fn encode(&self, out: &mut Vec<u8>) {
         self.queries.encode(out);
@@ -387,7 +328,6 @@ impl Snapshot for PredictorStatsSnapshot {
         self.rings_walked.encode(out);
         self.candidates_bounded.encode(out);
         self.candidates_evaluated.encode(out);
-        self.scratch_grows.encode(out);
         self.index_builds.encode(out);
         self.index_rebuilds.encode(out);
     }
@@ -401,7 +341,6 @@ impl Restore for PredictorStatsSnapshot {
             rings_walked: u64::decode(cur)?,
             candidates_bounded: u64::decode(cur)?,
             candidates_evaluated: u64::decode(cur)?,
-            scratch_grows: u64::decode(cur)?,
             index_builds: u64::decode(cur)?,
             index_rebuilds: u64::decode(cur)?,
         })
@@ -423,7 +362,6 @@ impl Restore for PredictorStats {
             rings_walked: AtomicU64::new(snapshot.rings_walked),
             candidates_bounded: AtomicU64::new(snapshot.candidates_bounded),
             candidates_evaluated: AtomicU64::new(snapshot.candidates_evaluated),
-            scratch_grows: AtomicU64::new(snapshot.scratch_grows),
             index_builds: AtomicU64::new(snapshot.index_builds),
             index_rebuilds: AtomicU64::new(snapshot.index_rebuilds),
         })
@@ -436,7 +374,6 @@ impl Restore for PredictorStats {
 pub struct WorkloadPredictor {
     history: SlotHistory,
     strategy: PredictionStrategy,
-    distance: DistanceKind,
     groups: Vec<AccelerationGroupId>,
     /// Flat per-slot count signatures, `groups.len()` entries per retained
     /// slot, aligned with `history.slots()`.
@@ -457,10 +394,9 @@ pub struct WorkloadPredictor {
     /// The block-summary tree over `signatures` and `id_ranges`, kept
     /// exactly while the retained history is at least
     /// [`IndexPolicy::min_indexed_slots`] long and maintained incrementally
-    /// alongside the signatures. `None` while the policy is linear, the
-    /// history is short, or the distance is the count difference (whose
-    /// signature scan is already `O(groups)` per candidate). Derived state
-    /// like the signatures: always equal to a from-scratch build.
+    /// alongside the signatures. `None` while the policy is linear or the
+    /// history is short. Derived state like the signatures: always equal to
+    /// a from-scratch build.
     summaries: Option<SummaryTree>,
     /// Cumulative query and index-health counters. Excluded from equality
     /// (see [`PredictorStats`]).
@@ -469,13 +405,11 @@ pub struct WorkloadPredictor {
 
 impl WorkloadPredictor {
     /// Creates a predictor over the given acceleration groups with the
-    /// paper's configuration (nearest slot, set edit distance, unbounded
-    /// history).
+    /// paper's configuration (nearest slot, unbounded history).
     pub fn new(groups: Vec<AccelerationGroupId>, slot_length_ms: f64) -> Self {
         Self {
             history: SlotHistory::new(slot_length_ms),
             strategy: PredictionStrategy::NearestSlot,
-            distance: DistanceKind::SetEdit,
             groups,
             signatures: Vec::new(),
             id_ranges: Vec::new(),
@@ -488,9 +422,8 @@ impl WorkloadPredictor {
 
     /// Plain-integer snapshot of the cumulative query and index-health
     /// counters: scan queries answered, summary nodes and candidates bounded
-    /// vs. candidates evaluated, [`DistanceScratch`] growths, and summary-tree
-    /// builds. Counters only ever increase; diff two snapshots to rate a
-    /// window.
+    /// vs. candidates evaluated, and summary-tree builds. Counters only ever
+    /// increase; diff two snapshots to rate a window.
     pub fn stats(&self) -> PredictorStatsSnapshot {
         self.stats.snapshot()
     }
@@ -498,14 +431,6 @@ impl WorkloadPredictor {
     /// Overrides the prediction strategy.
     pub fn with_strategy(mut self, strategy: PredictionStrategy) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// Overrides the distance function. The summary tree follows: the
-    /// count distance drops it, an edit distance (re)gains it.
-    pub fn with_distance(mut self, distance: DistanceKind) -> Self {
-        self.distance = distance;
-        self.sync_summaries();
         self
     }
 
@@ -637,11 +562,9 @@ impl WorkloadPredictor {
     /// the history reaches the policy threshold, evicts and appends
     /// alongside the signatures, and drops it when the history falls back
     /// below the threshold — so whether and what it is depends on the
-    /// retained slots alone. Never kept for linear policies or the count
-    /// distance.
+    /// retained slots alone. Never kept for linear policies.
     fn sync_summaries(&mut self) {
         let wanted = !self.groups.is_empty()
-            && self.distance != DistanceKind::CountDifference
             && self
                 .index_policy
                 .min_indexed_slots
@@ -665,12 +588,11 @@ impl WorkloadPredictor {
         }
     }
 
-    /// Lower bound on the configured distance between the probe (described
-    /// by its per-group counts and id ranges) and the retained slot at
-    /// `position`, computed from the cached signatures alone — `O(groups)`,
-    /// no user lists touched. For the count distance the count signature
-    /// *is* the distance. For the edit distances the bound is the id-range
-    /// bound of [`group_bound`], which dominates the count difference.
+    /// Lower bound on the slot distance between the probe (described by its
+    /// per-group counts and id ranges) and the retained slot at `position`,
+    /// computed from the cached signatures alone — `O(groups)`, no user
+    /// lists touched: the id-range bound of [`group_bound`], which dominates
+    /// the count difference.
     fn signature_bound(
         &self,
         probe_counts: &[usize],
@@ -679,42 +601,25 @@ impl WorkloadPredictor {
     ) -> usize {
         let group_count = self.groups.len();
         let counts = &self.signatures[position * group_count..(position + 1) * group_count];
-        match self.distance {
-            DistanceKind::CountDifference => probe_counts
-                .iter()
-                .zip(counts)
-                .map(|(a, b)| a.abs_diff(*b))
-                .sum(),
-            kind => {
-                let ranges = &self.id_ranges[position * group_count..(position + 1) * group_count];
-                let mut bound = 0usize;
-                for g in 0..group_count {
-                    let overlap = range_overlap(probe_ranges[g], ranges[g]);
-                    bound += group_bound(kind, probe_counts[g], counts[g], overlap);
-                }
-                bound
-            }
+        let ranges = &self.id_ranges[position * group_count..(position + 1) * group_count];
+        let mut bound = 0usize;
+        for g in 0..group_count {
+            let overlap = range_overlap(probe_ranges[g], ranges[g]);
+            bound += group_bound(probe_counts[g], counts[g], overlap);
         }
+        bound
     }
 
-    /// Distance between two slots under the configured distance function.
+    /// Slot distance `Δ` between two slots over the predictor's groups.
     pub fn distance_between(&self, a: &TimeSlot, b: &TimeSlot) -> usize {
-        match self.distance {
-            DistanceKind::SetEdit => slot_distance(a, b, &self.groups),
-            DistanceKind::Levenshtein => slot_levenshtein_distance(a, b, &self.groups),
-            DistanceKind::CountDifference => count_distance(a, b, &self.groups),
-        }
+        slot_distance(a, b, &self.groups)
     }
 
-    /// Distance between two slots computed with the retained naive
-    /// reference implementations (per-call set construction, full-matrix
-    /// Levenshtein) — the seed's cost model, kept as a baseline.
+    /// [`Self::distance_between`] computed with the retained naive
+    /// reference (per-call set construction) — the seed's cost model, kept
+    /// as a baseline.
     pub fn distance_between_naive(&self, a: &TimeSlot, b: &TimeSlot) -> usize {
-        match self.distance {
-            DistanceKind::SetEdit => slot_distance_naive(a, b, &self.groups),
-            DistanceKind::Levenshtein => slot_levenshtein_distance(a, b, &self.groups),
-            DistanceKind::CountDifference => count_distance(a, b, &self.groups),
-        }
+        slot_distance_naive(a, b, &self.groups)
     }
 
     /// The knowledge base `P`: the distance from `current` to every
@@ -730,8 +635,7 @@ impl WorkloadPredictor {
     /// Position (within the retained slots) of the nearest historical slot.
     /// Ties resolve to the earliest slot, exactly like the naive linear scan.
     ///
-    /// One search per regime: the count distance takes its exact signature
-    /// scan, a kept summary tree answers through
+    /// One search per regime: a kept summary tree answers through
     /// [`Self::nearest_position_indexed`], and every other history runs the
     /// serial scan described here.
     ///
@@ -743,8 +647,8 @@ impl WorkloadPredictor {
     /// tightens the best-so-far cap sooner, and because bounds ascend the
     /// scan stops outright at the first bound that exceeds the best distance
     /// found — the chronological scan could only *skip* such candidates one
-    /// by one. The full distance is evaluated with the `*_bounded` early-exit
-    /// implementations of [`crate::distance`], capped at the best distance
+    /// by one. The full distance is evaluated with the early-exit
+    /// [`slot_distance_bounded`], capped at the best distance
     /// (for candidates earlier than the incumbent, where an equal distance
     /// wins the tie) or one below it (for later candidates, where only a
     /// strictly smaller distance helps).
@@ -761,31 +665,6 @@ impl WorkloadPredictor {
         }
         let current_signature: Vec<usize> =
             self.groups.iter().map(|g| current.load_of(*g)).collect();
-        if self.distance == DistanceKind::CountDifference {
-            // the signature lower bound IS the count distance: one
-            // allocation-free scan, first minimum wins
-            let mut best = usize::MAX;
-            let mut best_position = 0;
-            let mut visited = 0u64;
-            for (position, signature) in self.signatures.chunks_exact(group_count).enumerate() {
-                let distance: usize = current_signature
-                    .iter()
-                    .zip(signature)
-                    .map(|(a, b)| a.abs_diff(*b))
-                    .sum();
-                visited += 1;
-                if distance < best {
-                    best = distance;
-                    best_position = position;
-                    if best == 0 {
-                        break;
-                    }
-                }
-            }
-            self.stats.queries.fetch_add(1, Relaxed);
-            self.stats.candidates_bounded.fetch_add(visited, Relaxed);
-            return Some(best_position);
-        }
         let current_ranges: Vec<(u32, u32)> = self
             .groups
             .iter()
@@ -814,37 +693,38 @@ impl WorkloadPredictor {
         self.stats
             .candidates_bounded
             .fetch_add(order.len() as u64, Relaxed);
-        let mut scratch = DistanceScratch::new();
         let mut incumbent = Incumbent::NONE;
         for &(lower_bound, position) in &order {
             if lower_bound > incumbent.distance {
                 break; // bounds ascend: no remaining candidate can win
             }
-            self.consider(current, position, lower_bound, &mut incumbent, &mut scratch);
+            self.consider(current, position, lower_bound, &mut incumbent);
             if incumbent.distance == 0 {
                 // a perfect match: every earlier slot that could tie had
                 // bound zero and was already visited
                 break;
             }
         }
-        self.record_evaluations(&incumbent, &scratch);
+        self.stats
+            .candidates_evaluated
+            .fetch_add(incumbent.evaluated, Relaxed);
         Some(incumbent.position)
     }
 
     /// Evaluates the candidate at `position`, whose lower bound is
     /// `lower_bound`, unless the bound already shows it cannot replace the
-    /// incumbent. The full distance runs through the `*_bounded` early-exit
-    /// kernels, capped at the incumbent's distance for earlier candidates
-    /// (where an equal distance wins the tie) and one below it for later
-    /// ones (where only a strictly smaller distance helps) — so a distance
-    /// that comes back at all replaces the incumbent.
+    /// incumbent. The full distance runs through the early-exit
+    /// [`slot_distance_bounded`], capped at the incumbent's distance for
+    /// earlier candidates (where an equal distance wins the tie) and one
+    /// below it for later ones (where only a strictly smaller distance
+    /// helps) — so a distance that comes back at all replaces the
+    /// incumbent.
     fn consider(
         &self,
         current: &TimeSlot,
         position: usize,
         lower_bound: usize,
         incumbent: &mut Incumbent,
-        scratch: &mut DistanceScratch,
     ) {
         if incumbent.refutes(lower_bound, position) {
             return;
@@ -857,41 +737,9 @@ impl WorkloadPredictor {
         };
         incumbent.evaluated += 1;
         let candidate = &self.history.slots()[position];
-        if let Some(distance) = self.bounded_distance(current, candidate, cap, scratch) {
+        if let Some(distance) = slot_distance_bounded(current, candidate, &self.groups, cap) {
             incumbent.distance = distance;
             incumbent.position = position;
-        }
-    }
-
-    /// Adds one scan's evaluation and scratch-growth counts to the stats.
-    fn record_evaluations(&self, incumbent: &Incumbent, scratch: &DistanceScratch) {
-        self.stats
-            .candidates_evaluated
-            .fetch_add(incumbent.evaluated, Relaxed);
-        self.stats
-            .scratch_grows
-            .fetch_add(scratch.grows() as u64, Relaxed);
-    }
-
-    /// The configured early-exit distance between `current` and one
-    /// candidate, capped at `cap` (`None` when the distance provably exceeds
-    /// the cap). The count distance never reaches here — its signature *is*
-    /// its distance and it takes the dedicated linear scan.
-    fn bounded_distance(
-        &self,
-        current: &TimeSlot,
-        candidate: &TimeSlot,
-        cap: usize,
-        scratch: &mut DistanceScratch,
-    ) -> Option<usize> {
-        match self.distance {
-            DistanceKind::CountDifference => {
-                unreachable!("the count distance takes its dedicated linear scan")
-            }
-            DistanceKind::SetEdit => slot_distance_bounded(current, candidate, &self.groups, cap),
-            DistanceKind::Levenshtein => {
-                slot_levenshtein_distance_bounded(current, candidate, &self.groups, cap, scratch)
-            }
         }
     }
 
@@ -904,7 +752,7 @@ impl WorkloadPredictor {
     /// that no slot below it can replace the incumbent — the same
     /// bound-and-tie rule single candidates are refuted by, applied to the
     /// node's first slot — and scanning the blocks that survive with the
-    /// signature bounds, `*_bounded` kernels and cap rules of the serial
+    /// signature bounds, bounded distance and cap rules of the serial
     /// scan. A node bound never exceeds a member's signature bound, which
     /// never exceeds its distance, so only losers are skipped and the
     /// forecast is bit-identical to the serial and naive scans, earliest
@@ -926,7 +774,6 @@ impl WorkloadPredictor {
             current_ranges,
             seed_block: 0,
             incumbent: Incumbent::NONE,
-            scratch: DistanceScratch::new(),
             nodes_bounded: 0,
             slots_bounded: 0,
         };
@@ -947,7 +794,9 @@ impl WorkloadPredictor {
         self.stats
             .candidates_bounded
             .fetch_add(search.slots_bounded, Relaxed);
-        self.record_evaluations(&search.incumbent, &search.scratch);
+        self.stats
+            .candidates_evaluated
+            .fetch_add(search.incumbent.evaluated, Relaxed);
         search.incumbent.position
     }
 
@@ -958,9 +807,8 @@ impl WorkloadPredictor {
     /// cheaper. Because the probe is part of the knowledge base by the time
     /// the prediction runs, the minimum distance is exactly zero, and the
     /// nearest slot is the **earliest retained slot equal to the probe**:
-    /// equal per-group user runs for the edit distances (slice equality
-    /// exits on the first differing user), equal count signature for the
-    /// count distance. No distance is ever evaluated.
+    /// equal per-group user runs (slice equality exits on the first
+    /// differing user). No distance is ever evaluated.
     ///
     /// # Errors
     ///
@@ -998,15 +846,11 @@ impl WorkloadPredictor {
                         if signature != current_signature {
                             continue;
                         }
-                        let equal = match self.distance {
-                            // equal counts are all the count distance sees
-                            DistanceKind::CountDifference => true,
-                            DistanceKind::SetEdit | DistanceKind::Levenshtein => self
-                                .groups
-                                .iter()
-                                .all(|g| slots[earlier].users_in(*g) == current.users_in(*g)),
-                        };
-                        if equal {
+                        if self
+                            .groups
+                            .iter()
+                            .all(|g| slots[earlier].users_in(*g) == current.users_in(*g))
+                        {
                             position = earlier;
                             break;
                         }
@@ -1145,7 +989,6 @@ impl Snapshot for WorkloadPredictor {
     fn encode(&self, out: &mut Vec<u8>) {
         self.history.encode(out);
         self.strategy.encode(out);
-        self.distance.encode(out);
         self.groups.encode(out);
         self.index_policy.encode(out);
         self.stats.encode(out);
@@ -1157,7 +1000,6 @@ impl Restore for WorkloadPredictor {
         let mut predictor = Self {
             history: SlotHistory::decode(cur)?,
             strategy: PredictionStrategy::decode(cur)?,
-            distance: DistanceKind::decode(cur)?,
             groups: Vec::<AccelerationGroupId>::decode(cur)?,
             signatures: Vec::new(),
             id_ranges: Vec::new(),
@@ -1288,20 +1130,7 @@ mod tests {
     }
 
     #[test]
-    fn distance_kinds_agree_on_identical_slots() {
-        for kind in [
-            DistanceKind::SetEdit,
-            DistanceKind::Levenshtein,
-            DistanceKind::CountDifference,
-        ] {
-            let p = WorkloadPredictor::new(GROUPS.to_vec(), 3_600_000.0).with_distance(kind);
-            assert_eq!(p.distance_between(&slot(5, 3, 1), &slot(5, 3, 1)), 0);
-            assert!(p.distance_between(&slot(5, 3, 1), &slot(9, 0, 0)) > 0);
-        }
-    }
-
-    #[test]
-    fn pruned_search_agrees_with_naive_reference_for_every_distance_kind() {
+    fn pruned_search_agrees_with_naive_reference_for_every_strategy() {
         let history: Vec<TimeSlot> = (0..40u32)
             .map(|i| slot(5 + (i * 7) % 23, (i * 3) % 11, (i * 5) % 7))
             .collect();
@@ -1312,23 +1141,15 @@ mod tests {
             slot(5, 0, 0),
             slot(17, 8, 3),
         ];
-        for kind in [
-            DistanceKind::SetEdit,
-            DistanceKind::Levenshtein,
-            DistanceKind::CountDifference,
+        for strategy in [
+            PredictionStrategy::NearestSlot,
+            PredictionStrategy::SuccessorOfNearest,
         ] {
-            for strategy in [
-                PredictionStrategy::NearestSlot,
-                PredictionStrategy::SuccessorOfNearest,
-            ] {
-                let p = predictor_with_history(history.clone())
-                    .with_distance(kind)
-                    .with_strategy(strategy);
-                for probe in &probes {
-                    let fast = p.predict(probe).unwrap();
-                    let naive = p.predict_naive(probe).unwrap();
-                    assert_eq!(fast, naive, "{kind:?}/{strategy:?}");
-                }
+            let p = predictor_with_history(history.clone()).with_strategy(strategy);
+            for probe in &probes {
+                let fast = p.predict(probe).unwrap();
+                let naive = p.predict_naive(probe).unwrap();
+                assert_eq!(fast, naive, "{strategy:?}");
             }
         }
     }
@@ -1359,28 +1180,20 @@ mod tests {
         let probes: Vec<TimeSlot> = (0..12u32)
             .map(|i| slot(3 + (i * 5) % 17, (i * 7) % 7, i % 3))
             .collect();
-        for kind in [
-            DistanceKind::SetEdit,
-            DistanceKind::Levenshtein,
-            DistanceKind::CountDifference,
+        for strategy in [
+            PredictionStrategy::NearestSlot,
+            PredictionStrategy::SuccessorOfNearest,
+            PredictionStrategy::LastValue,
+            PredictionStrategy::MeanOfHistory,
         ] {
-            for strategy in [
-                PredictionStrategy::NearestSlot,
-                PredictionStrategy::SuccessorOfNearest,
-                PredictionStrategy::LastValue,
-                PredictionStrategy::MeanOfHistory,
-            ] {
-                let mut fast = predictor_with_history(history.clone())
-                    .with_distance(kind)
-                    .with_strategy(strategy);
-                let mut slow = fast.clone();
-                for probe in &probes {
-                    let combined = fast.observe_and_predict(probe.clone());
-                    slow.observe_slot(probe.clone());
-                    let separate = slow.predict(probe);
-                    assert_eq!(combined, separate, "{kind:?}/{strategy:?}");
-                    assert_eq!(fast, slow, "{kind:?}/{strategy:?} predictor state");
-                }
+            let mut fast = predictor_with_history(history.clone()).with_strategy(strategy);
+            let mut slow = fast.clone();
+            for probe in &probes {
+                let combined = fast.observe_and_predict(probe.clone());
+                slow.observe_slot(probe.clone());
+                let separate = slow.predict(probe);
+                assert_eq!(combined, separate, "{strategy:?}");
+                assert_eq!(fast, slow, "{strategy:?} predictor state");
             }
         }
     }
@@ -1390,19 +1203,12 @@ mod tests {
         // many identical slots: the naive scan returns the first minimum in
         // chronological order, and the best-first ordering must agree even
         // though every candidate has the same signature lower bound
-        let duplicates = vec![slot(5, 2, 1); 7];
-        for kind in [
-            DistanceKind::SetEdit,
-            DistanceKind::Levenshtein,
-            DistanceKind::CountDifference,
-        ] {
-            let p = predictor_with_history(duplicates.clone()).with_distance(kind);
-            for probe in [slot(5, 2, 1), slot(6, 2, 1), slot(0, 0, 0)] {
-                let fast = p.predict(&probe).unwrap();
-                let naive = p.predict_naive(&probe).unwrap();
-                assert_eq!(fast, naive, "{kind:?}");
-                assert_eq!(fast.matched_slot, Some(0), "{kind:?}");
-            }
+        let p = predictor_with_history(vec![slot(5, 2, 1); 7]);
+        for probe in [slot(5, 2, 1), slot(6, 2, 1), slot(0, 0, 0)] {
+            let fast = p.predict(&probe).unwrap();
+            let naive = p.predict_naive(&probe).unwrap();
+            assert_eq!(fast, naive);
+            assert_eq!(fast.matched_slot, Some(0));
         }
         // an exact match later in the history still loses to an equal-distance
         // earlier slot, but wins over strictly-worse earlier slots
@@ -1441,31 +1247,27 @@ mod tests {
             slot(5, 0, 0),
             slot(300, 9, 2),
         ];
-        for kind in [DistanceKind::SetEdit, DistanceKind::Levenshtein] {
-            for strategy in [
-                PredictionStrategy::NearestSlot,
-                PredictionStrategy::SuccessorOfNearest,
-            ] {
-                let serial = predictor_with_history(history.clone())
-                    .with_distance(kind)
-                    .with_strategy(strategy);
-                let indexed = serial
-                    .clone()
-                    .with_index_policy(IndexPolicy::indexed().with_min_indexed_slots(1));
-                assert!(indexed.index_active(), "history is long enough");
-                for probe in &probes {
-                    let forecast = indexed.predict(probe).unwrap();
-                    assert_eq!(
-                        forecast,
-                        serial.predict(probe).unwrap(),
-                        "{kind:?}/{strategy:?} vs serial"
-                    );
-                    assert_eq!(
-                        forecast,
-                        serial.predict_naive(probe).unwrap(),
-                        "{kind:?}/{strategy:?} vs naive"
-                    );
-                }
+        for strategy in [
+            PredictionStrategy::NearestSlot,
+            PredictionStrategy::SuccessorOfNearest,
+        ] {
+            let serial = predictor_with_history(history.clone()).with_strategy(strategy);
+            let indexed = serial
+                .clone()
+                .with_index_policy(IndexPolicy::indexed().with_min_indexed_slots(1));
+            assert!(indexed.index_active(), "history is long enough");
+            for probe in &probes {
+                let forecast = indexed.predict(probe).unwrap();
+                assert_eq!(
+                    forecast,
+                    serial.predict(probe).unwrap(),
+                    "{strategy:?} vs serial"
+                );
+                assert_eq!(
+                    forecast,
+                    serial.predict_naive(probe).unwrap(),
+                    "{strategy:?} vs naive"
+                );
             }
         }
     }
@@ -1513,7 +1315,7 @@ mod tests {
     }
 
     #[test]
-    fn index_gates_on_threshold_distance_kind_and_policy() {
+    fn index_gates_on_threshold_and_policy() {
         let history: Vec<TimeSlot> = (0..10u32).map(|i| slot(i + 1, 0, 0)).collect();
         // linear policy: no index
         let p = predictor_with_history(history.clone());
@@ -1526,28 +1328,14 @@ mod tests {
             p.predict(&slot(3, 0, 0)).unwrap(),
             p.predict_naive(&slot(3, 0, 0)).unwrap()
         );
-        // the count distance never builds one — its signature scan is exact
+        // at the threshold the tree takes over
         let p = predictor_with_history(history.clone())
-            .with_distance(DistanceKind::CountDifference)
-            .with_index_policy(IndexPolicy::indexed().with_min_indexed_slots(1));
-        assert!(!p.index_active());
+            .with_index_policy(IndexPolicy::indexed().with_min_indexed_slots(10));
+        assert!(p.index_active());
         assert_eq!(
             p.predict(&slot(3, 0, 0)).unwrap(),
             p.predict_naive(&slot(3, 0, 0)).unwrap()
         );
-        // switching the distance keeps the tree for the other edit metric,
-        // and switching away from the count distance gains it
-        for from in [DistanceKind::SetEdit, DistanceKind::CountDifference] {
-            let p = predictor_with_history(history.clone())
-                .with_distance(from)
-                .with_index_policy(IndexPolicy::indexed().with_min_indexed_slots(1))
-                .with_distance(DistanceKind::Levenshtein);
-            assert!(p.index_active());
-            assert_eq!(
-                p.predict(&slot(3, 0, 0)).unwrap(),
-                p.predict_naive(&slot(3, 0, 0)).unwrap()
-            );
-        }
     }
 
     /// A predictor whose caches were recomputed from the retained slots
@@ -1589,15 +1377,11 @@ mod tests {
         assert_eq!(restored, p);
         assert_eq!(restored.stats(), p.stats(), "the decode counts no build");
 
-        // policy and distance changes
+        // a policy change drops the tree and re-arming rebuilds it
         p.set_index_policy(IndexPolicy::linear());
         assert!(!p.index_active());
         p.set_index_policy(policy);
         assert_eq!(p, recomputed(&p), "policy re-armed");
-        let p = p.with_distance(DistanceKind::CountDifference);
-        assert!(!p.index_active());
-        let mut p = p.with_distance(DistanceKind::Levenshtein);
-        assert_eq!(p, recomputed(&p), "distance changed");
 
         // shrinking below the threshold drops the tree, as a restore would
         p.set_window(Some(2));
@@ -1612,9 +1396,8 @@ mod tests {
         let history = p.take_history();
         assert!(!p.index_active());
         assert_eq!(p, recomputed(&p), "donor after take_history");
-        let mut receiver = WorkloadPredictor::new(GROUPS.to_vec(), 3_600_000.0)
-            .with_index_policy(policy)
-            .with_distance(DistanceKind::Levenshtein);
+        let mut receiver =
+            WorkloadPredictor::new(GROUPS.to_vec(), 3_600_000.0).with_index_policy(policy);
         receiver.observe_slot(load(0));
         receiver.set_history(history);
         assert!(receiver.index_active());
@@ -1645,9 +1428,9 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
-        /// The chain the tree search rests on, for both edit distances: a
-        /// node's envelope bound never exceeds the signature bound of any
-        /// slot below it, which never exceeds that slot's true distance.
+        /// The chain the tree search rests on: a node's envelope bound
+        /// never exceeds the signature bound of any slot below it, which
+        /// never exceeds that slot's true distance.
         /// The history cycles through a small pool of slots — empty groups
         /// (the `(u32::MAX, 0)` id-range sentinel) and the empty slot
         /// included — long enough for partial first blocks (the window) and,
@@ -1661,7 +1444,6 @@ mod tests {
             probe in proptest::collection::vec((1u8..4, 0u32..400), 0..9),
             len in proptest::sample::select(vec![1usize, 64, 65, 200, 4_097, 4_300]),
             evicted in 0usize..70,
-            levenshtein in 0u8..2,
         ) {
             let slot_of = |pairs: &Vec<(u8, u32)>| {
                 TimeSlot::from_assignments(
@@ -1669,9 +1451,7 @@ mod tests {
                     pairs.iter().map(|&(g, u)| (AccelerationGroupId(g), UserId(u))),
                 )
             };
-            let kind = if levenshtein == 1 { DistanceKind::Levenshtein } else { DistanceKind::SetEdit };
             let mut p = WorkloadPredictor::new(GROUPS.to_vec(), 3_600_000.0)
-                .with_distance(kind)
                 .with_index_policy(IndexPolicy::indexed().with_min_indexed_slots(1))
                 .with_window(len);
             for i in 0..len + evicted {
@@ -1701,7 +1481,7 @@ mod tests {
                     proptest::prop_assert_eq!(below.start, tree.first_slot(level, node));
                     covered = below.end;
                     let tightest = below.map(|global| slot_bounds[global - first]).min();
-                    let bound = tree.node_bound(level, node, kind, &counts, &ranges);
+                    let bound = tree.node_bound(level, node, &counts, &ranges);
                     proptest::prop_assert!(
                         Some(bound) <= tightest,
                         "level {level} node {node}: {bound} > {tightest:?}"
@@ -1785,6 +1565,37 @@ mod tests {
         assert_eq!(stats.candidates_bounded, 64);
         assert!(stats.candidates_bounded >= stats.candidates_evaluated);
         assert!(stats.candidates_evaluated >= 1);
+    }
+
+    #[test]
+    fn checkpoint_payload_is_history_strategy_groups_policy_and_seven_counters() {
+        let p = predictor_with_history(vec![slot(3, 0, 0), slot(7, 1, 0), slot(5, 2, 1)])
+            .with_strategy(PredictionStrategy::SuccessorOfNearest)
+            .with_index_policy(IndexPolicy::indexed().with_min_indexed_slots(2));
+        p.predict(&slot(4, 1, 0)).unwrap();
+        let mut bytes = Vec::new();
+        p.encode(&mut bytes);
+        let mut cur = Cursor::new(&bytes);
+        assert_eq!(&SlotHistory::decode(&mut cur).unwrap(), p.history());
+        assert_eq!(PredictionStrategy::decode(&mut cur).unwrap(), p.strategy());
+        assert_eq!(
+            Vec::<AccelerationGroupId>::decode(&mut cur).unwrap(),
+            GROUPS
+        );
+        assert_eq!(IndexPolicy::decode(&mut cur).unwrap(), p.index_policy());
+        let stats = p.stats();
+        for counter in [
+            stats.queries,
+            stats.fast_predictions,
+            stats.rings_walked,
+            stats.candidates_bounded,
+            stats.candidates_evaluated,
+            stats.index_builds,
+            stats.index_rebuilds,
+        ] {
+            assert_eq!(u64::decode(&mut cur).unwrap(), counter);
+        }
+        assert!(cur.is_empty(), "{} bytes left over", cur.remaining());
     }
 
     #[test]

@@ -838,7 +838,6 @@ impl FleetEngine {
             "predictor_candidates_evaluated_total",
             predictor.candidates_evaluated,
         );
-        registry.add_counter("predictor_scratch_grows_total", predictor.scratch_grows);
         registry.add_counter("predictor_index_builds_total", predictor.index_builds);
         registry.add_counter("predictor_index_rebuilds_total", predictor.index_rebuilds);
 

@@ -52,9 +52,11 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"MCAS";
 /// payload along with the chunked scan it selected. Version 4 reordered the
 /// tenant state inside a shard section (the control loop's fields —
 /// predictor, pool, billing, standing forecast, memo — now sit together,
-/// ahead of the RNG words and rollups; same bytes, different order). Streams
-/// of any older version are rejected.
-pub const SNAPSHOT_VERSION: u16 = 4;
+/// ahead of the RNG words and rollups; same bytes, different order). Version
+/// 5 dropped the predictor's distance-kind tag and scratch-growth counter
+/// (nine bytes per predictor) with the code that set them. Streams of any
+/// older version are rejected.
+pub const SNAPSHOT_VERSION: u16 = 5;
 
 /// The reserved end-of-stream section tag.
 pub const END_TAG: u16 = 0xFFFF;
@@ -910,7 +912,7 @@ mod tests {
             SnapshotReader::new(buf.as_slice()).unwrap_err(),
             SnapshotError::UnsupportedVersion {
                 found: 1,
-                supported: 4
+                supported: 5
             }
         ));
         // version 2 carried 16 bytes of scan parallelism policy inside every
@@ -920,7 +922,7 @@ mod tests {
             SnapshotReader::new(&b"MCAS\x02\x00\xFF\xFF"[..]).unwrap_err(),
             SnapshotError::UnsupportedVersion {
                 found: 2,
-                supported: 4
+                supported: 5
             }
         ));
         // version 3 kept a tenant's standing forecast and memo after its
@@ -930,7 +932,16 @@ mod tests {
             SnapshotReader::new(&b"MCAS\x03\x00\xFF\xFF"[..]).unwrap_err(),
             SnapshotError::UnsupportedVersion {
                 found: 3,
-                supported: 4
+                supported: 5
+            }
+        ));
+        // version 4 carried a distance-kind tag and an eighth stats counter
+        // inside every predictor; refused, not decoded nine bytes late
+        assert!(matches!(
+            SnapshotReader::new(&b"MCAS\x04\x00\xFF\xFF"[..]).unwrap_err(),
+            SnapshotError::UnsupportedVersion {
+                found: 4,
+                supported: 5
             }
         ));
     }
@@ -1031,7 +1042,7 @@ mod tests {
         // the refused sections left no bytes behind
         let stats = writer.finish().unwrap();
         assert_eq!((stats.sections, stats.bytes), (0, 8));
-        assert_eq!(buf, b"MCAS\x04\x00\xFF\xFF");
+        assert_eq!(buf, b"MCAS\x05\x00\xFF\xFF");
     }
 
     #[test]

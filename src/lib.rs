@@ -70,9 +70,9 @@ pub mod prelude {
     };
     pub use mca_core::{
         accuracy, cross_validate, AccelerationGroups, Allocation, AllocationPolicy, BillingBackend,
-        BillingEngine, DatacenterUsage, DistanceKind, IndexPolicy, PredictionStrategy,
-        ResourceAllocator, SdnAccelerator, SlotHistory, System, SystemConfig, SystemReport,
-        TimeSlot, WorkloadPredictor,
+        BillingEngine, DatacenterUsage, IndexPolicy, PredictionStrategy, ResourceAllocator,
+        SdnAccelerator, SlotHistory, System, SystemConfig, SystemReport, TimeSlot,
+        WorkloadPredictor,
     };
     pub use mca_fleet::{
         DriveReport, FleetDriver, FleetEngine, FleetError, FleetMetrics, FleetTelemetry,

@@ -1,8 +1,8 @@
 //! Allocation-discipline gate for the nearest-slot scan: once a predictor
 //! is warm, one prediction must allocate only a small constant number of
-//! times (the forecast itself plus the per-probe scratch), **independent of
-//! the history length** — the scan reuses one `DistanceScratch` per query
-//! instead of allocating per candidate. A second gate holds the fleet's
+//! times (the forecast itself plus the per-probe signature and candidate
+//! order), **independent of the history length** — the scan allocates
+//! nothing per candidate. A second gate holds the fleet's
 //! slot ingest to a count **independent of the records per tenant**, a
 //! third holds a warmed engine's checkpoint to the same, a fourth holds one
 //! ILP solve to a few allocations per branch-and-bound node **independent of
@@ -14,8 +14,7 @@
 
 use mobile_code_acceleration::cloudsim::{DatacenterConfig, InstanceType};
 use mobile_code_acceleration::core::{
-    AccelerationGroups, BillingBackend, DistanceKind, IndexPolicy, WorkloadForecast,
-    WorkloadPredictor,
+    AccelerationGroups, BillingBackend, IndexPolicy, WorkloadForecast, WorkloadPredictor,
 };
 use mobile_code_acceleration::fleet::SlotBatchSource;
 use mobile_code_acceleration::offload::{AccelerationGroupId, UserId};
@@ -91,8 +90,8 @@ fn warmed_predictor(
 }
 
 /// Allocations of one warmed prediction at two history sizes. The warm-up
-/// predict lets every lazily grown buffer (scratch rows, bit-vectors,
-/// forecast) reach its steady-state capacity first.
+/// predict lets every lazily grown buffer reach its steady-state capacity
+/// first.
 fn steady_state_allocations(
     configure: impl Fn(WorkloadPredictor) -> WorkloadPredictor + Copy,
 ) -> (usize, usize) {
@@ -126,21 +125,6 @@ fn serial_set_edit_scan_allocates_a_small_constant() {
         large <= small + 8,
         "allocations grew with history length ({small} at 500 slots, {large} at 2000): \
          the scan is allocating per candidate"
-    );
-}
-
-#[test]
-fn levenshtein_scan_reuses_the_distance_scratch() {
-    let configure = |p: WorkloadPredictor| p.with_distance(DistanceKind::Levenshtein);
-    let (small, large) = steady_state_allocations(configure);
-    assert!(
-        small < 64,
-        "one warmed Levenshtein prediction allocated {small} times; expected a small constant"
-    );
-    assert!(
-        large <= small + 8,
-        "Levenshtein-scan allocations grew with history length ({small} at 500 slots, {large} \
-         at 2000): the DistanceScratch is not being reused"
     );
 }
 

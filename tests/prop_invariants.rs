@@ -5,9 +5,8 @@
 
 use mobile_code_acceleration::core::{
     distance::{
-        group_distance, group_distance_bounded, group_distance_naive, levenshtein,
-        levenshtein_bounded, levenshtein_myers, levenshtein_myers_bounded, normalized_levenshtein,
-        slot_distance, slot_distance_bounded, slot_distance_naive,
+        group_distance, group_distance_bounded, group_distance_naive, slot_distance,
+        slot_distance_bounded, slot_distance_naive,
     },
     SlotHistory, TimeSlot, WorkloadForecast, WorkloadPredictor,
 };
@@ -183,39 +182,6 @@ proptest! {
         }
     }
 
-    /// Levenshtein distance respects the length-difference lower bound and the
-    /// max-length upper bound; normalization stays in [0, 1].
-    #[test]
-    fn levenshtein_bounds(
-        a in proptest::collection::vec(0u8..5, 0..24),
-        b in proptest::collection::vec(0u8..5, 0..24),
-    ) {
-        let d = levenshtein(&a, &b);
-        prop_assert!(d >= a.len().abs_diff(b.len()));
-        prop_assert!(d <= a.len().max(b.len()));
-        let norm = normalized_levenshtein(&a, &b);
-        prop_assert!((0.0..=1.0).contains(&norm));
-        prop_assert_eq!(levenshtein(&a, &b), levenshtein(&b, &a));
-    }
-
-    /// The banded early-exit Levenshtein agrees exactly with the full-matrix
-    /// reference whenever the cap admits the true distance, and prunes
-    /// (returns `None`) exactly when it does not.
-    #[test]
-    fn banded_levenshtein_matches_classic_reference(
-        a in proptest::collection::vec(0u8..5, 0..24),
-        b in proptest::collection::vec(0u8..5, 0..24),
-        cap in 0usize..26,
-    ) {
-        let exact = levenshtein(&a, &b);
-        let bounded = levenshtein_bounded(&a, &b, cap);
-        if cap >= exact {
-            prop_assert_eq!(bounded, Some(exact));
-        } else {
-            prop_assert_eq!(bounded, None);
-        }
-    }
-
     /// The slot distance is zero exactly for identical per-group assignments
     /// and symmetric otherwise; the merge implementation and its bounded
     /// variant agree with the set-based reference.
@@ -308,44 +274,14 @@ proptest! {
     }
 }
 
-fn raw_run(ids: Vec<u16>) -> Vec<UserId> {
-    ids.into_iter().map(|i| UserId(u32::from(i))).collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Myers' bit-vector Levenshtein agrees exactly with the classic
-    /// full-matrix reference and with the banded early-exit variant's
-    /// `Some`/`None` semantics. The tiny symbol universe makes the runs
-    /// duplicate-heavy, and lengths beyond 64 force the carry chain across
-    /// machine-word boundaries.
-    #[test]
-    fn myers_levenshtein_matches_scalar_reference(
-        a in proptest::collection::vec(0u16..6, 0..150),
-        b in proptest::collection::vec(0u16..6, 0..150),
-        cap in 0usize..160,
-    ) {
-        let (a, b) = (raw_run(a), raw_run(b));
-        let exact = levenshtein(&a, &b);
-        prop_assert_eq!(levenshtein_myers(&a, &b), exact);
-        let bounded = levenshtein_myers_bounded(&a, &b, cap);
-        if cap >= exact {
-            prop_assert_eq!(bounded, Some(exact));
-        } else {
-            prop_assert_eq!(bounded, None);
-        }
-        prop_assert_eq!(
-            levenshtein_myers_bounded(&a, &b, cap),
-            levenshtein_bounded(&a, &b, cap)
-        );
-    }
 
     /// The block-summary tree search is bit-identical to the pruned serial
     /// scan and the naive full scan through arbitrary histories of
     /// observations, windowed evictions, window shrinks and
-    /// checkpoint/restore round trips, for both edit distances. A prefix of
-    /// identical filler slots moves the random slots to global positions
+    /// checkpoint/restore round trips. A prefix of identical filler slots
+    /// moves the random slots to global positions
     /// around 63|64 (a block boundary) or 4095|4096 (a level boundary: more
     /// than 64 blocks give the tree a second level). The filler ties with
     /// itself across every boundary, and the tight user universe (ids
@@ -355,7 +291,6 @@ proptest! {
     fn indexed_prediction_matches_pruned_and_naive(
         prefix in proptest::sample::select(vec![0usize, 58, 4_090]),
         window_raw in proptest::sample::select(vec![0usize, 1, 3, 70, 4_100]),
-        levenshtein in 0u8..2,
         ops in proptest::collection::vec(
             (0u8..8, proptest::collection::vec((0u8..3, 0u16..12), 0..6), 1usize..80),
             1..16,
@@ -363,9 +298,7 @@ proptest! {
         probe in proptest::collection::vec((0u8..3, 0u16..12), 0..6),
     ) {
         let window = (window_raw > 0).then_some(window_raw);
-        let distance = if levenshtein == 1 { DistanceKind::Levenshtein } else { DistanceKind::SetEdit };
-        let mut serial = WorkloadPredictor::new(SLOT_GROUPS.to_vec(), 3_600_000.0)
-            .with_distance(distance);
+        let mut serial = WorkloadPredictor::new(SLOT_GROUPS.to_vec(), 3_600_000.0);
         serial.set_window(window);
         let mut indexed = serial
             .clone()
