@@ -19,17 +19,5 @@ fn main() {
     let report = allocation::run(&AllocationWorkload::headline(), mca_bench::DEFAULT_SEED);
     allocation::print(&report);
 
-    let json = report.to_json();
-    let path = "BENCH_allocation.json";
-    if check {
-        let checked_in = std::fs::read_to_string(path).expect("read BENCH_allocation.json");
-        if checked_in != json {
-            eprintln!("ERROR: the regenerated document differs from {path}:\n{json}");
-            std::process::exit(1);
-        }
-        println!("check: the regenerated document equals {path} byte for byte");
-        return;
-    }
-    std::fs::write(path, &json).expect("write BENCH_allocation.json");
-    println!("wrote {path}");
+    mca_bench::util::check_or_write(check, "BENCH_allocation.json", &report.to_json());
 }

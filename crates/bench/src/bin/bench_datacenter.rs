@@ -4,10 +4,12 @@
 //!
 //! Run with `cargo run --release -p mca-bench --bin bench_datacenter`.
 //!
-//! * default: the acceptance-bar workload (24 tenants × 300 slots).
-//! * `--smoke`: a small CI gate (12 tenants × 72 slots); writes nothing.
+//! * default: the acceptance-bar workload (24 tenants × 300 slots), written
+//!   to `BENCH_datacenter.json`.
+//! * `--check`: the same run, written nowhere; exits non-zero unless the
+//!   regenerated document equals the checked-in one byte for byte.
 //!
-//! Both shapes gate identically, on the two contracts of the datacenter
+//! Both modes gate identically, on the two contracts of the datacenter
 //! refactor: every arm's forecasts and total cost must match the arithmetic
 //! baseline bit for bit (the datacenter is pure accounting), no placement
 //! may fail on the paper-default host shape, and the policy sweep must show
@@ -21,21 +23,12 @@ use mca_bench::datacenter::{self, DatacenterWorkload};
 const ENERGY_SPREAD_GATE: f64 = 1.01;
 
 fn main() {
-    let smoke = mca_bench::util::mode_flag("bench_datacenter", &["--smoke"]).is_some();
-    let workload = if smoke {
-        DatacenterWorkload::smoke()
-    } else {
-        DatacenterWorkload::headline()
-    };
+    let check = mca_bench::util::mode_flag("bench_datacenter", &["--check"]).is_some();
 
-    let report = datacenter::run(&workload, mca_bench::DEFAULT_SEED);
+    let report = datacenter::run(&DatacenterWorkload::headline(), mca_bench::DEFAULT_SEED);
     datacenter::print(&report);
 
-    if !smoke {
-        let path = "BENCH_datacenter.json";
-        std::fs::write(path, report.to_json()).expect("write BENCH_datacenter.json");
-        println!("wrote {path}");
-    }
+    mca_bench::util::check_or_write(check, "BENCH_datacenter.json", &report.to_json());
 
     if !report.forecasts_identical {
         eprintln!("ERROR: datacenter billing changed a forecast");

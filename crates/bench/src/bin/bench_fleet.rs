@@ -7,39 +7,30 @@
 //!
 //! Run with `cargo run --release -p mca-bench --bin bench_fleet`.
 //!
-//! * default: the acceptance-bar workload (64 tenants × 2,000 slots); exits
-//!   non-zero on any forecast divergence. The skew section must show the
-//!   rebalanced fleet ≥ 1.5× over static placement at 4 threads, projected
-//!   from per-shard per-slot record counts — the same figure on every
-//!   machine and run (989,600 ÷ 521,768 = 1.897×).
-//! * `--smoke`: a small CI gate (16 tenants × 200 slots), same identity
-//!   gate; writes nothing. The skew gate requires migrations to happen,
-//!   forecasts to stay identical, and the rebalanced fleet to beat static
-//!   placement ≥ 1.2× on projected record counts (101,640 ÷ 54,420 =
-//!   1.868×).
+//! * default: the acceptance-bar workload (64 tenants × 2,000 slots),
+//!   written to `BENCH_fleet.json`; exits non-zero on any forecast
+//!   divergence. The skew section must show migrations, identical forecasts
+//!   and the rebalanced fleet ≥ 1.5× over static placement at 4 threads,
+//!   projected from per-shard per-slot record counts — the same figure on
+//!   every machine and run (989,600 ÷ 521,768 = 1.897×).
+//! * `--check`: the same run and gates, written nowhere; exits non-zero
+//!   unless the regenerated document equals the checked-in one byte for
+//!   byte.
 
 use mca_bench::fleet::{self, FleetWorkload, SkewWorkload};
 
-fn main() {
-    let smoke = mca_bench::util::mode_flag("bench_fleet", &["--smoke"]).is_some();
-    // the rebalancer acceptance bar is 1.5x at the headline shape; the smoke
-    // shape is smaller and skews a little less
-    let (workload, skew_workload, gate) = if smoke {
-        (FleetWorkload::smoke(), SkewWorkload::smoke(), 1.2)
-    } else {
-        (FleetWorkload::headline(), SkewWorkload::headline(), 1.5)
-    };
+/// The rebalancer acceptance bar: projected work, static over rebalanced.
+const WORK_SPEEDUP_GATE: f64 = 1.5;
 
-    let report = fleet::run(&workload, mca_bench::DEFAULT_SEED);
+fn main() {
+    let check = mca_bench::util::mode_flag("bench_fleet", &["--check"]).is_some();
+
+    let report = fleet::run(&FleetWorkload::headline(), mca_bench::DEFAULT_SEED);
     fleet::print(&report);
-    let skew = fleet::run_skewed(&skew_workload, mca_bench::DEFAULT_SEED);
+    let skew = fleet::run_skewed(&SkewWorkload::headline(), mca_bench::DEFAULT_SEED);
     fleet::print_skewed(&skew);
 
-    if !smoke {
-        let path = "BENCH_fleet.json";
-        std::fs::write(path, report.to_json(&skew)).expect("write BENCH_fleet.json");
-        println!("wrote {path}");
-    }
+    mca_bench::util::check_or_write(check, "BENCH_fleet.json", &report.to_json(&skew));
 
     if !report.forecasts_identical {
         eprintln!("ERROR: fleet forecasts diverged from the tenant-alone replay");
@@ -55,9 +46,9 @@ fn main() {
     }
     // gated on work, not nanoseconds: the shard ticks being balanced are
     // tens of microseconds, inside scheduler jitter on any runner
-    if skew.work_speedup() < gate {
+    if skew.work_speedup() < WORK_SPEEDUP_GATE {
         eprintln!(
-            "ERROR: rebalanced projected work speedup {:.3}x is below the {gate}x bar",
+            "ERROR: rebalanced projected work speedup {:.3}x is below the {WORK_SPEEDUP_GATE}x bar",
             skew.work_speedup()
         );
         std::process::exit(1);

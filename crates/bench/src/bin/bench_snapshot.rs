@@ -5,29 +5,22 @@
 //!
 //! Run with `cargo run --release -p mca-bench --bin bench_snapshot`.
 //!
-//! * default: the acceptance-bar sweep (8–128 tenants); exits non-zero if
-//!   any arm's resumed drive diverges from the uninterrupted one.
-//! * `--smoke`: a small CI gate (4–16 tenants); same resume-identity gate,
-//!   writes nothing.
+//! * default: the acceptance-bar sweep (8–128 tenants), written to
+//!   `BENCH_snapshot.json`; exits non-zero if any arm's resumed drive
+//!   diverges from the uninterrupted one.
+//! * `--check`: the same sweep and gate, written nowhere; exits non-zero
+//!   unless the regenerated document equals the checked-in one byte for
+//!   byte.
 
 use mca_bench::snapshot::{self, SnapshotWorkload};
 
 fn main() {
-    let smoke = mca_bench::util::mode_flag("bench_snapshot", &["--smoke"]).is_some();
-    let workload = if smoke {
-        SnapshotWorkload::smoke()
-    } else {
-        SnapshotWorkload::headline()
-    };
+    let check = mca_bench::util::mode_flag("bench_snapshot", &["--check"]).is_some();
 
-    let report = snapshot::run(&workload, mca_bench::DEFAULT_SEED);
+    let report = snapshot::run(&SnapshotWorkload::headline(), mca_bench::DEFAULT_SEED);
     snapshot::print(&report);
 
-    if !smoke {
-        let path = "BENCH_snapshot.json";
-        std::fs::write(path, report.to_json()).expect("write BENCH_snapshot.json");
-        println!("wrote {path}");
-    }
+    mca_bench::util::check_or_write(check, "BENCH_snapshot.json", &report.to_json());
 
     if !report.all_identical() {
         eprintln!("ERROR: a restored fleet diverged from the uninterrupted run");

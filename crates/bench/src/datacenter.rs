@@ -18,9 +18,10 @@
 //!   be measurable.
 //!
 //! `cargo run --release -p mca-bench --bin bench_datacenter` regenerates
-//! `BENCH_datacenter.json` at the repository root; `--smoke` runs the small
-//! CI shape and gates on both contracts. Every field is counted or metered
-//! by the simulation, so the file regenerates byte for byte; what the bill
+//! `BENCH_datacenter.json` at the repository root and gates on both
+//! contracts. Every field is counted or metered by the simulation, so the
+//! file regenerates byte for byte (`--check` compares instead of writing,
+//! as CI does); what the bill
 //! stage costs in time is `core.billing.settle_us_per_slot` in
 //! `BENCHMARK.json`.
 
@@ -56,18 +57,6 @@ impl DatacenterWorkload {
             max_users: 400,
             slots: 300,
             threads: 4,
-        }
-    }
-
-    /// A small configuration for the CI smoke gate.
-    pub fn smoke() -> Self {
-        Self {
-            shards: 5,
-            tenants: 12,
-            zipf_s: 0.8,
-            max_users: 150,
-            slots: 72,
-            threads: 2,
         }
     }
 }

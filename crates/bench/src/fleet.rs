@@ -25,7 +25,8 @@
 
 use mca_core::{AllocationPolicy, IndexPolicy, SystemConfig, TimeSlotBuilder};
 use mca_fleet::{
-    FleetDriver, FleetEngine, RebalancerConfig, ShardLoad, SlotBatchSource, SlotRecord, TenantShard,
+    shard_chunks, FleetDriver, FleetEngine, RebalancerConfig, ShardLoad, SlotBatchSource,
+    SlotRecord, TenantShard,
 };
 use mca_offload::{AccelerationGroupId, TenantId, UserId};
 use mca_telemetry::json::JsonWriter;
@@ -58,16 +59,6 @@ impl FleetWorkload {
         Self {
             tenants: 64,
             slots: 2_000,
-            users_per_tenant: 800,
-            threads: 2,
-        }
-    }
-
-    /// A small configuration for the CI smoke gate.
-    pub fn smoke() -> Self {
-        Self {
-            tenants: 16,
-            slots: 200,
             users_per_tenant: 800,
             threads: 2,
         }
@@ -290,18 +281,6 @@ impl SkewWorkload {
             threads: 4,
         }
     }
-
-    /// A small configuration for the CI smoke gate.
-    pub fn smoke() -> Self {
-        Self {
-            shards: 7,
-            tenants: 16,
-            zipf_s: 0.8,
-            max_users: 300,
-            slots: 120,
-            threads: 4,
-        }
-    }
 }
 
 /// The rebalancer configuration the skew bench runs: trigger early (10 %
@@ -316,8 +295,8 @@ pub fn skew_rebalancer_config() -> RebalancerConfig {
 /// Zipf-skewed workload.
 ///
 /// The cost model is **projected work**: per slot, the most *records* any
-/// chunk of shards ingests under the bundled thread pool's contiguous
-/// chunking at [`SkewWorkload::threads`] threads, summed over the run.
+/// [`shard_chunks`] range of shards ingests at [`SkewWorkload::threads`]
+/// threads, summed over the run.
 /// Counts, not clocks — identical on every machine, run and telemetry mode
 /// (a shard tick here is tens of microseconds, within scheduler jitter of
 /// its neighbours; the measured view of the same imbalance is
@@ -381,27 +360,14 @@ impl SkewBenchReport {
     }
 }
 
-/// One slot's cost at `threads` threads under the bundled thread pool's
-/// contiguous chunking, from the per-shard record counts: the pool splits
-/// the shard list into `threads` contiguous chunks (the first `len %
-/// threads` chunks one longer), runs each chunk on one worker, and the slot
-/// ends when the slowest chunk does. Mirrors `chunk_ranges` in the bundled
-/// rayon stand-in exactly, so the projection is the arithmetic the real pool
-/// executes.
+/// One slot's cost at `threads` threads, from the per-shard record counts:
+/// the engine ticks each [`shard_chunks`] range on one thread, and the slot
+/// ends when the range with the most records does.
 fn projected_slot_cost(per_shard: &[u64], threads: usize) -> u64 {
-    let len = per_shard.len();
-    let parts = threads.clamp(1, len.max(1));
-    let base = len / parts;
-    let extra = len % parts;
-    let mut start = 0;
-    let mut slowest = 0u64;
-    for part in 0..parts {
-        let size = base + usize::from(part < extra);
-        let chunk: u64 = per_shard[start..start + size].iter().sum();
-        start += size;
-        slowest = slowest.max(chunk);
-    }
-    slowest
+    shard_chunks(per_shard.len(), threads)
+        .map(|chunk| per_shard[chunk].iter().sum())
+        .max()
+        .unwrap_or(0)
 }
 
 /// Records each shard ingested in the slot just ticked: the deltas of the
@@ -572,10 +538,19 @@ mod tests {
 
     #[test]
     fn reports_reproduce_byte_for_byte_at_the_smoke_shape() {
-        let json = || {
-            run(&FleetWorkload::smoke(), crate::DEFAULT_SEED)
-                .to_json(&run_skewed(&SkewWorkload::smoke(), crate::DEFAULT_SEED))
+        let fleet = FleetWorkload {
+            tenants: 16,
+            slots: 200,
+            ..FleetWorkload::headline()
         };
+        let skew = SkewWorkload {
+            tenants: 16,
+            max_users: 300,
+            slots: 120,
+            ..SkewWorkload::headline()
+        };
+        let json =
+            || run(&fleet, crate::DEFAULT_SEED).to_json(&run_skewed(&skew, crate::DEFAULT_SEED));
         let first = json();
         assert_eq!(first, json(), "BENCH_fleet.json is a function of the code");
         // the Zipf gate's figures at this shape, every run, on any machine
@@ -587,6 +562,7 @@ mod tests {
     #[test]
     fn projected_slot_model_mirrors_the_pool_chunking() {
         // 5 shards at 2 threads: chunks [0..3], [3..5]
+        assert_eq!(shard_chunks(5, 2).collect::<Vec<_>>(), [0..3, 3..5]);
         assert_eq!(projected_slot_cost(&[5, 1, 1, 4, 4], 2), 8);
         // more threads than shards: one shard per worker = critical path
         assert_eq!(projected_slot_cost(&[5, 1, 1], 8), 5);

@@ -11,11 +11,13 @@
 //!
 //! Five `bench_*` harnesses ride alongside the figures, each a binary with
 //! two modes — the default run, which regenerates a `BENCH_*.json` at the
-//! repository root, and a gate that writes nothing: `--smoke`, the small
-//! shape CI runs, or `--check` for `bench_allocation`. **None of them times
-//! the system for a verdict**: how fast this repository runs is measured by
-//! `benchmark/` against `BENCHMARK.json`, and no exit code here depends on a
-//! clock.
+//! repository root, and a gate that writes nothing: `--check`, which
+//! compares the regenerated document with the checked-in one byte for byte
+//! (the four artifacts that hold counts only), or `--smoke`, the small shape
+//! of `bench_prediction`, whose artifact carries timings. **None of them
+//! times the system for a verdict**: how fast this repository runs is
+//! measured by `benchmark/` against `BENCHMARK.json`, and no exit code here
+//! depends on a clock.
 //!
 //! * [`fleet`] (`bench_fleet` → `BENCH_fleet.json`), [`datacenter`]
 //!   (`bench_datacenter` → `BENCH_datacenter.json`) and [`snapshot`]

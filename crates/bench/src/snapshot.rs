@@ -12,8 +12,8 @@
 //!
 //! `cargo run --release -p mca-bench --bin bench_snapshot` regenerates
 //! `BENCH_snapshot.json` at the repository root, byte for byte (the engines
-//! run under the logical clock); `--smoke` runs the small CI shape and
-//! gates on resume identity.
+//! run under the logical clock), and gates on resume identity; `--check`
+//! compares instead of writing, as CI does.
 
 use mca_fleet::{FleetEngine, TelemetryMode};
 use mca_telemetry::json::JsonWriter;
@@ -46,18 +46,6 @@ impl SnapshotWorkload {
             threads: 4,
             warmup_slots: 96,
             resume_slots: 96,
-        }
-    }
-
-    /// A small configuration for the CI smoke gate.
-    pub fn smoke() -> Self {
-        Self {
-            fleet_sizes: vec![4, 8, 16],
-            users_per_tenant: 12,
-            shards: 3,
-            threads: 2,
-            warmup_slots: 24,
-            resume_slots: 24,
         }
     }
 }

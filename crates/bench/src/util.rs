@@ -51,6 +51,25 @@ pub fn mode_flag(bin: &str, flags: &[&'static str]) -> Option<&'static str> {
     })
 }
 
+/// Ends the run of a `bench_*` bin whose artifact holds counts only. Under
+/// `--check` (`check`) the regenerated `json` must equal the checked-in
+/// `path` byte for byte — exit 1 otherwise — and nothing is written; the
+/// default mode writes it.
+pub fn check_or_write(check: bool, path: &str, json: &str) {
+    if check {
+        let checked_in =
+            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+        if checked_in != json {
+            eprintln!("ERROR: the regenerated document differs from {path}:\n{json}");
+            std::process::exit(1);
+        }
+        println!("check: the regenerated document equals {path} byte for byte");
+    } else {
+        std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        println!("wrote {path}");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

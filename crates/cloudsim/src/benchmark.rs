@@ -14,11 +14,10 @@ use crate::instance::InstanceType;
 use crate::server::Server;
 use mca_offload::TaskPool;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One measured point of the Fig. 4 characterization: statistics of the
 /// response time at a fixed number of concurrent users.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CharacterizationPoint {
     /// Number of concurrent users applied.
     pub users: usize,
@@ -35,7 +34,7 @@ pub struct CharacterizationPoint {
 }
 
 /// Characterization of one instance type across load levels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstanceBenchmark {
     /// The instance type benchmarked.
     pub instance_type: InstanceType,
@@ -162,7 +161,7 @@ pub(crate) fn estimate_capacity(points: &[CharacterizationPoint], target_ms: f64
 
 /// One acceleration level: the set of instance types that provide the same
 /// capacity under the response-time target.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccelerationLevel {
     /// Level index (0 = lowest acceleration).
     pub level: u8,
@@ -173,7 +172,7 @@ pub struct AccelerationLevel {
 }
 
 /// The result of classifying benchmarked instances into acceleration levels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LevelClassification {
     /// Response-time target the classification is based on, ms.
     pub response_target_ms: f64,

@@ -8,11 +8,10 @@
 
 use crate::instance::InstanceType;
 use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Accumulates billed instance-hours per instance type.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BillingMeter {
     hours: BTreeMap<InstanceType, f64>,
 }

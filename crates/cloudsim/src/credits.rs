@@ -10,10 +10,9 @@
 
 use crate::instance::InstanceType;
 use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
-use serde::{Deserialize, Serialize};
 
 /// Credit accumulator for one burstable instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuCreditModel {
     /// Credits earned per hour.
     pub earn_rate_per_hour: f64,

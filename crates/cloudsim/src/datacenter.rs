@@ -23,12 +23,11 @@ use crate::instance::{InstanceSpec, InstanceType};
 use crate::server::Server;
 use mca_offload::AccelerationGroupId;
 use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One physical host of the simulated datacenter: fixed vCPU and memory
 /// capacity, with resource accounting over the instances placed on it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Host {
     /// The host's index in its datacenter.
     id: usize,
@@ -182,7 +181,7 @@ impl PlacementPolicy for WorstFit {
 /// `SystemConfig` carries (the [`PlacementPolicy`] trait itself is object
 /// behaviour; this enum is its configuration-file form, the same split
 /// `AllocationPolicy` uses in `mca-core`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlacementKind {
     /// [`FirstFit`].
     #[default]
@@ -260,7 +259,7 @@ impl std::error::Error for PlacementError {}
 /// Linear-interpolation host power model: a powered host draws
 /// `idle_watts` at zero utilization and `peak_watts` fully loaded, linear in
 /// between — the standard SPECpower-style first-order model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// Draw of a powered but idle host, watts.
     pub idle_watts: f64,
@@ -306,7 +305,7 @@ pub struct GroupDemand {
 /// SLA scoring over one slot: violations when the forecast under-provisioned
 /// against the actual arrivals, plus the latency/drop signal of the
 /// processor-sharing server model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlaModel {
     /// The response-time target a group counts as violated beyond, ms (the
     /// same target the acceleration groups' capacities were derived under).
@@ -336,7 +335,7 @@ impl SlaModel {
 }
 
 /// The outcome of scoring one slot against the standing placement.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SlaAssessment {
     /// Group-slots violated: demand exceeded the provisioned capacity, or
     /// the modeled worst response exceeded the target.
@@ -351,7 +350,7 @@ pub struct SlaAssessment {
 /// Configuration of a simulated datacenter: host fleet shape, placement
 /// policy, power and SLA models. Carried by `SystemConfig::with_datacenter`
 /// the same way the index policy is.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatacenterConfig {
     /// Number of hosts.
     pub hosts: usize,
@@ -410,7 +409,7 @@ impl DatacenterConfig {
 }
 
 /// One instance placed on a host, in placement order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlacedInstance {
     /// The acceleration group the instance serves.
     pub group: AccelerationGroupId,
@@ -424,7 +423,7 @@ pub struct PlacedInstance {
 /// models that score it. One `Datacenter` serves one tenant (it lives inside
 /// the tenant's billing backend and migrates with the tenant), which is what
 /// makes its accounting thread-count-invariant by construction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Datacenter {
     hosts: Vec<Host>,
     placement: PlacementKind,

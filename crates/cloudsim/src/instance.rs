@@ -9,11 +9,10 @@
 //! of them (level 4).
 
 use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Instance types used in the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(non_camel_case_types)]
 pub enum InstanceType {
     /// t2.nano — 1 vCPU, 0.5 GiB (anomalously strong, see Fig. 6).
@@ -187,7 +186,7 @@ impl fmt::Display for InstanceType {
 }
 
 /// Static specification of an instance type.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InstanceSpec {
     /// The instance type this specification describes.
     pub instance_type: InstanceType,

@@ -9,7 +9,6 @@ use crate::billing::BillingMeter;
 use crate::instance::InstanceType;
 use crate::server::Server;
 use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Default per-account instance cap (`CC` in the allocation model).
@@ -44,7 +43,7 @@ impl fmt::Display for PoolError {
 impl std::error::Error for PoolError {}
 
 /// A running instance in the back-end.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunningInstance {
     /// Pool-unique id of the instance.
     pub id: u64,
@@ -57,7 +56,7 @@ pub struct RunningInstance {
 }
 
 /// The back-end instance pool.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstancePool {
     instances: Vec<RunningInstance>,
     next_id: u64,

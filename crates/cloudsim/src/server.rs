@@ -22,10 +22,9 @@ use crate::instance::{InstanceSpec, InstanceType};
 use mca_offload::TaskPool;
 use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Tunable parameters of the server model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerConfig {
     /// Instance type backing the server.
     pub instance_type: InstanceType,
@@ -83,7 +82,7 @@ impl Restore for ServerConfig {
 }
 
 /// A simulated cloud server (one instance running the Dalvik-x86 surrogate).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Server {
     config: ServerConfig,
     spec: InstanceSpec,
@@ -377,7 +376,7 @@ fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 }
 
 /// Result of a closed-loop (concurrent mode) experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClosedLoopResult {
     /// Number of concurrent users emulated.
     pub users: usize,
@@ -430,7 +429,7 @@ impl ClosedLoopResult {
 }
 
 /// Result of an open-loop (inter-arrival mode) experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpenLoopResult {
     /// Offered arrival rate, Hz.
     pub arrival_hz: f64,

@@ -10,11 +10,10 @@
 use crate::error::CoreError;
 use mca_cloudsim::{InstanceType, LevelClassification, Server};
 use mca_offload::AccelerationGroupId;
-use serde::{Deserialize, Serialize};
 
 /// One acceleration group: a level of code acceleration and the instance
 /// types that provide it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccelerationGroup {
     /// The group identifier (`a_n`); higher ids accelerate more.
     pub id: AccelerationGroupId,
@@ -48,7 +47,7 @@ impl AccelerationGroup {
 }
 
 /// The ordered set of acceleration groups `A` offered by the system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccelerationGroups {
     groups: Vec<AccelerationGroup>,
     /// Response-time target (ms) that defined the groups' capacities.

@@ -17,10 +17,9 @@ use mca_cloudsim::{InstanceType, Server};
 use mca_lp::{LpError, Problem, Sense, Solution, SparseProblem, VarId, VarKind};
 use mca_offload::AccelerationGroupId;
 use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
-use serde::{Deserialize, Serialize};
 
 /// Which allocation policy to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AllocationPolicy {
     /// The paper's policy: exact cost minimization via Integer Linear
     /// Programming.
@@ -40,7 +39,7 @@ pub enum AllocationPolicy {
 ///
 /// Zero for the closed-form policies (greedy / over-provision) and for
 /// cache-served allocations.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AllocationStats {
     /// Branch-and-bound nodes explored.
     pub nodes: usize,
@@ -56,7 +55,7 @@ pub struct AllocationStats {
 /// breakdown, cost and capacities — and deliberately ignores [`AllocationStats`],
 /// so two solvers that chose the same instances produce equal allocations
 /// regardless of how much work each spent.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Allocation {
     /// Instances to run, per type (summed over groups).
     pub counts: Vec<(InstanceType, usize)>,
@@ -170,7 +169,7 @@ const MIN_INSTANCES_PER_GROUP: usize = 1;
 const TYPICAL_WORK_UNITS: f64 = 65.0;
 
 /// The dynamic resource allocator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResourceAllocator {
     groups: AccelerationGroups,
     policy: AllocationPolicy,

@@ -30,10 +30,9 @@ use mca_cloudsim::{
 };
 use mca_offload::AccelerationGroupId;
 use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
-use serde::{Deserialize, Serialize};
 
 /// The outcome of settling one provisioning slot against a billing backend.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SlotSettlement {
     /// Cost of the slot, USD — `hourly_cost × slot_length_ms / 3 600 000`,
     /// identical under every backend.
@@ -59,7 +58,7 @@ pub struct SlotSettlement {
 
 /// Datacenter usage accumulated over a whole run — the rollup of every
 /// slot's [`SlotSettlement`], reported by [`crate::SystemReport`].
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DatacenterUsage {
     /// Total SLA-violated group-slots.
     pub sla_violations: usize,
@@ -112,7 +111,7 @@ pub trait BillingBackend: std::fmt::Debug {
 
 /// The paper's arithmetic billing: pool transaction plus prorated hourly
 /// cost, nothing else. The default backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ArithmeticBilling;
 
 impl BillingBackend for ArithmeticBilling {
@@ -141,7 +140,7 @@ impl BillingBackend for ArithmeticBilling {
 /// path's pool transaction and bit-identical cost, plus placement onto
 /// finite hosts, SLA scoring of actual arrivals against the standing
 /// capacity, and per-slot energy metering.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatacenterBilling {
     datacenter: Datacenter,
     /// Capacity per group the standing allocation provisioned — what the
@@ -249,7 +248,7 @@ impl BillingBackend for DatacenterBilling {
 /// [`crate::SystemConfig::build_billing`] returns and what a fleet tenant
 /// shard stores (shards are `Clone`, so a `Box<dyn BillingBackend>` would
 /// not do; the enum gives static dispatch on the hot path as a bonus).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BillingEngine {
     /// Arithmetic billing — the default.
     Arithmetic(ArithmeticBilling),

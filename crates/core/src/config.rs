@@ -8,10 +8,9 @@ use crate::predictor::{PredictionStrategy, WorkloadPredictor};
 use mca_cloudsim::DatacenterConfig;
 use mca_mobile::{DeviceClass, PromotionPolicy};
 use mca_network::{CellularNetwork, Operator, Technology};
-use serde::{Deserialize, Serialize};
 
 /// Full configuration of the closed-loop system (Fig. 2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// The acceleration groups offered as a service.
     pub groups: AccelerationGroups,
@@ -53,7 +52,6 @@ pub struct SystemConfig {
     /// (placement + SLA + energy) instead of pure arithmetic. Forecasts,
     /// allocations and costs are bit-identical either way — the datacenter
     /// only *adds* accounting signals (see `docs/datacenter.md`).
-    #[serde(default)]
     pub datacenter: Option<DatacenterConfig>,
 }
 

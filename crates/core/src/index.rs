@@ -32,7 +32,6 @@
 //! checkpoint.
 
 use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Whether (and from which history length) the predictor's nearest-slot
@@ -41,7 +40,7 @@ use std::ops::Range;
 /// This is purely a performance knob: the tree search returns bit-identical
 /// forecasts to the serial scan, because a summary bound only ever
 /// *refutes* candidates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexPolicy {
     /// Retained history length from which the tree is kept and queried
     /// (`None` never builds it). Below it the serial best-first scan runs.
@@ -135,7 +134,7 @@ fn shift(level: usize) -> u32 {
 }
 
 /// The envelope of one group over a node's member slots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Envelope {
     min_count: usize,
     max_count: usize,
@@ -173,7 +172,7 @@ impl Envelope {
 /// One level of the tree: the envelopes of consecutive nodes, `group_count`
 /// entries per node, starting at node number `first_node` (a node's number
 /// is its first global slot index shifted down by the level's [`shift`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Level {
     first_node: usize,
     envelopes: Vec<Envelope>,
@@ -200,7 +199,7 @@ impl Level {
 /// [`crate::predictor::WorkloadPredictor`] owns one while its
 /// [`IndexPolicy`] and history length call for it and keeps it aligned with
 /// the signatures.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct SummaryTree {
     group_count: usize,
     /// Global index of the first covered slot.

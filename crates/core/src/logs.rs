@@ -7,10 +7,9 @@
 //! the evidence the predictor learns from.
 
 use mca_offload::{AccelerationGroupId, TraceRecord, UserId};
-use serde::{Deserialize, Serialize};
 
 /// In-memory, append-only store of processed-request traces.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceLog {
     records: Vec<TraceRecord>,
 }

@@ -8,10 +8,9 @@
 use crate::predictor::{PredictionStrategy, WorkloadForecast, WorkloadPredictor};
 use crate::timeslot::{SlotHistory, TimeSlot};
 use mca_offload::AccelerationGroupId;
-use serde::{Deserialize, Serialize};
 
 /// Accuracy of one forecast against the slot that actually materialized.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PredictionQuality {
     /// Per-group accuracy in `[0, 1]`.
     pub per_group: Vec<(AccelerationGroupId, f64)>,
@@ -56,7 +55,7 @@ pub fn accuracy(
 }
 
 /// Result of a k-fold cross-validation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrossValidationReport {
     /// Mean accuracy of each fold.
     pub fold_accuracies: Vec<f64>,

@@ -43,12 +43,11 @@ use crate::index::{group_bound, range_overlap, IndexPolicy, SummaryTree};
 use crate::timeslot::{SlotHistory, TimeSlot};
 use mca_offload::AccelerationGroupId;
 use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// How the predictor turns the slot history into a forecast.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PredictionStrategy {
     /// The paper's strategy: the forecast is the historical slot closest to
     /// the current slot under the edit distance.
@@ -159,7 +158,7 @@ impl TreeSearch<'_> {
 }
 
 /// The per-group workload forecast for the next provisioning interval.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkloadForecast {
     /// Predicted number of users per acceleration group (`W_{a_n}`).
     pub per_group: Vec<(AccelerationGroupId, usize)>,
@@ -194,7 +193,7 @@ impl WorkloadForecast {
 /// state: two predictors with identical knowledge bases compare equal
 /// regardless of how many queries each has answered, so `PartialEq` here is
 /// identically true.
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Default)]
 pub struct PredictorStats {
     /// Nearest-slot scan queries answered (both paths: serial best-first,
     /// summary tree).
@@ -263,7 +262,7 @@ impl PartialEq for PredictorStats {
 
 /// Plain-integer snapshot of [`PredictorStats`], comparable and copyable.
 /// See the field docs on [`PredictorStats`] for meanings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PredictorStatsSnapshot {
     /// Nearest-slot scan queries answered.
     pub queries: u64,
@@ -370,7 +369,7 @@ impl Restore for PredictorStats {
 
 /// The workload predictor: a knowledge base of historical slots plus a
 /// prediction strategy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadPredictor {
     history: SlotHistory,
     strategy: PredictionStrategy,

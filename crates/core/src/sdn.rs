@@ -16,11 +16,10 @@ use mca_cloudsim::{InstanceType, Server};
 use mca_network::TransferModel;
 use mca_offload::{AccelerationGroupId, OffloadRequest, TraceRecord};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Outcome of routing one request through the SDN-accelerator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoutedRequest {
     /// The trace record logged for the request (timing decomposition and
     /// outcome).
@@ -35,7 +34,7 @@ pub struct RoutedRequest {
 }
 
 /// The SDN-accelerator: request handler, code offloader/router and log.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SdnAccelerator {
     groups: AccelerationGroups,
     config: SystemConfig,

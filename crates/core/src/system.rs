@@ -15,11 +15,10 @@ use mca_mobile::{Battery, DeviceProfile, Moderator};
 use mca_offload::{AccelerationGroupId, OffloadRequest, RequestId, TraceRecord, UserId};
 use mca_workload::ArrivalTrace;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One promotion performed by a device's moderator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PromotionEvent {
     /// The promoted user.
     pub user: UserId,
@@ -31,7 +30,7 @@ pub struct PromotionEvent {
 
 /// What one provisioning slot looked like: the observed workload, the
 /// forecast made for the *next* slot, and the allocation applied.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SlotObservation {
     /// Slot index.
     pub index: usize,
@@ -51,7 +50,7 @@ pub struct SlotObservation {
 /// Per-user view of the experiment: every response the user perceived, in
 /// order, with the serving acceleration group (the data behind Fig. 9b/9c and
 /// Fig. 10b/10c).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserPerception {
     /// The user.
     pub user: UserId,
@@ -77,7 +76,7 @@ impl UserPerception {
 }
 
 /// The report produced by a system run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemReport {
     /// Every processed request, in completion order.
     pub records: Vec<TraceRecord>,

@@ -24,18 +24,17 @@ use crate::logs::TraceLog;
 use crate::window::SlotWindower;
 use mca_offload::{AccelerationGroupId, TraceRecord, UserId};
 use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
-use serde::{Deserialize, Serialize};
 
 /// The users of one acceleration group within a slot, sorted by id and
 /// deduplicated.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct GroupRun {
     group: AccelerationGroupId,
     users: Vec<UserId>,
 }
 
 /// One time slot `t_i`: which users were active in which acceleration group.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TimeSlot {
     /// Slot index within the history (chronological).
     pub index: usize,
@@ -366,7 +365,7 @@ impl TimeSlotBuilder {
 /// global (chronological since the beginning of the trace), so an evicted
 /// history still reports meaningful slot indices; [`SlotHistory::first_index`]
 /// gives the global index of the oldest retained slot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SlotHistory {
     slots: Vec<TimeSlot>,
     /// Slot length in milliseconds.

@@ -4,8 +4,9 @@
 //! [`ShardRouter`] hashes onto it. Every provisioning slot the engine
 //! ingests one batch of arrival records, scatters it in one pass into the
 //! hosted tenants' slot builders, and runs every shard's
-//! build→predict→allocate→bill cycle **in parallel** over a rayon thread
-//! pool. Three properties make the parallel tick safe and reproducible:
+//! build→predict→allocate→bill cycle **in parallel** — scoped threads, one
+//! contiguous chunk of shards each ([`shard_chunks`]). Three properties make
+//! the parallel tick safe and reproducible:
 //!
 //! * shards share no state — each tenant's knowledge base, allocator, pool
 //!   and RNG stream live in exactly one shard,
@@ -32,9 +33,9 @@ use mca_snapshot::{
 };
 use mca_telemetry::{LatencyHistogram, Registry, StageTimer, TelemetryClock};
 use mca_workload::TenantMix;
-use rayon::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
+use std::ops::Range;
 
 /// Wire-section tags of the engine checkpoint stream, in stream order. One
 /// `SHARD` section follows per shard; the driver appends its own sections
@@ -89,6 +90,20 @@ impl Shard {
     }
 }
 
+/// How a tick divides `len` shards among `threads` threads: contiguous,
+/// near-equal index ranges covering `0..len` in order, the first
+/// `len % parts` one longer, where `parts = threads.clamp(1, len.max(1))`.
+/// Each range is ticked by one thread, so a slot ends when the range with
+/// the most work does.
+pub fn shard_chunks(len: usize, threads: usize) -> impl ExactSizeIterator<Item = Range<usize>> {
+    let parts = threads.clamp(1, len.max(1));
+    let (base, extra) = (len / parts, len % parts);
+    (0..parts).map(move |part| {
+        let start = part * base + part.min(extra);
+        start..start + base + usize::from(part < extra)
+    })
+}
+
 /// The multi-tenant sharded prediction/allocation engine.
 #[derive(Debug)]
 pub struct FleetEngine {
@@ -98,7 +113,6 @@ pub struct FleetEngine {
     shards: Vec<Shard>,
     /// Shard and position of every tenant hosted whole; rebuilt every slot.
     routes: RouteTable,
-    pool: rayon::ThreadPool,
     threads: usize,
     slot_index: usize,
     dropped_records: usize,
@@ -135,8 +149,8 @@ pub struct FleetEngine {
 
 impl FleetEngine {
     /// Creates an engine with `shards` empty shards over the shared system
-    /// configuration. The thread pool defaults to the machine's available
-    /// parallelism; see [`FleetEngine::with_threads`].
+    /// configuration. The tick's thread count defaults to the machine's
+    /// available parallelism; see [`FleetEngine::with_threads`].
     ///
     /// # Panics
     ///
@@ -147,17 +161,13 @@ impl FleetEngine {
         let shards = (0..shards)
             .map(|_| Shard::new(Vec::new(), ShardTelemetry::new(mode)))
             .collect();
-        let pool = rayon::ThreadPoolBuilder::new()
-            .build()
-            .expect("thread pool construction cannot fail");
-        let threads = pool.current_num_threads();
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
         Self {
             config,
             seed,
             router,
             shards,
             routes: RouteTable::new(),
-            pool,
             threads,
             slot_index: 0,
             dropped_records: 0,
@@ -179,11 +189,7 @@ impl FleetEngine {
     /// Overrides the tick's thread count (1 = fully sequential). Forecasts
     /// and metrics are independent of this setting.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads.max(1))
-            .build()
-            .expect("thread pool construction cannot fail");
-        self.threads = self.pool.current_num_threads();
+        self.threads = threads.max(1);
         self
     }
 
@@ -570,12 +576,26 @@ impl FleetEngine {
                 }
             }
         }
-        let shards = &mut self.shards;
-        self.pool.install(|| {
-            shards
-                .par_iter_mut()
-                .for_each(|shard| shard.tick(slot_index, now_ms))
-        });
+        let chunks = shard_chunks(self.shards.len(), self.threads);
+        if chunks.len() == 1 {
+            for shard in &mut self.shards {
+                shard.tick(slot_index, now_ms);
+            }
+        } else {
+            // the scope joins every worker and re-raises a worker's panic
+            std::thread::scope(|scope| {
+                let mut rest = self.shards.as_mut_slice();
+                for chunk in chunks {
+                    let (head, tail) = rest.split_at_mut(chunk.len());
+                    rest = tail;
+                    scope.spawn(move || {
+                        for shard in head {
+                            shard.tick(slot_index, now_ms);
+                        }
+                    });
+                }
+            });
+        }
         if self.clock.enabled() {
             let slowest = self
                 .shards
@@ -1094,19 +1114,13 @@ impl FleetEngine {
             }
             shards.push(Shard::new(tenants, telemetry));
         }
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads.max(1))
-            .build()
-            .expect("thread pool construction cannot fail");
-        let threads = pool.current_num_threads();
         Ok(Self {
             config: config.clone(),
             seed,
             router,
             shards,
             routes: RouteTable::new(),
-            pool,
-            threads,
+            threads: threads.max(1),
             slot_index,
             dropped_records,
             dropped_by_tenant,
@@ -1171,6 +1185,48 @@ mod tests {
         let forecasts = engine.forecasts();
         assert_eq!(forecasts.len(), 6);
         assert!(forecasts.iter().all(|(_, f)| f.is_some()));
+    }
+
+    #[test]
+    fn shard_chunks_cover_the_range_in_order_longer_chunks_first() {
+        for (len, threads) in [(10, 3), (3, 8), (0, 4), (7, 1), (16, 4)] {
+            let chunks: Vec<Range<usize>> = shard_chunks(len, threads).collect();
+            assert_eq!(chunks.len(), threads.clamp(1, len.max(1)));
+            let mut next = 0;
+            for chunk in &chunks {
+                assert_eq!(chunk.start, next, "contiguous ({len}, {threads})");
+                next = chunk.end;
+            }
+            assert_eq!(next, len, "covers 0..{len}");
+            let sizes: Vec<usize> = chunks.iter().map(Range::len).collect();
+            assert!(sizes.windows(2).all(|pair| pair[0] >= pair[1]));
+            assert!(sizes[0] - sizes[sizes.len() - 1] <= 1);
+        }
+    }
+
+    #[test]
+    fn the_thread_count_is_at_least_one_and_may_exceed_the_shards() {
+        assert_eq!(
+            FleetEngine::new(config(), 2, 1).with_threads(0).threads(),
+            1
+        );
+
+        // more threads than shards: one shard per worker, same answers
+        let run = |threads: usize| {
+            let mut engine = FleetEngine::new(config(), 3, 1).with_threads(threads);
+            engine.add_tenants((0..5).map(TenantId));
+            engine.ingest_batch(&records(5, 6));
+            engine.ingest_batch(&records(5, 6));
+            (engine.metrics(), engine.forecasts())
+        };
+        assert_eq!(run(8), run(1));
+
+        // no tenant hosted: every shard still ticks, every record is dropped
+        let mut empty = FleetEngine::new(config(), 4, 1).with_threads(2);
+        empty.ingest_batch(&records(2, 3));
+        assert_eq!(empty.slot_index(), 1);
+        assert_eq!(empty.dropped_records(), 6);
+        assert!(empty.telemetry().shards.iter().all(|s| s.ticks == 1));
     }
 
     #[test]

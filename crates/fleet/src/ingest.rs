@@ -12,12 +12,11 @@
 use crate::router::ShardRouter;
 use mca_offload::{AccelerationGroupId, TenantId, UserId};
 use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// One observed assignment: `user` of `tenant` was active in `group` during
 /// the current slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotRecord {
     /// The tenant the user belongs to.
     pub tenant: TenantId,

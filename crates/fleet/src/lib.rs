@@ -34,10 +34,11 @@
 //!   late/dropped-record accounting). Misuse surfaces as a typed
 //!   [`FleetError`] instead of a panic.
 //! * [`engine`] — [`FleetEngine`]: owns the shards and runs every shard's
-//!   tick concurrently on a rayon thread pool. Per-tenant forecasts are
-//!   bit-identical to running each tenant alone, whatever the shard count
-//!   or thread count, because shards share no state, RNG streams are seeded
-//!   per tenant and the nearest-neighbour tie-break stays first-minimum.
+//!   tick concurrently — scoped threads, one contiguous chunk of shards each
+//!   ([`shard_chunks`]). Per-tenant forecasts are bit-identical to running
+//!   each tenant alone, whatever the shard count or thread count, because
+//!   shards share no state, RNG streams are seeded per tenant and the
+//!   nearest-neighbour tie-break stays first-minimum.
 //!   One **huge** tenant (the CloneCloud-style single app with an outsized
 //!   clone population) can instead be *user-sharded*
 //!   ([`FleetEngine::add_user_sharded_tenant`]): every shard hosts a
@@ -54,10 +55,10 @@
 //!   `docs/datacenter.md`).
 //! * [`rebalance`] — the elastic placement layer: [`Rebalancer`] runs
 //!   between slots off each tenant's deterministic users-per-tick load
-//!   EWMA, and when the hottest shard's load diverges from the mean
-//!   (pluggable [`RebalanceTrigger`]) it live-migrates the heaviest movable
-//!   tenants onto the coldest shard (pluggable [`MigrationChooser`],
-//!   deterministic tie-breaks). Migration moves the whole [`TenantShard`] —
+//!   EWMA, and when the hottest shard's load reaches
+//!   [`RebalancerConfig::ratio`] times the mean it live-migrates the
+//!   heaviest movable tenants onto the coldest shard (deterministic
+//!   tie-breaks). Migration moves the whole [`TenantShard`] —
 //!   history, nearest-slot index, RNG stream, warm allocation memo cache,
 //!   standing forecast, pool, metrics — and records follow through the
 //!   router's indirection table, so forecasts and [`FleetMetrics`] stay
@@ -108,14 +109,11 @@ pub mod source;
 pub mod telemetry;
 
 pub use driver::{DriveReport, FleetDriver};
-pub use engine::FleetEngine;
+pub use engine::{shard_chunks, FleetEngine};
 pub use error::FleetError;
 pub use ingest::SlotRecord;
 pub use metrics::{FleetMetrics, TenantMetrics};
-pub use rebalance::{
-    MigrationChooser, MigrationRecord, RebalanceSnapshot, RebalanceTrigger, Rebalancer,
-    RebalancerConfig,
-};
+pub use rebalance::{MigrationRecord, RebalanceSnapshot, Rebalancer, RebalancerConfig};
 pub use router::ShardRouter;
 pub use shard::TenantShard;
 pub use source::{

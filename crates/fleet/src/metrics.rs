@@ -16,10 +16,9 @@
 
 use mca_offload::TenantId;
 use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
-use serde::{Deserialize, Serialize};
 
 /// Accounting for one tenant: forecast quality, spend and allocation volume.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TenantMetrics {
     /// The tenant.
     pub tenant: TenantId,
@@ -210,7 +209,7 @@ impl Restore for TenantMetrics {
 }
 
 /// The fleet-wide rollup over every tenant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetMetrics {
     /// Per-tenant accounting, sorted by tenant id.
     pub per_tenant: Vec<TenantMetrics>,

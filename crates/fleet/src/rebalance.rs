@@ -10,14 +10,13 @@
 //! forecast and metrics intact, routed thereafter through the
 //! [`crate::ShardRouter`] indirection table.
 //!
-//! Both halves of the policy are pluggable and, crucially, **deterministic**:
+//! Both halves of the policy are **deterministic**:
 //!
-//! * the [`RebalanceTrigger`] decides *whether* to act — the stock policy
-//!   fires when `max(shard load) / mean(shard load)` reaches a threshold;
-//! * the [`MigrationChooser`] decides *what* to move — the stock policy
-//!   takes the heaviest movable tenant off the hottest shard and lands it on
-//!   the coldest, with every tie broken by the lowest shard index and the
-//!   lowest tenant id, and only moves that strictly shrink the hottest
+//! * *whether* to act — the check fires when `max(shard load) / mean(shard
+//!   load)` reaches [`RebalancerConfig::ratio`];
+//! * *what* to move — the heaviest movable tenant leaves the hottest shard
+//!   for the coldest, with every tie broken by the lowest shard index and
+//!   the lowest tenant id, and only moves that strictly shrink the hottest
 //!   shard's load (`cold + tenant < hot`), so the greedy loop terminates.
 //!
 //! Every input is a pure function of the observed record counts (the load
@@ -28,59 +27,18 @@
 
 use mca_offload::TenantId;
 use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
-use serde::{Deserialize, Serialize};
 
 /// Migrations kept in the rebalancer's recent-activity log (oldest dropped
 /// first). Telemetry only — the counters are never capped.
 const MIGRATION_LOG_CAP: usize = 32;
 
-/// When the rebalancer acts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum RebalanceTrigger {
-    /// Fire when the hottest shard carries at least `ratio` times the mean
-    /// shard load. `1.0` fires on any imbalance; higher values tolerate
-    /// more skew before moving anyone.
-    MaxMeanRatio {
-        /// The max/mean load ratio at which the trigger fires.
-        ratio: f64,
-    },
-}
-
-impl RebalanceTrigger {
-    /// Evaluates the trigger on the per-shard loads: returns the observed
-    /// ratio and whether the trigger fires. A fleet with no measurable load
-    /// never fires.
-    fn evaluate(&self, loads: &[f64]) -> (f64, bool) {
-        let total: f64 = loads.iter().sum();
-        if loads.is_empty() || total <= 0.0 {
-            return (0.0, false);
-        }
-        let mean = total / loads.len() as f64;
-        let max = loads.iter().cloned().fold(0.0f64, f64::max);
-        let observed = max / mean;
-        match *self {
-            RebalanceTrigger::MaxMeanRatio { ratio } => (observed, observed >= ratio),
-        }
-    }
-}
-
-/// Which tenant moves, and where to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MigrationChooser {
-    /// Move the heaviest movable tenant off the hottest shard onto the
-    /// coldest shard, but only when that strictly shrinks the hottest
-    /// shard's load (`coldest + tenant < hottest`). Ties break by lowest
-    /// shard index and lowest tenant id.
-    HeaviestFromHottest,
-}
-
 /// Configuration of the between-slots rebalance check.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RebalancerConfig {
-    /// When to act.
-    pub trigger: RebalanceTrigger,
-    /// What to move.
-    pub chooser: MigrationChooser,
+    /// The check fires when the hottest shard carries at least `ratio` times
+    /// the mean shard load. `1.0` fires on any imbalance; higher values
+    /// tolerate more skew before moving anyone.
+    pub ratio: f64,
     /// Slots to wait before the first check, so every tenant's load EWMA has
     /// seeded (an unseeded EWMA reads 0 and would make fresh tenants look
     /// free to stack anywhere).
@@ -96,8 +54,7 @@ pub struct RebalancerConfig {
 impl Default for RebalancerConfig {
     fn default() -> Self {
         Self {
-            trigger: RebalanceTrigger::MaxMeanRatio { ratio: 1.25 },
-            chooser: MigrationChooser::HeaviestFromHottest,
+            ratio: 1.25,
             warmup_slots: 4,
             check_interval: 1,
             max_moves_per_check: 1,
@@ -108,8 +65,22 @@ impl Default for RebalancerConfig {
 impl RebalancerConfig {
     /// Sets the max/mean trigger ratio.
     pub fn with_ratio(mut self, ratio: f64) -> Self {
-        self.trigger = RebalanceTrigger::MaxMeanRatio { ratio };
+        self.ratio = ratio;
         self
+    }
+
+    /// Evaluates the trigger on the per-shard loads: returns the observed
+    /// max/mean ratio and whether the check fires. A fleet with no
+    /// measurable load never fires.
+    fn evaluate(&self, loads: &[f64]) -> (f64, bool) {
+        let total: f64 = loads.iter().sum();
+        if loads.is_empty() || total <= 0.0 {
+            return (0.0, false);
+        }
+        let mean = total / loads.len() as f64;
+        let max = loads.iter().cloned().fold(0.0f64, f64::max);
+        let observed = max / mean;
+        (observed, observed >= self.ratio)
     }
 
     /// Sets the warmup, in slots.
@@ -132,7 +103,7 @@ impl RebalancerConfig {
 }
 
 /// One executed migration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationRecord {
     /// The slot index the migration ran before.
     pub slot: usize,
@@ -150,7 +121,7 @@ pub struct MigrationRecord {
 /// the metrics registry. Everything here is derived from count-based load
 /// EWMAs, so a `Logical`-mode snapshot comparison across thread counts
 /// doubles as proof the migration schedule itself is thread-independent.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RebalanceSnapshot {
     /// Rebalance checks run.
     pub checks: u64,
@@ -220,7 +191,7 @@ impl Rebalancer {
         movable: &mut [Vec<(TenantId, f64)>],
     ) -> Vec<MigrationRecord> {
         self.checks += 1;
-        let (ratio, fires) = self.config.trigger.evaluate(loads);
+        let (ratio, fires) = self.config.evaluate(loads);
         self.last_ratio = ratio;
         if !fires || loads.len() < 2 {
             return Vec::new();
@@ -247,15 +218,15 @@ impl Rebalancer {
         moves
     }
 
-    /// Plans one migration under the chooser, mutating the views, or `None`
-    /// when no strictly improving move exists.
+    /// Plans one migration — the heaviest movable tenant off the hottest
+    /// shard onto the coldest — mutating the views, or `None` when no
+    /// strictly improving move exists.
     fn plan_one(
         &self,
         slot: usize,
         loads: &mut [f64],
         movable: &mut [Vec<(TenantId, f64)>],
     ) -> Option<MigrationRecord> {
-        let MigrationChooser::HeaviestFromHottest = self.config.chooser;
         // hottest and coldest shard, ties to the lowest index
         let (hot, _) = loads
             .iter()
@@ -327,9 +298,7 @@ impl Rebalancer {
 
 impl Snapshot for RebalancerConfig {
     fn encode(&self, out: &mut Vec<u8>) {
-        let RebalanceTrigger::MaxMeanRatio { ratio } = self.trigger;
-        ratio.encode(out);
-        let MigrationChooser::HeaviestFromHottest = self.chooser;
+        self.ratio.encode(out);
         self.warmup_slots.encode(out);
         self.check_interval.encode(out);
         self.max_moves_per_check.encode(out);
@@ -339,10 +308,7 @@ impl Snapshot for RebalancerConfig {
 impl Restore for RebalancerConfig {
     fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
         Ok(Self {
-            trigger: RebalanceTrigger::MaxMeanRatio {
-                ratio: f64::decode(cur)?,
-            },
-            chooser: MigrationChooser::HeaviestFromHottest,
+            ratio: f64::decode(cur)?,
             warmup_slots: usize::decode(cur)?,
             check_interval: usize::decode(cur)?,
             max_moves_per_check: usize::decode(cur)?,
@@ -427,7 +393,7 @@ mod tests {
 
     #[test]
     fn trigger_measures_max_over_mean() {
-        let trigger = RebalanceTrigger::MaxMeanRatio { ratio: 1.5 };
+        let trigger = RebalancerConfig::default().with_ratio(1.5);
         let (ratio, fires) = trigger.evaluate(&[30.0, 10.0, 20.0]);
         assert!((ratio - 1.5).abs() < 1e-12);
         assert!(fires);
@@ -541,6 +507,34 @@ mod tests {
         // every planned move strictly improved at plan time, so the loop
         // terminated before the budget if nothing improved further
         assert!(moves.len() <= 8);
+    }
+
+    #[test]
+    fn checkpoint_bytes_are_ratio_warmup_interval_budget_then_the_counters() {
+        let config = RebalancerConfig::default()
+            .with_ratio(1.5)
+            .with_warmup_slots(4)
+            .with_check_interval(3)
+            .with_max_moves_per_check(2);
+        // what every version-5 writer has produced: no tag for the trigger
+        // or the chooser, the ratio's bits and three little-endian u64s
+        let mut expected = vec![0, 0, 0, 0, 0, 0, 0xF8, 0x3F];
+        for field in [4u64, 3, 2] {
+            expected.extend(field.to_le_bytes());
+        }
+        // a fresh rebalancer: three counters, the last ratio (0.0) and three
+        // empty lists, eight zero bytes each
+        expected.extend([0u8; 56]);
+
+        let mut bytes = Vec::new();
+        Rebalancer::new(config).encode(&mut bytes);
+        assert_eq!(bytes, expected);
+
+        let mut cur = Cursor::new(&expected);
+        let restored = Rebalancer::decode(&mut cur).unwrap();
+        assert!(cur.is_empty());
+        assert_eq!(restored.config(), &config);
+        assert_eq!(restored.snapshot(), RebalanceSnapshot::default());
     }
 
     #[test]

@@ -20,7 +20,6 @@
 
 use mca_offload::{TenantId, UserId};
 use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// SplitMix64 finalizer: a cheap, well-distributed 64-bit mix.
@@ -34,7 +33,7 @@ fn splitmix64(x: u64) -> u64 {
 /// Hashes tenant and user ids onto a fixed number of shards, with an
 /// indirection table for tenants whose placement has diverged from the
 /// hash.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardRouter {
     shards: usize,
     /// Per-tenant placement overrides; tenants absent from the table live on

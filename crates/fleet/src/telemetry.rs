@@ -22,7 +22,6 @@ use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
 use mca_telemetry::{
     LatencyHistogram, LogicalClock, MonotonicClock, Registry, StageTimer, TelemetryClock,
 };
-use serde::{Deserialize, Serialize};
 
 /// Smoothing factor of the per-shard load and tick-latency EWMAs: each new
 /// slot contributes 1/8, the classic RFC 6298 weighting — heavy enough to
@@ -31,7 +30,7 @@ use serde::{Deserialize, Serialize};
 const EWMA_ALPHA: f64 = 0.125;
 
 /// How an engine's instrumentation measures time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TelemetryMode {
     /// No measurements are taken or recorded; the load accounting
     /// (tick/record counts, load EWMA) still runs.
@@ -62,7 +61,7 @@ impl TelemetryMode {
 /// asserts: `windowing` and `predict` record once per tenant-tick, `allocate`
 /// once per produced forecast, `bill` once per successful allocation, and
 /// `tick` once per shard-slot.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StageHistograms {
     /// Building the tenant's observed [`mca_core::TimeSlot`] from the staged
     /// records (the single sort + dedup pass).
@@ -330,7 +329,7 @@ pub(crate) fn ewma(prev: f64, sample: f64, count: u64) -> f64 {
 }
 
 /// One shard's load view inside a [`FleetTelemetry`] snapshot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardLoad {
     /// Shard index.
     pub shard: usize,
@@ -353,7 +352,7 @@ pub struct ShardLoad {
 /// The engine-wide telemetry snapshot: per-slot ingest latency, stage
 /// histograms merged over the shards (in shard order, so the merge is
 /// deterministic), and every shard's load view.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetTelemetry {
     /// The mode the engine measured in.
     pub mode: TelemetryMode,

@@ -1,6 +1,5 @@
 //! Variable handles and linear expressions.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::{Add, AddAssign, Mul};
 
@@ -8,7 +7,7 @@ use std::ops::{Add, AddAssign, Mul};
 ///
 /// `VarId`s are only meaningful for the problem that created them; using a
 /// handle with a different problem yields [`crate::LpError::UnknownVariable`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VarId(pub(crate) usize);
 
 impl VarId {
@@ -32,7 +31,7 @@ impl VarId {
 /// assert_eq!(expr.coefficient(x), 2.0);
 /// assert_eq!(expr.coefficient(y), 3.0);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LinearExpr {
     terms: BTreeMap<VarId, f64>,
 }

@@ -3,10 +3,9 @@
 use crate::error::LpError;
 use crate::expr::{LinearExpr, VarId};
 use crate::sparse::{Relaxed, SparseProblem, Workspace};
-use serde::{Deserialize, Serialize};
 
 /// Whether a variable must take integer values in the final solution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VarKind {
     /// Real-valued variable.
     Continuous,
@@ -15,7 +14,7 @@ pub enum VarKind {
 }
 
 /// Direction of a linear constraint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Sense {
     /// `expr <= rhs`
     Le,
@@ -26,7 +25,7 @@ pub enum Sense {
 }
 
 /// Optimization direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Objective {
     /// Minimize the objective expression.
     Minimize,
@@ -35,7 +34,7 @@ pub enum Objective {
 }
 
 /// A decision variable: bounds, kind and objective coefficient.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Variable {
     /// Human-readable name used in error messages and debugging output.
     pub name: String,
@@ -52,7 +51,7 @@ pub struct Variable {
 }
 
 /// A linear constraint `expr (<=|>=|==) rhs`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Constraint {
     /// Human-readable name.
     pub name: String,
@@ -78,7 +77,7 @@ impl Constraint {
 }
 
 /// Counters describing the work performed while solving a [`Problem`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SolveStats {
     /// Branch-and-bound nodes explored (1 for a pure LP).
     pub nodes: usize,
@@ -90,7 +89,7 @@ pub struct SolveStats {
 }
 
 /// The result of a successful solve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
     /// Optimal objective value in the problem's own direction.
     pub objective: f64,
@@ -121,7 +120,7 @@ impl Solution {
 ///
 /// Build the problem with [`Problem::add_var`] and
 /// [`Problem::add_constraint`], then call [`Problem::solve`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Problem {
     objective: Objective,
     variables: Vec<Variable>,

@@ -6,10 +6,8 @@
 //! keeps the energy accounting simple: a capacity in milliwatt-hours drained
 //! by (power, duration) pairs.
 
-use serde::{Deserialize, Serialize};
-
 /// A rechargeable battery with a fixed capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Battery {
     capacity_mwh: f64,
     remaining_mwh: f64,

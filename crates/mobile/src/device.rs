@@ -5,11 +5,10 @@
 //! device takes five times as long as a level-1 cloud core for the same task.
 
 use mca_offload::TaskSpec;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Category of mobile hardware in the deployed application's install base.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceClass {
     /// Last-generation smartphone: handles the heavy routines locally.
     Flagship,
@@ -43,7 +42,7 @@ impl fmt::Display for DeviceClass {
 }
 
 /// Hardware profile of a mobile device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceProfile {
     /// The device class this profile describes.
     pub class: DeviceClass,

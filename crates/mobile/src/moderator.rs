@@ -11,10 +11,9 @@
 use crate::device::DeviceProfile;
 use mca_offload::{AccelerationGroupId, Profiler};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How the moderator decides to request a higher acceleration group.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PromotionPolicy {
     /// Promote with a fixed probability after each completed request — the
     /// paper's evaluated configuration uses `probability = 1/50`.
@@ -59,7 +58,7 @@ impl PromotionPolicy {
 }
 
 /// Event emitted by the moderator after observing a completed request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModeratorEvent {
     /// Keep the current acceleration group.
     Stay,
@@ -75,7 +74,7 @@ impl ModeratorEvent {
 }
 
 /// Client-side moderator bound to one device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Moderator {
     policy: PromotionPolicy,
     profiler: Profiler,

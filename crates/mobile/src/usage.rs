@@ -14,7 +14,6 @@
 //! distribution over `[100 ms, 5000 ms]` — via [`InterArrivalSampler`].
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Inter-arrival bounds extracted by the paper, in milliseconds.
 pub const PAPER_INTER_ARRIVAL_MIN_MS: f64 = 100.0;
@@ -22,7 +21,7 @@ pub const PAPER_INTER_ARRIVAL_MIN_MS: f64 = 100.0;
 pub const PAPER_INTER_ARRIVAL_MAX_MS: f64 = 5_000.0;
 
 /// One application session recorded on a participant's device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionRecord {
     /// Day of the study, starting at 0.
     pub day: u32,
@@ -35,7 +34,7 @@ pub struct SessionRecord {
 }
 
 /// The synthesized trace of a single participant over the whole study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParticipantTrace {
     /// Participant index (0–5 in the paper's study).
     pub participant: u32,
@@ -63,7 +62,7 @@ impl ParticipantTrace {
 }
 
 /// The synthetic 3-month, 6-participant usage study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UsageStudy {
     /// One trace per participant.
     pub participants: Vec<ParticipantTrace>,
@@ -144,7 +143,7 @@ impl UsageStudy {
 /// The shape is a truncated exponential: most requests follow each other
 /// within a second (interactive bursts), with a tail up to the 5-second cap
 /// (the paper's removal of longer gaps).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InterArrivalSampler {
     /// Minimum inter-arrival time, ms.
     pub min_ms: f64,

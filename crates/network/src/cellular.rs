@@ -8,11 +8,10 @@
 
 use crate::latency::{standard_normal, LatencyDistribution};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Cellular access technology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Technology {
     /// 3G / HSPA access.
     ThreeG,
@@ -30,7 +29,7 @@ impl fmt::Display for Technology {
 }
 
 /// The three anonymized mobile operators of the paper's latency study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operator {
     /// Operator α.
     Alpha,
@@ -56,7 +55,7 @@ impl fmt::Display for Operator {
 }
 
 /// Calibration data for one operator/technology pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatorProfile {
     /// Operator the profile describes.
     pub operator: Operator,
@@ -154,7 +153,7 @@ impl OperatorProfile {
 /// The diurnal modulation follows the busy-hour pattern visible in Fig. 11:
 /// RTTs are slightly elevated during daytime (traffic load) and lowest in the
 /// early morning, while the daily average stays at the calibrated mean.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellularNetwork {
     profile: OperatorProfile,
     /// Peak-to-mean amplitude of the diurnal modulation (0 disables it).

@@ -1,10 +1,9 @@
 //! Latency distributions and summary statistics.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A distribution from which round-trip times (in milliseconds) are sampled.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LatencyDistribution {
     /// Always the same value. Useful for tests and for the paper's
     /// "stable LTE / cloudlet-like latency" assumption.
@@ -98,7 +97,7 @@ pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 }
 
 /// Summary statistics of a latency sample set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LatencyStats {
     /// Number of samples aggregated.
     pub count: usize,

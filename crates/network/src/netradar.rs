@@ -8,10 +8,9 @@
 use crate::cellular::{CellularNetwork, Operator, Technology};
 use crate::latency::LatencyStats;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One synthetic RTT measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetRadarSample {
     /// Operator that served the measurement.
     pub operator: Operator,
@@ -24,7 +23,7 @@ pub struct NetRadarSample {
 }
 
 /// Hourly aggregate of a campaign — one point of a Fig. 11 series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HourlyLatency {
     /// Hour of day in `[0, 24)`.
     pub hour: u8,
@@ -33,7 +32,7 @@ pub struct HourlyLatency {
 }
 
 /// A synthetic measurement campaign for one operator and technology.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetRadarCampaign {
     /// Operator measured by the campaign.
     pub operator: Operator,

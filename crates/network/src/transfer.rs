@@ -8,10 +8,9 @@
 //! hard-coded.
 
 use crate::cellular::Technology;
-use serde::{Deserialize, Serialize};
 
 /// Bandwidth model for uplink/downlink payload transfers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferModel {
     /// Uplink throughput in bytes per millisecond.
     pub uplink_bytes_per_ms: f64,

@@ -10,10 +10,8 @@
 //! [`OffloadDecision`]. The SDN architecture sits behind this decision: only
 //! requests that decide to offload reach the accelerator.
 
-use serde::{Deserialize, Serialize};
-
 /// The costs the decision engine weighs for a candidate task.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecisionInput {
     /// Work units of the task (1 work unit = 1 ms on a reference cloud core).
     pub work_units: f64,
@@ -63,7 +61,7 @@ impl DecisionInput {
 }
 
 /// Outcome of evaluating the offloading rule for one task.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OffloadDecision {
     /// Delegate the task to the cloud; carries the predicted speed-up factor
     /// (local time / remote time).
@@ -96,7 +94,7 @@ impl OffloadDecision {
 }
 
 /// Policy weights for the decision rule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecisionEngine {
     /// Weight of the time objective in \[0, 1\]; the energy objective gets the
     /// complement. 1.0 reproduces the paper's pure performance focus

@@ -6,11 +6,6 @@ use std::fmt;
 /// Errors produced by the offloading runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OffloadError {
-    /// The serialized application state could not be decoded.
-    CorruptState {
-        /// Reason reported by the decoder.
-        reason: String,
-    },
     /// A task specification was invalid (e.g. zero-sized input where a
     /// positive size is required).
     InvalidTask {
@@ -29,9 +24,6 @@ pub enum OffloadError {
 impl fmt::Display for OffloadError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            OffloadError::CorruptState { reason } => {
-                write!(f, "corrupt application state: {reason}")
-            }
             OffloadError::InvalidTask { reason } => write!(f, "invalid task: {reason}"),
             OffloadError::UnknownTask { index, pool_size } => {
                 write!(f, "task index {index} out of range for pool of {pool_size}")
@@ -48,11 +40,11 @@ mod tests {
 
     #[test]
     fn display_messages() {
-        assert!(OffloadError::CorruptState {
-            reason: "bad length".into()
+        assert!(OffloadError::InvalidTask {
+            reason: "zero input".into()
         }
         .to_string()
-        .contains("bad length"));
+        .contains("zero input"));
         assert!(OffloadError::UnknownTask {
             index: 12,
             pool_size: 10

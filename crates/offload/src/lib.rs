@@ -7,10 +7,6 @@
 //!   simulator (minimax, n-queens, quicksort, bubblesort, …), with both a
 //!   deterministic *work model* (how many abstract work units a task costs)
 //!   and real, executable Rust implementations used to validate results.
-//! * [`state`] — application-state encapsulation for the homogeneous
-//!   offloading model of §II-A (the same runtime on both sides): the mobile
-//!   serializes the state needed by the method, the surrogate
-//!   reconstructs it and executes the task.
 //! * [`request`] — offloading requests and the trace record schema
 //!   `<timestamp, user-id, acceleration-group, battery-level, round-trip-time>`
 //!   stored by the SDN-accelerator (§IV-A).
@@ -32,12 +28,10 @@ pub mod decision;
 pub mod error;
 pub mod profiler;
 pub mod request;
-pub mod state;
 pub mod task;
 
 pub use decision::{DecisionEngine, DecisionInput, OffloadDecision};
 pub use error::OffloadError;
 pub use profiler::{MethodProfile, Profiler};
 pub use request::{AccelerationGroupId, OffloadRequest, RequestId, TenantId, TraceRecord, UserId};
-pub use state::ApplicationState;
 pub use task::{TaskKind, TaskOutput, TaskPool, TaskSpec};

@@ -8,11 +8,10 @@
 //! instrumentation layer: it records per-method response-time samples and
 //! exposes the moving statistics the moderator's policies consume.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Rolling statistics for one instrumented method.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MethodProfile {
     /// Method identifier (e.g. `"minimax"`).
     pub method: String,
@@ -92,7 +91,7 @@ impl MethodProfile {
 }
 
 /// Records response-time samples per method and exposes rolling statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Profiler {
     window: usize,
     profiles: HashMap<String, MethodProfile>,

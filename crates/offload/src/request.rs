@@ -7,13 +7,10 @@
 
 use crate::task::TaskSpec;
 use mca_snapshot::{decode_le_run, encode_le_run, Cursor, Restore, Snapshot, SnapshotError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a mobile user (device) in the workload.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct UserId(pub u32);
 
 impl fmt::Display for UserId {
@@ -26,9 +23,7 @@ impl fmt::Display for UserId {
 /// user population, slot history and cloud account. The paper models a single
 /// operator; a production deployment serves many, each predicted and
 /// provisioned independently (`mca-fleet`).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct TenantId(pub u32);
 
 impl fmt::Display for TenantId {
@@ -38,9 +33,7 @@ impl fmt::Display for TenantId {
 }
 
 /// Identifier of an individual offloading request.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct RequestId(pub u64);
 
 impl fmt::Display for RequestId {
@@ -54,9 +47,7 @@ impl fmt::Display for RequestId {
 /// Group ids are small integers ordered by increasing acceleration; group 0 is
 /// the lowest level (the demoted t2.micro group in the paper), group 1 the
 /// default entry level, and so on.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct AccelerationGroupId(pub u8);
 
 impl AccelerationGroupId {
@@ -104,7 +95,7 @@ impl_id_snapshot!(UserId => u32, TenantId => u32, RequestId => u64, Acceleration
 
 /// A single code-offloading request travelling from a mobile device to the
 /// SDN-accelerator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OffloadRequest {
     /// Unique request id assigned by the client.
     pub id: RequestId,
@@ -148,7 +139,7 @@ impl OffloadRequest {
 /// One processed request as stored in the system log (the paper's MySQL
 /// trace): `<timestamp, user-id, acceleration-group, battery-level, rtt>`,
 /// extended with the timing decomposition used in Fig. 7.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceRecord {
     /// Completion timestamp (simulation time, milliseconds).
     pub timestamp_ms: f64,

@@ -20,11 +20,10 @@
 use crate::error::OffloadError;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The ten algorithms in the workload pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TaskKind {
     /// Game-tree minimax search (the paper's static benchmarking task).
     Minimax,
@@ -90,7 +89,7 @@ impl fmt::Display for TaskKind {
 ///
 /// The meaning of `input_size` is algorithm specific (search depth, board
 /// size, array length, matrix dimension, …); see [`TaskSpec::work_units`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TaskSpec {
     /// Which algorithm to run.
     pub kind: TaskKind,
@@ -99,7 +98,7 @@ pub struct TaskSpec {
 }
 
 /// Result of actually executing a task implementation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskOutput {
     /// The task that produced this output.
     pub spec: TaskSpec,
@@ -224,7 +223,7 @@ impl fmt::Display for TaskSpec {
 ///
 /// The paper's simulator picks a random task from a pool of ten algorithms and
 /// a random amount of processing per request (§VI-A-1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskPool {
     tasks: Vec<TaskSpec>,
 }

@@ -3,9 +3,8 @@
 //! The fleet's closed loop is a *continuously learning* controller — its
 //! knowledge base is the product of uptime — so suspending a process must
 //! not discard it. This crate is the process-to-process transport behind
-//! checkpoint/restore: a dependency-free, hand-rolled binary codec (the
-//! workspace's serde stand-ins implement only marker traits, so there is no
-//! derive path) with the layout
+//! checkpoint/restore: a dependency-free, hand-rolled binary codec — the
+//! workspace's only serialization — with the layout
 //!
 //! ```text
 //! magic "MCAS" | version u16 LE
@@ -25,7 +24,7 @@
 //! [`Restore`] (decode from a [`Cursor`]); the traits ship with impls for
 //! the primitives and the std collections the workspace's state lives in,
 //! so a struct's impl is usually a field-by-field fold. Types whose restore
-//! needs ambient context (a `SystemConfig`, a thread pool) expose inherent
+//! needs ambient context (a `SystemConfig`) expose inherent
 //! `decode_state`-style constructors instead of `Restore`.
 
 #![forbid(unsafe_code)]

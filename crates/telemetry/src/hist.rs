@@ -10,7 +10,6 @@
 //! no floating point, no allocation after the first record.
 
 use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
-use serde::{Deserialize, Serialize};
 
 /// Sub-bucket resolution: each power-of-two octave is split into
 /// `2^SUB_BITS` linear sub-buckets.
@@ -30,7 +29,7 @@ pub const BUCKETS: usize = SUB_COUNT + (64 - SUB_BITS as usize) * SUB_COUNT; // 
 /// under a logical clock across thread counts.
 ///
 /// [`record`]: LatencyHistogram::record
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LatencyHistogram {
     buckets: Vec<u64>,
     count: u64,

@@ -1,9 +1,9 @@
 //! A minimal recursive-descent JSON parser and its streaming dual,
 //! [`JsonWriter`].
 //!
-//! The workspace has no network access, so there is no `serde_json` to lean
-//! on; the parser exists so tests and the benchmark gates can *round-trip
-//! validate* what the workspace writes — the snapshots produced by
+//! The workspace depends on no JSON crate; the parser exists so tests and
+//! the benchmark gates can *round-trip validate* what the workspace writes —
+//! the snapshots produced by
 //! [`crate::expo::json_snapshot`] and the `BENCH_*.json` reports built on
 //! the writer. It accepts strict RFC 8259 JSON (no comments, no trailing
 //! commas) and keeps object keys in a `BTreeMap` for deterministic

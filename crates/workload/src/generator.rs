@@ -4,10 +4,9 @@ use crate::trace::{Arrival, ArrivalTrace};
 use mca_mobile::InterArrivalSampler;
 use mca_offload::{TaskPool, UserId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Which of the simulator's operational modes to use.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GenerationMode {
     /// `users` emulated devices offload simultaneously in periodic bursts
     /// separated by `burst_interval_ms` (the paper uses 1-minute intervals to
@@ -30,7 +29,7 @@ pub enum GenerationMode {
 }
 
 /// Generates [`ArrivalTrace`]s according to a [`GenerationMode`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadGenerator {
     mode: GenerationMode,
     pool: TaskPool,

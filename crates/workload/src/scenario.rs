@@ -9,10 +9,8 @@
 //!   consecutive provisioning slots — the "quickly growing load" situation
 //!   discussed in §IV-B-2 that the predictor handles conservatively.
 
-use serde::{Deserialize, Serialize};
-
 /// One step of a rate schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RateStep {
     /// Offered arrival rate during the step, Hz.
     pub arrival_hz: f64,
@@ -24,7 +22,7 @@ pub struct RateStep {
 
 /// The Fig. 8b schedule: the arrival rate doubles every `step_duration_ms`
 /// from `start_hz` until `end_hz` (inclusive).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DoublingRateScenario {
     /// Rate of the first step, Hz.
     pub start_hz: f64,
@@ -70,7 +68,7 @@ impl DoublingRateScenario {
 /// A user-population ramp across provisioning slots: the number of active
 /// users changes linearly from `start_users` to `end_users` over `slots`
 /// slots.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RampScenario {
     /// Users in the first slot.
     pub start_users: usize,

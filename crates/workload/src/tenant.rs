@@ -21,7 +21,6 @@ use crate::scenario::RampScenario;
 use mca_offload::{AccelerationGroupId, TenantId, UserId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Stride of the per-tenant user-id space: tenant `t` owns ids
 /// `[t * STRIDE, (t + 1) * STRIDE)`, so tenant populations never collide.
@@ -33,7 +32,7 @@ const USER_ID_STRIDE: u32 = 1 << 20;
 pub const MAX_TENANTS: usize = (u32::MAX / USER_ID_STRIDE) as usize; // 4095
 
 /// The load shape assigned to one tenant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TenantScenario {
     /// A stable subscriber base: the same users every slot.
     Steady {
@@ -76,7 +75,7 @@ impl TenantScenario {
 
 /// A heterogeneous population of tenants, each with its own [`TenantScenario`]
 /// and a disjoint user-id range.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantMix {
     seed: u64,
     groups: Vec<AccelerationGroupId>,

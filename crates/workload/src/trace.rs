@@ -1,10 +1,9 @@
 //! Arrival traces: the output of the workload generator.
 
 use mca_offload::{TaskSpec, UserId};
-use serde::{Deserialize, Serialize};
 
 /// One offloading request arrival.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Arrival {
     /// Arrival time at the SDN-accelerator, simulation milliseconds.
     pub time_ms: f64,
@@ -15,7 +14,7 @@ pub struct Arrival {
 }
 
 /// A chronologically ordered sequence of arrivals.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ArrivalTrace {
     arrivals: Vec<Arrival>,
 }

@@ -12,7 +12,7 @@ use mobile_code_acceleration::core::{
 };
 use mobile_code_acceleration::fleet::{ingest::bucket_by_shard, SlotBatchSource, TenantMetrics};
 use mobile_code_acceleration::lp::{LpError, Problem, Sense, VarKind};
-use mobile_code_acceleration::offload::{ApplicationState, TaskKind, TaskSpec};
+use mobile_code_acceleration::offload::{TaskKind, TaskSpec};
 use mobile_code_acceleration::prelude::*;
 use mobile_code_acceleration::snapshot::Cursor;
 use proptest::prelude::*;
@@ -350,16 +350,6 @@ fn task_kind_strategy() -> impl Strategy<Value = TaskKind> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Application state survives an encode/decode round trip for every task
-    /// kind and input size.
-    #[test]
-    fn application_state_round_trips(kind in task_kind_strategy(), size in 1u32..2_000, apk in 0u32..1_000) {
-        let task = TaskSpec::new(kind, size);
-        let state = ApplicationState::capture(task, apk);
-        let decoded = ApplicationState::decode(state.encode()).expect("round trip");
-        prop_assert_eq!(decoded, state);
-    }
 
     /// The work model is monotone in the input size and always positive.
     #[test]
