@@ -807,7 +807,11 @@ impl WorkloadPredictor {
     /// the prediction runs, the minimum distance is exactly zero, and the
     /// nearest slot is the **earliest retained slot equal to the probe**:
     /// equal per-group user runs (slice equality exits on the first
-    /// differing user). No distance is ever evaluated.
+    /// differing user). No distance is ever evaluated. Equal runs have
+    /// equal counts and equal `(min, max)` ids, so a candidate must first
+    /// match the probe's cached count signature and id ranges — both read
+    /// from the flat caches, without touching the slot — and only the
+    /// survivors compare their user runs.
     ///
     /// # Errors
     ///
@@ -834,15 +838,17 @@ impl WorkloadPredictor {
                 let mut position = last;
                 if group_count > 0 {
                     let current = &slots[last];
-                    let current_signature =
-                        &self.signatures[last * group_count..(last + 1) * group_count];
-                    for (earlier, signature) in self
+                    let probe = last * group_count..(last + 1) * group_count;
+                    let current_signature = &self.signatures[probe.clone()];
+                    let current_ranges = &self.id_ranges[probe];
+                    for (earlier, (signature, ranges)) in self
                         .signatures
                         .chunks_exact(group_count)
+                        .zip(self.id_ranges.chunks_exact(group_count))
                         .enumerate()
                         .take(last)
                     {
-                        if signature != current_signature {
+                        if signature != current_signature || ranges != current_ranges {
                             continue;
                         }
                         if self
@@ -1195,6 +1201,52 @@ mod tests {
                 assert_eq!(fast, slow, "{strategy:?} predictor state");
             }
         }
+    }
+
+    /// A slot holding `users` in group 1 and user 7 in group 2.
+    fn population(users: &[u32]) -> TimeSlot {
+        let pairs = users.iter().map(|&u| (AccelerationGroupId(1), UserId(u)));
+        TimeSlot::from_assignments(0, pairs.chain([(AccelerationGroupId(2), UserId(7))]))
+    }
+
+    #[test]
+    fn observe_and_predict_skips_equal_counts_with_other_id_ranges() {
+        let mut p = predictor_with_history(vec![
+            population(&[0, 1, 2]),
+            population(&[10, 11, 12]),
+            population(&[1, 2, 3]),
+        ]);
+        let forecast = p.observe_and_predict(population(&[10, 11, 12])).unwrap();
+        assert_eq!(forecast.matched_slot, Some(1));
+        // no retained slot shares the probe's ranges: it matches itself
+        let forecast = p.observe_and_predict(population(&[0, 1, 3])).unwrap();
+        assert_eq!(forecast.matched_slot, Some(4));
+    }
+
+    #[test]
+    fn observe_and_predict_compares_users_inside_equal_id_ranges() {
+        // equal counts and equal (min, max) per group, one interior user
+        // apart: not a twin
+        let mut p = predictor_with_history(vec![population(&[0, 5, 9])]);
+        let forecast = p.observe_and_predict(population(&[0, 6, 9])).unwrap();
+        assert_eq!(forecast.matched_slot, Some(1));
+        let forecast = p.observe_and_predict(population(&[0, 5, 9])).unwrap();
+        assert_eq!(forecast.matched_slot, Some(0));
+    }
+
+    #[test]
+    fn observe_and_predict_matches_the_earliest_twin_after_eviction() {
+        let mut p = WorkloadPredictor::new(GROUPS.to_vec(), 3_600_000.0).with_window(4);
+        let (twin, near) = (population(&[0, 5, 9]), population(&[0, 6, 9]));
+        let mut matched = Vec::new();
+        for slot in [&twin, &near, &twin, &slot(4, 0, 0), &twin, &twin] {
+            matched.push(p.observe_and_predict(slot.clone()).unwrap().matched_slot);
+        }
+        // global slot 0 leaves the window with the fifth slot: from then on
+        // the earliest retained twin is global slot 2
+        assert_eq!(p.history().first_index(), 2);
+        let expected = [0, 1, 0, 3, 2, 2];
+        assert_eq!(matched, expected.map(Some));
     }
 
     #[test]

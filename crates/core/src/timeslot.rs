@@ -225,29 +225,28 @@ impl Restore for TimeSlot {
 /// mostly-ordered arrivals, quadratic for a bulk feed of interleaved users
 /// (many tenants, shuffled ingest). The builder instead collects raw
 /// assignments unordered, packed as `group << 32 | user` so that key order
-/// is `(group, user)` order, and produces the slot with **one** radix sort +
-/// dedup pass, yielding exactly the slot the per-record path would have
-/// built. The trace-replay path ([`SlotHistory::from_log`]) builds and drops
-/// a builder per slot; the fleet ingest keeps one per tenant and drains it
-/// with [`TimeSlotBuilder::finish`], reusing both buffers.
+/// is `(group, user)` order, and produces the slot with **one** sort +
+/// dedup, yielding exactly the slot the per-record path would have built.
+/// One tenant's ids are close together, so that sort is usually a bitmap
+/// pass (see [`TimeSlotBuilder::finish`]). The trace-replay path
+/// ([`SlotHistory::from_log`]) builds and drops a builder per slot; the
+/// fleet ingest keeps one per tenant and drains it with
+/// [`TimeSlotBuilder::finish`], reusing both buffers.
 #[derive(Debug, Clone, Default)]
 pub struct TimeSlotBuilder {
     index: usize,
     keys: Vec<u64>,
-    /// The radix sort's second buffer.
+    /// The radix sort's second buffer, or the bitmap of a dense batch.
     scratch: Vec<u64>,
 }
-
-/// Bits of a packed key: a `u8` group above a `u32` user.
-const KEY_BITS: u32 = 40;
 
 /// Below this many keys the 256-counter passes cost more than comparing.
 const RADIX_MIN_KEYS: usize = 64;
 
-/// Sorts packed keys ascending with an LSD byte-radix sort over the bytes
-/// that differ somewhere in the batch. Returns at once on sorted input, the
-/// shape of a recorded trace. On return `scratch` holds unspecified keys.
-fn sort_keys(keys: &mut Vec<u64>, scratch: &mut Vec<u64>) {
+/// Sorts keys below `1 << bits` ascending with an LSD byte-radix sort.
+/// Returns at once on sorted input, the shape of a recorded trace. On
+/// return `scratch` holds unspecified keys.
+fn sort_keys(keys: &mut Vec<u64>, scratch: &mut Vec<u64>, bits: u32) {
     if keys.windows(2).all(|w| w[0] <= w[1]) {
         return;
     }
@@ -255,24 +254,8 @@ fn sort_keys(keys: &mut Vec<u64>, scratch: &mut Vec<u64>) {
         keys.sort_unstable();
         return;
     }
-    let (any, all) = keys
-        .iter()
-        .fold((0, u64::MAX), |(any, all), &key| (any | key, all & key));
-    // one tenant's users share their high id bits: while sorting, drop them,
-    // so that the group sits next to the user bits that vary and shares
-    // their digits (a digit of three group values alone serializes the
-    // counter updates)
-    let user_bits = 64 - ((any ^ all) & 0xffff_ffff).leading_zeros();
-    let low = (1u64 << user_bits) - 1;
-    let shared = all & 0xffff_ffff & !low;
-    let squeeze = |key: u64| (key >> 32 << user_bits) | (key & low);
-    keys.iter_mut().for_each(|key| *key = squeeze(*key));
-    let varying = squeeze(any ^ all);
     scratch.resize(keys.len(), 0);
-    for shift in (0..KEY_BITS).step_by(8) {
-        if (varying >> shift) & 0xff == 0 {
-            continue;
-        }
+    for shift in (0..bits).step_by(8) {
         let byte = |key: u64| (key >> shift) as usize & 0xff;
         let mut offsets = [0usize; 256];
         for &key in keys.iter() {
@@ -288,8 +271,25 @@ fn sort_keys(keys: &mut Vec<u64>, scratch: &mut Vec<u64>) {
         }
         std::mem::swap(keys, scratch);
     }
-    let widen = |key: u64| (key >> user_bits << 32) | shared | (key & low);
-    keys.iter_mut().for_each(|key| *key = widen(*key));
+}
+
+/// Sorts and deduplicates keys below `words * 64` by setting one bit per
+/// key in `bitmap` and reading the set bits back into `keys` in order.
+/// Allocates nothing once `bitmap` has held `words` words.
+fn sort_dedup_dense(keys: &mut Vec<u64>, bitmap: &mut Vec<u64>, words: usize) {
+    bitmap.clear();
+    bitmap.resize(words, 0);
+    for &key in keys.iter() {
+        bitmap[(key >> 6) as usize] |= 1 << (key & 63);
+    }
+    keys.clear();
+    for (at, &word) in bitmap.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            keys.push((at as u64) << 6 | u64::from(bits.trailing_zeros()));
+            bits &= bits - 1;
+        }
+    }
 }
 
 impl TimeSlotBuilder {
@@ -341,14 +341,48 @@ impl TimeSlotBuilder {
     /// [`TimeSlotBuilder::build`] for a builder that lives on: builds the
     /// slot at `index` and leaves the builder empty with its buffers'
     /// capacity, ready for the next slot's assignments.
+    ///
+    /// One pass finds the smallest and largest group and user, and every
+    /// key is rewritten relative to them, `(group − gmin) << ubits |
+    /// (user − umin)` with `ubits` the bits of the user span, which keeps
+    /// `(group, user)` order. When the relative span fits in as many 64-bit
+    /// words as there are keys, a bitmap of that size sorts and
+    /// deduplicates in one pass; otherwise the keys are radix-sorted and
+    /// deduplicated. Neither grows a buffer past the number of keys.
     pub fn finish(&mut self, index: usize) -> TimeSlot {
-        sort_keys(&mut self.keys, &mut self.scratch);
-        self.keys.dedup();
+        let Some(&first) = self.keys.first() else {
+            return TimeSlot::new(index);
+        };
+        let group = |key: u64| (key >> 32) as u32;
+        let user = |key: u64| key as u32;
+        let (mut gmin, mut gmax) = (group(first), group(first));
+        let (mut umin, mut umax) = (user(first), user(first));
+        for &key in &self.keys {
+            (gmin, gmax) = (gmin.min(group(key)), gmax.max(group(key)));
+            (umin, umax) = (umin.min(user(key)), umax.max(user(key)));
+        }
+        let ubits = u32::BITS - (umax - umin).leading_zeros();
+        let relative =
+            |key: u64| u64::from(group(key) - gmin) << ubits | u64::from(user(key) - umin);
+        self.keys.iter_mut().for_each(|key| *key = relative(*key));
+        let largest = relative(u64::from(gmax) << 32 | u64::from(umax));
+        let words = (largest >> 6) as usize + 1;
+        if words <= self.keys.len() {
+            sort_dedup_dense(&mut self.keys, &mut self.scratch, words);
+        } else {
+            let bits = u64::BITS - largest.leading_zeros();
+            sort_keys(&mut self.keys, &mut self.scratch, bits);
+            self.keys.dedup();
+        }
         // collected from exact-size slices: a retained slot has no slack
-        let same_group = |a: &u64, b: &u64| a >> 32 == b >> 32;
+        let user_mask = (1u64 << ubits) - 1;
+        let same_group = |a: &u64, b: &u64| a >> ubits == b >> ubits;
         let cut = |run: &[u64]| GroupRun {
-            group: AccelerationGroupId((run[0] >> 32) as u8),
-            users: run.iter().map(|&key| UserId(key as u32)).collect(),
+            group: AccelerationGroupId((run[0] >> ubits) as u8 + gmin as u8),
+            users: run
+                .iter()
+                .map(|&key| UserId((key & user_mask) as u32 + umin))
+                .collect(),
         };
         let runs = self.keys.chunk_by(same_group).map(cut).collect();
         self.keys.clear();
@@ -820,14 +854,16 @@ mod tests {
     #[test]
     fn radix_sort_equals_sort_unstable_at_every_length_around_the_cut_over() {
         let mut scratch = Vec::new();
-        // masks: all 40 key bits, one tenant's id window under three groups,
-        // and each single byte varying alone
-        let masks = [(1u64 << KEY_BITS) - 1, 0x3_0000_03ff]
+        // relative keys: the widest (a `u8` group span above a 32-bit user
+        // span), one tenant's ids under three groups, and each byte of the
+        // widest varying alone above constant lower bytes
+        let masks = [(1u64 << 40) - 1, 0x3_ffff]
             .into_iter()
-            .chain((0..KEY_BITS).step_by(8).map(|shift| 0xff << shift));
+            .chain((0..40).step_by(8).map(|shift| 0xff << shift));
         for mask in masks {
+            let bits = u64::BITS - mask.leading_zeros();
+            let fixed = 0xa5_a5a5_a5a5 & !mask & ((1 << bits) - 1);
             for len in 0..=300u64 {
-                let fixed = 0x17_a5a5_a5a5 & !mask;
                 let shuffled: Vec<u64> = (0..len)
                     .map(|i| fixed | mixed(len << 32 | i) & mask)
                     .collect();
@@ -836,7 +872,7 @@ mod tests {
                 let reversed: Vec<u64> = expected.iter().rev().copied().collect();
                 for input in [&shuffled, &expected, &reversed] {
                     let mut keys = input.clone();
-                    sort_keys(&mut keys, &mut scratch);
+                    sort_keys(&mut keys, &mut scratch, bits);
                     assert_eq!(keys, expected, "mask {mask:#x}, {len} keys");
                 }
             }
@@ -845,40 +881,53 @@ mod tests {
 
     #[test]
     fn finish_drains_the_builder_and_keeps_its_buffers() {
-        let pairs = |slot: u32| {
-            (0..200u32).rev().map(move |u| {
-                (
-                    AccelerationGroupId((u % 3) as u8 * 127),
-                    UserId(u * 7 + slot),
-                )
-            })
-        };
-        let mut builder = TimeSlotBuilder::new(0);
-        builder.extend(pairs(0));
-        let first = builder.finish(4);
-        assert_eq!(first, TimeSlot::from_assignments(4, pairs(0)));
-        assert!(builder.is_empty());
-        // the sort leaves the two buffers in either role
-        let capacities = |b: &TimeSlotBuilder| {
-            let (keys, scratch) = (b.keys.capacity(), b.scratch.capacity());
-            (keys.min(scratch), keys.max(scratch))
-        };
-        let warm = capacities(&builder);
-        assert!(warm.0 >= 200);
-        builder.extend(pairs(1));
-        let second = builder.finish(5);
-        assert_eq!(second, TimeSlot::from_assignments(5, pairs(1)));
-        assert_eq!(second.index, 5);
-        assert_eq!(
-            capacities(&builder),
-            warm,
-            "the second slot reuses the first one's buffers"
-        );
-        // runs hold exactly their users
-        assert!(second
-            .runs
-            .iter()
-            .all(|r| r.users.capacity() == r.users.len()));
+        // 200 users 7 ids apart span 11 bits: under three adjacent groups
+        // that is 86 words, the bitmap; under groups 127 apart, 8,150
+        // words, the radix sort
+        for (gap, dense) in [(1u32, true), (127, false)] {
+            let pairs = move |slot: u32| {
+                (0..200u32).rev().map(move |u| {
+                    (
+                        AccelerationGroupId((u % 3 * gap) as u8),
+                        UserId(u * 7 + slot),
+                    )
+                })
+            };
+            let assigned = |index: usize, slot: u32| {
+                let mut reference = TimeSlot::new(index);
+                pairs(slot).for_each(|(group, user)| reference.assign(group, user));
+                reference
+            };
+            let mut builder = TimeSlotBuilder::new(0);
+            builder.extend(pairs(0));
+            let first = builder.finish(4);
+            assert_eq!(first, assigned(4, 0), "gap {gap}");
+            assert!(builder.is_empty());
+            // the bitmap holds a word per 64 ids of the span, the radix sort
+            // a key per key
+            assert_eq!(builder.scratch.len() < 200, dense, "gap {gap}");
+            // the radix sort leaves the two buffers in either role
+            let capacities = |b: &TimeSlotBuilder| {
+                let (keys, scratch) = (b.keys.capacity(), b.scratch.capacity());
+                (keys.min(scratch), keys.max(scratch))
+            };
+            let warm = capacities(&builder);
+            assert!(warm.1 >= 200);
+            builder.extend(pairs(1));
+            let second = builder.finish(5);
+            assert_eq!(second, assigned(5, 1), "gap {gap}");
+            assert_eq!(second.index, 5);
+            assert_eq!(
+                capacities(&builder),
+                warm,
+                "gap {gap}: the second slot reuses the first one's buffers"
+            );
+            // runs hold exactly their users
+            assert!(second
+                .runs
+                .iter()
+                .all(|r| r.users.capacity() == r.users.len()));
+        }
     }
 
     #[test]

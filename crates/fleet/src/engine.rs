@@ -4,8 +4,9 @@
 //! [`ShardRouter`] hashes onto it. Every provisioning slot the engine
 //! ingests one batch of arrival records, scatters it in one pass into the
 //! hosted tenants' slot builders, and runs every shard's
-//! build→predict→allocate→bill cycle **in parallel** — scoped threads, one
-//! contiguous chunk of shards each ([`shard_chunks`]). Three properties make
+//! build→predict→allocate→bill cycle **in parallel** — one contiguous chunk
+//! of shards per thread ([`shard_chunks`]), the calling thread ticking the
+//! last chunk and a scoped thread each of the others. Three properties make
 //! the parallel tick safe and reproducible:
 //!
 //! * shards share no state — each tenant's knowledge base, allocator, pool
@@ -576,24 +577,27 @@ impl FleetEngine {
                 }
             }
         }
-        let chunks = shard_chunks(self.shards.len(), self.threads);
-        if chunks.len() == 1 {
-            for shard in &mut self.shards {
+        let tick = move |shards: &mut [Shard]| {
+            for shard in shards {
                 shard.tick(slot_index, now_ms);
             }
+        };
+        let chunks = shard_chunks(self.shards.len(), self.threads);
+        if chunks.len() == 1 {
+            tick(&mut self.shards);
         } else {
-            // the scope joins every worker and re-raises a worker's panic
+            // one worker per chunk but the last, which this thread ticks
+            // itself; the scope joins every worker and re-raises a worker's
+            // panic
+            let workers = chunks.len() - 1;
             std::thread::scope(|scope| {
                 let mut rest = self.shards.as_mut_slice();
-                for chunk in chunks {
+                for chunk in chunks.take(workers) {
                     let (head, tail) = rest.split_at_mut(chunk.len());
                     rest = tail;
-                    scope.spawn(move || {
-                        for shard in head {
-                            shard.tick(slot_index, now_ms);
-                        }
-                    });
+                    scope.spawn(move || tick(head));
                 }
+                tick(rest);
             });
         }
         if self.clock.enabled() {

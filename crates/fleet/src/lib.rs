@@ -34,9 +34,11 @@
 //!   late/dropped-record accounting). Misuse surfaces as a typed
 //!   [`FleetError`] instead of a panic.
 //! * [`engine`] — [`FleetEngine`]: owns the shards and runs every shard's
-//!   tick concurrently — scoped threads, one contiguous chunk of shards each
-//!   ([`shard_chunks`]). Per-tenant forecasts are bit-identical to running
-//!   each tenant alone, whatever the shard count or thread count, because
+//!   tick concurrently — one contiguous chunk of shards per thread
+//!   ([`shard_chunks`]), the calling thread ticking the last chunk and a
+//!   scoped thread each of the others. Per-tenant forecasts are
+//!   bit-identical to running each tenant alone, whatever the shard count
+//!   or thread count, because
 //!   shards share no state, RNG streams are seeded per tenant and the
 //!   nearest-neighbour tie-break stays first-minimum.
 //!   One **huge** tenant (the CloneCloud-style single app with an outsized

@@ -153,12 +153,12 @@ fn indexed_probe_allocates_a_small_constant() {
     );
 }
 
-/// A driver over `tenants` steady tenants of `users` users each, spread
-/// over the three groups and fed in an interleaved arrival order with
-/// duplicates, stepped past the history window so eviction, the builders'
-/// buffers and the allocation memo are all in steady state; one more slot
-/// is queued.
-fn warmed_driver(tenants: u32, users: u32) -> FleetDriver {
+/// A driver over `tenants` steady tenants of `users` users each, `spacing`
+/// ids apart, spread over the three groups and fed in an interleaved
+/// arrival order with duplicates, stepped past the history window so
+/// eviction, the builders' buffers and the allocation memo are all in
+/// steady state; one more slot is queued.
+fn warmed_driver(tenants: u32, users: u32, spacing: u32) -> FleetDriver {
     let batch = || -> Vec<SlotRecord> {
         // a stride coprime to the user count visits every user, out of order
         (0..users + users / 4)
@@ -166,7 +166,7 @@ fn warmed_driver(tenants: u32, users: u32) -> FleetDriver {
                 let u = (i * 7919) % users;
                 (0..tenants).map(move |t| {
                     let group = GROUPS[(u * 3 / users) as usize];
-                    SlotRecord::new(TenantId(t), group, UserId(t * 1_000_000 + u))
+                    SlotRecord::new(TenantId(t), group, UserId(t * 1_000_000 + u * spacing))
                 })
             })
             .collect()
@@ -185,9 +185,9 @@ fn warmed_driver(tenants: u32, users: u32) -> FleetDriver {
 }
 
 /// Allocations of one warmed `FleetDriver::step`.
-fn warmed_step_allocations(tenants: u32, users: u32) -> usize {
+fn warmed_step_allocations(tenants: u32, users: u32, spacing: u32) -> usize {
     let _serialized = MEASURE_LOCK.lock().expect("no poisoned measurements");
-    let mut driver = warmed_driver(tenants, users);
+    let mut driver = warmed_driver(tenants, users, spacing);
     allocations_during(|| {
         driver.step().expect("a shared lane never misroutes");
     })
@@ -195,29 +195,35 @@ fn warmed_step_allocations(tenants: u32, users: u32) -> usize {
 
 #[test]
 fn slot_ingest_allocations_do_not_grow_with_records_per_tenant() {
-    let (light, heavy) = (
-        warmed_step_allocations(6, 200),
-        warmed_step_allocations(6, 800),
-    );
-    assert_eq!(
-        light, heavy,
-        "one warmed slot allocated {light} times at 250 records per tenant and {heavy} at 1,000: \
-         a per-record buffer is growing inside the ingest"
-    );
-    // what a slot does allocate is its own: a run per non-empty group, the
-    // forecast, the memoized allocation handed to billing
-    let more_tenants = warmed_step_allocations(12, 200);
-    assert!(
-        light < more_tenants && more_tenants <= 2 * light,
-        "allocations should scale with tenants: {light} for 6, {more_tenants} for 12"
-    );
+    // adjacent ids span fewer bits than 64 per record, so each tenant's slot
+    // is sorted through its bitmap; ids 97 apart span more (84,840 bits over
+    // 250 records, 339,648 over 1,000), so it is radix-sorted
+    for spacing in [1, 97] {
+        let (light, heavy) = (
+            warmed_step_allocations(6, 200, spacing),
+            warmed_step_allocations(6, 800, spacing),
+        );
+        assert_eq!(
+            light, heavy,
+            "ids {spacing} apart: one warmed slot allocated {light} times at 250 records per \
+             tenant and {heavy} at 1,000: a per-record buffer is growing inside the ingest"
+        );
+        // what a slot does allocate is its own: a run per non-empty group,
+        // the forecast, the memoized allocation handed to billing
+        let more_tenants = warmed_step_allocations(12, 200, spacing);
+        assert!(
+            light < more_tenants && more_tenants <= 2 * light,
+            "ids {spacing} apart: allocations should scale with tenants: {light} for 6, \
+             {more_tenants} for 12"
+        );
+    }
 }
 
 /// Allocations of the second `FleetEngine::checkpoint` of a warmed engine
 /// into a buffer the caller keeps.
 fn warmed_checkpoint_allocations(tenants: u32, users: u32) -> usize {
     let _serialized = MEASURE_LOCK.lock().expect("no poisoned measurements");
-    let mut engine = warmed_driver(tenants, users).into_engine();
+    let mut engine = warmed_driver(tenants, users, 1).into_engine();
     let mut bytes = Vec::new();
     engine
         .checkpoint(&mut bytes)

@@ -8,7 +8,7 @@ use mobile_code_acceleration::core::{
         group_distance, group_distance_bounded, group_distance_naive, slot_distance,
         slot_distance_bounded, slot_distance_naive,
     },
-    SlotHistory, TimeSlot, WorkloadForecast, WorkloadPredictor,
+    SlotHistory, TimeSlot, TimeSlotBuilder, WorkloadForecast, WorkloadPredictor,
 };
 use mobile_code_acceleration::fleet::{ingest::bucket_by_shard, SlotBatchSource, TenantMetrics};
 use mobile_code_acceleration::lp::{LpError, Problem, Sense, VarKind};
@@ -336,6 +336,98 @@ proptest! {
                 prop_assert_eq!(&fast, &serial.predict(probe));
                 prop_assert_eq!(fast, indexed.predict_naive(probe));
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Slot builder
+// ---------------------------------------------------------------------------
+
+/// SplitMix64: a cheap deterministic stream for bulk test keys.
+fn mix(seed: u64) -> u64 {
+    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The batch builder builds the slot that one `TimeSlot::assign` per
+    /// record builds, at its bitmap cut-over: on `n` keys whose relative
+    /// span — `(group − gmin) << ubits | (user − umin)` up to the largest
+    /// key, `ubits` the bits of the user span — is 64·n − 1, 64·n (the
+    /// widest span the bitmap takes) or 64·n + 1 bits. `n` runs from 2 to
+    /// 1,024 across the radix sort's 64-key cut-over; the keys carry
+    /// duplicates, groups 0 and 255, users 0 and `u32::MAX`, and arrive
+    /// shuffled, sorted and reversed into one reused builder.
+    #[test]
+    fn slot_builder_equals_per_record_assign_around_the_bitmap_cut_over(
+        spread in (
+            proptest::sample::select(vec![0u32, 1, 2, 255]),
+            7u32..14,
+            proptest::sample::select(vec![-1i64, 0, 1]),
+            0u32..1 << 16,
+        ),
+        anchor in (0u8..3, 0u8..3, 0u32..u32::MAX, 0u64..u64::MAX),
+    ) {
+        let (gspan, ubits, excess, pick) = spread;
+        let (group_at, user_at, offset, seed) = anchor;
+        // 255 groups apart, 8 user bits already make 1,024 keys
+        let ubits = if gspan == 255 { 7 + ubits % 2 } else { ubits };
+        // a user span of exactly `ubits` bits whose largest relative key
+        // is 64·n + excess − 1
+        let uspan = (1u32 << (ubits - 1))
+            + 64 * (pick % (1 << (ubits - 7)))
+            + (excess - 1).rem_euclid(64) as u32;
+        prop_assert_eq!(u32::BITS - uspan.leading_zeros(), ubits);
+        let largest = u64::from(gspan) << ubits | u64::from(uspan);
+        let n = ((largest + 1) as i64 - excess) / 64;
+        prop_assert_eq!(64 * n + excess, largest as i64 + 1);
+        let n = n as usize;
+        if n < 2 {
+            // a span wider than one bit takes two keys
+            return Ok(());
+        }
+        let gmin = match group_at {
+            0 => 0,
+            1 => 255 - gspan,
+            _ => offset % (256 - gspan),
+        };
+        let umin = match user_at {
+            0 => 0,
+            1 => u32::MAX - uspan,
+            _ => offset % (u32::MAX - uspan),
+        };
+        let key = |group: u32, user: u32| {
+            (AccelerationGroupId((gmin + group) as u8), UserId(umin + user))
+        };
+        let mut pairs = vec![key(0, 0), key(gspan, uspan)];
+        for i in 2..n as u64 {
+            let z = mix(seed ^ i);
+            pairs.push(if z.is_multiple_of(4) {
+                pairs[(z >> 8) as usize % pairs.len()]
+            } else {
+                key((z >> 8) as u32 % (gspan + 1), (z >> 16) as u32 % (uspan + 1))
+            });
+        }
+        let mut reference = TimeSlot::new(9);
+        for &(group, user) in &pairs {
+            reference.assign(group, user);
+        }
+        let mut shuffled = pairs.clone();
+        shuffled.sort_unstable_by_key(|&(group, user)| {
+            mix(seed ^ u64::from(group.0) << 32 ^ u64::from(user.0))
+        });
+        let mut sorted = pairs;
+        sorted.sort_unstable();
+        let reversed: Vec<_> = sorted.iter().rev().copied().collect();
+        let mut builder = TimeSlotBuilder::new(0);
+        for input in [shuffled, sorted, reversed] {
+            builder.extend(input);
+            prop_assert_eq!(builder.finish(9), reference.clone(), "{} keys", n);
         }
     }
 }
