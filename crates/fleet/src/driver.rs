@@ -24,7 +24,6 @@ use mca_snapshot::{
 use mca_workload::TenantMix;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::io::{Read, Write};
 use std::rc::Rc;
 
 /// The driver's own checkpoint section, appended after the engine sections.
@@ -368,7 +367,7 @@ impl FleetDriver {
         Ok(self.report())
     }
 
-    /// Writes a durable checkpoint of the whole driving session: every
+    /// Appends a durable checkpoint of the whole driving session to `out`: every
     /// engine section ([`FleetEngine::checkpoint`]) plus a driver section
     /// carrying the ingestion accounting and one resume cursor per
     /// registered source (replay anchors, RNG stream words, buffered
@@ -381,32 +380,36 @@ impl FleetDriver {
     ///
     /// # Errors
     ///
-    /// Any [`SnapshotError::Io`] from the sink.
-    pub fn checkpoint(&mut self, out: &mut impl Write) -> Result<SnapshotStats, SnapshotError> {
-        let mut body = self.engine.section_scratch();
+    /// None arise, as for [`FleetEngine::checkpoint`].
+    pub fn checkpoint(&mut self, out: &mut Vec<u8>) -> Result<SnapshotStats, SnapshotError> {
         let mut writer = SnapshotWriter::new(out)?;
-        self.engine.write_sections(&mut writer, &mut body)?;
-        body.clear();
-        self.slots_driven.encode(&mut body);
-        self.records_ingested.encode(&mut body);
-        self.late_records.encode(&mut body);
-        self.late_by_tenant.encode(&mut body);
-        self.sources.len().encode(&mut body);
-        let mut cursor = Vec::new();
-        for entry in &self.sources {
-            entry.tenant.encode(&mut body);
-            entry.exhausted.encode(&mut body);
-            cursor.clear();
-            entry.source.save_cursor(&mut cursor);
-            cursor.encode(&mut body);
-        }
-        writer.section(SECTION_DRIVER, &body)?;
+        self.engine.write_sections(&mut writer)?;
+        writer.section(SECTION_DRIVER, |out| {
+            self.slots_driven.encode(out);
+            self.records_ingested.encode(out);
+            self.late_records.encode(out);
+            self.late_by_tenant.encode(out);
+            self.sources.len().encode(out);
+            for entry in &self.sources {
+                entry.tenant.encode(out);
+                entry.exhausted.encode(out);
+                // the cursor travels as a `Vec<u8>`: its length prefix is
+                // patched once the source has appended the body behind it
+                let prefix = out.len();
+                0usize.encode(out);
+                entry.source.save_cursor(out);
+                let len = out.len() - prefix - 8;
+                out[prefix..prefix + 8].copy_from_slice(&(len as u64).to_le_bytes());
+            }
+        })?;
         let stats = writer.finish()?;
-        self.engine.note_checkpoint(&stats, body);
+        self.engine.note_checkpoint(&stats);
         Ok(stats)
     }
 
     /// Rebuilds a driving session from [`FleetDriver::checkpoint`] bytes.
+    /// Like [`FleetEngine::restore`], it reads one stream off the front of
+    /// `*source` and on success leaves `*source` just past its end marker.
     ///
     /// The caller supplies the shared configuration (as for
     /// [`FleetEngine::restore`]) and one **freshly constructed** source per
@@ -423,11 +426,12 @@ impl FleetDriver {
     /// a different tenant binding, a cursor the source rejects, a bound
     /// tenant the engine does not host, or two sources bound to one tenant.
     pub fn restore(
-        source: &mut impl Read,
+        source: &mut &[u8],
         config: &SystemConfig,
         sources: Vec<(Option<TenantId>, Box<dyn RecordSource>)>,
     ) -> Result<Self, SnapshotError> {
-        let mut reader = SnapshotReader::new(source)?;
+        let bytes = *source;
+        let mut reader = SnapshotReader::new(bytes)?;
         let mut engine = FleetEngine::read_sections(&mut reader, config)?;
         let mut cur = Cursor::new(reader.payload(SECTION_DRIVER)?);
         let slots_driven = usize::decode(&mut cur)?;
@@ -450,8 +454,8 @@ impl FleetDriver {
                 });
             }
             let exhausted = bool::decode(&mut cur)?;
-            let cursor_bytes = Vec::<u8>::decode(&mut cur)?;
-            let mut source_cur = Cursor::new(&cursor_bytes);
+            let cursor_len = usize::decode(&mut cur)?;
+            let mut source_cur = Cursor::new(cur.take(cursor_len, "source cursor")?);
             src.load_cursor(&mut source_cur)?;
             if !source_cur.is_empty() {
                 return Err(SnapshotError::Malformed {
@@ -482,6 +486,7 @@ impl FleetDriver {
             });
         }
         let stats = reader.finish()?;
+        *source = &bytes[stats.bytes as usize..];
         engine.note_restore(&stats);
         Ok(Self {
             engine,

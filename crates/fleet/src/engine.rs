@@ -35,7 +35,6 @@ use mca_snapshot::{
 use mca_telemetry::{LatencyHistogram, Registry, StageTimer, TelemetryClock};
 use mca_workload::TenantMix;
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::{Read, Write};
 use std::ops::Range;
 
 /// Wire-section tags of the engine checkpoint stream, in stream order. One
@@ -142,10 +141,6 @@ pub struct FleetEngine {
     /// Restores this engine went through (0 or 1; the drive history before a
     /// restore lives in the checkpoint's own counters).
     snapshot_restores: u64,
-    /// What the last checkpoint's section payload buffer had grown to; the
-    /// next one starts there ([`FleetEngine::section_scratch`]). The buffer
-    /// itself is not kept: it is as large as the largest shard section.
-    snapshot_scratch_capacity: usize,
 }
 
 impl FleetEngine {
@@ -183,7 +178,6 @@ impl FleetEngine {
             snapshot_bytes_read: 0,
             snapshot_sections: 0,
             snapshot_restores: 0,
-            snapshot_scratch_capacity: 0,
         }
     }
 
@@ -914,7 +908,7 @@ impl FleetEngine {
         total
     }
 
-    /// Writes a durable checkpoint of the engine to `out`: a versioned,
+    /// Appends a durable checkpoint of the engine to `out`: a versioned,
     /// CRC-guarded section stream carrying the router's indirection table,
     /// the rebalancer, every shard's telemetry and every tenant's full tick
     /// state (knowledge base, index, RNG stream words, memo cache in FIFO
@@ -929,28 +923,29 @@ impl FleetEngine {
     /// serialized; restore receives it from the caller, the same way
     /// [`FleetEngine::new`] does.
     ///
+    /// Every section is encoded straight into `out`, behind whatever it
+    /// already holds, so a caller that keeps the buffer (clearing it between
+    /// checkpoints) checkpoints without allocating for the stream. Writing
+    /// the bytes to a file or socket is the caller's.
+    ///
     /// # Errors
     ///
-    /// Any [`SnapshotError::Io`] from the sink.
-    pub fn checkpoint(&mut self, out: &mut impl Write) -> Result<SnapshotStats, SnapshotError> {
-        let mut scratch = self.section_scratch();
+    /// None arise: appending to a `Vec` cannot fail and no engine section
+    /// carries the reserved end tag. The `Result` is the codec's.
+    pub fn checkpoint(&mut self, out: &mut Vec<u8>) -> Result<SnapshotStats, SnapshotError> {
         let mut writer = SnapshotWriter::new(out)?;
-        self.write_sections(&mut writer, &mut scratch)?;
+        self.write_sections(&mut writer)?;
         let stats = writer.finish()?;
-        self.note_checkpoint(&stats, scratch);
+        self.note_checkpoint(&stats);
         Ok(stats)
     }
 
     /// Writes the engine's sections into an already-open writer — the shared
     /// body of [`FleetEngine::checkpoint`] and the driver checkpoint, which
-    /// appends its own cursor section before finishing the stream. Every
-    /// section's payload is encoded into `scratch`
-    /// ([`FleetEngine::section_scratch`]), so the buffer grows to the largest
-    /// section once instead of once per section.
-    pub(crate) fn write_sections<W: Write>(
+    /// appends its own cursor section before finishing the stream.
+    pub(crate) fn write_sections(
         &self,
-        writer: &mut SnapshotWriter<W>,
-        scratch: &mut Vec<u8>,
+        writer: &mut SnapshotWriter<'_>,
     ) -> Result<(), SnapshotError> {
         debug_assert!(
             self.shards
@@ -958,52 +953,44 @@ impl FleetEngine {
                 .all(|s| s.builders.iter().all(TimeSlotBuilder::is_empty)),
             "checkpoints are taken between slots"
         );
-        scratch.clear();
-        self.seed.encode(scratch);
-        self.threads.encode(scratch);
-        self.slot_index.encode(scratch);
-        self.shards.len().encode(scratch);
-        // a fingerprint of the configuration the checkpoint was taken under,
-        // so restore can reject a disagreeing one instead of mis-resuming
-        self.config.slot_length_ms.encode(scratch);
-        self.config.groups.ids().encode(scratch);
-        writer.section(SECTION_META, scratch)?;
+        writer.section(SECTION_META, |out| {
+            self.seed.encode(out);
+            self.threads.encode(out);
+            self.slot_index.encode(out);
+            self.shards.len().encode(out);
+            // a fingerprint of the configuration the checkpoint was taken
+            // under, so restore can reject a disagreeing one instead of
+            // mis-resuming
+            self.config.slot_length_ms.encode(out);
+            self.config.groups.ids().encode(out);
+        })?;
         writer.encode_section(SECTION_ROUTER, &self.router)?;
-        scratch.clear();
-        self.dropped_records.encode(scratch);
-        self.dropped_by_tenant.encode(scratch);
-        self.user_sharded.encode(scratch);
-        self.telemetry_mode.encode(scratch);
-        self.clock.encode(scratch);
-        self.slot_hist.encode(scratch);
-        self.critical_path_ns.encode(scratch);
-        writer.section(SECTION_ENGINE, scratch)?;
+        writer.section(SECTION_ENGINE, |out| {
+            self.dropped_records.encode(out);
+            self.dropped_by_tenant.encode(out);
+            self.user_sharded.encode(out);
+            self.telemetry_mode.encode(out);
+            self.clock.encode(out);
+            self.slot_hist.encode(out);
+            self.critical_path_ns.encode(out);
+        })?;
         writer.encode_section(SECTION_REBALANCER, &self.rebalancer)?;
         for shard in &self.shards {
-            scratch.clear();
-            shard.telemetry.encode(scratch);
-            shard.tenants.len().encode(scratch);
-            for tenant in &shard.tenants {
-                tenant.encode_state(scratch);
-            }
-            writer.section(SECTION_SHARD, scratch)?;
+            writer.section(SECTION_SHARD, |out| {
+                shard.telemetry.encode(out);
+                shard.tenants.len().encode(out);
+                for tenant in &shard.tenants {
+                    tenant.encode_state(out);
+                }
+            })?;
         }
         Ok(())
     }
 
-    /// An empty payload buffer for [`FleetEngine::write_sections`], sized
-    /// to what the previous checkpoint needed: one allocation, however large
-    /// the shards are.
-    pub(crate) fn section_scratch(&self) -> Vec<u8> {
-        Vec::with_capacity(self.snapshot_scratch_capacity)
-    }
-
-    /// Credits a finished checkpoint to the engine's snapshot counters and
-    /// remembers how large its payload buffer had to be.
-    pub(crate) fn note_checkpoint(&mut self, stats: &SnapshotStats, scratch: Vec<u8>) {
+    /// Credits a finished checkpoint to the engine's snapshot counters.
+    pub(crate) fn note_checkpoint(&mut self, stats: &SnapshotStats) {
         self.snapshot_bytes_written += stats.bytes;
         self.snapshot_sections += u64::from(stats.sections);
-        self.snapshot_scratch_capacity = scratch.capacity();
     }
 
     /// Credits a finished restore to the engine's snapshot counters.
@@ -1020,6 +1007,12 @@ impl FleetEngine {
     /// for bit (wall-clock telemetry excepted — monotonic clocks restart at
     /// a fresh epoch).
     ///
+    /// Reads one stream off the front of `*source`, decoding the sections
+    /// where they lie, and on success leaves `*source` just past the
+    /// stream's end marker, so streams written back to back restore one
+    /// after the other from one slice. On error `*source` is left as it
+    /// was.
+    ///
     /// # Errors
     ///
     /// Every corruption is a typed [`SnapshotError`]: truncation, a flipped
@@ -1027,10 +1020,12 @@ impl FleetEngine {
     /// disagrees with the checkpoint's fingerprint, or internally
     /// inconsistent state (a tenant on the wrong shard, an unsorted shard,
     /// a router override out of range).
-    pub fn restore(source: &mut impl Read, config: &SystemConfig) -> Result<Self, SnapshotError> {
-        let mut reader = SnapshotReader::new(source)?;
+    pub fn restore(source: &mut &[u8], config: &SystemConfig) -> Result<Self, SnapshotError> {
+        let bytes = *source;
+        let mut reader = SnapshotReader::new(bytes)?;
         let mut engine = Self::read_sections(&mut reader, config)?;
         let stats = reader.finish()?;
+        *source = &bytes[stats.bytes as usize..];
         engine.note_restore(&stats);
         Ok(engine)
     }
@@ -1040,8 +1035,8 @@ impl FleetEngine {
     /// its own cursor section before finishing the stream. Snapshot counters
     /// are left zeroed; the caller credits them via
     /// [`FleetEngine::note_restore`] once the stream is finished.
-    pub(crate) fn read_sections<R: Read>(
-        reader: &mut SnapshotReader<R>,
+    pub(crate) fn read_sections(
+        reader: &mut SnapshotReader<'_>,
         config: &SystemConfig,
     ) -> Result<Self, SnapshotError> {
         let mut cur = Cursor::new(reader.payload(SECTION_META)?);
@@ -1138,7 +1133,6 @@ impl FleetEngine {
             snapshot_bytes_read: 0,
             snapshot_sections: 0,
             snapshot_restores: 0,
-            snapshot_scratch_capacity: 0,
         })
     }
 }

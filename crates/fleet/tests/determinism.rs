@@ -478,6 +478,51 @@ fn engine_checkpoint_roundtrips_without_a_driver() {
 }
 
 #[test]
+fn back_to_back_checkpoints_restore_in_sequence_from_one_slice() {
+    // a checkpoint appends behind what the buffer holds, and a restore
+    // reads one stream off the front of the slice and steps past it
+    let mut driver = resume_driver(2);
+    driver.run(SLOTS / 3).expect("mix sources never misbehave");
+    let mut early = driver.into_engine();
+    let mut bytes = Vec::new();
+    let first = early.checkpoint(&mut bytes).expect("checkpoint to memory");
+    let mut driver = resume_driver(2);
+    driver.run(SLOTS / 2).expect("mix sources never misbehave");
+    let mut late = driver.into_engine();
+    let second = late.checkpoint(&mut bytes).expect("checkpoint to memory");
+    assert_eq!(
+        u64::try_from(bytes.len()).unwrap(),
+        first.bytes + second.bytes
+    );
+
+    let mut source = bytes.as_slice();
+    let restored_early = FleetEngine::restore(&mut source, &resume_config()).expect("first");
+    assert_eq!(u64::try_from(source.len()).unwrap(), second.bytes);
+    let restored_late = FleetEngine::restore(&mut source, &resume_config()).expect("second");
+    assert!(source.is_empty(), "both streams consumed");
+    assert_eq!(restored_early.slot_index(), early.slot_index());
+    assert_eq!(restored_early.forecasts(), early.forecasts());
+    assert_eq!(restored_late.slot_index(), late.slot_index());
+    assert_eq!(restored_late.forecasts(), late.forecasts());
+    assert_eq!(restored_late.metrics(), late.metrics());
+}
+
+#[test]
+fn a_restore_leaves_whatever_follows_its_stream() {
+    let mut driver = resume_driver(2);
+    driver.run(6).expect("mix sources never misbehave");
+    let mut bytes = Vec::new();
+    driver.checkpoint(&mut bytes).expect("checkpoint to memory");
+    let junk = b"\xFF\x00not a snapshot";
+    bytes.extend_from_slice(junk);
+    let mut source = bytes.as_slice();
+    let resumed = FleetDriver::restore(&mut source, &resume_config(), mix_sources())
+        .expect("the stream in front of the junk is whole");
+    assert_eq!(source, junk);
+    assert_eq!(resumed.engine().forecasts(), driver.engine().forecasts());
+}
+
+#[test]
 fn restore_rejects_disagreeing_inputs_with_typed_errors() {
     let mut driver = resume_driver(2);
     driver.run(6).expect("mix sources never misbehave");

@@ -20,6 +20,13 @@
 //! version skew and malformed payloads all surface as a typed
 //! [`SnapshotError`].
 //!
+//! The codec works in memory. [`SnapshotWriter`] appends a stream to the
+//! caller's `Vec<u8>`, encoding each section's payload straight into it and
+//! patching the section's length and CRC in place afterwards, and
+//! [`SnapshotReader`] reads a borrowed `&[u8]`, lending each section out as
+//! a CRC-checked sub-slice of it — no payload is staged or copied on either
+//! side. Moving the bytes to and from a file or socket is the caller's.
+//!
 //! Domain types implement [`Snapshot`] (encode into a byte buffer) and
 //! [`Restore`] (decode from a [`Cursor`]); the traits ship with impls for
 //! the primitives and the std collections the workspace's state lives in,
@@ -32,7 +39,6 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::io::{self, Read, Write};
 
 /// The magic bytes every snapshot stream starts with.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"MCAS";
@@ -60,9 +66,10 @@ pub const SNAPSHOT_VERSION: u16 = 5;
 /// The reserved end-of-stream section tag.
 pub const END_TAG: u16 = 0xFFFF;
 
-/// Why a snapshot could not be decoded (or written). Decoding is total:
-/// arbitrary bytes produce one of these, never a panic and never a silently
-/// wrong restore (payloads are CRC-checked and must be consumed exactly).
+/// Why a snapshot could not be decoded (or a section written). Decoding is
+/// total: arbitrary bytes produce one of these, never a panic and never a
+/// silently wrong restore (payloads are CRC-checked and must be consumed
+/// exactly).
 #[derive(Debug)]
 pub enum SnapshotError {
     /// The stream ended before the announced bytes arrived.
@@ -105,8 +112,6 @@ pub enum SnapshotError {
         /// What was malformed.
         context: &'static str,
     },
-    /// An underlying I/O failure other than clean truncation.
-    Io(io::Error),
 }
 
 impl fmt::Display for SnapshotError {
@@ -133,31 +138,16 @@ impl fmt::Display for SnapshotError {
                 write!(f, "expected section {expected:#06x}, found {found:#06x}")
             }
             SnapshotError::Malformed { context } => write!(f, "malformed snapshot: {context}"),
-            SnapshotError::Io(e) => write!(f, "snapshot I/O error: {e}"),
         }
     }
 }
 
-impl std::error::Error for SnapshotError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SnapshotError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for SnapshotError {}
 
-impl From<io::Error> for SnapshotError {
-    fn from(e: io::Error) -> Self {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            SnapshotError::Truncated { context: "stream" }
-        } else {
-            SnapshotError::Io(e)
-        }
-    }
-}
+/// The IEEE CRC-32 polynomial, reflected (bit 31 is the coefficient of x⁰).
+const POLY: u32 = 0xEDB8_8320;
 
-/// The IEEE CRC-32 lookup tables (reflected, polynomial `0xEDB88320`) for
+/// The IEEE CRC-32 lookup tables (reflected, polynomial [`POLY`]) for
 /// slicing-by-16, computed at compile time: `CRC_TABLES[0]` is the classic
 /// bytewise table, and `CRC_TABLES[k][n]` is the CRC of byte `n` followed by
 /// `k` zero bytes, so sixteen input bytes fold into the running CRC with
@@ -169,11 +159,7 @@ const CRC_TABLES: [[u32; 256]; 16] = {
         let mut c = n as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
+            c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
         tables[0][n] = c;
@@ -192,9 +178,63 @@ const CRC_TABLES: [[u32; 256]; 16] = {
     tables
 };
 
+/// Inputs at least this long are checksummed as four lanes ([`crc32`]).
+const LANE_MIN: usize = 16 * 1024;
+
 /// IEEE CRC-32 of a byte slice (the zlib/PNG polynomial).
+///
+/// Inputs under 16 KiB run one slicing-by-16 loop. Longer ones are cut into
+/// four equal stripes, each a whole number of 16-byte blocks, plus a tail
+/// of under 64 bytes: one loop advances the four stripes' CRCs side by side
+/// — four independent dependency chains instead of one — and zlib's
+/// `crc32_combine` arithmetic joins them before the tail is folded in. The
+/// values are the same either way.
 pub fn crc32(data: &[u8]) -> u32 {
-    let word = |bytes: &[u8]| u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+    if data.len() < LANE_MIN {
+        return !crc32_serial(!0, data);
+    }
+    let stripe = (data.len() / 4) & !15;
+    let (striped, tail) = data.split_at(4 * stripe);
+    let (blocks, _) = striped.as_chunks::<16>();
+    let (first, rest) = blocks.split_at(stripe / 16);
+    let (second, rest) = rest.split_at(stripe / 16);
+    let (third, fourth) = rest.split_at(stripe / 16);
+    let mut lanes = [!0u32; 4];
+    for (((a, b), c), d) in first.iter().zip(second).zip(third).zip(fourth) {
+        lanes = [
+            fold_block(lanes[0], a),
+            fold_block(lanes[1], b),
+            fold_block(lanes[2], c),
+            fold_block(lanes[3], d),
+        ];
+    }
+    // crc(A ++ B) = crc(A) · x^(8·|B|) ⊕ crc(B), and every B here is one
+    // stripe long, so the three joins share one operator
+    let shift = x8nmodp(stripe as u64);
+    let joined = lanes[1..]
+        .iter()
+        .fold(!lanes[0], |crc, &lane| multmodp(shift, crc) ^ !lane);
+    !crc32_serial(!joined, tail)
+}
+
+/// Advances a running (pre-conditioned) CRC over `data`: slicing-by-16 over
+/// the whole blocks, then the tail a byte at a time.
+fn crc32_serial(mut c: u32, data: &[u8]) -> u32 {
+    let (blocks, tail) = data.as_chunks::<16>();
+    for block in blocks {
+        c = fold_block(c, block);
+    }
+    for &byte in tail {
+        c = CRC_TABLES[0][((c ^ u32::from(byte)) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
+}
+
+/// Folds one 16-byte block into the running CRC `c`.
+#[inline(always)]
+fn fold_block(c: u32, block: &[u8; 16]) -> u32 {
+    let word =
+        |at: usize| u32::from_le_bytes([block[at], block[at + 1], block[at + 2], block[at + 3]]);
     // folds one little-endian word that has `words_after` more words behind
     // it in its 16-byte block: its last byte is `4 * words_after` bytes from
     // the block's end, its first three bytes further
@@ -205,18 +245,52 @@ pub fn crc32(data: &[u8]) -> u32 {
             ^ t[1][((w >> 16) & 0xFF) as usize]
             ^ t[0][(w >> 24) as usize]
     };
-    let mut c = 0xFFFF_FFFFu32;
-    let mut blocks = data.chunks_exact(16);
-    for block in &mut blocks {
-        c = fold(word(&block[0..4]) ^ c, 3)
-            ^ fold(word(&block[4..8]), 2)
-            ^ fold(word(&block[8..12]), 1)
-            ^ fold(word(&block[12..16]), 0);
+    fold(word(0) ^ c, 3) ^ fold(word(4), 2) ^ fold(word(8), 1) ^ fold(word(12), 0)
+}
+
+/// `a · b mod P` over GF(2), both operands and the result in the CRC's
+/// reflected representation (zlib's `multmodp`).
+const fn multmodp(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut m = 1u32 << 31;
+    while m != 0 {
+        if a & m != 0 {
+            product ^= b;
+        }
+        m >>= 1;
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
     }
-    for &byte in blocks.remainder() {
-        c = CRC_TABLES[0][((c ^ u32::from(byte)) & 0xFF) as usize] ^ (c >> 8);
+    product
+}
+
+/// `X2N_TABLE[k]` is x^(2^k) mod P (zlib's `x2n_table`).
+const X2N_TABLE: [u32; 32] = {
+    let mut table = [0u32; 32];
+    let mut p = 1u32 << 30; // x¹
+    table[0] = p;
+    let mut k = 1;
+    while k < 32 {
+        p = multmodp(p, p);
+        table[k] = p;
+        k += 1;
     }
-    c ^ 0xFFFF_FFFF
+    table
+};
+
+/// x^(8·`bytes`) mod P: the operator that moves a CRC past `bytes` bytes
+/// (zlib's `x2nmodp(bytes, 3)`). The order of x modulo P divides 2³² − 1,
+/// so the table's exponents wrap every 32 doublings.
+fn x8nmodp(mut bytes: u64) -> u32 {
+    let mut p = 1u32 << 31; // x⁰
+    let mut k = 3;
+    while bytes != 0 {
+        if bytes & 1 != 0 {
+            p = multmodp(X2N_TABLE[k & 31], p);
+        }
+        bytes >>= 1;
+        k += 1;
+    }
+    p
 }
 
 /// What a completed write or read amounted to — the numbers the
@@ -561,121 +635,127 @@ impl Restore for [u64; 4] {
     }
 }
 
-/// Writes a snapshot stream: header, then tagged CRC-framed sections in
-/// call order, then the end marker ([`SnapshotWriter::finish`]).
+/// Appends a snapshot stream to a caller's buffer: header, then tagged
+/// CRC-framed sections in call order, then the end marker
+/// ([`SnapshotWriter::finish`]). Every section is encoded straight into the
+/// buffer behind 12 placeholder bytes, which are patched with the payload's
+/// length and CRC once it is complete, so no payload is staged or copied.
 #[derive(Debug)]
-pub struct SnapshotWriter<W: Write> {
-    sink: W,
-    bytes: u64,
+pub struct SnapshotWriter<'a> {
+    out: &'a mut Vec<u8>,
+    /// Where this stream starts in `out`; the bytes before it are the
+    /// caller's and are never touched.
+    start: usize,
     sections: u32,
-    /// [`SnapshotWriter::encode_section`]'s payload buffer, reused across
-    /// sections: it grows to the largest one once per stream.
-    scratch: Vec<u8>,
 }
 
-impl<W: Write> SnapshotWriter<W> {
-    /// Starts a stream: writes the magic and version header.
-    pub fn new(mut sink: W) -> Result<Self, SnapshotError> {
-        sink.write_all(&SNAPSHOT_MAGIC)?;
-        sink.write_all(&SNAPSHOT_VERSION.to_le_bytes())?;
-        Ok(Self {
-            sink,
-            bytes: 6,
-            sections: 0,
-            scratch: Vec::new(),
-        })
-    }
-
-    /// Writes one raw section.
+impl<'a> SnapshotWriter<'a> {
+    /// Starts a stream at the end of `out`: appends the magic and version
+    /// header. Nothing already in `out` is cleared or moved.
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Malformed`] when `tag` is the reserved [`END_TAG`]
-    /// (nothing is written), or any [`SnapshotError::Io`] from the sink.
-    pub fn section(&mut self, tag: u16, payload: &[u8]) -> Result<(), SnapshotError> {
+    /// None: appending to a `Vec` cannot fail. The `Result` lets a
+    /// checkpoint propagate every step of the stream with `?` alike.
+    pub fn new(out: &'a mut Vec<u8>) -> Result<Self, SnapshotError> {
+        let start = out.len();
+        out.extend_from_slice(&SNAPSHOT_MAGIC);
+        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        Ok(Self {
+            out,
+            start,
+            sections: 0,
+        })
+    }
+
+    /// Writes one section whose payload is whatever `encode` appends to the
+    /// buffer it is handed (the stream's own buffer). `encode` must only
+    /// append.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Malformed`] when `tag` is the reserved [`END_TAG`];
+    /// nothing is written and `encode` is not called.
+    pub fn section(
+        &mut self,
+        tag: u16,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), SnapshotError> {
         if tag == END_TAG {
             return Err(SnapshotError::Malformed {
                 context: "END_TAG is reserved",
             });
         }
-        let mut header = [0u8; 14];
-        header[0..2].copy_from_slice(&tag.to_le_bytes());
-        header[2..10].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-        header[10..14].copy_from_slice(&crc32(payload).to_le_bytes());
-        self.sink.write_all(&header)?;
-        self.sink.write_all(payload)?;
-        self.bytes += 14 + payload.len() as u64;
+        let header = self.out.len();
+        self.out.extend_from_slice(&tag.to_le_bytes());
+        self.out.extend_from_slice(&[0; 12]);
+        let payload = self.out.len();
+        encode(self.out);
+        let len = (self.out.len() - payload) as u64;
+        let crc = crc32(&self.out[payload..]);
+        self.out[header + 2..header + 10].copy_from_slice(&len.to_le_bytes());
+        self.out[header + 10..payload].copy_from_slice(&crc.to_le_bytes());
         self.sections += 1;
         Ok(())
     }
 
-    /// Encodes `value` and writes it as one section.
+    /// Encodes `value` as one section.
     pub fn encode_section<T: Snapshot + ?Sized>(
         &mut self,
         tag: u16,
         value: &T,
     ) -> Result<(), SnapshotError> {
-        let mut payload = std::mem::take(&mut self.scratch);
-        payload.clear();
-        value.encode(&mut payload);
-        let written = self.section(tag, &payload);
-        self.scratch = payload;
-        written
+        self.section(tag, |out| value.encode(out))
     }
 
-    /// Writes the end marker, flushes, and reports what was written.
-    pub fn finish(mut self) -> Result<SnapshotStats, SnapshotError> {
-        self.sink.write_all(&END_TAG.to_le_bytes())?;
-        self.bytes += 2;
-        self.sink.flush()?;
+    /// Writes the end marker and reports what this stream amounted to.
+    pub fn finish(self) -> Result<SnapshotStats, SnapshotError> {
+        self.out.extend_from_slice(&END_TAG.to_le_bytes());
         Ok(SnapshotStats {
-            bytes: self.bytes,
+            bytes: (self.out.len() - self.start) as u64,
             sections: self.sections,
         })
     }
 }
 
-/// Reads a snapshot stream section by section, validating the header, each
-/// section's CRC, and the end marker.
+/// Reads a snapshot stream off the front of a borrowed byte slice, section
+/// by section, validating the header, each section's CRC, and the end
+/// marker. Payloads are lent out as sub-slices of the input.
 #[derive(Debug)]
-pub struct SnapshotReader<R: Read> {
-    source: R,
-    bytes: u64,
+pub struct SnapshotReader<'a> {
+    /// The input; its position is the number of stream bytes read so far.
+    cur: Cursor<'a>,
     sections: u32,
-    /// The current section's payload, lent out by
-    /// [`SnapshotReader::payload`] and reused for the next section.
-    payload: Vec<u8>,
 }
 
-impl<R: Read> SnapshotReader<R> {
-    /// Opens a stream: validates the magic and version header.
-    pub fn new(mut source: R) -> Result<Self, SnapshotError> {
-        let mut magic = [0u8; 4];
-        read_exact(&mut source, &mut magic, "magic")?;
+impl<'a> SnapshotReader<'a> {
+    /// Opens the stream at the front of `bytes`: validates the magic and
+    /// version header. Bytes past the stream's end marker are never read.
+    pub fn new(bytes: &'a [u8]) -> Result<Self, SnapshotError> {
+        let mut cur = Cursor::new(bytes);
+        let magic = cur.take(4, "magic")?;
         if magic != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic { found: magic });
+            return Err(SnapshotError::BadMagic {
+                found: magic.try_into().expect("take returned 4 bytes"),
+            });
         }
-        let mut version = [0u8; 2];
-        read_exact(&mut source, &mut version, "version")?;
-        let version = u16::from_le_bytes(version);
+        let version = u16::from_le_bytes(
+            cur.take(2, "version")?
+                .try_into()
+                .expect("take returned 2 bytes"),
+        );
         if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion {
                 found: version,
                 supported: SNAPSHOT_VERSION,
             });
         }
-        Ok(Self {
-            source,
-            bytes: 6,
-            sections: 0,
-            payload: Vec::new(),
-        })
+        Ok(Self { cur, sections: 0 })
     }
 
     /// Reads the next section, which must carry `expected` as its tag, and
-    /// lends out its CRC-verified payload. The bytes live in the reader's
-    /// own buffer until the next section is read.
-    pub fn payload(&mut self, expected: u16) -> Result<&[u8], SnapshotError> {
+    /// returns its CRC-verified payload: a sub-slice of the input.
+    pub fn payload(&mut self, expected: u16) -> Result<&'a [u8], SnapshotError> {
         let tag = self.read_tag()?;
         if tag != expected {
             return Err(SnapshotError::UnexpectedSection {
@@ -683,23 +763,17 @@ impl<R: Read> SnapshotReader<R> {
                 found: tag,
             });
         }
-        let mut header = [0u8; 12];
-        read_exact(&mut self.source, &mut header, "section header")?;
+        let header = self.cur.take(12, "section header")?;
         let len = u64::from_le_bytes(header[0..8].try_into().expect("8 bytes"));
         let stored_crc = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-        // Read through `take` so a corrupt (huge) length yields Truncated at
-        // the real end of data instead of a pre-allocation blow-up.
-        self.payload.clear();
-        (&mut self.source)
-            .take(len)
-            .read_to_end(&mut self.payload)
-            .map_err(SnapshotError::from)?;
-        if self.payload.len() as u64 != len {
-            return Err(SnapshotError::Truncated {
-                context: "section payload",
-            });
-        }
-        let computed_crc = crc32(&self.payload);
+        // a corrupt (huge) length is a truncation at the real end of the
+        // input, never an allocation
+        let truncated = SnapshotError::Truncated {
+            context: "section payload",
+        };
+        let len = usize::try_from(len).map_err(|_| truncated)?;
+        let payload = self.cur.take(len, "section payload")?;
+        let computed_crc = crc32(payload);
         if computed_crc != stored_crc {
             return Err(SnapshotError::CorruptSection {
                 tag,
@@ -707,15 +781,8 @@ impl<R: Read> SnapshotReader<R> {
                 computed_crc,
             });
         }
-        self.bytes += 12 + len; // the tag's 2 bytes were counted in read_tag
         self.sections += 1;
-        Ok(&self.payload)
-    }
-
-    /// [`SnapshotReader::payload`], copied out into a buffer the caller
-    /// owns.
-    pub fn section(&mut self, expected: u16) -> Result<Vec<u8>, SnapshotError> {
-        self.payload(expected).map(<[u8]>::to_vec)
+        Ok(payload)
     }
 
     /// Reads the next section and decodes it as `T`, requiring the payload
@@ -731,7 +798,8 @@ impl<R: Read> SnapshotReader<R> {
         Ok(value)
     }
 
-    /// Consumes the end marker and reports what was read.
+    /// Consumes the end marker and reports what was read; `bytes` is the
+    /// stream's length, end marker included.
     pub fn finish(mut self) -> Result<SnapshotStats, SnapshotError> {
         let tag = self.read_tag()?;
         if tag != END_TAG {
@@ -741,31 +809,17 @@ impl<R: Read> SnapshotReader<R> {
             });
         }
         Ok(SnapshotStats {
-            bytes: self.bytes,
+            bytes: self.cur.pos as u64,
             sections: self.sections,
         })
     }
 
     fn read_tag(&mut self) -> Result<u16, SnapshotError> {
-        let mut tag = [0u8; 2];
-        read_exact(&mut self.source, &mut tag, "section tag")?;
-        self.bytes += 2;
-        Ok(u16::from_le_bytes(tag))
+        let tag = self.cur.take(2, "section tag")?;
+        Ok(u16::from_le_bytes(
+            tag.try_into().expect("take returned 2 bytes"),
+        ))
     }
-}
-
-fn read_exact<R: Read>(
-    source: &mut R,
-    buf: &mut [u8],
-    context: &'static str,
-) -> Result<(), SnapshotError> {
-    source.read_exact(buf).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            SnapshotError::Truncated { context }
-        } else {
-            SnapshotError::Io(e)
-        }
-    })
 }
 
 #[cfg(test)]
@@ -781,10 +835,15 @@ mod tests {
 
     /// The textbook bit-at-a-time CRC-32 the sliced kernel must equal.
     fn crc32_bytewise(data: &[u8]) -> u32 {
-        !data.iter().fold(!0u32, |crc, &byte| {
-            (0..8).fold(crc ^ u32::from(byte), |c, _| {
-                (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg())
-            })
+        !data
+            .iter()
+            .fold(!0u32, |crc, &byte| bitwise_step(crc, byte))
+    }
+
+    /// Advances a running CRC by one byte, a bit at a time.
+    fn bitwise_step(crc: u32, byte: u8) -> u32 {
+        (0..8).fold(crc ^ u32::from(byte), |c, _| {
+            (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg())
         })
     }
 
@@ -809,6 +868,88 @@ mod tests {
                     );
                 }
             }
+        }
+
+        /// zlib's combine identity, `crc(a ++ b)` from `crc(a)`, `crc(b)`
+        /// and `|b|` — the join the four-lane path relies on — at every
+        /// split of the buffer, both empty halves included.
+        #[test]
+        fn crc32_combine_joins_the_crcs_of_two_halves(
+            raw in proptest::collection::vec(0u16..256, 0..200),
+        ) {
+            let buffer: Vec<u8> = raw.into_iter().map(|b| b as u8).collect();
+            for split in 0..=buffer.len() {
+                let (a, b) = buffer.split_at(split);
+                proptest::prop_assert_eq!(
+                    crc32_combine(crc32(a), crc32(b), b.len() as u64),
+                    crc32(&buffer),
+                    "split {} of {}", split, buffer.len()
+                );
+            }
+        }
+    }
+
+    /// zlib's `crc32_combine`, from the operator the four-lane path uses.
+    fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+        multmodp(x8nmodp(len_b), crc_a) ^ crc_b
+    }
+
+    /// Deterministic pseudo-random bytes (splitmix64).
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect()
+    }
+
+    /// `crc32_bytewise` of every prefix of `data`: entry `n` covers
+    /// `data[..n]`.
+    fn bytewise_prefixes(data: &[u8]) -> Vec<u32> {
+        let mut crc = !0u32;
+        let mut prefixes = vec![0];
+        for &byte in data {
+            crc = bitwise_step(crc, byte);
+            prefixes.push(!crc);
+        }
+        prefixes
+    }
+
+    /// The four-lane path against the bit-at-a-time reference: every length
+    /// within 64 bytes of the 16 KiB cut-over (both sides of it), every tail
+    /// length 0..64 behind four whole stripes (4·16·k + r), at unaligned
+    /// starts. A stripe boundary 16 bytes off or a dropped tail changes
+    /// these values.
+    #[test]
+    fn crc32_lanes_match_the_bytewise_reference() {
+        let buffer = noise(4 * 16 * 400 + 64 + 16, 42);
+        for start in [0, 1, 7, 13] {
+            let data = &buffer[start..];
+            let reference = bytewise_prefixes(data);
+            let around_cut_over = LANE_MIN - 64..=LANE_MIN + 64;
+            let tails = (0..64).map(|r| 4 * 16 * 400 + r);
+            for len in around_cut_over.chain(tails) {
+                assert_eq!(
+                    crc32(&data[..len]),
+                    reference[len],
+                    "start {start}, length {len}"
+                );
+            }
+        }
+    }
+
+    /// One multi-MiB input, aligned and not, against the reference.
+    #[test]
+    fn crc32_lanes_match_the_bytewise_reference_at_megabytes() {
+        let buffer = noise(3 * 1024 * 1024 + 45, 7);
+        for start in [0, 5] {
+            let data = &buffer[start..];
+            assert_eq!(crc32(data), crc32_bytewise(data), "start {start}");
         }
     }
 
@@ -987,7 +1128,7 @@ mod tests {
         let buf = write_two_sections();
         let mut reader = SnapshotReader::new(buf.as_slice()).unwrap();
         assert!(matches!(
-            reader.section(9).unwrap_err(),
+            reader.payload(9).unwrap_err(),
             SnapshotError::UnexpectedSection {
                 expected: 9,
                 found: 1
@@ -1029,7 +1170,9 @@ mod tests {
         let mut buf = Vec::new();
         let mut writer = SnapshotWriter::new(&mut buf).unwrap();
         assert!(matches!(
-            writer.section(END_TAG, b"payload").unwrap_err(),
+            writer
+                .section(END_TAG, |out| out.extend_from_slice(b"payload"))
+                .unwrap_err(),
             SnapshotError::Malformed {
                 context: "END_TAG is reserved"
             }
@@ -1048,14 +1191,16 @@ mod tests {
     fn corrupt_length_prefix_does_not_allocate_unbounded() {
         let mut buf = Vec::new();
         let mut writer = SnapshotWriter::new(&mut buf).unwrap();
-        writer.section(1, b"tiny").unwrap();
+        writer
+            .section(1, |out| out.extend_from_slice(b"tiny"))
+            .unwrap();
         writer.finish().unwrap();
         // blow the length field up to ~2^63 while keeping the stream short
         buf[8] = 0xFF;
         buf[14] = 0x7F;
         let mut reader = SnapshotReader::new(buf.as_slice()).unwrap();
         assert!(matches!(
-            reader.section(1).unwrap_err(),
+            reader.payload(1).unwrap_err(),
             SnapshotError::Truncated { .. }
         ));
     }

@@ -7,30 +7,36 @@
 //! restore silently.
 
 use mca_snapshot::{
-    Cursor, Restore, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, END_TAG,
-    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    Cursor, Restore, Snapshot, SnapshotError, SnapshotReader, SnapshotStats, SnapshotWriter,
+    END_TAG, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
+/// Appends `sections` to `out` as a complete snapshot stream.
+fn append_stream(out: &mut Vec<u8>, sections: &[(u16, Vec<u8>)]) -> SnapshotStats {
+    let mut writer = SnapshotWriter::new(out).expect("writing to a Vec cannot fail");
+    for (tag, payload) in sections {
+        writer
+            .section(*tag, |out| out.extend_from_slice(payload))
+            .expect("section write");
+    }
+    writer.finish().expect("finish")
+}
+
 /// Encodes `sections` into a complete snapshot stream.
 fn build_stream(sections: &[(u16, Vec<u8>)]) -> Vec<u8> {
     let mut bytes = Vec::new();
-    let mut writer = SnapshotWriter::new(&mut bytes).expect("writing to a Vec cannot fail");
-    for (tag, payload) in sections {
-        writer.section(*tag, payload).expect("section write");
-    }
-    writer.finish().expect("finish");
+    append_stream(&mut bytes, sections);
     bytes
 }
 
 /// Reads a stream back, expecting `tags` in order; returns the payloads.
 fn read_stream(bytes: &[u8], tags: &[u16]) -> Result<Vec<Vec<u8>>, SnapshotError> {
-    let mut source = bytes;
-    let mut reader = SnapshotReader::new(&mut source)?;
+    let mut reader = SnapshotReader::new(bytes)?;
     let mut payloads = Vec::new();
     for &tag in tags {
-        payloads.push(reader.section(tag)?);
+        payloads.push(reader.payload(tag)?.to_vec());
     }
     reader.finish()?;
     Ok(payloads)
@@ -43,8 +49,7 @@ fn decode_announced<T: Restore>(len: u64, body: &[u8]) -> Result<Vec<T>, Snapsho
     let mut payload = len.to_le_bytes().to_vec();
     payload.extend_from_slice(body);
     let bytes = build_stream(&[(1, payload)]);
-    let mut source = bytes.as_slice();
-    SnapshotReader::new(&mut source)?.decode_section(1)
+    SnapshotReader::new(&bytes)?.decode_section(1)
 }
 
 /// Narrows the generated `(tag, wide-byte payload)` list to real sections
@@ -74,6 +79,28 @@ proptest! {
         let payloads = read_stream(&bytes, &tags).expect("well-formed stream");
         let expected: Vec<Vec<u8>> = sections.into_iter().map(|(_, p)| p).collect();
         prop_assert_eq!(payloads, expected);
+    }
+
+    /// A writer opened on a non-empty buffer appends behind the caller's
+    /// bytes without touching them, writes exactly the stream an empty
+    /// buffer would hold, and counts only that stream in its stats.
+    #[test]
+    fn a_writer_appends_behind_the_callers_bytes(
+        prefix in proptest::collection::vec(0u16..256, 1..64),
+        raw in proptest::collection::vec(
+            (0u16..END_TAG, proptest::collection::vec(0u16..256, 0..64)),
+            0..5,
+        ),
+    ) {
+        let prefix: Vec<u8> = prefix.into_iter().map(|b| b as u8).collect();
+        let sections = to_sections(raw);
+        let mut bytes = prefix.clone();
+        let stats = append_stream(&mut bytes, &sections);
+        let alone = build_stream(&sections);
+        prop_assert_eq!(&bytes[..prefix.len()], &prefix[..]);
+        prop_assert_eq!(&bytes[prefix.len()..], &alone[..]);
+        prop_assert_eq!(stats.bytes, alone.len() as u64);
+        prop_assert_eq!(stats.sections as usize, sections.len());
     }
 
     /// Truncating a stream at **any** byte surfaces as
@@ -178,8 +205,7 @@ proptest! {
         };
         let mut bytes = build_stream(&to_sections(raw));
         bytes[4..6].copy_from_slice(&version.to_le_bytes());
-        let mut source = bytes.as_slice();
-        let result = SnapshotReader::new(&mut source);
+        let result = SnapshotReader::new(&bytes);
         prop_assert!(matches!(
             result.err(),
             Some(SnapshotError::UnsupportedVersion { found, supported })
@@ -224,17 +250,15 @@ proptest! {
 /// stream holding only the header.
 #[test]
 fn empty_and_header_only_streams_are_truncations() {
-    let mut empty: &[u8] = &[];
     assert!(matches!(
-        SnapshotReader::new(&mut empty).err(),
+        SnapshotReader::new(&[]).err(),
         Some(SnapshotError::Truncated { .. })
     ));
 
     let mut header = Vec::new();
     header.extend_from_slice(&SNAPSHOT_MAGIC);
     header.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    let mut source = header.as_slice();
-    let reader = SnapshotReader::new(&mut source).expect("header alone parses");
+    let reader = SnapshotReader::new(&header).expect("header alone parses");
     assert!(matches!(
         reader.finish().err(),
         Some(SnapshotError::Truncated { .. })

@@ -10,8 +10,10 @@
 //! cargo run --release --example fleet_checkpoint
 //! ```
 //!
-//! Exits non-zero (assert) on any divergence — CI runs this as the
-//! checkpoint gate.
+//! Exits non-zero (assert) on any divergence, and on any change to the
+//! checkpoint's bytes: the session runs on the logical clock, so the
+//! stream's length and CRC-32 repeat on every run and machine. CI runs this
+//! as the checkpoint gate.
 
 use mobile_code_acceleration::cloudsim::{DatacenterConfig, PlacementKind};
 use mobile_code_acceleration::core::SystemConfig;
@@ -19,6 +21,7 @@ use mobile_code_acceleration::fleet::{
     FleetDriver, FleetEngine, RebalancerConfig, RecordSource, TelemetryMode, TenantMixSource,
 };
 use mobile_code_acceleration::offload::TenantId;
+use mobile_code_acceleration::snapshot::crc32;
 use mobile_code_acceleration::workload::TenantMix;
 use std::time::Instant;
 
@@ -28,6 +31,10 @@ const SLOTS: usize = 32;
 const CHECKPOINT_AT: usize = 17; // past the 16-slot window: mid-eviction
 const SHARDS: usize = 4;
 const THREADS: usize = 2;
+/// The checkpoint's length and CRC-32: a different value means the wire
+/// format or the checkpointed state changed.
+const CHECKPOINT_BYTES: usize = 36_332;
+const CHECKPOINT_CRC: u32 = 0x1d12_9189;
 
 fn config() -> SystemConfig {
     SystemConfig::paper_three_groups()
@@ -72,16 +79,24 @@ fn main() {
     let (stats, checkpoint_ms, forecasts_at_kill) = {
         let mut driver = fresh_driver();
         driver.run(CHECKPOINT_AT).expect("pre-crash drive");
-        let mut file = std::fs::File::create(&checkpoint_path).expect("create checkpoint file");
+        let mut bytes = Vec::new();
         let start = Instant::now();
-        let stats = driver.checkpoint(&mut file).expect("checkpoint to disk");
+        let stats = driver.checkpoint(&mut bytes).expect("checkpoint to memory");
         let checkpoint_ms = start.elapsed().as_secs_f64() * 1_000.0;
+        assert_eq!(stats.bytes as usize, bytes.len());
+        assert_eq!(
+            (bytes.len(), crc32(&bytes)),
+            (CHECKPOINT_BYTES, CHECKPOINT_CRC),
+            "the checkpoint's bytes changed"
+        );
+        std::fs::write(&checkpoint_path, &bytes).expect("write checkpoint file");
         (stats, checkpoint_ms, driver.engine().forecasts())
         // the driver (and its engine, sources, RNG streams) drops here: the
         // process-shaped state is gone, only the file survives
     };
     println!(
-        "checkpoint at slot {CHECKPOINT_AT}: {} bytes, {} sections, {:.3} ms -> {}",
+        "checkpoint at slot {CHECKPOINT_AT}: {} bytes (CRC-32 {CHECKPOINT_CRC:#010x}), {} sections, \
+         {:.3} ms -> {}",
         stats.bytes,
         stats.sections,
         checkpoint_ms,
@@ -97,11 +112,13 @@ fn main() {
             (Some(tenant), Box::new(source) as Box<dyn RecordSource>)
         })
         .collect();
-    let mut file = std::fs::File::open(&checkpoint_path).expect("open checkpoint file");
+    let bytes = std::fs::read(&checkpoint_path).expect("read checkpoint file");
+    let mut source = bytes.as_slice();
     let start = Instant::now();
     let mut resumed =
-        FleetDriver::restore(&mut file, &config(), sources).expect("restore from disk");
+        FleetDriver::restore(&mut source, &config(), sources).expect("restore from disk");
     let restore_ms = start.elapsed().as_secs_f64() * 1_000.0;
+    assert!(source.is_empty(), "the restore read the whole file");
     println!("restore: {restore_ms:.3} ms");
     assert_eq!(
         resumed.engine().forecasts(),
