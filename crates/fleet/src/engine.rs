@@ -9,8 +9,8 @@
 //! last chunk and a scoped thread each of the others. Three properties make
 //! the parallel tick safe and reproducible:
 //!
-//! * shards share no state — each tenant's knowledge base, allocator, pool
-//!   and RNG stream live in exactly one shard,
+//! * shards share no state — every tenant lives whole on exactly one shard,
+//!   with its knowledge base, allocator, pool and RNG stream,
 //! * per-tenant RNG streams are seeded from `(fleet seed, tenant id)` alone,
 //!   so thread scheduling cannot perturb any tenant's draws, and
 //! * the nearest-neighbour tie-break (first minimum in chronological order)
@@ -20,7 +20,7 @@
 
 use crate::error::FleetError;
 use crate::ingest::{RouteTable, SlotRecord};
-use crate::metrics::{FleetMetrics, TenantMetrics};
+use crate::metrics::FleetMetrics;
 use crate::rebalance::{MigrationRecord, Rebalancer, RebalancerConfig};
 use crate::router::ShardRouter;
 use crate::shard::TenantShard;
@@ -34,7 +34,7 @@ use mca_snapshot::{
 };
 use mca_telemetry::{LatencyHistogram, Registry, StageTimer, TelemetryClock};
 use mca_workload::TenantMix;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// Wire-section tags of the engine checkpoint stream, in stream order. One
@@ -111,16 +111,13 @@ pub struct FleetEngine {
     seed: u64,
     router: ShardRouter,
     shards: Vec<Shard>,
-    /// Shard and position of every tenant hosted whole; rebuilt every slot.
+    /// Shard and position of every hosted tenant; rebuilt every slot.
     routes: RouteTable,
     threads: usize,
     slot_index: usize,
     dropped_records: usize,
     /// Dropped records broken down by the unknown tenant they named.
     dropped_by_tenant: BTreeMap<TenantId, usize>,
-    /// Tenants whose population is split across *every* shard by user hash
-    /// (one replica per shard) — the scaling mode for one huge tenant.
-    user_sharded: BTreeSet<TenantId>,
     /// How stage and slot latencies are measured.
     telemetry_mode: TelemetryMode,
     /// The engine-level clock timing each full slot tick.
@@ -168,7 +165,6 @@ impl FleetEngine {
             slot_index: 0,
             dropped_records: 0,
             dropped_by_tenant: BTreeMap::new(),
-            user_sharded: BTreeSet::new(),
             telemetry_mode: mode,
             clock: mode.clock(),
             slot_hist: LatencyHistogram::new(),
@@ -236,29 +232,12 @@ impl FleetEngine {
         self.threads
     }
 
-    /// Number of onboarded tenants (a user-sharded tenant counts once, not
-    /// once per replica).
+    /// Number of onboarded tenants.
     pub fn tenants(&self) -> usize {
-        let tenant_sharded: usize = self
-            .shards
-            .iter()
-            .map(|s| {
-                s.tenants
-                    .iter()
-                    .filter(|t| !self.user_sharded.contains(&t.id()))
-                    .count()
-            })
-            .sum();
-        tenant_sharded + self.user_sharded.len()
+        self.shards.iter().map(|s| s.tenants.len()).sum()
     }
 
-    /// The tenants served in user-sharded (huge tenant) mode.
-    pub fn user_sharded_tenants(&self) -> impl Iterator<Item = TenantId> + '_ {
-        self.user_sharded.iter().copied()
-    }
-
-    /// Every onboarded tenant id, sorted (a user-sharded tenant appears
-    /// once, not once per replica).
+    /// Every onboarded tenant id, sorted.
     pub fn tenant_ids(&self) -> Vec<TenantId> {
         let mut ids: Vec<TenantId> = self
             .shards
@@ -266,7 +245,6 @@ impl FleetEngine {
             .flat_map(|s| s.tenants.iter().map(TenantShard::id))
             .collect();
         ids.sort_unstable();
-        ids.dedup();
         ids
     }
 
@@ -315,45 +293,15 @@ impl FleetEngine {
         }
     }
 
-    /// Onboards one **huge** tenant in user-sharded mode — the reserved
-    /// [`ShardRouter::shard_of_user`] scaling path for a CloneCloud-style
-    /// deployment whose single app serves more users than one predictor can
-    /// scan. Every shard receives a replica [`TenantShard`]; each replica
-    /// predicts and allocates over its own hash-slice of the population, so
-    /// the per-slot scan shrinks by the shard count while the combined
-    /// forecast ([`FleetEngine::combined_forecast`]) still covers the whole
-    /// tenant. Replicas share the tenant's stream seed, which is harmless on
-    /// the batched ingest path (it never draws from the RNG).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tenant is already onboarded in either mode.
-    pub fn add_user_sharded_tenant(&mut self, tenant: TenantId) {
-        for shard in &mut self.shards {
-            match shard.tenants.binary_search_by_key(&tenant, TenantShard::id) {
-                Ok(_) => panic!("tenant {tenant} is already onboarded"),
-                Err(at) => shard
-                    .tenants
-                    .insert(at, TenantShard::new(tenant, &self.config, self.seed)),
-            }
-        }
-        self.user_sharded.insert(tenant);
-    }
-
     /// Offboards `tenant`, handing its slot history out (shard hand-off: the
     /// knowledge base moves without copying and can seed another engine or
-    /// shard).
+    /// shard). A placement override the tenant carried is cleared, so a
+    /// later onboarding lands on its hash home shard.
     ///
     /// # Errors
     ///
-    /// [`FleetError::UnknownTenant`] when the tenant is not onboarded;
-    /// [`FleetError::UserSharded`] when it is served in user-sharded mode —
-    /// it has one history per shard, handed out by
-    /// [`FleetEngine::extract_user_sharded_tenant`].
+    /// [`FleetError::UnknownTenant`] when the tenant is not onboarded.
     pub fn extract_tenant(&mut self, tenant: TenantId) -> Result<SlotHistory, FleetError> {
-        if self.user_sharded.contains(&tenant) {
-            return Err(FleetError::UserSharded { tenant });
-        }
         let now_ms = self.slot_index as f64 * self.config.slot_length_ms;
         let shard = &mut self.shards[self.router.shard_of_tenant(tenant)];
         let at = shard
@@ -361,49 +309,9 @@ impl FleetEngine {
             .binary_search_by_key(&tenant, TenantShard::id)
             .map_err(|_| FleetError::UnknownTenant { tenant })?;
         let mut state = shard.tenants.remove(at);
+        self.router
+            .place(tenant, self.router.home_shard_of_tenant(tenant));
         Ok(state.decommission(now_ms))
-    }
-
-    /// Offboards a user-sharded tenant: every replica is decommissioned and
-    /// its slice history handed out, in shard order.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::NotUserSharded`] when the tenant is not served in
-    /// user-sharded mode; [`FleetError::MissingReplica`] when a shard has
-    /// lost its replica (an engine invariant violation — the engine is left
-    /// untouched).
-    pub fn extract_user_sharded_tenant(
-        &mut self,
-        tenant: TenantId,
-    ) -> Result<Vec<SlotHistory>, FleetError> {
-        if !self.user_sharded.contains(&tenant) {
-            return Err(FleetError::NotUserSharded { tenant });
-        }
-        // validate every replica before touching anything, so an invariant
-        // violation surfaces without a half-extracted tenant
-        let positions: Vec<usize> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(index, shard)| {
-                shard
-                    .tenants
-                    .binary_search_by_key(&tenant, TenantShard::id)
-                    .map_err(|_| FleetError::MissingReplica {
-                        tenant,
-                        shard: index,
-                    })
-            })
-            .collect::<Result<_, _>>()?;
-        self.user_sharded.remove(&tenant);
-        let now_ms = self.slot_index as f64 * self.config.slot_length_ms;
-        let mut histories = Vec::with_capacity(self.shards.len());
-        for (shard, at) in self.shards.iter_mut().zip(positions) {
-            let mut state = shard.tenants.remove(at);
-            histories.push(state.decommission(now_ms));
-        }
-        Ok(histories)
     }
 
     /// Runs the rebalancer's periodic check when one is configured and due,
@@ -430,12 +338,8 @@ impl FleetEngine {
             let mut total = 0.0;
             let mut tenants = Vec::new();
             for tenant in &shard.tenants {
-                // user-sharded replicas contribute load but cannot move:
-                // their records route by user hash, not by placement
                 total += tenant.load_ewma();
-                if !self.user_sharded.contains(&tenant.id()) {
-                    tenants.push((tenant.id(), tenant.load_ewma()));
-                }
+                tenants.push((tenant.id(), tenant.load_ewma()));
             }
             loads.push(total);
             movable.push(tenants);
@@ -488,14 +392,9 @@ impl FleetEngine {
     ///
     /// # Errors
     ///
-    /// [`FleetError::UserSharded`] when the tenant is served in user-sharded
-    /// mode (its replicas route by user hash — there is no single placement
-    /// to move); [`FleetError::InvalidShard`] when `to` is out of range;
+    /// [`FleetError::InvalidShard`] when `to` is out of range;
     /// [`FleetError::UnknownTenant`] when the tenant is not onboarded.
     pub fn migrate_tenant(&mut self, tenant: TenantId, to: usize) -> Result<(), FleetError> {
-        if self.user_sharded.contains(&tenant) {
-            return Err(FleetError::UserSharded { tenant });
-        }
         if to >= self.shards.len() {
             return Err(FleetError::InvalidShard {
                 shard: to,
@@ -522,8 +421,8 @@ impl FleetEngine {
     /// every record to its tenant's slot builder (one pass over the batch),
     /// then runs every shard's build→predict→allocate→bill cycle in
     /// parallel. Records naming unknown tenants are counted in
-    /// [`FleetEngine::dropped_records`], and against the shard
-    /// [`crate::ingest::bucket_by_shard`] names. This is the single
+    /// [`FleetEngine::dropped_records`], and against the shard the router
+    /// names for the tenant. This is the single
     /// ingestion primitive every front-end funnels into. When a rebalancer
     /// is configured its periodic check runs first, between slots.
     pub(crate) fn ingest_batch(&mut self, records: &[SlotRecord]) {
@@ -531,41 +430,27 @@ impl FleetEngine {
         let timer = StageTimer::start(&mut self.clock);
         let slot_index = self.slot_index;
         let now_ms = (slot_index + 1) as f64 * self.config.slot_length_ms;
-        // where every tenant hosted whole sits right now: O(tenants) per
-        // slot, so no control-plane operation has a table to invalidate
-        self.routes
-            .reset(self.shards.iter().map(|s| s.tenants.len()).sum());
+        // where every tenant sits right now: O(tenants) per slot, so no
+        // control-plane operation has a table to invalidate
+        self.routes.reset(self.tenants());
         for (index, shard) in self.shards.iter_mut().enumerate() {
             let hosted = shard.tenants.len();
             shard.builders.resize_with(hosted, TimeSlotBuilder::default);
             for (at, tenant) in shard.tenants.iter().enumerate() {
-                if !self.user_sharded.contains(&tenant.id()) {
-                    self.routes.insert(tenant.id(), index, at);
-                }
+                self.routes.insert(tenant.id(), index, at);
             }
         }
         for record in records {
             let tenant = record.tenant;
-            let (shard, at) = match self.routes.get(tenant) {
-                Some((shard, at)) => (shard, Some(at)),
-                // a user-sharded replica or an unknown tenant: the reference
-                // routing, then a search of the shard it names
-                None => {
-                    let shard = if self.user_sharded.contains(&tenant) {
-                        self.router.shard_of_user(record.user)
-                    } else {
-                        self.router.shard_of_tenant(tenant)
-                    };
-                    let hosted = &self.shards[shard].tenants;
-                    let at = hosted.binary_search_by_key(&tenant, TenantShard::id);
-                    (shard, at.ok())
+            match self.routes.get(tenant) {
+                Some((shard, at)) => {
+                    let shard = &mut self.shards[shard];
+                    shard.staged += 1;
+                    shard.builders[at].assign(record.group, record.user);
                 }
-            };
-            let shard = &mut self.shards[shard];
-            shard.staged += 1;
-            match at {
-                Some(at) => shard.builders[at].assign(record.group, record.user),
+                // an unknown tenant: charged to the shard it would route to
                 None => {
+                    self.shards[self.router.shard_of_tenant(tenant)].staged += 1;
                     self.dropped_records += 1;
                     *self.dropped_by_tenant.entry(tenant).or_insert(0) += 1;
                 }
@@ -613,14 +498,7 @@ impl FleetEngine {
     /// Ticks one provisioning slot generated from a [`TenantMix`]: every
     /// tenant's records are drawn from its private RNG stream (in tenant-id
     /// order within each shard, streams independent) and routed through the
-    /// ordinary batch ingest — so user-sharded tenants are served
-    /// per-record like any other batch, a configuration the old
-    /// generate-inside-the-shard path had to reject.
-    ///
-    /// For a user-sharded tenant the generation stream lives with the
-    /// replica on shard 0 (replica RNGs are never consumed by batched
-    /// ingest, so the other replicas' streams staying untouched is
-    /// harmless).
+    /// ordinary batch ingest.
     ///
     /// This is the one way to tick the engine without a
     /// [`crate::FleetDriver`] (which drives a mix through
@@ -646,13 +524,9 @@ impl FleetEngine {
         }
         let slot_index = self.slot_index;
         let mut batch: Vec<SlotRecord> = Vec::new();
-        let mut generated: BTreeSet<TenantId> = BTreeSet::new();
         for shard in &mut self.shards {
             for tenant in &mut shard.tenants {
                 let id = tenant.id();
-                if self.user_sharded.contains(&id) && !generated.insert(id) {
-                    continue;
-                }
                 batch.extend(
                     mix.slot_records(id, slot_index, tenant.rng_mut())
                         .into_iter()
@@ -665,61 +539,16 @@ impl FleetEngine {
     }
 
     /// Every tenant's standing forecast for the next slot, sorted by tenant
-    /// id. A user-sharded tenant appears once, with the combined forecast of
-    /// its replicas.
+    /// id.
     pub fn forecasts(&self) -> Vec<(TenantId, Option<WorkloadForecast>)> {
         let mut forecasts: Vec<(TenantId, Option<WorkloadForecast>)> = self
             .shards
             .iter()
             .flat_map(|s| s.tenants.iter())
-            .filter(|t| !self.user_sharded.contains(&t.id()))
             .map(|t| (t.id(), t.forecast().cloned()))
             .collect();
-        for &tenant in &self.user_sharded {
-            forecasts.push((tenant, self.combined_forecast(tenant)));
-        }
         forecasts.sort_by_key(|(id, _)| *id);
         forecasts
-    }
-
-    /// The standing forecast for `tenant` across the whole fleet: for a
-    /// tenant-sharded tenant this is its shard's forecast; for a
-    /// user-sharded tenant the replicas' per-group loads are summed (slice
-    /// forecasts are independent nearest-slot matches, so the combined
-    /// forecast carries no single `matched_slot`). `None` when the tenant is
-    /// unknown or no replica has forecast yet.
-    pub fn combined_forecast(&self, tenant: TenantId) -> Option<WorkloadForecast> {
-        if !self.user_sharded.contains(&tenant) {
-            return self.tenant(tenant).and_then(|t| t.forecast().cloned());
-        }
-        let mut per_group: Vec<(mca_offload::AccelerationGroupId, usize)> = self
-            .config
-            .groups
-            .ids()
-            .into_iter()
-            .map(|g| (g, 0))
-            .collect();
-        let mut any = false;
-        for shard in &self.shards {
-            // every shard hosts a replica of a user-sharded tenant; a missing
-            // one is skipped rather than panicking so the reporting path
-            // (forecasts / DriveReport) can never unwind the fleet
-            let Ok(at) = shard.tenants.binary_search_by_key(&tenant, TenantShard::id) else {
-                continue;
-            };
-            if let Some(forecast) = shard.tenants[at].forecast() {
-                any = true;
-                for (group, load) in &forecast.per_group {
-                    if let Some(entry) = per_group.iter_mut().find(|(g, _)| g == group) {
-                        entry.1 += load;
-                    }
-                }
-            }
-        }
-        any.then_some(WorkloadForecast {
-            per_group,
-            matched_slot: None,
-        })
     }
 
     /// Read access to one tenant's provisioning state.
@@ -732,27 +561,15 @@ impl FleetEngine {
             .map(|at| &shard.tenants[at])
     }
 
-    /// Aggregates every tenant's accounting into the fleet rollup. The
-    /// replicas of a user-sharded tenant fold into one per-tenant record
-    /// first ([`TenantMetrics::absorb`], in shard order — deterministic), so
-    /// the rollup sees each tenant exactly once.
+    /// Aggregates every tenant's accounting into the fleet rollup.
     pub fn metrics(&self) -> FleetMetrics {
-        let mut per_tenant: Vec<TenantMetrics> = Vec::new();
-        let mut merged: BTreeMap<TenantId, TenantMetrics> = BTreeMap::new();
-        for shard in &self.shards {
-            for tenant in &shard.tenants {
-                if self.user_sharded.contains(&tenant.id()) {
-                    merged
-                        .entry(tenant.id())
-                        .and_modify(|m| m.absorb(tenant.metrics()))
-                        .or_insert_with(|| tenant.metrics().clone());
-                } else {
-                    per_tenant.push(tenant.metrics().clone());
-                }
-            }
-        }
-        per_tenant.extend(merged.into_values());
-        FleetMetrics::aggregate(per_tenant)
+        FleetMetrics::aggregate(
+            self.shards
+                .iter()
+                .flat_map(|s| s.tenants.iter())
+                .map(|t| t.metrics().clone())
+                .collect(),
+        )
     }
 
     /// The engine-wide telemetry snapshot: per-slot ingest latency, stage
@@ -896,8 +713,7 @@ impl FleetEngine {
         Ok(())
     }
 
-    /// The summed scan statistics of every hosted predictor (replicas of a
-    /// user-sharded tenant each contribute their own scans).
+    /// The summed scan statistics of every hosted predictor.
     pub fn predictor_stats(&self) -> PredictorStatsSnapshot {
         let mut total = PredictorStatsSnapshot::default();
         for shard in &self.shards {
@@ -968,7 +784,6 @@ impl FleetEngine {
         writer.section(SECTION_ENGINE, |out| {
             self.dropped_records.encode(out);
             self.dropped_by_tenant.encode(out);
-            self.user_sharded.encode(out);
             self.telemetry_mode.encode(out);
             self.clock.encode(out);
             self.slot_hist.encode(out);
@@ -1072,7 +887,6 @@ impl FleetEngine {
         let mut cur = Cursor::new(reader.payload(SECTION_ENGINE)?);
         let dropped_records = usize::decode(&mut cur)?;
         let dropped_by_tenant = BTreeMap::<TenantId, usize>::decode(&mut cur)?;
-        let user_sharded = BTreeSet::<TenantId>::decode(&mut cur)?;
         let telemetry_mode = TelemetryMode::decode(&mut cur)?;
         let clock = TelemetryClock::decode(&mut cur)?;
         let slot_hist = LatencyHistogram::decode(&mut cur)?;
@@ -1102,11 +916,12 @@ impl FleetEngine {
                     context: "shard tenants out of id order",
                 });
             }
-            // every tenant-sharded tenant must sit where the restored router
-            // routes it; user-sharded replicas live on every shard by design
-            if tenants.iter().any(|tenant| {
-                !user_sharded.contains(&tenant.id()) && router.shard_of_tenant(tenant.id()) != index
-            }) {
+            // every tenant must sit where the restored router routes it, so
+            // no tenant can be hosted on two shards
+            if tenants
+                .iter()
+                .any(|tenant| router.shard_of_tenant(tenant.id()) != index)
+            {
                 return Err(SnapshotError::Malformed {
                     context: "tenant hosted away from its routed shard",
                 });
@@ -1123,7 +938,6 @@ impl FleetEngine {
             slot_index,
             dropped_records,
             dropped_by_tenant,
-            user_sharded,
             telemetry_mode,
             clock,
             slot_hist,
@@ -1414,6 +1228,22 @@ mod tests {
     }
 
     #[test]
+    fn extracting_a_displaced_tenant_clears_its_placement() {
+        let mut engine = FleetEngine::new(config(), 3, 9);
+        engine.add_tenants((0..4).map(TenantId));
+        let tenant = TenantId(2);
+        let home = engine.shard_of(tenant);
+        engine.migrate_tenant(tenant, (home + 1) % 3).unwrap();
+        assert_eq!(engine.displaced_tenants(), 1);
+
+        engine.extract_tenant(tenant).expect("tenant exists");
+        assert_eq!(engine.displaced_tenants(), 0, "no override outlives it");
+        engine.add_tenant(tenant);
+        assert_eq!(engine.shard_of(tenant), home, "re-onboarding lands home");
+        assert!(engine.tenant(tenant).is_some());
+    }
+
+    #[test]
     #[should_panic(expected = "already onboarded")]
     fn double_onboarding_panics() {
         let mut engine = FleetEngine::new(config(), 2, 1);
@@ -1421,144 +1251,13 @@ mod tests {
         engine.add_tenant(TenantId(1));
     }
 
-    /// A batch for one tenant with `users` distinct users spread over the
-    /// three groups, with ids offset by `drift` so consecutive slots overlap.
-    fn huge_tenant_batch(tenant: TenantId, users: u32, drift: u32) -> Vec<SlotRecord> {
-        (0..users)
-            .map(|u| {
-                SlotRecord::new(
-                    tenant,
-                    AccelerationGroupId((u % 3 + 1) as u8),
-                    UserId(u + drift),
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn user_sharded_tenant_splits_its_population_and_combines_forecasts() {
-        let mut engine = FleetEngine::new(config(), 4, 1);
-        engine.add_user_sharded_tenant(TenantId(0));
-        assert_eq!(engine.tenants(), 1, "replicas count once");
-        assert_eq!(
-            engine.user_sharded_tenants().collect::<Vec<_>>(),
-            vec![TenantId(0)]
-        );
-
-        let batch = huge_tenant_batch(TenantId(0), 64, 0);
-        engine.ingest_batch(&batch);
-        engine.ingest_batch(&batch);
-        assert_eq!(engine.dropped_records(), 0, "every shard hosts a replica");
-
-        let metrics = engine.metrics();
-        assert_eq!(metrics.tenants, 1);
-        let tenant = metrics.tenant(TenantId(0)).unwrap();
-        assert_eq!(tenant.slots, 2);
-        assert_eq!(tenant.total_user_slots, 2 * 64, "no user lost in routing");
-
-        // identical consecutive slots: every replica matches its own slice,
-        // so the combined forecast covers the whole population
-        let combined = engine.combined_forecast(TenantId(0)).unwrap();
-        assert_eq!(combined.total(), 64);
-        assert_eq!(combined.matched_slot, None, "slice matches are independent");
-        let forecasts = engine.forecasts();
-        assert_eq!(forecasts.len(), 1);
-        assert_eq!(forecasts[0].1.as_ref().unwrap(), &combined);
-    }
-
-    #[test]
-    fn single_shard_user_sharding_equals_tenant_sharding() {
-        // on one shard the single replica sees the whole population, so the
-        // user-sharded engine must reproduce the tenant-sharded one exactly
-        let mut by_user = FleetEngine::new(config(), 1, 7);
-        by_user.add_user_sharded_tenant(TenantId(3));
-        let mut by_tenant = FleetEngine::new(config(), 1, 7);
-        by_tenant.add_tenant(TenantId(3));
-        for i in 0..5u32 {
-            let batch = huge_tenant_batch(TenantId(3), 20 + i, i);
-            by_user.ingest_batch(&batch);
-            by_tenant.ingest_batch(&batch);
-        }
-        assert_eq!(by_user.metrics(), by_tenant.metrics());
-        let combined = by_user.combined_forecast(TenantId(3)).unwrap();
-        let plain = by_tenant.combined_forecast(TenantId(3)).unwrap();
-        assert_eq!(combined.per_group, plain.per_group);
-    }
-
-    #[test]
-    fn user_sharded_runs_are_deterministic_across_threads_and_repeats() {
-        let run = |threads: usize| {
-            let mut engine = FleetEngine::new(config(), 6, 11).with_threads(threads);
-            engine.add_user_sharded_tenant(TenantId(7));
-            engine.add_tenant(TenantId(1));
-            for i in 0..6u32 {
-                let mut batch = huge_tenant_batch(TenantId(7), 40, i);
-                batch.extend(huge_tenant_batch(TenantId(1), 8, 0));
-                engine.ingest_batch(&batch);
-            }
-            (engine.metrics(), engine.forecasts())
-        };
-        let baseline = run(1);
-        for threads in [2, 4, 8] {
-            assert_eq!(run(threads), baseline, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn extract_user_sharded_tenant_hands_off_every_slice() {
-        let mut engine = FleetEngine::new(config(), 3, 9);
-        engine.add_user_sharded_tenant(TenantId(2));
-        for i in 0..3u32 {
-            engine.ingest_batch(&huge_tenant_batch(TenantId(2), 30, i));
-        }
-        let histories = engine.extract_user_sharded_tenant(TenantId(2)).unwrap();
-        assert_eq!(histories.len(), 3, "one slice history per shard");
-        assert!(histories.iter().all(|h| h.len() == 3));
-        // the population is conserved across the slices, slot by slot
-        for slot in 0..3 {
-            let users: usize = histories
-                .iter()
-                .map(|h| h.slots()[slot].total_users())
-                .sum();
-            assert_eq!(users, 30, "slot {slot}");
-        }
-        assert_eq!(engine.tenants(), 0);
-        assert_eq!(
-            engine.extract_user_sharded_tenant(TenantId(2)).unwrap_err(),
-            FleetError::NotUserSharded {
-                tenant: TenantId(2)
-            }
-        );
-        assert!(engine.combined_forecast(TenantId(2)).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "already onboarded")]
-    fn user_sharding_an_onboarded_tenant_panics() {
-        let mut engine = FleetEngine::new(config(), 2, 1);
-        engine.add_tenant(TenantId(1));
-        engine.add_user_sharded_tenant(TenantId(1));
-    }
-
-    #[test]
-    fn extracting_a_user_sharded_tenant_by_tenant_path_is_a_typed_error() {
-        let mut engine = FleetEngine::new(config(), 2, 1);
-        engine.add_user_sharded_tenant(TenantId(1));
-        assert_eq!(
-            engine.extract_tenant(TenantId(1)).unwrap_err(),
-            FleetError::UserSharded {
-                tenant: TenantId(1)
-            }
-        );
-        // the tenant is untouched by the failed extraction
-        assert_eq!(engine.tenants(), 1);
-    }
-
     #[test]
     fn tenant_ids_lists_every_tenant_once() {
         let mut engine = FleetEngine::new(config(), 3, 1);
-        engine.add_tenants([TenantId(4), TenantId(1)]);
-        engine.add_user_sharded_tenant(TenantId(2));
+        engine.add_tenants([TenantId(4), TenantId(1), TenantId(2)]);
+        let away = (engine.shard_of(TenantId(2)) + 1) % 3;
+        engine.migrate_tenant(TenantId(2), away).unwrap();
+        assert_eq!(engine.tenants(), 3);
         assert_eq!(
             engine.tenant_ids(),
             vec![TenantId(1), TenantId(2), TenantId(4)]
@@ -1609,13 +1308,6 @@ mod tests {
     fn migrate_tenant_rejects_bad_targets() {
         let mut engine = FleetEngine::new(config(), 2, 1);
         engine.add_tenant(TenantId(0));
-        engine.add_user_sharded_tenant(TenantId(1));
-        assert_eq!(
-            engine.migrate_tenant(TenantId(1), 0).unwrap_err(),
-            FleetError::UserSharded {
-                tenant: TenantId(1)
-            }
-        );
         assert_eq!(
             engine.migrate_tenant(TenantId(0), 5).unwrap_err(),
             FleetError::InvalidShard {
@@ -1717,42 +1409,5 @@ mod tests {
             }
         );
         assert_eq!(engine.slot_index(), 0, "the failed tick did not advance");
-    }
-
-    #[test]
-    fn try_tick_mix_drives_user_sharded_tenants_through_the_batch_path() {
-        // the configuration the old generate-inside-the-shard mix path had
-        // to reject: a user-sharded tenant driven from a mix. Routing the
-        // generated records through the batch ingest must match generating
-        // the same records by hand and feeding them to the ingest directly.
-        let mix = mca_workload::TenantMix::heterogeneous(2, 16, config().groups.ids(), 3);
-        let seed = 3; // fleet seed == mix seed: shard streams are canonical
-
-        let mut via_mix = FleetEngine::new(config(), 3, seed);
-        via_mix.add_user_sharded_tenant(TenantId(0));
-        via_mix.add_tenant(TenantId(1));
-
-        let mut via_batches = FleetEngine::new(config(), 3, seed);
-        via_batches.add_user_sharded_tenant(TenantId(0));
-        via_batches.add_tenant(TenantId(1));
-
-        let mut streams: Vec<_> = mix.tenant_ids().map(|t| mix.stream_for(t)).collect();
-        for slot in 0..6 {
-            via_mix
-                .try_tick_mix(&mix)
-                .expect("both tenants are in the mix");
-            let mut batch = Vec::new();
-            for tenant in mix.tenant_ids() {
-                batch.extend(
-                    mix.slot_records(tenant, slot, &mut streams[tenant.0 as usize])
-                        .into_iter()
-                        .map(|(g, u)| SlotRecord::new(tenant, g, u)),
-                );
-            }
-            via_batches.ingest_batch(&batch);
-        }
-        assert_eq!(via_mix.metrics(), via_batches.metrics());
-        assert_eq!(via_mix.forecasts(), via_batches.forecasts());
-        assert_eq!(via_mix.dropped_records(), 0);
     }
 }

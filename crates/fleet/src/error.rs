@@ -1,11 +1,10 @@
 //! Typed errors for the fleet engine and the streaming ingestion driver.
 //!
-//! The pre-driver API reported misuse with `assert!`/`expect` panics deep in
-//! the engine (the mix path's user-sharded rejection, the `extract_*` replica
-//! lookups). The ingestion redesign surfaces every such condition as a
-//! [`FleetError`] returned through [`crate::FleetDriver`] and the engine's
-//! fallible methods, so a control plane can handle a misconfigured tenant or
-//! source without unwinding the whole fleet.
+//! Every misuse condition — an unknown tenant, a tenant missing from a mix, a
+//! missing shard, a misbound source, host exhaustion — is a [`FleetError`]
+//! returned through [`crate::FleetDriver`] and the engine's fallible
+//! methods, so a control plane can handle a misconfigured tenant or source
+//! without unwinding the whole fleet.
 
 use mca_cloudsim::PlacementError;
 use mca_offload::TenantId;
@@ -19,28 +18,6 @@ pub enum FleetError {
     UnknownTenant {
         /// The tenant that was named.
         tenant: TenantId,
-    },
-    /// The tenant is served in user-sharded mode, but a tenant-sharded
-    /// operation was requested (e.g. [`crate::FleetEngine::extract_tenant`]
-    /// on a tenant whose history lives in one slice per shard).
-    UserSharded {
-        /// The user-sharded tenant.
-        tenant: TenantId,
-    },
-    /// The tenant is not served in user-sharded mode, but a user-sharded
-    /// operation was requested.
-    NotUserSharded {
-        /// The tenant.
-        tenant: TenantId,
-    },
-    /// A shard does not host the replica of a user-sharded tenant it is
-    /// supposed to (an engine invariant violation surfaced instead of
-    /// panicking mid-extraction).
-    MissingReplica {
-        /// The user-sharded tenant.
-        tenant: TenantId,
-        /// The shard missing its replica.
-        shard: usize,
     },
     /// A hosted tenant is not part of the [`mca_workload::TenantMix`] that
     /// was asked to drive the fleet.
@@ -88,18 +65,6 @@ impl fmt::Display for FleetError {
             FleetError::UnknownTenant { tenant } => {
                 write!(f, "tenant {tenant} is not onboarded")
             }
-            FleetError::UserSharded { tenant } => write!(
-                f,
-                "tenant {tenant} is user-sharded; its history is one slice per shard \
-                 (use extract_user_sharded_tenant)"
-            ),
-            FleetError::NotUserSharded { tenant } => {
-                write!(f, "tenant {tenant} is not user-sharded")
-            }
-            FleetError::MissingReplica { tenant, shard } => write!(
-                f,
-                "shard {shard} does not host a replica of user-sharded tenant {tenant}"
-            ),
             FleetError::TenantNotInMix {
                 tenant,
                 mix_tenants,

@@ -7,7 +7,8 @@
 //! (`O(n)` per out-of-order user); the engine instead walks the batch once,
 //! looks every record's tenant up in a `RouteTable` and appends it to that
 //! tenant's [`mca_core::TimeSlotBuilder`], which sorts and deduplicates once
-//! per slot — identical in result to the per-record path.
+//! per slot — identical in result to the per-record path. A tenant the
+//! table does not hold is unknown: its records are dropped and counted.
 
 use crate::router::ShardRouter;
 use mca_offload::{AccelerationGroupId, TenantId, UserId};
@@ -115,18 +116,16 @@ impl RouteTable {
 /// Buckets a flat arrival-order batch into one vector per shard, preserving
 /// the batch's relative order within each bucket (one linear pass).
 ///
-/// This is the **reference** routing: the engine no longer calls it — it
+/// This is the **reference** routing: the engine does not call it — it
 /// scatters records straight into per-tenant builders — but counts every
-/// record against the shard this function would have bucketed it to, and the
-/// property tests and the benchmark's layer replay rebuild slots from these
-/// buckets to check the engine against.
+/// record against the shard this function buckets it to, and the property
+/// tests and the benchmark's layer replay rebuild slots from these buckets to
+/// check the engine against. Every tenant routes whole, by its placement.
 ///
-/// Tenants listed in `user_sharded` are the fleet's *huge* tenants — one
-/// CloneCloud-style app with a user population too large for a single
-/// predictor — and their records route by **user** hash
-/// ([`ShardRouter::shard_of_user`]) instead of tenant hash, so every shard
-/// serves its own slice of that tenant's population. All other tenants
-/// route whole.
+/// Records of tenants listed in `user_sharded` route by **user** hash
+/// ([`ShardRouter::shard_of_user`]) instead. The engine hosts no such
+/// tenant and every caller passes an empty set; the parameter is frozen
+/// until the benchmark's layer replay goes (ROADMAP item 1(b)).
 pub fn bucket_by_shard(
     records: &[SlotRecord],
     router: &ShardRouter,
@@ -206,28 +205,27 @@ mod tests {
     }
 
     #[test]
-    fn user_sharded_tenants_route_by_user_and_others_by_tenant() {
+    fn listed_tenants_route_by_user_and_others_by_tenant() {
         let router = ShardRouter::new(5);
-        let huge = TenantId(3);
+        let listed = TenantId(3);
         let records: Vec<SlotRecord> = (0..200u32)
             .map(|i| SlotRecord::new(TenantId(i % 4), AccelerationGroupId(1), UserId(i)))
             .collect();
-        let user_sharded: BTreeSet<TenantId> = [huge].into();
-        let buckets = bucket_by_shard(&records, &router, &user_sharded);
+        let buckets = bucket_by_shard(&records, &router, &[listed].into());
         assert_eq!(buckets.iter().map(Vec::len).sum::<usize>(), 200);
         for (shard, bucket) in buckets.iter().enumerate() {
             for r in bucket {
-                if r.tenant == huge {
+                if r.tenant == listed {
                     assert_eq!(router.shard_of_user(r.user), shard);
                 } else {
                     assert_eq!(router.shard_of_tenant(r.tenant), shard);
                 }
             }
         }
-        // the huge tenant's population actually spreads over several shards
+        // the listed tenant's population actually spreads over several shards
         let occupied = buckets
             .iter()
-            .filter(|b| b.iter().any(|r| r.tenant == huge))
+            .filter(|b| b.iter().any(|r| r.tenant == listed))
             .count();
         assert!(occupied >= 3, "50 users should land on most of 5 shards");
     }

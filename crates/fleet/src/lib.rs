@@ -9,9 +9,9 @@
 //! merging histories would let one tenant's churn poison every neighbour's
 //! nearest-slot matches. This crate shards the closed loop:
 //!
-//! * [`router`] — [`ShardRouter`]: a pure SplitMix64 hash from tenant (or
-//!   user) id to shard index, so every front-end and every replay agrees on
-//!   placement without coordination.
+//! * [`router`] — [`ShardRouter`]: a pure SplitMix64 hash from tenant id to
+//!   shard index, so every front-end and every replay agrees on placement
+//!   without coordination.
 //! * [`shard`] — [`TenantShard`]: one tenant's [`mca_core::ControlLoop`]
 //!   (predictor, allocator, instance pool, billing, allocation memo) plus a
 //!   private RNG stream and the tenant's accounting; its `tick` is the
@@ -36,16 +36,11 @@
 //! * [`engine`] — [`FleetEngine`]: owns the shards and runs every shard's
 //!   tick concurrently — one contiguous chunk of shards per thread
 //!   ([`shard_chunks`]), the calling thread ticking the last chunk and a
-//!   scoped thread each of the others. Per-tenant forecasts are
-//!   bit-identical to running each tenant alone, whatever the shard count
-//!   or thread count, because
+//!   scoped thread each of the others. Every tenant lives whole on exactly
+//!   one shard. Per-tenant forecasts are bit-identical to running each
+//!   tenant alone, whatever the shard count or thread count, because
 //!   shards share no state, RNG streams are seeded per tenant and the
 //!   nearest-neighbour tie-break stays first-minimum.
-//!   One **huge** tenant (the CloneCloud-style single app with an outsized
-//!   clone population) can instead be *user-sharded*
-//!   ([`FleetEngine::add_user_sharded_tenant`]): every shard hosts a
-//!   replica serving its own hash-slice of the population, and the engine
-//!   combines slice forecasts and metrics into the tenant-wide view.
 //! * [`metrics`] — [`TenantMetrics`] / [`FleetMetrics`]: per-tenant
 //!   accuracy, spend, allocation volume and — under datacenter billing —
 //!   SLA, energy and placement accounting, folded (in tenant-id order, so
@@ -59,7 +54,7 @@
 //!   between slots off each tenant's deterministic users-per-tick load
 //!   EWMA, and when the hottest shard's load reaches
 //!   [`RebalancerConfig::ratio`] times the mean it live-migrates the
-//!   heaviest movable tenants onto the coldest shard (deterministic
+//!   heaviest tenants onto the coldest shard (deterministic
 //!   tie-breaks). Migration moves the whole [`TenantShard`] —
 //!   history, nearest-slot index, RNG stream, warm allocation memo cache,
 //!   standing forecast, pool, metrics — and records follow through the

@@ -94,45 +94,6 @@ impl TenantMetrics {
         (total > 0).then(|| self.alloc_cache_hits as f64 / total as f64)
     }
 
-    /// Folds the accounting of another replica of the **same tenant** into
-    /// this one — the rollup path for a user-sharded huge tenant, whose
-    /// population is split across shards and served by one replica each.
-    /// Counters sum; `slots` takes the maximum (replicas tick the same
-    /// provisioning clock); `peak_users` sums the per-replica peaks, an
-    /// upper bound on the tenant's true peak (replica peaks may fall in
-    /// different slots).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other` belongs to a different tenant.
-    pub fn absorb(&mut self, other: &TenantMetrics) {
-        assert_eq!(
-            self.tenant, other.tenant,
-            "absorb merges replicas of one tenant"
-        );
-        self.slots = self.slots.max(other.slots);
-        self.scored_slots += other.scored_slots;
-        self.accuracy_sum += other.accuracy_sum;
-        self.total_cost += other.total_cost;
-        self.allocations += other.allocations;
-        self.infeasible_allocations += other.infeasible_allocations;
-        self.allocated_instance_slots += other.allocated_instance_slots;
-        self.peak_users += other.peak_users;
-        self.total_user_slots += other.total_user_slots;
-        self.alloc_cache_hits += other.alloc_cache_hits;
-        self.alloc_cache_misses += other.alloc_cache_misses;
-        self.alloc_cache_evictions += other.alloc_cache_evictions;
-        self.solver_nodes += other.solver_nodes;
-        self.solver_pivots += other.solver_pivots;
-        self.solver_phase1_skips += other.solver_phase1_skips;
-        self.sla_violations += other.sla_violations;
-        self.sla_dropped_users += other.sla_dropped_users;
-        self.sla_latency_ms += other.sla_latency_ms;
-        self.energy_wh += other.energy_wh;
-        self.placed_instance_slots += other.placed_instance_slots;
-        self.placement_failures += other.placement_failures;
-    }
-
     /// Mean allocated instances per slot.
     pub fn mean_instances(&self) -> f64 {
         if self.slots == 0 {
@@ -404,42 +365,6 @@ mod tests {
         assert_eq!(TenantMetrics::new(TenantId(1)).mean_accuracy(), None);
         assert_eq!(TenantMetrics::new(TenantId(1)).mean_instances(), 0.0);
         assert_eq!(TenantMetrics::new(TenantId(1)).cache_hit_rate(), None);
-    }
-
-    #[test]
-    fn absorb_merges_replicas_of_one_tenant() {
-        let mut a = metrics(3, 9, 7.2, 1.0);
-        let b = metrics(3, 4, 2.0, 0.5);
-        a.absorb(&b);
-        assert_eq!(a.tenant, TenantId(3));
-        assert_eq!(a.slots, 10, "same clock: max, not sum");
-        assert_eq!(a.scored_slots, 13);
-        assert!((a.accuracy_sum - 9.2).abs() < 1e-12);
-        assert!((a.total_cost - 1.5).abs() < 1e-12);
-        assert_eq!(a.allocations, 20);
-        assert_eq!(a.infeasible_allocations, 2);
-        assert_eq!(a.allocated_instance_slots, 60);
-        assert_eq!(a.peak_users, 16, "slice peaks sum (upper bound)");
-        assert_eq!(a.total_user_slots, 100);
-        assert_eq!(a.alloc_cache_hits, 14);
-        assert_eq!(a.alloc_cache_misses, 6);
-        assert_eq!(a.alloc_cache_evictions, 4);
-        assert_eq!(a.solver_nodes, 80);
-        assert_eq!(a.solver_pivots, 180);
-        assert_eq!(a.solver_phase1_skips, 10);
-        assert_eq!(a.sla_violations, 8);
-        assert_eq!(a.sla_dropped_users, 12);
-        assert!((a.sla_latency_ms - 200.0).abs() < 1e-12);
-        assert!((a.energy_wh - 40.0).abs() < 1e-12);
-        assert_eq!(a.placed_instance_slots, 50);
-        assert_eq!(a.placement_failures, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "absorb merges replicas of one tenant")]
-    fn absorb_rejects_a_different_tenant() {
-        let mut a = metrics(1, 0, 0.0, 0.0);
-        a.absorb(&metrics(2, 0, 0.0, 0.0));
     }
 
     #[test]

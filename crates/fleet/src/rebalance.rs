@@ -180,8 +180,8 @@ impl Rebalancer {
 
     /// Runs one check over the fleet's load view and plans the migrations to
     /// execute before the next slot. `loads[s]` is shard `s`'s total hosted
-    /// load (movable and immovable tenants alike); `movable[s]` lists shard
-    /// `s`'s movable tenants with their loads, in any order. Both views are
+    /// load; `movable[s]` lists shard `s`'s tenants with their loads, in any
+    /// order. Both views are
     /// updated in place as moves are planned, so a multi-move budget
     /// accounts for its own earlier moves.
     pub(crate) fn check(

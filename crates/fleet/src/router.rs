@@ -1,4 +1,4 @@
-//! Shard routing: which shard owns which tenant (or user).
+//! Shard routing: which shard owns which tenant.
 //!
 //! Routing must be a pure function of the router's state — any front-end
 //! instance, any ingest thread and any replay must agree on the owning shard
@@ -13,10 +13,8 @@
 //! goes through [`ShardRouter::shard_of_tenant`], which consults the
 //! overrides first. An empty table keeps the lookup on the pure-hash fast
 //! path, and placing a tenant back on its home shard removes its entry, so
-//! a fleet that never rebalances pays nothing. User-hash routing
-//! ([`ShardRouter::shard_of_user`]) is deliberately *not* overridable: a
-//! user-sharded tenant has one replica per shard and its records route by
-//! user, so there is no single placement to move.
+//! a fleet that never rebalances pays nothing. Offboarding a tenant places
+//! it back home, so no override outlives the tenant it moved.
 
 use mca_offload::{TenantId, UserId};
 use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
@@ -30,7 +28,7 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Hashes tenant and user ids onto a fixed number of shards, with an
+/// Hashes tenant ids onto a fixed number of shards, with an
 /// indirection table for tenants whose placement has diverged from the
 /// hash.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,10 +106,9 @@ impl ShardRouter {
         self.overrides.len()
     }
 
-    /// The shard a bare user id hashes to — the per-user sharding mode for
-    /// scaling a *single* huge tenant, where each shard predicts over its
-    /// own slice of the user population. Never overridden: user-sharded
-    /// tenants keep one replica per shard.
+    /// The shard a bare user id hashes to, never overridden. Only
+    /// [`crate::ingest::bucket_by_shard`]'s frozen third parameter reaches
+    /// it; both go with the benchmark's layer replay (ROADMAP item 1(b)).
     pub fn shard_of_user(&self, user: UserId) -> usize {
         (splitmix64(u64::from(user.0) ^ 0xA076_1D64_78BD_642F) % self.shards as u64) as usize
     }

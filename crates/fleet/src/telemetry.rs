@@ -333,7 +333,7 @@ pub(crate) fn ewma(prev: f64, sample: f64, count: u64) -> f64 {
 pub struct ShardLoad {
     /// Shard index.
     pub shard: usize,
-    /// Tenant replicas the shard hosts.
+    /// Tenants the shard hosts.
     pub tenants: usize,
     /// Shard ticks closed.
     pub ticks: u64,

@@ -7,10 +7,10 @@
 //! own `try_tick_mix` path exactly.
 
 use mca_cloudsim::{DatacenterConfig, PlacementKind};
-use mca_core::{SystemConfig, TimeSlotBuilder, WorkloadForecast};
+use mca_core::{IndexPolicy, SystemConfig, TimeSlotBuilder, WorkloadForecast};
 use mca_fleet::{
-    DriveReport, FleetDriver, FleetEngine, FleetError, FleetMetrics, RebalancerConfig,
-    RecordSource, TelemetryMode, TenantMixSource, TenantShard,
+    DriveReport, FleetDriver, FleetEngine, FleetMetrics, RebalancerConfig, RecordSource,
+    TelemetryMode, TenantMixSource, TenantShard,
 };
 use mca_offload::TenantId;
 use mca_snapshot::SnapshotError;
@@ -198,13 +198,12 @@ fn rebalanced_logical_snapshots_are_bit_identical_across_thread_counts() {
 #[test]
 fn mid_drive_migration_schedule_is_invisible_in_results() {
     // an explicit control-plane migration schedule — including moves landing
-    // after the 16-slot window has begun evicting, and a fleet hosting a
-    // user-sharded tenant throughout — must not change a forecast or metric
+    // after the 16-slot window has begun evicting — must not change a
+    // forecast or metric
     let mix = mix();
     let drive = |schedule: &[(usize, TenantId, usize)]| {
         let mut engine = FleetEngine::new(config(), 4, SEED).with_threads(2);
-        engine.add_user_sharded_tenant(TenantId(0));
-        engine.add_tenants((1..TENANTS as u32).map(TenantId));
+        engine.add_tenants(mix.tenant_ids());
         let mut driver = FleetDriver::new(engine)
             .with_mix(&mix)
             .expect("every tenant is part of the mix");
@@ -214,7 +213,7 @@ fn mid_drive_migration_schedule_is_invisible_in_results() {
                     driver
                         .engine_mut()
                         .migrate_tenant(tenant, to)
-                        .expect("the schedule names tenant-sharded tenants");
+                        .expect("the schedule names hosted tenants");
                 }
             }
             driver.step().expect("mix sources never misbehave");
@@ -230,14 +229,6 @@ fn mid_drive_migration_schedule_is_invisible_in_results() {
         (18, TenantId(7), 2),
     ]);
     assert_eq!(migrated, baseline);
-
-    // the user-sharded tenant itself is immovable, as a typed error
-    let mut engine = FleetEngine::new(config(), 4, SEED);
-    engine.add_user_sharded_tenant(TenantId(0));
-    assert!(matches!(
-        engine.migrate_tenant(TenantId(0), 1),
-        Err(FleetError::UserSharded { .. })
-    ));
 }
 
 fn dc_config(placement: PlacementKind) -> SystemConfig {
@@ -567,6 +558,49 @@ fn restore_rejects_disagreeing_inputs_with_typed_errors() {
         FleetDriver::restore(&mut source, &resume_config(), mix_sources()).is_err(),
         "a flipped byte must never restore silently"
     );
+}
+
+#[test]
+fn an_indexed_fleet_resumed_midway_matches_a_linear_one() {
+    // the summary tree inside a FleetEngine: one fleet's predictors index
+    // from 24 retained slots in a 32-slot window, so the tree is built,
+    // checkpointed (and recomputed on restore) and then evicts alongside the
+    // history; the other fleet scans linearly. Same mix, same answers.
+    const DRIVE: usize = 40;
+    const CHECKPOINT: usize = 28;
+    let linear = SystemConfig::paper_three_groups().with_history_window(32);
+    let indexed = linear
+        .clone()
+        .with_index_policy(IndexPolicy::indexed().with_min_indexed_slots(24));
+    let mix = mix();
+    let drive = |config: &SystemConfig, threads: usize| {
+        let mut engine = FleetEngine::new(config.clone(), 4, SEED).with_threads(threads);
+        engine.add_tenants(mix.tenant_ids());
+        let mut driver = FleetDriver::new(engine)
+            .with_mix(&mix)
+            .expect("every tenant is part of the mix");
+        driver.run(CHECKPOINT).expect("pre-checkpoint drive");
+        let mut bytes = Vec::new();
+        driver.checkpoint(&mut bytes).expect("checkpoint to memory");
+        let mut source = bytes.as_slice();
+        let mut resumed =
+            FleetDriver::restore(&mut source, config, mix_sources()).expect("restore");
+        resumed.run(DRIVE - CHECKPOINT).expect("post-restore drive");
+        let engine = resumed.engine();
+        (
+            engine.forecasts(),
+            engine.metrics(),
+            engine.predictor_stats().index_builds,
+        )
+    };
+    for threads in [1, 2] {
+        let (forecasts, metrics, builds) = drive(&linear, threads);
+        assert_eq!(builds, 0, "threads={threads}: no tree when linear");
+        let (indexed_forecasts, indexed_metrics, indexed_builds) = drive(&indexed, threads);
+        assert!(indexed_builds > 0, "threads={threads}: the tree was built");
+        assert_eq!(indexed_forecasts, forecasts, "threads={threads}");
+        assert_eq!(indexed_metrics, metrics, "threads={threads}");
+    }
 }
 
 #[test]

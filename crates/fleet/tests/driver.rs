@@ -204,31 +204,6 @@ fn shared_replay_source_matches_per_tenant_bound_sources() {
 }
 
 #[test]
-fn mix_backed_driver_reproduces_tick_mix_for_user_sharded_tenants() {
-    // the acceptance hole the redesign closes: the old mix path rejected
-    // user-sharded tenants outright; the driver must serve them and agree
-    // bit for bit with the engine's own batch-routed try_tick_mix
-    let mix = TenantMix::heterogeneous(3, 14, config().groups.ids(), SEED);
-
-    let mut shim = FleetEngine::new(config(), 4, SEED).with_threads(2);
-    shim.add_user_sharded_tenant(TenantId(0));
-    shim.add_tenants([TenantId(1), TenantId(2)]);
-    for _ in 0..10 {
-        shim.try_tick_mix(&mix).expect("every tenant is in the mix");
-    }
-
-    let mut engine = FleetEngine::new(config(), 4, SEED).with_threads(2);
-    engine.add_user_sharded_tenant(TenantId(0));
-    engine.add_tenants([TenantId(1), TenantId(2)]);
-    let mut driver = FleetDriver::new(engine).with_mix(&mix).unwrap();
-    let report = driver.run(10).unwrap();
-
-    assert_eq!(report.metrics, shim.metrics());
-    assert_eq!(report.forecasts, shim.forecasts());
-    assert_eq!(report.dropped_records, 0, "every slice found its replica");
-}
-
-#[test]
 fn live_stream_driving_accounts_late_records_in_the_report() {
     let tenant = TenantId(0);
     let mut engine = FleetEngine::new(config(), 2, SEED);

@@ -37,7 +37,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// The magic bytes every snapshot stream starts with.
@@ -59,9 +59,11 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"MCAS";
 /// predictor, pool, billing, standing forecast, memo — now sit together,
 /// ahead of the RNG words and rollups; same bytes, different order). Version
 /// 5 dropped the predictor's distance-kind tag and scratch-growth counter
-/// (nine bytes per predictor) with the code that set them. Streams of any
-/// older version are rejected.
-pub const SNAPSHOT_VERSION: u16 = 5;
+/// (nine bytes per predictor) with the code that set them. Version 6 dropped
+/// the user-sharded tenant set (its eight-byte length prefix, when empty)
+/// from the engine section, with the mode it recorded. Streams of any older
+/// version are rejected.
+pub const SNAPSHOT_VERSION: u16 = 6;
 
 /// The reserved end-of-stream section tag.
 pub const END_TAG: u16 = 0xFFFF;
@@ -565,30 +567,6 @@ impl<K: Restore + Ord, V: Restore> Restore for BTreeMap<K, V> {
     }
 }
 
-impl<T: Snapshot> Snapshot for BTreeSet<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.len().encode(out);
-        for item in self {
-            item.encode(out);
-        }
-    }
-}
-
-impl<T: Restore + Ord> Restore for BTreeSet<T> {
-    fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
-        let len = usize::decode(cur)?;
-        let mut set = BTreeSet::new();
-        for _ in 0..len {
-            if !set.insert(T::decode(cur)?) {
-                return Err(SnapshotError::Malformed {
-                    context: "duplicate set element",
-                });
-            }
-        }
-        Ok(set)
-    }
-}
-
 impl<A: Snapshot, B: Snapshot> Snapshot for (A, B) {
     fn encode(&self, out: &mut Vec<u8>) {
         self.0.encode(out);
@@ -988,19 +966,16 @@ mod tests {
     #[test]
     fn collections_and_scalars_round_trip() {
         let map: BTreeMap<u32, Vec<u8>> = [(1, vec![2, 3]), (9, vec![])].into();
-        let set: BTreeSet<u64> = [5, 11].into();
         let deque: VecDeque<usize> = vec![8, 6, 7].into();
         let state: [u64; 4] = [1, u64::MAX, 0, 0xDEAD_BEEF];
         let mut out = Vec::new();
         map.encode(&mut out);
-        set.encode(&mut out);
         deque.encode(&mut out);
         state.encode(&mut out);
         true.encode(&mut out);
         (-5i64).encode(&mut out);
         let mut cur = Cursor::new(&out);
         assert_eq!(BTreeMap::<u32, Vec<u8>>::decode(&mut cur).unwrap(), map);
-        assert_eq!(BTreeSet::<u64>::decode(&mut cur).unwrap(), set);
         assert_eq!(VecDeque::<usize>::decode(&mut cur).unwrap(), deque);
         assert_eq!(<[u64; 4]>::decode(&mut cur).unwrap(), state);
         assert!(bool::decode(&mut cur).unwrap());
@@ -1052,7 +1027,7 @@ mod tests {
             SnapshotReader::new(buf.as_slice()).unwrap_err(),
             SnapshotError::UnsupportedVersion {
                 found: 1,
-                supported: 5
+                supported: 6
             }
         ));
         // version 2 carried 16 bytes of scan parallelism policy inside every
@@ -1062,7 +1037,7 @@ mod tests {
             SnapshotReader::new(&b"MCAS\x02\x00\xFF\xFF"[..]).unwrap_err(),
             SnapshotError::UnsupportedVersion {
                 found: 2,
-                supported: 5
+                supported: 6
             }
         ));
         // version 3 kept a tenant's standing forecast and memo after its
@@ -1072,7 +1047,7 @@ mod tests {
             SnapshotReader::new(&b"MCAS\x03\x00\xFF\xFF"[..]).unwrap_err(),
             SnapshotError::UnsupportedVersion {
                 found: 3,
-                supported: 5
+                supported: 6
             }
         ));
         // version 4 carried a distance-kind tag and an eighth stats counter
@@ -1081,7 +1056,16 @@ mod tests {
             SnapshotReader::new(&b"MCAS\x04\x00\xFF\xFF"[..]).unwrap_err(),
             SnapshotError::UnsupportedVersion {
                 found: 4,
-                supported: 5
+                supported: 6
+            }
+        ));
+        // version 5 carried the user-sharded tenant set in the engine
+        // section; refused, not decoded eight bytes early
+        assert!(matches!(
+            SnapshotReader::new(&b"MCAS\x05\x00\xFF\xFF"[..]).unwrap_err(),
+            SnapshotError::UnsupportedVersion {
+                found: 5,
+                supported: 6
             }
         ));
     }
@@ -1184,7 +1168,7 @@ mod tests {
         // the refused sections left no bytes behind
         let stats = writer.finish().unwrap();
         assert_eq!((stats.sections, stats.bytes), (0, 8));
-        assert_eq!(buf, b"MCAS\x05\x00\xFF\xFF");
+        assert_eq!(buf, b"MCAS\x06\x00\xFF\xFF");
     }
 
     #[test]

@@ -10,7 +10,7 @@ use mobile_code_acceleration::core::{
     },
     SlotHistory, TimeSlot, TimeSlotBuilder, WorkloadForecast, WorkloadPredictor,
 };
-use mobile_code_acceleration::fleet::{ingest::bucket_by_shard, SlotBatchSource, TenantMetrics};
+use mobile_code_acceleration::fleet::{ingest::bucket_by_shard, SlotBatchSource};
 use mobile_code_acceleration::lp::{LpError, Problem, Sense, VarKind};
 use mobile_code_acceleration::offload::{TaskKind, TaskSpec};
 use mobile_code_acceleration::prelude::*;
@@ -616,7 +616,6 @@ struct ReferenceFleet {
     config: SystemConfig,
     seed: u64,
     router: ShardRouter,
-    user_sharded: BTreeSet<TenantId>,
     shards: Vec<BTreeMap<TenantId, TenantShard>>,
     /// Records bucketed to each shard so far.
     records: Vec<u64>,
@@ -630,7 +629,6 @@ impl ReferenceFleet {
             config,
             seed,
             router: ShardRouter::new(shards),
-            user_sharded: BTreeSet::new(),
             shards: (0..shards).map(|_| BTreeMap::new()).collect(),
             records: vec![0; shards],
             dropped: BTreeMap::new(),
@@ -647,18 +645,13 @@ impl ReferenceFleet {
         self.shards[self.router.shard_of_tenant(tenant)].insert(tenant, state);
     }
 
-    fn add_user_sharded(&mut self, tenant: TenantId) {
-        for shard in &mut self.shards {
-            shard.insert(tenant, TenantShard::new(tenant, &self.config, self.seed));
-        }
-        self.user_sharded.insert(tenant);
-    }
-
+    /// Offboarding sends the tenant's placement home.
     fn extract(&mut self, tenant: TenantId) {
-        for shard in &mut self.shards {
-            shard.remove(&tenant);
-        }
-        self.user_sharded.remove(&tenant);
+        self.shards[self.router.shard_of_tenant(tenant)]
+            .remove(&tenant)
+            .expect("hosted");
+        self.router
+            .place(tenant, self.router.home_shard_of_tenant(tenant));
     }
 
     fn migrate(&mut self, tenant: TenantId, to: usize) {
@@ -670,7 +663,7 @@ impl ReferenceFleet {
 
     fn tick(&mut self, batch: &[SlotRecord]) {
         let now_ms = (self.slot + 1) as f64 * self.config.slot_length_ms;
-        let buckets = bucket_by_shard(batch, &self.router, &self.user_sharded);
+        let buckets = bucket_by_shard(batch, &self.router, &BTreeSet::new());
         for (at, bucket) in buckets.into_iter().enumerate() {
             self.records[at] += bucket.len() as u64;
             let mut slots: BTreeMap<TenantId, TimeSlot> = self.shards[at]
@@ -691,42 +684,24 @@ impl ReferenceFleet {
         self.slot += 1;
     }
 
-    /// A user-sharded tenant's replicas fold into one entry, as in
-    /// `FleetEngine::forecasts` / `FleetEngine::metrics`.
     fn forecasts(&self) -> Vec<(TenantId, Option<WorkloadForecast>)> {
-        let mut forecasts: BTreeMap<TenantId, Option<WorkloadForecast>> = BTreeMap::new();
-        for (&tenant, state) in self.shards.iter().flatten() {
-            let entry = forecasts.entry(tenant).or_insert(None);
-            if !self.user_sharded.contains(&tenant) {
-                *entry = state.forecast().cloned();
-            } else if let Some(slice) = state.forecast() {
-                let combined = entry.get_or_insert_with(|| WorkloadForecast {
-                    per_group: self
-                        .config
-                        .groups
-                        .ids()
-                        .into_iter()
-                        .map(|g| (g, 0))
-                        .collect(),
-                    matched_slot: None,
-                });
-                for (group, load) in &mut combined.per_group {
-                    *load += slice.load_of(*group);
-                }
-            }
-        }
+        let forecasts: BTreeMap<TenantId, Option<WorkloadForecast>> = self
+            .shards
+            .iter()
+            .flatten()
+            .map(|(&tenant, state)| (tenant, state.forecast().cloned()))
+            .collect();
         forecasts.into_iter().collect()
     }
 
     fn metrics(&self) -> FleetMetrics {
-        let mut per_tenant: BTreeMap<TenantId, TenantMetrics> = BTreeMap::new();
-        for (&tenant, state) in self.shards.iter().flatten() {
-            per_tenant
-                .entry(tenant)
-                .and_modify(|m| m.absorb(state.metrics()))
-                .or_insert_with(|| state.metrics().clone());
-        }
-        FleetMetrics::aggregate(per_tenant.into_values().collect())
+        FleetMetrics::aggregate(
+            self.shards
+                .iter()
+                .flat_map(BTreeMap::values)
+                .map(|state| state.metrics().clone())
+                .collect(),
+        )
     }
 }
 
@@ -736,9 +711,9 @@ proptest! {
     /// Scattering records straight into per-tenant packed-key builders
     /// serves every tenant exactly what bucketing by shard and assigning
     /// record by record does — under duplicates, shuffled and pre-sorted
-    /// arrival order, unknown tenants, a user-sharded tenant, the extreme
-    /// ids, empty slots, and tenants added, extracted and migrated between
-    /// slots — and charges every record to the same shard.
+    /// arrival order, unknown tenants, the extreme ids, empty slots, and
+    /// tenants added, extracted (a displaced one goes home) and migrated
+    /// between slots — and charges every record to the same shard.
     #[test]
     fn fleet_ingest_matches_the_two_pass_reference(
         shards in 1usize..5,
@@ -752,14 +727,14 @@ proptest! {
             3..8,
         ),
     ) {
-        const HUGE: TenantId = TenantId(5);
-        // one heavy tenant (its slots cross the radix cut-over), the
-        // user-sharded one, light ones, one at the top of the id space, one
+        const TOGGLED: TenantId = TenantId(5);
+        // one heavy tenant (its slots cross the radix cut-over), one the
+        // script toggles, light ones, one at the top of the id space, one
         // onboarded only by a script, one never onboarded
         let plain = [TenantId(0), TenantId(1), TenantId(2), TenantId(3), TenantId(u32::MAX), TenantId(4)];
         let tenant_of = |pick: usize| match pick {
             0..=5 => plain[0],
-            6..=9 => HUGE,
+            6..=9 => TOGGLED,
             10..=14 => plain[pick - 9],
             _ => TenantId(77),
         };
@@ -771,8 +746,8 @@ proptest! {
             engine.add_tenant(tenant);
             reference.add(tenant);
         }
-        engine.add_user_sharded_tenant(HUGE);
-        reference.add_user_sharded(HUGE);
+        engine.add_tenant(TOGGLED);
+        reference.add(TOGGLED);
 
         let batches: Vec<Vec<SlotRecord>> = slots
             .iter()
@@ -812,13 +787,13 @@ proptest! {
                     engine.migrate_tenant(tenant, to).expect("hosted, in range");
                     reference.migrate(tenant, to);
                 }
-                4 if reference.hosts(HUGE) => {
-                    engine.extract_user_sharded_tenant(HUGE).expect("hosted");
-                    reference.extract(HUGE);
+                4 if reference.hosts(TOGGLED) => {
+                    engine.extract_tenant(TOGGLED).expect("hosted");
+                    reference.extract(TOGGLED);
                 }
                 4 => {
-                    engine.add_user_sharded_tenant(HUGE);
-                    reference.add_user_sharded(HUGE);
+                    engine.add_tenant(TOGGLED);
+                    reference.add(TOGGLED);
                 }
                 _ => {}
             }
