@@ -26,7 +26,7 @@
 //! `BENCHMARK.json`.
 
 use mca_cloudsim::{DatacenterConfig, PlacementKind};
-use mca_fleet::FleetEngine;
+use mca_fleet::{FleetDriver, FleetEngine};
 use mca_telemetry::json::JsonWriter;
 use mca_workload::TenantMix;
 
@@ -190,10 +190,12 @@ pub fn run(workload: &DatacenterWorkload, seed: u64) -> DatacenterBenchReport {
         let mut engine =
             FleetEngine::new(config, workload.shards, seed).with_threads(workload.threads);
         engine.add_tenants(mix.tenant_ids());
-        engine
+        FleetDriver::new(engine)
+            .with_mix(&mix)
+            .expect("every hosted tenant is in the mix")
     };
     let mut baseline = build(base.clone());
-    let mut arms: Vec<(PlacementKind, FleetEngine)> = PlacementKind::ALL
+    let mut arms: Vec<(PlacementKind, FleetDriver)> = PlacementKind::ALL
         .into_iter()
         .map(|placement| {
             (
@@ -208,26 +210,20 @@ pub fn run(workload: &DatacenterWorkload, seed: u64) -> DatacenterBenchReport {
 
     let mut forecasts_identical = true;
     for _ in 0..workload.slots {
-        baseline
-            .try_tick_mix(&mix)
-            .expect("every hosted tenant is in the mix");
-        let reference = baseline.forecasts();
-        for (_, engine) in &mut arms {
-            engine
-                .try_tick_mix(&mix)
-                .expect("every hosted tenant is in the mix");
-            if engine.forecasts() != reference {
-                forecasts_identical = false;
-            }
+        baseline.step().expect("mix sources never misbehave");
+        let reference = baseline.engine().forecasts();
+        for (_, arm) in &mut arms {
+            arm.step().expect("mix sources never misbehave");
+            forecasts_identical &= arm.engine().forecasts() == reference;
         }
     }
 
-    let arithmetic_cost = baseline.metrics().total_cost;
+    let arithmetic_cost = baseline.engine().metrics().total_cost;
     let mut costs_identical = true;
     let outcomes: Vec<PolicyOutcome> = arms
         .iter()
-        .map(|(placement, engine)| {
-            let metrics = engine.metrics();
+        .map(|(placement, arm)| {
+            let metrics = arm.engine().metrics();
             if metrics.total_cost.to_bits() != arithmetic_cost.to_bits() {
                 costs_identical = false;
             }

@@ -16,7 +16,8 @@
 //!   bit-identical slot by slot. The headline configuration is 64 tenants ×
 //!   2,000 slots.
 //! * [`run_skewed`] runs a Zipf-skewed fleet under static hash placement and
-//!   under the elastic rebalancer in lockstep, forecasts compared after
+//!   under the elastic rebalancer in lockstep, each fed by
+//!   [`FleetDriver::with_mix`], forecasts compared after
 //!   every slot, and gates on the per-shard record counts the two placements
 //!   produce.
 //!
@@ -185,7 +186,7 @@ pub fn run(workload: &FleetWorkload, seed: u64) -> FleetBenchReport {
     let reference = reference_config();
     let mut alone: Vec<TenantShard> = mix
         .tenant_ids()
-        .map(|t| TenantShard::new(t, &reference, seed))
+        .map(|t| TenantShard::new(t, &reference))
         .collect();
 
     let mut streams: Vec<StdRng> = mix.tenant_ids().map(|t| mix.stream_for(t)).collect();
@@ -205,7 +206,7 @@ pub fn run(workload: &FleetWorkload, seed: u64) -> FleetBenchReport {
         for (tenant, records) in alone.iter_mut().zip(&per_tenant) {
             let mut builder = TimeSlotBuilder::with_capacity(slot, records.len());
             builder.extend(records.iter().copied());
-            tenant.tick(builder.build(), now_ms);
+            tenant.tick(builder.build(), now_ms, &mut ());
         }
         for ((_, fleet_forecast), tenant) in driver.engine().forecasts().iter().zip(&alone) {
             if fleet_forecast.as_ref() != tenant.forecast() {
@@ -402,12 +403,17 @@ pub fn run_skewed(workload: &SkewWorkload, seed: u64) -> SkewBenchReport {
         seed,
     );
 
-    let mut static_engine = FleetEngine::new(config.clone(), workload.shards, seed).with_threads(1);
-    static_engine.add_tenants(mix.tenant_ids());
-    let mut rebalanced_engine = FleetEngine::new(config, workload.shards, seed)
-        .with_threads(1)
-        .with_rebalancer(skew_rebalancer_config());
-    rebalanced_engine.add_tenants(mix.tenant_ids());
+    let drive = |engine: FleetEngine| {
+        let mut engine = engine.with_threads(1);
+        engine.add_tenants(mix.tenant_ids());
+        FleetDriver::new(engine)
+            .with_mix(&mix)
+            .expect("every hosted tenant is in the mix")
+    };
+    let mut static_fleet = drive(FleetEngine::new(config.clone(), workload.shards, seed));
+    let mut rebalanced_fleet = drive(
+        FleetEngine::new(config, workload.shards, seed).with_rebalancer(skew_rebalancer_config()),
+    );
 
     let mut forecasts_identical = true;
     let mut static_projected_records = 0u64;
@@ -415,28 +421,24 @@ pub fn run_skewed(workload: &SkewWorkload, seed: u64) -> SkewBenchReport {
     let mut static_records = vec![0u64; workload.shards];
     let mut rebalanced_records = vec![0u64; workload.shards];
     for _ in 0..workload.slots {
-        static_engine
-            .try_tick_mix(&mix)
-            .expect("every hosted tenant is in the mix");
-        rebalanced_engine
-            .try_tick_mix(&mix)
-            .expect("every hosted tenant is in the mix");
-        if static_engine.forecasts() != rebalanced_engine.forecasts() {
-            forecasts_identical = false;
-        }
+        static_fleet.step().expect("mix sources never misbehave");
+        rebalanced_fleet
+            .step()
+            .expect("mix sources never misbehave");
+        let (static_engine, rebalanced_engine) = (static_fleet.engine(), rebalanced_fleet.engine());
+        forecasts_identical &= static_engine.forecasts() == rebalanced_engine.forecasts();
         static_projected_records += projected_slot_cost(
-            &slot_records(&static_engine, &mut static_records),
+            &slot_records(static_engine, &mut static_records),
             workload.threads,
         );
         rebalanced_projected_records += projected_slot_cost(
-            &slot_records(&rebalanced_engine, &mut rebalanced_records),
+            &slot_records(rebalanced_engine, &mut rebalanced_records),
             workload.threads,
         );
     }
-    if static_engine.metrics() != rebalanced_engine.metrics() {
-        forecasts_identical = false;
-    }
-    let rebalance = rebalanced_engine
+    forecasts_identical &= static_fleet.engine().metrics() == rebalanced_fleet.engine().metrics();
+    let rebalance = rebalanced_fleet
+        .engine()
         .telemetry()
         .rebalance
         .expect("the rebalanced arm runs a rebalancer");

@@ -1,21 +1,24 @@
 //! Checkpoint/restore sweep for durable fleet sessions: wire bytes and
-//! section count of [`FleetEngine::checkpoint`] as the fleet grows, with
-//! every [`FleetEngine::restore`] verified bit-identical. What a checkpoint
-//! or a restore costs in time is the end-to-end benchmark's to say
-//! (`checkpoint_p50_ms` / `restore_p50_ms` in `BENCHMARK.json`, on fleets
-//! thirty times this size).
+//! section count of [`FleetDriver::checkpoint`] — the engine plus one
+//! [`TenantMixSource`] cursor per tenant, because only the driver can resume
+//! a mix — as the fleet grows, with every [`FleetDriver::restore`] verified
+//! bit-identical. What a checkpoint or a restore costs in time is the
+//! end-to-end benchmark's to say (`checkpoint_p50_ms` / `restore_p50_ms` in
+//! `BENCHMARK.json`, on fleets thirty times this size).
 //!
 //! Each arm drives a heterogeneous mix half way, checkpoints to memory,
-//! restores into a fresh engine, and drives **both** engines to the end —
+//! restores into a fresh driver, and drives **both** drivers to the end —
 //! the report only counts an arm as passing when the resumed run's
-//! forecasts and metrics equal the uninterrupted one exactly.
+//! forecasts, metrics and ingestion accounting equal the uninterrupted one
+//! exactly.
 //!
 //! `cargo run --release -p mca-bench --bin bench_snapshot` regenerates
 //! `BENCH_snapshot.json` at the repository root, byte for byte (the engines
 //! run under the logical clock), and gates on resume identity; `--check`
 //! compares instead of writing, as CI does.
 
-use mca_fleet::{FleetEngine, TelemetryMode};
+use mca_fleet::{FleetDriver, FleetEngine, RecordSource, TelemetryMode, TenantMixSource};
+use mca_offload::TenantId;
 use mca_telemetry::json::JsonWriter;
 use mca_workload::TenantMix;
 
@@ -60,7 +63,7 @@ pub struct SnapshotPoint {
     /// Sections in the stream.
     pub sections: u32,
     /// Whether the resumed drive finished bit-identical to the
-    /// uninterrupted one (forecasts and metrics).
+    /// uninterrupted one (forecasts, metrics and ingestion accounting).
     pub resume_identical: bool,
 }
 
@@ -107,7 +110,7 @@ impl SnapshotBenchReport {
 }
 
 /// Runs the sweep: per fleet size, warm up, checkpoint, restore, and drive
-/// both the original and the resumed engine to the end under the same mix.
+/// both the original and the resumed driver to the end under the same mix.
 pub fn run(workload: &SnapshotWorkload, seed: u64) -> SnapshotBenchReport {
     let config = crate::fleet::bench_config();
     let points = workload
@@ -126,31 +129,37 @@ pub fn run(workload: &SnapshotWorkload, seed: u64) -> SnapshotBenchReport {
                 .with_threads(workload.threads)
                 .with_telemetry(TelemetryMode::Logical);
             engine.add_tenants(mix.tenant_ids());
-            for _ in 0..workload.warmup_slots {
-                engine
-                    .try_tick_mix(&mix)
-                    .expect("every hosted tenant is in the mix");
-            }
+            let mut driver = FleetDriver::new(engine)
+                .with_mix(&mix)
+                .expect("every hosted tenant is in the mix");
+            driver
+                .run(workload.warmup_slots)
+                .expect("mix sources never misbehave");
 
             let mut bytes = Vec::new();
-            let stats = engine
+            let stats = driver
                 .checkpoint(&mut bytes)
                 .expect("checkpointing to memory cannot fail");
-            let mut resumed = FleetEngine::restore(&mut bytes.as_slice(), &config)
+            // fresh sources over the same mix, in `with_mix`'s order
+            let sources: Vec<(Option<TenantId>, Box<dyn RecordSource>)> = mix
+                .tenant_ids()
+                .map(|tenant| {
+                    let source = TenantMixSource::new(&mix, tenant).expect("tenant is in the mix");
+                    (Some(tenant), Box::new(source) as Box<dyn RecordSource>)
+                })
+                .collect();
+            let mut resumed = FleetDriver::restore(&mut bytes.as_slice(), &config, sources)
                 .expect("the bytes were just written");
 
-            let mut resume_identical = resumed.forecasts() == engine.forecasts();
-            for _ in 0..workload.resume_slots {
-                engine
-                    .try_tick_mix(&mix)
-                    .expect("every hosted tenant is in the mix");
-                resumed
-                    .try_tick_mix(&mix)
-                    .expect("every hosted tenant is in the mix");
-            }
-            resume_identical = resume_identical
-                && resumed.forecasts() == engine.forecasts()
-                && resumed.metrics() == engine.metrics();
+            let restored_exactly = resumed.engine().forecasts() == driver.engine().forecasts();
+            let finished = driver
+                .run(workload.resume_slots)
+                .expect("mix sources never misbehave");
+            let resume_identical = restored_exactly
+                && resumed
+                    .run(workload.resume_slots)
+                    .expect("mix sources never misbehave")
+                    == finished;
 
             SnapshotPoint {
                 tenants,

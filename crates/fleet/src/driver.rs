@@ -52,7 +52,7 @@ pub struct DriveReport {
     /// Slots this driver ticked.
     pub slots: usize,
     /// Every tenant's standing forecast for the next slot, sorted by tenant
-    /// id (user-sharded tenants appear once, combined).
+    /// id.
     pub forecasts: Vec<(TenantId, Option<WorkloadForecast>)>,
     /// The fleet-wide metrics rollup.
     pub metrics: FleetMetrics,
@@ -215,10 +215,9 @@ impl FleetDriver {
         self
     }
 
-    /// Registers a [`TenantMixSource`] for every onboarded tenant — the
-    /// driver equivalent of `FleetEngine::try_tick_mix`, including for
-    /// user-sharded tenants (whose generated records route per user like any
-    /// other batch). The mix is shared across the per-tenant sources (one
+    /// Registers a [`TenantMixSource`] for every onboarded tenant, in
+    /// tenant-id order — the one way to drive the engine from a synthetic
+    /// mix. The mix is shared across the per-tenant sources (one
     /// allocation), and every tenant is validated against the mix **before**
     /// any source is registered, so a failed call leaves the driver
     /// unchanged.

@@ -6,13 +6,12 @@
 //! hosted tenants' slot builders, and runs every shard's
 //! build→predict→allocate→bill cycle **in parallel** — one contiguous chunk
 //! of shards per thread ([`shard_chunks`]), the calling thread ticking the
-//! last chunk and a scoped thread each of the others. Three properties make
+//! last chunk and a scoped thread each of the others. Two properties make
 //! the parallel tick safe and reproducible:
 //!
 //! * shards share no state — every tenant lives whole on exactly one shard,
-//!   with its knowledge base, allocator, pool and RNG stream,
-//! * per-tenant RNG streams are seeded from `(fleet seed, tenant id)` alone,
-//!   so thread scheduling cannot perturb any tenant's draws, and
+//!   with its knowledge base, allocator and pool, and its tick reads only
+//!   the records routed to it, and
 //! * the nearest-neighbour tie-break (first minimum in chronological order)
 //!   is deterministic inside each predictor, so per-tenant forecasts are
 //!   bit-identical to running that tenant alone, whatever the shard layout
@@ -33,7 +32,6 @@ use mca_snapshot::{
     Cursor, Restore, Snapshot, SnapshotError, SnapshotReader, SnapshotStats, SnapshotWriter,
 };
 use mca_telemetry::{LatencyHistogram, Registry, StageTimer, TelemetryClock};
-use mca_workload::TenantMix;
 use std::collections::BTreeMap;
 use std::ops::Range;
 
@@ -84,7 +82,7 @@ impl Shard {
             let timer = telemetry.start_stage();
             let slot = builder.finish(slot_index);
             telemetry.end_windowing(timer);
-            tenant.tick_instrumented(slot, now_ms, telemetry);
+            tenant.tick(slot, now_ms, telemetry);
         }
         telemetry.finish_tick(std::mem::take(&mut self.staged), tick_timer);
     }
@@ -108,7 +106,6 @@ pub fn shard_chunks(len: usize, threads: usize) -> impl ExactSizeIterator<Item =
 #[derive(Debug)]
 pub struct FleetEngine {
     config: SystemConfig,
-    seed: u64,
     router: ShardRouter,
     shards: Vec<Shard>,
     /// Shard and position of every hosted tenant; rebuilt every slot.
@@ -144,11 +141,12 @@ impl FleetEngine {
     /// Creates an engine with `shards` empty shards over the shared system
     /// configuration. The tick's thread count defaults to the machine's
     /// available parallelism; see [`FleetEngine::with_threads`].
+    /// `_seed` is ignored; it goes with ROADMAP item 1(c).
     ///
     /// # Panics
     ///
     /// Panics if `shards` is zero.
-    pub fn new(config: SystemConfig, shards: usize, seed: u64) -> Self {
+    pub fn new(config: SystemConfig, shards: usize, _seed: u64) -> Self {
         let mode = TelemetryMode::default();
         let router = ShardRouter::new(shards);
         let shards = (0..shards)
@@ -157,7 +155,6 @@ impl FleetEngine {
         let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
         Self {
             config,
-            seed,
             router,
             shards,
             routes: RouteTable::new(),
@@ -202,8 +199,8 @@ impl FleetEngine {
     /// Enables between-slots hot-shard rebalancing under `config`: before
     /// each due slot the engine evaluates the per-shard load view (every
     /// hosted tenant's users-per-tick EWMA) and live-migrates tenants chosen
-    /// by the policy, carrying their history, index, RNG stream, allocation
-    /// memo cache and metrics intact. Forecasts and [`FleetMetrics`] are
+    /// by the policy, carrying their history, index, allocation memo cache
+    /// and metrics intact. Forecasts and [`FleetMetrics`] are
     /// bit-identical with rebalancing on or off — the policy reads only
     /// deterministic load counts and migrations move state without mutating
     /// it.
@@ -282,7 +279,7 @@ impl FleetEngine {
             Ok(_) => panic!("tenant {tenant} is already onboarded"),
             Err(at) => shard
                 .tenants
-                .insert(at, TenantShard::new(tenant, &self.config, self.seed)),
+                .insert(at, TenantShard::new(tenant, &self.config)),
         }
     }
 
@@ -364,8 +361,8 @@ impl FleetEngine {
     }
 
     /// Live-migrates `tenant` from `from` to `to`: the whole [`TenantShard`]
-    /// moves — slot history, nearest-slot index, RNG stream, standing
-    /// forecast, warm allocation memo cache, instance pool and metrics — and
+    /// moves — slot history, nearest-slot index, standing forecast, warm
+    /// allocation memo cache, instance pool and metrics — and
     /// the router's indirection table is updated so subsequent records
     /// follow.
     fn move_tenant_between_shards(&mut self, tenant: TenantId, from: usize, to: usize) {
@@ -493,49 +490,6 @@ impl FleetEngine {
         if self.clock.enabled() {
             self.slot_hist.record(elapsed);
         }
-    }
-
-    /// Ticks one provisioning slot generated from a [`TenantMix`]: every
-    /// tenant's records are drawn from its private RNG stream (in tenant-id
-    /// order within each shard, streams independent) and routed through the
-    /// ordinary batch ingest.
-    ///
-    /// This is the one way to tick the engine without a
-    /// [`crate::FleetDriver`] (which drives a mix through
-    /// [`crate::TenantMixSource`] to the same result). It is kept only
-    /// because the per-tenant RNG stream and the engine `seed` exist for it
-    /// and `benchmark/` passes that seed: all three go together, after the
-    /// benchmark refresh (ROADMAP open items 3 and 4).
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::TenantNotInMix`] when a hosted tenant is not part of
-    /// the mix (checked before any stream is advanced).
-    pub fn try_tick_mix(&mut self, mix: &TenantMix) -> Result<(), FleetError> {
-        for shard in &self.shards {
-            for tenant in &shard.tenants {
-                if tenant.id().0 as usize >= mix.tenants() {
-                    return Err(FleetError::TenantNotInMix {
-                        tenant: tenant.id(),
-                        mix_tenants: mix.tenants(),
-                    });
-                }
-            }
-        }
-        let slot_index = self.slot_index;
-        let mut batch: Vec<SlotRecord> = Vec::new();
-        for shard in &mut self.shards {
-            for tenant in &mut shard.tenants {
-                let id = tenant.id();
-                batch.extend(
-                    mix.slot_records(id, slot_index, tenant.rng_mut())
-                        .into_iter()
-                        .map(|(group, user)| SlotRecord::new(id, group, user)),
-                );
-            }
-        }
-        self.ingest_batch(&batch);
-        Ok(())
     }
 
     /// Every tenant's standing forecast for the next slot, sorted by tenant
@@ -727,8 +681,8 @@ impl FleetEngine {
     /// Appends a durable checkpoint of the engine to `out`: a versioned,
     /// CRC-guarded section stream carrying the router's indirection table,
     /// the rebalancer, every shard's telemetry and every tenant's full tick
-    /// state (knowledge base, index, RNG stream words, memo cache in FIFO
-    /// order, standing forecast, pool, billing backend and metrics). An
+    /// state (knowledge base, index, memo cache in FIFO order, standing
+    /// forecast, pool, billing backend and metrics). An
     /// engine restored from these bytes with the same [`SystemConfig`] and
     /// driven over the same records produces bit-identical forecasts,
     /// [`FleetMetrics`] and logical-clock telemetry at any thread count.
@@ -770,7 +724,6 @@ impl FleetEngine {
             "checkpoints are taken between slots"
         );
         writer.section(SECTION_META, |out| {
-            self.seed.encode(out);
             self.threads.encode(out);
             self.slot_index.encode(out);
             self.shards.len().encode(out);
@@ -855,7 +808,6 @@ impl FleetEngine {
         config: &SystemConfig,
     ) -> Result<Self, SnapshotError> {
         let mut cur = Cursor::new(reader.payload(SECTION_META)?);
-        let seed = u64::decode(&mut cur)?;
         let threads = usize::decode(&mut cur)?;
         let slot_index = usize::decode(&mut cur)?;
         let shard_count = usize::decode(&mut cur)?;
@@ -930,7 +882,6 @@ impl FleetEngine {
         }
         Ok(Self {
             config: config.clone(),
-            seed,
             router,
             shards,
             routes: RouteTable::new(),
@@ -1394,20 +1345,5 @@ mod tests {
         engine.ingest_batch(&batch());
         assert_eq!(engine.dropped_records(), 0);
         assert!(engine.telemetry().critical_path_ns > 0);
-    }
-
-    #[test]
-    fn try_tick_mix_errors_when_a_hosted_tenant_is_missing_from_the_mix() {
-        let mut engine = FleetEngine::new(config(), 2, 1);
-        engine.add_tenants([TenantId(0), TenantId(5)]);
-        let mix = mca_workload::TenantMix::heterogeneous(2, 4, config().groups.ids(), 1);
-        assert_eq!(
-            engine.try_tick_mix(&mix).unwrap_err(),
-            FleetError::TenantNotInMix {
-                tenant: TenantId(5),
-                mix_tenants: 2
-            }
-        );
-        assert_eq!(engine.slot_index(), 0, "the failed tick did not advance");
     }
 }

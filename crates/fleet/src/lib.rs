@@ -13,10 +13,10 @@
 //!   shard index, so every front-end and every replay agrees on placement
 //!   without coordination.
 //! * [`shard`] — [`TenantShard`]: one tenant's [`mca_core::ControlLoop`]
-//!   (predictor, allocator, instance pool, billing, allocation memo) plus a
-//!   private RNG stream and the tenant's accounting; its `tick` is the
-//!   same `ControlLoop::close_slot` — score→learn→predict→allocate→bill —
-//!   the single-operator [`mca_core::System`] calls.
+//!   (predictor, allocator, instance pool, billing, allocation memo) plus
+//!   the tenant's accounting; its `tick` is the same
+//!   `ControlLoop::close_slot` — score→learn→predict→allocate→bill — the
+//!   single-operator [`mca_core::System`] calls.
 //! * [`ingest`] — batched slot ingest: one flat arrival-order record batch
 //!   per slot, bucketed by shard in one pass and materialized per tenant
 //!   with [`mca_core::TimeSlotBuilder`]'s single sort + dedup instead of a
@@ -39,8 +39,8 @@
 //!   scoped thread each of the others. Every tenant lives whole on exactly
 //!   one shard. Per-tenant forecasts are bit-identical to running each
 //!   tenant alone, whatever the shard count or thread count, because
-//!   shards share no state, RNG streams are seeded per tenant and the
-//!   nearest-neighbour tie-break stays first-minimum.
+//!   shards share no state, the engine is a pure function of the records
+//!   it is fed and the nearest-neighbour tie-break stays first-minimum.
 //! * [`metrics`] — [`TenantMetrics`] / [`FleetMetrics`]: per-tenant
 //!   accuracy, spend, allocation volume and — under datacenter billing —
 //!   SLA, energy and placement accounting, folded (in tenant-id order, so
@@ -56,7 +56,7 @@
 //!   [`RebalancerConfig::ratio`] times the mean it live-migrates the
 //!   heaviest tenants onto the coldest shard (deterministic
 //!   tie-breaks). Migration moves the whole [`TenantShard`] —
-//!   history, nearest-slot index, RNG stream, warm allocation memo cache,
+//!   history, nearest-slot index, warm allocation memo cache,
 //!   standing forecast, pool, metrics — and records follow through the
 //!   router's indirection table, so forecasts and [`FleetMetrics`] stay
 //!   bit-identical to a never-rebalanced fleet under any migration

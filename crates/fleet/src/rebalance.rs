@@ -6,7 +6,7 @@
 //! the engine hands it the per-shard load view (each shard's hosted-tenant
 //! [`crate::TenantShard::load_ewma`] sums) and the rebalancer plans live
 //! migrations — whole [`crate::TenantShard`]s moved between shards with
-//! their slot history, index, RNG stream, allocation memo cache, standing
+//! their slot history, index, allocation memo cache, standing
 //! forecast and metrics intact, routed thereafter through the
 //! [`crate::ShardRouter`] indirection table.
 //!

@@ -3,32 +3,28 @@
 //! A [`TenantShard`] is the multi-tenant unit of the paper's Fig. 2 loop: one
 //! tenant's [`ControlLoop`] — its private knowledge base, allocator,
 //! instance pool, billing backend and allocation memo — plus the tenant's
-//! own deterministic RNG stream and its accounting. A provisioning tick
-//! *is* [`ControlLoop::close_slot`], the same call the single-operator
-//! [`mca_core::System`] makes at each slot boundary, so a fleet of shards is
-//! by construction a set of independent single-tenant systems, just
-//! executed batched and in parallel
+//! accounting. A provisioning tick *is* [`ControlLoop::close_slot`], the
+//! same call the single-operator [`mca_core::System`] makes at each slot
+//! boundary, so a fleet of shards is by construction a set of independent
+//! single-tenant systems, just executed batched and in parallel
 //! (`tests/integration_system.rs::system_is_a_one_tenant_fleet` replays a
 //! `System::run` through a one-tenant fleet and compares every forecast).
 
 use crate::metrics::TenantMetrics;
-use crate::telemetry::{ewma, ShardTelemetry};
+use crate::telemetry::ewma;
 use mca_cloudsim::{Datacenter, InstancePool, PlacementError};
 use mca_core::{
-    BillingEngine, ControlLoop, SlotHistory, SlotOutcome, SystemConfig, TimeSlot, WorkloadForecast,
-    WorkloadPredictor,
+    BillingEngine, ControlLoop, SlotHistory, StageObserver, SystemConfig, TimeSlot,
+    WorkloadForecast, WorkloadPredictor,
 };
 use mca_offload::TenantId;
 use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-/// One tenant's control loop + RNG stream + accounting.
+/// One tenant's control loop + accounting.
 #[derive(Debug, Clone)]
 pub struct TenantShard {
     id: TenantId,
     control: ControlLoop,
-    rng: StdRng,
     metrics: TenantMetrics,
     /// EWMA of observed users per tick — the tenant's contribution to its
     /// shard's load, and the signal the rebalancer ranks tenants by. Derived
@@ -38,24 +34,14 @@ pub struct TenantShard {
 }
 
 impl TenantShard {
-    /// Derives the tenant's RNG stream seed from the fleet seed. The
-    /// derivation matches `TenantMix::stream_for`, so a mix-driven fleet run
-    /// (same fleet and mix seed) is replayable either through a standalone
-    /// `TenantShard` or through the mix's own stream API — `try_tick_mix`
-    /// generates exactly the records `TenantMix::stream_for` would.
-    pub fn stream_seed(fleet_seed: u64, tenant: TenantId) -> u64 {
-        fleet_seed ^ u64::from(tenant.0).wrapping_mul(0xBF58_476D_1CE4_E5B9)
-    }
-
     /// Creates the tenant's provisioning state from the shared system
     /// configuration (groups, strategies, caps and history window all come
     /// from [`SystemConfig`], exactly as [`mca_core::System::new`] builds
     /// its own loop).
-    pub fn new(id: TenantId, config: &SystemConfig, fleet_seed: u64) -> Self {
+    pub fn new(id: TenantId, config: &SystemConfig) -> Self {
         Self {
             id,
             control: ControlLoop::new(config),
-            rng: StdRng::seed_from_u64(Self::stream_seed(fleet_seed, id)),
             metrics: TenantMetrics::new(id),
             load_ewma: 0.0,
         }
@@ -103,12 +89,6 @@ impl TenantShard {
         self.billing().placement_error()
     }
 
-    /// The tenant's private RNG stream (used by synthetic workload
-    /// generation; batched external ingest never touches it).
-    pub fn rng_mut(&mut self) -> &mut StdRng {
-        &mut self.rng
-    }
-
     /// EWMA of the tenant's observed users per tick — the load the tenant
     /// contributes to whichever shard hosts it. A pure function of the
     /// tenant's own observed slots (first sample seeds, later samples fold
@@ -121,29 +101,11 @@ impl TenantShard {
     /// standing forecast against it, folds it into the knowledge base,
     /// forecasts the next slot, allocates for that forecast and bills the
     /// allocation for one slot length. `now_ms` is the closing slot
-    /// boundary.
-    pub fn tick(&mut self, slot: TimeSlot, now_ms: f64) {
-        let outcome = self.control.close_slot(slot, now_ms, &mut ());
-        self.fold(outcome);
-    }
-
-    /// [`TenantShard::tick`] with stage tracing: the predict, allocate and
-    /// billing phases are each timed against `telemetry`'s clock. The
-    /// instrumented and plain ticks are the same [`ControlLoop::close_slot`],
-    /// watched or not, so forecasts and metrics are bit-identical in every
-    /// telemetry mode.
-    pub fn tick_instrumented(
-        &mut self,
-        slot: TimeSlot,
-        now_ms: f64,
-        telemetry: &mut ShardTelemetry,
-    ) {
-        let outcome = self.control.close_slot(slot, now_ms, telemetry);
-        self.fold(outcome);
-    }
-
-    /// Folds one closed slot into the tenant's accounting.
-    fn fold(&mut self, outcome: SlotOutcome) {
+    /// boundary; `stages` watches the predict, allocate and bill phases
+    /// (`&mut ()` watches nothing). The closed slot is then folded into the
+    /// tenant's accounting.
+    pub fn tick<S: StageObserver>(&mut self, slot: TimeSlot, now_ms: f64, stages: &mut S) {
+        let outcome = self.control.close_slot(slot, now_ms, stages);
         let metrics = &mut self.metrics;
         metrics.slots += 1;
         metrics.total_user_slots += outcome.observed_users;
@@ -196,12 +158,11 @@ impl TenantShard {
     }
 
     /// Serializes the shard's full tick state for a checkpoint: identity,
-    /// the control loop (see its [`Snapshot`] impl), the raw RNG stream
-    /// words, metrics and the load EWMA.
+    /// the control loop (see its [`Snapshot`] impl), metrics and the load
+    /// EWMA.
     pub(crate) fn encode_state(&self, out: &mut Vec<u8>) {
         self.id.encode(out);
         self.control.encode(out);
-        self.rng.state().encode(out);
         self.metrics.encode(out);
         self.load_ewma.encode(out);
     }
@@ -215,7 +176,6 @@ impl TenantShard {
     ) -> Result<Self, SnapshotError> {
         let id = TenantId::decode(cur)?;
         let control = ControlLoop::decode(cur, config)?;
-        let rng = StdRng::from_state(<[u64; 4]>::decode(cur)?);
         let metrics = TenantMetrics::decode(cur)?;
         let load_ewma = f64::decode(cur)?;
         if metrics.tenant != id {
@@ -226,7 +186,6 @@ impl TenantShard {
         Ok(Self {
             id,
             control,
-            rng,
             metrics,
             load_ewma,
         })
@@ -261,11 +220,11 @@ mod tests {
 
     #[test]
     fn tick_cycle_scores_learns_allocates_and_bills() {
-        let mut shard = TenantShard::new(TenantId(3), &config(), 7);
+        let mut shard = TenantShard::new(TenantId(3), &config());
         assert_eq!(shard.id(), TenantId(3));
         assert!(shard.forecast().is_none());
 
-        shard.tick(slot(0, 10), 3_600_000.0);
+        shard.tick(slot(0, 10), 3_600_000.0, &mut ());
         // first slot: nothing to score yet, but a forecast + allocation stand
         assert_eq!(shard.metrics().slots, 1);
         assert_eq!(shard.metrics().scored_slots, 0);
@@ -275,7 +234,7 @@ mod tests {
         assert!(shard.metrics().total_cost > 0.0);
         assert!(!shard.pool().is_empty());
 
-        shard.tick(slot(1, 10), 7_200_000.0);
+        shard.tick(slot(1, 10), 7_200_000.0, &mut ());
         // identical workload: the standing forecast scores perfectly
         assert_eq!(shard.metrics().scored_slots, 1);
         assert!((shard.metrics().accuracy_sum - 1.0).abs() < 1e-12);
@@ -285,14 +244,14 @@ mod tests {
 
     #[test]
     fn shards_replicate_the_single_tenant_loop_exactly() {
-        // two shards with the same config and stream seed, fed the same
-        // slots, are bit-identical — the property the fleet engine builds on
-        let mut a = TenantShard::new(TenantId(1), &config(), 42);
-        let mut b = TenantShard::new(TenantId(1), &config(), 42);
+        // two shards with the same config, fed the same slots, are
+        // bit-identical — the property the fleet engine builds on
+        let mut a = TenantShard::new(TenantId(1), &config());
+        let mut b = TenantShard::new(TenantId(1), &config());
         for i in 0..5 {
             let users = 5 + (i as u32 * 7) % 11;
-            a.tick(slot(i, users), (i + 1) as f64 * 3_600_000.0);
-            b.tick(slot(i, users), (i + 1) as f64 * 3_600_000.0);
+            a.tick(slot(i, users), (i + 1) as f64 * 3_600_000.0, &mut ());
+            b.tick(slot(i, users), (i + 1) as f64 * 3_600_000.0, &mut ());
         }
         assert_eq!(a.forecast(), b.forecast());
         assert_eq!(a.metrics(), b.metrics());
@@ -300,10 +259,10 @@ mod tests {
 
     #[test]
     fn repeat_forecasts_hit_the_allocation_cache() {
-        let mut shard = TenantShard::new(TenantId(9), &config(), 3);
+        let mut shard = TenantShard::new(TenantId(9), &config());
         // steady workload: the forecast repeats from the second slot on
         for i in 0..6 {
-            shard.tick(slot(i, 12), (i + 1) as f64 * 3_600_000.0);
+            shard.tick(slot(i, 12), (i + 1) as f64 * 3_600_000.0, &mut ());
         }
         let m = shard.metrics();
         assert_eq!(m.allocations, 6);
@@ -312,8 +271,8 @@ mod tests {
         assert_eq!(shard.cached_allocations(), 1);
 
         // a different workload vector misses, then hits on its repeat
-        shard.tick(slot(6, 30), 7.0 * 3_600_000.0);
-        shard.tick(slot(7, 30), 8.0 * 3_600_000.0);
+        shard.tick(slot(6, 30), 7.0 * 3_600_000.0, &mut ());
+        shard.tick(slot(7, 30), 8.0 * 3_600_000.0, &mut ());
         let m = shard.metrics();
         assert_eq!(m.alloc_cache_misses, 2);
         assert_eq!(m.alloc_cache_hits, 6);
@@ -324,13 +283,13 @@ mod tests {
     fn cached_allocations_are_identical_to_fresh_solves() {
         // same slots with and without intervening repeats: metrics that
         // depend on the allocation (cost, instance-slots) must agree
-        let mut cached = TenantShard::new(TenantId(1), &config(), 5);
-        let mut fresh = TenantShard::new(TenantId(1), &config(), 5);
+        let mut cached = TenantShard::new(TenantId(1), &config());
+        let mut fresh = TenantShard::new(TenantId(1), &config());
         for i in 0..4 {
-            cached.tick(slot(i, 8), (i + 1) as f64 * 3_600_000.0);
+            cached.tick(slot(i, 8), (i + 1) as f64 * 3_600_000.0, &mut ());
         }
         for i in 0..4 {
-            fresh.tick(slot(i, 8), (i + 1) as f64 * 3_600_000.0);
+            fresh.tick(slot(i, 8), (i + 1) as f64 * 3_600_000.0, &mut ());
         }
         assert_eq!(cached.metrics(), fresh.metrics());
         assert_eq!(cached.forecast(), fresh.forecast());
@@ -347,12 +306,16 @@ mod tests {
             .with_allocation_policy(AllocationPolicy::GreedyCheapest)
             .with_history_window(4);
         config.account_cap = 1_000_000;
-        let mut shard = TenantShard::new(TenantId(1), &config, 1);
+        let mut shard = TenantShard::new(TenantId(1), &config);
 
         // one distinct vector past the cap
         let past_cap = ALLOC_CACHE_CAP as u32 + 1;
         for users in 1..=past_cap {
-            shard.tick(slot(users as usize, users), f64::from(users) * 3_600_000.0);
+            shard.tick(
+                slot(users as usize, users),
+                f64::from(users) * 3_600_000.0,
+                &mut (),
+            );
         }
         let m = shard.metrics();
         assert_eq!(m.alloc_cache_misses, ALLOC_CACHE_CAP + 1);
@@ -365,7 +328,11 @@ mod tests {
         // repeat below would have missed
         let mut index = past_cap + 1;
         for users in (past_cap - 31..=past_cap).rev() {
-            shard.tick(slot(index as usize, users), f64::from(index) * 3_600_000.0);
+            shard.tick(
+                slot(index as usize, users),
+                f64::from(index) * 3_600_000.0,
+                &mut (),
+            );
             index += 1;
         }
         let m = shard.metrics();
@@ -375,7 +342,11 @@ mod tests {
 
         // the evicted oldest vector misses again and displaces the
         // next-oldest, never the fresh working set
-        shard.tick(slot(index as usize, 1), f64::from(index) * 3_600_000.0);
+        shard.tick(
+            slot(index as usize, 1),
+            f64::from(index) * 3_600_000.0,
+            &mut (),
+        );
         let m = shard.metrics();
         assert_eq!(m.alloc_cache_misses, ALLOC_CACHE_CAP + 2);
         assert_eq!(m.alloc_cache_evictions, 2);
@@ -383,6 +354,7 @@ mod tests {
         shard.tick(
             slot(index as usize + 1, 1),
             f64::from(index + 1) * 3_600_000.0,
+            &mut (),
         );
         assert_eq!(shard.metrics().alloc_cache_hits, 33, "hot key retained");
     }
@@ -390,16 +362,15 @@ mod tests {
     #[test]
     fn datacenter_billing_adds_accounting_without_moving_a_bit() {
         use mca_cloudsim::DatacenterConfig;
-        let mut plain = TenantShard::new(TenantId(4), &config(), 11);
+        let mut plain = TenantShard::new(TenantId(4), &config());
         let mut datacenter = TenantShard::new(
             TenantId(4),
             &config().with_datacenter(DatacenterConfig::paper_default()),
-            11,
         );
         for i in 0..5 {
             let users = 4 + (i as u32 * 5) % 9;
-            plain.tick(slot(i, users), (i + 1) as f64 * 3_600_000.0);
-            datacenter.tick(slot(i, users), (i + 1) as f64 * 3_600_000.0);
+            plain.tick(slot(i, users), (i + 1) as f64 * 3_600_000.0, &mut ());
+            datacenter.tick(slot(i, users), (i + 1) as f64 * 3_600_000.0, &mut ());
         }
         // forecasts and every prediction/allocation/cost field agree bitwise
         assert_eq!(plain.forecast(), datacenter.forecast());
@@ -427,9 +398,9 @@ mod tests {
         // m4.4xlarge group member alone needs 16 vCPUs)
         let starved =
             config().with_datacenter(DatacenterConfig::paper_default().with_hosts(1, 1, 0.5));
-        let mut shard = TenantShard::new(TenantId(6), &starved, 11);
-        shard.tick(slot(0, 10), 3_600_000.0);
-        shard.tick(slot(1, 10), 7_200_000.0);
+        let mut shard = TenantShard::new(TenantId(6), &starved);
+        shard.tick(slot(0, 10), 3_600_000.0, &mut ());
+        shard.tick(slot(1, 10), 7_200_000.0, &mut ());
         let m = shard.metrics();
         assert_eq!(m.allocations, 2, "the pool transaction still lands");
         assert_eq!(m.placement_failures, 2);
@@ -442,9 +413,9 @@ mod tests {
 
     #[test]
     fn decommission_hands_off_the_history_and_clears_the_pool() {
-        let mut shard = TenantShard::new(TenantId(5), &config(), 1);
+        let mut shard = TenantShard::new(TenantId(5), &config());
         for i in 0..3 {
-            shard.tick(slot(i, 4), (i + 1) as f64 * 3_600_000.0);
+            shard.tick(slot(i, 4), (i + 1) as f64 * 3_600_000.0, &mut ());
         }
         let history = shard.decommission(4.0 * 3_600_000.0);
         assert_eq!(history.len(), 3);
@@ -455,32 +426,12 @@ mod tests {
 
     #[test]
     fn load_ewma_tracks_observed_users() {
-        let mut shard = TenantShard::new(TenantId(2), &config(), 1);
+        let mut shard = TenantShard::new(TenantId(2), &config());
         assert_eq!(shard.load_ewma(), 0.0);
-        shard.tick(slot(0, 8), 3_600_000.0);
+        shard.tick(slot(0, 8), 3_600_000.0, &mut ());
         assert_eq!(shard.load_ewma(), 8.0, "first sample seeds the average");
-        shard.tick(slot(1, 16), 7_200_000.0);
+        shard.tick(slot(1, 16), 7_200_000.0, &mut ());
         let expected = 0.125 * 16.0 + 0.875 * 8.0;
         assert!((shard.load_ewma() - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stream_seeds_differ_per_tenant_and_fleet_seed() {
-        let a = TenantShard::stream_seed(1, TenantId(0));
-        let b = TenantShard::stream_seed(1, TenantId(1));
-        let c = TenantShard::stream_seed(2, TenantId(0));
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn shard_streams_match_the_mix_canonical_streams() {
-        // the documented replay contract: with fleet seed == mix seed, a
-        // shard's private stream IS the mix's canonical per-tenant stream
-        let mix = mca_workload::TenantMix::heterogeneous(5, 10, config().groups.ids(), 77);
-        for tenant in mix.tenant_ids() {
-            let mut shard = TenantShard::new(tenant, &config(), 77);
-            assert_eq!(*shard.rng_mut(), mix.stream_for(tenant), "{tenant}");
-        }
     }
 }

@@ -6,8 +6,8 @@
 //! [`RecordSource`], a pull-based stream of per-slot [`SourceBatch`]es. The
 //! [`crate::FleetDriver`] multiplexes many sources and drives the engine's
 //! predict→allocate→bill cycle slot by slot, so recorded, synthetic and live
-//! workloads all travel the **same** ingestion path (and user-sharded
-//! tenants are routed per record like any other batch).
+//! workloads all travel the **same** ingestion path — the only one into the
+//! engine.
 //!
 //! Timestamped sources fold their events into slot batches with
 //! [`mca_core::SlotWindower`]: out-of-order events within a slot are
@@ -279,10 +279,6 @@ impl RecordSource for TraceLogSource {
 /// A [`RecordSource`] generating one tenant's synthetic workload from a
 /// [`TenantMix`], drawing churn from the tenant's canonical stream
 /// ([`TenantMix::stream_for`]). Never exhausts.
-///
-/// Because the generated records travel the ordinary per-record batch path,
-/// a mix-backed source drives **user-sharded** tenants correctly (each
-/// record routes to its user's shard).
 #[derive(Debug, Clone)]
 pub struct TenantMixSource {
     /// Shared, not cloned per tenant: a fleet-wide `with_mix` registers one

@@ -3,8 +3,8 @@
 //! counts, across shard counts — and per-tenant results must be
 //! bit-identical to running each tenant alone. All runs are driven through
 //! the streaming ingestion API (`FleetDriver` over per-tenant
-//! `TenantMixSource`s), which is itself required to reproduce the engine's
-//! own `try_tick_mix` path exactly.
+//! `TenantMixSource`s), the one way records reach the engine, and the
+//! engine is a pure function of those records.
 
 use mca_cloudsim::{DatacenterConfig, PlacementKind};
 use mca_core::{IndexPolicy, SystemConfig, TimeSlotBuilder, WorkloadForecast};
@@ -98,21 +98,27 @@ fn shard_layout_does_not_change_results() {
 }
 
 #[test]
-fn deprecated_tick_mix_shim_matches_the_driver_exactly() {
-    // the engine's own mix entry point runs the same ingest path the driver
-    // uses — fleet seed == mix seed makes the shard streams canonical, so
-    // the two runs must agree bit for bit
+fn the_engine_depends_only_on_its_records() {
+    // the engine seed is ignored: two sessions over the same mix whose
+    // engines were built with different seeds checkpoint to the same bytes
     let mix = mix();
-    let mut engine = FleetEngine::new(config(), 4, SEED).with_threads(2);
-    engine.add_tenants(mix.tenant_ids());
-    for _ in 0..SLOTS {
-        engine
-            .try_tick_mix(&mix)
-            .expect("every tenant is in the mix");
-    }
-    let (driver_metrics, driver_forecasts) = run_fleet(4, 2);
-    assert_eq!(engine.metrics(), driver_metrics);
-    assert_eq!(engine.forecasts(), driver_forecasts);
+    let session = |seed: u64| {
+        let mut engine = FleetEngine::new(config(), 4, seed)
+            .with_threads(2)
+            .with_telemetry(TelemetryMode::Logical);
+        engine.add_tenants(mix.tenant_ids());
+        let mut driver = FleetDriver::new(engine)
+            .with_mix(&mix)
+            .expect("every tenant is part of the mix");
+        let report = driver.run(20).expect("mix sources never misbehave");
+        let mut bytes = Vec::new();
+        driver.checkpoint(&mut bytes).expect("checkpoint to memory");
+        (bytes, report)
+    };
+    let (bytes_1, report_1) = session(1);
+    let (bytes_99, report_99) = session(99);
+    assert!(bytes_1 == bytes_99, "checkpoint streams differ");
+    assert_eq!(report_1, report_99);
 }
 
 #[test]
@@ -611,20 +617,21 @@ fn fleet_forecasts_are_bit_identical_to_each_tenant_alone() {
     let mut driver = FleetDriver::new(engine).with_mix(&mix).unwrap();
 
     // each tenant alone: a bare TenantShard (no router, no engine, no
-    // parallelism) consuming the same mix through the same stream seeds
+    // parallelism) consuming the same mix through its canonical streams
     let mut alone: Vec<TenantShard> = mix
         .tenant_ids()
-        .map(|t| TenantShard::new(t, &config(), SEED))
+        .map(|t| TenantShard::new(t, &config()))
         .collect();
+    let mut streams: Vec<_> = mix.tenant_ids().map(|t| mix.stream_for(t)).collect();
 
     for slot in 0..SLOTS {
         driver.step().expect("mix sources never misbehave");
         let now_ms = (slot + 1) as f64 * config().slot_length_ms;
-        for tenant in &mut alone {
-            let records = mix.slot_records(tenant.id(), slot, tenant.rng_mut());
+        for (tenant, stream) in alone.iter_mut().zip(&mut streams) {
+            let records = mix.slot_records(tenant.id(), slot, stream);
             let mut builder = TimeSlotBuilder::with_capacity(slot, records.len());
             builder.extend(records);
-            tenant.tick(builder.build(), now_ms);
+            tenant.tick(builder.build(), now_ms, &mut ());
         }
         // compare after every slot, not just at the end
         for ((fleet_id, fleet_forecast), tenant) in driver.engine().forecasts().iter().zip(&alone) {

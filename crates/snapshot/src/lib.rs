@@ -61,9 +61,11 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"MCAS";
 /// 5 dropped the predictor's distance-kind tag and scratch-growth counter
 /// (nine bytes per predictor) with the code that set them. Version 6 dropped
 /// the user-sharded tenant set (its eight-byte length prefix, when empty)
-/// from the engine section, with the mode it recorded. Streams of any older
-/// version are rejected.
-pub const SNAPSHOT_VERSION: u16 = 6;
+/// from the engine section, with the mode it recorded. Version 7 dropped the
+/// engine seed from the meta section and every tenant's RNG words from its
+/// shard section (eight bytes plus 32 per tenant), with the engine's own mix
+/// tick that drew from them. Streams of any older version are rejected.
+pub const SNAPSHOT_VERSION: u16 = 7;
 
 /// The reserved end-of-stream section tag.
 pub const END_TAG: u16 = 0xFFFF;
@@ -1027,7 +1029,7 @@ mod tests {
             SnapshotReader::new(buf.as_slice()).unwrap_err(),
             SnapshotError::UnsupportedVersion {
                 found: 1,
-                supported: 6
+                supported: 7
             }
         ));
         // version 2 carried 16 bytes of scan parallelism policy inside every
@@ -1037,7 +1039,7 @@ mod tests {
             SnapshotReader::new(&b"MCAS\x02\x00\xFF\xFF"[..]).unwrap_err(),
             SnapshotError::UnsupportedVersion {
                 found: 2,
-                supported: 6
+                supported: 7
             }
         ));
         // version 3 kept a tenant's standing forecast and memo after its
@@ -1047,7 +1049,7 @@ mod tests {
             SnapshotReader::new(&b"MCAS\x03\x00\xFF\xFF"[..]).unwrap_err(),
             SnapshotError::UnsupportedVersion {
                 found: 3,
-                supported: 6
+                supported: 7
             }
         ));
         // version 4 carried a distance-kind tag and an eighth stats counter
@@ -1056,7 +1058,7 @@ mod tests {
             SnapshotReader::new(&b"MCAS\x04\x00\xFF\xFF"[..]).unwrap_err(),
             SnapshotError::UnsupportedVersion {
                 found: 4,
-                supported: 6
+                supported: 7
             }
         ));
         // version 5 carried the user-sharded tenant set in the engine
@@ -1065,9 +1067,25 @@ mod tests {
             SnapshotReader::new(&b"MCAS\x05\x00\xFF\xFF"[..]).unwrap_err(),
             SnapshotError::UnsupportedVersion {
                 found: 5,
-                supported: 6
+                supported: 7
             }
         ));
+        // version 6 carried the engine seed and every tenant's RNG words;
+        // refused, not read with the seed as the thread count
+        assert!(matches!(
+            SnapshotReader::new(&b"MCAS\x06\x00\xFF\xFF"[..]).unwrap_err(),
+            SnapshotError::UnsupportedVersion {
+                found: 6,
+                supported: 7
+            }
+        ));
+    }
+
+    #[test]
+    fn the_wire_doc_names_this_version() {
+        let doc = include_str!("../../../docs/snapshot.md");
+        let pin = format!("`SNAPSHOT_VERSION = {SNAPSHOT_VERSION}`");
+        assert!(doc.contains(&pin), "docs/snapshot.md must say {pin}");
     }
 
     #[test]
@@ -1168,7 +1186,7 @@ mod tests {
         // the refused sections left no bytes behind
         let stats = writer.finish().unwrap();
         assert_eq!((stats.sections, stats.bytes), (0, 8));
-        assert_eq!(buf, b"MCAS\x06\x00\xFF\xFF");
+        assert_eq!(buf, b"MCAS\x07\x00\xFF\xFF");
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //! caller-owned **per-tenant RNG stream** (canonically derived with
 //! [`TenantMix::stream_for`]), so the records of tenant `t` are a pure
 //! function of the mix seed and that tenant's own slot sequence — never of
-//! the order *other* tenants are generated in. The sharded fleet engine
-//! (`mca-fleet`) keeps one stream per tenant shard and relies on this to
-//! produce bit-identical per-tenant forecasts no matter how tenants are
-//! partitioned across shards or threads.
+//! the order *other* tenants are generated in. `mca-fleet`'s
+//! `TenantMixSource` keeps one stream per tenant and relies on this to feed
+//! the sharded engine identical records no matter how tenants are
+//! partitioned across shards or threads. [`TenantMix::stream_for`] is the
+//! one place the per-tenant stream derivation is written down.
 
 use crate::scenario::RampScenario;
 use mca_offload::{AccelerationGroupId, TenantId, UserId};

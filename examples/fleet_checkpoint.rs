@@ -33,8 +33,8 @@ const SHARDS: usize = 4;
 const THREADS: usize = 2;
 /// The checkpoint's length and CRC-32: a different value means the wire
 /// format or the checkpointed state changed.
-const CHECKPOINT_BYTES: usize = 36_324;
-const CHECKPOINT_CRC: u32 = 0xc4b1_b85c;
+const CHECKPOINT_BYTES: usize = 35_932;
+const CHECKPOINT_CRC: u32 = 0xcd4f_9d6b;
 
 fn config() -> SystemConfig {
     SystemConfig::paper_three_groups()

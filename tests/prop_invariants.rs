@@ -614,7 +614,6 @@ proptest! {
 /// `TenantShard` tick per hosted tenant.
 struct ReferenceFleet {
     config: SystemConfig,
-    seed: u64,
     router: ShardRouter,
     shards: Vec<BTreeMap<TenantId, TenantShard>>,
     /// Records bucketed to each shard so far.
@@ -624,10 +623,9 @@ struct ReferenceFleet {
 }
 
 impl ReferenceFleet {
-    fn new(config: SystemConfig, shards: usize, seed: u64) -> Self {
+    fn new(config: SystemConfig, shards: usize) -> Self {
         Self {
             config,
-            seed,
             router: ShardRouter::new(shards),
             shards: (0..shards).map(|_| BTreeMap::new()).collect(),
             records: vec![0; shards],
@@ -641,7 +639,7 @@ impl ReferenceFleet {
     }
 
     fn add(&mut self, tenant: TenantId) {
-        let state = TenantShard::new(tenant, &self.config, self.seed);
+        let state = TenantShard::new(tenant, &self.config);
         self.shards[self.router.shard_of_tenant(tenant)].insert(tenant, state);
     }
 
@@ -678,7 +676,7 @@ impl ReferenceFleet {
             }
             for (tenant, slot) in slots {
                 let state = self.shards[at].get_mut(&tenant).expect("hosted");
-                state.tick(slot, now_ms);
+                state.tick(slot, now_ms, &mut ());
             }
         }
         self.slot += 1;
@@ -741,7 +739,7 @@ proptest! {
         let groups = [0u8, 1, 2, 3, 255].map(AccelerationGroupId);
         let config = SystemConfig::paper_three_groups().with_history_window(4);
         let mut engine = FleetEngine::new(config.clone(), shards, 9).with_threads(2);
-        let mut reference = ReferenceFleet::new(config, shards, 9);
+        let mut reference = ReferenceFleet::new(config, shards);
         for &tenant in &plain[..5] {
             engine.add_tenant(tenant);
             reference.add(tenant);
