@@ -458,7 +458,6 @@ mod tests {
         assert_eq!(a, history());
         assert_eq!(a.len(), 48);
         let loads: Vec<usize> = a
-            .slots()
             .iter()
             .map(|s| s.load_of(AccelerationGroupId(1)))
             .collect();

@@ -179,6 +179,14 @@ struct Level {
 }
 
 impl Level {
+    /// Makes room for every node up to `last_node` at once, so a build
+    /// allocates each level once however many slots it covers.
+    fn reserve_through(&mut self, last_node: usize, group_count: usize) {
+        let needed = (last_node + 1 - self.first_node) * group_count;
+        self.envelopes
+            .reserve(needed.saturating_sub(self.envelopes.len()));
+    }
+
     /// Folds one member's per-group envelopes into `node`, which is either
     /// a stored node or the next one to append.
     fn absorb(&mut self, node: usize, member: impl ExactSizeIterator<Item = Envelope>) {
@@ -287,6 +295,11 @@ impl SummaryTree {
             }
         }
         let end = first_index + counts.len() / group_count;
+        if end > covered_end {
+            for (level, here) in self.levels.iter_mut().enumerate() {
+                here.reserve_through((end - 1) >> shift(level), group_count);
+            }
+        }
         for global in covered_end..end {
             for (level, here) in self.levels.iter_mut().enumerate() {
                 here.absorb(global >> shift(level), signature(global));
@@ -309,6 +322,10 @@ impl SummaryTree {
                 first_node: below.first_node >> FANOUT_BITS,
                 envelopes: Vec::new(),
             };
+            top.reserve_through(
+                (below.first_node + nodes(below) - 1) >> FANOUT_BITS,
+                group_count,
+            );
             for (offset, child) in below.envelopes.chunks_exact(group_count).enumerate() {
                 top.absorb(
                     (below.first_node + offset) >> FANOUT_BITS,

@@ -14,11 +14,13 @@
 //!   provide which level of acceleration, with what capacity.
 //! * [`logs`] — the request log (the paper's MySQL trace store).
 //! * [`timeslot`] — time slots `T = {t_i}`: per-slot assignment of users to
-//!   acceleration groups, built from the log. Each slot stores one sorted,
-//!   deduplicated `Vec<UserId>` run per group, so
-//!   [`TimeSlot::users_in`] hands out a borrowed `&[UserId]` (zero-copy);
+//!   acceleration groups, built from the log. A slot is two columns — its
+//!   group runs and one users column holding every run's sorted,
+//!   deduplicated ids back to back — so [`TimeSlot::users_in`] hands out a
+//!   borrowed `&[UserId]` (zero-copy);
 //!   [`SlotHistory`] optionally retains only a sliding window of recent
-//!   slots.
+//!   slots, and checkpoints them as columns with each run's ids
+//!   gap-encoded.
 //! * [`distance`] — the one distance metric of §IV-B-1: per-group set edit
 //!   distance `δ` and slot distance `Δ` as allocation-free linear merges
 //!   over the sorted runs, their `*_bounded` early exits and the retained

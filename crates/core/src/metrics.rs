@@ -92,7 +92,7 @@ pub fn cross_validate(
     for fold in 0..k {
         // transition i belongs to fold (i % k)
         let mut train = SlotHistory::new(history.slot_length_ms);
-        for (i, slot) in history.slots().iter().enumerate() {
+        for (i, slot) in history.iter().enumerate() {
             // a slot is part of the training set when the transition starting
             // at it is not in the evaluated fold
             if i % k != fold {
@@ -105,8 +105,8 @@ pub fn cross_validate(
 
         let mut scores = Vec::new();
         for i in (0..transitions).filter(|i| i % k == fold) {
-            let current = &history.slots()[i];
-            let actual = &history.slots()[i + 1];
+            let current = history.slot(i);
+            let actual = history.slot(i + 1);
             if let Ok(forecast) = predictor.predict(current) {
                 scores.push(accuracy(&forecast, actual, groups).overall);
                 evaluated += 1;
@@ -142,7 +142,7 @@ pub fn learning_curve(
     let mut curve = Vec::new();
     for h in 2..len {
         let mut train = SlotHistory::new(history.slot_length_ms);
-        for slot in &history.slots()[..h] {
+        for slot in history.iter().take(h) {
             train.push(slot.clone());
         }
         let mut predictor =
@@ -150,8 +150,8 @@ pub fn learning_curve(
         predictor.set_history(train);
         let mut scores = Vec::new();
         for i in h..len - 1 {
-            if let Ok(forecast) = predictor.predict(&history.slots()[i]) {
-                scores.push(accuracy(&forecast, &history.slots()[i + 1], groups).overall);
+            if let Ok(forecast) = predictor.predict(history.slot(i)) {
+                scores.push(accuracy(&forecast, history.slot(i + 1), groups).overall);
             }
         }
         if !scores.is_empty() {

@@ -40,7 +40,7 @@
 use crate::distance::{slot_distance, slot_distance_bounded, slot_distance_naive};
 use crate::error::CoreError;
 use crate::index::{group_bound, range_overlap, IndexPolicy, SummaryTree};
-use crate::timeslot::{SlotHistory, TimeSlot};
+use crate::timeslot::{HistoryColumns, SlotHistory, TimeSlot};
 use mca_offload::AccelerationGroupId;
 use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
 use std::ops::Range;
@@ -71,6 +71,21 @@ fn id_range(users: &[mca_offload::UserId]) -> (u32, u32) {
         (Some(first), Some(last)) => (first.0, last.0),
         _ => (u32::MAX, 0),
     }
+}
+
+/// Appends `slot`'s count signature and id ranges over `groups` to the
+/// flat caches, in one pass over the slot's runs: a run's count is its
+/// length, its range its first and last user.
+fn push_signature(
+    groups: &[AccelerationGroupId],
+    slot: &TimeSlot,
+    signatures: &mut Vec<usize>,
+    id_ranges: &mut Vec<(u32, u32)>,
+) {
+    slot.for_each_group(groups, |users| {
+        signatures.push(users.len());
+        id_ranges.push(id_range(users));
+    });
 }
 
 /// The best candidate a nearest-slot scan has found so far.
@@ -375,7 +390,7 @@ pub struct WorkloadPredictor {
     strategy: PredictionStrategy,
     groups: Vec<AccelerationGroupId>,
     /// Flat per-slot count signatures, `groups.len()` entries per retained
-    /// slot, aligned with `history.slots()`.
+    /// slot, aligned with the retained slots of `history`.
     signatures: Vec<usize>,
     /// Flat per-slot `(min, max)` user-id ranges, `groups.len()` entries per
     /// retained slot, aligned with `signatures`. Because every per-group run
@@ -546,11 +561,13 @@ impl WorkloadPredictor {
             self.signature_first_index = first;
         }
         let covered = self.signatures.len() / group_count;
-        for slot in &self.history.slots()[covered..] {
-            self.signatures
-                .extend(self.groups.iter().map(|g| slot.load_of(*g)));
-            self.id_ranges
-                .extend(self.groups.iter().map(|g| id_range(slot.users_in(*g))));
+        for position in covered..self.history.len() {
+            push_signature(
+                &self.groups,
+                self.history.slot(position),
+                &mut self.signatures,
+                &mut self.id_ranges,
+            );
         }
         debug_assert_eq!(self.signatures.len(), self.history.len() * group_count);
         debug_assert_eq!(self.id_ranges.len(), self.signatures.len());
@@ -625,7 +642,6 @@ impl WorkloadPredictor {
     /// retained historical slot, in chronological order.
     pub fn knowledge_base(&self, current: &TimeSlot) -> Vec<usize> {
         self.history
-            .slots()
             .iter()
             .map(|s| self.distance_between(current, s))
             .collect()
@@ -652,8 +668,7 @@ impl WorkloadPredictor {
     /// wins the tie) or one below it (for later candidates, where only a
     /// strictly smaller distance helps).
     fn nearest_position(&self, current: &TimeSlot) -> Option<usize> {
-        let slots = self.history.slots();
-        if slots.is_empty() {
+        if self.history.is_empty() {
             return None;
         }
         let group_count = self.groups.len();
@@ -679,7 +694,7 @@ impl WorkloadPredictor {
         }
         // `(signature lower bound, position)`, sorted ascending: best-first
         // with the earliest-slot preference as secondary order.
-        let mut order: Vec<(usize, usize)> = (0..slots.len())
+        let mut order: Vec<(usize, usize)> = (0..self.history.len())
             .map(|position| {
                 (
                     self.signature_bound(&current_signature, &current_ranges, position),
@@ -735,7 +750,7 @@ impl WorkloadPredictor {
             incumbent.distance - 1
         };
         incumbent.evaluated += 1;
-        let candidate = &self.history.slots()[position];
+        let candidate = self.history.slot(position);
         if let Some(distance) = slot_distance_bounded(current, candidate, &self.groups, cap) {
             incumbent.distance = distance;
             incumbent.position = position;
@@ -832,12 +847,11 @@ impl WorkloadPredictor {
             }
             PredictionStrategy::NearestSlot | PredictionStrategy::SuccessorOfNearest => {
                 self.observe_slot(slot);
-                let slots = self.history.slots();
-                let last = slots.len() - 1;
+                let last = self.history.len() - 1;
                 let group_count = self.groups.len();
                 let mut position = last;
                 if group_count > 0 {
-                    let current = &slots[last];
+                    let current = self.history.slot(last);
                     let probe = last * group_count..(last + 1) * group_count;
                     let current_signature = &self.signatures[probe.clone()];
                     let current_ranges = &self.id_ranges[probe];
@@ -851,10 +865,11 @@ impl WorkloadPredictor {
                         if signature != current_signature || ranges != current_ranges {
                             continue;
                         }
+                        let candidate = self.history.slot(earlier);
                         if self
                             .groups
                             .iter()
-                            .all(|g| slots[earlier].users_in(*g) == current.users_in(*g))
+                            .all(|g| candidate.users_in(*g) == current.users_in(*g))
                         {
                             position = earlier;
                             break;
@@ -908,7 +923,6 @@ impl WorkloadPredictor {
                 }
                 let (nearest, _) = self
                     .history
-                    .slots()
                     .iter()
                     .map(|s| self.distance_between_naive(current, s))
                     .enumerate()
@@ -939,7 +953,7 @@ impl WorkloadPredictor {
             .groups
             .iter()
             .map(|g| {
-                let total: usize = self.history.slots().iter().map(|s| s.load_of(*g)).sum();
+                let total: usize = self.history.iter().map(|s| s.load_of(*g)).sum();
                 let mean = (total as f64 / n).round() as usize;
                 // a group observed at least once never forecasts to zero:
                 // the paper's model only ever predicts loads it has seen, so
@@ -961,7 +975,7 @@ impl WorkloadPredictor {
             PredictionStrategy::SuccessorOfNearest => (position + 1).min(self.history.len() - 1),
             _ => position,
         };
-        let slot = &self.history.slots()[source];
+        let slot = self.history.slot(source);
         WorkloadForecast {
             per_group: self.groups.iter().map(|g| (*g, slot.load_of(*g))).collect(),
             matched_slot: Some(self.history.first_index() + source),
@@ -985,11 +999,17 @@ impl Restore for WorkloadForecast {
     }
 }
 
+/// Signature entries a restore reserves before the history is checked
+/// (4 Mi: a 100,000-slot history over 40 groups).
+const MAX_RESERVED_SIGNATURES: usize = 1 << 22;
+
 /// The predictor checkpoints its knowledge base, configuration and
 /// counters. The count/id-range signatures and the summary tree over them
-/// are derived caches: they stay off the wire and the decode recomputes
-/// them from the restored slots, leaving the restored counters as
-/// checkpointed (the recompute is not a build the original run performed).
+/// are derived caches: they stay off the wire. The decode reads the
+/// history's columns first and validates them once the groups are known,
+/// filling each slot's signature in the same pass; it then builds the tree
+/// and leaves the restored counters as checkpointed (the build is not one
+/// the original run performed).
 impl Snapshot for WorkloadPredictor {
     fn encode(&self, out: &mut Vec<u8>) {
         self.history.encode(out);
@@ -1002,18 +1022,33 @@ impl Snapshot for WorkloadPredictor {
 
 impl Restore for WorkloadPredictor {
     fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
+        let columns = HistoryColumns::read(cur)?;
+        let strategy = PredictionStrategy::decode(cur)?;
+        let groups = Vec::<AccelerationGroupId>::decode(cur)?;
+        let index_policy = IndexPolicy::decode(cur)?;
+        // reserved up to a bound: slot and group counts come off the wire,
+        // and past the bound the caches grow as the checked slots arrive
+        let entries = columns
+            .len()
+            .saturating_mul(groups.len())
+            .min(MAX_RESERVED_SIGNATURES);
+        let mut signatures = Vec::with_capacity(entries);
+        let mut id_ranges = Vec::with_capacity(entries);
+        let history = columns.validate(|slot| {
+            push_signature(&groups, slot, &mut signatures, &mut id_ranges);
+        })?;
         let mut predictor = Self {
-            history: SlotHistory::decode(cur)?,
-            strategy: PredictionStrategy::decode(cur)?,
-            groups: Vec::<AccelerationGroupId>::decode(cur)?,
-            signatures: Vec::new(),
-            id_ranges: Vec::new(),
-            signature_first_index: 0,
-            index_policy: IndexPolicy::decode(cur)?,
+            signature_first_index: history.first_index(),
+            history,
+            strategy,
+            groups,
+            signatures,
+            id_ranges,
+            index_policy,
             summaries: None,
             stats: PredictorStats::default(),
         };
-        predictor.rebuild_signatures();
+        predictor.sync_summaries();
         predictor.stats = PredictorStats::decode(cur)?;
         Ok(predictor)
     }
@@ -1046,9 +1081,9 @@ mod tests {
         TimeSlot::from_assignments(0, pairs)
     }
 
-    fn predictor_with_history(slots: Vec<TimeSlot>) -> WorkloadPredictor {
+    fn predictor_with_history(history: Vec<TimeSlot>) -> WorkloadPredictor {
         let mut p = WorkloadPredictor::new(GROUPS.to_vec(), 3_600_000.0);
-        for s in slots {
+        for s in history {
             p.observe_slot(s);
         }
         p
@@ -1521,7 +1556,7 @@ mod tests {
                 .map(|position| p.signature_bound(&counts, &ranges, position))
                 .collect();
             for (position, bound) in slot_bounds.iter().enumerate() {
-                let distance = p.distance_between(&probe, &p.history().slots()[position]);
+                let distance = p.distance_between(&probe, p.history().slot(position));
                 proptest::prop_assert!(*bound <= distance, "slot {position}: {bound} > {distance}");
             }
             for level in 0..tree.depth() {
@@ -1592,10 +1627,10 @@ mod tests {
 
     #[test]
     fn stats_snapshots_are_identical_across_scan_paths() {
-        let slots: Vec<TimeSlot> = (0..64u32).map(|i| slot(i % 7 + 1, i % 5, i % 3)).collect();
+        let history: Vec<TimeSlot> = (0..64u32).map(|i| slot(i % 7 + 1, i % 5, i % 3)).collect();
         let probe = slot(4, 2, 1);
 
-        let serial = predictor_with_history(slots.clone());
+        let serial = predictor_with_history(history.clone());
         serial.predict(&probe).unwrap();
 
         // the linear path bounds every candidate exactly once per query
@@ -1603,7 +1638,7 @@ mod tests {
         assert_eq!(serial.stats().queries, 1);
 
         // the tree path reports the nodes it bounded and the tree's build
-        let indexed = predictor_with_history(slots)
+        let indexed = predictor_with_history(history)
             .with_index_policy(IndexPolicy::indexed().with_min_indexed_slots(1));
         indexed.predict(&probe).unwrap();
         let stats = indexed.stats();

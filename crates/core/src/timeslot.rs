@@ -9,28 +9,45 @@
 //!
 //! # Representation
 //!
-//! A slot stores one *run* per non-empty acceleration group: a sorted,
-//! deduplicated `Vec<UserId>`. Runs are kept sorted by group id. This flat
-//! layout exists for the workload predictor's sake — it compares the current
-//! slot against every historical slot each interval, and sorted runs let
-//! [`crate::distance`] compute edit distances as allocation-free linear
-//! merges while [`TimeSlot::users_in`] hands out a borrowed `&[UserId]`
-//! instead of cloning a set. Semantics are unchanged from the earlier
-//! `BTreeMap<_, BTreeSet<_>>` representation: the same `(group, user)` pairs
-//! produce an equal slot regardless of insertion order, and a user assigned
-//! twice is stored once.
+//! A slot is two columns: one *run* per non-empty acceleration group — the
+//! group, where its users start and how many there are — sorted by group
+//! id, and one users column in which every run's ids sit back to back,
+//! sorted and deduplicated. A [`TimeSlot`] owns its two columns, so a slot
+//! costs two allocations however many groups it spans, and a
+//! [`SlotHistory`] keeps the slots it retains whole: pushing one moves it
+//! in uncopied, evicting one drops it. [`TimeSlot::users_in`] hands out a
+//! borrowed sorted `&[UserId]`, so the [`crate::distance`] kernels compute
+//! edit distances as allocation-free linear merges. The same `(group, user)`
+//! pairs produce an equal slot regardless of insertion order, and a user
+//! assigned twice is stored once.
+//!
+//! On the wire a history is columns too: runs per slot, `(group, len)` per
+//! run, and each run's users as its first id and the gaps after it, at the
+//! narrowest of one, two or four bytes that holds them. One tenant's ids
+//! sit close together, so a user costs about a byte instead of four, and a
+//! restore decodes each slot into its two columns, allocated once at their
+//! exact size, in the same pass that checks them.
 
 use crate::logs::TraceLog;
 use crate::window::SlotWindower;
-use mca_offload::{AccelerationGroupId, TraceRecord, UserId};
-use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
+use mca_offload::{AccelerationGroupId, UserId};
+use mca_snapshot::{encode_le_run, Cursor, Restore, Snapshot, SnapshotError};
+use std::collections::VecDeque;
+use std::ops::Range;
 
-/// The users of one acceleration group within a slot, sorted by id and
-/// deduplicated.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct GroupRun {
+/// One non-empty group run: `len` users of `group`, from `start` on in its
+/// slot's users column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Run {
     group: AccelerationGroupId,
-    users: Vec<UserId>,
+    len: u32,
+    start: usize,
+}
+
+impl Run {
+    fn range(&self) -> Range<usize> {
+        self.start..self.start + self.len as usize
+    }
 }
 
 /// One time slot `t_i`: which users were active in which acceleration group.
@@ -38,8 +55,10 @@ struct GroupRun {
 pub struct TimeSlot {
     /// Slot index within the history (chronological).
     pub index: usize,
-    /// One run per non-empty group, sorted by group id.
-    runs: Vec<GroupRun>,
+    /// One run per non-empty group, sorted by group id, tiling `users` in
+    /// order.
+    runs: Vec<Run>,
+    users: Vec<UserId>,
 }
 
 impl TimeSlot {
@@ -48,6 +67,7 @@ impl TimeSlot {
         Self {
             index,
             runs: Vec::new(),
+            users: Vec::new(),
         }
     }
 
@@ -56,29 +76,42 @@ impl TimeSlot {
     /// mid-slot) is counted in each group it touched, matching the paper's
     /// per-group workload definition `W_an`.
     pub fn assign(&mut self, group: AccelerationGroupId, user: UserId) {
-        let run = match self.runs.binary_search_by_key(&group, |r| r.group) {
-            Ok(at) => &mut self.runs[at],
+        let at = match self.runs.binary_search_by_key(&group, |r| r.group) {
+            Ok(at) => at,
             Err(at) => {
+                let start = self.runs.get(at).map_or(self.users.len(), |r| r.start);
                 self.runs.insert(
                     at,
-                    GroupRun {
+                    Run {
                         group,
-                        users: Vec::new(),
+                        len: 0,
+                        start,
                     },
                 );
-                &mut self.runs[at]
+                at
             }
         };
+        let run = self.runs[at];
+        let users = &self.users[run.range()];
         // the common case is appending in increasing user order
-        match run.users.last() {
-            Some(&last) if last < user => run.users.push(user),
-            Some(&last) if last == user => {}
-            _ => {
-                if let Err(at) = run.users.binary_search(&user) {
-                    run.users.insert(at, user);
-                }
-            }
+        let offset = match users.last() {
+            Some(&last) if last < user => users.len(),
+            Some(&last) if last == user => return,
+            _ => match users.binary_search(&user) {
+                Ok(_) => return,
+                Err(offset) => offset,
+            },
+        };
+        self.users.insert(run.start + offset, user);
+        self.runs[at].len += 1;
+        for later in &mut self.runs[at + 1..] {
+            later.start += 1;
         }
+    }
+
+    /// The users of the run at position `at` of the slot's runs.
+    fn run(&self, at: usize) -> &[UserId] {
+        &self.users[self.runs[at].range()]
     }
 
     /// The users active in `group`, sorted by id (empty slice when none).
@@ -87,7 +120,7 @@ impl TimeSlot {
     /// it for every (slot, group) pair and must not allocate.
     pub fn users_in(&self, group: AccelerationGroupId) -> &[UserId] {
         match self.runs.binary_search_by_key(&group, |r| r.group) {
-            Ok(at) => &self.runs[at].users,
+            Ok(at) => self.run(at),
             Err(_) => &[],
         }
     }
@@ -106,7 +139,32 @@ impl TimeSlot {
     /// `(group, user count)` per non-empty group, in increasing group order —
     /// the slot's count signature, used by the predictor's pruning bound.
     pub fn group_loads(&self) -> impl Iterator<Item = (AccelerationGroupId, usize)> + '_ {
-        self.runs.iter().map(|r| (r.group, r.users.len()))
+        self.runs.iter().map(|r| (r.group, r.len as usize))
+    }
+
+    /// Calls `visit` with the users of each of `groups`, in the order of
+    /// `groups` (an empty slice for a group without users). One pass over
+    /// the runs marks the groups present in a 256-bit map, and a group's
+    /// run is its rank in that map, so no group is searched for.
+    pub(crate) fn for_each_group<'a>(
+        &'a self,
+        groups: &[AccelerationGroupId],
+        mut visit: impl FnMut(&'a [UserId]),
+    ) {
+        let mut present = [0u64; 4];
+        for run in &self.runs {
+            present[usize::from(run.group.0 >> 6)] |= 1 << (run.group.0 & 63);
+        }
+        for group in groups {
+            let (word, bit) = (usize::from(group.0 >> 6), group.0 & 63);
+            if present[word] >> bit & 1 == 0 {
+                visit(&[]);
+                continue;
+            }
+            let below = present[..word].iter().map(|w| w.count_ones()).sum::<u32>()
+                + (present[word] & ((1 << bit) - 1)).count_ones();
+            visit(self.run(below as usize));
+        }
     }
 
     /// Total number of distinct users active in the slot (allocation-free).
@@ -114,12 +172,13 @@ impl TimeSlot {
         // a k-way merge over one cursor per run; group ids are `u8`, so 256
         // cursors cover any slot
         let mut cursors = [0usize; 256];
+        let cursors = &mut cursors[..self.runs.len()];
         let mut distinct = 0;
         loop {
             // the lowest head, its run, and the lowest head of the other runs
             let (mut lowest, mut bound) = (None, None);
-            for (at, run) in self.runs.iter().enumerate() {
-                match (run.users.get(cursors[at]), lowest) {
+            for (at, &cursor) in cursors.iter().enumerate() {
+                match (self.run(at).get(cursor), lowest) {
                     (None, _) => {}
                     (Some(&head), Some((low, _))) if head >= low => {
                         bound = Some(bound.map_or(head, |b: UserId| b.min(head)));
@@ -136,13 +195,13 @@ impl TimeSlot {
             if bound == Some(low) {
                 // shared: every run listing `low` steps over it
                 distinct += 1;
-                for (run, cursor) in self.runs.iter().zip(&mut cursors) {
-                    *cursor += usize::from(run.users.get(*cursor) == Some(&low));
+                for (run, cursor) in cursors.iter_mut().enumerate() {
+                    *cursor += usize::from(self.run(run).get(*cursor) == Some(&low));
                 }
             } else {
                 // everything below the other heads is this run's alone, so
                 // runs with disjoint id ranges cost one step each
-                let rest = &self.runs[at].users[cursors[at]..];
+                let rest = &self.run(at)[cursors[at]..];
                 let alone = bound.map_or(rest.len(), |b| rest.partition_point(|&u| u < b));
                 distinct += alone;
                 cursors[at] += alone;
@@ -157,7 +216,7 @@ impl TimeSlot {
 
     /// Returns `true` when no user is assigned to any group.
     pub fn is_empty(&self) -> bool {
-        // runs are only materialized by `assign`, so none is ever empty
+        // runs are never empty, so a slot without runs has no user
         self.runs.is_empty()
     }
 
@@ -170,51 +229,6 @@ impl TimeSlot {
         let mut builder = TimeSlotBuilder::new(index);
         builder.extend(pairs);
         builder.build()
-    }
-}
-
-impl Snapshot for GroupRun {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.group.encode(out);
-        self.users.encode(out);
-    }
-}
-
-impl Restore for GroupRun {
-    fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
-        let group = AccelerationGroupId::decode(cur)?;
-        let users = Vec::<UserId>::decode(cur)?;
-        if users.is_empty() {
-            return Err(SnapshotError::Malformed {
-                context: "empty group run",
-            });
-        }
-        if users.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(SnapshotError::Malformed {
-                context: "group run users not strictly increasing",
-            });
-        }
-        Ok(Self { group, users })
-    }
-}
-
-impl Snapshot for TimeSlot {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.index.encode(out);
-        self.runs.encode(out);
-    }
-}
-
-impl Restore for TimeSlot {
-    fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
-        let index = usize::decode(cur)?;
-        let runs = Vec::<GroupRun>::decode(cur)?;
-        if runs.windows(2).any(|w| w[0].group >= w[1].group) {
-            return Err(SnapshotError::Malformed {
-                context: "slot runs not sorted by group",
-            });
-        }
-        Ok(Self { index, runs })
     }
 }
 
@@ -374,19 +388,31 @@ impl TimeSlotBuilder {
             sort_keys(&mut self.keys, &mut self.scratch, bits);
             self.keys.dedup();
         }
-        // collected from exact-size slices: a retained slot has no slack
+        // the users column is collected from an exact-size slice: a slot
+        // has no slack
         let user_mask = (1u64 << ubits) - 1;
+        let users = self
+            .keys
+            .iter()
+            .map(|&key| UserId((key & user_mask) as u32 + umin))
+            .collect();
         let same_group = |a: &u64, b: &u64| a >> ubits == b >> ubits;
-        let cut = |run: &[u64]| GroupRun {
-            group: AccelerationGroupId((run[0] >> ubits) as u8 + gmin as u8),
-            users: run
-                .iter()
-                .map(|&key| UserId((key & user_mask) as u32 + umin))
-                .collect(),
-        };
-        let runs = self.keys.chunk_by(same_group).map(cut).collect();
+        let mut start = 0;
+        let runs = self
+            .keys
+            .chunk_by(same_group)
+            .map(|run| {
+                let cut = Run {
+                    group: AccelerationGroupId((run[0] >> ubits) as u8 + gmin as u8),
+                    len: run.len() as u32,
+                    start,
+                };
+                start += run.len();
+                cut
+            })
+            .collect();
         self.keys.clear();
-        TimeSlot { index, runs }
+        TimeSlot { index, runs, users }
     }
 }
 
@@ -395,13 +421,17 @@ impl TimeSlotBuilder {
 /// A history may be given a *window*: an upper bound on the number of most
 /// recent slots it retains. Older slots are evicted from the front, which
 /// bounds both the memory held by a long-running system and the cost of the
-/// predictor's nearest-neighbour scan. [`TimeSlot::index`] values stay
-/// global (chronological since the beginning of the trace), so an evicted
-/// history still reports meaningful slot indices; [`SlotHistory::first_index`]
+/// predictor's nearest-neighbour scan. Slot indices stay global
+/// (chronological since the beginning of the trace), so an evicted history
+/// still reports meaningful slot indices; [`SlotHistory::first_index`]
 /// gives the global index of the oldest retained slot.
+///
+/// Each retained slot keeps its own two columns (see the module docs): a
+/// pushed slot moves in uncopied, and eviction drops the oldest one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlotHistory {
-    slots: Vec<TimeSlot>,
+    /// The retained slots, oldest first.
+    slots: VecDeque<TimeSlot>,
     /// Slot length in milliseconds.
     pub slot_length_ms: f64,
     /// Maximum number of retained slots (`None` = unbounded).
@@ -419,7 +449,7 @@ impl SlotHistory {
     pub fn new(slot_length_ms: f64) -> Self {
         assert!(slot_length_ms > 0.0, "slot length must be positive");
         Self {
-            slots: Vec::new(),
+            slots: VecDeque::new(),
             slot_length_ms,
             window: None,
             evicted: 0,
@@ -469,11 +499,9 @@ impl SlotHistory {
 
     fn trim(&mut self) {
         if let Some(window) = self.window {
-            if self.slots.len() > window {
-                let excess = self.slots.len() - window;
-                self.slots.drain(0..excess);
-                self.evicted += excess;
-            }
+            let excess = self.slots.len().saturating_sub(window);
+            self.slots.drain(..excess);
+            self.evicted += excess;
         }
     }
 
@@ -483,8 +511,8 @@ impl SlotHistory {
     /// This is the batch-replay path: records are bucketed into one
     /// [`TimeSlotBuilder`] per slot and each slot is materialized with a
     /// single sort + dedup pass, instead of paying [`TimeSlot::assign`]'s
-    /// ordered insert per record. The result is identical to replaying the
-    /// log through [`SlotHistory::observe`].
+    /// ordered insert per record; the slots are the ones one `assign` per
+    /// record would build.
     pub fn from_log(log: &TraceLog, slot_length_ms: f64) -> Self {
         let mut history = Self::new(slot_length_ms);
         let mut windower = SlotWindower::new(slot_length_ms);
@@ -501,34 +529,27 @@ impl SlotHistory {
         history
     }
 
-    /// Incorporates one processed request into the history, creating slots as
-    /// needed. Records older than the oldest retained slot (possible only
-    /// after window eviction) are dropped.
-    pub fn observe(&mut self, record: &TraceRecord) {
-        let idx = (record.timestamp_ms / self.slot_length_ms).floor().max(0.0) as usize;
-        if idx < self.evicted {
-            return;
-        }
-        while self.evicted + self.slots.len() <= idx {
-            let next = self.evicted + self.slots.len();
-            self.slots.push(TimeSlot::new(next));
-            self.trim();
-        }
-        self.slots[idx - self.evicted].assign(record.group, record.user);
-    }
-
     /// Appends an already-built slot (its index is rewritten to stay
     /// chronological), evicting the oldest slot when a window is set and
     /// full.
     pub fn push(&mut self, mut slot: TimeSlot) {
         slot.index = self.evicted + self.slots.len();
-        self.slots.push(slot);
+        self.slots.push_back(slot);
         self.trim();
     }
 
+    /// The retained slot at `position` (0 is the oldest retained slot).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `position` is not below [`SlotHistory::len`].
+    pub fn slot(&self, position: usize) -> &TimeSlot {
+        &self.slots[position]
+    }
+
     /// The retained slots in chronological order.
-    pub fn slots(&self) -> &[TimeSlot] {
-        &self.slots
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &TimeSlot> + ExactSizeIterator {
+        self.slots.iter()
     }
 
     /// Number of retained slots (`H`, the amount of history available).
@@ -543,50 +564,222 @@ impl SlotHistory {
 
     /// The most recent slot, if any.
     pub fn last(&self) -> Option<&TimeSlot> {
-        self.slots.last()
+        self.slots.back()
     }
 }
 
+/// A run on the wire: its group and its user count, five bytes.
+fn run_to_le_bytes(run: &Run) -> [u8; 5] {
+    let [a, b, c, d] = run.len.to_le_bytes();
+    [run.group.0, a, b, c, d]
+}
+
+/// Bytes per gap of a run whose widest gap is `gap`.
+fn gap_width(gap: u32) -> u8 {
+    match gap {
+        0..=0xff => 1,
+        0x100..=0xffff => 2,
+        _ => 4,
+    }
+}
+
+/// Appends one run's users: the width `w` of its gaps (1, 2 or 4 bytes), its
+/// first id (`u32`), then each later id as its gap `id − previous − 1` in
+/// `w` little-endian bytes. A run of one tenant's users is mostly gaps under
+/// 256, a byte each instead of four.
+fn encode_gaps(users: &[UserId], out: &mut Vec<u8>) {
+    let gaps = || users.iter().zip(&users[1..]).map(|(a, b)| b.0 - a.0 - 1);
+    // the gaps sum to the span less the ids between: when that sum fits a
+    // byte, so does every gap, and the gaps need no scan
+    let spread = users[users.len() - 1].0 - users[0].0 - (users.len() as u32 - 1);
+    let width = gap_width(if spread < 0x100 {
+        spread
+    } else {
+        gaps().max().unwrap_or(0)
+    });
+    out.push(width);
+    out.extend_from_slice(&users[0].0.to_le_bytes());
+    match width {
+        // the common width: a trusted-length extend, the fastest writer
+        1 => out.extend(gaps().map(|gap| gap as u8)),
+        2 => put_gaps::<2>(gaps(), out),
+        _ => put_gaps::<4>(gaps(), out),
+    }
+}
+
+/// Appends each gap as its `W` low little-endian bytes.
+fn put_gaps<const W: usize>(gaps: impl ExactSizeIterator<Item = u32>, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.resize(start + W * gaps.len(), 0);
+    for (word, gap) in out[start..].as_chunks_mut::<W>().0.iter_mut().zip(gaps) {
+        word.copy_from_slice(&gap.to_le_bytes()[..W]);
+    }
+}
+
+/// The history is its slot length, window and evicted count, then its
+/// retained slots as three length-prefixed runs: runs per slot (`u16`
+/// each), `(group u8, len u32)` per run, and the users' bytes, run by run
+/// a gap width, the first id and the gaps after it (`encode_gaps`). A
+/// slot's index is `evicted` plus its position, and a run's start is the
+/// sum of the lengths before it in its slot, so neither travels.
 impl Snapshot for SlotHistory {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.slots.encode(out);
         self.slot_length_ms.encode(out);
         self.window.encode(out);
         self.evicted.encode(out);
+        self.slots.len().encode(out);
+        out.reserve(2 * self.slots.len());
+        for slot in &self.slots {
+            // at most 256 runs: one per `u8` group
+            out.extend_from_slice(&(slot.runs.len() as u16).to_le_bytes());
+        }
+        let runs: usize = self.slots.iter().map(|slot| slot.runs.len()).sum();
+        runs.encode(out);
+        out.reserve(5 * runs);
+        for slot in &self.slots {
+            encode_le_run(&slot.runs, out, run_to_le_bytes);
+        }
+        // room for the common case, one-byte gaps
+        let users: usize = self.slots.iter().map(|slot| slot.users.len()).sum();
+        out.reserve(8 + 4 * runs + users);
+        let prefix = out.len();
+        0u64.encode(out);
+        for slot in &self.slots {
+            for run in &slot.runs {
+                encode_gaps(&slot.users[run.range()], out);
+            }
+        }
+        let bytes = (out.len() - prefix - 8) as u64;
+        out[prefix..prefix + 8].copy_from_slice(&bytes.to_le_bytes());
     }
 }
 
-impl Restore for SlotHistory {
-    fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
-        let slots = Vec::<TimeSlot>::decode(cur)?;
-        let slot_length_ms = f64::decode(cur)?;
-        let window = Option::<usize>::decode(cur)?;
-        let evicted = usize::decode(cur)?;
+/// Claims a length-prefixed run of `W`-byte words from the cursor, without
+/// decoding it.
+fn words<'a, const W: usize>(
+    cur: &mut Cursor<'a>,
+    context: &'static str,
+) -> Result<&'a [[u8; W]], SnapshotError> {
+    let bytes = usize::decode(cur)?
+        .checked_mul(W)
+        .ok_or(SnapshotError::Truncated { context })?;
+    Ok(cur.take(bytes, context)?.as_chunks::<W>().0)
+}
+
+/// Slots a restore reserves room for before it has checked them.
+const MAX_RESERVED_SLOTS: usize = 1 << 20;
+
+/// A history's columns as read off the wire: the lengths claimed from the
+/// cursor, the contents not yet decoded. [`HistoryColumns::validate`] turns
+/// them into a [`SlotHistory`].
+#[derive(Debug)]
+pub(crate) struct HistoryColumns<'a> {
+    slot_length_ms: f64,
+    window: Option<usize>,
+    evicted: usize,
+    runs_per_slot: &'a [[u8; 2]],
+    runs: &'a [[u8; 5]],
+    users: &'a [u8],
+}
+
+impl<'a> HistoryColumns<'a> {
+    /// Reads a history's columns off the cursor.
+    pub(crate) fn read(cur: &mut Cursor<'a>) -> Result<Self, SnapshotError> {
+        Ok(Self {
+            slot_length_ms: f64::decode(cur)?,
+            window: Option::<usize>::decode(cur)?,
+            evicted: usize::decode(cur)?,
+            runs_per_slot: words(cur, "history runs per slot")?,
+            runs: words(cur, "history runs")?,
+            users: words::<1>(cur, "history users")?.as_flattened(),
+        })
+    }
+
+    /// Number of slots the columns describe.
+    pub(crate) fn len(&self) -> usize {
+        self.runs_per_slot.len()
+    }
+
+    /// Decodes the slots while checking every invariant of a history, in
+    /// one pass over the columns — each run non-empty, inside the users and
+    /// its ids within `u32`, each slot's groups strictly increasing, the run
+    /// counts summing to the runs and the users bytes all read, no more
+    /// slots than the window. (Gaps cannot make ids repeat or decrease.)
+    /// Each slot's columns are allocated once, at their exact size, and the
+    /// slot is handed to `visit` as soon as it is decoded, while its users
+    /// are in cache.
+    pub(crate) fn validate(
+        self,
+        mut visit: impl FnMut(&TimeSlot),
+    ) -> Result<SlotHistory, SnapshotError> {
+        let malformed = |context| Err(SnapshotError::Malformed { context });
+        let Self {
+            slot_length_ms,
+            window,
+            evicted,
+            runs_per_slot,
+            runs,
+            users,
+        } = self;
         if slot_length_ms.is_nan() || slot_length_ms <= 0.0 {
-            return Err(SnapshotError::Malformed {
-                context: "non-positive slot length",
-            });
+            return malformed("non-positive slot length");
         }
         if window == Some(0) {
-            return Err(SnapshotError::Malformed {
-                context: "zero history window",
-            });
+            return malformed("zero history window");
         }
-        if window.is_some_and(|w| slots.len() > w) {
-            return Err(SnapshotError::Malformed {
-                context: "history longer than its window",
-            });
+        if window.is_some_and(|w| runs_per_slot.len() > w) {
+            return malformed("history longer than its window");
         }
-        if slots
-            .iter()
-            .enumerate()
-            .any(|(at, slot)| slot.index != evicted + at)
-        {
-            return Err(SnapshotError::Malformed {
-                context: "history slot indices not chronological",
-            });
+        if evicted.checked_add(runs_per_slot.len()).is_none() {
+            return malformed("history slot indices overflow");
         }
-        Ok(Self {
+        let run_len = |[_, a, b, c, d]: [u8; 5]| u32::from_le_bytes([a, b, c, d]) as usize;
+        // a slot takes two bytes on the wire and a `TimeSlot` in memory:
+        // reserve up to a bound, and grow past it as checked slots arrive
+        let mut slots = VecDeque::with_capacity(runs_per_slot.len().min(MAX_RESERVED_SLOTS));
+        let (mut row, mut at) = (0, 0);
+        for (position, &count) in runs_per_slot.iter().enumerate() {
+            let count = usize::from(u16::from_le_bytes(count));
+            let Some(slot_runs) = runs.get(row..row + count) else {
+                return malformed("runs per slot exceed the runs");
+            };
+            // every run takes at least a width byte, its first id and a
+            // byte per later id: bound the allocation by the bytes left
+            let len: usize = slot_runs.iter().map(|&run| run_len(run)).sum();
+            if 4 * count + len > users.len() - at {
+                return malformed("group run past the users");
+            }
+            let mut slot = TimeSlot {
+                index: evicted + position,
+                runs: Vec::with_capacity(count),
+                users: Vec::with_capacity(len),
+            };
+            for &wire in slot_runs {
+                let run = Run {
+                    group: AccelerationGroupId(wire[0]),
+                    len: run_len(wire) as u32,
+                    start: slot.users.len(),
+                };
+                if run.len == 0 {
+                    return malformed("empty group run");
+                }
+                if slot.runs.last().is_some_and(|last| last.group >= run.group) {
+                    return malformed("slot runs not sorted by group");
+                }
+                at += decode_gaps(&users[at..], run.len as usize, &mut slot.users)?;
+                slot.runs.push(run);
+            }
+            visit(&slot);
+            slots.push_back(slot);
+            row += count;
+        }
+        if row != runs.len() {
+            return malformed("runs per slot do not sum to the runs");
+        }
+        if at != users.len() {
+            return malformed("users bytes left over");
+        }
+        Ok(SlotHistory {
             slots,
             slot_length_ms,
             window,
@@ -595,9 +788,73 @@ impl Restore for SlotHistory {
     }
 }
 
+/// Decodes one run of `len` users written by [`encode_gaps`] from the front
+/// of `wire` onto `users`, returning the bytes it took.
+fn decode_gaps(wire: &[u8], len: usize, users: &mut Vec<UserId>) -> Result<usize, SnapshotError> {
+    let width = wire.first().map_or(0, |&width| usize::from(width));
+    let taken = 5 + (len - 1) * width;
+    let Some(run) = wire.get(1..taken) else {
+        return Err(SnapshotError::Malformed {
+            context: "group run past the users",
+        });
+    };
+    let (first, gaps) = run.split_at(4);
+    let first = u32::from_le_bytes(first.try_into().expect("split at four"));
+    match width {
+        1 => extend_gaps::<1>(first, gaps, users)?,
+        2 => extend_gaps::<2>(first, gaps, users)?,
+        4 => extend_gaps::<4>(first, gaps, users)?,
+        _ => {
+            return Err(SnapshotError::Malformed {
+                context: "user gap width not 1, 2 or 4",
+            })
+        }
+    }
+    Ok(taken)
+}
+
+/// Appends `first` and the ids its `W`-byte gaps lead to.
+fn extend_gaps<const W: usize>(
+    first: u32,
+    gaps: &[u8],
+    users: &mut Vec<UserId>,
+) -> Result<(), SnapshotError> {
+    let (gaps, _) = gaps.as_chunks::<W>();
+    let gap = |bytes: &[u8; W]| {
+        let mut word = [0; 4];
+        word[..W].copy_from_slice(bytes);
+        u32::from_le_bytes(word)
+    };
+    // ids only grow: the last one is the one that could pass `u32::MAX`
+    let last = gaps
+        .iter()
+        .map(|bytes| u64::from(gap(bytes)) + 1)
+        .sum::<u64>()
+        + u64::from(first);
+    if last > u64::from(u32::MAX) {
+        return Err(SnapshotError::Malformed {
+            context: "group run ids past u32::MAX",
+        });
+    }
+    users.push(UserId(first));
+    let mut id = first;
+    users.extend(gaps.iter().map(|bytes| {
+        id += gap(bytes) + 1;
+        UserId(id)
+    }));
+    Ok(())
+}
+
+impl Restore for SlotHistory {
+    fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
+        HistoryColumns::read(cur)?.validate(|_| {})
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mca_offload::TraceRecord;
 
     fn record(t: f64, user: u32, group: u8) -> TraceRecord {
         TraceRecord {
@@ -723,9 +980,9 @@ mod tests {
         .collect();
         let history = SlotHistory::from_log(&log, 3_600_000.0);
         assert_eq!(history.len(), 3);
-        assert_eq!(history.slots()[0].load_of(AccelerationGroupId(1)), 2);
-        assert_eq!(history.slots()[1].load_of(AccelerationGroupId(2)), 1);
-        assert_eq!(history.slots()[2].load_of(AccelerationGroupId(1)), 1);
+        assert_eq!(history.slot(0).load_of(AccelerationGroupId(1)), 2);
+        assert_eq!(history.slot(1).load_of(AccelerationGroupId(2)), 1);
+        assert_eq!(history.slot(2).load_of(AccelerationGroupId(1)), 1);
         assert_eq!(history.last().unwrap().index, 2);
     }
 
@@ -736,7 +993,7 @@ mod tests {
             .collect();
         let history = SlotHistory::from_log(&log, 3_600_000.0);
         assert_eq!(history.len(), 11);
-        assert!(history.slots()[5].is_empty());
+        assert!(history.slot(5).is_empty());
     }
 
     #[test]
@@ -750,8 +1007,8 @@ mod tests {
             42,
             [(AccelerationGroupId(1), UserId(2))],
         ));
-        assert_eq!(history.slots()[0].index, 0);
-        assert_eq!(history.slots()[1].index, 1);
+        assert_eq!(history.slot(0).index, 0);
+        assert_eq!(history.slot(1).index, 1);
         assert_eq!(history.slot_length_ms, 3_600_000.0);
     }
 
@@ -767,10 +1024,10 @@ mod tests {
         assert_eq!(history.len(), 3);
         assert_eq!(history.first_index(), 2);
         assert_eq!(history.window(), Some(3));
-        let indices: Vec<usize> = history.slots().iter().map(|s| s.index).collect();
+        let indices: Vec<usize> = history.iter().map(|s| s.index).collect();
         assert_eq!(indices, vec![2, 3, 4]);
         assert_eq!(
-            history.slots()[0].users_in(AccelerationGroupId(1)),
+            history.slot(0).users_in(AccelerationGroupId(1)),
             &[UserId(2)]
         );
         assert_eq!(history.last().unwrap().index, 4);
@@ -796,22 +1053,6 @@ mod tests {
             ));
         }
         assert_eq!(history.len(), 5);
-    }
-
-    #[test]
-    fn windowed_observe_ignores_records_older_than_retention() {
-        let mut history = SlotHistory::new(1_000.0).with_window(2);
-        history.observe(&record(100.0, 1, 1)); // slot 0
-        history.observe(&record(3_500.0, 2, 1)); // slots 1..=3, evicts 0..=1
-        assert_eq!(history.len(), 2);
-        assert_eq!(history.first_index(), 2);
-        history.observe(&record(500.0, 3, 1)); // slot 0: already evicted, dropped
-        assert_eq!(history.slots()[0].load_of(AccelerationGroupId(1)), 0);
-        history.observe(&record(2_500.0, 4, 1)); // slot 2: retained
-        assert_eq!(
-            history.slots()[0].users_in(AccelerationGroupId(1)),
-            &[UserId(4)]
-        );
     }
 
     #[test]
@@ -922,11 +1163,8 @@ mod tests {
                 warm,
                 "gap {gap}: the second slot reuses the first one's buffers"
             );
-            // runs hold exactly their users
-            assert!(second
-                .runs
-                .iter()
-                .all(|r| r.users.capacity() == r.users.len()));
+            // the users column holds exactly the slot's users
+            assert_eq!(second.users.capacity(), second.users.len());
         }
     }
 
@@ -999,7 +1237,7 @@ mod tests {
     }
 
     #[test]
-    fn from_log_batch_replay_matches_incremental_observe() {
+    fn from_log_batch_replay_matches_per_record_assign() {
         let records: Vec<TraceRecord> = (0..200)
             .map(|i| {
                 // timestamps deliberately out of chronological order
@@ -1009,11 +1247,211 @@ mod tests {
             .collect();
         let log: TraceLog = records.iter().cloned().collect();
         let batched = SlotHistory::from_log(&log, 3_600_000.0);
-        let mut incremental = SlotHistory::new(3_600_000.0);
+        // one `assign` per record, into the slot holding its timestamp
+        let mut assigned: Vec<TimeSlot> = (0..5).map(TimeSlot::new).collect();
         for r in &records {
-            incremental.observe(r);
+            assigned[(r.timestamp_ms / 3_600_000.0) as usize].assign(r.group, r.user);
         }
-        assert_eq!(batched, incremental);
+        assert_eq!(batched.len(), assigned.len());
+        for (position, slot) in assigned.iter().enumerate() {
+            assert_eq!(batched.slot(position), slot);
+        }
+    }
+
+    /// Slot `i` of a drifting history: `i % 5 + 1` users of group 1 from
+    /// id `i` on, and user `i` of group 3 every other slot.
+    fn drifting(i: u32) -> TimeSlot {
+        let group1 = (i..i + i % 5 + 1).map(|u| (AccelerationGroupId(1), UserId(u)));
+        let group3 = i
+            .is_multiple_of(2)
+            .then_some((AccelerationGroupId(3), UserId(i)));
+        TimeSlot::from_assignments(0, group1.chain(group3))
+    }
+
+    fn restored(history: &SlotHistory) -> SlotHistory {
+        let mut bytes = Vec::new();
+        history.encode(&mut bytes);
+        let mut cur = Cursor::new(&bytes);
+        let restored = SlotHistory::decode(&mut cur).expect("a live history restores");
+        assert!(cur.is_empty());
+        restored
+    }
+
+    #[test]
+    fn a_windowed_history_equals_its_restore_and_grows_on_alike() {
+        let mut history = SlotHistory::hourly().with_window(4);
+        for i in 0..9 {
+            history.push(drifting(i));
+        }
+        assert_eq!((history.len(), history.first_index()), (4, 5));
+        let mut copy = restored(&history);
+        assert_eq!(copy, history);
+        for (position, slot) in copy.iter().enumerate() {
+            let mut expected = drifting(5 + position as u32);
+            expected.index = 5 + position;
+            assert_eq!(slot, &expected);
+        }
+        for i in 9..14 {
+            history.push(drifting(i));
+            copy.push(drifting(i));
+            assert_eq!(copy, history, "slot {i}");
+        }
+        // restored columns hold exactly their slot
+        let copy = restored(&history);
+        assert!(copy
+            .slots
+            .iter()
+            .all(|s| s.users.capacity() == s.users.len() && s.runs.capacity() == s.runs.len()));
+    }
+
+    /// A history stream of one-hour slots, none evicted, with the given
+    /// window, runs and users bytes.
+    fn wire(
+        window: Option<usize>,
+        runs_per_slot: &[u16],
+        runs: &[(u8, u32)],
+        users: &[u8],
+    ) -> Vec<u8> {
+        let mut out = Vec::new();
+        3_600_000.0f64.encode(&mut out);
+        window.encode(&mut out);
+        0usize.encode(&mut out);
+        runs_per_slot.to_vec().encode(&mut out);
+        runs.len().encode(&mut out);
+        for &(group, len) in runs {
+            group.encode(&mut out);
+            len.encode(&mut out);
+        }
+        users.to_vec().encode(&mut out);
+        out
+    }
+
+    fn malformed(bytes: &[u8]) -> &'static str {
+        match SlotHistory::decode(&mut Cursor::new(bytes)) {
+            Err(SnapshotError::Malformed { context }) => context,
+            other => panic!("expected a malformed history, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_wire_is_runs_per_slot_then_runs_then_each_runs_first_id_and_gaps() {
+        let mut history = SlotHistory::hourly().with_window(3);
+        let pairs = [(2, 300), (0, 7), (2, 9), (0, 5)];
+        for slot in [
+            TimeSlot::new(0),
+            TimeSlot::from_assignments(0, [(AccelerationGroupId(1), UserId(4))]),
+            TimeSlot::from_assignments(
+                0,
+                pairs.map(|(group, user)| (AccelerationGroupId(group), UserId(user))),
+            ),
+        ] {
+            history.push(slot);
+        }
+        #[rustfmt::skip]
+        let users = [
+            1, 4, 0, 0, 0, // group 1: width 1, first id 4
+            1, 5, 0, 0, 0, 1, // group 0: 5, then 7 as gap 1
+            2, 9, 0, 0, 0, 34, 1, // group 2: 9, then 300 as gap 290 in two bytes
+        ];
+        let expected = wire(Some(3), &[0, 1, 2], &[(1, 1), (0, 2), (2, 2)], &users);
+        let mut bytes = Vec::new();
+        history.encode(&mut bytes);
+        assert_eq!(bytes, expected);
+        assert_eq!(restored(&history), history);
+        // four-byte gaps, and ids up to `u32::MAX`
+        let wide = TimeSlot::from_assignments(
+            0,
+            [0, 70_000, u32::MAX].map(|user| (AccelerationGroupId(3), UserId(user))),
+        );
+        history.push(wide.clone());
+        assert_eq!(
+            restored(&history)
+                .last()
+                .unwrap()
+                .users_in(AccelerationGroupId(3)),
+            wide.users_in(AccelerationGroupId(3))
+        );
+    }
+
+    #[test]
+    fn each_broken_column_invariant_is_a_typed_error() {
+        // a run past the users
+        assert_eq!(
+            malformed(&wire(None, &[1], &[(1, 3)], &[1, 1, 0, 0, 0, 0])),
+            "group run past the users"
+        );
+        assert_eq!(
+            malformed(&wire(None, &[1], &[(1, 3)], &[4, 1, 0, 0, 0, 0, 0])),
+            "group run past the users"
+        );
+        // a zero-length run
+        assert_eq!(
+            malformed(&wire(
+                None,
+                &[2],
+                &[(1, 1), (2, 0)],
+                &[1, 1, 0, 0, 0, 0, 0, 0, 0]
+            )),
+            "empty group run"
+        );
+        // gaps cannot make ids repeat or decrease, only pass `u32::MAX`
+        assert_eq!(
+            malformed(&wire(None, &[1], &[(1, 2)], &[1, 255, 255, 255, 255, 0])),
+            "group run ids past u32::MAX"
+        );
+        assert_eq!(
+            malformed(&wire(None, &[1], &[(1, 2)], &[3, 1, 0, 0, 0, 0, 0, 0])),
+            "user gap width not 1, 2 or 4"
+        );
+        // groups out of order, or repeated, within a slot
+        for groups in [(2, 1), (1, 1)] {
+            assert_eq!(
+                malformed(&wire(
+                    None,
+                    &[2],
+                    &[(groups.0, 1), (groups.1, 1)],
+                    &[1, 1, 0, 0, 0, 1, 2, 0, 0, 0]
+                )),
+                "slot runs not sorted by group"
+            );
+        }
+        // run counts that overrun the runs, or leave some over
+        assert_eq!(
+            malformed(&wire(None, &[1, 1], &[(1, 1)], &[1, 1, 0, 0, 0])),
+            "runs per slot exceed the runs"
+        );
+        assert_eq!(
+            malformed(&wire(
+                None,
+                &[1],
+                &[(1, 1), (2, 1)],
+                &[1, 1, 0, 0, 0, 1, 2, 0, 0, 0]
+            )),
+            "runs per slot do not sum to the runs"
+        );
+        // users bytes no run reads
+        assert_eq!(
+            malformed(&wire(None, &[1], &[(1, 1)], &[1, 1, 0, 0, 0, 7])),
+            "users bytes left over"
+        );
+        // more slots than the window
+        assert_eq!(
+            malformed(&wire(Some(1), &[0, 0], &[], &[])),
+            "history longer than its window"
+        );
+        // the same group in two slots is two runs
+        let two_slots = wire(
+            None,
+            &[1, 1],
+            &[(1, 1), (1, 1)],
+            &[1, 1, 0, 0, 0, 1, 1, 0, 0, 0],
+        );
+        assert_eq!(
+            SlotHistory::decode(&mut Cursor::new(&two_slots))
+                .unwrap()
+                .len(),
+            2
+        );
     }
 
     #[test]

@@ -64,8 +64,11 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"MCAS";
 /// from the engine section, with the mode it recorded. Version 7 dropped the
 /// engine seed from the meta section and every tenant's RNG words from its
 /// shard section (eight bytes plus 32 per tenant), with the engine's own mix
-/// tick that drew from them. Streams of any older version are rejected.
-pub const SNAPSHOT_VERSION: u16 = 7;
+/// tick that drew from them. Version 8 writes every slot history as
+/// columns — runs per slot, `(group, len)` per run, then each run's users
+/// as its first id and the gaps after it — instead of a length-prefixed
+/// vector per slot and per run. Streams of any older version are rejected.
+pub const SNAPSHOT_VERSION: u16 = 8;
 
 /// The reserved end-of-stream section tag.
 pub const END_TAG: u16 = 0xFFFF;
@@ -1029,7 +1032,7 @@ mod tests {
             SnapshotReader::new(buf.as_slice()).unwrap_err(),
             SnapshotError::UnsupportedVersion {
                 found: 1,
-                supported: 7
+                supported: 8
             }
         ));
         // version 2 carried 16 bytes of scan parallelism policy inside every
@@ -1039,7 +1042,7 @@ mod tests {
             SnapshotReader::new(&b"MCAS\x02\x00\xFF\xFF"[..]).unwrap_err(),
             SnapshotError::UnsupportedVersion {
                 found: 2,
-                supported: 7
+                supported: 8
             }
         ));
         // version 3 kept a tenant's standing forecast and memo after its
@@ -1049,7 +1052,7 @@ mod tests {
             SnapshotReader::new(&b"MCAS\x03\x00\xFF\xFF"[..]).unwrap_err(),
             SnapshotError::UnsupportedVersion {
                 found: 3,
-                supported: 7
+                supported: 8
             }
         ));
         // version 4 carried a distance-kind tag and an eighth stats counter
@@ -1058,7 +1061,7 @@ mod tests {
             SnapshotReader::new(&b"MCAS\x04\x00\xFF\xFF"[..]).unwrap_err(),
             SnapshotError::UnsupportedVersion {
                 found: 4,
-                supported: 7
+                supported: 8
             }
         ));
         // version 5 carried the user-sharded tenant set in the engine
@@ -1067,7 +1070,7 @@ mod tests {
             SnapshotReader::new(&b"MCAS\x05\x00\xFF\xFF"[..]).unwrap_err(),
             SnapshotError::UnsupportedVersion {
                 found: 5,
-                supported: 7
+                supported: 8
             }
         ));
         // version 6 carried the engine seed and every tenant's RNG words;
@@ -1076,7 +1079,17 @@ mod tests {
             SnapshotReader::new(&b"MCAS\x06\x00\xFF\xFF"[..]).unwrap_err(),
             SnapshotError::UnsupportedVersion {
                 found: 6,
-                supported: 7
+                supported: 8
+            }
+        ));
+        // version 7 carried every slot history as a tree of vectors (per
+        // slot an index and a run count, per run a group and a length-prefixed
+        // user list); refused, not read as columns
+        assert!(matches!(
+            SnapshotReader::new(&b"MCAS\x07\x00\xFF\xFF"[..]).unwrap_err(),
+            SnapshotError::UnsupportedVersion {
+                found: 7,
+                supported: 8
             }
         ));
     }
@@ -1186,7 +1199,7 @@ mod tests {
         // the refused sections left no bytes behind
         let stats = writer.finish().unwrap();
         assert_eq!((stats.sections, stats.bytes), (0, 8));
-        assert_eq!(buf, b"MCAS\x07\x00\xFF\xFF");
+        assert_eq!(buf, b"MCAS\x08\x00\xFF\xFF");
     }
 
     #[test]

@@ -6,11 +6,15 @@
 //! slot ingest to a count **independent of the records per tenant**, a
 //! third holds a warmed engine's checkpoint to the same, a fourth holds one
 //! ILP solve to a few allocations per branch-and-bound node **independent of
-//! the pivot count**, and a fifth holds the datacenter's bill stage to a
-//! count **independent of the placed instances**.
+//! the pivot count**, a fifth holds the datacenter's bill stage to a
+//! count **independent of the placed instances**, and a sixth holds a
+//! predictor's restore to **one allocation per slot column** (a runs and a
+//! users column per slot) plus a constant.
 //!
 //! This lives in its own integration-test binary because the counting
-//! `#[global_allocator]` is process-wide.
+//! `#[global_allocator]` is process-wide. It counts per thread, so the
+//! test harness and the tests running beside a measurement never leak
+//! into it; every measured body runs on the measuring thread.
 
 use mobile_code_acceleration::cloudsim::{DatacenterConfig, InstanceType};
 use mobile_code_acceleration::core::{
@@ -21,22 +25,25 @@ use mobile_code_acceleration::offload::{AccelerationGroupId, UserId};
 use mobile_code_acceleration::prelude::{
     FleetDriver, FleetEngine, SlotRecord, SystemConfig, TenantId, TimeSlot,
 };
+use mobile_code_acceleration::snapshot::{Cursor, Restore, Snapshot};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// The allocation counter is process-wide, so concurrently running tests
-/// would inflate each other's measurements; every measured section holds
-/// this lock.
-static MEASURE_LOCK: Mutex<()> = Mutex::new(());
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations (and reallocations) made by this thread so far.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // a thread being torn down has no counter left to bump
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -45,7 +52,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -54,9 +61,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn allocations_during(mut body: impl FnMut()) -> usize {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     body();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 const GROUPS: [AccelerationGroupId; 3] = [
@@ -102,7 +109,6 @@ fn steady_state_allocations_at(
     sizes: [usize; 2],
     configure: impl Fn(WorkloadPredictor) -> WorkloadPredictor + Copy,
 ) -> (usize, usize) {
-    let _serialized = MEASURE_LOCK.lock().expect("no poisoned measurements");
     let measure = |slots: usize| {
         let predictor = warmed_predictor(slots, configure);
         let probe = drifting_slot(slots, 24);
@@ -131,14 +137,10 @@ fn serial_set_edit_scan_allocates_a_small_constant() {
 #[test]
 fn indexed_probe_allocates_a_small_constant() {
     let configure = |p: WorkloadPredictor| p.with_index_policy(IndexPolicy::indexed());
-    {
-        // building a predictor allocates: not while another test measures
-        let _serialized = MEASURE_LOCK.lock().expect("no poisoned measurements");
-        assert!(
-            warmed_predictor(5_000, configure).index_active(),
-            "the summary tree must be live"
-        );
-    }
+    assert!(
+        warmed_predictor(5_000, configure).index_active(),
+        "the summary tree must be live"
+    );
     // one level at 10k slots, two at 100k
     let (small, large) = steady_state_allocations_at([10_000, 100_000], configure);
     assert!(
@@ -186,7 +188,6 @@ fn warmed_driver(tenants: u32, users: u32, spacing: u32) -> FleetDriver {
 
 /// Allocations of one warmed `FleetDriver::step`.
 fn warmed_step_allocations(tenants: u32, users: u32, spacing: u32) -> usize {
-    let _serialized = MEASURE_LOCK.lock().expect("no poisoned measurements");
     let mut driver = warmed_driver(tenants, users, spacing);
     allocations_during(|| {
         driver.step().expect("a shared lane never misroutes");
@@ -222,7 +223,6 @@ fn slot_ingest_allocations_do_not_grow_with_records_per_tenant() {
 /// Allocations of the second `FleetEngine::checkpoint` of a warmed engine
 /// into a buffer the caller keeps.
 fn warmed_checkpoint_allocations(tenants: u32, users: u32) -> usize {
-    let _serialized = MEASURE_LOCK.lock().expect("no poisoned measurements");
     let mut engine = warmed_driver(tenants, users, 1).into_engine();
     let mut bytes = Vec::new();
     engine
@@ -281,7 +281,6 @@ fn wide_catalogue(groups: u8, account_cap: usize) -> SystemConfig {
 
 /// Allocations, nodes and pivots of one warmed ILP solve.
 fn warmed_solve(config: &SystemConfig, loads: &[usize]) -> (usize, usize, usize) {
-    let _serialized = MEASURE_LOCK.lock().expect("no poisoned measurements");
     let allocator = config.build_allocator();
     let forecast = WorkloadForecast {
         per_group: config
@@ -336,7 +335,6 @@ fn an_ilp_solve_allocates_per_branching_node_never_per_pivot() {
 /// allocation settled until the pool and the standing placement are the
 /// ones being re-applied and scored.
 fn warmed_settle(users: usize) -> (usize, usize) {
-    let _serialized = MEASURE_LOCK.lock().expect("no poisoned measurements");
     let mut config = SystemConfig::paper_three_groups()
         .with_datacenter(DatacenterConfig::paper_default().with_hosts(64, 48, 192.0));
     config.account_cap = 2_000;
@@ -384,5 +382,44 @@ fn datacenter_settle_allocations_do_not_grow_with_placed_instances() {
         few, many,
         "a warmed settle allocated {few} times over {few_placed} placed instances and {many} \
          over {many_placed}: the SLA assessment or the placement is allocating per instance"
+    );
+}
+
+/// Allocations of one restore of a warmed indexed predictor of `slots`
+/// slots, and whether the restore equalled the original.
+fn restore_allocations(slots: usize) -> (usize, bool) {
+    let predictor = warmed_predictor(slots, |p| p.with_index_policy(IndexPolicy::indexed()));
+    let mut bytes = Vec::new();
+    predictor.encode(&mut bytes);
+    let mut restored = None;
+    let allocations = allocations_during(|| {
+        restored = Some(WorkloadPredictor::decode(&mut Cursor::new(&bytes)));
+    });
+    let equal = restored.is_some_and(|r| r.is_ok_and(|r| r == predictor && r.index_active()));
+    (allocations, equal)
+}
+
+#[test]
+fn a_restore_allocates_each_slot_once_per_column() {
+    // more than 64 blocks at both sizes: the summary tree has two levels
+    // either way, so only the history differs
+    let (small, small_equal) = restore_allocations(5_000);
+    let (large, large_equal) = restore_allocations(50_000);
+    assert!(
+        small_equal && large_equal,
+        "a restore differs from its original"
+    );
+    // every slot has users: a runs column and a users column each
+    let fixed = small.saturating_sub(2 * 5_000);
+    assert!(
+        fixed < 32,
+        "a 5,000-slot restore allocated {small} times: {fixed} beyond two per slot"
+    );
+    assert_eq!(
+        large - small,
+        2 * 45_000,
+        "45,000 more slots cost {} more allocations: the decode allocates more than one \
+         buffer per slot column",
+        large - small
     );
 }

@@ -267,10 +267,111 @@ proptest! {
         }
         prop_assert!(history.len() <= window);
         prop_assert_eq!(history.first_index(), loads.len().saturating_sub(window));
-        let indices: Vec<usize> = history.slots().iter().map(|s| s.index).collect();
+        let indices: Vec<usize> = history.iter().map(|s| s.index).collect();
         let expected: Vec<usize> =
             (loads.len().saturating_sub(window)..loads.len()).collect();
         prop_assert_eq!(indices, expected);
+    }
+}
+
+/// The reference slot history: a plain `Vec<TimeSlot>`, evicted from the
+/// front one slot at a time.
+#[derive(Default)]
+struct ModelHistory {
+    slots: Vec<TimeSlot>,
+    window: Option<usize>,
+    evicted: usize,
+}
+
+impl ModelHistory {
+    fn push(&mut self, mut slot: TimeSlot) {
+        slot.index = self.evicted + self.slots.len();
+        self.slots.push(slot);
+        self.trim();
+    }
+
+    fn set_window(&mut self, window: Option<usize>) {
+        self.window = window;
+        self.trim();
+    }
+
+    fn trim(&mut self) {
+        while self.window.is_some_and(|w| self.slots.len() > w) {
+            self.slots.remove(0);
+            self.evicted += 1;
+        }
+    }
+}
+
+/// Whether `history` holds exactly the model's slots.
+fn check_against_model(history: &SlotHistory, model: &ModelHistory) -> Result<(), TestCaseError> {
+    prop_assert_eq!(history.len(), model.slots.len());
+    prop_assert_eq!(history.first_index(), model.evicted);
+    prop_assert_eq!(history.window(), model.window);
+    for (position, slot) in model.slots.iter().enumerate() {
+        prop_assert_eq!(history.slot(position), slot, "slot {}", position);
+    }
+    prop_assert!(history.iter().eq(&model.slots));
+    prop_assert_eq!(history.last(), model.slots.last());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A predictor's slot store agrees with the plain `Vec<TimeSlot>` model
+    /// after every step of a random sequence of pushes, window grows and
+    /// shrinks, history hand-offs between predictors and checkpoint/restore
+    /// round trips — and its derived caches keep predicting what the naive
+    /// scan predicts.
+    #[test]
+    fn the_slot_store_matches_the_vec_model(
+        ops in proptest::collection::vec(
+            (0u8..8, proptest::collection::vec((0u8..3, 0u16..300), 0..12), 1usize..9),
+            1..40,
+        ),
+        probe in proptest::collection::vec((0u8..3, 0u16..300), 0..12),
+    ) {
+        let probe = slot_of(0, &probe);
+        let fresh = || {
+            WorkloadPredictor::new(SLOT_GROUPS.to_vec(), 3_600_000.0)
+                .with_index_policy(IndexPolicy::indexed().with_min_indexed_slots(4))
+        };
+        let mut predictor = fresh();
+        let mut model = ModelHistory::default();
+        for (kind, assignments, window) in &ops {
+            match kind {
+                3 => {
+                    predictor.set_window(Some(*window));
+                    model.set_window(Some(*window));
+                }
+                4 => {
+                    predictor.set_window(None);
+                    model.set_window(None);
+                }
+                5 => {
+                    let history = predictor.take_history();
+                    prop_assert!(predictor.history().is_empty());
+                    predictor = fresh();
+                    predictor.set_history(history);
+                }
+                6 => {
+                    let mut bytes = Vec::new();
+                    predictor.encode(&mut bytes);
+                    let restored = WorkloadPredictor::decode(&mut Cursor::new(&bytes));
+                    prop_assert_eq!(restored.as_ref().ok(), Some(&predictor));
+                    predictor = restored.unwrap();
+                }
+                _ => {
+                    predictor.observe_slot(slot_of(0, assignments));
+                    model.push(slot_of(0, assignments));
+                }
+            }
+            check_against_model(predictor.history(), &model)?;
+            if !model.slots.is_empty() {
+                prop_assert_eq!(predictor.predict(&probe), predictor.predict_naive(&probe));
+            }
+        }
     }
 }
 
