@@ -21,9 +21,9 @@
 //! with **zero heap allocations**. Each also has a `*_bounded` variant that
 //! abandons the computation as soon as the accumulating distance exceeds a
 //! caller-provided cap — the nearest-neighbour search passes its
-//! best-so-far so hopeless candidates exit early — and a `*_naive`
-//! reference that keeps the original set formulation for property testing
-//! and benchmarking.
+//! best-so-far so hopeless candidates exit early — and a crate-private
+//! `*_naive` reference that keeps the original set formulation for
+//! [`crate::WorkloadPredictor::predict_naive`].
 
 use crate::timeslot::TimeSlot;
 use mca_offload::{AccelerationGroupId, UserId};
@@ -94,9 +94,9 @@ pub fn group_distance_bounded(a: &[UserId], b: &[UserId], cap: usize) -> Option<
 
 /// Reference implementation of [`group_distance`] through
 /// `BTreeSet::symmetric_difference`, as the seed implementation computed it
-/// (including its per-call set construction). Kept for property tests and
-/// as the benchmark baseline.
-pub fn group_distance_naive(a: &[UserId], b: &[UserId]) -> usize {
+/// (including its per-call set construction): the kernel of
+/// [`crate::WorkloadPredictor::predict_naive`].
+pub(crate) fn group_distance_naive(a: &[UserId], b: &[UserId]) -> usize {
     let a: BTreeSet<UserId> = a.iter().copied().collect();
     let b: BTreeSet<UserId> = b.iter().copied().collect();
     a.symmetric_difference(&b).count()
@@ -127,7 +127,11 @@ pub fn slot_distance_bounded(
 }
 
 /// Reference implementation of [`slot_distance`] over [`group_distance_naive`].
-pub fn slot_distance_naive(a: &TimeSlot, b: &TimeSlot, groups: &[AccelerationGroupId]) -> usize {
+pub(crate) fn slot_distance_naive(
+    a: &TimeSlot,
+    b: &TimeSlot,
+    groups: &[AccelerationGroupId],
+) -> usize {
     groups
         .iter()
         .map(|g| group_distance_naive(a.users_in(*g), b.users_in(*g)))

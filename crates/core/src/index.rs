@@ -43,7 +43,7 @@ use std::ops::Range;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexPolicy {
     /// Retained history length from which the tree is kept and queried
-    /// (`None` never builds it). Below it the serial best-first scan runs.
+    /// (`None` never builds it). Below it the serial seed-then-walk scan runs.
     pub min_indexed_slots: Option<usize>,
 }
 

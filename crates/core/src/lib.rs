@@ -23,8 +23,8 @@
 //!   gap-encoded.
 //! * [`distance`] — the one distance metric of §IV-B-1: per-group set edit
 //!   distance `δ` and slot distance `Δ` as allocation-free linear merges
-//!   over the sorted runs, their `*_bounded` early exits and the retained
-//!   `*_naive` references.
+//!   over the sorted runs, their `*_bounded` early exits and the
+//!   crate-private `*_naive` references.
 //! * [`index`] — the block-summary tree over the predictor's per-slot
 //!   signatures: per-block count/id-range envelopes refute whole stretches
 //!   of a 100k+ slot history per query, maintained incrementally alongside

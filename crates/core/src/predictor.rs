@@ -114,14 +114,20 @@ impl Incumbent {
     }
 }
 
-/// The state of one query descending the block-summary tree; see
-/// [`WorkloadPredictor::nearest_position_indexed`].
-struct TreeSearch<'a> {
+/// The state of one nearest-slot query; see
+/// [`WorkloadPredictor::nearest_position`]. Both regimes seed the
+/// incumbent and then walk the history chronologically: the serial one
+/// seeds from one slot and scans every other, the summary tree seeds from
+/// one block and walks the nodes around it.
+struct Search<'a> {
     predictor: &'a WorkloadPredictor,
-    tree: &'a SummaryTree,
     current: &'a TimeSlot,
     current_signature: &'a [usize],
     current_ranges: &'a [(u32, u32)],
+    /// Global index of the first retained slot.
+    first_index: usize,
+    /// The slot the flat seed considered; the scan does not reconsider it.
+    seed_slot: usize,
     /// The block the seeding descent scanned; the walk does not rescan it.
     seed_block: usize,
     incumbent: Incumbent,
@@ -129,46 +135,149 @@ struct TreeSearch<'a> {
     slots_bounded: u64,
 }
 
-impl TreeSearch<'_> {
-    fn node_bound(&mut self, level: usize, node: usize) -> usize {
-        self.nodes_bounded += 1;
-        self.tree
-            .node_bound(level, node, self.current_signature, self.current_ranges)
+impl<'a> Search<'a> {
+    fn new(
+        predictor: &'a WorkloadPredictor,
+        current: &'a TimeSlot,
+        current_signature: &'a [usize],
+        current_ranges: &'a [(u32, u32)],
+    ) -> Self {
+        Self {
+            predictor,
+            current,
+            current_signature,
+            current_ranges,
+            first_index: predictor.history.first_index(),
+            seed_slot: usize::MAX,
+            seed_block: usize::MAX,
+            incumbent: Incumbent::NONE,
+            nodes_bounded: 0,
+            slots_bounded: 0,
+        }
     }
 
-    /// Scans the slots at the given global indices chronologically.
-    fn scan_slots(&mut self, slots: Range<usize>) {
+    fn slot_bound(&self, position: usize) -> usize {
+        self.predictor
+            .signature_bound(self.current_signature, self.current_ranges, position)
+    }
+
+    /// Seeds the incumbent from the earliest retained slot of minimum
+    /// signature bound, bounding every slot once.
+    fn seed_flat(&mut self) {
+        let len = self.predictor.history.len();
+        let (mut seed, mut seed_bound) = (0, usize::MAX);
+        for position in 0..len {
+            let lower_bound = self.slot_bound(position);
+            if lower_bound < seed_bound {
+                (seed, seed_bound) = (position, lower_bound);
+            }
+        }
+        self.slots_bounded += len as u64;
+        self.seed_slot = self.first_index + seed;
+        self.consider(seed, seed_bound);
+    }
+
+    /// Seeds the incumbent from one block: from the top level, follows the
+    /// child with the (first) minimum envelope bound down and scans it.
+    fn seed_descent(&mut self, tree: &SummaryTree) {
+        let top = tree.depth() - 1;
+        let mut children = tree.nodes(top);
+        for level in (0..=top).rev() {
+            self.seed_block = children
+                .min_by_key(|&node| self.node_bound(tree, level, node))
+                .expect("a kept tree covers at least one slot");
+            children = tree.children(level, self.seed_block);
+        }
+        self.scan_block(children);
+    }
+
+    fn node_bound(&mut self, tree: &SummaryTree, level: usize, node: usize) -> usize {
+        self.nodes_bounded += 1;
+        tree.node_bound(level, node, self.current_signature, self.current_ranges)
+    }
+
+    /// Scans the slots of one block (global indices), bounding each.
+    fn scan_block(&mut self, slots: Range<usize>) {
         self.slots_bounded += slots.len() as u64;
+        self.scan_slots(slots);
+    }
+
+    /// Considers the slots at the given global indices chronologically,
+    /// skipping the seed slot.
+    fn scan_slots(&mut self, slots: Range<usize>) {
         for global in slots {
-            let position = global - self.tree.first_index();
-            let lower_bound = self.predictor.signature_bound(
-                self.current_signature,
-                self.current_ranges,
-                position,
-            );
-            self.predictor
-                .consider(self.current, position, lower_bound, &mut self.incumbent);
+            if global == self.seed_slot {
+                continue;
+            }
+            let position = global - self.first_index;
+            let lower_bound = self.slot_bound(position);
+            self.consider(position, lower_bound);
         }
     }
 
     /// Walks `nodes` of `level` chronologically, descending into those the
     /// incumbent does not refute.
-    fn walk(&mut self, level: usize, nodes: Range<usize>) {
+    fn walk(&mut self, tree: &SummaryTree, level: usize, nodes: Range<usize>) {
         for node in nodes {
             if level == 0 && node == self.seed_block {
                 continue;
             }
-            let lower_bound = self.node_bound(level, node);
-            let first_position = self.tree.first_slot(level, node) - self.tree.first_index();
+            let lower_bound = self.node_bound(tree, level, node);
+            let first_position = tree.first_slot(level, node) - self.first_index;
             if self.incumbent.refutes(lower_bound, first_position) {
                 continue;
             }
-            let children = self.tree.children(level, node);
+            let children = tree.children(level, node);
             match level {
-                0 => self.scan_slots(children),
-                _ => self.walk(level - 1, children),
+                0 => self.scan_block(children),
+                _ => self.walk(tree, level - 1, children),
             }
         }
+    }
+
+    /// Evaluates the candidate at `position`, whose lower bound is
+    /// `lower_bound`, unless the bound already shows it cannot replace the
+    /// incumbent. The full distance runs through the early-exit
+    /// [`slot_distance_bounded`], capped at the incumbent's distance for
+    /// earlier candidates (where an equal distance wins the tie) and one
+    /// below it for later ones (where only a strictly smaller distance
+    /// helps) — so a distance that comes back at all replaces the
+    /// incumbent.
+    fn consider(&mut self, position: usize, lower_bound: usize) {
+        let incumbent = &mut self.incumbent;
+        if incumbent.refutes(lower_bound, position) {
+            return;
+        }
+        let cap = if position < incumbent.position {
+            incumbent.distance
+        } else {
+            // not refuted, so lower_bound < distance and the cap cannot wrap
+            incumbent.distance - 1
+        };
+        incumbent.evaluated += 1;
+        let predictor = self.predictor;
+        let candidate = predictor.history.slot(position);
+        if let Some(distance) =
+            slot_distance_bounded(self.current, candidate, &predictor.groups, cap)
+        {
+            incumbent.distance = distance;
+            incumbent.position = position;
+        }
+    }
+
+    /// Adds this query to the predictor's counters and returns the
+    /// position of the nearest slot.
+    fn finish(self) -> usize {
+        let stats = &self.predictor.stats;
+        stats.queries.fetch_add(1, Relaxed);
+        stats.rings_walked.fetch_add(self.nodes_bounded, Relaxed);
+        stats
+            .candidates_bounded
+            .fetch_add(self.slots_bounded, Relaxed);
+        stats
+            .candidates_evaluated
+            .fetch_add(self.incumbent.evaluated, Relaxed);
+        self.incumbent.position
     }
 }
 
@@ -210,8 +319,8 @@ impl WorkloadForecast {
 /// identically true.
 #[derive(Debug, Default)]
 pub struct PredictorStats {
-    /// Nearest-slot scan queries answered (both paths: serial best-first,
-    /// summary tree).
+    /// Nearest-slot scan queries answered (both regimes: the flat seed and
+    /// chronological scan, the summary tree's descent and walk).
     queries: AtomicU64,
     /// `observe_and_predict` calls resolved by the signature-equality
     /// shortcut, never evaluating a distance.
@@ -631,48 +740,35 @@ impl WorkloadPredictor {
         slot_distance(a, b, &self.groups)
     }
 
-    /// [`Self::distance_between`] computed with the retained naive
-    /// reference (per-call set construction) — the seed's cost model, kept
-    /// as a baseline.
-    pub fn distance_between_naive(&self, a: &TimeSlot, b: &TimeSlot) -> usize {
-        slot_distance_naive(a, b, &self.groups)
-    }
-
-    /// The knowledge base `P`: the distance from `current` to every
-    /// retained historical slot, in chronological order.
-    pub fn knowledge_base(&self, current: &TimeSlot) -> Vec<usize> {
-        self.history
-            .iter()
-            .map(|s| self.distance_between(current, s))
-            .collect()
-    }
-
     /// Position (within the retained slots) of the nearest historical slot.
     /// Ties resolve to the earliest slot, exactly like the naive linear scan.
     ///
-    /// One search per regime: a kept summary tree answers through
-    /// [`Self::nearest_position_indexed`], and every other history runs the
-    /// serial scan described here.
-    ///
-    /// Candidates are visited **best-first**: the signature lower bound of
-    /// every slot is computed up front (`O(groups)` each) and candidates are
-    /// evaluated by ascending bound — with the chronological position as the
-    /// secondary key, so among equally-bounded candidates the earliest slot
-    /// is still tried first. Visiting the most promising candidates early
-    /// tightens the best-so-far cap sooner, and because bounds ascend the
-    /// scan stops outright at the first bound that exceeds the best distance
-    /// found — the chronological scan could only *skip* such candidates one
-    /// by one. The full distance is evaluated with the early-exit
-    /// [`slot_distance_bounded`], capped at the best distance
+    /// Both regimes **seed, then walk**. The seed is a candidate of
+    /// minimum lower bound: without a summary tree, one pass computes the
+    /// signature bound of every retained slot (`O(groups)` each) and takes
+    /// the earliest minimum; a kept summary tree follows the child with the
+    /// (first) minimum envelope bound from its top level down to one block
+    /// and scans that block. A seed whose distance is zero ends the serial
+    /// search at once: every earlier slot had a bound above zero, and a
+    /// later tie loses. Otherwise the search walks the history in
+    /// chronological order — every other slot, recomputing its bound, or
+    /// every other tree node, skipping one whose envelope bound shows that
+    /// no slot below it can replace the incumbent (the same bound-and-tie
+    /// rule single candidates are refuted by, applied to the node's first
+    /// slot). A candidate that survives its bound is evaluated with the
+    /// early-exit [`slot_distance_bounded`], capped at the best distance
     /// (for candidates earlier than the incumbent, where an equal distance
     /// wins the tie) or one below it (for later candidates, where only a
-    /// strictly smaller distance helps).
+    /// strictly smaller distance helps). A node bound never exceeds a
+    /// member's signature bound, which never exceeds its distance, so only
+    /// losers are skipped and both regimes are bit-identical to
+    /// [`Self::predict_naive`]. Nothing is allocated per query beyond the
+    /// probe's signature.
     fn nearest_position(&self, current: &TimeSlot) -> Option<usize> {
         if self.history.is_empty() {
             return None;
         }
-        let group_count = self.groups.len();
-        if group_count == 0 {
+        if self.groups.is_empty() {
             // every distance is zero over an empty group universe; the
             // earliest slot wins the tie
             return Some(0);
@@ -684,134 +780,23 @@ impl WorkloadPredictor {
             .iter()
             .map(|g| id_range(current.users_in(*g)))
             .collect();
-        if let Some(tree) = &self.summaries {
-            return Some(self.nearest_position_indexed(
-                current,
-                &current_signature,
-                &current_ranges,
-                tree,
-            ));
-        }
-        // `(signature lower bound, position)`, sorted ascending: best-first
-        // with the earliest-slot preference as secondary order.
-        let mut order: Vec<(usize, usize)> = (0..self.history.len())
-            .map(|position| {
-                (
-                    self.signature_bound(&current_signature, &current_ranges, position),
-                    position,
-                )
-            })
-            .collect();
-        order.sort_unstable();
-        self.stats.queries.fetch_add(1, Relaxed);
-        self.stats
-            .candidates_bounded
-            .fetch_add(order.len() as u64, Relaxed);
-        let mut incumbent = Incumbent::NONE;
-        for &(lower_bound, position) in &order {
-            if lower_bound > incumbent.distance {
-                break; // bounds ascend: no remaining candidate can win
+        let mut search = Search::new(self, current, &current_signature, &current_ranges);
+        match &self.summaries {
+            Some(tree) => {
+                debug_assert_eq!(tree.first_index(), self.history.first_index());
+                search.seed_descent(tree);
+                let top = tree.depth() - 1;
+                search.walk(tree, top, tree.nodes(top));
             }
-            self.consider(current, position, lower_bound, &mut incumbent);
-            if incumbent.distance == 0 {
-                // a perfect match: every earlier slot that could tie had
-                // bound zero and was already visited
-                break;
+            None => {
+                search.seed_flat();
+                if search.incumbent.distance > 0 {
+                    let first = self.history.first_index();
+                    search.scan_slots(first..first + self.history.len());
+                }
             }
         }
-        self.stats
-            .candidates_evaluated
-            .fetch_add(incumbent.evaluated, Relaxed);
-        Some(incumbent.position)
-    }
-
-    /// Evaluates the candidate at `position`, whose lower bound is
-    /// `lower_bound`, unless the bound already shows it cannot replace the
-    /// incumbent. The full distance runs through the early-exit
-    /// [`slot_distance_bounded`], capped at the incumbent's distance for
-    /// earlier candidates (where an equal distance wins the tie) and one
-    /// below it for later ones (where only a strictly smaller distance
-    /// helps) — so a distance that comes back at all replaces the
-    /// incumbent.
-    fn consider(
-        &self,
-        current: &TimeSlot,
-        position: usize,
-        lower_bound: usize,
-        incumbent: &mut Incumbent,
-    ) {
-        if incumbent.refutes(lower_bound, position) {
-            return;
-        }
-        let cap = if position < incumbent.position {
-            incumbent.distance
-        } else {
-            // not refuted, so lower_bound < distance and the cap cannot wrap
-            incumbent.distance - 1
-        };
-        incumbent.evaluated += 1;
-        let candidate = self.history.slot(position);
-        if let Some(distance) = slot_distance_bounded(current, candidate, &self.groups, cap) {
-            incumbent.distance = distance;
-            incumbent.position = position;
-        }
-    }
-
-    /// Position of the nearest slot via the block-summary tree.
-    ///
-    /// The search first **seeds** the incumbent: from the top level it
-    /// follows the child with the (first) minimum envelope bound down to one
-    /// block and scans that block's slots. It then walks the whole tree in
-    /// chronological order, skipping every node whose envelope bound shows
-    /// that no slot below it can replace the incumbent — the same
-    /// bound-and-tie rule single candidates are refuted by, applied to the
-    /// node's first slot — and scanning the blocks that survive with the
-    /// signature bounds, bounded distance and cap rules of the serial
-    /// scan. A node bound never exceeds a member's signature bound, which
-    /// never exceeds its distance, so only losers are skipped and the
-    /// forecast is bit-identical to the serial and naive scans, earliest
-    /// slot winning every tie. Nothing is allocated per query beyond the
-    /// probe's signature.
-    fn nearest_position_indexed(
-        &self,
-        current: &TimeSlot,
-        current_signature: &[usize],
-        current_ranges: &[(u32, u32)],
-        tree: &SummaryTree,
-    ) -> usize {
-        debug_assert_eq!(tree.first_index(), self.history.first_index());
-        let mut search = TreeSearch {
-            predictor: self,
-            tree,
-            current,
-            current_signature,
-            current_ranges,
-            seed_block: 0,
-            incumbent: Incumbent::NONE,
-            nodes_bounded: 0,
-            slots_bounded: 0,
-        };
-        let top = tree.depth() - 1;
-        let mut children = tree.nodes(top);
-        for level in (0..=top).rev() {
-            search.seed_block = children
-                .min_by_key(|&node| search.node_bound(level, node))
-                .expect("a kept tree covers at least one slot");
-            children = tree.children(level, search.seed_block);
-        }
-        search.scan_slots(children);
-        search.walk(top, tree.nodes(top));
-        self.stats.queries.fetch_add(1, Relaxed);
-        self.stats
-            .rings_walked
-            .fetch_add(search.nodes_bounded, Relaxed);
-        self.stats
-            .candidates_bounded
-            .fetch_add(search.slots_bounded, Relaxed);
-        self.stats
-            .candidates_evaluated
-            .fetch_add(search.incumbent.evaluated, Relaxed);
-        search.incumbent.position
+        Some(search.finish())
     }
 
     /// Observes `slot` and immediately forecasts the next slot — the closed
@@ -924,7 +909,7 @@ impl WorkloadPredictor {
                 let (nearest, _) = self
                     .history
                     .iter()
-                    .map(|s| self.distance_between_naive(current, s))
+                    .map(|s| slot_distance_naive(current, s, &self.groups))
                     .enumerate()
                     .min_by_key(|(_, d)| *d)
                     .expect("history is non-empty");
@@ -1161,15 +1146,6 @@ mod tests {
     }
 
     #[test]
-    fn knowledge_base_has_one_entry_per_history_slot() {
-        let p = predictor_with_history(vec![slot(1, 0, 0), slot(2, 0, 0), slot(3, 0, 0)]);
-        let kb = p.knowledge_base(&slot(2, 0, 0));
-        assert_eq!(kb.len(), 3);
-        assert_eq!(kb[1], 0, "identical slot has distance zero");
-        assert!(kb[0] > 0 && kb[2] > 0);
-    }
-
-    #[test]
     fn pruned_search_agrees_with_naive_reference_for_every_strategy() {
         let history: Vec<TimeSlot> = (0..40u32)
             .map(|i| slot(5 + (i * 7) % 23, (i * 3) % 11, (i * 5) % 7))
@@ -1285,9 +1261,9 @@ mod tests {
     }
 
     #[test]
-    fn best_first_ordering_keeps_the_earliest_slot_on_ties() {
+    fn serial_scan_keeps_the_earliest_slot_on_ties() {
         // many identical slots: the naive scan returns the first minimum in
-        // chronological order, and the best-first ordering must agree even
+        // chronological order, and the seed and the walk must agree even
         // though every candidate has the same signature lower bound
         let p = predictor_with_history(vec![slot(5, 2, 1); 7]);
         for probe in [slot(5, 2, 1), slot(6, 2, 1), slot(0, 0, 0)] {
@@ -1302,6 +1278,23 @@ mod tests {
         let forecast = p.predict(&slot(5, 2, 1)).unwrap();
         assert_eq!(forecast.matched_slot, Some(1));
         assert_eq!(forecast, p.predict_naive(&slot(5, 2, 1)).unwrap());
+    }
+
+    #[test]
+    fn serial_scan_stops_at_an_exact_seed_and_bounds_every_slot_once() {
+        let history: Vec<TimeSlot> = (0..40u32).map(|i| slot(i + 1, i % 3, 0)).collect();
+        // slot 11 is the probe itself, and the only slot of bound zero: the
+        // seed is evaluated and nothing else
+        let p = predictor_with_history(history.clone());
+        assert_eq!(p.predict(&slot(12, 2, 0)).unwrap().matched_slot, Some(11));
+        let stats = p.stats();
+        assert_eq!(stats.candidates_bounded, 40);
+        assert_eq!(stats.candidates_evaluated, 1);
+        // no exact match: the walk runs, and still bounds each slot once
+        p.predict(&slot(12, 2, 5)).unwrap();
+        let stats = p.stats();
+        assert_eq!((stats.queries, stats.candidates_bounded), (2, 80));
+        assert_eq!(stats.rings_walked, 0, "no tree, no node bounded");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Allocation-discipline gate for the nearest-slot scan: once a predictor
 //! is warm, one prediction must allocate only a small constant number of
-//! times (the forecast itself plus the per-probe signature and candidate
-//! order), **independent of the history length** — the scan allocates
-//! nothing per candidate. A second gate holds the fleet's
+//! times (the forecast itself plus the probe's counts and id ranges), the
+//! same on either search regime and **independent of the history length**
+//! — the scan allocates nothing per candidate. A second gate holds the fleet's
 //! slot ingest to a count **independent of the records per tenant**, a
 //! third holds a warmed engine's checkpoint to the same, a fourth holds one
 //! ILP solve to a few allocations per branch-and-bound node **independent of
@@ -96,57 +96,60 @@ fn warmed_predictor(
     predictor
 }
 
-/// Allocations of one warmed prediction at two history sizes. The warm-up
-/// predict lets every lazily grown buffer reach its steady-state capacity
-/// first.
+/// Allocations of one warmed prediction on a history of `slots` slots. The
+/// warm-up predict lets every lazily grown buffer reach its steady-state
+/// capacity first.
 fn steady_state_allocations(
-    configure: impl Fn(WorkloadPredictor) -> WorkloadPredictor + Copy,
-) -> (usize, usize) {
-    steady_state_allocations_at([500, 2_000], configure)
+    slots: usize,
+    configure: impl Fn(WorkloadPredictor) -> WorkloadPredictor,
+) -> usize {
+    let predictor = warmed_predictor(slots, configure);
+    let probe = drifting_slot(slots, 24);
+    predictor.predict(&probe).expect("non-empty history");
+    allocations_during(|| {
+        std::hint::black_box(predictor.predict(&probe).expect("non-empty history"));
+    })
 }
 
-fn steady_state_allocations_at(
-    sizes: [usize; 2],
-    configure: impl Fn(WorkloadPredictor) -> WorkloadPredictor + Copy,
-) -> (usize, usize) {
-    let measure = |slots: usize| {
-        let predictor = warmed_predictor(slots, configure);
-        let probe = drifting_slot(slots, 24);
-        predictor.predict(&probe).expect("non-empty history");
-        allocations_during(|| {
-            std::hint::black_box(predictor.predict(&probe).expect("non-empty history"));
-        })
-    };
-    (measure(sizes[0]), measure(sizes[1]))
+fn indexed(predictor: WorkloadPredictor) -> WorkloadPredictor {
+    predictor.with_index_policy(IndexPolicy::indexed())
 }
 
 #[test]
 fn serial_set_edit_scan_allocates_a_small_constant() {
-    let (small, large) = steady_state_allocations(|p| p);
-    assert!(
-        small < 64,
-        "one warmed prediction allocated {small} times; expected a small constant"
+    let serial = |p: WorkloadPredictor| p;
+    let (small, large) = (
+        steady_state_allocations(500, serial),
+        steady_state_allocations(2_000, serial),
     );
-    assert!(
-        large <= small + 8,
+    assert_eq!(
+        small, large,
         "allocations grew with history length ({small} at 500 slots, {large} at 2000): \
          the scan is allocating per candidate"
+    );
+    let tree = steady_state_allocations(10_000, indexed);
+    assert_eq!(
+        small, tree,
+        "one warmed serial prediction allocated {small} times and one indexed prediction {tree}: \
+         both should allocate the probe's counts, its ranges and the forecast, nothing else"
     );
 }
 
 #[test]
 fn indexed_probe_allocates_a_small_constant() {
-    let configure = |p: WorkloadPredictor| p.with_index_policy(IndexPolicy::indexed());
     assert!(
-        warmed_predictor(5_000, configure).index_active(),
+        warmed_predictor(5_000, indexed).index_active(),
         "the summary tree must be live"
     );
     // one level at 10k slots, two at 100k
-    let (small, large) = steady_state_allocations_at([10_000, 100_000], configure);
+    let (small, large) = (
+        steady_state_allocations(10_000, indexed),
+        steady_state_allocations(100_000, indexed),
+    );
     assert!(
         small < 16,
-        "one warmed indexed prediction allocated {small} times; expected the probe's signature, \
-         the scratch and the forecast"
+        "one warmed indexed prediction allocated {small} times; expected the probe's counts, its \
+         ranges and the forecast"
     );
     assert_eq!(
         small, large,
@@ -388,7 +391,7 @@ fn datacenter_settle_allocations_do_not_grow_with_placed_instances() {
 /// Allocations of one restore of a warmed indexed predictor of `slots`
 /// slots, and whether the restore equalled the original.
 fn restore_allocations(slots: usize) -> (usize, bool) {
-    let predictor = warmed_predictor(slots, |p| p.with_index_policy(IndexPolicy::indexed()));
+    let predictor = warmed_predictor(slots, indexed);
     let mut bytes = Vec::new();
     predictor.encode(&mut bytes);
     let mut restored = None;

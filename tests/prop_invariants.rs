@@ -4,11 +4,9 @@
 //! resource allocator.
 
 use mobile_code_acceleration::core::{
-    distance::{
-        group_distance, group_distance_bounded, group_distance_naive, slot_distance,
-        slot_distance_bounded, slot_distance_naive,
-    },
-    SlotHistory, TimeSlot, TimeSlotBuilder, WorkloadForecast, WorkloadPredictor,
+    distance::{group_distance, group_distance_bounded, slot_distance, slot_distance_bounded},
+    PredictionStrategy, SlotHistory, TimeSlot, TimeSlotBuilder, WorkloadForecast,
+    WorkloadPredictor,
 };
 use mobile_code_acceleration::fleet::{ingest::bucket_by_shard, SlotBatchSource};
 use mobile_code_acceleration::lp::{LpError, Problem, Sense, VarKind};
@@ -141,6 +139,22 @@ const SLOT_GROUPS: [AccelerationGroupId; 3] = [
     AccelerationGroupId(2),
 ];
 
+/// The set edit distance as §IV-B-1 defines it, the size of the symmetric
+/// difference of the two user sets, computed through `BTreeSet`.
+fn group_distance_reference(a: &[UserId], b: &[UserId]) -> usize {
+    let a: BTreeSet<UserId> = a.iter().copied().collect();
+    let b: BTreeSet<UserId> = b.iter().copied().collect();
+    a.symmetric_difference(&b).count()
+}
+
+/// The slot distance over [`group_distance_reference`].
+fn slot_distance_reference(a: &TimeSlot, b: &TimeSlot) -> usize {
+    SLOT_GROUPS
+        .iter()
+        .map(|g| group_distance_reference(a.users_in(*g), b.users_in(*g)))
+        .sum()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -172,7 +186,7 @@ proptest! {
         cap in 0usize..70,
     ) {
         let (a, b) = (user_run(a), user_run(b));
-        let exact = group_distance_naive(&a, &b);
+        let exact = group_distance_reference(&a, &b);
         prop_assert_eq!(group_distance(&a, &b), exact);
         let bounded = group_distance_bounded(&a, &b, cap);
         if cap >= exact {
@@ -197,7 +211,7 @@ proptest! {
             slot_distance(&slot_a, &slot_b, &SLOT_GROUPS),
             slot_distance(&slot_b, &slot_a, &SLOT_GROUPS)
         );
-        let exact = slot_distance_naive(&slot_a, &slot_b, &SLOT_GROUPS);
+        let exact = slot_distance_reference(&slot_a, &slot_b);
         prop_assert_eq!(slot_distance(&slot_a, &slot_b, &SLOT_GROUPS), exact);
         prop_assert_eq!(slot_distance_bounded(&slot_a, &slot_b, &SLOT_GROUPS, exact), Some(exact));
         if exact > 0 {
@@ -208,27 +222,50 @@ proptest! {
         }
     }
 
-    /// The best-first pruned nearest-neighbour prediction returns exactly
-    /// the forecast of the retained naive full scan, on arbitrary histories
-    /// and probes. The tight user universe (ids 0..40) makes duplicate
-    /// slots and equal-distance ties common, stressing the earliest-slot
-    /// tie-break of the best-first candidate ordering.
+    /// The serial scan, the summary tree (built from the first slot) and
+    /// the naive full scan return the same forecast, for both history-based
+    /// strategies, on arbitrary histories and probes — and it is taken from
+    /// the earliest slot nearest under this file's own set reference. The
+    /// tight user universe (ids 0..40) makes equal-distance ties common,
+    /// and histories of up to 150 slots let them straddle a 64-slot block,
+    /// stressing the earliest-slot tie-break of the seed and the walk.
     #[test]
     fn pruned_prediction_matches_naive_scan(
         history in proptest::collection::vec(
-            proptest::collection::vec((0u8..3, 0u16..40), 0..12),
-            1..14,
+            proptest::collection::vec((0u8..3, 0u16..40), 0..8),
+            1..150,
         ),
-        probe in proptest::collection::vec((0u8..3, 0u16..40), 0..12),
+        probe in proptest::collection::vec((0u8..3, 0u16..40), 0..8),
     ) {
         let probe = slot_of(0, &probe);
-        let mut predictor = WorkloadPredictor::new(SLOT_GROUPS.to_vec(), 3_600_000.0);
+        let mut serial = WorkloadPredictor::new(SLOT_GROUPS.to_vec(), 3_600_000.0);
         for assignments in &history {
-            predictor.observe_slot(slot_of(0, assignments));
+            serial.observe_slot(slot_of(0, assignments));
         }
-        let fast = predictor.predict(&probe);
-        let naive = predictor.predict_naive(&probe);
-        prop_assert_eq!(fast.unwrap(), naive.unwrap());
+        let tree = serial
+            .clone()
+            .with_index_policy(IndexPolicy::indexed().with_min_indexed_slots(1));
+        prop_assert!(tree.index_active());
+        // `min_by_key` keeps the first of equal minima: the earliest slot
+        let (nearest, _) = serial
+            .history()
+            .iter()
+            .map(|slot| slot_distance_reference(&probe, slot))
+            .enumerate()
+            .min_by_key(|&(_, distance)| distance)
+            .expect("non-empty history");
+        let last = serial.history().len() - 1;
+        for (strategy, matched) in [
+            (PredictionStrategy::NearestSlot, nearest),
+            (PredictionStrategy::SuccessorOfNearest, (nearest + 1).min(last)),
+        ] {
+            let serial = serial.clone().with_strategy(strategy);
+            let tree = tree.clone().with_strategy(strategy);
+            let forecast = serial.predict(&probe).unwrap();
+            prop_assert_eq!(forecast.matched_slot, Some(matched), "{:?}", strategy);
+            prop_assert_eq!(&tree.predict(&probe).unwrap(), &forecast, "{:?} tree", strategy);
+            prop_assert_eq!(serial.predict_naive(&probe).unwrap(), forecast, "{:?} naive", strategy);
+        }
     }
 
     /// `observe_and_predict` (the closed loop's per-interval fast path) is
