@@ -287,21 +287,55 @@ fn sort_keys(keys: &mut Vec<u64>, scratch: &mut Vec<u64>, bits: u32) {
     }
 }
 
-/// Sorts and deduplicates keys below `words * 64` by setting one bit per
-/// key in `bitmap` and reading the set bits back into `keys` in order.
-/// Allocates nothing once `bitmap` has held `words` words.
-fn sort_dedup_dense(keys: &mut Vec<u64>, bitmap: &mut Vec<u64>, words: usize) {
-    bitmap.clear();
-    bitmap.resize(words, 0);
-    for &key in keys.iter() {
-        bitmap[(key >> 6) as usize] |= 1 << (key & 63);
+/// Writes a slot's two columns from its distinct keys in ascending order,
+/// each `(group − gmin) << ubits | (user − umin)`: a run starts wherever the
+/// group bits change.
+struct ColumnWriter {
+    ubits: u32,
+    gmin: u32,
+    umin: u32,
+    group: u64,
+    runs: Vec<Run>,
+    users: Vec<UserId>,
+}
+
+impl ColumnWriter {
+    /// A writer for `count` keys: the users column takes exactly that many.
+    fn new(count: usize, ubits: u32, gmin: u32, umin: u32) -> Self {
+        Self {
+            ubits,
+            gmin,
+            umin,
+            group: u64::MAX,
+            runs: Vec::new(),
+            users: Vec::with_capacity(count),
+        }
     }
-    keys.clear();
-    for (at, &word) in bitmap.iter().enumerate() {
-        let mut bits = word;
-        while bits != 0 {
-            keys.push((at as u64) << 6 | u64::from(bits.trailing_zeros()));
-            bits &= bits - 1;
+
+    #[inline]
+    fn push(&mut self, key: u64) {
+        if key >> self.ubits != self.group {
+            self.group = key >> self.ubits;
+            self.runs.push(Run {
+                group: AccelerationGroupId(self.group as u8 + self.gmin as u8),
+                len: 0,
+                start: self.users.len(),
+            });
+        }
+        let user = key & ((1u64 << self.ubits) - 1);
+        self.users.push(UserId(user as u32 + self.umin));
+    }
+
+    fn finish(mut self, index: usize) -> TimeSlot {
+        let mut end = self.users.len();
+        for run in self.runs.iter_mut().rev() {
+            run.len = (end - run.start) as u32;
+            end = run.start;
+        }
+        TimeSlot {
+            index,
+            runs: self.runs,
+            users: self.users,
         }
     }
 }
@@ -357,11 +391,12 @@ impl TimeSlotBuilder {
     /// capacity, ready for the next slot's assignments.
     ///
     /// One pass finds the smallest and largest group and user, and every
-    /// key is rewritten relative to them, `(group − gmin) << ubits |
-    /// (user − umin)` with `ubits` the bits of the user span, which keeps
-    /// `(group, user)` order. When the relative span fits in as many 64-bit
-    /// words as there are keys, a bitmap of that size sorts and
-    /// deduplicates in one pass; otherwise the keys are radix-sorted and
+    /// key is read relative to them, `(group − gmin) << ubits | (user −
+    /// umin)` with `ubits` the bits of the user span, which keeps `(group,
+    /// user)` order. When the relative span fits in as many 64-bit words as
+    /// there are keys, one bit per key in a bitmap of that size sorts and
+    /// deduplicates, and the slot is read straight off the set bits;
+    /// otherwise the keys are rewritten relative, radix-sorted and
     /// deduplicated. Neither grows a buffer past the number of keys.
     pub fn finish(&mut self, index: usize) -> TimeSlot {
         let Some(&first) = self.keys.first() else {
@@ -378,41 +413,37 @@ impl TimeSlotBuilder {
         let ubits = u32::BITS - (umax - umin).leading_zeros();
         let relative =
             |key: u64| u64::from(group(key) - gmin) << ubits | u64::from(user(key) - umin);
-        self.keys.iter_mut().for_each(|key| *key = relative(*key));
         let largest = relative(u64::from(gmax) << 32 | u64::from(umax));
         let words = (largest >> 6) as usize + 1;
-        if words <= self.keys.len() {
-            sort_dedup_dense(&mut self.keys, &mut self.scratch, words);
+        let slot = if words <= self.keys.len() {
+            let bitmap = &mut self.scratch;
+            bitmap.clear();
+            bitmap.resize(words, 0);
+            for &key in &self.keys {
+                let bit = relative(key);
+                bitmap[(bit >> 6) as usize] |= 1 << (bit & 63);
+            }
+            let count = bitmap.iter().map(|word| word.count_ones() as usize).sum();
+            let mut columns = ColumnWriter::new(count, ubits, gmin, umin);
+            for (at, &word) in bitmap.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    columns.push((at as u64) << 6 | u64::from(bits.trailing_zeros()));
+                    bits &= bits - 1;
+                }
+            }
+            columns.finish(index)
         } else {
+            self.keys.iter_mut().for_each(|key| *key = relative(*key));
             let bits = u64::BITS - largest.leading_zeros();
             sort_keys(&mut self.keys, &mut self.scratch, bits);
             self.keys.dedup();
-        }
-        // the users column is collected from an exact-size slice: a slot
-        // has no slack
-        let user_mask = (1u64 << ubits) - 1;
-        let users = self
-            .keys
-            .iter()
-            .map(|&key| UserId((key & user_mask) as u32 + umin))
-            .collect();
-        let same_group = |a: &u64, b: &u64| a >> ubits == b >> ubits;
-        let mut start = 0;
-        let runs = self
-            .keys
-            .chunk_by(same_group)
-            .map(|run| {
-                let cut = Run {
-                    group: AccelerationGroupId((run[0] >> ubits) as u8 + gmin as u8),
-                    len: run.len() as u32,
-                    start,
-                };
-                start += run.len();
-                cut
-            })
-            .collect();
+            let mut columns = ColumnWriter::new(self.keys.len(), ubits, gmin, umin);
+            self.keys.iter().for_each(|&key| columns.push(key));
+            columns.finish(index)
+        };
         self.keys.clear();
-        TimeSlot { index, runs, users }
+        slot
     }
 }
 

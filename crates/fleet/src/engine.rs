@@ -54,8 +54,9 @@ struct Shard {
     /// empty between slots and only lend their buffers' capacity, so the
     /// list is just resized to `tenants` at the top of every slot.
     builders: Vec<TimeSlotBuilder>,
-    /// Records routed here for the next tick, unknown tenants' included.
-    staged: usize,
+    /// Records naming an unknown tenant charged here for the next tick (the
+    /// builders count the rest).
+    unrouted: usize,
     /// The shard's private instrumentation state: its own clock (so logical
     /// timestamps are deterministic under any thread schedule), stage
     /// histograms and load accounting.
@@ -67,7 +68,7 @@ impl Shard {
         Self {
             tenants,
             builders: Vec::new(),
-            staged: 0,
+            unrouted: 0,
             telemetry,
         }
     }
@@ -78,13 +79,15 @@ impl Shard {
     fn tick(&mut self, slot_index: usize, now_ms: f64) {
         let telemetry = &mut self.telemetry;
         let tick_timer = telemetry.start_stage();
+        let mut staged = std::mem::take(&mut self.unrouted);
         for (tenant, builder) in self.tenants.iter_mut().zip(&mut self.builders) {
+            staged += builder.len();
             let timer = telemetry.start_stage();
             let slot = builder.finish(slot_index);
             telemetry.end_windowing(timer);
             tenant.tick(slot, now_ms, telemetry);
         }
-        telemetry.finish_tick(std::mem::take(&mut self.staged), tick_timer);
+        telemetry.finish_tick(staged, tick_timer);
     }
 }
 
@@ -441,13 +444,11 @@ impl FleetEngine {
             let tenant = record.tenant;
             match self.routes.get(tenant) {
                 Some((shard, at)) => {
-                    let shard = &mut self.shards[shard];
-                    shard.staged += 1;
-                    shard.builders[at].assign(record.group, record.user);
+                    self.shards[shard].builders[at].assign(record.group, record.user);
                 }
                 // an unknown tenant: charged to the shard it would route to
                 None => {
-                    self.shards[self.router.shard_of_tenant(tenant)].staged += 1;
+                    self.shards[self.router.shard_of_tenant(tenant)].unrouted += 1;
                     self.dropped_records += 1;
                     *self.dropped_by_tenant.entry(tenant).or_insert(0) += 1;
                 }

@@ -499,6 +499,7 @@ impl StreamHandle {
     /// Pushes one timestamped record. Returns `false` when the record's slot
     /// was already ticked (it is dropped and counted late against the
     /// record's tenant).
+    #[inline]
     pub fn push(&self, time_ms: f64, record: SlotRecord) -> bool {
         let tenant = record.tenant;
         let mut queue = self.queue.borrow_mut();
@@ -540,39 +541,30 @@ impl RecordSource for StreamSource {
     /// yet ticked exist nowhere else.
     fn save_cursor(&self, out: &mut Vec<u8>) {
         let queue = self.queue.borrow();
-        let (slot_length_ms, pending, next_slot, late_events) = queue.windower.parts();
-        slot_length_ms.encode(out);
-        pending.encode(out);
-        next_slot.encode(out);
-        late_events.encode(out);
+        queue.windower.encode(out);
         queue.closed.encode(out);
         queue.reported_late.encode(out);
         queue.pending_late_by_tenant.encode(out);
     }
 
     fn load_cursor(&mut self, cur: &mut Cursor<'_>) -> Result<(), SnapshotError> {
-        let slot_length_ms = f64::decode(cur)?;
-        let pending = BTreeMap::<usize, Vec<SlotRecord>>::decode(cur)?;
-        let next_slot = usize::decode(cur)?;
-        let late_events = usize::decode(cur)?;
+        let windower = SlotWindower::<SlotRecord>::decode(cur)?;
         let closed = bool::decode(cur)?;
         let reported_late = usize::decode(cur)?;
         let pending_late_by_tenant = BTreeMap::<TenantId, usize>::decode(cur)?;
-        if reported_late > late_events {
+        if reported_late > windower.late_events() {
             return Err(SnapshotError::Malformed {
                 context: "stream source reported more late events than it saw",
             });
         }
         let mut queue = self.queue.borrow_mut();
-        if slot_length_ms.to_bits() != queue.windower.parts().0.to_bits() {
+        let slot_length_ms = windower.slot_length_ms();
+        if slot_length_ms.to_bits() != queue.windower.slot_length_ms().to_bits() {
             return Err(SnapshotError::Malformed {
                 context: "stream source slot length disagrees with the checkpoint",
             });
         }
-        queue.windower = SlotWindower::from_parts(slot_length_ms, pending, next_slot, late_events)
-            .ok_or(SnapshotError::Malformed {
-                context: "stream source windower state is inconsistent",
-            })?;
+        queue.windower = windower;
         queue.closed = closed;
         queue.reported_late = reported_late;
         queue.pending_late_by_tenant = pending_late_by_tenant;
@@ -586,7 +578,13 @@ impl RecordSource for StreamSource {
         // when the source was registered mid-run)
         let mut records = Vec::new();
         while queue.windower.next_slot() <= slot {
-            records.extend(queue.windower.take_next());
+            let batch = queue.windower.take_next();
+            if records.is_empty() {
+                // the common one-slot step moves its batch, no copy
+                records = batch;
+            } else {
+                records.extend(batch);
+            }
         }
         let late = queue.windower.late_events() - queue.reported_late;
         queue.reported_late = queue.windower.late_events();

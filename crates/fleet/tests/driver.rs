@@ -6,12 +6,14 @@
 
 use mca_core::{SystemConfig, TraceLog};
 use mca_fleet::{
-    ArrivalTraceSource, FleetDriver, FleetEngine, FleetError, SlotBatchSource, SlotRecord,
-    StreamSource, TraceLogSource,
+    ArrivalTraceSource, FleetDriver, FleetEngine, FleetError, RecordSource, SlotBatchSource,
+    SlotRecord, StreamHandle, StreamSource, TraceLogSource,
 };
 use mca_offload::{AccelerationGroupId, TenantId, TraceRecord, UserId};
 use mca_offload::{TaskKind, TaskSpec};
+use mca_snapshot::{crc32, Snapshot, SnapshotError};
 use mca_workload::{Arrival, ArrivalTrace, TenantMix};
+use std::collections::BTreeMap;
 
 const SEED: u64 = 20170605;
 const SLOT_MS: f64 = 1_000.0;
@@ -228,6 +230,167 @@ fn live_stream_driving_accounts_late_records_in_the_report() {
     assert_eq!(report.late_records, 1, "the straggler is surfaced");
     assert_eq!(report.metrics.slots, 3, "two live slots + the closing one");
     assert_eq!(report.exhausted_sources, 1);
+}
+
+/// What a live tenant-0 stream sees around slot `slot`: two records of
+/// the slot itself pushed out of order, one for two slots ahead, and from
+/// slot 1 on a straggler for the slot before, which is late.
+fn feed_stream(handle: &StreamHandle, slot: usize) {
+    let rec = |u: usize| SlotRecord::new(TenantId(0), ENTRY, UserId(u as u32));
+    let start = slot as f64 * SLOT_MS;
+    handle.push(start + 900.0, rec(100 + slot % 5));
+    handle.push(start + 2.0 * SLOT_MS + 5.0, rec(300 + slot));
+    handle.push(start, rec(slot % 3));
+    if slot > 0 {
+        handle.push(start - 500.0, rec(200 + slot));
+    }
+}
+
+/// A one-tenant fleet on a live stream, and the stream's producer half.
+fn stream_driver() -> (StreamHandle, FleetDriver) {
+    let mut engine = FleetEngine::new(config(), 2, SEED);
+    engine.add_tenant(TenantId(0));
+    let (handle, source) = StreamSource::channel(SLOT_MS);
+    let driver = FleetDriver::new(engine)
+        .with_source(TenantId(0), source)
+        .unwrap();
+    (handle, driver)
+}
+
+/// Re-frames the last section of a checkpoint after its payload's last
+/// `old_tail` bytes were replaced by `new_tail`: the section's length and
+/// CRC-32 are rewritten as the writer would, so only the payload differs.
+fn splice_last_section(bytes: &[u8], old_tail: usize, new_tail: &[u8]) -> Vec<u8> {
+    const HEADER: usize = 14; // tag, u64 length, u32 CRC-32
+    let end = bytes.len() - 2; // the end marker follows the last section
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let header = (0..end - HEADER)
+        .rev()
+        .find(|&at| at + HEADER + word(at + 2) as usize == end)
+        .expect("the checkpoint ends in a section");
+    let mut out = bytes[..end - old_tail].to_vec();
+    out.extend_from_slice(new_tail);
+    let len = (out.len() - header - HEADER) as u64;
+    let crc = crc32(&out[header + HEADER..]);
+    out[header + 2..header + 10].copy_from_slice(&len.to_le_bytes());
+    out[header + 10..header + HEADER].copy_from_slice(&crc.to_le_bytes());
+    out.extend_from_slice(&bytes[end..]);
+    out
+}
+
+/// Encodes a source cursor the way the driver section carries it.
+fn framed(cursor: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    cursor.to_vec().encode(&mut out);
+    out
+}
+
+#[test]
+fn a_stream_checkpoint_keeps_its_wire_and_resumes_bit_identically() {
+    // the cursor of a stream holding records for the slot the driver ticks
+    // next and for a later one, as the windower wrote it when every slot
+    // lived in one map
+    const GOLDEN: &str = "0000000000408f400300000000000000060000000000000003000000000000000000000001300100000000000001650000000000000001000000000700000000000000010000000000000000000000013101000008000000000000000100000000000000000000000132010000060000000000000006000000000000000005000000000000000100000000000000000000000100000000000000";
+    const CUT: usize = 6;
+    let (handle, mut driver) = stream_driver();
+    let (twin_handle, mut twin) = StreamSource::channel(SLOT_MS);
+    for slot in 0..CUT {
+        feed_stream(&handle, slot);
+        feed_stream(&twin_handle, slot);
+        driver.step().unwrap();
+        twin.next_slot(slot);
+    }
+    feed_stream(&handle, CUT);
+    feed_stream(&twin_handle, CUT);
+    let mut cursor = Vec::new();
+    twin.save_cursor(&mut cursor);
+    let hex: String = cursor.iter().map(|byte| format!("{byte:02x}")).collect();
+    assert_eq!(hex, GOLDEN, "the stream cursor's bytes changed");
+    let mut checkpoint = Vec::new();
+    driver.checkpoint(&mut checkpoint).unwrap();
+    let framed = framed(&cursor);
+    assert!(
+        checkpoint[..checkpoint.len() - 2].ends_with(&framed),
+        "the driver section carries the cursor last"
+    );
+
+    // the uninterrupted drive and a restored one, fed the same tail
+    let (resumed_handle, source) = StreamSource::channel(SLOT_MS);
+    let mut resumed = FleetDriver::restore(
+        &mut checkpoint.as_slice(),
+        &config(),
+        vec![(Some(TenantId(0)), Box::new(source) as Box<dyn RecordSource>)],
+    )
+    .unwrap();
+    for (handle, driver) in [(&handle, &mut driver), (&resumed_handle, &mut resumed)] {
+        driver.step().unwrap();
+        for slot in CUT + 1..CUT + 5 {
+            feed_stream(handle, slot);
+            driver.step().unwrap();
+        }
+        handle.close();
+        driver.run_until_exhausted(8).unwrap();
+    }
+    let report = driver.report();
+    assert!(
+        report == resumed.report(),
+        "the restored drive ends where the uninterrupted one does"
+    );
+    assert_eq!(driver.engine().forecasts(), resumed.engine().forecasts());
+    assert_eq!(
+        report.late_records,
+        CUT + 4,
+        "one straggler per fed slot after the first"
+    );
+    assert_eq!(report.records, 3 * (CUT + 5));
+}
+
+#[test]
+fn a_stream_cursor_with_an_empty_pending_batch_is_refused() {
+    // a closed stream whose last record waits two slots ahead
+    let (handle, mut driver) = stream_driver();
+    let rec = SlotRecord::new(TenantId(0), ENTRY, UserId(7));
+    handle.push(10.0, rec);
+    driver.step().unwrap();
+    handle.push(3.0 * SLOT_MS + 10.0, rec);
+    handle.close();
+    let mut checkpoint = Vec::new();
+    driver.checkpoint(&mut checkpoint).unwrap();
+    let restore = |bytes: &[u8]| {
+        let (_, source) = StreamSource::channel(SLOT_MS);
+        FleetDriver::restore(
+            &mut &bytes[..],
+            &config(),
+            vec![(Some(TenantId(0)), Box::new(source) as Box<dyn RecordSource>)],
+        )
+    };
+    assert!(restore(&checkpoint).is_ok());
+
+    // the same cursor with that batch emptied: no push makes an empty
+    // batch, and a closed stream carrying one would never report its end
+    // before slot 3
+    let cursor = |pending: BTreeMap<usize, Vec<SlotRecord>>| {
+        let mut out = Vec::new();
+        SLOT_MS.encode(&mut out);
+        pending.encode(&mut out);
+        1usize.encode(&mut out); // next slot
+        0usize.encode(&mut out); // late events
+        true.encode(&mut out); // closed
+        0usize.encode(&mut out); // late events reported
+        BTreeMap::<TenantId, usize>::new().encode(&mut out);
+        framed(&out)
+    };
+    let honest = cursor(BTreeMap::from([(3, vec![rec])]));
+    assert!(checkpoint[..checkpoint.len() - 2].ends_with(&honest));
+    let forged = splice_last_section(
+        &checkpoint,
+        honest.len(),
+        &cursor(BTreeMap::from([(3, Vec::new())])),
+    );
+    assert!(matches!(
+        restore(&forged),
+        Err(SnapshotError::Malformed { .. })
+    ));
 }
 
 #[test]

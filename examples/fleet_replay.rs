@@ -3,10 +3,14 @@
 //! are driven from recorded [`ArrivalTrace`]s (the workload generator's
 //! output), and a fifth from the request log a real closed-loop
 //! [`System`] run produced (the SDN-accelerator's `<timestamp, user,
-//! group, …>` trace of §IV-A). All five stream through the same
-//! source→windower→driver path: timestamps are folded into provisioning
-//! slots, gaps become empty slots, and the fleet runs its
-//! predict→allocate→bill cycle per slot.
+//! group, …>` trace of §IV-A). A sixth is **live**: tenant 0's recorded
+//! arrivals are pushed through a [`StreamSource`] slot by slot, shuffled
+//! within each slot, with a few stragglers pushed after their slot ticked.
+//! All six stream through the same source→windower→driver path:
+//! timestamps are folded into provisioning slots, gaps become empty slots,
+//! and the fleet runs its predict→allocate→bill cycle per slot. The live
+//! tenant must forecast exactly what its replayed twin does, and drop
+//! exactly the stragglers as late.
 //!
 //! ```bash
 //! cargo run --release --example fleet_replay
@@ -15,12 +19,13 @@
 use mobile_code_acceleration::cloudsim::{DatacenterConfig, PlacementKind};
 use mobile_code_acceleration::core::{System, SystemConfig, TraceLog};
 use mobile_code_acceleration::fleet::{
-    ArrivalTraceSource, FleetDriver, FleetEngine, RebalancerConfig, RecordSource, TraceLogSource,
+    ArrivalTraceSource, FleetDriver, FleetEngine, RebalancerConfig, RecordSource, SlotRecord,
+    StreamHandle, StreamSource, TraceLogSource,
 };
-use mobile_code_acceleration::offload::{TaskPool, TaskSpec, TenantId};
+use mobile_code_acceleration::offload::{AccelerationGroupId, TaskPool, TaskSpec, TenantId};
 use mobile_code_acceleration::workload::{ArrivalTrace, TenantMix, WorkloadGenerator};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
 const TRACE_TENANTS: u32 = 4;
@@ -29,6 +34,75 @@ const DURATION_MS: f64 = 20.0 * 60_000.0; // 20 minutes of arrivals
 const SLOT_MS: f64 = 60_000.0; // one-minute provisioning slots
 const SHARDS: usize = 3;
 const SEED: u64 = 20170605;
+/// The live tenant, and the recorded tenant whose arrivals it replays.
+const LIVE: TenantId = TenantId(TRACE_TENANTS + 1);
+const TWIN: TenantId = TenantId(0);
+/// Every this many slots, one record of the slot before is pushed again
+/// after that slot ticked: a straggler the stream must drop as late.
+const STRAGGLER_EVERY: usize = 4;
+
+/// `trace`'s arrivals as `LIVE`'s timestamped records, one list per slot,
+/// each slot's list in a shuffled order.
+fn live_slots(trace: &ArrivalTrace, group: AccelerationGroupId) -> Vec<Vec<(f64, SlotRecord)>> {
+    let mut slots: Vec<Vec<(f64, SlotRecord)>> = Vec::new();
+    for arrival in trace.iter() {
+        let slot = (arrival.time_ms / SLOT_MS).floor() as usize;
+        if slots.len() <= slot {
+            slots.resize_with(slot + 1, Vec::new);
+        }
+        let record = SlotRecord::new(LIVE, group, arrival.user);
+        slots[slot].push((arrival.time_ms, record));
+    }
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x11fe);
+    for slot in &mut slots {
+        for at in (1..slot.len()).rev() {
+            slot.swap(at, rng.gen_range(0..at + 1));
+        }
+    }
+    slots
+}
+
+/// Pushes slot `slot`'s live records, plus a straggler for the slot before
+/// every [`STRAGGLER_EVERY`] slots; returns the stragglers pushed.
+fn push_live(lane: &StreamHandle, live: &[Vec<(f64, SlotRecord)>], slot: usize) -> usize {
+    for &(time_ms, record) in live.get(slot).map_or(&[][..], Vec::as_slice) {
+        assert!(lane.push(time_ms, record), "slot {slot} is still open");
+    }
+    let straggler = slot
+        .checked_sub(1)
+        .filter(|_| slot.is_multiple_of(STRAGGLER_EVERY))
+        .and_then(|before| live[before].first());
+    match straggler {
+        Some(&(time_ms, record)) => {
+            assert!(
+                !lane.push(time_ms, record),
+                "slot {} already ticked",
+                slot - 1
+            );
+            1
+        }
+        None => 0,
+    }
+}
+
+/// Steps the driver one slot and checks the live tenant forecasts what its
+/// replayed twin does.
+fn step(driver: &mut FleetDriver) {
+    driver.step().expect("every source stays on its tenant");
+    let forecast = |tenant| {
+        driver
+            .engine()
+            .tenant(tenant)
+            .expect("onboarded")
+            .forecast()
+    };
+    assert_eq!(
+        forecast(LIVE),
+        forecast(TWIN),
+        "slot {}: the live tenant diverged from its replayed twin",
+        driver.engine().slot_index() - 1
+    );
+}
 
 fn main() {
     let config = SystemConfig::paper_three_groups()
@@ -44,7 +118,7 @@ fn main() {
             .with_warmup_slots(2),
     );
     let mut driver = {
-        engine.add_tenants((0..=TRACE_TENANTS).map(TenantId));
+        engine.add_tenants((0..=LIVE.0).map(TenantId));
         FleetDriver::new(engine)
     };
 
@@ -104,13 +178,28 @@ fn main() {
         .add_source(log_tenant, source)
         .expect("the log tenant is onboarded once");
 
+    // the sixth tenant is live: tenant 0's recording, pushed slot by slot
+    let live = live_slots(&traces[0], entry_group);
+    let (lane, source) = StreamSource::channel(SLOT_MS);
+    driver
+        .add_source(LIVE, source)
+        .expect("the live tenant is onboarded once");
+    println!(
+        "tenant {}: tenant {}'s arrivals pushed live, shuffled within each slot\n",
+        LIVE.0, TWIN.0
+    );
+
     // drive half the replay, checkpoint the whole session — engine state
-    // plus every source's resume cursor — and finish on the restored
-    // driver, exactly as a crashed-and-restarted process would
+    // plus every source's resume cursor, the live slot's pushed records
+    // included — and finish on the restored driver, exactly as a
+    // crashed-and-restarted process would
     let half = max_slots.div_ceil(2);
-    for _ in 0..half {
-        driver.step().expect("replay sources stay on their tenants");
+    let mut stragglers = 0;
+    for slot in 0..half {
+        stragglers += push_live(&lane, &live, slot);
+        step(&mut driver);
     }
+    stragglers += push_live(&lane, &live, half);
     let mut snapshot = Vec::new();
     let start = Instant::now();
     let stats = driver
@@ -130,6 +219,9 @@ fn main() {
             Box::new(TraceLogSource::new(log_tenant, &log, SLOT_MS)) as Box<dyn RecordSource>,
         )))
         .collect();
+    let (lane, source) = StreamSource::channel(SLOT_MS);
+    let mut fresh_sources = fresh_sources;
+    fresh_sources.push((Some(LIVE), Box::new(source)));
     let start = Instant::now();
     let mut driver = FleetDriver::restore(&mut snapshot.as_slice(), &config, fresh_sources)
         .expect("the checkpoint was just written");
@@ -140,9 +232,15 @@ fn main() {
         stats.bytes, stats.sections,
     );
 
-    let report = driver
-        .run_until_exhausted(max_slots + 1 - half)
-        .expect("replay sources stay on their tenants");
+    step(&mut driver);
+    for slot in half + 1..max_slots {
+        stragglers += push_live(&lane, &live, slot);
+        if slot + 1 == max_slots {
+            lane.close();
+        }
+        step(&mut driver);
+    }
+    let report = driver.report();
 
     println!(
         "{:<8} {:>10} {:>10} {:>10} {:>10}",
@@ -218,7 +316,16 @@ fn main() {
         );
     }
     assert_eq!(report.exhausted_sources, report.total_sources);
-    assert_eq!(report.late_records + report.dropped_records, 0);
+    assert_eq!(report.dropped_records, 0);
+    assert!(stragglers > 0);
+    assert_eq!(
+        report.late_records, stragglers,
+        "only the stragglers are late"
+    );
+    assert_eq!(report.late_by_tenant.get(&LIVE), Some(&stragglers));
+    let twin = report.metrics.tenant(TWIN).expect("onboarded");
+    let live = report.metrics.tenant(LIVE).expect("onboarded");
+    assert_eq!(live.total_user_slots, twin.total_user_slots);
     assert_eq!(telemetry.slot.count(), report.slots as u64);
 
     // datacenter-in-the-loop: the same small Zipf mix billed against

@@ -3,8 +3,10 @@
 //! times (the forecast itself plus the probe's counts and id ranges), the
 //! same on either search regime and **independent of the history length**
 //! — the scan allocates nothing per candidate. A second gate holds the fleet's
-//! slot ingest to a count **independent of the records per tenant**, a
-//! third holds a warmed engine's checkpoint to the same, a fourth holds one
+//! slot ingest to a count **independent of the records per tenant** and the
+//! live timestamped lane in front of it to one **independent of the records
+//! per slot**, a third holds a warmed engine's checkpoint to the same, a
+//! fourth holds one
 //! ILP solve to a few allocations per branch-and-bound node **independent of
 //! the pivot count**, a fifth holds the datacenter's bill stage to a
 //! count **independent of the placed instances**, and a sixth holds a
@@ -20,7 +22,7 @@ use mobile_code_acceleration::cloudsim::{DatacenterConfig, InstanceType};
 use mobile_code_acceleration::core::{
     AccelerationGroups, BillingBackend, IndexPolicy, WorkloadForecast, WorkloadPredictor,
 };
-use mobile_code_acceleration::fleet::SlotBatchSource;
+use mobile_code_acceleration::fleet::{SlotBatchSource, StreamSource};
 use mobile_code_acceleration::offload::{AccelerationGroupId, UserId};
 use mobile_code_acceleration::prelude::{
     FleetDriver, FleetEngine, SlotRecord, SystemConfig, TenantId, TimeSlot,
@@ -221,6 +223,52 @@ fn slot_ingest_allocations_do_not_grow_with_records_per_tenant() {
              {more_tenants} for 12"
         );
     }
+}
+
+/// Allocations of one warmed slot on a live timestamped lane: `records`
+/// pushes through a `StreamHandle`, spread over the slot in a scattered
+/// order, then the `FleetDriver::step` that ticks the slot. Four steady
+/// tenants share the records, each with the same users every slot.
+fn warmed_stream_slot_allocations(records: u32) -> usize {
+    const TENANTS: u32 = 4;
+    let config = SystemConfig::paper_three_groups().with_history_window(16);
+    let slot_ms = config.slot_length_ms;
+    let mut engine = FleetEngine::new(config, 2, 1).with_threads(1);
+    engine.add_tenants((0..TENANTS).map(TenantId));
+    let (lane, source) = StreamSource::channel(slot_ms);
+    let mut driver = FleetDriver::new(engine).with_shared_source(source);
+    let users = records / TENANTS;
+    let feed = |slot: usize| {
+        for i in 0..records {
+            let at = (i * 7919) % records;
+            let (tenant, u) = (at % TENANTS, at / TENANTS);
+            let group = GROUPS[(u * 3 / users) as usize];
+            let record = SlotRecord::new(TenantId(tenant), group, UserId(tenant << 20 | u));
+            let time_ms = (slot as f64 + f64::from(at) / f64::from(records)) * slot_ms;
+            assert!(lane.push(time_ms, record), "every record is on time");
+        }
+    };
+    for slot in 0..24 {
+        feed(slot);
+        driver.step().expect("a shared lane never misroutes");
+    }
+    allocations_during(|| {
+        feed(24);
+        driver.step().expect("a shared lane never misroutes");
+    })
+}
+
+#[test]
+fn a_stream_lane_allocates_per_slot_never_per_record() {
+    let (light, heavy) = (
+        warmed_stream_slot_allocations(1_000),
+        warmed_stream_slot_allocations(10_000),
+    );
+    assert_eq!(
+        light, heavy,
+        "one warmed stream slot allocated {light} times at 1,000 records and {heavy} at \
+         10,000: a buffer is growing with the records on the push or the hand-over"
+    );
 }
 
 /// Allocations of the second `FleetEngine::checkpoint` of a warmed engine
