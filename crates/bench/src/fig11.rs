@@ -127,4 +127,38 @@ mod tests {
             assert_eq!(s.threeg_hourly.len(), 24);
         }
     }
+
+    #[test]
+    fn test_scale_reads_the_pinned_figure() {
+        let series = run(200, 3);
+        let overall = |stats: &LatencyStats| {
+            [
+                stats.mean_ms,
+                stats.std_dev_ms,
+                stats.median_ms,
+                stats.min_ms,
+                stats.max_ms,
+            ]
+            .map(f64::to_bits)
+            .into_iter()
+            .chain([stats.count as u64])
+        };
+        let read: Vec<(Operator, u64, u64)> = series
+            .iter()
+            .map(|s| {
+                let hourly = s.threeg_hourly.iter().chain(&s.lte_hourly);
+                (
+                    s.operator,
+                    util::digest(overall(&s.threeg).chain(overall(&s.lte))),
+                    util::digest(hourly.map(|mean| mean.to_bits())),
+                )
+            })
+            .collect();
+        let pinned = [
+            (Operator::Alpha, 0xdc3b7f0f064cad2b, 0xb9e7016a7e055c91),
+            (Operator::Beta, 0x2eea1b2cb7984e18, 0x80c3ceef4b67c76c),
+            (Operator::Gamma, 0xf32b59fb937ae5bd, 0xc6d42a8c34c35372),
+        ];
+        assert_eq!(read, pinned, "{read:#x?}");
+    }
 }

@@ -149,6 +149,34 @@ mod tests {
     }
 
     #[test]
+    fn test_scale_reads_the_pinned_figure() {
+        let out = run(40, 2.0 * 3_600_000.0, 1_500, 42);
+        let report = &out.report;
+        let totals = util::digest([
+            report.records.len() as u64,
+            report.promotions.len() as u64,
+            report.perceptions.len() as u64,
+            report.total_cost.to_bits(),
+            report.mean_response_ms.to_bits(),
+        ]);
+        let user = |p: &Option<UserPerception>| {
+            let p = p.as_ref().expect("both panels have a user");
+            let responses = p
+                .responses
+                .iter()
+                .flat_map(|(ms, group)| [ms.to_bits(), u64::from(group.0)]);
+            util::digest(
+                [u64::from(p.user.0), u64::from(p.promotions)]
+                    .into_iter()
+                    .chain(responses),
+            )
+        };
+        let read = [totals, user(&out.stable_user), user(&out.promoted_user)];
+        let pinned = [0xdb86209467324b91, 0x3d0aa92f384305fa, 0x3790c614215d49df];
+        assert_eq!(read, pinned, "{read:#x?}");
+    }
+
+    #[test]
     fn sporadic_workload_matches_requested_volume() {
         let trace = sporadic_workload(50, 3_600_000.0, 2_000, 7);
         let ratio = trace.len() as f64 / 2_000.0;

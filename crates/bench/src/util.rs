@@ -70,6 +70,14 @@ pub fn check_or_write(check: bool, path: &str, json: &str) {
     }
 }
 
+/// FNV-1a over the words, so a figure's pin names one value for many bits.
+#[cfg(test)]
+pub(crate) fn digest(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, word| {
+        (hash ^ word).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -240,7 +240,6 @@ impl System {
                 .battery
                 .drain(radio_power, routed.record.round_trip_ms);
             let event = state.moderator.observe(
-                arrival.task.kind.name(),
                 routed.record.round_trip_ms,
                 state.battery.level_percent(),
                 rng,

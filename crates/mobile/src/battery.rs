@@ -6,7 +6,7 @@
 //! keeps the energy accounting simple: a capacity in milliwatt-hours drained
 //! by (power, duration) pairs.
 
-/// A rechargeable battery with a fixed capacity.
+/// A battery with a fixed capacity.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Battery {
     capacity_mwh: f64,
@@ -27,22 +27,6 @@ impl Battery {
         }
     }
 
-    /// Creates a battery at a given charge percentage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacity is not positive or the percentage is outside
-    /// `[0, 100]`.
-    pub fn at_level(capacity_mwh: f64, percent: f64) -> Self {
-        assert!(
-            (0.0..=100.0).contains(&percent),
-            "percentage must be within [0, 100]"
-        );
-        let mut b = Self::new(capacity_mwh);
-        b.remaining_mwh = capacity_mwh * percent / 100.0;
-        b
-    }
-
     /// Remaining charge as a percentage in `[0, 100]`.
     pub fn level_percent(&self) -> f64 {
         (self.remaining_mwh / self.capacity_mwh * 100.0).clamp(0.0, 100.0)
@@ -51,16 +35,6 @@ impl Battery {
     /// Remaining energy in milliwatt-hours.
     pub fn remaining_mwh(&self) -> f64 {
         self.remaining_mwh
-    }
-
-    /// Nominal capacity in milliwatt-hours.
-    pub fn capacity_mwh(&self) -> f64 {
-        self.capacity_mwh
-    }
-
-    /// Returns `true` once the battery is fully drained.
-    pub fn is_empty(&self) -> bool {
-        self.remaining_mwh <= 0.0
     }
 
     /// Drains the battery by running a load of `power_mw` for `duration_ms`.
@@ -72,11 +46,6 @@ impl Battery {
         self.remaining_mwh -= consumed;
         consumed
     }
-
-    /// Recharges the battery to full.
-    pub fn recharge(&mut self) {
-        self.remaining_mwh = self.capacity_mwh;
-    }
 }
 
 #[cfg(test)]
@@ -87,8 +56,7 @@ mod tests {
     fn new_battery_is_full() {
         let b = Battery::new(10_000.0);
         assert_eq!(b.level_percent(), 100.0);
-        assert!(!b.is_empty());
-        assert_eq!(b.capacity_mwh(), 10_000.0);
+        assert_eq!(b.remaining_mwh(), 10_000.0);
     }
 
     #[test]
@@ -106,18 +74,10 @@ mod tests {
         let mut b = Battery::new(1.0);
         let consumed = b.drain(1_000_000.0, 3_600_000.0);
         assert!((consumed - 1.0).abs() < 1e-9);
-        assert!(b.is_empty());
+        assert_eq!(b.remaining_mwh(), 0.0);
         assert_eq!(b.level_percent(), 0.0);
         // further draining consumes nothing
         assert_eq!(b.drain(1_000.0, 1_000.0), 0.0);
-    }
-
-    #[test]
-    fn at_level_and_recharge() {
-        let mut b = Battery::at_level(10_000.0, 25.0);
-        assert!((b.level_percent() - 25.0).abs() < 1e-9);
-        b.recharge();
-        assert_eq!(b.level_percent(), 100.0);
     }
 
     #[test]
@@ -132,11 +92,5 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
         let _ = Battery::new(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "percentage must be within")]
-    fn bad_percentage_panics() {
-        let _ = Battery::at_level(100.0, 150.0);
     }
 }

@@ -1,33 +1,30 @@
-//! # mca-mobile — mobile device substrate
+//! # mca-mobile — the device side of the closed loop
 //!
-//! The client side of the code-acceleration architecture:
+//! What the closed-loop simulator (`mca-core`'s `System`) needs of the
+//! client side of the code-acceleration architecture:
 //!
-//! * [`device`] — device profiles (flagship, mid-range, legacy, wearable)
-//!   with local execution speed and power draw; the paper motivates the whole
-//!   system with the observation that "complex routines … can be computed
-//!   easily by last generation smartphones but can be expensive to compute on
-//!   older devices and wearables" (§I).
-//! * [`battery`] — a simple energy store drained by computation, radio
-//!   activity and idling; battery level is part of every trace record.
-//! * [`moderator`] — the client-side moderator component that monitors
-//!   response time and promotes the device to a higher acceleration group
-//!   when quality degrades (§I, §VI-C-3). Includes the paper's static
-//!   1/50 promotion probability as well as threshold-, degradation- and
-//!   battery-aware policies (§VII-3 sketches the battery-aware variant).
-//! * [`usage`] — a generative model of smartphone usage sessions calibrated
-//!   to the paper's 3-month, 6-participant study: inter-arrival times between
-//!   100 ms and 5000 ms during active periods, with inactive night periods
-//!   removed (§VI-C-1).
+//! * device profiles ([`DeviceProfile`], [`DeviceClass`]) — the battery a
+//!   device starts with and the power its radio draws while it waits for a
+//!   result;
+//! * [`Battery`] — an energy store drained by radio activity; battery level
+//!   is part of every trace record;
+//! * the client-side [`Moderator`] that promotes the device to a higher
+//!   acceleration group (§I, §VI-C-3): the paper's static 1/50 promotion
+//!   probability, plus threshold- and battery-aware [`PromotionPolicy`]
+//!   variants (§VII-3 sketches the battery-aware one);
+//! * [`InterArrivalSampler`] — the 100–5000 ms inter-arrival distribution
+//!   the paper extracts from its 3-month, 6-participant usage study
+//!   (§VI-C-1).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod battery;
-pub mod device;
-pub mod moderator;
-pub mod usage;
+mod battery;
+mod device;
+mod moderator;
+mod usage;
 
 pub use battery::Battery;
 pub use device::{DeviceClass, DeviceProfile};
 pub use moderator::{Moderator, ModeratorEvent, PromotionPolicy};
-pub use usage::{InterArrivalSampler, ParticipantTrace, UsageStudy};
+pub use usage::InterArrivalSampler;

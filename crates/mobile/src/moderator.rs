@@ -9,7 +9,7 @@
 //! decision is made on the device.
 
 use crate::device::DeviceProfile;
-use mca_offload::{AccelerationGroupId, Profiler};
+use mca_offload::AccelerationGroupId;
 use rand::Rng;
 
 /// How the moderator decides to request a higher acceleration group.
@@ -27,12 +27,6 @@ pub enum PromotionPolicy {
     ResponseTimeThreshold {
         /// Threshold in milliseconds.
         threshold_ms: f64,
-    },
-    /// Promote when the rolling response time degrades by more than the given
-    /// ratio (recent window mean vs older window mean).
-    Degradation {
-        /// Promotion triggers when recent/older mean exceeds this ratio.
-        ratio: f64,
     },
     /// Battery-aware policy from the discussion in §VII-3: promote when the
     /// battery drops below a threshold (to shorten radio-on time) **or** when
@@ -66,18 +60,10 @@ pub enum ModeratorEvent {
     Promote(AccelerationGroupId),
 }
 
-impl ModeratorEvent {
-    /// Returns `true` for a promotion event.
-    pub fn is_promotion(self) -> bool {
-        matches!(self, ModeratorEvent::Promote(_))
-    }
-}
-
 /// Client-side moderator bound to one device.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Moderator {
     policy: PromotionPolicy,
-    profiler: Profiler,
     current_group: AccelerationGroupId,
     max_group: AccelerationGroupId,
     promotions: u32,
@@ -95,7 +81,6 @@ impl Moderator {
     ) -> Self {
         Self {
             policy,
-            profiler: Profiler::default(),
             current_group: initial,
             max_group,
             promotions: 0,
@@ -118,31 +103,19 @@ impl Moderator {
         &self.device
     }
 
-    /// The promotion policy in force.
-    pub fn policy(&self) -> PromotionPolicy {
-        self.policy
-    }
-
-    /// Access to the response-time profiler (e.g. for reporting).
-    pub fn profiler(&self) -> &Profiler {
-        &self.profiler
-    }
-
-    /// Observes a completed request for `method` with the given end-to-end
-    /// response time and current battery level, and decides whether to
-    /// request a higher acceleration group for subsequent requests.
+    /// Observes a completed request with the given end-to-end response time
+    /// and current battery level, and decides whether to request a higher
+    /// acceleration group for subsequent requests.
     ///
     /// Promotion is sequential — one level at a time — as in §IV-A ("a user is
     /// gradually promoted in a sequential manner to a higher acceleration
     /// group").
     pub fn observe<R: Rng + ?Sized>(
         &mut self,
-        method: &str,
         response_ms: f64,
         battery_percent: f64,
         rng: &mut R,
     ) -> ModeratorEvent {
-        self.profiler.record(method, response_ms);
         if self.current_group >= self.max_group {
             return ModeratorEvent::Stay;
         }
@@ -151,11 +124,6 @@ impl Moderator {
                 rng.gen_bool(probability.clamp(0.0, 1.0))
             }
             PromotionPolicy::ResponseTimeThreshold { threshold_ms } => response_ms > threshold_ms,
-            PromotionPolicy::Degradation { ratio } => self
-                .profiler
-                .profile(method)
-                .map(|p| p.degradation_ratio() > ratio)
-                .unwrap_or(false),
             PromotionPolicy::BatteryAware {
                 battery_threshold_percent,
                 latency_threshold_ms,
@@ -193,10 +161,7 @@ mod tests {
         let mut m = moderator(PromotionPolicy::Never);
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..500 {
-            assert_eq!(
-                m.observe("minimax", 4000.0, 80.0, &mut rng),
-                ModeratorEvent::Stay
-            );
+            assert_eq!(m.observe(4000.0, 80.0, &mut rng), ModeratorEvent::Stay);
         }
         assert_eq!(m.current_group(), AccelerationGroupId(1));
         assert_eq!(m.promotions(), 0);
@@ -208,7 +173,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut promotions = 0;
         for _ in 0..1000 {
-            if m.observe("minimax", 1000.0, 80.0, &mut rng).is_promotion() {
+            if m.observe(1000.0, 80.0, &mut rng) != ModeratorEvent::Stay {
                 promotions += 1;
             }
         }
@@ -235,7 +200,7 @@ mod tests {
         let n = 5_000;
         let mut promotions = 0;
         for _ in 0..n {
-            if m.observe("m", 100.0, 50.0, &mut rng).is_promotion() {
+            if m.observe(100.0, 50.0, &mut rng) != ModeratorEvent::Stay {
                 promotions += 1;
             }
         }
@@ -249,9 +214,9 @@ mod tests {
             threshold_ms: 500.0,
         });
         let mut rng = StdRng::seed_from_u64(4);
-        assert_eq!(m.observe("m", 300.0, 80.0, &mut rng), ModeratorEvent::Stay);
+        assert_eq!(m.observe(300.0, 80.0, &mut rng), ModeratorEvent::Stay);
         assert_eq!(
-            m.observe("m", 900.0, 80.0, &mut rng),
+            m.observe(900.0, 80.0, &mut rng),
             ModeratorEvent::Promote(AccelerationGroupId(2))
         );
         // sequential: only one level per observation
@@ -263,27 +228,10 @@ mod tests {
         let mut m = moderator(PromotionPolicy::ResponseTimeThreshold { threshold_ms: 1.0 });
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..10 {
-            m.observe("m", 100.0, 80.0, &mut rng);
+            m.observe(100.0, 80.0, &mut rng);
         }
         assert_eq!(m.current_group(), AccelerationGroupId(3));
         assert_eq!(m.promotions(), 2);
-    }
-
-    #[test]
-    fn degradation_policy_reacts_to_worsening_times() {
-        let mut m = moderator(PromotionPolicy::Degradation { ratio: 2.0 });
-        let mut rng = StdRng::seed_from_u64(6);
-        for _ in 0..10 {
-            assert!(!m.observe("m", 200.0, 80.0, &mut rng).is_promotion());
-        }
-        let mut promoted = false;
-        for _ in 0..10 {
-            promoted |= m.observe("m", 900.0, 80.0, &mut rng).is_promotion();
-        }
-        assert!(
-            promoted,
-            "sustained 4.5x slowdown must trigger a degradation promotion"
-        );
     }
 
     #[test]
@@ -293,17 +241,10 @@ mod tests {
             latency_threshold_ms: 2_000.0,
         });
         let mut rng = StdRng::seed_from_u64(7);
-        assert!(!m.observe("m", 500.0, 80.0, &mut rng).is_promotion());
-        assert!(m.observe("m", 500.0, 10.0, &mut rng).is_promotion());
-    }
-
-    #[test]
-    fn profiler_records_observations() {
-        let mut m = moderator(PromotionPolicy::Never);
-        let mut rng = StdRng::seed_from_u64(8);
-        m.observe("minimax", 100.0, 90.0, &mut rng);
-        m.observe("minimax", 200.0, 90.0, &mut rng);
-        assert_eq!(m.profiler().profile("minimax").unwrap().total_samples, 2);
-        assert_eq!(m.profiler().profile("minimax").unwrap().mean_ms(), 150.0);
+        assert_eq!(m.observe(500.0, 80.0, &mut rng), ModeratorEvent::Stay);
+        assert_eq!(
+            m.observe(500.0, 10.0, &mut rng),
+            ModeratorEvent::Promote(AccelerationGroupId(2))
+        );
     }
 }

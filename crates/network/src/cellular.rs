@@ -6,7 +6,7 @@
 //! to exactly those means and medians; the heavy-tailed log-normal shape makes
 //! the standard deviations land in the reported range as well.
 
-use crate::latency::{standard_normal, LatencyDistribution};
+use crate::latency::{sample_lognormal, standard_normal};
 use rand::Rng;
 use std::fmt;
 
@@ -137,15 +137,13 @@ impl OperatorProfile {
             .find(|p| p.operator == operator && p.technology == technology)
             .expect("every operator/technology pair is in the paper table")
     }
-
-    /// The latency distribution implied by this profile.
-    pub fn distribution(&self) -> LatencyDistribution {
-        LatencyDistribution::LogNormal {
-            median_ms: self.median_ms,
-            mean_ms: self.mean_ms,
-        }
-    }
 }
+
+/// Peak-to-mean amplitude of the diurnal RTT modulation.
+const DIURNAL_AMPLITUDE: f64 = 0.15;
+/// Multiplicative jitter applied on top of the log-normal RTT (standard
+/// deviation of a unit-mean normal factor).
+const JITTER: f64 = 0.05;
 
 /// A sampling model for the RTT between a device and the cloud front-end over
 /// a cellular network, with diurnal variation.
@@ -156,11 +154,6 @@ impl OperatorProfile {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellularNetwork {
     profile: OperatorProfile,
-    /// Peak-to-mean amplitude of the diurnal modulation (0 disables it).
-    diurnal_amplitude: f64,
-    /// Multiplicative jitter applied on top of the base distribution
-    /// (standard deviation of a unit-mean normal factor).
-    jitter: f64,
 }
 
 impl CellularNetwork {
@@ -169,21 +162,7 @@ impl CellularNetwork {
     pub fn new(operator: Operator, technology: Technology) -> Self {
         Self {
             profile: OperatorProfile::lookup(operator, technology),
-            diurnal_amplitude: 0.15,
-            jitter: 0.05,
         }
-    }
-
-    /// The LTE network of operator β — the configuration with the lowest mean
-    /// RTT, used as the system's default access network.
-    pub fn paper_default_lte() -> Self {
-        Self::new(Operator::Beta, Technology::Lte)
-    }
-
-    /// Overrides the diurnal amplitude (0 disables time-of-day effects).
-    pub fn with_diurnal_amplitude(mut self, amplitude: f64) -> Self {
-        self.diurnal_amplitude = amplitude.clamp(0.0, 0.9);
-        self
     }
 
     /// The calibration profile backing this model.
@@ -198,24 +177,14 @@ impl CellularNetwork {
         let h = hour_of_day.rem_euclid(24.0);
         // Lowest around 04:00, highest around 16:00.
         let phase = (h - 4.0) / 24.0 * std::f64::consts::TAU;
-        1.0 - self.diurnal_amplitude * phase.cos()
+        1.0 - DIURNAL_AMPLITUDE * phase.cos()
     }
 
     /// Samples one round-trip time at the given time of day, ms.
     pub fn sample_rtt_ms<R: Rng + ?Sized>(&self, hour_of_day: f64, rng: &mut R) -> f64 {
-        let base = self.profile.distribution().sample(rng);
-        let jitter = 1.0 + self.jitter * standard_normal(rng);
+        let base = sample_lognormal(self.profile.median_ms, self.profile.mean_ms, rng);
+        let jitter = 1.0 + JITTER * standard_normal(rng);
         (base * self.diurnal_factor(hour_of_day) * jitter.max(0.1)).max(1.0)
-    }
-
-    /// Samples the one-way latency (half the RTT) at the given time of day.
-    pub fn sample_one_way_ms<R: Rng + ?Sized>(&self, hour_of_day: f64, rng: &mut R) -> f64 {
-        self.sample_rtt_ms(hour_of_day, rng) / 2.0
-    }
-
-    /// Mean RTT of the underlying profile, ms.
-    pub fn mean_rtt_ms(&self) -> f64 {
-        self.profile.mean_ms
     }
 }
 
@@ -255,10 +224,11 @@ mod tests {
     #[test]
     fn sampled_mean_matches_paper_value() {
         let mut rng = StdRng::seed_from_u64(11);
-        let net =
-            CellularNetwork::new(Operator::Alpha, Technology::Lte).with_diurnal_amplitude(0.0);
+        let net = CellularNetwork::new(Operator::Alpha, Technology::Lte);
+        // 10:00 is where the diurnal factor crosses 1 (its cosine is 0).
+        assert!((net.diurnal_factor(10.0) - 1.0).abs() < 1e-12);
         let samples: Vec<f64> = (0..100_000)
-            .map(|_| net.sample_rtt_ms(12.0, &mut rng))
+            .map(|_| net.sample_rtt_ms(10.0, &mut rng))
             .collect();
         let stats = LatencyStats::from_samples(&samples);
         assert!(
@@ -292,21 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn one_way_is_half_rtt_on_average() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let net = CellularNetwork::paper_default_lte().with_diurnal_amplitude(0.0);
-        let rtts: f64 = (0..20_000)
-            .map(|_| net.sample_rtt_ms(12.0, &mut rng))
-            .sum::<f64>()
-            / 20_000.0;
-        let one_way: f64 = (0..20_000)
-            .map(|_| net.sample_one_way_ms(12.0, &mut rng))
-            .sum::<f64>()
-            / 20_000.0;
-        assert!((one_way * 2.0 - rtts).abs() / rtts < 0.05);
-    }
-
-    #[test]
     fn samples_are_strictly_positive() {
         let mut rng = StdRng::seed_from_u64(4);
         let net = CellularNetwork::new(Operator::Gamma, Technology::ThreeG);
@@ -318,9 +273,16 @@ mod tests {
 
     #[test]
     fn default_network_is_lowest_latency_lte() {
-        let net = CellularNetwork::paper_default_lte();
+        // The access network `SystemConfig` defaults to: operator β's LTE,
+        // the lowest mean RTT of the paper's table.
+        let net = CellularNetwork::new(Operator::Beta, Technology::Lte);
         assert_eq!(net.profile().operator, Operator::Beta);
         assert_eq!(net.profile().technology, Technology::Lte);
-        assert_eq!(net.mean_rtt_ms(), 36.0);
+        assert_eq!(net.profile().mean_ms, 36.0);
+        let lowest = OperatorProfile::paper_profiles()
+            .into_iter()
+            .map(|p| p.mean_ms)
+            .fold(f64::INFINITY, f64::min);
+        assert_eq!(net.profile().mean_ms, lowest);
     }
 }

@@ -1,76 +1,19 @@
-//! Latency distributions and summary statistics.
+//! The log-normal RTT distribution and latency summary statistics.
 
 use rand::Rng;
 
-/// A distribution from which round-trip times (in milliseconds) are sampled.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LatencyDistribution {
-    /// Always the same value. Useful for tests and for the paper's
-    /// "stable LTE / cloudlet-like latency" assumption.
-    Constant {
-        /// The fixed RTT in milliseconds.
-        rtt_ms: f64,
-    },
-    /// Uniformly distributed between `low_ms` and `high_ms`.
-    Uniform {
-        /// Lower bound (inclusive), ms.
-        low_ms: f64,
-        /// Upper bound (exclusive), ms.
-        high_ms: f64,
-    },
-    /// Log-normal distribution parameterized by its median and mean, the two
-    /// statistics the paper reports for each operator/technology. Heavy right
-    /// tails (occasional multi-second RTTs) arise naturally, matching the
-    /// large standard deviations in §VI-C-4.
-    LogNormal {
-        /// Median RTT, ms (determines `mu = ln(median)`).
-        median_ms: f64,
-        /// Mean RTT, ms (determines `sigma` via `mean = e^{mu + sigma^2/2}`).
-        mean_ms: f64,
-    },
-}
-
-impl LatencyDistribution {
-    /// Samples one round-trip time in milliseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the distribution parameters are non-positive or inconsistent
-    /// (e.g. a log-normal whose mean is below its median).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        match *self {
-            LatencyDistribution::Constant { rtt_ms } => {
-                assert!(rtt_ms >= 0.0, "constant RTT must be non-negative");
-                rtt_ms
-            }
-            LatencyDistribution::Uniform { low_ms, high_ms } => {
-                assert!(low_ms >= 0.0 && high_ms > low_ms, "invalid uniform bounds");
-                rng.gen_range(low_ms..high_ms)
-            }
-            LatencyDistribution::LogNormal { median_ms, mean_ms } => {
-                let (mu, sigma) = lognormal_params(median_ms, mean_ms);
-                (mu + sigma * standard_normal(rng)).exp()
-            }
-        }
-    }
-
-    /// The theoretical mean of the distribution, ms.
-    pub fn mean_ms(&self) -> f64 {
-        match *self {
-            LatencyDistribution::Constant { rtt_ms } => rtt_ms,
-            LatencyDistribution::Uniform { low_ms, high_ms } => (low_ms + high_ms) / 2.0,
-            LatencyDistribution::LogNormal { mean_ms, .. } => mean_ms,
-        }
-    }
-
-    /// The theoretical median of the distribution, ms.
-    pub fn median_ms(&self) -> f64 {
-        match *self {
-            LatencyDistribution::Constant { rtt_ms } => rtt_ms,
-            LatencyDistribution::Uniform { low_ms, high_ms } => (low_ms + high_ms) / 2.0,
-            LatencyDistribution::LogNormal { median_ms, .. } => median_ms,
-        }
-    }
+/// Samples one round-trip time in milliseconds from the log-normal
+/// distribution with the given median and mean, the two statistics the paper
+/// reports for each operator/technology. Heavy right tails (occasional
+/// multi-second RTTs) arise naturally, matching the large standard deviations
+/// in §VI-C-4.
+///
+/// # Panics
+///
+/// Panics if the median is non-positive or the mean is below the median.
+pub(crate) fn sample_lognormal<R: Rng + ?Sized>(median_ms: f64, mean_ms: f64, rng: &mut R) -> f64 {
+    let (mu, sigma) = lognormal_params(median_ms, mean_ms);
+    (mu + sigma * standard_normal(rng)).exp()
 }
 
 /// Converts the paper's (median, mean) parameterization into the standard
@@ -80,7 +23,7 @@ impl LatencyDistribution {
 ///
 /// Panics if `median <= 0` or `mean < median` (a log-normal's mean is always
 /// at least its median).
-pub(crate) fn lognormal_params(median_ms: f64, mean_ms: f64) -> (f64, f64) {
+fn lognormal_params(median_ms: f64, mean_ms: f64) -> (f64, f64) {
     assert!(median_ms > 0.0, "median must be positive");
     assert!(mean_ms >= median_ms, "log-normal mean must be >= median");
     let mu = median_ms.ln();
@@ -152,38 +95,11 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn constant_distribution_is_constant() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let d = LatencyDistribution::Constant { rtt_ms: 36.0 };
-        for _ in 0..10 {
-            assert_eq!(d.sample(&mut rng), 36.0);
-        }
-        assert_eq!(d.mean_ms(), 36.0);
-        assert_eq!(d.median_ms(), 36.0);
-    }
-
-    #[test]
-    fn uniform_within_bounds() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let d = LatencyDistribution::Uniform {
-            low_ms: 100.0,
-            high_ms: 5000.0,
-        };
-        for _ in 0..1000 {
-            let s = d.sample(&mut rng);
-            assert!((100.0..5000.0).contains(&s));
-        }
-        assert_eq!(d.mean_ms(), 2550.0);
-    }
-
-    #[test]
     fn lognormal_matches_target_moments() {
         let mut rng = StdRng::seed_from_u64(3);
-        let d = LatencyDistribution::LogNormal {
-            median_ms: 25.0,
-            mean_ms: 36.0,
-        };
-        let samples: Vec<f64> = (0..200_000).map(|_| d.sample(&mut rng)).collect();
+        let samples: Vec<f64> = (0..200_000)
+            .map(|_| sample_lognormal(25.0, 36.0, &mut rng))
+            .collect();
         let stats = LatencyStats::from_samples(&samples);
         assert!(
             (stats.mean_ms - 36.0).abs() / 36.0 < 0.05,
@@ -201,11 +117,9 @@ mod tests {
     #[test]
     fn lognormal_has_heavy_right_tail() {
         let mut rng = StdRng::seed_from_u64(4);
-        let d = LatencyDistribution::LogNormal {
-            median_ms: 51.0,
-            mean_ms: 128.0,
-        };
-        let samples: Vec<f64> = (0..100_000).map(|_| d.sample(&mut rng)).collect();
+        let samples: Vec<f64> = (0..100_000)
+            .map(|_| sample_lognormal(51.0, 128.0, &mut rng))
+            .collect();
         let stats = LatencyStats::from_samples(&samples);
         // mean well above median and SD comparable to the paper's (~360 for 3G)
         assert!(stats.mean_ms > 1.8 * stats.median_ms);

@@ -7,24 +7,23 @@
 //! operators (§VI-C-4, Fig. 11). The dataset itself is not distributable, so
 //! this crate synthesizes an equivalent:
 //!
-//! * [`cellular`] — per-operator, per-technology RTT models calibrated to the
-//!   mean / standard deviation / median values reported in the paper, with a
-//!   diurnal (time-of-day) modulation,
-//! * [`netradar`] — a synthetic NetRadar-style measurement campaign generator
-//!   and the hourly aggregation used to draw Fig. 11,
-//! * [`latency`] — reusable latency distributions (constant, uniform,
-//!   log-normal) and summary statistics,
-//! * [`transfer`] — payload transfer times over each technology.
+//! * [`CellularNetwork`] — per-operator, per-technology log-normal RTT models
+//!   calibrated to the mean and median values the paper reports
+//!   ([`OperatorProfile`]), with a diurnal (time-of-day) modulation;
+//! * [`NetRadarCampaign`] — a synthetic NetRadar-style measurement campaign
+//!   and the hourly aggregation ([`HourlyLatency`], [`LatencyStats`]) used
+//!   to draw Fig. 11;
+//! * [`TransferModel`] — payload transfer times over each technology.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cellular;
-pub mod latency;
-pub mod netradar;
-pub mod transfer;
+mod cellular;
+mod latency;
+mod netradar;
+mod transfer;
 
 pub use cellular::{CellularNetwork, Operator, OperatorProfile, Technology};
-pub use latency::{LatencyDistribution, LatencyStats};
+pub use latency::LatencyStats;
 pub use netradar::{HourlyLatency, NetRadarCampaign, NetRadarSample};
 pub use transfer::TransferModel;

@@ -86,16 +86,6 @@ impl NetRadarCampaign {
         Self::run(operator, technology, count, rng)
     }
 
-    /// Number of samples collected.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Returns `true` when the campaign holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
     /// Summary statistics over the entire campaign.
     pub fn overall_stats(&self) -> LatencyStats {
         let rtts: Vec<f64> = self.samples.iter().map(|s| s.rtt_ms).collect();
@@ -141,8 +131,7 @@ mod tests {
     fn campaign_produces_requested_samples() {
         let mut rng = StdRng::seed_from_u64(1);
         let c = NetRadarCampaign::run(Operator::Alpha, Technology::Lte, 5_000, &mut rng);
-        assert_eq!(c.len(), 5_000);
-        assert!(!c.is_empty());
+        assert_eq!(c.samples.len(), 5_000);
         assert!(c.samples.iter().all(|s| s.rtt_ms > 0.0));
         assert!(c
             .samples
@@ -175,7 +164,11 @@ mod tests {
         let hourly = c.hourly_aggregate();
         assert_eq!(hourly.len(), 24);
         let total: usize = hourly.iter().map(|h| h.stats.count).sum();
-        assert_eq!(total, c.len(), "every sample lands in exactly one bucket");
+        assert_eq!(
+            total,
+            c.samples.len(),
+            "every sample lands in exactly one bucket"
+        );
         // afternoon RTT above early-morning RTT (diurnal modulation)
         let afternoon = hourly[16].stats.mean_ms;
         let early = hourly[4].stats.mean_ms;
@@ -186,7 +179,7 @@ mod tests {
     fn paper_sized_campaign_scales() {
         let mut rng = StdRng::seed_from_u64(4);
         let c = NetRadarCampaign::run_paper_sized(Operator::Alpha, Technology::Lte, 100, &mut rng);
-        assert_eq!(c.len(), 182_549 / 100);
+        assert_eq!(c.samples.len(), 182_549 / 100);
     }
 
     #[test]
@@ -194,6 +187,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let c = NetRadarCampaign::run(Operator::Alpha, Technology::Lte, 20_000, &mut rng);
         let night = c.samples.iter().filter(|s| s.hour_of_day < 7.0).count();
-        assert!((night as f64) < 0.2 * c.len() as f64);
+        assert!((night as f64) < 0.2 * c.samples.len() as f64);
     }
 }

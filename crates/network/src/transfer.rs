@@ -43,18 +43,6 @@ impl TransferModel {
     pub fn downlink_time_ms(&self, bytes: usize) -> f64 {
         bytes as f64 / self.downlink_bytes_per_ms.max(1e-9)
     }
-
-    /// Returns `true` when transferring `bytes` up and a result of
-    /// `result_bytes` down stays below `budget_ms` — the formal version of the
-    /// paper's "transfer adds no overhead" assumption.
-    pub fn transfer_is_negligible(
-        &self,
-        bytes: usize,
-        result_bytes: usize,
-        budget_ms: f64,
-    ) -> bool {
-        self.uplink_time_ms(bytes) + self.downlink_time_ms(result_bytes) <= budget_ms
-    }
 }
 
 impl Default for TransferModel {
@@ -80,14 +68,14 @@ mod tests {
         // A minimax application state is a few hundred bytes (task.rs), and
         // the result is small; over LTE this is well under 10 ms.
         let lte = TransferModel::default();
-        assert!(lte.transfer_is_negligible(1_000, 200, 10.0));
+        assert!(lte.uplink_time_ms(1_000) + lte.downlink_time_ms(200) <= 10.0);
     }
 
     #[test]
     fn large_payload_is_not_negligible_on_3g() {
         let threeg = TransferModel::for_technology(Technology::ThreeG);
         // 1 MB over 2 Mbit/s ~ 4 s
-        assert!(!threeg.transfer_is_negligible(1_000_000, 1_000, 100.0));
+        assert!(threeg.uplink_time_ms(1_000_000) + threeg.downlink_time_ms(1_000) > 100.0);
         assert!(threeg.uplink_time_ms(1_000_000) > 3_000.0);
     }
 

@@ -1,58 +1,28 @@
 //! The paper's motivating scenario (§I): a decision-making routine (minimax)
 //! that a flagship phone computes easily but a legacy phone or wearable
-//! cannot. The example walks through the offload-or-local decision on each
-//! device class, then shows the client-side moderator promoting a legacy
-//! device through the acceleration groups until the game becomes responsive.
+//! cannot. The example runs a legacy phone through the closed-loop system
+//! and shows the client-side moderator promoting it through the
+//! acceleration groups until the game becomes responsive.
 //!
 //! ```bash
 //! cargo run --example adaptive_game
 //! ```
 
-use mobile_code_acceleration::offload::{DecisionEngine, DecisionInput};
 use mobile_code_acceleration::prelude::*;
 use rand::SeedableRng;
 
 fn main() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(99);
     let task = TaskSpec::paper_static_minimax();
-    let network = CellularNetwork::paper_default_lte();
     println!(
         "game AI task: {task} ({:.0} work units)\n",
         task.work_units()
     );
 
-    // 1. Should each device offload at all?
-    println!("offloading decision per device class (LTE, level-1 cloud):");
-    for class in DeviceClass::ALL {
-        let device = DeviceProfile::for_class(class);
-        let input = DecisionInput {
-            work_units: task.work_units(),
-            device_speed_factor: device.speed_factor,
-            cloud_speed_factor: 1.0,
-            network_rtt_ms: network.mean_rtt_ms(),
-            payload_bytes: task.state_bytes(),
-            uplink_bytes_per_ms: 2_500.0,
-            routing_overhead_ms: 150.0,
-            device_active_power_mw: device.active_power_mw,
-            device_radio_power_mw: device.radio_power_mw,
-        };
-        let decision = DecisionEngine::default().decide(&input);
-        println!(
-            "  {class:<10} local {:>6.0} ms, offloaded {:>5.0} ms -> {}",
-            input.local_time_ms(),
-            input.remote_time_ms(),
-            if decision.is_offload() {
-                format!("OFFLOAD ({:.1}x faster)", decision.predicted_speedup())
-            } else {
-                "stay local".to_string()
-            }
-        );
-    }
-
-    // 2. Run the legacy phone through the closed-loop system with a
-    //    latency-threshold moderator: whenever a move takes longer than one
-    //    second, the device asks for the next acceleration level.
-    println!("\nadaptive acceleration for the legacy phone (threshold 1000 ms):");
+    // Run the legacy phone through the closed-loop system with a
+    // latency-threshold moderator: whenever a move takes longer than one
+    // second, the device asks for the next acceleration level.
+    println!("adaptive acceleration for the legacy phone (threshold 1000 ms):");
     let config = SystemConfig::paper_three_groups()
         .with_promotion_policy(PromotionPolicy::ResponseTimeThreshold {
             threshold_ms: 1_000.0,

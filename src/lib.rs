@@ -17,12 +17,13 @@
 //!   measures itself with: stage timers over pluggable clocks, fixed-bucket
 //!   latency histograms with exact tail quantiles, and the
 //!   Prometheus-text / versioned-JSON metrics exposition pipeline.
-//! * [`offload`] (`mca-offload`) — the computational task pool and offloading
-//!   runtime.
+//! * [`offload`] (`mca-offload`) — user, tenant, request and acceleration-group
+//!   identifiers, offloading requests, trace records and the computational
+//!   task pool with its work model.
 //! * [`mobile`] (`mca-mobile`) — device profiles, batteries, the client-side
-//!   moderator and usage-session traces.
-//! * [`network`] (`mca-network`) — 3G/LTE latency models and NetRadar-style
-//!   campaigns.
+//!   promotion moderator and the paper's inter-arrival sampler.
+//! * [`network`] (`mca-network`) — 3G/LTE latency models, NetRadar-style
+//!   campaigns and payload transfer times.
 //! * [`workload`] (`mca-workload`) — concurrent and inter-arrival workload
 //!   generation.
 //! * [`lp`] (`mca-lp`) — the simplex + branch-and-bound ILP solver.
@@ -78,7 +79,7 @@ pub mod prelude {
         DriveReport, FleetDriver, FleetEngine, FleetError, FleetMetrics, FleetTelemetry,
         RecordSource, ShardRouter, SlotRecord, SourceBatch, TelemetryMode, TenantShard,
     };
-    pub use mca_mobile::{DeviceClass, DeviceProfile, Moderator, PromotionPolicy, UsageStudy};
+    pub use mca_mobile::{DeviceClass, DeviceProfile, Moderator, PromotionPolicy};
     pub use mca_network::{CellularNetwork, NetRadarCampaign, Operator, Technology};
     pub use mca_offload::{
         AccelerationGroupId, OffloadRequest, TaskKind, TaskPool, TaskSpec, TenantId, UserId,
