@@ -33,7 +33,7 @@ use crate::window::SlotWindower;
 use mca_offload::{AccelerationGroupId, UserId};
 use mca_snapshot::{encode_le_run, Cursor, Restore, Snapshot, SnapshotError};
 use std::collections::VecDeque;
-use std::ops::Range;
+use std::ops::{Range, RangeInclusive};
 
 /// One non-empty group run: `len` users of `group`, from `start` on in its
 /// slot's users column.
@@ -238,24 +238,138 @@ impl TimeSlot {
 /// which costs `O(n)` per *out-of-order* user — fine for a trickle of
 /// mostly-ordered arrivals, quadratic for a bulk feed of interleaved users
 /// (many tenants, shuffled ingest). The builder instead collects raw
-/// assignments unordered, packed as `group << 32 | user` so that key order
-/// is `(group, user)` order, and produces the slot with **one** sort +
-/// dedup, yielding exactly the slot the per-record path would have built.
-/// One tenant's ids are close together, so that sort is usually a bitmap
-/// pass (see [`TimeSlotBuilder::finish`]). The trace-replay path
-/// ([`SlotHistory::from_log`]) builds and drops a builder per slot; the
-/// fleet ingest keeps one per tenant and drains it with
-/// [`TimeSlotBuilder::finish`], reusing both buffers.
+/// assignments unordered and sorts and deduplicates them once per slot,
+/// yielding exactly the slot the per-record path would have built.
+///
+/// A builder that lives on — the fleet keeps one per tenant and drains it
+/// with [`TimeSlotBuilder::finish`] — keeps a *frame* after each slot: one
+/// bitmap row per group of the slot it just built, each covering that
+/// slot's user ids with some slack either side. A tenant's users in the
+/// next slot fall almost all inside it, and an assignment that does sets
+/// its bit at once, so such a slot is read straight off the frame. An
+/// assignment outside the frame is kept as a packed key, `group << 32 |
+/// user`, so that key order is `(group, user)` order, and then the whole
+/// slot takes the general path (see [`TimeSlotBuilder::finish`]). The frame
+/// is a speed hint, never state: a fresh builder has none, which is how
+/// the trace-replay path ([`SlotHistory::from_log`]) uses one, built and
+/// dropped per slot, and the slot is the same whichever path builds it.
 #[derive(Debug, Clone, Default)]
 pub struct TimeSlotBuilder {
     index: usize,
+    frame: Frame,
+    /// The assignments outside the frame, packed.
     keys: Vec<u64>,
-    /// The radix sort's second buffer, or the bitmap of a dense batch.
+    /// The radix sort's second buffer.
     scratch: Vec<u64>,
 }
 
 /// Below this many keys the 256-counter passes cost more than comparing.
 const RADIX_MIN_KEYS: usize = 64;
+
+/// User ids a kept frame covers beyond the slot it is cut from, on either
+/// side, over a quarter of that slot's id span. The quarter covers a slot's
+/// drift (a fiftieth of the population per slot in every generator) and
+/// most of a diurnal population's swing in size; the word is room for the
+/// churned ids just above the top and for a slot of a handful of users.
+const FRAME_SLACK_IDS: u32 = 64;
+
+/// Words a kept frame may take per user of the slot it is cut from, and 64
+/// more so that a slot of a handful of users keeps one. Every slot reads
+/// the whole frame, so it must stay within a small multiple of the keys it
+/// spares; the slot after a sparser one — ids or groups far apart — has no
+/// frame, and its keys are radix-sorted when they are as sparse.
+const FRAME_WORDS_PER_USER: usize = 2;
+
+/// A bitmap over a range of groups and users: row `r` is the group `g0 +
+/// r`, and bit `b` of a row is the user `u0 + b`. Between slots every word
+/// is zero; a frame of no rows is no frame.
+#[derive(Debug, Clone, Default)]
+struct Frame {
+    g0: u32,
+    rows: u32,
+    /// A multiple of 64, and `u0 + 64 · row_words ≤ 2³²`.
+    u0: u32,
+    row_words: u32,
+    /// Assignments that set a bit since the frame was last drained.
+    hits: usize,
+    bits: Vec<u64>,
+}
+
+impl Frame {
+    /// Re-cuts the frame over the `groups` and the word-aligned span of the
+    /// `users` when that takes at most `max_words` words, and drops it
+    /// otherwise. Returns whether a frame was cut.
+    fn cut(
+        &mut self,
+        groups: RangeInclusive<u32>,
+        users: RangeInclusive<u32>,
+        max_words: usize,
+    ) -> bool {
+        let u0 = users.start() & !63;
+        let row_words = (users.end() - u0) / 64 + 1;
+        let rows = groups.end() - groups.start() + 1;
+        let words = u64::from(rows) * u64::from(row_words);
+        let keep = words <= max_words as u64;
+        (self.g0, self.rows, self.u0, self.row_words) = if keep {
+            (*groups.start(), rows, u0, row_words)
+        } else {
+            (0, 0, 0, 0)
+        };
+        // every word is zero between slots, so a resize leaves a clean frame
+        self.bits.resize(if keep { words as usize } else { 0 }, 0);
+        keep
+    }
+
+    /// Sets the bit of `(group, user)` when the frame covers it.
+    #[inline]
+    fn set(&mut self, group: u32, user: u32) -> bool {
+        // below the origin wraps past the end
+        let row = group.wrapping_sub(self.g0);
+        let word = user.wrapping_sub(self.u0) >> 6;
+        if row >= self.rows || word >= self.row_words {
+            return false;
+        }
+        self.bits[row as usize * self.row_words as usize + word as usize] |= 1 << (user & 63);
+        self.hits += 1;
+        true
+    }
+
+    /// Reads the set bits out as the slot at `index`, each non-empty row one
+    /// run, zeroing each word as it is read. The users column is sized by a
+    /// popcount first.
+    fn read(&mut self, index: usize) -> TimeSlot {
+        let count = self.bits.iter().map(|w| w.count_ones() as usize).sum();
+        let mut slot = TimeSlot {
+            index,
+            runs: Vec::new(),
+            users: Vec::with_capacity(count),
+        };
+        self.hits = 0;
+        if self.rows == 0 {
+            return slot;
+        }
+        let rows = self.bits.chunks_exact_mut(self.row_words as usize);
+        for (group, words) in (self.g0..).zip(rows) {
+            let start = slot.users.len();
+            for (at, word) in words.iter_mut().enumerate() {
+                let base = self.u0 + 64 * at as u32;
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    slot.users.push(UserId(base + bits.trailing_zeros()));
+                    bits &= bits - 1;
+                }
+            }
+            if slot.users.len() > start {
+                slot.runs.push(Run {
+                    group: AccelerationGroupId(group as u8),
+                    len: (slot.users.len() - start) as u32,
+                    start,
+                });
+            }
+        }
+        slot
+    }
+}
 
 /// Sorts keys below `1 << bits` ascending with an LSD byte-radix sort.
 /// Returns at once on sorted input, the shape of a recorded trace. On
@@ -350,6 +464,7 @@ impl TimeSlotBuilder {
     pub fn with_capacity(index: usize, capacity: usize) -> Self {
         Self {
             index,
+            frame: Frame::default(),
             keys: Vec::with_capacity(capacity),
             scratch: Vec::new(),
         }
@@ -357,8 +472,11 @@ impl TimeSlotBuilder {
 
     /// Records that `user` was active in `group` (duplicates are cheap and
     /// collapse when the slot is built).
+    #[inline]
     pub fn assign(&mut self, group: AccelerationGroupId, user: UserId) {
-        self.keys.push(u64::from(group.0) << 32 | u64::from(user.0));
+        if !self.frame.set(u32::from(group.0), user.0) {
+            self.keys.push(u64::from(group.0) << 32 | u64::from(user.0));
+        }
     }
 
     /// Records a batch of `(group, user)` assignments.
@@ -370,12 +488,12 @@ impl TimeSlotBuilder {
 
     /// Number of recorded assignments (before deduplication).
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.keys.len() + self.frame.hits
     }
 
     /// Returns `true` when no assignment has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.len() == 0
     }
 
     /// Sorts and deduplicates the collected assignments once and builds the
@@ -383,22 +501,58 @@ impl TimeSlotBuilder {
     /// [`TimeSlot::assign`] in any order.
     pub fn build(mut self) -> TimeSlot {
         let index = self.index;
-        self.finish(index)
+        self.take(index)
     }
 
     /// [`TimeSlotBuilder::build`] for a builder that lives on: builds the
-    /// slot at `index` and leaves the builder empty with its buffers'
-    /// capacity, ready for the next slot's assignments.
+    /// slot at `index`, leaves the builder empty with its buffers' capacity
+    /// and frames it on the slot just built, ready for the next slot's
+    /// assignments.
     ///
-    /// One pass finds the smallest and largest group and user, and every
-    /// key is read relative to them, `(group − gmin) << ubits | (user −
-    /// umin)` with `ubits` the bits of the user span, which keeps `(group,
-    /// user)` order. When the relative span fits in as many 64-bit words as
-    /// there are keys, one bit per key in a bitmap of that size sorts and
-    /// deduplicates, and the slot is read straight off the set bits;
-    /// otherwise the keys are rewritten relative, radix-sorted and
-    /// deduplicated. Neither grows a buffer past the number of keys.
+    /// When every assignment fell inside the frame, the slot is read
+    /// straight off it, each non-empty row one run, and its words are
+    /// zeroed as they are read. Otherwise the frame's bits join the keys,
+    /// and one pass finds the smallest and largest group and user. When the
+    /// frame over exactly that range takes at most a word per key, the keys
+    /// are set into it and the slot is read off it the same way; otherwise
+    /// each key is rewritten relative to the range, `(group − gmin) <<
+    /// ubits | (user − umin)` with `ubits` the bits of the user span, which
+    /// keeps `(group, user)` order, and the keys are radix-sorted and
+    /// deduplicated. Neither path grows a buffer past the number of keys.
+    /// The next frame is the slot's groups and ids widened by a slack, and
+    /// none when that would be sparse.
     pub fn finish(&mut self, index: usize) -> TimeSlot {
+        let slot = self.take(index);
+        if let (Some(first), Some(last)) = (slot.runs.first(), slot.runs.last()) {
+            let (umin, umax) = slot.runs.iter().fold((u32::MAX, 0), |(lo, hi), run| {
+                let users = &slot.users[run.range()];
+                (lo.min(users[0].0), hi.max(users[users.len() - 1].0))
+            });
+            let slack = (umax - umin) / 4 + FRAME_SLACK_IDS;
+            self.frame.cut(
+                u32::from(first.group.0)..=u32::from(last.group.0),
+                umin.saturating_sub(slack)..=umax.saturating_add(slack),
+                FRAME_WORDS_PER_USER * slot.users.len() + 64,
+            );
+        }
+        slot
+    }
+
+    /// Builds the slot at `index` from the frame and the keys, leaving both
+    /// empty.
+    fn take(&mut self, index: usize) -> TimeSlot {
+        if self.frame.hits > 0 {
+            let framed = self.frame.read(index);
+            if self.keys.is_empty() {
+                return framed;
+            }
+            for run in &framed.runs {
+                let group = u64::from(run.group.0) << 32;
+                let users = framed.users[run.range()].iter();
+                self.keys
+                    .extend(users.map(|user| group | u64::from(user.0)));
+            }
+        }
         let Some(&first) = self.keys.first() else {
             return TimeSlot::new(index);
         };
@@ -410,31 +564,18 @@ impl TimeSlotBuilder {
             (gmin, gmax) = (gmin.min(group(key)), gmax.max(group(key)));
             (umin, umax) = (umin.min(user(key)), umax.max(user(key)));
         }
-        let ubits = u32::BITS - (umax - umin).leading_zeros();
-        let relative =
-            |key: u64| u64::from(group(key) - gmin) << ubits | u64::from(user(key) - umin);
-        let largest = relative(u64::from(gmax) << 32 | u64::from(umax));
-        let words = (largest >> 6) as usize + 1;
-        let slot = if words <= self.keys.len() {
-            let bitmap = &mut self.scratch;
-            bitmap.clear();
-            bitmap.resize(words, 0);
+        let slot = if self.frame.cut(gmin..=gmax, umin..=umax, self.keys.len()) {
             for &key in &self.keys {
-                let bit = relative(key);
-                bitmap[(bit >> 6) as usize] |= 1 << (bit & 63);
+                let set = self.frame.set(group(key), user(key));
+                debug_assert!(set, "the keys' exact frame covers every key");
             }
-            let count = bitmap.iter().map(|word| word.count_ones() as usize).sum();
-            let mut columns = ColumnWriter::new(count, ubits, gmin, umin);
-            for (at, &word) in bitmap.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    columns.push((at as u64) << 6 | u64::from(bits.trailing_zeros()));
-                    bits &= bits - 1;
-                }
-            }
-            columns.finish(index)
+            self.frame.read(index)
         } else {
+            let ubits = u32::BITS - (umax - umin).leading_zeros();
+            let relative =
+                |key: u64| u64::from(group(key) - gmin) << ubits | u64::from(user(key) - umin);
             self.keys.iter_mut().for_each(|key| *key = relative(*key));
+            let largest = relative(u64::from(gmax) << 32 | u64::from(umax));
             let bits = u64::BITS - largest.leading_zeros();
             sort_keys(&mut self.keys, &mut self.scratch, bits);
             self.keys.dedup();
@@ -1154,8 +1295,9 @@ mod tests {
     #[test]
     fn finish_drains_the_builder_and_keeps_its_buffers() {
         // 200 users 7 ids apart span 11 bits: under three adjacent groups
-        // that is 86 words, the bitmap; under groups 127 apart, 8,150
-        // words, the radix sort
+        // that is 66 words, set straight into the frame; under groups 127
+        // apart, 5,610 words, so the keys are radix-sorted and no frame is
+        // kept
         for (gap, dense) in [(1u32, true), (127, false)] {
             let pairs = move |slot: u32| {
                 (0..200u32).rev().map(move |u| {
@@ -1175,17 +1317,24 @@ mod tests {
             let first = builder.finish(4);
             assert_eq!(first, assigned(4, 0), "gap {gap}");
             assert!(builder.is_empty());
-            // the bitmap holds a word per 64 ids of the span, the radix sort
-            // a key per key
-            assert_eq!(builder.scratch.len() < 200, dense, "gap {gap}");
-            // the radix sort leaves the two buffers in either role
+            assert_eq!(builder.frame.rows > 0, dense, "gap {gap}");
+            assert!(builder.frame.bits.iter().all(|&word| word == 0));
+            // the frame holds a row of words per group, the radix sort a key
+            // per key in either buffer
             let capacities = |b: &TimeSlotBuilder| {
                 let (keys, scratch) = (b.keys.capacity(), b.scratch.capacity());
-                (keys.min(scratch), keys.max(scratch))
+                (
+                    keys.min(scratch),
+                    keys.max(scratch),
+                    b.frame.bits.capacity(),
+                )
             };
             let warm = capacities(&builder);
             assert!(warm.1 >= 200);
             builder.extend(pairs(1));
+            // the ids moved one up: every pair lands in the frame
+            assert_eq!(builder.keys.is_empty(), dense, "gap {gap}");
+            assert_eq!(builder.len(), 200);
             let second = builder.finish(5);
             assert_eq!(second, assigned(5, 1), "gap {gap}");
             assert_eq!(second.index, 5);
@@ -1196,6 +1345,158 @@ mod tests {
             );
             // the users column holds exactly the slot's users
             assert_eq!(second.users.capacity(), second.users.len());
+        }
+    }
+
+    /// The slot `TimeSlot::assign` builds from `pairs`.
+    fn assigned(index: usize, pairs: &[(AccelerationGroupId, UserId)]) -> TimeSlot {
+        let mut slot = TimeSlot::new(index);
+        for &(group, user) in pairs {
+            slot.assign(group, user);
+        }
+        slot
+    }
+
+    #[test]
+    fn a_framed_builder_takes_each_path_and_builds_the_same_slot() {
+        let population = |groups: &[u8], base: u32, users: u32| -> Vec<_> {
+            (0..users)
+                .map(|u| {
+                    let group = groups[(u as usize * 7) % groups.len()];
+                    (AccelerationGroupId(group), UserId(base + (u * 31) % users))
+                })
+                .collect()
+        };
+        let mut builder = TimeSlotBuilder::new(0);
+        let mut check = |index: usize, pairs: &[(AccelerationGroupId, UserId)]| {
+            builder.extend(pairs.iter().copied());
+            let path = (builder.keys.len(), builder.frame.hits);
+            assert_eq!(path.0 + path.1, pairs.len(), "slot {index}");
+            assert_eq!(
+                builder.finish(index),
+                assigned(index, pairs),
+                "slot {index}"
+            );
+            assert!(builder.is_empty() && builder.frame.bits.iter().all(|&w| w == 0));
+            (path, builder.frame.rows)
+        };
+        // a fresh builder has no frame: keys, cut exactly, then a frame
+        // over groups 1..=3
+        let slot = population(&[1, 2, 3], 5_000, 400);
+        assert_eq!(check(0, &slot), ((400, 0), 3));
+        // drifted by a fiftieth, with duplicates: all hits
+        let mut slot = population(&[1, 2, 3], 5_008, 400);
+        slot.extend_from_slice(&slot.clone()[..50]);
+        assert_eq!(check(1, &slot), ((0, 450), 3));
+        // one pair in a new group: the hits join the keys
+        let mut slot = population(&[1, 2, 3], 5_016, 400);
+        slot.push((AccelerationGroupId(4), UserId(5_100)));
+        assert_eq!(check(2, &slot), ((1, 400), 4));
+        // beyond the slack below and above: keys alone
+        assert_eq!(check(3, &population(&[2], 3_000, 100)).0, (100, 0));
+        assert_eq!(check(4, &population(&[2], 9_000, 100)).0, (100, 0));
+        // an empty slot keeps the frame the slot before it left
+        assert_eq!(check(5, &[]), ((0, 0), 1));
+        assert_eq!(check(6, &population(&[2], 9_000, 100)).0, (0, 100));
+        // a sparse slot is radix-sorted and leaves no frame
+        let sparse: Vec<_> = [(0, 0), (255, u32::MAX), (3, 9_010), (0, u32::MAX)]
+            .map(|(g, u)| (AccelerationGroupId(g), UserId(u)))
+            .into();
+        assert_eq!(check(7, &sparse), ((4, 0), 0));
+        // the extremes, dense: a frame against both ends of the id space
+        let low = population(&[0], 0, 64);
+        assert_eq!(check(8, &low), ((64, 0), 1));
+        assert_eq!(check(9, &low), ((0, 64), 1));
+        let high = population(&[255], u32::MAX - 63, 64);
+        assert_eq!(check(10, &high), ((64, 0), 1));
+        assert_eq!(check(11, &high), ((0, 64), 1));
+        // a single user
+        let single = [(AccelerationGroupId(255), UserId(u32::MAX))];
+        assert_eq!(check(12, &single), ((0, 1), 1));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// One builder that lives across a random sequence of slots builds
+        /// each slot as one `TimeSlot::assign` per pair does, whichever path
+        /// its frame sends the slot down. A tenant-like population over a
+        /// few adjacent groups drifts a fiftieth of its span per slot, and
+        /// steps interleave: drift past the slack up and down, a group below
+        /// or above the frame's (group 255 and 0 included), a fresh narrow
+        /// group range, empty slots, duplicate-heavy batches, single-user
+        /// slots, the ids 0 and `u32::MAX`, and sparse slots that take the
+        /// radix sort.
+        #[test]
+        fn a_framed_builder_equals_per_record_assign_over_random_slot_sequences(
+            steps in proptest::collection::vec((0u8..12, 0u64..u64::MAX), 1..40),
+            start in (0u32..256, 0u32..3, 0u32..u32::MAX, 1u32..3_000),
+        ) {
+            let (glo, gspan, base, span) = start;
+            let (mut glo, mut gspan, mut base) = (glo.min(255 - gspan), gspan, base);
+            let mut builder = TimeSlotBuilder::new(0);
+            for (index, &(kind, seed)) in steps.iter().enumerate() {
+                let mut z = seed;
+                let mut next = move || {
+                    z = mixed(z);
+                    z as u32
+                };
+                match kind {
+                    // past the slack, up and down
+                    3 => base = base.saturating_add(2 * span + 200),
+                    4 => base = base.saturating_sub(2 * span + 200),
+                    // a group below or above the frame's
+                    5 => {
+                        let below = glo.saturating_sub(1 + next() % 3);
+                        gspan += glo - below;
+                        glo = below;
+                    }
+                    6 => gspan = if next() % 3 == 0 { 255 - glo } else { (gspan + 1).min(255 - glo) },
+                    // a fresh narrow range of groups
+                    7 => {
+                        glo = next() % 256;
+                        gspan = (next() % 3).min(255 - glo);
+                    }
+                    _ => base = base.saturating_add(span / 50),
+                }
+                base = base.min(u32::MAX - span);
+                let draw = |g: u32, u: u32| {
+                    (
+                        AccelerationGroupId((glo + g % (gspan + 1)) as u8),
+                        UserId(base + u % (span + 1)),
+                    )
+                };
+                let pairs: Vec<_> = match kind {
+                    8 => Vec::new(),
+                    // a handful of users, each many times over
+                    9 => {
+                        let few: Vec<_> = (0..1 + next() % 5).map(|_| draw(next(), next())).collect();
+                        (0..200).map(|i| few[i % few.len()]).collect()
+                    }
+                    10 => vec![draw(next(), next())],
+                    // sparse: the extremes and ids spread over the id space
+                    11 => {
+                        let mut pairs: Vec<_> = (0..20)
+                            .map(|_| (AccelerationGroupId(next() as u8), UserId(next() << 7)))
+                            .collect();
+                        pairs.push((AccelerationGroupId(glo as u8), UserId(0)));
+                        pairs.push((AccelerationGroupId(255), UserId(u32::MAX)));
+                        pairs
+                    }
+                    _ => (0..span / 2 + next() % span).map(|_| draw(next(), next())).collect(),
+                };
+                builder.extend(pairs.iter().copied());
+                proptest::prop_assert_eq!(builder.len(), pairs.len());
+                proptest::prop_assert_eq!(
+                    builder.finish(index),
+                    assigned(index, &pairs),
+                    "step {} of kind {}",
+                    index,
+                    kind
+                );
+                proptest::prop_assert!(builder.is_empty());
+                proptest::prop_assert!(builder.frame.bits.iter().all(|&word| word == 0));
+            }
         }
     }
 

@@ -24,9 +24,7 @@ use crate::rebalance::{MigrationRecord, Rebalancer, RebalancerConfig};
 use crate::router::ShardRouter;
 use crate::shard::TenantShard;
 use crate::telemetry::{FleetTelemetry, ShardTelemetry, StageHistograms, TelemetryMode};
-use mca_core::{
-    PredictorStatsSnapshot, SlotHistory, SystemConfig, TimeSlotBuilder, WorkloadForecast,
-};
+use mca_core::{PredictorStatsSnapshot, SlotHistory, SystemConfig, WorkloadForecast};
 use mca_offload::TenantId;
 use mca_snapshot::{
     Cursor, Restore, Snapshot, SnapshotError, SnapshotReader, SnapshotStats, SnapshotWriter,
@@ -44,18 +42,14 @@ pub(crate) const SECTION_ENGINE: u16 = 0x0003;
 pub(crate) const SECTION_REBALANCER: u16 = 0x0004;
 pub(crate) const SECTION_SHARD: u16 = 0x0005;
 
-/// One worker partition: the tenants a shard index owns, plus the slot
-/// builders the engine fills before a parallel tick.
+/// One worker partition: the tenants a shard index owns, each staging its
+/// own slot before a parallel tick.
 #[derive(Debug)]
 struct Shard {
     /// The shard's tenants, sorted by tenant id.
     tenants: Vec<TenantShard>,
-    /// One slot builder per tenant, parallel to `tenants`. Builders are
-    /// empty between slots and only lend their buffers' capacity, so the
-    /// list is just resized to `tenants` at the top of every slot.
-    builders: Vec<TimeSlotBuilder>,
     /// Records naming an unknown tenant charged here for the next tick (the
-    /// builders count the rest).
+    /// tenants count the rest).
     unrouted: usize,
     /// The shard's private instrumentation state: its own clock (so logical
     /// timestamps are deterministic under any thread schedule), stage
@@ -67,23 +61,23 @@ impl Shard {
     fn new(tenants: Vec<TenantShard>, telemetry: ShardTelemetry) -> Self {
         Self {
             tenants,
-            builders: Vec::new(),
             unrouted: 0,
             telemetry,
         }
     }
 
-    /// Drains the builders: materializes each tenant's slot with one sort +
-    /// dedup pass and runs the tenant's provisioning tick, timing the
-    /// windowing and per-tenant stages against the shard's telemetry.
+    /// Builds each tenant's staged slot — read off its builder's frame, or
+    /// sorted and deduplicated — and runs the tenant's provisioning tick,
+    /// timing the windowing and per-tenant stages against the shard's
+    /// telemetry.
     fn tick(&mut self, slot_index: usize, now_ms: f64) {
         let telemetry = &mut self.telemetry;
         let tick_timer = telemetry.start_stage();
         let mut staged = std::mem::take(&mut self.unrouted);
-        for (tenant, builder) in self.tenants.iter_mut().zip(&mut self.builders) {
-            staged += builder.len();
+        for tenant in &mut self.tenants {
+            staged += tenant.builder.len();
             let timer = telemetry.start_stage();
-            let slot = builder.finish(slot_index);
+            let slot = tenant.builder.finish(slot_index);
             telemetry.end_windowing(timer);
             tenant.tick(slot, now_ms, telemetry);
         }
@@ -433,9 +427,7 @@ impl FleetEngine {
         // where every tenant sits right now: O(tenants) per slot, so no
         // control-plane operation has a table to invalidate
         self.routes.reset(self.tenants());
-        for (index, shard) in self.shards.iter_mut().enumerate() {
-            let hosted = shard.tenants.len();
-            shard.builders.resize_with(hosted, TimeSlotBuilder::default);
+        for (index, shard) in self.shards.iter().enumerate() {
             for (at, tenant) in shard.tenants.iter().enumerate() {
                 self.routes.insert(tenant.id(), index, at);
             }
@@ -444,7 +436,8 @@ impl FleetEngine {
             let tenant = record.tenant;
             match self.routes.get(tenant) {
                 Some((shard, at)) => {
-                    self.shards[shard].builders[at].assign(record.group, record.user);
+                    let builder = &mut self.shards[shard].tenants[at].builder;
+                    builder.assign(record.group, record.user);
                 }
                 // an unknown tenant: charged to the shard it would route to
                 None => {
@@ -690,9 +683,10 @@ impl FleetEngine {
     ///
     /// Checkpoints are taken **between slots** — after an ingest returns and
     /// before the next one — so the slot builders are empty by construction
-    /// and never travel on the wire. The [`SystemConfig`] itself is not
-    /// serialized; restore receives it from the caller, the same way
-    /// [`FleetEngine::new`] does.
+    /// and never travel on the wire; their frames are speed hints, and a
+    /// restored engine's tenants start without one. The [`SystemConfig`]
+    /// itself is not serialized; restore receives it from the caller, the
+    /// same way [`FleetEngine::new`] does.
     ///
     /// Every section is encoded straight into `out`, behind whatever it
     /// already holds, so a caller that keeps the buffer (clearing it between
@@ -721,7 +715,7 @@ impl FleetEngine {
         debug_assert!(
             self.shards
                 .iter()
-                .all(|s| s.builders.iter().all(TimeSlotBuilder::is_empty)),
+                .all(|s| s.tenants.iter().all(|t| t.builder.is_empty())),
             "checkpoints are taken between slots"
         );
         writer.section(SECTION_META, |out| {

@@ -5,10 +5,12 @@
 //! tenants and user ids arbitrarily. Feeding such a stream through
 //! [`mca_core::TimeSlot::assign`] pays an ordered insert per record
 //! (`O(n)` per out-of-order user); the engine instead walks the batch once,
-//! looks every record's tenant up in a `RouteTable` and appends it to that
-//! tenant's [`mca_core::TimeSlotBuilder`], which sorts and deduplicates once
-//! per slot — identical in result to the per-record path. A tenant the
-//! table does not hold is unknown: its records are dropped and counted.
+//! looks every record's tenant up in a `RouteTable` and hands it to that
+//! tenant's [`mca_core::TimeSlotBuilder`]. A record inside the frame the
+//! tenant's last slot left sets its bit there; any other is kept as a key.
+//! The slot is built once — read off the frame, or sorted and deduplicated
+//! — identical in result to the per-record path. A tenant the table does
+//! not hold is unknown: its records are dropped and counted.
 
 use crate::router::ShardRouter;
 use mca_offload::{AccelerationGroupId, TenantId, UserId};

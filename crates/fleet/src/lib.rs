@@ -18,8 +18,9 @@
 //!   `ControlLoop::close_slot` — score→learn→predict→allocate→bill — the
 //!   single-operator [`mca_core::System`] calls.
 //! * [`ingest`] — batched slot ingest: one flat arrival-order record batch
-//!   per slot, bucketed by shard in one pass and materialized per tenant
-//!   with [`mca_core::TimeSlotBuilder`]'s single sort + dedup instead of a
+//!   per slot, scattered in one pass into each tenant's
+//!   [`mca_core::TimeSlotBuilder`], which sets most records' bits in the
+//!   frame its last slot left and builds the slot once, instead of a
 //!   per-record ordered insert.
 //! * [`source`] — the unified streaming ingestion surface:
 //!   [`RecordSource`], a source-agnostic stream of per-slot

@@ -15,16 +15,22 @@ use crate::telemetry::ewma;
 use mca_cloudsim::{Datacenter, InstancePool, PlacementError};
 use mca_core::{
     BillingEngine, ControlLoop, SlotHistory, StageObserver, SystemConfig, TimeSlot,
-    WorkloadForecast, WorkloadPredictor,
+    TimeSlotBuilder, WorkloadForecast, WorkloadPredictor,
 };
 use mca_offload::TenantId;
 use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
 
-/// One tenant's control loop + accounting.
+/// One tenant's control loop + accounting, and the builder its next slot
+/// is staged in.
 #[derive(Debug, Clone)]
 pub struct TenantShard {
     id: TenantId,
     control: ControlLoop,
+    /// The slot the engine stages this tenant's records in. It is empty
+    /// between slots and travels with the tenant, so its frame (the last
+    /// slot's id range) follows the tenant through insertions and
+    /// migrations.
+    pub(crate) builder: TimeSlotBuilder,
     metrics: TenantMetrics,
     /// EWMA of observed users per tick — the tenant's contribution to its
     /// shard's load, and the signal the rebalancer ranks tenants by. Derived
@@ -42,6 +48,7 @@ impl TenantShard {
         Self {
             id,
             control: ControlLoop::new(config),
+            builder: TimeSlotBuilder::default(),
             metrics: TenantMetrics::new(id),
             load_ewma: 0.0,
         }
@@ -186,6 +193,7 @@ impl TenantShard {
         Ok(Self {
             id,
             control,
+            builder: TimeSlotBuilder::default(),
             metrics,
             load_ewma,
         })

@@ -29,8 +29,8 @@ use std::rc::Rc;
 /// What one source produced for one provisioning slot.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SourceBatch {
-    /// The slot's records (tenant-tagged; any order — slots are built with a
-    /// single sort + dedup downstream).
+    /// The slot's records (tenant-tagged; any order — each tenant's slot is
+    /// sorted and deduplicated downstream).
     pub records: Vec<SlotRecord>,
     /// End-of-stream marker: `true` when the source will never produce
     /// another record. The driver stops polling an exhausted source.

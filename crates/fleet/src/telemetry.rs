@@ -64,7 +64,9 @@ impl TelemetryMode {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StageHistograms {
     /// Building the tenant's observed [`mca_core::TimeSlot`] from the staged
-    /// records (the single sort + dedup pass).
+    /// records: reading the frame the records set their bits in, or
+    /// sorting and deduplicating the keys outside it. The bits themselves
+    /// are set during the engine's scatter, which no stage times.
     pub windowing: LatencyHistogram,
     /// `observe_and_predict`: folding the slot into the knowledge base and
     /// forecasting the next one.

@@ -7,10 +7,10 @@
 //! engine is a pure function of those records.
 
 use mca_cloudsim::{DatacenterConfig, PlacementKind};
-use mca_core::{IndexPolicy, SystemConfig, TimeSlotBuilder, WorkloadForecast};
+use mca_core::{IndexPolicy, SystemConfig, TimeSlot, TimeSlotBuilder, WorkloadForecast};
 use mca_fleet::{
     DriveReport, FleetDriver, FleetEngine, FleetMetrics, RebalancerConfig, RecordSource,
-    TelemetryMode, TenantMixSource, TenantShard,
+    SlotBatchSource, SlotRecord, TelemetryMode, TenantMixSource, TenantShard,
 };
 use mca_offload::TenantId;
 use mca_snapshot::SnapshotError;
@@ -647,4 +647,86 @@ fn fleet_forecasts_are_bit_identical_to_each_tenant_alone() {
     let rollup = driver.engine().metrics();
     let alone_rollup = FleetMetrics::aggregate(alone.iter().map(|t| t.metrics().clone()).collect());
     assert_eq!(rollup, alone_rollup);
+}
+
+#[test]
+fn slot_frames_follow_their_tenants_through_the_control_plane() {
+    // every hosted tenant's slot builder keeps a frame on the ids of its
+    // last slot. An onboarding that inserts ahead of a shard's tenants, a
+    // migration, an extraction and a checkpoint/restore (whose tenants
+    // start frameless) move tenants about; each forecast must still equal
+    // the tenant alone, whose slots are built by fresh, frameless builders
+    let mix = mix();
+    let late = TenantId(0);
+    let (migrated, extracted) = (TenantId(5), TenantId(7));
+    let mut engine = FleetEngine::new(config(), 3, SEED).with_threads(2);
+    engine.add_tenants(mix.tenant_ids().filter(|&t| t != late));
+    let (mut lane, source) = SlotBatchSource::channel();
+    let mut driver = FleetDriver::new(engine).with_shared_source(source);
+    let mut alone: Vec<Option<TenantShard>> = mix
+        .tenant_ids()
+        .map(|t| (t != late).then(|| TenantShard::new(t, &config())))
+        .collect();
+    let mut streams: Vec<_> = mix.tenant_ids().map(|t| mix.stream_for(t)).collect();
+
+    for slot in 0..SLOTS {
+        match slot {
+            6 => {
+                let engine = driver.engine_mut();
+                engine.add_tenant(late);
+                let home = engine.shard_of(late);
+                assert!(
+                    engine
+                        .tenant_ids()
+                        .iter()
+                        .any(|&t| t > late && engine.shard_of(t) == home),
+                    "the late tenant lands ahead of another on shard {home}"
+                );
+                alone[late.0 as usize] = Some(TenantShard::new(late, &config()));
+            }
+            10 => {
+                let engine = driver.engine_mut();
+                let to = (engine.shard_of(migrated) + 1) % engine.shard_count();
+                engine
+                    .migrate_tenant(migrated, to)
+                    .expect("a hosted tenant");
+            }
+            14 => {
+                driver
+                    .engine_mut()
+                    .extract_tenant(extracted)
+                    .expect("a hosted tenant");
+                alone[extracted.0 as usize] = None;
+            }
+            18 => {
+                let mut bytes = Vec::new();
+                let mut engine = driver.into_engine();
+                engine.checkpoint(&mut bytes).expect("checkpoint to memory");
+                let restored = FleetEngine::restore(&mut bytes.as_slice(), &config())
+                    .expect("restore from fresh bytes")
+                    .with_threads(2);
+                let source;
+                (lane, source) = SlotBatchSource::channel();
+                driver = FleetDriver::new(restored).with_shared_source(source);
+            }
+            _ => {}
+        }
+        let now_ms = (slot + 1) as f64 * config().slot_length_ms;
+        let mut batch = Vec::new();
+        for (tenant, stream) in mix.tenant_ids().zip(&mut streams) {
+            let records = mix.slot_records(tenant, slot, stream);
+            batch.extend(records.iter().map(|&(g, u)| SlotRecord::new(tenant, g, u)));
+            if let Some(replica) = &mut alone[tenant.0 as usize] {
+                replica.tick(TimeSlot::from_assignments(slot, records), now_ms, &mut ());
+            }
+        }
+        lane.push_slot(batch);
+        driver.step().expect("a shared lane never misroutes");
+        let expected: Vec<_> = alone
+            .iter()
+            .flatten()
+            .map(|replica| (replica.id(), replica.forecast().cloned()))
+            .collect();
+        assert_eq!(driver.engine().forecasts(), expected, "slot {slot}");
+    }
 }

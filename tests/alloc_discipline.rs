@@ -160,20 +160,22 @@ fn indexed_probe_allocates_a_small_constant() {
     );
 }
 
-/// A driver over `tenants` steady tenants of `users` users each, `spacing`
-/// ids apart, spread over the three groups and fed in an interleaved
-/// arrival order with duplicates, stepped past the history window so
-/// eviction, the builders' buffers and the allocation memo are all in
-/// steady state; one more slot is queued.
-fn warmed_driver(tenants: u32, users: u32, spacing: u32) -> FleetDriver {
-    let batch = || -> Vec<SlotRecord> {
+/// A driver over `tenants` tenants of `users` users each, spread over the
+/// three groups and fed in an interleaved arrival order with duplicates,
+/// stepped past the history window so eviction, the builders' buffers and
+/// frames and the allocation memo are all in steady state; one more slot
+/// is queued. `id(slot, users, u)` places user `u` of a tenant in `slot`,
+/// within the tenant's own million ids.
+fn warmed_driver(tenants: u32, users: u32, id: impl Fn(usize, u32, u32) -> u32) -> FleetDriver {
+    let batch = |slot: usize| -> Vec<SlotRecord> {
         // a stride coprime to the user count visits every user, out of order
         (0..users + users / 4)
             .flat_map(|i| {
                 let u = (i * 7919) % users;
+                let id = id(slot, users, u);
                 (0..tenants).map(move |t| {
                     let group = GROUPS[(u * 3 / users) as usize];
-                    SlotRecord::new(TenantId(t), group, UserId(t * 1_000_000 + u * spacing))
+                    SlotRecord::new(TenantId(t), group, UserId(t * 1_000_000 + id))
                 })
             })
             .collect()
@@ -183,46 +185,67 @@ fn warmed_driver(tenants: u32, users: u32, spacing: u32) -> FleetDriver {
     engine.add_tenants((0..tenants).map(TenantId));
     let (lane, source) = SlotBatchSource::channel();
     let mut driver = FleetDriver::new(engine).with_shared_source(source);
-    for _ in 0..40 {
-        lane.push_slot(batch());
+    for slot in 0..40 {
+        lane.push_slot(batch(slot));
         driver.step().expect("a shared lane never misroutes");
     }
-    lane.push_slot(batch());
+    lane.push_slot(batch(40));
     driver
 }
 
-/// Allocations of one warmed `FleetDriver::step`.
-fn warmed_step_allocations(tenants: u32, users: u32, spacing: u32) -> usize {
-    let mut driver = warmed_driver(tenants, users, spacing);
-    allocations_during(|| {
-        driver.step().expect("a shared lane never misroutes");
-    })
+/// Asserts that one warmed `FleetDriver::step` allocates as often at 250
+/// records per tenant as at 1,000, and about twice as often for twice the
+/// tenants, with users placed by `id` (see [`warmed_driver`]).
+fn assert_ingest_allocations_flat(population: &str, id: impl Fn(usize, u32, u32) -> u32 + Copy) {
+    let step = |tenants: u32, users: u32| {
+        let mut driver = warmed_driver(tenants, users, id);
+        allocations_during(|| {
+            driver.step().expect("a shared lane never misroutes");
+        })
+    };
+    let (light, heavy) = (step(6, 200), step(6, 800));
+    assert_eq!(
+        light, heavy,
+        "{population}: one warmed slot allocated {light} times at 250 records per tenant and \
+         {heavy} at 1,000: a per-record buffer is growing inside the ingest"
+    );
+    // what a slot does allocate is its own: a run per non-empty group, the
+    // forecast, the memoized allocation handed to billing
+    let more_tenants = step(12, 200);
+    assert!(
+        light < more_tenants && more_tenants <= 2 * light,
+        "{population}: allocations should scale with tenants: {light} for 6, {more_tenants} \
+         for 12"
+    );
 }
 
 #[test]
 fn slot_ingest_allocations_do_not_grow_with_records_per_tenant() {
-    // adjacent ids span fewer bits than 64 per record, so each tenant's slot
-    // is sorted through its bitmap; ids 97 apart span more (84,840 bits over
-    // 250 records, 339,648 over 1,000), so it is radix-sorted
+    // adjacent ids span fewer words than there are records, so each
+    // tenant's first slot is set into an exact frame and every later one
+    // lands in the frame the slot before left; ids 97 apart span more
+    // (84,840 bits over 250 records, 339,648 over 1,000), so each slot is
+    // radix-sorted and keeps no frame
     for spacing in [1, 97] {
-        let (light, heavy) = (
-            warmed_step_allocations(6, 200, spacing),
-            warmed_step_allocations(6, 800, spacing),
-        );
-        assert_eq!(
-            light, heavy,
-            "ids {spacing} apart: one warmed slot allocated {light} times at 250 records per \
-             tenant and {heavy} at 1,000: a per-record buffer is growing inside the ingest"
-        );
-        // what a slot does allocate is its own: a run per non-empty group,
-        // the forecast, the memoized allocation handed to billing
-        let more_tenants = warmed_step_allocations(12, 200, spacing);
-        assert!(
-            light < more_tenants && more_tenants <= 2 * light,
-            "ids {spacing} apart: allocations should scale with tenants: {light} for 6, \
-             {more_tenants} for 12"
-        );
+        assert_ingest_allocations_flat(&format!("ids {spacing} apart"), move |_, _, u| u * spacing);
     }
+}
+
+#[test]
+fn framed_ingest_allocations_do_not_grow_with_records_per_tenant() {
+    // ids sliding by a fiftieth of the population per slot, as `TenantMix`
+    // and the benchmark's diurnal tenants drift: every record lands in the
+    // frame the tenant's last slot left, and the slot is read off it
+    assert_ingest_allocations_flat("drifting", |slot, users, u| slot as u32 * (users / 50) + u);
+}
+
+#[test]
+fn unframed_ingest_allocations_do_not_grow_with_records_per_tenant() {
+    // a population that jumps three spans up and back every slot: no record
+    // lands in the frame, so every slot takes the keys' exact frame
+    assert_ingest_allocations_flat("jumping", |slot, users, u| {
+        (slot as u32 % 2) * (3 * users + 1_000) + u
+    });
 }
 
 /// Allocations of one warmed slot on a live timestamped lane: `records`
@@ -274,7 +297,7 @@ fn a_stream_lane_allocates_per_slot_never_per_record() {
 /// Allocations of the second `FleetEngine::checkpoint` of a warmed engine
 /// into a buffer the caller keeps.
 fn warmed_checkpoint_allocations(tenants: u32, users: u32) -> usize {
-    let mut engine = warmed_driver(tenants, users, 1).into_engine();
+    let mut engine = warmed_driver(tenants, users, |_, _, u| u).into_engine();
     let mut bytes = Vec::new();
     engine
         .checkpoint(&mut bytes)

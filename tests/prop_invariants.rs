@@ -494,13 +494,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The batch builder builds the slot that one `TimeSlot::assign` per
-    /// record builds, at its bitmap cut-over: on `n` keys whose relative
+    /// record builds, around its bitmap cut-over: on `n` keys whose relative
     /// span — `(group − gmin) << ubits | (user − umin)` up to the largest
-    /// key, `ubits` the bits of the user span — is 64·n − 1, 64·n (the
-    /// widest span the bitmap takes) or 64·n + 1 bits. `n` runs from 2 to
-    /// 1,024 across the radix sort's 64-key cut-over; the keys carry
-    /// duplicates, groups 0 and 255, users 0 and `u32::MAX`, and arrive
-    /// shuffled, sorted and reversed into one reused builder.
+    /// key, `ubits` the bits of the user span — is 64·n − 1, 64·n or
+    /// 64·n + 1 bits. One group from a word-aligned smallest id is exactly
+    /// the cut-over, an exact frame of at most one word per key; more
+    /// groups or an unaligned id straddle it. `n` runs from 2 to 1,024
+    /// across the radix sort's 64-key cut-over; the keys carry duplicates,
+    /// groups 0 and 255, users 0 and `u32::MAX`, and arrive shuffled,
+    /// sorted and reversed into one reused builder, each input past the
+    /// first against the frame the one before left.
     #[test]
     fn slot_builder_equals_per_record_assign_around_the_bitmap_cut_over(
         spread in (
