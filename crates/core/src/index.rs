@@ -99,18 +99,13 @@ impl Restore for IndexPolicy {
 /// Upper bound on how many ids two sorted, deduplicated runs with the given
 /// `(min, max)` ranges can share: the number of integers in the overlap of
 /// the ranges (zero when either run is empty — the `(u32::MAX, 0)` sentinel
-/// — or the ranges are disjoint).
+/// — or the ranges are disjoint). Branchless: an empty run on either side
+/// makes `low > high`, like disjoint ranges do, and in a 64-bit `usize`
+/// neither `high + 1` nor the saturating difference can wrap.
 pub(crate) fn range_overlap(a: (u32, u32), b: (u32, u32)) -> usize {
-    if a.0 > a.1 || b.0 > b.1 {
-        return 0;
-    }
-    let low = a.0.max(b.0);
-    let high = a.1.min(b.1);
-    if low > high {
-        0
-    } else {
-        (high - low) as usize + 1
-    }
+    let low = a.0.max(b.0) as usize;
+    let high = a.1.min(b.1) as usize;
+    (high + 1).saturating_sub(low)
 }
 
 /// Lower bound on one group's edit distance between runs of `ca` and `cb`
@@ -414,6 +409,64 @@ mod tests {
                 .min_indexed_slots,
             Some(7)
         );
+    }
+
+    /// The definitions the branchless kernels replaced, kept as the
+    /// reference the table below pins them to.
+    fn range_overlap_branchy(a: (u32, u32), b: (u32, u32)) -> usize {
+        if a.0 > a.1 || b.0 > b.1 {
+            return 0;
+        }
+        let (low, high) = (a.0.max(b.0), a.1.min(b.1));
+        if low > high {
+            0
+        } else {
+            (high - low) as usize + 1
+        }
+    }
+
+    fn group_bound_branchy(ca: usize, cb: usize, overlap: usize) -> usize {
+        let fewer = if ca < cb { ca } else { cb };
+        let shared = if overlap < fewer { overlap } else { fewer };
+        ca + cb - 2 * shared
+    }
+
+    #[test]
+    fn branchless_kernels_match_their_branchy_definitions() {
+        const EMPTY: (u32, u32) = (u32::MAX, 0);
+        const MAX: u32 = u32::MAX;
+        // (a, b, overlap): each pair is also checked in the other order
+        let table = [
+            (EMPTY, (5, 10), 0),
+            (EMPTY, (0, MAX), 0),
+            (EMPTY, (MAX, MAX), 0),
+            (EMPTY, (0, 0), 0),
+            (EMPTY, EMPTY, 0),
+            ((0, 10), (10, 20), 1),
+            ((0, 9), (10, 20), 0),
+            ((0, 100), (10, 20), 11),
+            ((7, 7), (7, 7), 1),
+            ((0, 5), (7, 9), 0),
+            ((10, MAX), (MAX - 5, MAX), 6),
+            ((MAX, MAX), (MAX, MAX), 1),
+            ((0, MAX - 1), (MAX, MAX), 0),
+            ((0, MAX), (MAX, MAX), 1),
+            ((0, MAX), (0, MAX), 1 << 32),
+        ];
+        for (a, b, overlap) in table {
+            for (a, b) in [(a, b), (b, a)] {
+                assert_eq!(range_overlap(a, b), overlap, "{a:?} against {b:?}");
+                assert_eq!(range_overlap_branchy(a, b), overlap, "{a:?} against {b:?}");
+                for (ca, cb) in [(0, 0), (0, 3), (3, 0), (4, 9), (9, 4), (12, 12)] {
+                    let bound = group_bound(ca, cb, overlap);
+                    assert_eq!(bound, group_bound_branchy(ca, cb, overlap));
+                    // a one-slot node's envelope is that slot's signature:
+                    // the tree's bound reads the same kernels
+                    let tree = SummaryTree::build(1, 0, &[cb], &[b]);
+                    assert_eq!(tree.node_bound(0, 0, &[ca], &[a]), bound, "{a:?} {b:?}");
+                }
+            }
+        }
     }
 
     /// Flat two-group signatures of `len` slots starting at global `first`;

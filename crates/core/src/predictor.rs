@@ -88,6 +88,26 @@ fn push_signature(
     });
 }
 
+/// Lower bound on the slot distance between the probe (its per-group
+/// counts and id ranges) and one slot (its cached `counts` and `ranges`),
+/// from the signatures alone — `O(groups)`, no user lists touched: the
+/// id-range bound of [`group_bound`], which dominates the count difference.
+fn signature_bound(
+    probe_counts: &[usize],
+    probe_ranges: &[(u32, u32)],
+    counts: &[usize],
+    ranges: &[(u32, u32)],
+) -> usize {
+    probe_counts
+        .iter()
+        .zip(probe_ranges)
+        .zip(counts.iter().zip(ranges))
+        .map(|((&ca, &probe_range), (&cb, &range))| {
+            group_bound(ca, cb, range_overlap(probe_range, range))
+        })
+        .sum()
+}
+
 /// The best candidate a nearest-slot scan has found so far.
 #[derive(Debug)]
 struct Incumbent {
@@ -112,22 +132,59 @@ impl Incumbent {
     fn refutes(&self, lower_bound: usize, position: usize) -> bool {
         lower_bound > self.distance || (lower_bound == self.distance && position > self.position)
     }
+
+    /// Evaluates `predictor`'s retained slot at `position`, whose lower
+    /// bound is `lower_bound`, against `current`, unless the bound already
+    /// shows it cannot replace the incumbent. The full distance runs
+    /// through the early-exit [`slot_distance_bounded`], capped at the
+    /// incumbent's distance for earlier candidates (where an equal distance
+    /// wins the tie) and one below it for later ones (where only a strictly
+    /// smaller distance helps) — so a distance that comes back at all
+    /// replaces the incumbent.
+    fn consider(
+        &mut self,
+        predictor: &WorkloadPredictor,
+        current: &TimeSlot,
+        position: usize,
+        lower_bound: usize,
+    ) {
+        if self.refutes(lower_bound, position) {
+            return;
+        }
+        let cap = if position < self.position {
+            self.distance
+        } else {
+            // not refuted, so lower_bound < distance and the cap cannot wrap
+            self.distance - 1
+        };
+        self.evaluated += 1;
+        let candidate = predictor.history.slot(position);
+        if let Some(distance) = slot_distance_bounded(current, candidate, &predictor.groups, cap) {
+            self.distance = distance;
+            self.position = position;
+        }
+    }
 }
 
 /// The state of one nearest-slot query; see
 /// [`WorkloadPredictor::nearest_position`]. Both regimes seed the
-/// incumbent and then walk the history chronologically: the serial one
-/// seeds from one slot and scans every other, the summary tree seeds from
-/// one block and walks the nodes around it.
+/// incumbent and then walk the history chronologically. The serial one
+/// bounds every slot into the query's buffer in one pass, which also picks
+/// the seed, and the walk reads the buffer; the summary tree seeds from one
+/// block and walks the nodes around it, bounding the slots of the blocks it
+/// enters.
 struct Search<'a> {
     predictor: &'a WorkloadPredictor,
     current: &'a TimeSlot,
     current_signature: &'a [usize],
     current_ranges: &'a [(u32, u32)],
+    /// Serial regime: every retained slot's signature bound, by position,
+    /// written by the seed pass and read by the walk. Empty under the tree.
+    bounds: &'a mut [usize],
     /// Global index of the first retained slot.
     first_index: usize,
-    /// The slot the flat seed considered; the scan does not reconsider it.
-    seed_slot: usize,
+    /// The position the flat seed considered; the walk does not reconsider it.
+    seed_position: usize,
     /// The block the seeding descent scanned; the walk does not rescan it.
     seed_block: usize,
     incumbent: Incumbent,
@@ -141,14 +198,16 @@ impl<'a> Search<'a> {
         current: &'a TimeSlot,
         current_signature: &'a [usize],
         current_ranges: &'a [(u32, u32)],
+        bounds: &'a mut [usize],
     ) -> Self {
         Self {
             predictor,
             current,
             current_signature,
             current_ranges,
+            bounds,
             first_index: predictor.history.first_index(),
-            seed_slot: usize::MAX,
+            seed_position: usize::MAX,
             seed_block: usize::MAX,
             incumbent: Incumbent::NONE,
             nodes_bounded: 0,
@@ -156,25 +215,38 @@ impl<'a> Search<'a> {
         }
     }
 
-    fn slot_bound(&self, position: usize) -> usize {
-        self.predictor
-            .signature_bound(self.current_signature, self.current_ranges, position)
-    }
-
-    /// Seeds the incumbent from the earliest retained slot of minimum
-    /// signature bound, bounding every slot once.
+    /// Bounds every retained slot into `bounds` in one pass over the flat
+    /// signature caches and seeds the incumbent from the earliest slot of
+    /// minimum bound.
     fn seed_flat(&mut self) {
-        let len = self.predictor.history.len();
+        let predictor = self.predictor;
+        let group_count = predictor.groups.len();
+        let slots = predictor
+            .signatures
+            .chunks_exact(group_count)
+            .zip(predictor.id_ranges.chunks_exact(group_count));
         let (mut seed, mut seed_bound) = (0, usize::MAX);
-        for position in 0..len {
-            let lower_bound = self.slot_bound(position);
-            if lower_bound < seed_bound {
-                (seed, seed_bound) = (position, lower_bound);
+        for (position, (bound, (counts, ranges))) in self.bounds.iter_mut().zip(slots).enumerate() {
+            *bound = signature_bound(self.current_signature, self.current_ranges, counts, ranges);
+            if *bound < seed_bound {
+                (seed, seed_bound) = (position, *bound);
             }
         }
-        self.slots_bounded += len as u64;
-        self.seed_slot = self.first_index + seed;
-        self.consider(seed, seed_bound);
+        self.slots_bounded += self.bounds.len() as u64;
+        self.seed_position = seed;
+        self.incumbent
+            .consider(predictor, self.current, seed, seed_bound);
+    }
+
+    /// Considers every retained slot but the seed chronologically, reading
+    /// the bounds [`Self::seed_flat`] wrote.
+    fn walk_flat(&mut self) {
+        for (position, &lower_bound) in self.bounds.iter().enumerate() {
+            if position != self.seed_position {
+                self.incumbent
+                    .consider(self.predictor, self.current, position, lower_bound);
+            }
+        }
     }
 
     /// Seeds the incumbent from one block: from the top level, follows the
@@ -196,22 +268,19 @@ impl<'a> Search<'a> {
         tree.node_bound(level, node, self.current_signature, self.current_ranges)
     }
 
-    /// Scans the slots of one block (global indices), bounding each.
+    /// Considers the slots of one block (global indices) chronologically,
+    /// bounding each.
     fn scan_block(&mut self, slots: Range<usize>) {
         self.slots_bounded += slots.len() as u64;
-        self.scan_slots(slots);
-    }
-
-    /// Considers the slots at the given global indices chronologically,
-    /// skipping the seed slot.
-    fn scan_slots(&mut self, slots: Range<usize>) {
         for global in slots {
-            if global == self.seed_slot {
-                continue;
-            }
             let position = global - self.first_index;
-            let lower_bound = self.slot_bound(position);
-            self.consider(position, lower_bound);
+            let lower_bound = self.predictor.signature_bound(
+                self.current_signature,
+                self.current_ranges,
+                position,
+            );
+            self.incumbent
+                .consider(self.predictor, self.current, position, lower_bound);
         }
     }
 
@@ -232,36 +301,6 @@ impl<'a> Search<'a> {
                 0 => self.scan_block(children),
                 _ => self.walk(tree, level - 1, children),
             }
-        }
-    }
-
-    /// Evaluates the candidate at `position`, whose lower bound is
-    /// `lower_bound`, unless the bound already shows it cannot replace the
-    /// incumbent. The full distance runs through the early-exit
-    /// [`slot_distance_bounded`], capped at the incumbent's distance for
-    /// earlier candidates (where an equal distance wins the tie) and one
-    /// below it for later ones (where only a strictly smaller distance
-    /// helps) — so a distance that comes back at all replaces the
-    /// incumbent.
-    fn consider(&mut self, position: usize, lower_bound: usize) {
-        let incumbent = &mut self.incumbent;
-        if incumbent.refutes(lower_bound, position) {
-            return;
-        }
-        let cap = if position < incumbent.position {
-            incumbent.distance
-        } else {
-            // not refuted, so lower_bound < distance and the cap cannot wrap
-            incumbent.distance - 1
-        };
-        incumbent.evaluated += 1;
-        let predictor = self.predictor;
-        let candidate = predictor.history.slot(position);
-        if let Some(distance) =
-            slot_distance_bounded(self.current, candidate, &predictor.groups, cap)
-        {
-            incumbent.distance = distance;
-            incumbent.position = position;
         }
     }
 
@@ -328,7 +367,11 @@ pub struct PredictorStats {
     /// Summary-tree nodes whose envelope bound was computed
     /// ([`SummaryTree::node_bound`]); the name predates the tree.
     rings_walked: AtomicU64,
-    /// Candidates whose signature lower bound was computed.
+    /// Candidates whose signature lower bound was computed. A serial query
+    /// bounds each retained slot exactly once, in work as well as in this
+    /// counter: one pass writes every bound into the query's buffer and the
+    /// walk reads it back. A tree query bounds the slots of the blocks it
+    /// scans.
     candidates_bounded: AtomicU64,
     /// Candidates that survived the bounds and had a full (early-exit)
     /// distance evaluation.
@@ -714,25 +757,21 @@ impl WorkloadPredictor {
     }
 
     /// Lower bound on the slot distance between the probe (described by its
-    /// per-group counts and id ranges) and the retained slot at `position`,
-    /// computed from the cached signatures alone — `O(groups)`, no user
-    /// lists touched: the id-range bound of [`group_bound`], which dominates
-    /// the count difference.
+    /// per-group counts and id ranges) and the retained slot at `position`:
+    /// the free [`signature_bound`] over that slot's cached signatures.
     fn signature_bound(
         &self,
         probe_counts: &[usize],
         probe_ranges: &[(u32, u32)],
         position: usize,
     ) -> usize {
-        let group_count = self.groups.len();
-        let counts = &self.signatures[position * group_count..(position + 1) * group_count];
-        let ranges = &self.id_ranges[position * group_count..(position + 1) * group_count];
-        let mut bound = 0usize;
-        for g in 0..group_count {
-            let overlap = range_overlap(probe_ranges[g], ranges[g]);
-            bound += group_bound(probe_counts[g], counts[g], overlap);
-        }
-        bound
+        let entries = position * self.groups.len()..(position + 1) * self.groups.len();
+        signature_bound(
+            probe_counts,
+            probe_ranges,
+            &self.signatures[entries.clone()],
+            &self.id_ranges[entries],
+        )
     }
 
     /// Slot distance `Δ` between two slots over the predictor's groups.
@@ -744,26 +783,28 @@ impl WorkloadPredictor {
     /// Ties resolve to the earliest slot, exactly like the naive linear scan.
     ///
     /// Both regimes **seed, then walk**. The seed is a candidate of
-    /// minimum lower bound: without a summary tree, one pass computes the
-    /// signature bound of every retained slot (`O(groups)` each) and takes
-    /// the earliest minimum; a kept summary tree follows the child with the
-    /// (first) minimum envelope bound from its top level down to one block
-    /// and scans that block. A seed whose distance is zero ends the serial
-    /// search at once: every earlier slot had a bound above zero, and a
-    /// later tie loses. Otherwise the search walks the history in
-    /// chronological order — every other slot, recomputing its bound, or
-    /// every other tree node, skipping one whose envelope bound shows that
-    /// no slot below it can replace the incumbent (the same bound-and-tie
-    /// rule single candidates are refuted by, applied to the node's first
-    /// slot). A candidate that survives its bound is evaluated with the
-    /// early-exit [`slot_distance_bounded`], capped at the best distance
-    /// (for candidates earlier than the incumbent, where an equal distance
-    /// wins the tie) or one below it (for later candidates, where only a
-    /// strictly smaller distance helps). A node bound never exceeds a
-    /// member's signature bound, which never exceeds its distance, so only
+    /// minimum lower bound. Without a summary tree, one pass bounds every
+    /// retained slot into the query's buffer (`O(groups)` each, straight off
+    /// the flat signature caches) and picks the earliest minimum as the
+    /// seed; the walk reads the buffer and never bounds a slot again. A kept
+    /// summary tree follows the child with the (first) minimum envelope
+    /// bound from its top level down to one block and scans that block. A
+    /// seed whose distance is zero ends the serial search at once: every
+    /// earlier slot had a bound above zero, and a later tie loses. Otherwise
+    /// the search walks the history in chronological order — every other
+    /// slot, or every other tree node, skipping one whose envelope bound
+    /// shows that no slot below it can replace the incumbent (the same
+    /// bound-and-tie rule single candidates are refuted by, applied to the
+    /// node's first slot). A candidate that survives its bound is evaluated
+    /// with the early-exit [`slot_distance_bounded`], capped at the best
+    /// distance (for candidates earlier than the incumbent, where an equal
+    /// distance wins the tie) or one below it (for later candidates, where
+    /// only a strictly smaller distance helps). A node bound never exceeds
+    /// a member's signature bound, which never exceeds its distance, so only
     /// losers are skipped and both regimes are bit-identical to
     /// [`Self::predict_naive`]. Nothing is allocated per query beyond the
-    /// probe's signature.
+    /// probe's signature: its counts and, in the serial regime, the bounds
+    /// share one buffer.
     fn nearest_position(&self, current: &TimeSlot) -> Option<usize> {
         if self.history.is_empty() {
             return None;
@@ -773,14 +814,24 @@ impl WorkloadPredictor {
             // earliest slot wins the tie
             return Some(0);
         }
-        let current_signature: Vec<usize> =
-            self.groups.iter().map(|g| current.load_of(*g)).collect();
+        // one allocation: the probe's counts, then (serial regime only)
+        // every retained slot's bound
+        let group_count = self.groups.len();
+        let bounded = if self.summaries.is_some() {
+            0
+        } else {
+            self.history.len()
+        };
+        let mut buffer = Vec::with_capacity(group_count + bounded);
+        buffer.extend(self.groups.iter().map(|g| current.load_of(*g)));
+        buffer.resize(group_count + bounded, 0);
+        let (current_signature, bounds) = buffer.split_at_mut(group_count);
         let current_ranges: Vec<(u32, u32)> = self
             .groups
             .iter()
             .map(|g| id_range(current.users_in(*g)))
             .collect();
-        let mut search = Search::new(self, current, &current_signature, &current_ranges);
+        let mut search = Search::new(self, current, current_signature, &current_ranges, bounds);
         match &self.summaries {
             Some(tree) => {
                 debug_assert_eq!(tree.first_index(), self.history.first_index());
@@ -791,8 +842,7 @@ impl WorkloadPredictor {
             None => {
                 search.seed_flat();
                 if search.incumbent.distance > 0 {
-                    let first = self.history.first_index();
-                    search.scan_slots(first..first + self.history.len());
+                    search.walk_flat();
                 }
             }
         }
@@ -903,16 +953,15 @@ impl WorkloadPredictor {
             PredictionStrategy::LastValue => Ok(self.forecast_from_current(current)),
             PredictionStrategy::MeanOfHistory => self.forecast_from_mean(),
             PredictionStrategy::NearestSlot | PredictionStrategy::SuccessorOfNearest => {
-                if self.history.is_empty() {
-                    return Err(CoreError::EmptyHistory);
-                }
-                let (nearest, _) = self
+                let Some((nearest, _)) = self
                     .history
                     .iter()
                     .map(|s| slot_distance_naive(current, s, &self.groups))
                     .enumerate()
                     .min_by_key(|(_, d)| *d)
-                    .expect("history is non-empty");
+                else {
+                    return Err(CoreError::EmptyHistory);
+                };
                 Ok(self.forecast_from_position(nearest))
             }
         }
@@ -1290,7 +1339,8 @@ mod tests {
         let stats = p.stats();
         assert_eq!(stats.candidates_bounded, 40);
         assert_eq!(stats.candidates_evaluated, 1);
-        // no exact match: the walk runs, and still bounds each slot once
+        // no exact match: the walk runs over the bounds the seed pass
+        // wrote, so each slot is still bounded once
         p.predict(&slot(12, 2, 5)).unwrap();
         let stats = p.stats();
         assert_eq!((stats.queries, stats.candidates_bounded), (2, 80));
@@ -1567,6 +1617,110 @@ mod tests {
                     );
                 }
                 proptest::prop_assert_eq!(covered, first + len);
+            }
+        }
+    }
+
+    /// The serial scan as it ran before each query kept its bounds: one
+    /// pass seeds on the earliest least signature bound, then, unless the
+    /// seed is exact, a second pass walks every other slot chronologically
+    /// and bounds it again. The refute, cap and tie rules are spelled out
+    /// here rather than shared. Returns the matched position and the
+    /// distances evaluated.
+    fn two_pass_scan(p: &WorkloadPredictor, current: &TimeSlot) -> (usize, u64) {
+        let counts: Vec<usize> = p.groups.iter().map(|g| current.load_of(*g)).collect();
+        let ranges: Vec<(u32, u32)> = p
+            .groups
+            .iter()
+            .map(|g| id_range(current.users_in(*g)))
+            .collect();
+        let bound = |position| p.signature_bound(&counts, &ranges, position);
+        // (distance, position, evaluated) of the incumbent
+        let consider = |best: &mut (usize, usize, u64), position: usize, lower_bound: usize| {
+            let (distance, at, evaluated) = best;
+            if lower_bound > *distance || (lower_bound == *distance && position > *at) {
+                return;
+            }
+            let cap = if position < *at {
+                *distance
+            } else {
+                *distance - 1
+            };
+            *evaluated += 1;
+            let candidate = p.history.slot(position);
+            if let Some(found) = slot_distance_bounded(current, candidate, &p.groups, cap) {
+                (*distance, *at) = (found, position);
+            }
+        };
+        let len = p.history.len();
+        let (seed, seed_bound) = (0..len)
+            .map(|position| (position, bound(position)))
+            .min_by_key(|&(_, lower_bound)| lower_bound)
+            .expect("a non-empty history");
+        let mut best = (usize::MAX, usize::MAX, 0);
+        consider(&mut best, seed, seed_bound);
+        if best.0 > 0 {
+            for position in (0..len).filter(|&position| position != seed) {
+                consider(&mut best, position, bound(position));
+            }
+        }
+        (best.1, best.2)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The serial scan bounds each retained slot once and matches, query
+        /// by query, the slot and the evaluation count of the two-pass scan
+        /// that bounded every slot twice. Each step is probed before it is
+        /// observed. Slots come from few counts and spacings, so many share
+        /// a bound; the ids of slot `i` start at `i * drift` (a stationary
+        /// population at zero); the window evicts, and the predictor is
+        /// checkpointed and restored midway.
+        #[test]
+        fn serial_scan_matches_the_two_pass_reference(
+            steps in proptest::collection::vec((0u32..5, 0u32..5, 0u32..3), 1..120),
+            drift in proptest::sample::select(vec![0u32, 1, 7]),
+            window in proptest::sample::select(vec![None, Some(1usize), Some(16), Some(50)]),
+        ) {
+            let slot_of = |index: usize, &(n1, n2, spacing): &(u32, u32, u32)| {
+                let start = index as u32 * drift;
+                let run = move |group: u8, count: u32| {
+                    (0..count * 3).map(move |k| {
+                        let user = UserId(u32::from(group) * 100_000 + start + k * (1 + spacing));
+                        (AccelerationGroupId(group), user)
+                    })
+                };
+                TimeSlot::from_assignments(0, run(1, n1).chain(run(2, n2)).chain(run(3, n1 % 2)))
+            };
+            let mut p = WorkloadPredictor::new(GROUPS.to_vec(), 3_600_000.0);
+            p.set_window(window);
+            for (index, step) in steps.iter().enumerate() {
+                let probe = slot_of(index, step);
+                if !p.history().is_empty() {
+                    let before = p.stats();
+                    let forecast = p.predict(&probe).unwrap();
+                    let after = p.stats();
+                    let (position, evaluated) = two_pass_scan(&p, &probe);
+                    let first = p.history().first_index();
+                    proptest::prop_assert_eq!(forecast.matched_slot, Some(first + position));
+                    proptest::prop_assert_eq!(
+                        after.candidates_evaluated - before.candidates_evaluated,
+                        evaluated
+                    );
+                    proptest::prop_assert_eq!(
+                        after.candidates_bounded - before.candidates_bounded,
+                        p.history().len() as u64
+                    );
+                }
+                p.observe_slot(probe);
+                if index == steps.len() / 2 {
+                    let mut bytes = Vec::new();
+                    p.encode(&mut bytes);
+                    let restored = WorkloadPredictor::decode(&mut Cursor::new(&bytes)).unwrap();
+                    proptest::prop_assert_eq!(&restored, &p);
+                    p = restored;
+                }
             }
         }
     }

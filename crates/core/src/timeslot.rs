@@ -965,13 +965,15 @@ impl<'a> HistoryColumns<'a> {
 fn decode_gaps(wire: &[u8], len: usize, users: &mut Vec<UserId>) -> Result<usize, SnapshotError> {
     let width = wire.first().map_or(0, |&width| usize::from(width));
     let taken = 5 + (len - 1) * width;
-    let Some(run) = wire.get(1..taken) else {
+    let Some((first, gaps)) = wire
+        .get(1..taken)
+        .and_then(|run| run.split_first_chunk::<4>())
+    else {
         return Err(SnapshotError::Malformed {
             context: "group run past the users",
         });
     };
-    let (first, gaps) = run.split_at(4);
-    let first = u32::from_le_bytes(first.try_into().expect("split at four"));
+    let first = u32::from_le_bytes(*first);
     match width {
         1 => extend_gaps::<1>(first, gaps, users)?,
         2 => extend_gaps::<2>(first, gaps, users)?,
