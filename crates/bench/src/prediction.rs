@@ -134,6 +134,11 @@ pub struct IndexScanPoint {
     pub indexed_p50_ms: f64,
     /// 99th-percentile wall-clock time of one tree prediction, ms.
     pub indexed_p99_ms: f64,
+    /// Full distance evaluations per tree prediction (a count: it repeats
+    /// exactly on any machine).
+    pub tree_evaluated_per_query: f64,
+    /// Summary-tree nodes bounded per tree prediction (a count).
+    pub tree_nodes_per_query: f64,
     /// Whether the serial and tree paths (and the naive scan, where
     /// checked) returned the bit-identical forecast on every checked probe.
     pub forecasts_identical: bool,
@@ -217,6 +222,9 @@ impl IndexScanReport {
                             w.key("pruned_p50_ms").f64(p.pruned_p50_ms, 4);
                             w.key("indexed_p50_ms").f64(p.indexed_p50_ms, 4);
                             w.key("indexed_p99_ms").f64(p.indexed_p99_ms, 4);
+                            w.key("tree_evaluated_per_query")
+                                .f64(p.tree_evaluated_per_query, 2);
+                            w.key("tree_nodes_per_query").f64(p.tree_nodes_per_query, 1);
                             w.key("speedup").f64(p.speedup(), 2);
                             w.key("forecasts_identical").bool(p.forecasts_identical);
                         });
@@ -274,12 +282,15 @@ fn measure_point(
     let mut forecasts = Vec::with_capacity(probes.len());
     let mut indexed_ms = Vec::with_capacity(probes.len());
     predictor.predict(&probes[0]).expect("non-empty history"); // warm-up
+    let before = predictor.stats();
     for probe in &probes {
         let start = Instant::now();
         let forecast = predictor.predict(std::hint::black_box(probe));
         indexed_ms.push(start.elapsed().as_secs_f64() * 1_000.0);
         forecasts.push(forecast.expect("non-empty history"));
     }
+    let after = predictor.stats();
+    let per_query = |total: u64| total as f64 / probes.len() as f64;
 
     let stride = (probes.len() / workload.checked_probes.max(1)).max(1);
     let checked = || (0..probes.len()).step_by(stride);
@@ -309,6 +320,10 @@ fn measure_point(
         pruned_p50_ms: percentile(&pruned_ms, 0.5),
         indexed_p50_ms: percentile(&indexed_ms, 0.5),
         indexed_p99_ms: percentile(&indexed_ms, 0.99),
+        tree_evaluated_per_query: per_query(
+            after.candidates_evaluated - before.candidates_evaluated,
+        ),
+        tree_nodes_per_query: per_query(after.rings_walked - before.rings_walked),
         forecasts_identical,
     }
 }
@@ -371,24 +386,28 @@ pub fn print_index(report: &IndexScanReport) {
         report.workload.groups, report.workload.users_per_group, report.workload.probes,
     );
     println!(
-        "  {:<14} {:<11} {:>14} {:>14} {:>14} {:>10} {:>10}",
+        "  {:<14} {:<11} {:>14} {:>14} {:>14} {:>10} {:>10} {:>10} {:>10}",
         "history slots",
         "population",
         "pruned p50 ms",
         "tree p50 ms",
         "tree p99 ms",
         "speedup",
+        "eval/query",
+        "node/query",
         "identical"
     );
     for p in &report.points {
         println!(
-            "  {:<14} {:<11} {:>14.3} {:>14.4} {:>14.4} {:>9.1}x {:>10}",
+            "  {:<14} {:<11} {:>14.3} {:>14.4} {:>14.4} {:>9.1}x {:>10.2} {:>10.1} {:>10}",
             p.slots,
             p.population(),
             p.pruned_p50_ms,
             p.indexed_p50_ms,
             p.indexed_p99_ms,
             p.speedup(),
+            p.tree_evaluated_per_query,
+            p.tree_nodes_per_query,
             p.forecasts_identical,
         );
     }
@@ -425,6 +444,11 @@ mod tests {
             .points
             .iter()
             .all(|p| p.indexed_p50_ms > 0.0 && p.indexed_p99_ms >= p.indexed_p50_ms));
+        // every tree query evaluates its seed and bounds a node at least
+        assert!(report
+            .points
+            .iter()
+            .all(|p| p.tree_evaluated_per_query >= 1.0 && p.tree_nodes_per_query >= 1.0));
         assert_eq!(
             report.points.iter().map(|p| p.slots).collect::<Vec<_>>(),
             [60, 120, 90]

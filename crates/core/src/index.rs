@@ -24,6 +24,12 @@
 //! unconstrained minimum). A node whose bound cannot beat the incumbent
 //! therefore refutes every slot below it.
 //!
+//! The envelope's id range also says *where* in the id space a stretch of
+//! history sits. Among the nodes that tie at the least bound, the query
+//! descends into the one whose range lines up best with the probe's
+//! (`range_misalignment`). That choice only orders the search; it never
+//! refutes a node.
+//!
 //! Envelopes are minima and maxima, so appending a slot touches one node per
 //! level — `O(groups × depth)` — and a window eviction drops whole nodes and
 //! refolds only the partial first node of each level from its survivors.
@@ -119,8 +125,16 @@ pub(crate) fn group_bound(ca: usize, cb: usize, overlap: usize) -> usize {
     ca + cb - 2 * shared
 }
 
+/// How far apart two `(min, max)` id ranges sit: the distance between
+/// their minima plus the distance between their maxima. Unlike
+/// [`range_overlap`] it bounds nothing; it only orders candidates of equal
+/// bound by how closely their ranges line up with the probe's.
+pub(crate) fn range_misalignment(a: (u32, u32), b: (u32, u32)) -> u64 {
+    u64::from(a.0.abs_diff(b.0)) + u64::from(a.1.abs_diff(b.1))
+}
+
 /// Slots per block and children per inner node.
-const FANOUT: usize = 64;
+pub(crate) const FANOUT: usize = 64;
 const FANOUT_BITS: u32 = FANOUT.trailing_zeros();
 
 /// Global-index shift from a slot to its node at `level`.
@@ -362,6 +376,12 @@ impl SummaryTree {
         (node << shift(level)).max(self.first_index)
     }
 
+    /// The node of `level` that `block` lies below (`block` itself at
+    /// level 0).
+    pub(crate) fn ancestor(level: usize, block: usize) -> usize {
+        block >> (FANOUT_BITS * level as u32)
+    }
+
     /// Lower bound on the slot distance between the probe (described by
     /// its per-group counts and id ranges) and *every* slot below `node` of
     /// `level`: never above any member's own signature bound.
@@ -384,6 +404,25 @@ impl SummaryTree {
                     .max(envelope.min_count)
                     .min(envelope.max_count);
                 group_bound(ca, cb, overlap)
+            })
+            .sum()
+    }
+
+    /// [`range_misalignment`] between the probe's id ranges and the
+    /// envelope of `node` of `level`, summed over the groups.
+    pub(crate) fn node_misalignment(
+        &self,
+        level: usize,
+        node: usize,
+        probe_ranges: &[(u32, u32)],
+    ) -> u64 {
+        let here = &self.levels[level];
+        let at = (node - here.first_node) * self.group_count;
+        here.envelopes[at..at + self.group_count]
+            .iter()
+            .zip(probe_ranges)
+            .map(|(envelope, &probe_range)| {
+                range_misalignment(probe_range, (envelope.min_id, envelope.max_id))
             })
             .sum()
     }

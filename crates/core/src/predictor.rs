@@ -39,7 +39,9 @@
 
 use crate::distance::{slot_distance, slot_distance_bounded, slot_distance_naive};
 use crate::error::CoreError;
-use crate::index::{group_bound, range_overlap, IndexPolicy, SummaryTree};
+use crate::index::{
+    group_bound, range_misalignment, range_overlap, IndexPolicy, SummaryTree, FANOUT,
+};
 use crate::timeslot::{HistoryColumns, SlotHistory, TimeSlot};
 use mca_offload::AccelerationGroupId;
 use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
@@ -168,22 +170,28 @@ impl Incumbent {
 
 /// The state of one nearest-slot query; see
 /// [`WorkloadPredictor::nearest_position`]. Both regimes seed the
-/// incumbent and then walk the history chronologically. The serial one
-/// bounds every slot into the query's buffer in one pass, which also picks
-/// the seed, and the walk reads the buffer; the summary tree seeds from one
-/// block and walks the nodes around it, bounding the slots of the blocks it
-/// enters.
+/// incumbent and then walk the history chronologically, and both bound
+/// each candidate at most once: the query's buffer keeps every bound the
+/// seed computed for the walk to read. The serial regime bounds every slot
+/// in one pass, which also picks the seed. The summary tree descends to
+/// the block where the answer most likely is, scans it from its
+/// best-aligned slot, and walks the nodes around it, bounding the nodes
+/// the descent did not and the slots of the blocks it enters.
 struct Search<'a> {
     predictor: &'a WorkloadPredictor,
     current: &'a TimeSlot,
     current_signature: &'a [usize],
     current_ranges: &'a [(u32, u32)],
     /// Serial regime: every retained slot's signature bound, by position,
-    /// written by the seed pass and read by the walk. Empty under the tree.
+    /// written by the seed pass and read by the walk. Tree regime: one
+    /// [`FANOUT`] segment per level from the top down — the top level's
+    /// node bounds, then those of each descent node's children — and a last
+    /// one for the slot bounds of the seed block.
     bounds: &'a mut [usize],
     /// Global index of the first retained slot.
     first_index: usize,
-    /// The position the flat seed considered; the walk does not reconsider it.
+    /// Serial regime: the position the seed considered; the walk does not
+    /// reconsider it.
     seed_position: usize,
     /// The block the seeding descent scanned; the walk does not rescan it.
     seed_block: usize,
@@ -249,18 +257,92 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// Seeds the incumbent from one block: from the top level, follows the
-    /// child with the (first) minimum envelope bound down and scans it.
+    /// Where the tree regime's buffer keeps the bounds of the nodes of
+    /// `level` the descent bounded.
+    fn segment(tree: &SummaryTree, level: usize) -> usize {
+        (tree.depth() - 1 - level) * FANOUT
+    }
+
+    /// Seeds the incumbent from one block. From the top level down, bounds
+    /// every child of the node chosen one level up (every top-level node
+    /// first) into the buffer and follows the child of least
+    /// `(envelope bound, misalignment)`: among the many nodes a drifting
+    /// population ties at one bound, the one whose id envelope lines up
+    /// with the probe's ranges is where the answer lies. The block reached
+    /// is scanned by [`Self::scan_seed_block`].
     fn seed_descent(&mut self, tree: &SummaryTree) {
         let top = tree.depth() - 1;
         let mut children = tree.nodes(top);
+        let mut seed_block = usize::MAX;
         for level in (0..=top).rev() {
-            self.seed_block = children
-                .min_by_key(|&node| self.node_bound(tree, level, node))
-                .expect("a kept tree covers at least one slot");
-            children = tree.children(level, self.seed_block);
+            let segment = Self::segment(tree, level);
+            let mut least = (usize::MAX, u64::MAX);
+            let mut chosen = None;
+            for (offset, node) in children.clone().enumerate() {
+                let bound = self.node_bound(tree, level, node);
+                self.bounds[segment + offset] = bound;
+                // the misalignment is read only where the bound can win
+                if bound <= least.0 {
+                    let key = (
+                        bound,
+                        tree.node_misalignment(level, node, self.current_ranges),
+                    );
+                    if key < least {
+                        (least, chosen) = (key, Some(node));
+                    }
+                }
+            }
+            // a kept tree covers at least one slot and every stored node
+            // covers one, so a node is always chosen; were none, the walk
+            // alone would answer: it reads only the top level's bounds,
+            // written above, and bounds every other node it meets
+            let Some(node) = chosen else {
+                return;
+            };
+            seed_block = node;
+            children = tree.children(level, node);
         }
-        self.scan_block(children);
+        self.seed_block = seed_block;
+        self.scan_seed_block(tree, children);
+    }
+
+    /// Bounds the slots of the seed block (global indices) into the last
+    /// segment of the buffer, considers the slot of least `(signature
+    /// bound, misalignment)` first and then every other slot of the block
+    /// chronologically. Misalignment only orders the candidates and never
+    /// refutes one, so the incumbent's rules still return the earliest
+    /// nearest slot.
+    fn scan_seed_block(&mut self, tree: &SummaryTree, slots: Range<usize>) {
+        let predictor = self.predictor;
+        let segment = tree.depth() * FANOUT;
+        let positions = slots.start - self.first_index..slots.end - self.first_index;
+        let mut least = (usize::MAX, u64::MAX);
+        let mut seed = None;
+        for (offset, position) in positions.clone().enumerate() {
+            let bound =
+                predictor.signature_bound(self.current_signature, self.current_ranges, position);
+            self.bounds[segment + offset] = bound;
+            if bound <= least.0 {
+                let key = (bound, predictor.misalignment(self.current_ranges, position));
+                if key < least {
+                    (least, seed) = (key, Some(position));
+                }
+            }
+        }
+        self.slots_bounded += positions.len() as u64;
+        // every block holds a slot; without one there is nothing to scan
+        let Some(seed) = seed else {
+            return;
+        };
+        self.incumbent
+            .consider(predictor, self.current, seed, least.0);
+        for (offset, position) in positions.enumerate() {
+            if position != seed {
+                let lower_bound = self.bounds[segment + offset];
+                self.incumbent
+                    .consider(predictor, self.current, position, lower_bound);
+            }
+        }
     }
 
     fn node_bound(&mut self, tree: &SummaryTree, level: usize, node: usize) -> usize {
@@ -285,13 +367,21 @@ impl<'a> Search<'a> {
     }
 
     /// Walks `nodes` of `level` chronologically, descending into those the
-    /// incumbent does not refute.
-    fn walk(&mut self, tree: &SummaryTree, level: usize, nodes: Range<usize>) {
-        for node in nodes {
+    /// incumbent does not refute. `stored` says whether the descent bounded
+    /// these nodes — the top level, or the children of a descent node — in
+    /// which case their bounds are read from the buffer, not computed again.
+    fn walk(&mut self, tree: &SummaryTree, level: usize, nodes: Range<usize>, stored: bool) {
+        let segment = Self::segment(tree, level);
+        let on_path = SummaryTree::ancestor(level, self.seed_block);
+        for (offset, node) in nodes.enumerate() {
             if level == 0 && node == self.seed_block {
                 continue;
             }
-            let lower_bound = self.node_bound(tree, level, node);
+            let lower_bound = if stored {
+                self.bounds[segment + offset]
+            } else {
+                self.node_bound(tree, level, node)
+            };
             let first_position = tree.first_slot(level, node) - self.first_index;
             if self.incumbent.refutes(lower_bound, first_position) {
                 continue;
@@ -299,7 +389,7 @@ impl<'a> Search<'a> {
             let children = tree.children(level, node);
             match level {
                 0 => self.scan_block(children),
-                _ => self.walk(tree, level - 1, children),
+                _ => self.walk(tree, level - 1, children, stored && node == on_path),
             }
         }
     }
@@ -365,7 +455,10 @@ pub struct PredictorStats {
     /// shortcut, never evaluating a distance.
     fast_predictions: AtomicU64,
     /// Summary-tree nodes whose envelope bound was computed
-    /// ([`SummaryTree::node_bound`]); the name predates the tree.
+    /// ([`SummaryTree::node_bound`]); the name predates the tree. A query
+    /// bounds each node at most once: the walk reads the bounds the seeding
+    /// descent computed, so a query never counts more nodes than the tree
+    /// holds.
     rings_walked: AtomicU64,
     /// Candidates whose signature lower bound was computed. A serial query
     /// bounds each retained slot exactly once, in work as well as in this
@@ -435,7 +528,7 @@ pub struct PredictorStatsSnapshot {
     pub queries: u64,
     /// Fast-path `observe_and_predict` resolutions.
     pub fast_predictions: u64,
-    /// Summary-tree nodes bounded.
+    /// Summary-tree nodes bounded (each at most once per query).
     pub rings_walked: u64,
     /// Candidates with a lower bound computed.
     pub candidates_bounded: u64,
@@ -774,6 +867,17 @@ impl WorkloadPredictor {
         )
     }
 
+    /// [`range_misalignment`] between the probe's id ranges and those of the
+    /// retained slot at `position`, summed over the groups.
+    fn misalignment(&self, probe_ranges: &[(u32, u32)], position: usize) -> u64 {
+        let group_count = self.groups.len();
+        self.id_ranges[position * group_count..(position + 1) * group_count]
+            .iter()
+            .zip(probe_ranges)
+            .map(|(&range, &probe_range)| range_misalignment(probe_range, range))
+            .sum()
+    }
+
     /// Slot distance `Δ` between two slots over the predictor's groups.
     pub fn distance_between(&self, a: &TimeSlot, b: &TimeSlot) -> usize {
         slot_distance(a, b, &self.groups)
@@ -782,29 +886,36 @@ impl WorkloadPredictor {
     /// Position (within the retained slots) of the nearest historical slot.
     /// Ties resolve to the earliest slot, exactly like the naive linear scan.
     ///
-    /// Both regimes **seed, then walk**. The seed is a candidate of
-    /// minimum lower bound. Without a summary tree, one pass bounds every
+    /// Both regimes **seed, then walk**, and both compute each bound at
+    /// most once per query. Without a summary tree, one pass bounds every
     /// retained slot into the query's buffer (`O(groups)` each, straight off
-    /// the flat signature caches) and picks the earliest minimum as the
-    /// seed; the walk reads the buffer and never bounds a slot again. A kept
-    /// summary tree follows the child with the (first) minimum envelope
-    /// bound from its top level down to one block and scans that block. A
-    /// seed whose distance is zero ends the serial search at once: every
-    /// earlier slot had a bound above zero, and a later tie loses. Otherwise
-    /// the search walks the history in chronological order — every other
-    /// slot, or every other tree node, skipping one whose envelope bound
-    /// shows that no slot below it can replace the incumbent (the same
-    /// bound-and-tie rule single candidates are refuted by, applied to the
-    /// node's first slot). A candidate that survives its bound is evaluated
+    /// the flat signature caches) and seeds on the earliest minimum; the
+    /// walk reads the buffer and never bounds a slot again. A kept summary
+    /// tree descends from its top level to one block, bounding the children
+    /// of each node it passes into the buffer and following the child of
+    /// least `(envelope bound, misalignment)`: in a drifting population many
+    /// nodes tie at the least bound, and the misalignment (how far the
+    /// envelope's per-group id range sits from the probe's) points at the
+    /// one the answer lies in. Inside that block the slot of least
+    /// `(signature bound, misalignment)` is considered first, then the
+    /// block's other slots chronologically. A seed whose distance is zero
+    /// ends the serial search at once: every earlier slot had a bound above
+    /// zero, and a later tie loses. Otherwise the search walks the history
+    /// in chronological order — every other slot, or every other tree node,
+    /// skipping one whose bound shows that no slot below it can replace the
+    /// incumbent (the same bound-and-tie rule single candidates are refuted
+    /// by, applied to the node's first slot). The tree's walk reads the
+    /// bounds the descent left in the buffer and bounds only the nodes the
+    /// descent did not. A candidate that survives its bound is evaluated
     /// with the early-exit [`slot_distance_bounded`], capped at the best
     /// distance (for candidates earlier than the incumbent, where an equal
     /// distance wins the tie) or one below it (for later candidates, where
     /// only a strictly smaller distance helps). A node bound never exceeds
-    /// a member's signature bound, which never exceeds its distance, so only
-    /// losers are skipped and both regimes are bit-identical to
+    /// a member's signature bound, which never exceeds its distance, and the
+    /// misalignment only orders candidates, never refutes one; so only
+    /// losers are skipped, and both regimes are bit-identical to
     /// [`Self::predict_naive`]. Nothing is allocated per query beyond the
-    /// probe's signature: its counts and, in the serial regime, the bounds
-    /// share one buffer.
+    /// probe's signature: its counts and the bounds share one buffer.
     fn nearest_position(&self, current: &TimeSlot) -> Option<usize> {
         if self.history.is_empty() {
             return None;
@@ -814,13 +925,13 @@ impl WorkloadPredictor {
             // earliest slot wins the tie
             return Some(0);
         }
-        // one allocation: the probe's counts, then (serial regime only)
-        // every retained slot's bound
+        // one allocation: the probe's counts, then every retained slot's
+        // bound (serial regime) or the bounds the descent leaves the walk
+        // (tree regime)
         let group_count = self.groups.len();
-        let bounded = if self.summaries.is_some() {
-            0
-        } else {
-            self.history.len()
+        let bounded = match &self.summaries {
+            Some(tree) => (tree.depth() + 1) * FANOUT,
+            None => self.history.len(),
         };
         let mut buffer = Vec::with_capacity(group_count + bounded);
         buffer.extend(self.groups.iter().map(|g| current.load_of(*g)));
@@ -837,7 +948,7 @@ impl WorkloadPredictor {
                 debug_assert_eq!(tree.first_index(), self.history.first_index());
                 search.seed_descent(tree);
                 let top = tree.depth() - 1;
-                search.walk(tree, top, tree.nodes(top));
+                search.walk(tree, top, tree.nodes(top), true);
             }
             None => {
                 search.seed_flat();
@@ -1798,6 +1909,203 @@ mod tests {
         assert_eq!(stats.candidates_bounded, 64);
         assert!(stats.candidates_bounded >= stats.candidates_evaluated);
         assert!(stats.candidates_evaluated >= 1);
+    }
+
+    /// Indexed (from one slot on) and serial predictors over `history`.
+    fn indexed_and_serial(history: &[TimeSlot]) -> (WorkloadPredictor, WorkloadPredictor) {
+        let serial = predictor_with_history(history.to_vec());
+        let indexed = serial
+            .clone()
+            .with_index_policy(IndexPolicy::indexed().with_min_indexed_slots(1));
+        assert!(indexed.index_active());
+        (indexed, serial)
+    }
+
+    #[test]
+    fn an_earlier_slot_tied_with_the_best_aligned_seed_wins() {
+        // both candidates bound 0 and sit 2 from the probe; the later one
+        // lines up with the probe's range (10, 13) and seeds the search
+        let probe = population(&[10, 11, 12, 13]);
+        let misaligned = population(&[5, 11, 12, 13]);
+        let aligned = population(&[10, 11, 12, 14]);
+        let far = population(&[1_000, 1_001, 1_002, 1_003]);
+        // one block, then a block apart: the seed block's own scan and the
+        // walk must each let the earlier tie win
+        let apart: Vec<TimeSlot> = std::iter::once(misaligned.clone())
+            .chain(std::iter::repeat_n(far, 100))
+            .chain(std::iter::once(aligned.clone()))
+            .collect();
+        for history in [vec![misaligned, aligned], apart] {
+            let (indexed, serial) = indexed_and_serial(&history);
+            let forecast = indexed.predict(&probe).unwrap();
+            assert_eq!(forecast.matched_slot, Some(0));
+            assert_eq!(forecast, serial.predict(&probe).unwrap());
+            assert_eq!(forecast, serial.predict_naive(&probe).unwrap());
+            assert_eq!(
+                indexed.stats().candidates_evaluated,
+                2,
+                "seed, then the tie"
+            );
+        }
+    }
+
+    #[test]
+    fn a_best_aligned_seed_that_is_not_the_nearest_slot_loses() {
+        // both bound 0 against the probe's range (10, 16): `aligned` shares
+        // that range exactly but sits 4 away, `nearest` ends one id later
+        // and sits 2 away
+        let probe = population(&[10, 12, 14, 16]);
+        let aligned = population(&[10, 11, 15, 16]);
+        let nearest = population(&[10, 12, 14, 17]);
+        let far = population(&[1_000, 1_001, 1_002, 1_003]);
+        let gap = || std::iter::repeat_n(far.clone(), 100);
+        let histories = [
+            (vec![aligned.clone(), nearest.clone()], 1),
+            (vec![nearest.clone(), aligned.clone()], 0),
+            (
+                gap()
+                    .chain([aligned.clone()])
+                    .chain(gap())
+                    .chain([nearest.clone()])
+                    .collect(),
+                201,
+            ),
+            (
+                gap()
+                    .chain([nearest])
+                    .chain(gap())
+                    .chain([aligned])
+                    .collect(),
+                100,
+            ),
+        ];
+        for (history, at) in histories {
+            let (indexed, serial) = indexed_and_serial(&history);
+            let forecast = indexed.predict(&probe).unwrap();
+            assert_eq!(forecast.matched_slot, Some(at));
+            assert_eq!(forecast, serial.predict(&probe).unwrap());
+            assert_eq!(forecast, serial.predict_naive(&probe).unwrap());
+            assert_eq!(
+                indexed.stats().candidates_evaluated,
+                2,
+                "seed, then the nearest"
+            );
+        }
+    }
+
+    /// The summary tree's node count over all levels.
+    fn tree_nodes(p: &WorkloadPredictor) -> u64 {
+        let tree = p.summaries.as_ref().expect("a kept tree");
+        (0..tree.depth())
+            .map(|level| tree.nodes(level).len() as u64)
+            .sum()
+    }
+
+    #[test]
+    fn a_tree_query_that_refutes_nothing_bounds_every_node_once() {
+        // every slot bounds 0 against the probe (equal counts, equal id
+        // ranges) but sits 4 away, so no node is ever refuted: 66 blocks
+        // under 2 top-level nodes, each bounded exactly once, whether the
+        // descent or the walk bounded it
+        let history = vec![population(&[0, 2, 4, 6]); 4_200];
+        let (indexed, _) = indexed_and_serial(&history);
+        let probe = population(&[0, 3, 5, 6]);
+        assert_eq!(indexed.predict(&probe).unwrap().matched_slot, Some(0));
+        let stats = indexed.stats();
+        assert_eq!(tree_nodes(&indexed), 68);
+        assert_eq!(stats.rings_walked, 68);
+        assert_eq!(stats.candidates_bounded, 4_200, "every slot, once");
+    }
+
+    /// SplitMix64: the deterministic stream of the drifting histories.
+    fn split_mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// The population of `epoch` in the shape of the end-to-end
+    /// `forecast_indexed` workload: per group a window of ids that slides by
+    /// one id per epoch while the load swings ±25 % around 48 users over a
+    /// 24-slot day, with 2 % of the ids churned up to 49 ids ahead.
+    fn drifting(epoch: usize, rng: &mut u64) -> TimeSlot {
+        let phase = (epoch % 24) as f64 / 24.0 * std::f64::consts::TAU;
+        let load = (48.0 * (1.0 + 0.25 * phase.sin())).round() as u32;
+        let mut pairs = Vec::new();
+        for (g, &group) in GROUPS.iter().enumerate() {
+            let base = g as u32 * 100_000_000 + epoch as u32;
+            for u in 0..load {
+                let churn = match split_mix(rng) % 50 {
+                    0 => 1 + (split_mix(rng) % 49) as u32,
+                    _ => 0,
+                };
+                pairs.push((group, UserId(base + u + churn)));
+            }
+        }
+        TimeSlot::from_assignments(epoch, pairs)
+    }
+
+    /// The counted work gate of the tree query: on a 20,000-slot drifting
+    /// history, 70 % of the probes resemble the next slot and 30 % revisit
+    /// a random old epoch, with an observe every fourth query. The counts
+    /// repeat exactly. The aligned descent and seed slot spend 6.1
+    /// evaluations a query here; seeding on the first block of least bound
+    /// but from its best slot spends 9.6, and scanning that block from its
+    /// start 43.7. No query bounds more nodes than the tree holds.
+    #[test]
+    fn tree_query_seeds_near_the_answer_on_a_drifting_history() {
+        let mut rng = 42;
+        let mut p = WorkloadPredictor::new(GROUPS.to_vec(), 3_600_000.0)
+            .with_index_policy(IndexPolicy::indexed());
+        for epoch in 0..20_000 {
+            p.observe_slot(drifting(epoch, &mut rng));
+        }
+        assert!(p.index_active());
+        // (queries, evaluations, nodes bounded) of the next-slot and the
+        // revisiting probes
+        let mut work = [(0u64, 0u64, 0u64); 2];
+        for round in 0..400 {
+            let len = p.history().len();
+            let revisit = split_mix(&mut rng) % 10 < 3;
+            let epoch = match revisit {
+                true => split_mix(&mut rng) as usize % len,
+                false => len,
+            };
+            let probe = drifting(epoch, &mut rng);
+            let before = p.stats();
+            let forecast = p.predict(&probe).unwrap();
+            let after = p.stats();
+            let nodes = after.rings_walked - before.rings_walked;
+            assert!(
+                nodes <= tree_nodes(&p),
+                "round {round}: {nodes} nodes bounded"
+            );
+            let kind = &mut work[usize::from(revisit)];
+            kind.0 += 1;
+            kind.1 += after.candidates_evaluated - before.candidates_evaluated;
+            kind.2 += nodes;
+            if round % 50 == 0 {
+                let indexed = p.index_policy();
+                p.set_index_policy(IndexPolicy::linear());
+                assert_eq!(forecast, p.predict(&probe).unwrap(), "round {round}");
+                p.set_index_policy(indexed);
+            }
+            if round % 4 == 3 {
+                p.observe_slot(drifting(len, &mut rng));
+            }
+        }
+        let per_query = |(queries, total): (u64, u64)| total as f64 / queries as f64;
+        let evaluated = per_query((work[0].0 + work[1].0, work[0].1 + work[1].1));
+        for (kind, (queries, evaluations, nodes)) in ["next", "revisit"].iter().zip(work) {
+            println!(
+                "{kind}: {queries} queries, {:.2} evaluations and {:.1} nodes per query",
+                per_query((queries, evaluations)),
+                per_query((queries, nodes)),
+            );
+        }
+        assert!(evaluated <= 8.0, "{evaluated:.2} evaluations per query");
     }
 
     #[test]

@@ -478,6 +478,93 @@ proptest! {
     }
 }
 
+/// The population of `epoch` in a drifting history: per group a window of
+/// 3 to 6 ids that slides by `step` ids per epoch, about one id in eight
+/// churned up to six ids ahead. `churn` keys which ids churn, so two keys
+/// give two draws of the same epoch.
+fn drifting_slot(epoch: usize, step: u32, churn: u64) -> TimeSlot {
+    let load = 3 + (epoch % 4) as u32;
+    let pairs = (0..3u8).flat_map(move |g| {
+        let base = u32::from(g) * 1_000_000 + epoch as u32 * step;
+        (0..load).map(move |u| {
+            let noise = mix(churn ^ ((epoch as u64) << 16) ^ (u64::from(g) << 8) ^ u64::from(u));
+            let ahead = if noise.is_multiple_of(8) {
+                1 + (noise >> 8) as u32 % 6
+            } else {
+                0
+            };
+            (AccelerationGroupId(g), UserId(base + u + ahead))
+        })
+    });
+    TimeSlot::from_assignments(epoch, pairs)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The tree search on drifting populations, where its descent follows
+    /// the best-aligned of the nodes that tie at the least bound: the tree,
+    /// the pruned serial scan and the naive full scan agree on every probe
+    /// through observations, windowed evictions, window shrinks and
+    /// checkpoint/restore round trips. Each step probes a fresh draw of the
+    /// next epoch and of a random old one. A drifting prefix moves the
+    /// random steps across 63|64 (a block boundary) or 4095|4096 (a level
+    /// boundary).
+    #[test]
+    fn indexed_prediction_matches_pruned_and_naive_on_drifting_histories(
+        prefix in proptest::sample::select(vec![0usize, 58, 4_090]),
+        step in proptest::sample::select(vec![1u32, 2, 5]),
+        churn in 0u64..u64::MAX,
+        window_raw in proptest::sample::select(vec![0usize, 1, 3, 70, 4_100]),
+        ops in proptest::collection::vec((0u8..8, 1usize..80, 0u64..u64::MAX), 1..16),
+    ) {
+        let window = (window_raw > 0).then_some(window_raw);
+        let mut serial = WorkloadPredictor::new(SLOT_GROUPS.to_vec(), 3_600_000.0);
+        serial.set_window(window);
+        let mut indexed = serial
+            .clone()
+            .with_index_policy(IndexPolicy::indexed().with_min_indexed_slots(1));
+        let mut next = 0;
+        for _ in 0..prefix {
+            let slot = drifting_slot(next, step, churn);
+            serial.observe_slot(slot.clone());
+            indexed.observe_slot(slot);
+            next += 1;
+        }
+        for (kind, shrink_to, old) in &ops {
+            match kind {
+                // shrink the window (never grow it back: retention is what is tested)
+                0 if serial.history().len() > *shrink_to => {
+                    serial.set_window(Some(*shrink_to));
+                    indexed.set_window(Some(*shrink_to));
+                }
+                // checkpoint + restore: the derived tree is recomputed
+                1 => {
+                    let mut bytes = Vec::new();
+                    indexed.encode(&mut bytes);
+                    let restored = WorkloadPredictor::decode(&mut Cursor::new(&bytes));
+                    prop_assert_eq!(restored.as_ref().ok(), Some(&indexed));
+                    indexed = restored.unwrap();
+                }
+                _ => {
+                    let slot = drifting_slot(next, step, churn);
+                    serial.observe_slot(slot.clone());
+                    indexed.observe_slot(slot);
+                    next += 1;
+                }
+            }
+            prop_assert_eq!(indexed.index_active(), !indexed.history().is_empty());
+            let old = (*old % next.max(1) as u64) as usize;
+            for epoch in [next, old] {
+                let probe = drifting_slot(epoch, step, !churn);
+                let fast = indexed.predict(&probe);
+                prop_assert_eq!(&fast, &serial.predict(&probe));
+                prop_assert_eq!(fast, indexed.predict_naive(&probe));
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Slot builder
 // ---------------------------------------------------------------------------
