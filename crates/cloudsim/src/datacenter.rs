@@ -495,29 +495,57 @@ impl Datacenter {
         &mut self,
         per_group: &[(AccelerationGroupId, Vec<(InstanceType, usize)>)],
     ) -> Result<usize, PlacementError> {
-        let mut hosts: Vec<Host> = self
-            .hosts
-            .iter()
-            .map(|h| Host::new(h.id, h.vcpus, h.memory_gib))
-            .collect();
+        // the new placement goes onto the emptied hosts behind the standing
+        // one, which it replaces once every instance has a host; a failure
+        // drops it and places the standing one again, in its own order, so
+        // every host's usage sums back to the same bits
+        let standing = self.placements.len();
+        self.empty_hosts();
+        let placed = self.place_behind(per_group);
+        if placed.is_ok() {
+            self.placements.drain(..standing);
+        } else {
+            self.placements.truncate(standing);
+            self.empty_hosts();
+            for placed in &self.placements {
+                self.hosts[placed.host].place(&placed.instance_type.spec());
+            }
+        }
+        placed
+    }
+
+    /// Every host back to no usage; the placement list is left alone.
+    fn empty_hosts(&mut self) {
+        for host in &mut self.hosts {
+            host.used_vcpus = 0;
+            host.used_memory_gib = 0.0;
+        }
+    }
+
+    /// Places `per_group` instance by instance onto the hosts, appending to
+    /// the placement list; see [`Datacenter::place_allocation`]. Returns
+    /// the instances placed.
+    fn place_behind(
+        &mut self,
+        per_group: &[(AccelerationGroupId, Vec<(InstanceType, usize)>)],
+    ) -> Result<usize, PlacementError> {
         let instances = per_group
             .iter()
             .flat_map(|(_, counts)| counts.iter().map(|&(_, count)| count))
             .sum();
-        let mut placements = Vec::with_capacity(instances);
+        self.placements.reserve_exact(instances);
         for (group, counts) in per_group {
             for &(instance_type, count) in counts {
                 let spec = instance_type.spec();
                 for _ in 0..count {
-                    let host =
-                        self.placement
-                            .choose(&hosts, &spec)
-                            .ok_or(PlacementError::NoHostFits {
-                                instance_type,
-                                hosts: hosts.len(),
-                            })?;
-                    hosts[host].place(&spec);
-                    placements.push(PlacedInstance {
+                    let host = self.placement.choose(&self.hosts, &spec).ok_or(
+                        PlacementError::NoHostFits {
+                            instance_type,
+                            hosts: self.hosts.len(),
+                        },
+                    )?;
+                    self.hosts[host].place(&spec);
+                    self.placements.push(PlacedInstance {
                         group: *group,
                         instance_type,
                         host,
@@ -525,19 +553,13 @@ impl Datacenter {
                 }
             }
         }
-        let placed = placements.len();
-        self.hosts = hosts;
-        self.placements = placements;
-        Ok(placed)
+        Ok(instances)
     }
 
     /// Releases every placed instance (tenant decommission or a placement
     /// failure): all hosts return to empty and power off.
     pub fn clear(&mut self) {
-        for host in &mut self.hosts {
-            host.used_vcpus = 0;
-            host.used_memory_gib = 0.0;
-        }
+        self.empty_hosts();
         self.placements.clear();
     }
 

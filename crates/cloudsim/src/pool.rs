@@ -187,11 +187,10 @@ impl InstancePool {
             }
         }
         // Terminate instances of types not present in the allocation at all.
-        let keep: Vec<InstanceType> = allocation.iter().map(|(t, _)| *t).collect();
         let to_kill: Vec<u64> = self
             .instances
             .iter()
-            .filter(|i| !keep.contains(&i.instance_type))
+            .filter(|i| allocation.iter().all(|(t, _)| *t != i.instance_type))
             .map(|i| i.id)
             .collect();
         for id in to_kill {

@@ -123,9 +123,7 @@ impl BillingBackend for ArithmeticBilling {
         slot_length_ms: f64,
         now_ms: f64,
     ) -> SlotSettlement {
-        let pool_applied = pool
-            .apply_allocation(&allocation.pool_allocation(), now_ms)
-            .is_ok();
+        let pool_applied = pool.apply_allocation(&allocation.counts, now_ms).is_ok();
         SlotSettlement {
             cost: allocation.hourly_cost * slot_length_ms / 3_600_000.0,
             pool_applied,
@@ -150,6 +148,9 @@ pub struct DatacenterBilling {
     /// The most recent placement failure, if the standing transaction
     /// failed.
     last_error: Option<PlacementError>,
+    /// The elapsed slot's demands, refilled by each assessment and left
+    /// empty: a buffer, not state.
+    demands: Vec<GroupDemand>,
 }
 
 impl DatacenterBilling {
@@ -159,6 +160,7 @@ impl DatacenterBilling {
             datacenter: Datacenter::new(config),
             standing_capacity: None,
             last_error: None,
+            demands: Vec::new(),
         }
     }
 
@@ -173,13 +175,12 @@ impl DatacenterBilling {
         self.last_error.as_ref()
     }
 
-    fn assess(&self, observed: &[(AccelerationGroupId, usize)]) -> SlaAssessment {
+    fn assess(&mut self, observed: &[(AccelerationGroupId, usize)]) -> SlaAssessment {
         match &self.standing_capacity {
             None => SlaAssessment::default(),
             Some(capacity) => {
-                let demands: Vec<GroupDemand> = observed
-                    .iter()
-                    .map(|&(group, demand)| GroupDemand {
+                self.demands.extend(observed.iter().map(|&(group, demand)| {
+                    GroupDemand {
                         group,
                         demand,
                         capacity: capacity
@@ -187,9 +188,11 @@ impl DatacenterBilling {
                             .find(|(g, _)| *g == group)
                             .map(|(_, c)| *c)
                             .unwrap_or(0),
-                    })
-                    .collect();
-                self.datacenter.assess(&demands)
+                    }
+                }));
+                let assessment = self.datacenter.assess(&self.demands);
+                self.demands.clear();
+                assessment
             }
         }
     }
@@ -214,14 +217,16 @@ impl BillingBackend for DatacenterBilling {
         settlement.energy_wh = self.datacenter.energy_wh(slot_length_ms / 3_600_000.0);
         // 3. the pool transaction the arithmetic path performs (account cap
         //    enforced atomically inside)
-        settlement.pool_applied = pool
-            .apply_allocation(&allocation.pool_allocation(), now_ms)
-            .is_ok();
+        settlement.pool_applied = pool.apply_allocation(&allocation.counts, now_ms).is_ok();
         // 4. place the new allocation for the next slot — transactionally
         match self.datacenter.place_allocation(&allocation.per_group) {
             Ok(placed) => {
                 settlement.placements = placed;
-                self.standing_capacity = Some(allocation.capacity_per_group.clone());
+                // refilled in place: the standing capacity keeps its buffer
+                match &mut self.standing_capacity {
+                    Some(standing) => standing.clone_from(&allocation.capacity_per_group),
+                    None => self.standing_capacity = Some(allocation.capacity_per_group.clone()),
+                }
                 self.last_error = None;
             }
             Err(error) => {
@@ -352,6 +357,7 @@ impl Restore for DatacenterBilling {
             datacenter: Datacenter::decode(cur)?,
             standing_capacity: Option::<Vec<(AccelerationGroupId, usize)>>::decode(cur)?,
             last_error: Option::<PlacementError>::decode(cur)?,
+            demands: Vec::new(),
         })
     }
 }

@@ -15,7 +15,7 @@ use crate::allocator::{Allocation, ResourceAllocator};
 use crate::billing::{BillingBackend, BillingEngine, SlotSettlement};
 use crate::config::SystemConfig;
 use crate::error::CoreError;
-use crate::metrics::accuracy;
+use crate::metrics::overall_accuracy;
 use crate::predictor::{WorkloadForecast, WorkloadPredictor};
 use crate::timeslot::{SlotHistory, TimeSlot};
 use mca_cloudsim::InstancePool;
@@ -70,9 +70,10 @@ impl StageObserver for () {
 
 /// A feasible allocation, settled: what [`ControlLoop::provision`] bought.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Provisioned {
-    /// The allocation that now stands in the pool (when the pool took it).
-    pub allocation: Allocation,
+pub struct Provisioned<'a> {
+    /// The allocation that now stands in the pool (when the pool took it),
+    /// lent by the memo that keeps it.
+    pub allocation: &'a Allocation,
     /// What settling it cost and signalled.
     pub settlement: SlotSettlement,
     /// Whether the memo served the allocation; `false` means the allocator
@@ -84,7 +85,7 @@ pub struct Provisioned {
 
 /// What closing one slot did.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SlotOutcome {
+pub struct SlotOutcome<'a> {
     /// Distinct users the slot observed.
     pub observed_users: usize,
     /// Accuracy of the forecast that stood for this slot, when one did.
@@ -92,13 +93,32 @@ pub struct SlotOutcome {
     /// The provisioning for the next slot: `None` when the predictor
     /// produced no forecast, `Err` when the allocation was infeasible (a
     /// memo miss by construction — only feasible allocations are memoized).
-    pub provision: Option<Result<Provisioned, CoreError>>,
+    pub provision: Option<Result<Provisioned<'a>, CoreError>>,
+    /// The slot the knowledge base evicted to take this one in, when its
+    /// window was full: its columns are free for the next slot (see
+    /// [`crate::TimeSlotBuilder::recycle`]).
+    pub evicted: Option<TimeSlot>,
 }
 
 /// One closed provisioning loop.
 #[derive(Debug, Clone)]
 pub struct ControlLoop {
     predictor: WorkloadPredictor,
+    provisioner: Provisioner,
+    /// Forecast produced at the end of the previous slot, scored against the
+    /// next observed slot.
+    standing_forecast: Option<WorkloadForecast>,
+    /// The closing slot's per-group arrivals under datacenter billing,
+    /// refilled each slot; empty otherwise. Not state: never checkpointed.
+    observed: Vec<(AccelerationGroupId, usize)>,
+}
+
+/// What provisioning for a forecast touches: the allocator, the memo it
+/// serves from or fills, and the pool and billing backend it settles
+/// against. Apart from the loop's forecast, so that a provisioning can lend
+/// the memo's allocation while the loop keeps the forecast it was for.
+#[derive(Debug, Clone)]
+struct Provisioner {
     allocator: ResourceAllocator,
     pool: InstancePool,
     /// The bill stage's backend: pure arithmetic by default, a transaction
@@ -106,9 +126,6 @@ pub struct ControlLoop {
     /// Lives inside the loop, so a tenant migration carries the standing
     /// placement with it.
     billing: BillingEngine,
-    /// Forecast produced at the end of the previous slot, scored against the
-    /// next observed slot.
-    standing_forecast: Option<WorkloadForecast>,
     slot_length_ms: f64,
     /// Memoized allocations keyed by the forecast workload vector: steady
     /// workloads re-predict the same per-group loads slot after slot, so the
@@ -121,123 +138,28 @@ pub struct ControlLoop {
     memo_order: VecDeque<Vec<(AccelerationGroupId, usize)>>,
 }
 
-impl ControlLoop {
-    /// Builds the loop's parts from the shared system configuration:
-    /// groups, strategies, caps, history window and billing backend.
-    pub fn new(config: &SystemConfig) -> Self {
-        Self {
-            predictor: config.build_predictor(),
-            allocator: config.build_allocator(),
-            pool: config.build_pool(),
-            billing: config.build_billing(),
-            standing_forecast: None,
-            slot_length_ms: config.slot_length_ms,
-            memo: HashMap::new(),
-            memo_order: VecDeque::new(),
-        }
-    }
-
-    /// The forecast standing for the *next* slot, if one was produced.
-    pub fn forecast(&self) -> Option<&WorkloadForecast> {
-        self.standing_forecast.as_ref()
-    }
-
-    /// The knowledge base.
-    pub fn predictor(&self) -> &WorkloadPredictor {
-        &self.predictor
-    }
-
-    /// The instance pool.
-    pub fn pool(&self) -> &InstancePool {
-        &self.pool
-    }
-
-    /// The billing engine.
-    pub fn billing(&self) -> &BillingEngine {
-        &self.billing
-    }
-
-    /// Number of distinct workload vectors currently memoized.
-    pub fn cached_allocations(&self) -> usize {
-        self.memo.len()
-    }
-
-    /// Closes the observed `slot`: scores the standing forecast against it,
-    /// moves it into the knowledge base, forecasts the next slot, provisions
-    /// for that forecast and bills one slot length. `now_ms` is the closing
-    /// slot boundary. The timed and untimed loops are the same code — `()`
-    /// for `stages` observes nothing — so the outcome is bit-identical
-    /// however it is watched.
-    pub fn close_slot<S: StageObserver>(
-        &mut self,
-        slot: TimeSlot,
-        now_ms: f64,
-        stages: &mut S,
-    ) -> SlotOutcome {
-        let groups = self.predictor.groups();
-        // the datacenter backend scores the slot's actual per-group arrivals
-        // against the standing capacity; captured here because the predict
-        // stage consumes the slot. Arithmetic billing skips the collection.
-        let observed_demand: Vec<(AccelerationGroupId, usize)> = if self.billing.observes_demand() {
-            groups.iter().map(|g| (*g, slot.load_of(*g))).collect()
-        } else {
-            Vec::new()
-        };
-        let observed_users = slot.total_users();
-        let forecast_accuracy = self
-            .standing_forecast
-            .as_ref()
-            .map(|forecast| accuracy(forecast, &slot, groups).overall);
-
-        // the slot moves into the knowledge base (no clone) and the forecast
-        // comes from the observe-and-predict fast path — identical to
-        // `observe_slot` + `predict` on the same slot
-        let mark = stages.begin();
-        let forecast = self.predictor.observe_and_predict(slot).ok();
-        stages.end(Stage::Predict, mark);
-        let provision = forecast
-            .as_ref()
-            .map(|forecast| self.provision(forecast, &observed_demand, now_ms, stages));
-        self.standing_forecast = forecast;
-        SlotOutcome {
-            observed_users,
-            forecast_accuracy,
-            provision,
-        }
-    }
-
-    /// Allocates for `forecast` — from the memo when this workload vector
-    /// was allocated before, solving (and memoizing) it otherwise — and
-    /// settles the allocation at `now_ms`, scoring `observed` against the
-    /// standing placement under datacenter billing. Memo-served allocations
-    /// are clones of the original solve's result, so the loop behaves
-    /// bit-identically with and without the memo.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::AllocationInfeasible`] when the forecast cannot be
-    /// served within the account cap: nothing is memoized, billed or
-    /// applied, and the pool keeps the allocation it had.
-    pub fn provision<S: StageObserver>(
+impl Provisioner {
+    /// [`ControlLoop::provision`].
+    fn provision<S: StageObserver>(
         &mut self,
         forecast: &WorkloadForecast,
         observed: &[(AccelerationGroupId, usize)],
         now_ms: f64,
         stages: &mut S,
-    ) -> Result<Provisioned, CoreError> {
+    ) -> Result<Provisioned<'_>, CoreError> {
         let mark = stages.begin();
-        let memoized = self.memo.get(&forecast.per_group).cloned();
-        let memo_hit = memoized.is_some();
-        let allocated = match memoized {
-            Some(hit) => Ok(hit),
-            None => self.allocator.allocate(forecast),
-        };
-        let memo_evicted = match &allocated {
-            Ok(allocation) if !memo_hit => self.memoize(&forecast.per_group, allocation),
-            _ => false,
+        let key = &forecast.per_group;
+        let memo_hit = self.memo.contains_key(key);
+        let memo_evicted = if memo_hit {
+            Ok(false)
+        } else {
+            self.allocator
+                .allocate(forecast)
+                .map(|allocation| self.memoize(key, &allocation))
         };
         stages.end(Stage::Allocate, mark);
-        let allocation = allocated?;
+        let memo_evicted = memo_evicted?;
+        let allocation = &self.memo[key];
 
         let mark = stages.begin();
         // the backend applies the pool transaction (the allocator respects
@@ -247,7 +169,7 @@ impl ControlLoop {
         // backend, so it is bit-identical across them.
         let settlement = self.billing.settle(
             &mut self.pool,
-            &allocation,
+            allocation,
             observed,
             self.slot_length_ms,
             now_ms,
@@ -263,7 +185,9 @@ impl ControlLoop {
 
     /// Memoizes a fresh `allocation` under its workload vector, which must
     /// not be memoized yet; returns whether the oldest entry was evicted to
-    /// make room. The hot key can never be its own victim.
+    /// make room. The hot key can never be its own victim. The memo keeps a
+    /// clone: its columns are cut to their length, where the solver's grew
+    /// by doubling, and a full memo holds a thousand of them.
     fn memoize(&mut self, key: &[(AccelerationGroupId, usize)], allocation: &Allocation) -> bool {
         let evict = self.memo.len() >= ALLOC_CACHE_CAP;
         if evict {
@@ -275,14 +199,134 @@ impl ControlLoop {
         self.memo_order.push_back(key.to_vec());
         evict
     }
+}
+
+impl ControlLoop {
+    /// Builds the loop's parts from the shared system configuration:
+    /// groups, strategies, caps, history window and billing backend.
+    pub fn new(config: &SystemConfig) -> Self {
+        Self {
+            predictor: config.build_predictor(),
+            provisioner: Provisioner {
+                allocator: config.build_allocator(),
+                pool: config.build_pool(),
+                billing: config.build_billing(),
+                slot_length_ms: config.slot_length_ms,
+                memo: HashMap::new(),
+                memo_order: VecDeque::new(),
+            },
+            standing_forecast: None,
+            observed: Vec::new(),
+        }
+    }
+
+    /// The forecast standing for the *next* slot, if one was produced.
+    pub fn forecast(&self) -> Option<&WorkloadForecast> {
+        self.standing_forecast.as_ref()
+    }
+
+    /// The knowledge base.
+    pub fn predictor(&self) -> &WorkloadPredictor {
+        &self.predictor
+    }
+
+    /// The instance pool.
+    pub fn pool(&self) -> &InstancePool {
+        &self.provisioner.pool
+    }
+
+    /// The billing engine.
+    pub fn billing(&self) -> &BillingEngine {
+        &self.provisioner.billing
+    }
+
+    /// Number of distinct workload vectors currently memoized.
+    pub fn cached_allocations(&self) -> usize {
+        self.provisioner.memo.len()
+    }
+
+    /// Closes the observed `slot`: scores the standing forecast against it,
+    /// moves it into the knowledge base, forecasts the next slot, provisions
+    /// for that forecast and bills one slot length. `now_ms` is the closing
+    /// slot boundary. The timed and untimed loops are the same code — `()`
+    /// for `stages` observes nothing — so the outcome is bit-identical
+    /// however it is watched.
+    pub fn close_slot<S: StageObserver>(
+        &mut self,
+        slot: TimeSlot,
+        now_ms: f64,
+        stages: &mut S,
+    ) -> SlotOutcome<'_> {
+        let groups = self.predictor.groups();
+        // the datacenter backend scores the slot's actual per-group arrivals
+        // against the standing capacity; captured here because the predict
+        // stage consumes the slot. Arithmetic billing skips the collection.
+        self.observed.clear();
+        if self.provisioner.billing.observes_demand() {
+            let loads = groups.iter().map(|g| (*g, slot.load_of(*g)));
+            self.observed.extend(loads);
+        }
+        let observed_users = slot.total_users();
+        let forecast_accuracy = self
+            .standing_forecast
+            .as_ref()
+            .map(|forecast| overall_accuracy(forecast, &slot, groups));
+
+        // the slot moves into the knowledge base (no clone) and the forecast
+        // comes from the observe-and-predict fast path — identical to
+        // `observe_slot` + `predict` on the same slot — into the buffer of
+        // the forecast it replaces
+        let mut forecast = self.standing_forecast.take().unwrap_or(WorkloadForecast {
+            per_group: Vec::new(),
+            matched_slot: None,
+        });
+        let mark = stages.begin();
+        let evicted = self.predictor.observe_and_forecast(slot, &mut forecast);
+        stages.end(Stage::Predict, mark);
+        let forecast = self.standing_forecast.insert(forecast);
+        let provision = Some(
+            self.provisioner
+                .provision(forecast, &self.observed, now_ms, stages),
+        );
+        SlotOutcome {
+            observed_users,
+            forecast_accuracy,
+            provision,
+            evicted,
+        }
+    }
+
+    /// Allocates for `forecast` — from the memo when this workload vector
+    /// was allocated before, solving (and memoizing) it otherwise — and
+    /// settles the allocation at `now_ms`, scoring `observed` against the
+    /// standing placement under datacenter billing. The allocation is lent
+    /// from the memo whether it was served or just solved, so a hit copies
+    /// nothing, and the loop behaves bit-identically with and without the
+    /// memo.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::AllocationInfeasible`] when the forecast cannot be
+    /// served within the account cap: nothing is memoized, billed or
+    /// applied, and the pool keeps the allocation it had.
+    pub fn provision<S: StageObserver>(
+        &mut self,
+        forecast: &WorkloadForecast,
+        observed: &[(AccelerationGroupId, usize)],
+        now_ms: f64,
+        stages: &mut S,
+    ) -> Result<Provisioned<'_>, CoreError> {
+        self.provisioner
+            .provision(forecast, observed, now_ms, stages)
+    }
 
     /// Ends a run at `now_ms`: the standing forecast is dropped, the
     /// instance pool terminated and the billing backend reset. The knowledge
     /// base and the memo stay.
     pub fn stand_down(&mut self, now_ms: f64) {
         self.standing_forecast = None;
-        self.pool.terminate_all(now_ms);
-        self.billing.reset();
+        self.provisioner.pool.terminate_all(now_ms);
+        self.provisioner.billing.reset();
     }
 
     /// [`ControlLoop::stand_down`], then hands the slot history out without
@@ -290,8 +334,8 @@ impl ControlLoop {
     /// memo.
     pub fn decommission(&mut self, now_ms: f64) -> SlotHistory {
         self.stand_down(now_ms);
-        self.memo.clear();
-        self.memo_order.clear();
+        self.provisioner.memo.clear();
+        self.provisioner.memo_order.clear();
         self.predictor.take_history()
     }
 
@@ -328,13 +372,16 @@ impl ControlLoop {
         }
         Ok(Self {
             predictor,
-            allocator: config.build_allocator(),
-            pool,
-            billing,
+            provisioner: Provisioner {
+                allocator: config.build_allocator(),
+                pool,
+                billing,
+                slot_length_ms: config.slot_length_ms,
+                memo,
+                memo_order,
+            },
             standing_forecast,
-            slot_length_ms: config.slot_length_ms,
-            memo,
-            memo_order,
+            observed: Vec::new(),
         })
     }
 }
@@ -347,15 +394,22 @@ impl ControlLoop {
 /// [`ControlLoop::decode`] receives.
 impl Snapshot for ControlLoop {
     fn encode(&self, out: &mut Vec<u8>) {
+        let Provisioner {
+            pool,
+            billing,
+            memo,
+            memo_order,
+            ..
+        } = &self.provisioner;
         self.predictor.encode(out);
-        self.pool.encode(out);
-        self.billing.encode(out);
+        pool.encode(out);
+        billing.encode(out);
         self.standing_forecast.encode(out);
         // the HashMap is rebuilt from the FIFO queue: one pass, exact order
-        self.memo_order.len().encode(out);
-        for key in &self.memo_order {
+        memo_order.len().encode(out);
+        for key in memo_order {
             key.encode(out);
-            self.memo[key].encode(out);
+            memo[key].encode(out);
         }
     }
 }
@@ -408,7 +462,8 @@ mod tests {
         let bought = first.provision.unwrap().unwrap();
         assert!(!bought.memo_hit && !bought.memo_evicted);
         assert!(bought.settlement.pool_applied && bought.settlement.cost > 0.0);
-        assert_eq!(control.pool().len(), bought.allocation.total_instances());
+        let instances = bought.allocation.total_instances();
+        assert_eq!(control.pool().len(), instances);
 
         let second = control.close_slot(slot(1, 10), 7_200_000.0, &mut ());
         assert_eq!(second.forecast_accuracy, Some(1.0));

@@ -114,5 +114,5 @@ pub use predictor::{
 };
 pub use sdn::{RoutedRequest, SdnAccelerator};
 pub use system::{PromotionEvent, SlotObservation, System, SystemReport, UserPerception};
-pub use timeslot::{SlotHistory, TimeSlot, TimeSlotBuilder};
+pub use timeslot::{SlotHistory, SlotLane, TimeSlot, TimeSlotBuilder};
 pub use window::SlotWindower;

@@ -28,23 +28,16 @@ pub fn accuracy(
     actual: &TimeSlot,
     groups: &[AccelerationGroupId],
 ) -> PredictionQuality {
-    let mut per_group = Vec::with_capacity(groups.len());
-    let mut abs_err = 0.0;
-    for g in groups {
-        let predicted = forecast.load_of(*g) as f64;
-        let observed = actual.load_of(*g) as f64;
-        let denom = predicted.max(observed).max(1.0);
-        let acc = 1.0 - (predicted - observed).abs() / denom;
-        per_group.push((*g, acc));
-        abs_err += (predicted - observed).abs();
-    }
-    let overall = if per_group.is_empty() {
-        1.0
-    } else {
-        per_group.iter().map(|(_, a)| a).sum::<f64>() / per_group.len() as f64
-    };
+    let per_group: Vec<(AccelerationGroupId, f64)> = groups
+        .iter()
+        .map(|g| (*g, group_accuracy(forecast, actual, *g)))
+        .collect();
+    let abs_err: f64 = groups
+        .iter()
+        .map(|g| (forecast.load_of(*g) as f64 - actual.load_of(*g) as f64).abs())
+        .fold(0.0, |sum, err| sum + err);
     PredictionQuality {
-        overall,
+        overall: overall_accuracy(forecast, actual, groups),
         mean_absolute_error: if groups.is_empty() {
             0.0
         } else {
@@ -52,6 +45,36 @@ pub fn accuracy(
         },
         per_group,
     }
+}
+
+/// `1 - |predicted - actual| / max(predicted, actual, 1)` for one group.
+fn group_accuracy(
+    forecast: &WorkloadForecast,
+    actual: &TimeSlot,
+    group: AccelerationGroupId,
+) -> f64 {
+    let predicted = forecast.load_of(group) as f64;
+    let observed = actual.load_of(group) as f64;
+    let denom = predicted.max(observed).max(1.0);
+    1.0 - (predicted - observed).abs() / denom
+}
+
+/// [`PredictionQuality::overall`] of [`accuracy`], without collecting the
+/// per-group scores: what the control loop scores each standing forecast
+/// by.
+pub(crate) fn overall_accuracy(
+    forecast: &WorkloadForecast,
+    actual: &TimeSlot,
+    groups: &[AccelerationGroupId],
+) -> f64 {
+    if groups.is_empty() {
+        return 1.0;
+    }
+    groups
+        .iter()
+        .map(|g| group_accuracy(forecast, actual, *g))
+        .sum::<f64>()
+        / groups.len() as f64
 }
 
 /// Result of a k-fold cross-validation run.

@@ -110,6 +110,53 @@ fn signature_bound(
         .sum()
 }
 
+/// The live part of a predictor's flat signature caches: `groups` entries
+/// per retained slot, by position. Taken once per query or scan, so no
+/// access pays for the dead prefix the caches keep (see
+/// [`WorkloadPredictor::sync_signatures`]).
+#[derive(Debug, Clone, Copy)]
+struct Caches<'a> {
+    groups: usize,
+    signatures: &'a [usize],
+    id_ranges: &'a [(u32, u32)],
+}
+
+impl Caches<'_> {
+    /// The entries of the retained slot at `position`.
+    fn entries(&self, position: usize) -> Range<usize> {
+        position * self.groups..(position + 1) * self.groups
+    }
+
+    /// Lower bound on the slot distance between the probe (described by
+    /// its per-group counts and id ranges) and the retained slot at
+    /// `position`: the free [`signature_bound`] over that slot's cached
+    /// signatures.
+    fn signature_bound(
+        &self,
+        probe_counts: &[usize],
+        probe_ranges: &[(u32, u32)],
+        position: usize,
+    ) -> usize {
+        let entries = self.entries(position);
+        signature_bound(
+            probe_counts,
+            probe_ranges,
+            &self.signatures[entries.clone()],
+            &self.id_ranges[entries],
+        )
+    }
+
+    /// [`range_misalignment`] between the probe's id ranges and those of the
+    /// retained slot at `position`, summed over the groups.
+    fn misalignment(&self, probe_ranges: &[(u32, u32)], position: usize) -> u64 {
+        self.id_ranges[self.entries(position)]
+            .iter()
+            .zip(probe_ranges)
+            .map(|(&range, &probe_range)| range_misalignment(probe_range, range))
+            .sum()
+    }
+}
+
 /// The best candidate a nearest-slot scan has found so far.
 #[derive(Debug)]
 struct Incumbent {
@@ -179,6 +226,7 @@ impl Incumbent {
 /// the descent did not and the slots of the blocks it enters.
 struct Search<'a> {
     predictor: &'a WorkloadPredictor,
+    caches: Caches<'a>,
     current: &'a TimeSlot,
     current_signature: &'a [usize],
     current_ranges: &'a [(u32, u32)],
@@ -210,6 +258,7 @@ impl<'a> Search<'a> {
     ) -> Self {
         Self {
             predictor,
+            caches: predictor.caches(),
             current,
             current_signature,
             current_ranges,
@@ -228,11 +277,14 @@ impl<'a> Search<'a> {
     /// minimum bound.
     fn seed_flat(&mut self) {
         let predictor = self.predictor;
-        let group_count = predictor.groups.len();
-        let slots = predictor
-            .signatures
-            .chunks_exact(group_count)
-            .zip(predictor.id_ranges.chunks_exact(group_count));
+        let Caches {
+            groups,
+            signatures,
+            id_ranges,
+        } = self.caches;
+        let slots = signatures
+            .chunks_exact(groups)
+            .zip(id_ranges.chunks_exact(groups));
         let (mut seed, mut seed_bound) = (0, usize::MAX);
         for (position, (bound, (counts, ranges))) in self.bounds.iter_mut().zip(slots).enumerate() {
             *bound = signature_bound(self.current_signature, self.current_ranges, counts, ranges);
@@ -320,10 +372,14 @@ impl<'a> Search<'a> {
         let mut seed = None;
         for (offset, position) in positions.clone().enumerate() {
             let bound =
-                predictor.signature_bound(self.current_signature, self.current_ranges, position);
+                self.caches
+                    .signature_bound(self.current_signature, self.current_ranges, position);
             self.bounds[segment + offset] = bound;
             if bound <= least.0 {
-                let key = (bound, predictor.misalignment(self.current_ranges, position));
+                let key = (
+                    bound,
+                    self.caches.misalignment(self.current_ranges, position),
+                );
                 if key < least {
                     (least, seed) = (key, Some(position));
                 }
@@ -356,11 +412,9 @@ impl<'a> Search<'a> {
         self.slots_bounded += slots.len() as u64;
         for global in slots {
             let position = global - self.first_index;
-            let lower_bound = self.predictor.signature_bound(
-                self.current_signature,
-                self.current_ranges,
-                position,
-            );
+            let lower_bound =
+                self.caches
+                    .signature_bound(self.current_signature, self.current_ranges, position);
             self.incumbent
                 .consider(self.predictor, self.current, position, lower_bound);
         }
@@ -629,13 +683,15 @@ impl Restore for PredictorStats {
 
 /// The workload predictor: a knowledge base of historical slots plus a
 /// prediction strategy.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct WorkloadPredictor {
     history: SlotHistory,
     strategy: PredictionStrategy,
     groups: Vec<AccelerationGroupId>,
-    /// Flat per-slot count signatures, `groups.len()` entries per retained
-    /// slot, aligned with the retained slots of `history`.
+    /// Flat per-slot count signatures, `groups.len()` entries per slot from
+    /// the global slot `signature_first_index` on: a dead prefix of evicted
+    /// slots, then one entry per group for each retained slot of `history`
+    /// (see [`WorkloadPredictor::sync_signatures`]).
     signatures: Vec<usize>,
     /// Flat per-slot `(min, max)` user-id ranges, `groups.len()` entries per
     /// retained slot, aligned with `signatures`. Because every per-group run
@@ -645,7 +701,9 @@ pub struct WorkloadPredictor {
     /// touching their user lists. Empty groups use the `(u32::MAX, 0)`
     /// sentinel.
     id_ranges: Vec<(u32, u32)>,
-    /// Global index of the slot `signatures[0..groups.len()]` belongs to.
+    /// Global index of the slot `signatures[0..groups.len()]` belongs to;
+    /// the slots before the history's first retained one are the dead
+    /// prefix.
     signature_first_index: usize,
     /// Whether (and when) the block-summary tree takes over the
     /// nearest-slot search.
@@ -756,8 +814,15 @@ impl WorkloadPredictor {
 
     /// Appends an observed slot to the knowledge base.
     pub fn observe_slot(&mut self, slot: TimeSlot) {
-        self.history.push(slot);
+        self.observe(slot);
+    }
+
+    /// [`WorkloadPredictor::observe_slot`], handing back the slot the
+    /// history evicted to make room.
+    fn observe(&mut self, slot: TimeSlot) -> Option<TimeSlot> {
+        let evicted = self.history.push(slot);
         self.sync_signatures();
+        evicted
     }
 
     /// Replaces the whole history (used by cross-validation), keeping the
@@ -792,20 +857,20 @@ impl WorkloadPredictor {
     }
 
     /// Brings the cached count signatures back in line with the retained
-    /// slots after the history grew or evicted from the front.
+    /// slots after the history grew or evicted from the front. An evicted
+    /// slot's entries stay behind as a dead prefix until the prefix is as
+    /// long as the live entries, and one `drain` then drops them all: a
+    /// window of `W` slots shifts its caches once every `W` evictions, not
+    /// on every one.
     fn sync_signatures(&mut self) {
         let group_count = self.groups.len();
         if group_count == 0 {
             return;
         }
+        // every slot the history evicted had its entries cached
         let first = self.history.first_index();
-        if first > self.signature_first_index {
-            let drop = (first - self.signature_first_index) * group_count;
-            self.signatures.drain(0..drop.min(self.signatures.len()));
-            self.id_ranges.drain(0..drop.min(self.id_ranges.len()));
-            self.signature_first_index = first;
-        }
-        let covered = self.signatures.len() / group_count;
+        let dead = (first - self.signature_first_index) * group_count;
+        let covered = (self.signatures.len() - dead) / group_count;
         for position in covered..self.history.len() {
             push_signature(
                 &self.groups,
@@ -814,9 +879,28 @@ impl WorkloadPredictor {
                 &mut self.id_ranges,
             );
         }
-        debug_assert_eq!(self.signatures.len(), self.history.len() * group_count);
+        if dead > 0 && dead >= self.signatures.len() - dead {
+            self.signatures.drain(..dead);
+            self.id_ranges.drain(..dead);
+            self.signature_first_index = first;
+        }
+        debug_assert_eq!(
+            self.caches().signatures.len(),
+            self.history.len() * group_count
+        );
         debug_assert_eq!(self.id_ranges.len(), self.signatures.len());
         self.sync_summaries();
+    }
+
+    /// The live signature caches: the retained slots' entries, past the
+    /// dead prefix.
+    fn caches(&self) -> Caches<'_> {
+        let dead = (self.history.first_index() - self.signature_first_index) * self.groups.len();
+        Caches {
+            groups: self.groups.len(),
+            signatures: &self.signatures[dead..],
+            id_ranges: &self.id_ranges[dead..],
+        }
     }
 
     /// Brings the summary tree in line with the signatures: builds it when
@@ -835,47 +919,20 @@ impl WorkloadPredictor {
             return;
         }
         let first_index = self.history.first_index();
+        let dead = (first_index - self.signature_first_index) * self.groups.len();
+        let (signatures, id_ranges) = (&self.signatures[dead..], &self.id_ranges[dead..]);
         match &mut self.summaries {
-            Some(tree) => tree.sync(first_index, &self.signatures, &self.id_ranges),
+            Some(tree) => tree.sync(first_index, signatures, id_ranges),
             None => {
                 self.summaries = Some(SummaryTree::build(
                     self.groups.len(),
                     first_index,
-                    &self.signatures,
-                    &self.id_ranges,
+                    signatures,
+                    id_ranges,
                 ));
                 self.stats.index_builds.fetch_add(1, Relaxed);
             }
         }
-    }
-
-    /// Lower bound on the slot distance between the probe (described by its
-    /// per-group counts and id ranges) and the retained slot at `position`:
-    /// the free [`signature_bound`] over that slot's cached signatures.
-    fn signature_bound(
-        &self,
-        probe_counts: &[usize],
-        probe_ranges: &[(u32, u32)],
-        position: usize,
-    ) -> usize {
-        let entries = position * self.groups.len()..(position + 1) * self.groups.len();
-        signature_bound(
-            probe_counts,
-            probe_ranges,
-            &self.signatures[entries.clone()],
-            &self.id_ranges[entries],
-        )
-    }
-
-    /// [`range_misalignment`] between the probe's id ranges and those of the
-    /// retained slot at `position`, summed over the groups.
-    fn misalignment(&self, probe_ranges: &[(u32, u32)], position: usize) -> u64 {
-        let group_count = self.groups.len();
-        self.id_ranges[position * group_count..(position + 1) * group_count]
-            .iter()
-            .zip(probe_ranges)
-            .map(|(&range, &probe_range)| range_misalignment(probe_range, range))
-            .sum()
     }
 
     /// Slot distance `Δ` between two slots over the predictor's groups.
@@ -981,30 +1038,48 @@ impl WorkloadPredictor {
     /// the error case exists only for [`PredictionStrategy::MeanOfHistory`]
     /// symmetry with [`WorkloadPredictor::predict`].
     pub fn observe_and_predict(&mut self, slot: TimeSlot) -> Result<WorkloadForecast, CoreError> {
+        let mut forecast = WorkloadForecast {
+            per_group: Vec::new(),
+            matched_slot: None,
+        };
+        self.observe_and_forecast(slot, &mut forecast);
+        Ok(forecast)
+    }
+
+    /// [`WorkloadPredictor::observe_and_predict`] into `forecast`, whose
+    /// buffer it refills, handing back the slot the history evicted to make
+    /// room. Once `slot` is observed the history is never empty, so a
+    /// forecast always results.
+    pub(crate) fn observe_and_forecast(
+        &mut self,
+        slot: TimeSlot,
+        forecast: &mut WorkloadForecast,
+    ) -> Option<TimeSlot> {
         match self.strategy {
             PredictionStrategy::LastValue => {
-                let forecast = self.forecast_from_current(&slot);
-                self.observe_slot(slot);
-                Ok(forecast)
+                self.fill_from_current(&slot, forecast);
+                self.observe(slot)
             }
             PredictionStrategy::MeanOfHistory => {
-                self.observe_slot(slot);
-                self.forecast_from_mean()
+                let evicted = self.observe(slot);
+                self.fill_from_mean(forecast);
+                evicted
             }
             PredictionStrategy::NearestSlot | PredictionStrategy::SuccessorOfNearest => {
-                self.observe_slot(slot);
+                let evicted = self.observe(slot);
                 let last = self.history.len() - 1;
-                let group_count = self.groups.len();
+                let caches = self.caches();
+                let group_count = caches.groups;
                 let mut position = last;
                 if group_count > 0 {
                     let current = self.history.slot(last);
-                    let probe = last * group_count..(last + 1) * group_count;
-                    let current_signature = &self.signatures[probe.clone()];
-                    let current_ranges = &self.id_ranges[probe];
-                    for (earlier, (signature, ranges)) in self
+                    let probe = caches.entries(last);
+                    let current_signature = &caches.signatures[probe.clone()];
+                    let current_ranges = &caches.id_ranges[probe];
+                    for (earlier, (signature, ranges)) in caches
                         .signatures
                         .chunks_exact(group_count)
-                        .zip(self.id_ranges.chunks_exact(group_count))
+                        .zip(caches.id_ranges.chunks_exact(group_count))
                         .enumerate()
                         .take(last)
                     {
@@ -1026,7 +1101,8 @@ impl WorkloadPredictor {
                     position = 0;
                 }
                 self.stats.fast_predictions.fetch_add(1, Relaxed);
-                Ok(self.forecast_from_position(position))
+                self.fill_from_position(position, forecast);
+                evicted
             }
         }
     }
@@ -1079,52 +1155,98 @@ impl WorkloadPredictor {
     }
 
     fn forecast_from_current(&self, current: &TimeSlot) -> WorkloadForecast {
-        WorkloadForecast {
-            per_group: self
-                .groups
-                .iter()
-                .map(|g| (*g, current.load_of(*g)))
-                .collect(),
-            matched_slot: None,
-        }
+        let mut forecast = blank_forecast();
+        self.fill_from_current(current, &mut forecast);
+        forecast
     }
 
     fn forecast_from_mean(&self) -> Result<WorkloadForecast, CoreError> {
         if self.history.is_empty() {
             return Err(CoreError::EmptyHistory);
         }
-        let n = self.history.len() as f64;
-        let per_group = self
-            .groups
-            .iter()
-            .map(|g| {
-                let total: usize = self.history.iter().map(|s| s.load_of(*g)).sum();
-                let mean = (total as f64 / n).round() as usize;
-                // a group observed at least once never forecasts to zero:
-                // the paper's model only ever predicts loads it has seen, so
-                // a small average must not round a live group out of the
-                // allocation
-                (*g, if total > 0 { mean.max(1) } else { 0 })
-            })
-            .collect();
-        Ok(WorkloadForecast {
-            per_group,
-            matched_slot: None,
-        })
+        let mut forecast = blank_forecast();
+        self.fill_from_mean(&mut forecast);
+        Ok(forecast)
     }
 
-    /// Builds the forecast from the retained slot at `position`, applying
-    /// the successor shift when the strategy asks for it.
     fn forecast_from_position(&self, position: usize) -> WorkloadForecast {
+        let mut forecast = blank_forecast();
+        self.fill_from_position(position, &mut forecast);
+        forecast
+    }
+
+    /// Refills `forecast` with `load` of each group and `matched_slot`.
+    fn fill(
+        &self,
+        forecast: &mut WorkloadForecast,
+        load: impl Fn(AccelerationGroupId) -> usize,
+        matched_slot: Option<usize>,
+    ) {
+        forecast.per_group.clear();
+        forecast
+            .per_group
+            .extend(self.groups.iter().map(|g| (*g, load(*g))));
+        forecast.matched_slot = matched_slot;
+    }
+
+    fn fill_from_current(&self, current: &TimeSlot, forecast: &mut WorkloadForecast) {
+        self.fill(forecast, |g| current.load_of(g), None);
+    }
+
+    /// The per-group mean over a non-empty history.
+    fn fill_from_mean(&self, forecast: &mut WorkloadForecast) {
+        let n = self.history.len() as f64;
+        let mean = |g| {
+            let total: usize = self.history.iter().map(|s| s.load_of(g)).sum();
+            let mean = (total as f64 / n).round() as usize;
+            // a group observed at least once never forecasts to zero: the
+            // paper's model only ever predicts loads it has seen, so a small
+            // average must not round a live group out of the allocation
+            if total > 0 {
+                mean.max(1)
+            } else {
+                0
+            }
+        };
+        self.fill(forecast, mean, None);
+    }
+
+    /// Fills the forecast from the retained slot at `position`, applying
+    /// the successor shift when the strategy asks for it.
+    fn fill_from_position(&self, position: usize, forecast: &mut WorkloadForecast) {
         let source = match self.strategy {
             PredictionStrategy::SuccessorOfNearest => (position + 1).min(self.history.len() - 1),
             _ => position,
         };
         let slot = self.history.slot(source);
-        WorkloadForecast {
-            per_group: self.groups.iter().map(|g| (*g, slot.load_of(*g))).collect(),
-            matched_slot: Some(self.history.first_index() + source),
-        }
+        let matched_slot = Some(self.history.first_index() + source);
+        self.fill(forecast, |g| slot.load_of(g), matched_slot);
+    }
+}
+
+/// A forecast with no groups, for a `fill_*` to refill.
+fn blank_forecast() -> WorkloadForecast {
+    WorkloadForecast {
+        per_group: Vec::new(),
+        matched_slot: None,
+    }
+}
+
+/// Equality over what the predictor knows: its history, configuration,
+/// summary tree and the live part of its signature caches, which are
+/// functions of the history. The dead prefix the caches keep between
+/// compactions, and the counters, take no part.
+impl PartialEq for WorkloadPredictor {
+    fn eq(&self, other: &Self) -> bool {
+        let (ours, theirs) = (self.caches(), other.caches());
+        self.history == other.history
+            && self.strategy == other.strategy
+            && self.groups == other.groups
+            && ours.signatures == theirs.signatures
+            && ours.id_ranges == theirs.id_ranges
+            && self.index_policy == other.index_policy
+            && self.summaries == other.summaries
+            && self.stats == other.stats
     }
 }
 
@@ -1203,6 +1325,7 @@ impl Restore for WorkloadPredictor {
 mod tests {
     use super::*;
     use mca_offload::UserId;
+    use std::collections::BTreeSet;
 
     const GROUPS: [AccelerationGroupId; 3] = [
         AccelerationGroupId(1),
@@ -1346,6 +1469,54 @@ mod tests {
         let forecast = p.predict(&slot(10, 0, 0)).unwrap();
         assert_eq!(forecast.matched_slot, Some(3));
         assert_eq!(p.predict_naive(&slot(10, 0, 0)).unwrap(), forecast);
+    }
+
+    #[test]
+    fn a_windowed_predictor_equals_one_rebuilt_from_its_history() {
+        // k·W + r observations for every k up to 3 and every r: the caches
+        // carry a dead prefix of every length from 0 to W slots between
+        // compactions, under both search regimes
+        const WINDOW: usize = 8;
+        let load = |i: u32| slot(3 + (i * 7) % 11, (i * 3) % 6, i % 3);
+        for policy in [
+            IndexPolicy::linear(),
+            IndexPolicy::indexed().with_min_indexed_slots(3),
+        ] {
+            let new =
+                || WorkloadPredictor::new(GROUPS.to_vec(), 3_600_000.0).with_index_policy(policy);
+            let mut observed = new().with_window(WINDOW);
+            let mut forecasting = new().with_window(WINDOW);
+            let mut dead_prefixes = BTreeSet::new();
+            for i in 0..(4 * WINDOW) as u32 {
+                observed.observe_slot(load(i));
+                let forecast = forecasting.observe_and_predict(load(i)).unwrap();
+                let mut rebuilt = new();
+                rebuilt.set_history(observed.history().clone());
+                assert_eq!(observed, rebuilt, "after {} observations", i + 1);
+                assert_eq!(forecasting, rebuilt, "after {} observations", i + 1);
+                let (mut ours, mut theirs) = (Vec::new(), Vec::new());
+                observed.encode(&mut ours);
+                rebuilt.encode(&mut theirs);
+                assert_eq!(ours, theirs, "after {} observations", i + 1);
+                assert_eq!(forecast, rebuilt.predict(&load(i)).unwrap());
+                // queried through a clone, dead prefix and all, so that the
+                // query counters stay off the compared checkpoints
+                let queried = observed.clone();
+                for probe in [load(i + 1), load(i + 5), slot(0, 0, 0)] {
+                    assert_eq!(
+                        queried.predict(&probe).unwrap(),
+                        rebuilt.predict(&probe).unwrap()
+                    );
+                }
+                let live = observed.history().len() * GROUPS.len();
+                dead_prefixes.insert((observed.signatures.len() - live) / GROUPS.len());
+            }
+            assert_eq!(
+                dead_prefixes,
+                (0..WINDOW).collect::<BTreeSet<_>>(),
+                "the dead prefix grows by a slot per eviction and is dropped at a window"
+            );
+        }
     }
 
     #[test]
@@ -1707,7 +1878,7 @@ mod tests {
             proptest::prop_assert_eq!(first, evicted);
             proptest::prop_assert_eq!(tree.depth(), if len > 4_096 { 2 } else { 1 });
             let slot_bounds: Vec<usize> = (0..len)
-                .map(|position| p.signature_bound(&counts, &ranges, position))
+                .map(|position| p.caches().signature_bound(&counts, &ranges, position))
                 .collect();
             for (position, bound) in slot_bounds.iter().enumerate() {
                 let distance = p.distance_between(&probe, p.history().slot(position));
@@ -1745,7 +1916,7 @@ mod tests {
             .iter()
             .map(|g| id_range(current.users_in(*g)))
             .collect();
-        let bound = |position| p.signature_bound(&counts, &ranges, position);
+        let bound = |position| p.caches().signature_bound(&counts, &ranges, position);
         // (distance, position, evaluated) of the incumbent
         let consider = |best: &mut (usize, usize, u64), position: usize, lower_bound: usize| {
             let (distance, at, evaluated) = best;

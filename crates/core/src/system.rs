@@ -189,7 +189,7 @@ impl System {
             matched_slot: None,
         };
         if let Ok(provisioned) = self.control.provision(&minimum, &[], 0.0, &mut ()) {
-            self.apply(&provisioned);
+            Self::apply(&mut self.usage, &mut self.sdn, &provisioned);
         }
 
         for arrival in workload.iter() {
@@ -282,9 +282,10 @@ impl System {
             .map(|g| (*g, slot.load_of(*g)))
             .collect();
         let outcome = self.control.close_slot(slot, now_ms, &mut ());
+        let previous_forecast_accuracy = outcome.forecast_accuracy;
         let (allocation_cost, allocated_instances) = match &outcome.provision {
             Some(Ok(provisioned)) => {
-                self.apply(provisioned);
+                Self::apply(&mut self.usage, &mut self.sdn, provisioned);
                 (
                     provisioned.allocation.hourly_cost,
                     provisioned.allocation.total_instances(),
@@ -296,7 +297,7 @@ impl System {
             index,
             actual,
             forecast: self.control.forecast().cloned(),
-            previous_forecast_accuracy: outcome.forecast_accuracy,
+            previous_forecast_accuracy,
             allocation_cost,
             allocated_instances,
         }
@@ -304,8 +305,8 @@ impl System {
 
     /// Folds a settled allocation into the run: the datacenter rollup, and
     /// the SDN capacity update when the pool accepted it.
-    fn apply(&mut self, provisioned: &Provisioned) {
-        self.usage.absorb(&provisioned.settlement);
+    fn apply(usage: &mut DatacenterUsage, sdn: &mut SdnAccelerator, provisioned: &Provisioned<'_>) {
+        usage.absorb(&provisioned.settlement);
         if provisioned.settlement.pool_applied {
             let per_group: Vec<(AccelerationGroupId, usize)> = provisioned
                 .allocation
@@ -313,7 +314,7 @@ impl System {
                 .iter()
                 .map(|(g, counts)| (*g, counts.iter().map(|(_, n)| n).sum()))
                 .collect();
-            self.sdn.apply_allocation(&per_group);
+            sdn.apply_allocation(&per_group);
         }
     }
 

@@ -261,6 +261,8 @@ pub struct TimeSlotBuilder {
     keys: Vec<u64>,
     /// The radix sort's second buffer.
     scratch: Vec<u64>,
+    /// The columns of a slot handed back by [`TimeSlotBuilder::recycle`].
+    spare: Spare,
 }
 
 /// Below this many keys the 256-counter passes cost more than comparing.
@@ -280,16 +282,46 @@ const FRAME_SLACK_IDS: u32 = 64;
 /// frame, and its keys are radix-sorted when they are as sparse.
 const FRAME_WORDS_PER_USER: usize = 2;
 
-/// A bitmap over a range of groups and users: row `r` is the group `g0 +
-/// r`, and bit `b` of a row is the user `u0 + b`. Between slots every word
-/// is zero; a frame of no rows is no frame.
-#[derive(Debug, Clone, Default)]
-struct Frame {
+/// Where a frame's bits sit: row `r` is the group `g0 + r`, and bit `b` of
+/// a row is the user `u0 + b`. A [`Frame`] and a [`SlotLane`] set a bit
+/// through the same [`Geometry::set`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Geometry {
     g0: u32,
     rows: u32,
     /// A multiple of 64, and `u0 + 64 · row_words ≤ 2³²`.
     u0: u32,
     row_words: u32,
+}
+
+impl Geometry {
+    /// Sets the bit of `(group, user)` in `bits` when the geometry covers
+    /// it.
+    #[inline]
+    fn set(self, bits: &mut [u64], group: u32, user: u32) -> bool {
+        // below the origin wraps past the end
+        let row = group.wrapping_sub(self.g0);
+        let word = user.wrapping_sub(self.u0) >> 6;
+        if row >= self.rows || word >= self.row_words {
+            return false;
+        }
+        bits[row as usize * self.row_words as usize + word as usize] |= 1 << (user & 63);
+        true
+    }
+}
+
+/// An assignment outside the frame, packed so that key order is `(group,
+/// user)` order.
+#[inline]
+fn pack(group: AccelerationGroupId, user: UserId) -> u64 {
+    u64::from(group.0) << 32 | u64::from(user.0)
+}
+
+/// A bitmap over a range of groups and users laid out by its [`Geometry`].
+/// Between slots every word is zero; a frame of no rows is no frame.
+#[derive(Debug, Clone, Default)]
+struct Frame {
+    geometry: Geometry,
     /// Assignments that set a bit since the frame was last drained.
     hits: usize,
     bits: Vec<u64>,
@@ -310,10 +342,15 @@ impl Frame {
         let rows = groups.end() - groups.start() + 1;
         let words = u64::from(rows) * u64::from(row_words);
         let keep = words <= max_words as u64;
-        (self.g0, self.rows, self.u0, self.row_words) = if keep {
-            (*groups.start(), rows, u0, row_words)
+        self.geometry = if keep {
+            Geometry {
+                g0: *groups.start(),
+                rows,
+                u0,
+                row_words,
+            }
         } else {
-            (0, 0, 0, 0)
+            Geometry::default()
         };
         // every word is zero between slots, so a resize leaves a clean frame
         self.bits.resize(if keep { words as usize } else { 0 }, 0);
@@ -323,36 +360,31 @@ impl Frame {
     /// Sets the bit of `(group, user)` when the frame covers it.
     #[inline]
     fn set(&mut self, group: u32, user: u32) -> bool {
-        // below the origin wraps past the end
-        let row = group.wrapping_sub(self.g0);
-        let word = user.wrapping_sub(self.u0) >> 6;
-        if row >= self.rows || word >= self.row_words {
-            return false;
-        }
-        self.bits[row as usize * self.row_words as usize + word as usize] |= 1 << (user & 63);
-        self.hits += 1;
-        true
+        let set = self.geometry.set(&mut self.bits, group, user);
+        self.hits += usize::from(set);
+        set
     }
 
     /// Reads the set bits out as the slot at `index`, each non-empty row one
     /// run, zeroing each word as it is read. The users column is sized by a
-    /// popcount first.
-    fn read(&mut self, index: usize) -> TimeSlot {
+    /// popcount first and cut from `spare`.
+    fn read(&mut self, spare: &mut Spare, index: usize) -> TimeSlot {
         let count = self.bits.iter().map(|w| w.count_ones() as usize).sum();
-        let mut slot = TimeSlot {
-            index,
-            runs: Vec::new(),
-            users: Vec::with_capacity(count),
-        };
+        let mut slot = spare.slot(index, count);
         self.hits = 0;
-        if self.rows == 0 {
+        let Geometry {
+            g0,
+            rows,
+            u0,
+            row_words,
+        } = self.geometry;
+        if rows == 0 {
             return slot;
         }
-        let rows = self.bits.chunks_exact_mut(self.row_words as usize);
-        for (group, words) in (self.g0..).zip(rows) {
+        for (group, words) in (g0..).zip(self.bits.chunks_exact_mut(row_words as usize)) {
             let start = slot.users.len();
             for (at, word) in words.iter_mut().enumerate() {
-                let base = self.u0 + 64 * at as u32;
+                let base = u0 + 64 * at as u32;
                 let mut bits = std::mem::take(word);
                 while bits != 0 {
                     slot.users.push(UserId(base + bits.trailing_zeros()));
@@ -368,6 +400,80 @@ impl Frame {
             }
         }
         slot
+    }
+}
+
+/// The columns of a slot handed back to a builder by
+/// [`TimeSlotBuilder::recycle`], emptied, for the next slot it builds.
+#[derive(Debug, Clone, Default)]
+struct Spare {
+    runs: Vec<Run>,
+    users: Vec<UserId>,
+}
+
+impl Spare {
+    /// An empty slot at `index` whose users column has room for `users`
+    /// ids: the spare column, grown exactly when it is smaller, or a fresh
+    /// one of exactly that size when there is none or the spare holds more
+    /// than a quarter more, so a recycled column never holds much more than
+    /// its slot.
+    fn slot(&mut self, index: usize, users: usize) -> TimeSlot {
+        let runs = std::mem::take(&mut self.runs);
+        let mut column = std::mem::take(&mut self.users);
+        if column.capacity() > users + users / 4 {
+            column = Vec::new();
+        }
+        column.reserve_exact(users);
+        TimeSlot {
+            index,
+            runs,
+            users: column,
+        }
+    }
+
+    /// Keeps `slot`'s columns, emptied.
+    fn keep(&mut self, slot: TimeSlot) {
+        let TimeSlot {
+            mut runs,
+            mut users,
+            ..
+        } = slot;
+        runs.clear();
+        users.clear();
+        (self.runs, self.users) = (runs, users);
+    }
+}
+
+/// A [`TimeSlotBuilder`]'s frame and key buffer, lent out for one slot by
+/// [`TimeSlotBuilder::lane`]: a copy of the frame's geometry beside borrows
+/// of its words and of the keys. A caller that scatters one batch into many
+/// builders keeps their lanes side by side, so an assignment reads the lane
+/// and sets its bit without going through the builder. Dropping the lane
+/// adds the assignments that set a bit to the builder's count.
+#[derive(Debug)]
+pub struct SlotLane<'a> {
+    geometry: Geometry,
+    bits: &'a mut [u64],
+    keys: &'a mut Vec<u64>,
+    hits: usize,
+    builder_hits: &'a mut usize,
+}
+
+impl SlotLane<'_> {
+    /// [`TimeSlotBuilder::assign`] through the lane.
+    #[inline]
+    pub fn assign(&mut self, group: AccelerationGroupId, user: UserId) {
+        if self.geometry.set(self.bits, u32::from(group.0), user.0) {
+            self.hits += 1;
+        } else {
+            self.keys.push(pack(group, user));
+        }
+    }
+}
+
+impl Drop for SlotLane<'_> {
+    fn drop(&mut self) {
+        *self.builder_hits += self.hits;
     }
 }
 
@@ -409,48 +515,43 @@ struct ColumnWriter {
     gmin: u32,
     umin: u32,
     group: u64,
-    runs: Vec<Run>,
-    users: Vec<UserId>,
+    slot: TimeSlot,
 }
 
 impl ColumnWriter {
-    /// A writer for `count` keys: the users column takes exactly that many.
-    fn new(count: usize, ubits: u32, gmin: u32, umin: u32) -> Self {
+    /// A writer filling the empty `slot`, sized for its keys.
+    fn new(slot: TimeSlot, ubits: u32, gmin: u32, umin: u32) -> Self {
         Self {
             ubits,
             gmin,
             umin,
             group: u64::MAX,
-            runs: Vec::new(),
-            users: Vec::with_capacity(count),
+            slot,
         }
     }
 
     #[inline]
     fn push(&mut self, key: u64) {
+        let slot = &mut self.slot;
         if key >> self.ubits != self.group {
             self.group = key >> self.ubits;
-            self.runs.push(Run {
+            slot.runs.push(Run {
                 group: AccelerationGroupId(self.group as u8 + self.gmin as u8),
                 len: 0,
-                start: self.users.len(),
+                start: slot.users.len(),
             });
         }
         let user = key & ((1u64 << self.ubits) - 1);
-        self.users.push(UserId(user as u32 + self.umin));
+        slot.users.push(UserId(user as u32 + self.umin));
     }
 
-    fn finish(mut self, index: usize) -> TimeSlot {
-        let mut end = self.users.len();
-        for run in self.runs.iter_mut().rev() {
+    fn finish(mut self) -> TimeSlot {
+        let mut end = self.slot.users.len();
+        for run in self.slot.runs.iter_mut().rev() {
             run.len = (end - run.start) as u32;
             end = run.start;
         }
-        TimeSlot {
-            index,
-            runs: self.runs,
-            users: self.users,
-        }
+        self.slot
     }
 }
 
@@ -464,9 +565,8 @@ impl TimeSlotBuilder {
     pub fn with_capacity(index: usize, capacity: usize) -> Self {
         Self {
             index,
-            frame: Frame::default(),
             keys: Vec::with_capacity(capacity),
-            scratch: Vec::new(),
+            ..Self::default()
         }
     }
 
@@ -475,7 +575,20 @@ impl TimeSlotBuilder {
     #[inline]
     pub fn assign(&mut self, group: AccelerationGroupId, user: UserId) {
         if !self.frame.set(u32::from(group.0), user.0) {
-            self.keys.push(u64::from(group.0) << 32 | u64::from(user.0));
+            self.keys.push(pack(group, user));
+        }
+    }
+
+    /// Lends the builder's frame and key buffer out as a [`SlotLane`], which
+    /// records assignments as [`TimeSlotBuilder::assign`] does until it is
+    /// dropped.
+    pub fn lane(&mut self) -> SlotLane<'_> {
+        SlotLane {
+            geometry: self.frame.geometry,
+            bits: &mut self.frame.bits,
+            keys: &mut self.keys,
+            hits: 0,
+            builder_hits: &mut self.frame.hits,
         }
     }
 
@@ -484,6 +597,13 @@ impl TimeSlotBuilder {
         for (group, user) in pairs {
             self.assign(group, user);
         }
+    }
+
+    /// Hands a slot that is no longer needed back to the builder: the next
+    /// slot [`TimeSlotBuilder::finish`] builds refills its two columns
+    /// instead of allocating its own, unless they are far larger than it.
+    pub fn recycle(&mut self, slot: TimeSlot) {
+        self.spare.keep(slot);
     }
 
     /// Number of recorded assignments (before deduplication).
@@ -519,8 +639,10 @@ impl TimeSlotBuilder {
     /// ubits | (user − umin)` with `ubits` the bits of the user span, which
     /// keeps `(group, user)` order, and the keys are radix-sorted and
     /// deduplicated. Neither path grows a buffer past the number of keys.
-    /// The next frame is the slot's groups and ids widened by a slack, and
-    /// none when that would be sparse.
+    /// Every path writes the slot into the columns last handed to
+    /// [`TimeSlotBuilder::recycle`], when there are some. The next frame is
+    /// the slot's groups and ids widened by a slack, and none when that
+    /// would be sparse.
     pub fn finish(&mut self, index: usize) -> TimeSlot {
         let slot = self.take(index);
         if let (Some(first), Some(last)) = (slot.runs.first(), slot.runs.last()) {
@@ -542,16 +664,16 @@ impl TimeSlotBuilder {
     /// empty.
     fn take(&mut self, index: usize) -> TimeSlot {
         if self.frame.hits > 0 {
-            let framed = self.frame.read(index);
+            let framed = self.frame.read(&mut self.spare, index);
             if self.keys.is_empty() {
                 return framed;
             }
             for run in &framed.runs {
-                let group = u64::from(run.group.0) << 32;
+                let group = AccelerationGroupId(run.group.0);
                 let users = framed.users[run.range()].iter();
-                self.keys
-                    .extend(users.map(|user| group | u64::from(user.0)));
+                self.keys.extend(users.map(|&user| pack(group, user)));
             }
+            self.spare.keep(framed);
         }
         let Some(&first) = self.keys.first() else {
             return TimeSlot::new(index);
@@ -569,7 +691,7 @@ impl TimeSlotBuilder {
                 let set = self.frame.set(group(key), user(key));
                 debug_assert!(set, "the keys' exact frame covers every key");
             }
-            self.frame.read(index)
+            self.frame.read(&mut self.spare, index)
         } else {
             let ubits = u32::BITS - (umax - umin).leading_zeros();
             let relative =
@@ -579,9 +701,10 @@ impl TimeSlotBuilder {
             let bits = u64::BITS - largest.leading_zeros();
             sort_keys(&mut self.keys, &mut self.scratch, bits);
             self.keys.dedup();
-            let mut columns = ColumnWriter::new(self.keys.len(), ubits, gmin, umin);
+            let slot = self.spare.slot(index, self.keys.len());
+            let mut columns = ColumnWriter::new(slot, ubits, gmin, umin);
             self.keys.iter().for_each(|&key| columns.push(key));
-            columns.finish(index)
+            columns.finish()
         };
         self.keys.clear();
         slot
@@ -599,7 +722,7 @@ impl TimeSlotBuilder {
 /// gives the global index of the oldest retained slot.
 ///
 /// Each retained slot keeps its own two columns (see the module docs): a
-/// pushed slot moves in uncopied, and eviction drops the oldest one.
+/// pushed slot moves in uncopied, and the slot it evicts is handed back.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlotHistory {
     /// The retained slots, oldest first.
@@ -703,11 +826,17 @@ impl SlotHistory {
 
     /// Appends an already-built slot (its index is rewritten to stay
     /// chronological), evicting the oldest slot when a window is set and
-    /// full.
-    pub fn push(&mut self, mut slot: TimeSlot) {
+    /// full. Returns the evicted slot, whose columns a
+    /// [`TimeSlotBuilder::recycle`] can refill.
+    pub fn push(&mut self, mut slot: TimeSlot) -> Option<TimeSlot> {
         slot.index = self.evicted + self.slots.len();
         self.slots.push_back(slot);
-        self.trim();
+        // the window held at most `window` slots before the push
+        if self.slots.len() > self.window? {
+            self.evicted += 1;
+            return self.slots.pop_front();
+        }
+        None
     }
 
     /// The retained slot at `position` (0 is the oldest retained slot).
@@ -1319,7 +1448,7 @@ mod tests {
             let first = builder.finish(4);
             assert_eq!(first, assigned(4, 0), "gap {gap}");
             assert!(builder.is_empty());
-            assert_eq!(builder.frame.rows > 0, dense, "gap {gap}");
+            assert_eq!(builder.frame.geometry.rows > 0, dense, "gap {gap}");
             assert!(builder.frame.bits.iter().all(|&word| word == 0));
             // the frame holds a row of words per group, the radix sort a key
             // per key in either buffer
@@ -1348,6 +1477,69 @@ mod tests {
             // the users column holds exactly the slot's users
             assert_eq!(second.users.capacity(), second.users.len());
         }
+    }
+
+    #[test]
+    fn a_builder_given_spare_columns_builds_what_a_fresh_one_does() {
+        // 200 users 7 ids apart: under adjacent groups the first slot is
+        // set into an exact frame and later ones land in the frame the slot
+        // before left; under groups 127 apart every slot is radix-sorted.
+        // The last slot adds a user in a group outside the frame, so its
+        // frame hits join the keys.
+        let pairs = |gap: u32, slot: u32| -> Vec<(AccelerationGroupId, UserId)> {
+            let mut pairs: Vec<_> = (0..200u32)
+                .rev()
+                .map(|u| {
+                    let group = AccelerationGroupId((u % 3 * gap) as u8);
+                    (group, UserId(u * 7 + slot))
+                })
+                .collect();
+            if slot == 3 {
+                pairs.push((AccelerationGroupId(254), UserId(9)));
+            }
+            pairs
+        };
+        // an empty spare, a smaller one, one larger by 15 % and one far
+        // larger than the 200-user slots
+        for spare_users in [0u32, 40, 230, 1_000] {
+            for gap in [1u32, 127] {
+                let spare = TimeSlot::from_assignments(
+                    7,
+                    (0..spare_users).map(|u| (AccelerationGroupId(9), UserId(u))),
+                );
+                let spare_capacity = spare.users.capacity();
+                let (mut fresh, mut recycled) = (TimeSlotBuilder::new(0), TimeSlotBuilder::new(0));
+                for slot in 0..4u32 {
+                    fresh.extend(pairs(gap, slot));
+                    recycled.extend(pairs(gap, slot));
+                    recycled.recycle(spare.clone());
+                    let expected = fresh.finish(slot as usize);
+                    let built = recycled.finish(slot as usize);
+                    let case = format!("spare {spare_users}, gap {gap}, slot {slot}");
+                    assert_eq!(built, expected, "{case}");
+                    // a spare at most a quarter larger than the slot is
+                    // refilled, grown exactly when smaller; a larger one is
+                    // dropped
+                    let users = expected.users.len();
+                    let capacity = if spare_capacity > users + users / 4 {
+                        users
+                    } else {
+                        spare_capacity.max(users)
+                    };
+                    assert_eq!(built.users.capacity(), capacity, "{case}");
+                    assert_eq!(expected.users.capacity(), users, "{case}");
+                }
+            }
+        }
+        // a spare outlives an empty slot for the next one
+        let mut builder = TimeSlotBuilder::new(0);
+        builder.recycle(TimeSlot::from_assignments(
+            0,
+            (0..230).map(|u| (AccelerationGroupId(9), UserId(u))),
+        ));
+        assert_eq!(builder.finish(1), TimeSlot::new(1));
+        builder.extend(pairs(1, 2));
+        assert_eq!(builder.finish(2).users.capacity(), 230);
     }
 
     /// The slot `TimeSlot::assign` builds from `pairs`.
@@ -1380,7 +1572,7 @@ mod tests {
                 "slot {index}"
             );
             assert!(builder.is_empty() && builder.frame.bits.iter().all(|&w| w == 0));
-            (path, builder.frame.rows)
+            (path, builder.frame.geometry.rows)
         };
         // a fresh builder has no frame: keys, cut exactly, then a frame
         // over groups 1..=3

@@ -2,8 +2,9 @@
 //!
 //! [`FleetEngine`] owns `N` shards, each holding the [`TenantShard`]s the
 //! [`ShardRouter`] hashes onto it. Every provisioning slot the engine
-//! ingests one batch of arrival records, scatters it in one pass into the
-//! hosted tenants' slot builders, and runs every shard's
+//! ingests one batch of arrival records, scatters it in one pass through a
+//! table of the hosted tenants' slot-builder lanes (see [`crate::ingest`]),
+//! and runs every shard's
 //! build→predict→allocate→bill cycle **in parallel** — one contiguous chunk
 //! of shards per thread ([`shard_chunks`]), the calling thread ticking the
 //! last chunk and a scoped thread each of the others. Two properties make
@@ -18,7 +19,7 @@
 //!   or thread count.
 
 use crate::error::FleetError;
-use crate::ingest::{RouteTable, SlotRecord};
+use crate::ingest::{LaneTable, SlotRecord};
 use crate::metrics::FleetMetrics;
 use crate::rebalance::{MigrationRecord, Rebalancer, RebalancerConfig};
 use crate::router::ShardRouter;
@@ -105,8 +106,6 @@ pub struct FleetEngine {
     config: SystemConfig,
     router: ShardRouter,
     shards: Vec<Shard>,
-    /// Shard and position of every hosted tenant; rebuilt every slot.
-    routes: RouteTable,
     threads: usize,
     slot_index: usize,
     dropped_records: usize,
@@ -154,7 +153,6 @@ impl FleetEngine {
             config,
             router,
             shards,
-            routes: RouteTable::new(),
             threads,
             slot_index: 0,
             dropped_records: 0,
@@ -412,9 +410,10 @@ impl FleetEngine {
     }
 
     /// Ticks one provisioning slot on a batch of arrival records: appends
-    /// every record to its tenant's slot builder (one pass over the batch),
-    /// then runs every shard's build→predict→allocate→bill cycle in
-    /// parallel. Records naming unknown tenants are counted in
+    /// every record to its tenant's slot builder through the builder's lane
+    /// (one pass over the batch), then runs every shard's
+    /// build→predict→allocate→bill cycle in parallel. Records naming
+    /// unknown tenants are counted in
     /// [`FleetEngine::dropped_records`], and against the shard the router
     /// names for the tenant. This is the single
     /// ingestion primitive every front-end funnels into. When a rebalancer
@@ -424,28 +423,26 @@ impl FleetEngine {
         let timer = StageTimer::start(&mut self.clock);
         let slot_index = self.slot_index;
         let now_ms = (slot_index + 1) as f64 * self.config.slot_length_ms;
-        // where every tenant sits right now: O(tenants) per slot, so no
-        // control-plane operation has a table to invalidate
-        self.routes.reset(self.tenants());
-        for (index, shard) in self.shards.iter().enumerate() {
-            for (at, tenant) in shard.tenants.iter().enumerate() {
-                self.routes.insert(tenant.id(), index, at);
-            }
+        // every hosted tenant's lane, lent by its builder for this slot:
+        // O(tenants) per slot, so no control-plane operation has a table to
+        // invalidate, and the one allocation of the slot's scatter
+        let mut unknown: BTreeMap<TenantId, usize> = BTreeMap::new();
+        let mut lanes = LaneTable::with_capacity(self.tenants());
+        for tenant in self.shards.iter_mut().flat_map(|s| s.tenants.iter_mut()) {
+            lanes.insert(tenant.id(), tenant.builder.lane());
         }
         for record in records {
-            let tenant = record.tenant;
-            match self.routes.get(tenant) {
-                Some((shard, at)) => {
-                    let builder = &mut self.shards[shard].tenants[at].builder;
-                    builder.assign(record.group, record.user);
-                }
-                // an unknown tenant: charged to the shard it would route to
-                None => {
-                    self.shards[self.router.shard_of_tenant(tenant)].unrouted += 1;
-                    self.dropped_records += 1;
-                    *self.dropped_by_tenant.entry(tenant).or_insert(0) += 1;
-                }
+            match lanes.get(record.tenant) {
+                Some(lane) => lane.assign(record.group, record.user),
+                None => *unknown.entry(record.tenant).or_insert(0) += 1,
             }
+        }
+        drop(lanes);
+        // an unknown tenant: charged to the shard it would route to
+        for (tenant, count) in unknown {
+            self.shards[self.router.shard_of_tenant(tenant)].unrouted += count;
+            self.dropped_records += count;
+            *self.dropped_by_tenant.entry(tenant).or_insert(0) += count;
         }
         let tick = move |shards: &mut [Shard]| {
             for shard in shards {
@@ -879,7 +876,6 @@ impl FleetEngine {
             config: config.clone(),
             router,
             shards,
-            routes: RouteTable::new(),
             threads: threads.max(1),
             slot_index,
             dropped_records,

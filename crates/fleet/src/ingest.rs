@@ -4,15 +4,20 @@
 //! records per provisioning slot, in arrival order — which interleaves
 //! tenants and user ids arbitrarily. Feeding such a stream through
 //! [`mca_core::TimeSlot::assign`] pays an ordered insert per record
-//! (`O(n)` per out-of-order user); the engine instead walks the batch once,
-//! looks every record's tenant up in a `RouteTable` and hands it to that
-//! tenant's [`mca_core::TimeSlotBuilder`]. A record inside the frame the
-//! tenant's last slot left sets its bit there; any other is kept as a key.
-//! The slot is built once — read off the frame, or sorted and deduplicated
-//! — identical in result to the per-record path. A tenant the table does
-//! not hold is unknown: its records are dropped and counted.
+//! (`O(n)` per out-of-order user); the engine instead walks the batch once
+//! through a `LaneTable`. At the top of every slot each hosted tenant's
+//! [`mca_core::TimeSlotBuilder`] lends out its [`mca_core::SlotLane`] — a
+//! copy of its frame's geometry and borrows of the frame's words and the
+//! key buffer — and the table keeps each lane beside its tenant id in one
+//! cache line. A record then costs one hash probe, one range check and one
+//! bit set: inside the frame the tenant's last slot left it sets its bit,
+//! outside it is kept as a key. The slot is built once — read off the
+//! frame, or sorted and deduplicated — identical in result to the
+//! per-record path. A tenant the table does not hold is unknown: its
+//! records are dropped and counted.
 
 use crate::router::ShardRouter;
+use mca_core::SlotLane;
 use mca_offload::{AccelerationGroupId, TenantId, UserId};
 use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
 use std::collections::BTreeSet;
@@ -58,60 +63,72 @@ impl Restore for SlotRecord {
     }
 }
 
-/// Tenant → `(shard, position in the shard's tenant list)`: the table the
-/// engine refills every slot and looks up once per record. Open addressing
-/// with linear probing over a power-of-two slot array at most half full — a
-/// lookup is one multiplication and, nearly always, one slot read, where the
-/// standard `HashMap` costs about as much as the append it routes.
+/// One tenant's entry in a [`LaneTable`]: the tenant and its builder's
+/// lane, together one cache line.
 #[derive(Debug)]
-pub(crate) struct RouteTable {
-    /// `(tenant, shard, position)`; a [`VACANT`] shard marks a free slot.
-    slots: Vec<(TenantId, usize, usize)>,
+#[repr(align(64))]
+struct Entry<'a> {
+    tenant: TenantId,
+    lane: SlotLane<'a>,
 }
 
-const VACANT: usize = usize::MAX;
+/// Tenant → the [`SlotLane`] of the tenant's slot builder: the table the
+/// engine fills at the top of every slot and looks up once per record. Open
+/// addressing with linear probing over a power-of-two array at most half
+/// full, each entry one cache line holding the tenant and a copy of its
+/// frame's geometry — a record costs one multiplication, nearly always one
+/// entry read, a range check and one bit set, with no pointer chased
+/// through the shard to the builder.
+#[derive(Debug)]
+pub(crate) struct LaneTable<'a> {
+    /// `None` marks a free entry.
+    entries: Vec<Option<Entry<'a>>>,
+    /// `64 − log2(entries.len())`: the shift that keeps a hash's top bits.
+    shift: u32,
+}
 
-impl RouteTable {
-    /// A table with room for no tenant.
-    pub(crate) fn new() -> Self {
-        let mut table = Self { slots: Vec::new() };
-        table.reset(0);
-        table
-    }
-
-    /// Empties the table and sizes it for up to `tenants` entries.
-    pub(crate) fn reset(&mut self, tenants: usize) {
-        self.slots.clear();
-        let slots = (2 * tenants).next_power_of_two().max(2);
-        self.slots.resize(slots, (TenantId(0), VACANT, 0));
-    }
-
-    /// The slot `tenant` probes first: the top bits of a golden-ratio
-    /// product (Fibonacci hashing), which spreads sequential ids evenly.
-    fn home(&self, tenant: TenantId) -> usize {
-        let hash = u64::from(tenant.0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (hash >> (64 - self.slots.len().trailing_zeros())) as usize
-    }
-
-    /// Routes `tenant`, not yet in the table, to `shard` at `at`.
-    pub(crate) fn insert(&mut self, tenant: TenantId, shard: usize, at: usize) {
-        let mut slot = self.home(tenant);
-        while self.slots[slot].1 != VACANT {
-            slot = (slot + 1) & (self.slots.len() - 1);
+impl<'a> LaneTable<'a> {
+    /// An empty table with room for `tenants` lanes.
+    pub(crate) fn with_capacity(tenants: usize) -> Self {
+        let len = (2 * tenants).next_power_of_two().max(2);
+        let mut entries = Vec::with_capacity(len);
+        entries.resize_with(len, || None);
+        Self {
+            entries,
+            shift: 64 - len.trailing_zeros(),
         }
-        self.slots[slot] = (tenant, shard, at);
     }
 
-    /// Where `tenant` was routed to, if it was.
-    pub(crate) fn get(&self, tenant: TenantId) -> Option<(usize, usize)> {
-        let mut slot = self.home(tenant);
+    /// The entry `tenant` probes first: the top bits of a golden-ratio
+    /// product (Fibonacci hashing), which spreads sequential ids evenly.
+    #[inline]
+    fn home(&self, tenant: TenantId) -> usize {
+        (u64::from(tenant.0).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// Adds the lane of `tenant`, which has none in the table yet.
+    pub(crate) fn insert(&mut self, tenant: TenantId, lane: SlotLane<'a>) {
+        let mask = self.entries.len() - 1;
+        let mut at = self.home(tenant);
+        while self.entries[at].is_some() {
+            at = (at + 1) & mask;
+        }
+        self.entries[at] = Some(Entry { tenant, lane });
+    }
+
+    /// The lane of `tenant`, if it has one.
+    #[inline]
+    pub(crate) fn get(&mut self, tenant: TenantId) -> Option<&mut SlotLane<'a>> {
+        let mask = self.entries.len() - 1;
+        let mut at = self.home(tenant);
         loop {
-            match self.slots[slot] {
-                (_, VACANT, _) => return None,
-                (key, shard, at) if key == tenant => return Some((shard, at)),
-                _ => slot = (slot + 1) & (self.slots.len() - 1),
+            match &self.entries[at] {
+                None => return None,
+                Some(entry) if entry.tenant == tenant => break,
+                Some(_) => at = (at + 1) & mask,
             }
         }
+        self.entries[at].as_mut().map(|entry| &mut entry.lane)
     }
 }
 
@@ -150,28 +167,37 @@ mod tests {
     use super::*;
 
     #[test]
-    fn route_table_finds_what_was_inserted_and_nothing_else() {
-        let mut table = RouteTable::new();
-        assert_eq!(table.get(TenantId(0)), None);
+    fn lane_table_finds_what_was_inserted_and_nothing_else() {
+        assert_eq!(std::mem::size_of::<Option<Entry<'_>>>(), 64, "one line");
+        assert!(LaneTable::with_capacity(0).get(TenantId(0)).is_none());
         // sequential ids, ids a power of two apart (equal low bits) and the
-        // extremes, refilled at several sizes
+        // extremes, at several sizes
         for tenants in [1usize, 2, 3, 64, 65, 1000] {
             let ids: Vec<TenantId> = (0..tenants as u32)
                 .map(|i| TenantId(if i % 3 == 2 { i << 12 } else { i }))
                 .chain([TenantId(u32::MAX), TenantId(u32::MAX - 1)])
                 .collect();
-            table.reset(ids.len());
-            for (at, &id) in ids.iter().enumerate() {
-                table.insert(id, at % 7, at);
+            let mut builders = vec![mca_core::TimeSlotBuilder::default(); ids.len()];
+            let mut table = LaneTable::with_capacity(ids.len());
+            for (&id, builder) in ids.iter().zip(&mut builders) {
+                table.insert(id, builder.lane());
             }
+            // each lane records into its own tenant's builder
             for (at, &id) in ids.iter().enumerate() {
-                assert_eq!(table.get(id), Some((at % 7, at)), "{id:?} of {tenants}");
+                let lane = table
+                    .get(id)
+                    .unwrap_or_else(|| panic!("{id:?} of {tenants}"));
+                lane.assign(AccelerationGroupId(1), UserId(at as u32));
             }
-            assert_eq!(table.get(TenantId(u32::MAX - 2)), None);
-            assert_eq!(table.get(TenantId(1 << 30)), None);
+            assert!(table.get(TenantId(u32::MAX - 2)).is_none());
+            assert!(table.get(TenantId(1 << 30)).is_none());
+            drop(table);
+            for (at, builder) in builders.iter_mut().enumerate() {
+                assert_eq!(builder.len(), 1, "{:?} of {tenants}", ids[at]);
+                let slot = builder.finish(0);
+                assert_eq!(slot.users_in(AccelerationGroupId(1)), [UserId(at as u32)]);
+            }
         }
-        table.reset(0);
-        assert_eq!(table.get(TenantId(1)), None, "a reset forgets every route");
     }
 
     #[test]

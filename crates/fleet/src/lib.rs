@@ -18,7 +18,8 @@
 //!   `ControlLoop::close_slot` — score→learn→predict→allocate→bill — the
 //!   single-operator [`mca_core::System`] calls.
 //! * [`ingest`] — batched slot ingest: one flat arrival-order record batch
-//!   per slot, scattered in one pass into each tenant's
+//!   per slot, scattered in one pass through a table of the tenants'
+//!   [`mca_core::SlotLane`]s into each tenant's
 //!   [`mca_core::TimeSlotBuilder`], which sets most records' bits in the
 //!   frame its last slot left and builds the slot once, instead of a
 //!   per-record ordered insert.

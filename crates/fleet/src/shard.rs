@@ -28,8 +28,8 @@ pub struct TenantShard {
     control: ControlLoop,
     /// The slot the engine stages this tenant's records in. It is empty
     /// between slots and travels with the tenant, so its frame (the last
-    /// slot's id range) follows the tenant through insertions and
-    /// migrations.
+    /// slot's id range) and the columns of the slot the tenant's history
+    /// last evicted follow the tenant through insertions and migrations.
     pub(crate) builder: TimeSlotBuilder,
     metrics: TenantMetrics,
     /// EWMA of observed users per tick — the tenant's contribution to its
@@ -113,6 +113,9 @@ impl TenantShard {
     /// tenant's accounting.
     pub fn tick<S: StageObserver>(&mut self, slot: TimeSlot, now_ms: f64, stages: &mut S) {
         let outcome = self.control.close_slot(slot, now_ms, stages);
+        if let Some(evicted) = outcome.evicted {
+            self.builder.recycle(evicted);
+        }
         let metrics = &mut self.metrics;
         metrics.slots += 1;
         metrics.total_user_slots += outcome.observed_users;

@@ -2,14 +2,16 @@
 //! is warm, one prediction must allocate only a small constant number of
 //! times (the forecast itself plus the probe's counts and id ranges), the
 //! same on either search regime and **independent of the history length**
-//! — the scan allocates nothing per candidate. A second gate holds the fleet's
-//! slot ingest to a count **independent of the records per tenant** and the
-//! live timestamped lane in front of it to one **independent of the records
-//! per slot**, a third holds a warmed engine's checkpoint to the same, a
+//! — the scan allocates nothing per candidate. A second gate holds a warmed
+//! fleet slot — ingest, build, predict, allocate and bill — to a count
+//! **independent of the records per tenant and of the tenant count**, under
+//! arithmetic and datacenter billing, and the live timestamped lane in front
+//! of it to one **independent of the records per slot**, a third holds a
+//! warmed engine's checkpoint to the same, a
 //! fourth holds one
 //! ILP solve to a few allocations per branch-and-bound node **independent of
-//! the pivot count**, a fifth holds the datacenter's bill stage to a
-//! count **independent of the placed instances**, and a sixth holds a
+//! the pivot count**, a fifth holds a warmed datacenter bill stage to **no
+//! allocation at all, whatever the placed instances**, and a sixth holds a
 //! predictor's restore to **one allocation per slot column** (a runs and a
 //! users column per slot) plus a constant.
 //!
@@ -160,13 +162,26 @@ fn indexed_probe_allocates_a_small_constant() {
     );
 }
 
+/// How a warmed fleet bills its tenants.
+#[derive(Debug, Clone, Copy)]
+enum Billing {
+    Arithmetic,
+    /// Against a simulated datacenter per tenant, with hosts to spare.
+    Datacenter,
+}
+
 /// A driver over `tenants` tenants of `users` users each, spread over the
 /// three groups and fed in an interleaved arrival order with duplicates,
-/// stepped past the history window so eviction, the builders' buffers and
-/// frames and the allocation memo are all in steady state; one more slot
-/// is queued. `id(slot, users, u)` places user `u` of a tenant in `slot`,
-/// within the tenant's own million ids.
-fn warmed_driver(tenants: u32, users: u32, id: impl Fn(usize, u32, u32) -> u32) -> FleetDriver {
+/// stepped past the history window so eviction, the builders' buffers,
+/// spare columns and frames, and the allocation memo are all in steady
+/// state; one more slot is queued. `id(slot, users, u)` places user `u` of a
+/// tenant in `slot`, within the tenant's own million ids.
+fn warmed_driver(
+    tenants: u32,
+    users: u32,
+    billing: Billing,
+    id: impl Fn(usize, u32, u32) -> u32,
+) -> FleetDriver {
     let batch = |slot: usize| -> Vec<SlotRecord> {
         // a stride coprime to the user count visits every user, out of order
         (0..users + users / 4)
@@ -180,7 +195,11 @@ fn warmed_driver(tenants: u32, users: u32, id: impl Fn(usize, u32, u32) -> u32) 
             })
             .collect()
     };
-    let config = SystemConfig::paper_three_groups().with_history_window(16);
+    let mut config = SystemConfig::paper_three_groups().with_history_window(16);
+    if let Billing::Datacenter = billing {
+        config =
+            config.with_datacenter(DatacenterConfig::paper_default().with_hosts(64, 48, 192.0));
+    }
     let mut engine = FleetEngine::new(config, 4, 1).with_threads(1);
     engine.add_tenants((0..tenants).map(TenantId));
     let (lane, source) = SlotBatchSource::channel();
@@ -193,30 +212,51 @@ fn warmed_driver(tenants: u32, users: u32, id: impl Fn(usize, u32, u32) -> u32) 
     driver
 }
 
-/// Asserts that one warmed `FleetDriver::step` allocates as often at 250
-/// records per tenant as at 1,000, and about twice as often for twice the
-/// tenants, with users placed by `id` (see [`warmed_driver`]).
+/// What one warmed slot allocates, whatever its tenants and records: the
+/// lane table `FleetEngine::ingest_batch` borrows every tenant's slot
+/// builder into for the scatter. A tenant-slot allocates nothing: its slot
+/// refills the columns of the slot its history evicted, a memo hit lends
+/// the memoized allocation to billing, and the forecast, the observed
+/// demand, the SLA demands and the datacenter's next placement refill
+/// buffers the tenant keeps.
+const SLOT_ALLOCATIONS: usize = 1;
+
+/// Asserts that one warmed `FleetDriver::step` allocates
+/// [`SLOT_ALLOCATIONS`] times at 250 and 1,000 records per tenant, and at 6,
+/// 12 and 24 tenants, under either billing, with users placed by `id` (see
+/// [`warmed_driver`]).
 fn assert_ingest_allocations_flat(population: &str, id: impl Fn(usize, u32, u32) -> u32 + Copy) {
-    let step = |tenants: u32, users: u32| {
-        let mut driver = warmed_driver(tenants, users, id);
-        allocations_during(|| {
-            driver.step().expect("a shared lane never misroutes");
-        })
-    };
-    let (light, heavy) = (step(6, 200), step(6, 800));
-    assert_eq!(
-        light, heavy,
-        "{population}: one warmed slot allocated {light} times at 250 records per tenant and \
-         {heavy} at 1,000: a per-record buffer is growing inside the ingest"
-    );
-    // what a slot does allocate is its own: a run per non-empty group, the
-    // forecast, the memoized allocation handed to billing
-    let more_tenants = step(12, 200);
-    assert!(
-        light < more_tenants && more_tenants <= 2 * light,
-        "{population}: allocations should scale with tenants: {light} for 6, {more_tenants} \
-         for 12"
-    );
+    for billing in [Billing::Arithmetic, Billing::Datacenter] {
+        let step = |tenants: u32, users: u32| {
+            let mut driver = warmed_driver(tenants, users, billing, id);
+            let allocations = allocations_during(|| {
+                driver.step().expect("a shared lane never misroutes");
+            });
+            let metrics = driver.engine().metrics();
+            assert_eq!(metrics.total_placement_failures, 0, "{population}");
+            let placed = metrics.total_placed_instance_slots > 0;
+            assert_eq!(
+                placed,
+                matches!(billing, Billing::Datacenter),
+                "{population}"
+            );
+            allocations
+        };
+        let (light, heavy) = (step(6, 200), step(6, 800));
+        assert_eq!(
+            light, heavy,
+            "{population}, {billing:?}: one warmed slot allocated {light} times at 250 records \
+             per tenant and {heavy} at 1,000: a per-record buffer is growing inside the ingest"
+        );
+        for tenants in [6, 12, 24] {
+            let allocations = step(tenants, 200);
+            assert_eq!(
+                allocations, SLOT_ALLOCATIONS,
+                "{population}, {billing:?}: one warmed slot of {tenants} tenants allocated \
+                 {allocations} times, not {SLOT_ALLOCATIONS}: a tenant-slot allocates"
+            );
+        }
+    }
 }
 
 #[test]
@@ -297,7 +337,7 @@ fn a_stream_lane_allocates_per_slot_never_per_record() {
 /// Allocations of the second `FleetEngine::checkpoint` of a warmed engine
 /// into a buffer the caller keeps.
 fn warmed_checkpoint_allocations(tenants: u32, users: u32) -> usize {
-    let mut engine = warmed_driver(tenants, users, |_, _, u| u).into_engine();
+    let mut engine = warmed_driver(tenants, users, Billing::Arithmetic, |_, _, u| u).into_engine();
     let mut bytes = Vec::new();
     engine
         .checkpoint(&mut bytes)
@@ -446,11 +486,12 @@ fn datacenter_settle_allocations_do_not_grow_with_placed_instances() {
         few_placed < 5 && many_placed > 100,
         "{few_placed} and {many_placed} instances placed"
     );
-    // the demand vector, the pool's type list and target, fresh hosts, the
-    // placement list at its final size, the standing capacity
-    assert!(
-        few < 16,
-        "a warmed settle allocated {few} times; expected a small constant"
+    // the SLA demands, the next hosts and placement and the standing
+    // capacity refill buffers the backend keeps, and the pool transaction
+    // reads the allocation's counts in place: nothing allocates
+    assert_eq!(
+        few, 0,
+        "a warmed settle allocated {few} times; expected none"
     );
     assert_eq!(
         few, many,

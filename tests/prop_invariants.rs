@@ -846,6 +846,8 @@ struct ReferenceFleet {
     shards: Vec<BTreeMap<TenantId, TenantShard>>,
     /// Records bucketed to each shard so far.
     records: Vec<u64>,
+    /// Records of unknown tenants bucketed to each shard so far.
+    unrouted: Vec<u64>,
     dropped: BTreeMap<TenantId, usize>,
     slot: usize,
 }
@@ -857,6 +859,7 @@ impl ReferenceFleet {
             router: ShardRouter::new(shards),
             shards: (0..shards).map(|_| BTreeMap::new()).collect(),
             records: vec![0; shards],
+            unrouted: vec![0; shards],
             dropped: BTreeMap::new(),
             slot: 0,
         }
@@ -899,7 +902,10 @@ impl ReferenceFleet {
             for record in bucket {
                 match slots.get_mut(&record.tenant) {
                     Some(slot) => slot.assign(record.group, record.user),
-                    None => *self.dropped.entry(record.tenant).or_insert(0) += 1,
+                    None => {
+                        self.unrouted[at] += 1;
+                        *self.dropped.entry(record.tenant).or_insert(0) += 1;
+                    }
                 }
             }
             for (tenant, slot) in slots {
@@ -908,6 +914,15 @@ impl ReferenceFleet {
             }
         }
         self.slot += 1;
+    }
+
+    /// Every hosted tenant's retained slots, by tenant id.
+    fn histories(&self) -> BTreeMap<TenantId, SlotHistory> {
+        self.shards
+            .iter()
+            .flatten()
+            .map(|(&tenant, state)| (tenant, state.predictor().history().clone()))
+            .collect()
     }
 
     fn forecasts(&self) -> Vec<(TenantId, Option<WorkloadForecast>)> {
@@ -934,12 +949,15 @@ impl ReferenceFleet {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Scattering records straight into per-tenant packed-key builders
-    /// serves every tenant exactly what bucketing by shard and assigning
-    /// record by record does — under duplicates, shuffled and pre-sorted
-    /// arrival order, unknown tenants, the extreme ids, empty slots, and
-    /// tenants added, extracted (a displaced one goes home) and migrated
-    /// between slots — and charges every record to the same shard.
+    /// Scattering records through the lane table straight into per-tenant
+    /// builders serves every tenant exactly what bucketing by shard and
+    /// assigning record by record does — under duplicates, shuffled and
+    /// pre-sorted arrival order, unknown tenants, the extreme ids, records
+    /// far outside the frame the tenant's last slot left, empty slots, slots
+    /// past the history window (whose evicted columns the builders refill),
+    /// and tenants added, extracted (a displaced one goes home) and migrated
+    /// between slots — builds the same slots, and charges every record to
+    /// the same shard.
     #[test]
     fn fleet_ingest_matches_the_two_pass_reference(
         shards in 1usize..5,
@@ -948,9 +966,9 @@ proptest! {
                 0u8..10,
                 0usize..24,
                 proptest::collection::vec((0usize..16, 0usize..5, 0u32..400), 0..400),
-                0u8..3,
+                0u8..6,
             ),
-            3..8,
+            3..14,
         ),
     ) {
         const TOGGLED: TenantId = TenantId(5);
@@ -978,14 +996,17 @@ proptest! {
         let batches: Vec<Vec<SlotRecord>> = slots
             .iter()
             .map(|(_, _, picks, order)| {
+                // an order of 3 or more also moves the ids far outside every
+                // frame the slot before left
+                let jump = if order >= &3 { 1 << 20 } else { 0 };
                 let mut batch: Vec<SlotRecord> = picks
                     .iter()
                     .map(|&(tenant, group, user)| {
-                        let user = if user < 4 { u32::MAX - user } else { user };
+                        let user = if user < 4 { u32::MAX - user } else { user + jump };
                         SlotRecord::new(tenant_of(tenant), groups[group], UserId(user))
                     })
                     .collect();
-                match order {
+                match order % 3 {
                     0 => {}
                     1 => batch.sort_unstable_by_key(|r| (r.tenant, r.group, r.user)),
                     _ => batch.extend_from_within(..batch.len() / 2),
@@ -995,6 +1016,7 @@ proptest! {
             .collect();
         let mut driver =
             FleetDriver::new(engine).with_shared_source(SlotBatchSource::new(batches.clone()));
+        let mut previous_unrouted = vec![0u64; shards];
 
         for ((op, arg, _, _), batch) in slots.into_iter().zip(&batches) {
             let engine = driver.engine_mut();
@@ -1023,10 +1045,37 @@ proptest! {
                 }
                 _ => {}
             }
+            let staged_before: Vec<u64> =
+                driver.engine().telemetry().shards.iter().map(|s| s.records).collect();
             driver.step().expect("a shared lane is never quarantined");
             reference.tick(batch);
 
             let engine = driver.engine();
+            let histories: BTreeMap<TenantId, SlotHistory> = engine
+                .tenant_ids()
+                .into_iter()
+                .map(|t| (t, engine.tenant(t).expect("hosted").predictor().history().clone()))
+                .collect();
+            prop_assert_eq!(histories, reference.histories());
+            // a shard's staged records less those of the tenants it hosts are
+            // the unknown tenants' records the engine charged to it
+            let mut unrouted: Vec<u64> = engine
+                .telemetry()
+                .shards
+                .iter()
+                .zip(&staged_before)
+                .map(|(s, before)| s.records - before)
+                .collect();
+            for record in batch.iter().filter(|r| engine.tenant(r.tenant).is_some()) {
+                unrouted[engine.shard_of(record.tenant)] -= 1;
+            }
+            let reference_unrouted: Vec<u64> = reference
+                .unrouted
+                .iter()
+                .zip(&mut previous_unrouted)
+                .map(|(&total, previous)| total - std::mem::replace(previous, total))
+                .collect();
+            prop_assert_eq!(unrouted, reference_unrouted);
             prop_assert_eq!(engine.forecasts(), reference.forecasts());
             prop_assert_eq!(engine.metrics(), reference.metrics());
             prop_assert_eq!(engine.dropped_by_tenant(), &reference.dropped);
