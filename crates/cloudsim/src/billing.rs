@@ -17,18 +17,13 @@ pub struct BillingMeter {
 }
 
 impl BillingMeter {
-    /// Creates an empty meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Bills `count` instances of `instance_type` for `hours` hours each.
     /// Partial hours are rounded **up** per instance-allocation, as cloud
     /// vendors do. Durations within float residue of a whole hour are
     /// snapped to it first, so a tenant decommissioned *exactly* on an hour
     /// boundary — whose elapsed time sums to, say, `1.0000000000000002`
     /// hours of accumulated slot lengths — is not billed the next hour.
-    pub fn bill(&mut self, instance_type: InstanceType, count: usize, hours: f64) {
+    pub(crate) fn bill(&mut self, instance_type: InstanceType, count: usize, hours: f64) {
         let raw = hours.max(0.0);
         let nearest = raw.round();
         let whole = if (raw - nearest).abs() < 1e-9 {
@@ -43,32 +38,12 @@ impl BillingMeter {
         *self.hours.entry(instance_type).or_insert(0.0) += billed * count as f64;
     }
 
-    /// Billed instance-hours for one type.
-    pub fn hours_for(&self, instance_type: InstanceType) -> f64 {
-        self.hours.get(&instance_type).copied().unwrap_or(0.0)
-    }
-
-    /// Total billed instance-hours across all types.
-    pub fn total_hours(&self) -> f64 {
-        self.hours.values().sum()
-    }
-
     /// Total cost in USD.
     pub fn total_cost(&self) -> f64 {
         self.hours
             .iter()
             .map(|(t, h)| t.spec().cost_per_hour * h)
             .sum()
-    }
-
-    /// Cost attributable to one instance type, USD.
-    pub fn cost_for(&self, instance_type: InstanceType) -> f64 {
-        instance_type.spec().cost_per_hour * self.hours_for(instance_type)
-    }
-
-    /// Iterates over `(type, billed hours)` pairs in catalogue order.
-    pub fn iter(&self) -> impl Iterator<Item = (InstanceType, f64)> + '_ {
-        self.hours.iter().map(|(t, h)| (*t, *h))
     }
 }
 
@@ -90,13 +65,18 @@ impl Restore for BillingMeter {
 mod tests {
     use super::*;
 
+    /// Billed instance-hours for one type.
+    fn hours_for(meter: &BillingMeter, instance_type: InstanceType) -> f64 {
+        meter.hours.get(&instance_type).copied().unwrap_or(0.0)
+    }
+
     #[test]
     fn partial_hours_round_up() {
-        let mut m = BillingMeter::new();
+        let mut m = BillingMeter::default();
         m.bill(InstanceType::T2Large, 2, 0.5);
-        assert_eq!(m.hours_for(InstanceType::T2Large), 2.0);
+        assert_eq!(hours_for(&m, InstanceType::T2Large), 2.0);
         m.bill(InstanceType::T2Large, 1, 1.2);
-        assert_eq!(m.hours_for(InstanceType::T2Large), 4.0);
+        assert_eq!(hours_for(&m, InstanceType::T2Large), 4.0);
     }
 
     #[test]
@@ -105,52 +85,56 @@ mod tests {
         // f64; a tenant decommissioned on that boundary owes one hour
         let hours = (0..11).map(|_| 3_600_000.0f64 / 11.0).sum::<f64>() / 3_600_000.0;
         assert!(hours > 1.0, "the test needs the residue to exist");
-        let mut m = BillingMeter::new();
+        let mut m = BillingMeter::default();
         m.bill(InstanceType::T2Large, 1, hours);
-        assert_eq!(m.hours_for(InstanceType::T2Large), 1.0);
+        assert_eq!(hours_for(&m, InstanceType::T2Large), 1.0);
         // a genuine partial hour still rounds up
-        let mut m = BillingMeter::new();
+        let mut m = BillingMeter::default();
         m.bill(InstanceType::T2Large, 1, 1.001);
-        assert_eq!(m.hours_for(InstanceType::T2Large), 2.0);
+        assert_eq!(hours_for(&m, InstanceType::T2Large), 2.0);
     }
 
     #[test]
     fn zero_count_or_duration_bills_nothing() {
-        let mut m = BillingMeter::new();
+        let mut m = BillingMeter::default();
         m.bill(InstanceType::T2Nano, 0, 5.0);
         m.bill(InstanceType::T2Nano, 3, 0.0);
-        assert_eq!(m.total_hours(), 0.0);
+        assert_eq!(m, BillingMeter::default());
         assert_eq!(m.total_cost(), 0.0);
     }
 
     #[test]
     fn cost_uses_catalogue_prices() {
-        let mut m = BillingMeter::new();
+        let mut m = BillingMeter::default();
         m.bill(InstanceType::T2Nano, 10, 1.0);
         m.bill(InstanceType::M4_10XLarge, 1, 1.0);
         let expected = 10.0 * 0.0063 + 2.377;
         assert!((m.total_cost() - expected).abs() < 1e-9);
-        assert!((m.cost_for(InstanceType::M4_10XLarge) - 2.377).abs() < 1e-9);
     }
 
     #[test]
     fn big_instances_dominate_the_bill() {
         // The motivation for the allocation model: one m4.10xlarge hour costs
         // more than 300 t2.nano hours.
-        let mut nano = BillingMeter::new();
+        let mut nano = BillingMeter::default();
         nano.bill(InstanceType::T2Nano, 300, 1.0);
-        let mut m4 = BillingMeter::new();
+        let mut m4 = BillingMeter::default();
         m4.bill(InstanceType::M4_10XLarge, 1, 1.0);
         assert!(m4.total_cost() > nano.total_cost());
     }
 
     #[test]
     fn iteration_and_accumulation() {
-        let mut m = BillingMeter::new();
+        let mut m = BillingMeter::default();
         m.bill(InstanceType::T2Small, 1, 2.0);
         m.bill(InstanceType::T2Medium, 2, 1.0);
-        let collected: Vec<_> = m.iter().collect();
-        assert_eq!(collected.len(), 2);
-        assert_eq!(m.total_hours(), 4.0);
+        m.bill(InstanceType::T2Small, 1, 0.5);
+        // hours accumulate per type, whatever order they were billed in
+        let mut reordered = BillingMeter::default();
+        reordered.bill(InstanceType::T2Medium, 1, 2.0);
+        reordered.bill(InstanceType::T2Small, 3, 1.0);
+        assert_eq!(m, reordered);
+        assert_eq!(hours_for(&m, InstanceType::T2Small), 3.0);
+        assert!((m.total_cost() - (3.0 * 0.025 + 2.0 * 0.05)).abs() < 1e-12);
     }
 }

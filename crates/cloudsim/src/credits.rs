@@ -9,24 +9,23 @@
 //! exercise it.
 
 use crate::instance::InstanceType;
-use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
 
 /// Credit accumulator for one burstable instance.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CpuCreditModel {
+pub(crate) struct CpuCreditModel {
     /// Credits earned per hour.
-    pub earn_rate_per_hour: f64,
+    earn_rate_per_hour: f64,
     /// Maximum credit balance that can be accumulated.
-    pub max_credits: f64,
+    max_credits: f64,
     /// Baseline fraction of a core available when credits are exhausted.
-    pub baseline_fraction: f64,
+    baseline_fraction: f64,
     balance: f64,
 }
 
 impl CpuCreditModel {
     /// The published credit parameters for a burstable type; `None` for
     /// fixed-performance (m4/c4) instances.
-    pub fn for_instance(instance_type: InstanceType) -> Option<Self> {
+    pub(crate) fn for_instance(instance_type: InstanceType) -> Option<Self> {
         let (earn, max, baseline) = match instance_type {
             InstanceType::T2Nano => (3.0, 72.0, 0.05),
             InstanceType::T2Micro => (6.0, 144.0, 0.10),
@@ -43,18 +42,13 @@ impl CpuCreditModel {
         })
     }
 
-    /// Current credit balance.
-    pub fn balance(&self) -> f64 {
-        self.balance
-    }
-
     /// Whether the instance is currently throttled to its baseline.
-    pub fn is_throttled(&self) -> bool {
+    fn is_throttled(&self) -> bool {
         self.balance <= 0.0
     }
 
     /// The speed multiplier to apply to the instance's cores right now.
-    pub fn speed_multiplier(&self) -> f64 {
+    pub(crate) fn speed_multiplier(&self) -> f64 {
         if self.is_throttled() {
             self.baseline_fraction
         } else {
@@ -66,7 +60,7 @@ impl CpuCreditModel {
     /// instance ran at `utilization` (0–1, averaged over all vCPUs, where 1.0
     /// means every core fully busy). Returns the speed multiplier that applied
     /// during the interval.
-    pub fn advance(&mut self, elapsed_ms: f64, utilization: f64, vcpus: u32) -> f64 {
+    pub(crate) fn advance(&mut self, elapsed_ms: f64, utilization: f64, vcpus: u32) -> f64 {
         let hours = elapsed_ms.max(0.0) / 3_600_000.0;
         let multiplier = self.speed_multiplier();
         // one credit = one vCPU running at 100% for one minute
@@ -74,26 +68,6 @@ impl CpuCreditModel {
         let earned = self.earn_rate_per_hour * hours;
         self.balance = (self.balance + earned - spent).clamp(0.0, self.max_credits);
         multiplier
-    }
-}
-
-impl Snapshot for CpuCreditModel {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.earn_rate_per_hour.encode(out);
-        self.max_credits.encode(out);
-        self.baseline_fraction.encode(out);
-        self.balance.encode(out);
-    }
-}
-
-impl Restore for CpuCreditModel {
-    fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            earn_rate_per_hour: f64::decode(cur)?,
-            max_credits: f64::decode(cur)?,
-            baseline_fraction: f64::decode(cur)?,
-            balance: f64::decode(cur)?,
-        })
     }
 }
 
@@ -114,7 +88,7 @@ mod tests {
         let m = CpuCreditModel::for_instance(InstanceType::T2Micro).unwrap();
         assert!(!m.is_throttled());
         assert_eq!(m.speed_multiplier(), 1.0);
-        assert!(m.balance() > 0.0);
+        assert!(m.balance > 0.0);
     }
 
     #[test]
@@ -124,7 +98,7 @@ mod tests {
         for _ in 0..36 {
             m.advance(5.0 * 60_000.0, 1.0, 1);
         }
-        assert!(m.is_throttled(), "balance {}", m.balance());
+        assert!(m.is_throttled(), "balance {}", m.balance);
         assert_eq!(m.speed_multiplier(), 0.05);
     }
 
@@ -132,9 +106,9 @@ mod tests {
     fn idle_instance_recovers_credits() {
         let mut m = CpuCreditModel::for_instance(InstanceType::T2Small).unwrap();
         m.advance(3.0 * 3_600_000.0, 1.0, 1); // drain hard
-        let drained = m.balance();
+        let drained = m.balance;
         m.advance(2.0 * 3_600_000.0, 0.0, 1); // idle for 2 h -> +24 credits
-        assert!(m.balance() > drained);
+        assert!(m.balance > drained);
         assert!(!m.is_throttled());
     }
 
@@ -142,7 +116,7 @@ mod tests {
     fn balance_is_capped() {
         let mut m = CpuCreditModel::for_instance(InstanceType::T2Medium).unwrap();
         m.advance(100.0 * 3_600_000.0, 0.0, 2);
-        assert!((m.balance() - m.max_credits).abs() < 1e-9);
+        assert!((m.balance - m.max_credits).abs() < 1e-9);
     }
 
     #[test]

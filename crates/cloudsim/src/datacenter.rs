@@ -4,13 +4,13 @@
 //! The paper prices an allocation arithmetically — hourly rate × instance
 //! count (§IV-C) — which silently assumes every instance lands on infinite,
 //! uncontended capacity. This module supplies the missing substrate: a small
-//! fleet of [`Host`]s with finite vCPU/memory capacity, a deterministic
-//! [`PlacementPolicy`] that maps each allocated instance onto a host
-//! ([`FirstFit`], [`BestFit`], [`WorstFit`]), an [`SlaModel`] that scores a
-//! slot's *actual* arrivals against the capacity the tenant's forecast
-//! provisioned (the processor-sharing server of [`crate::server`] supplies
-//! the latency and drop signal, §V-B / Fig. 8), and a linear-interpolation
-//! [`PowerModel`] metered per host per slot.
+//! fleet of hosts with finite vCPU/memory capacity, a deterministic
+//! [`PlacementKind`] (first, best or worst fit) that maps each allocated
+//! instance onto a host, an [`SlaModel`] that scores a slot's *actual*
+//! arrivals against the capacity the tenant's forecast provisioned (the
+//! processor-sharing [`Server`] supplies the latency and drop signal,
+//! §V-B / Fig. 8), and a linear-interpolation [`PowerModel`] metered per
+//! host per slot.
 //!
 //! Everything here is a pure function of its inputs — no clocks, no RNG, no
 //! shared state — so a [`Datacenter`] embedded in a per-tenant billing
@@ -23,12 +23,13 @@ use crate::instance::{InstanceSpec, InstanceType};
 use crate::server::Server;
 use mca_offload::AccelerationGroupId;
 use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
+use std::cmp::Ordering;
 use std::fmt;
 
 /// One physical host of the simulated datacenter: fixed vCPU and memory
 /// capacity, with resource accounting over the instances placed on it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Host {
+struct Host {
     /// The host's index in its datacenter.
     id: usize,
     /// vCPU capacity.
@@ -42,8 +43,8 @@ pub struct Host {
 }
 
 impl Host {
-    /// Creates an empty host with the given capacity.
-    pub fn new(id: usize, vcpus: u32, memory_gib: f64) -> Self {
+    /// An empty host with the given capacity.
+    fn new(id: usize, vcpus: u32, memory_gib: f64) -> Self {
         Self {
             id,
             vcpus,
@@ -53,38 +54,23 @@ impl Host {
         }
     }
 
-    /// The host's index in its datacenter.
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
-    /// vCPU capacity.
-    pub fn vcpus(&self) -> u32 {
-        self.vcpus
-    }
-
-    /// vCPUs consumed by placed instances.
-    pub fn used_vcpus(&self) -> u32 {
-        self.used_vcpus
-    }
-
     /// vCPUs still free.
-    pub fn free_vcpus(&self) -> u32 {
+    fn free_vcpus(&self) -> u32 {
         self.vcpus.saturating_sub(self.used_vcpus)
     }
 
-    /// Memory still free, GiB.
-    pub fn free_memory_gib(&self) -> f64 {
+    /// Memory still free, GiB (never NaN: `max` drops a NaN difference).
+    fn free_memory_gib(&self) -> f64 {
         (self.memory_gib - self.used_memory_gib).max(0.0)
     }
 
     /// Whether an instance of `spec` fits in the remaining capacity.
-    pub fn fits(&self, spec: &InstanceSpec) -> bool {
+    fn fits(&self, spec: &InstanceSpec) -> bool {
         self.free_vcpus() >= spec.vcpus && self.free_memory_gib() >= spec.memory_gib
     }
 
     /// CPU utilization in `[0, 1]`: placed vCPUs over capacity.
-    pub fn utilization(&self) -> f64 {
+    fn utilization(&self) -> f64 {
         if self.vcpus == 0 {
             0.0
         } else {
@@ -94,7 +80,7 @@ impl Host {
 
     /// Whether any instance is placed here (an idle host is powered off and
     /// draws nothing — see [`Datacenter::energy_wh`]).
-    pub fn is_active(&self) -> bool {
+    fn is_active(&self) -> bool {
         self.used_vcpus > 0
     }
 
@@ -107,88 +93,22 @@ impl Host {
     }
 }
 
-/// A deterministic host-selection policy: given the current hosts and the
-/// resource demand of one instance, pick the host to place it on.
-///
-/// Implementations must be pure functions of their arguments (no RNG, no
-/// interior state), so that a placement sequence is reproducible across
-/// runs, thread counts and tenant migrations. Ties break on the lowest host
-/// index, which the provided policies guarantee by scanning in index order
-/// and replacing the incumbent only on a strict improvement.
-pub trait PlacementPolicy {
-    /// The index of the host to place an instance of `spec` on, or `None`
-    /// when no host has the capacity.
-    fn choose(&self, hosts: &[Host], spec: &InstanceSpec) -> Option<usize>;
-}
-
-/// Places each instance on the lowest-indexed host with enough capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FirstFit;
-
-impl PlacementPolicy for FirstFit {
-    fn choose(&self, hosts: &[Host], spec: &InstanceSpec) -> Option<usize> {
-        hosts.iter().position(|h| h.fits(spec))
-    }
-}
-
-/// Places each instance on the fitting host with the *least* free capacity
-/// (tightest fit): consolidates instances onto few hosts, which minimizes
-/// energy at the price of co-location contention.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BestFit;
-
-impl PlacementPolicy for BestFit {
-    fn choose(&self, hosts: &[Host], spec: &InstanceSpec) -> Option<usize> {
-        let mut best: Option<(u32, f64, usize)> = None;
-        for (index, host) in hosts.iter().enumerate() {
-            if !host.fits(spec) {
-                continue;
-            }
-            let key = (host.free_vcpus(), host.free_memory_gib());
-            match best {
-                Some((vcpus, memory, _)) if (key.0, key.1) >= (vcpus, memory) => {}
-                _ => best = Some((key.0, key.1, index)),
-            }
-        }
-        best.map(|(_, _, index)| index)
-    }
-}
-
-/// Places each instance on the fitting host with the *most* free capacity:
-/// spreads instances across hosts, which minimizes co-location contention at
-/// the price of keeping more hosts powered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WorstFit;
-
-impl PlacementPolicy for WorstFit {
-    fn choose(&self, hosts: &[Host], spec: &InstanceSpec) -> Option<usize> {
-        let mut best: Option<(u32, f64, usize)> = None;
-        for (index, host) in hosts.iter().enumerate() {
-            if !host.fits(spec) {
-                continue;
-            }
-            let key = (host.free_vcpus(), host.free_memory_gib());
-            match best {
-                Some((vcpus, memory, _)) if (key.0, key.1) <= (vcpus, memory) => {}
-                _ => best = Some((key.0, key.1, index)),
-            }
-        }
-        best.map(|(_, _, index)| index)
-    }
-}
-
-/// The serializable selector over the built-in placement policies — what a
-/// `SystemConfig` carries (the [`PlacementPolicy`] trait itself is object
-/// behaviour; this enum is its configuration-file form, the same split
-/// `AllocationPolicy` uses in `mca-core`).
+/// The deterministic host-selection policy a `SystemConfig` carries: which
+/// host each allocated instance lands on. Every policy is a pure function of
+/// the hosts' usage, so a placement sequence is reproducible across runs,
+/// thread counts and tenant migrations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlacementKind {
-    /// [`FirstFit`].
+    /// The lowest-indexed host with enough capacity.
     #[default]
     FirstFit,
-    /// [`BestFit`].
+    /// The fitting host with the *least* free capacity (tightest fit):
+    /// consolidates instances onto few hosts, which minimizes energy at the
+    /// price of co-location contention.
     BestFit,
-    /// [`WorstFit`].
+    /// The fitting host with the *most* free capacity: spreads instances
+    /// across hosts, which minimizes co-location contention at the price of
+    /// keeping more hosts powered.
     WorstFit,
 }
 
@@ -216,13 +136,29 @@ impl fmt::Display for PlacementKind {
     }
 }
 
-impl PlacementPolicy for PlacementKind {
-    fn choose(&self, hosts: &[Host], spec: &InstanceSpec) -> Option<usize> {
-        match self {
-            PlacementKind::FirstFit => FirstFit.choose(hosts, spec),
-            PlacementKind::BestFit => BestFit.choose(hosts, spec),
-            PlacementKind::WorstFit => WorstFit.choose(hosts, spec),
+impl PlacementKind {
+    /// The index of the host to place an instance of `spec` on, or `None`
+    /// when no host has the capacity. Best and worst fit rank the fitting
+    /// hosts by (free vCPUs, free memory), least or most first; ties break
+    /// on the lowest host index, because the scan runs in index order and
+    /// replaces its incumbent only on a strict improvement.
+    fn choose(self, hosts: &[Host], spec: &InstanceSpec) -> Option<usize> {
+        let improves = match self {
+            PlacementKind::FirstFit => return hosts.iter().position(|h| h.fits(spec)),
+            PlacementKind::BestFit => Ordering::Less,
+            PlacementKind::WorstFit => Ordering::Greater,
+        };
+        let mut best: Option<((u32, f64), usize)> = None;
+        for (index, host) in hosts.iter().enumerate() {
+            if !host.fits(spec) {
+                continue;
+            }
+            let key = (host.free_vcpus(), host.free_memory_gib());
+            if best.is_none_or(|(incumbent, _)| key.partial_cmp(&incumbent) == Some(improves)) {
+                best = Some((key, index));
+            }
         }
+        best.map(|(_, index)| index)
     }
 }
 
@@ -247,8 +183,7 @@ impl fmt::Display for PlacementError {
                 hosts,
             } => write!(
                 f,
-                "no host fits an instance of {} across {hosts} host(s)",
-                instance_type.api_name()
+                "no host fits an instance of {instance_type} across {hosts} host(s)"
             ),
         }
     }
@@ -268,21 +203,16 @@ pub struct PowerModel {
 }
 
 impl PowerModel {
-    /// A model interpolating between the given idle and peak draws.
-    pub fn linear(idle_watts: f64, peak_watts: f64) -> Self {
+    /// A typical dual-socket 2017 server: 160 W idle, 400 W at full load.
+    fn paper_default() -> Self {
         Self {
-            idle_watts,
-            peak_watts,
+            idle_watts: 160.0,
+            peak_watts: 400.0,
         }
     }
 
-    /// A typical dual-socket 2017 server: 160 W idle, 400 W at full load.
-    pub fn paper_default() -> Self {
-        Self::linear(160.0, 400.0)
-    }
-
     /// Instantaneous draw at `utilization` (clamped to `[0, 1]`), watts.
-    pub fn power_watts(&self, utilization: f64) -> f64 {
+    fn power_watts(&self, utilization: f64) -> f64 {
         let u = utilization.clamp(0.0, 1.0);
         self.idle_watts + (self.peak_watts - self.idle_watts) * u
     }
@@ -325,7 +255,7 @@ pub struct SlaModel {
 impl SlaModel {
     /// The paper-aligned defaults: 500 ms target, 65-unit typical task,
     /// 25 % worst-case co-location inflation.
-    pub fn paper_default() -> Self {
+    fn paper_default() -> Self {
         Self {
             target_response_ms: 500.0,
             work_units: 65.0,
@@ -340,8 +270,8 @@ pub struct SlaAssessment {
     /// Group-slots violated: demand exceeded the provisioned capacity, or
     /// the modeled worst response exceeded the target.
     pub violations: usize,
-    /// Users beyond the admission limit of their instance
-    /// ([`crate::server::ServerConfig::max_outstanding`]) — the drop signal.
+    /// Users beyond the admission limit of their instance (sixty outstanding
+    /// requests per vCPU in the server model) — the drop signal.
     pub dropped_users: usize,
     /// Sum over groups of the worst modeled per-instance response, ms.
     pub latency_ms: f64,
@@ -394,29 +324,17 @@ impl DatacenterConfig {
         self.host_memory_gib = host_memory_gib;
         self
     }
-
-    /// Replaces the power model.
-    pub fn with_power(mut self, power: PowerModel) -> Self {
-        self.power = power;
-        self
-    }
-
-    /// Replaces the SLA model.
-    pub fn with_sla(mut self, sla: SlaModel) -> Self {
-        self.sla = sla;
-        self
-    }
 }
 
 /// One instance placed on a host, in placement order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlacedInstance {
+struct PlacedInstance {
     /// The acceleration group the instance serves.
-    pub group: AccelerationGroupId,
+    group: AccelerationGroupId,
     /// The instance type.
-    pub instance_type: InstanceType,
+    instance_type: InstanceType,
     /// The host the instance landed on.
-    pub host: usize,
+    host: usize,
 }
 
 /// A simulated datacenter: the host fleet, the standing placement and the
@@ -459,21 +377,6 @@ impl Datacenter {
             sla: config.sla,
             placements: Vec::new(),
         }
-    }
-
-    /// The host fleet.
-    pub fn hosts(&self) -> &[Host] {
-        &self.hosts
-    }
-
-    /// The standing placement, in placement order.
-    pub fn placements(&self) -> &[PlacedInstance] {
-        &self.placements
-    }
-
-    /// The active placement policy.
-    pub fn placement_kind(&self) -> PlacementKind {
-        self.placement
     }
 
     /// Number of hosts with at least one instance placed.
@@ -805,6 +708,8 @@ impl Restore for Datacenter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn group(id: u8) -> AccelerationGroupId {
         AccelerationGroupId(id)
@@ -818,7 +723,7 @@ mod tests {
     fn first_fit_packs_in_index_order() {
         let dc = Datacenter::new(&DatacenterConfig::paper_default());
         let spec = InstanceType::T2Nano.spec();
-        assert_eq!(FirstFit.choose(dc.hosts(), &spec), Some(0));
+        assert_eq!(PlacementKind::FirstFit.choose(&dc.hosts, &spec), Some(0));
     }
 
     #[test]
@@ -826,22 +731,85 @@ mod tests {
         let mut hosts = vec![Host::new(0, 48, 192.0), Host::new(1, 48, 192.0)];
         hosts[0].place(&InstanceType::M4_4XLarge.spec()); // 16 vcpus used
         let spec = InstanceType::T2Nano.spec();
-        assert_eq!(BestFit.choose(&hosts, &spec), Some(0), "tightest fits win");
-        assert_eq!(WorstFit.choose(&hosts, &spec), Some(1), "emptiest wins");
+        assert_eq!(
+            PlacementKind::BestFit.choose(&hosts, &spec),
+            Some(0),
+            "tightest fits win"
+        );
+        assert_eq!(
+            PlacementKind::WorstFit.choose(&hosts, &spec),
+            Some(1),
+            "emptiest wins"
+        );
         // a host too small for the demand is skipped by every policy
         let big = InstanceType::M4_10XLarge.spec();
         hosts[1].place(&InstanceType::M4_10XLarge.spec()); // 40 of 48 used
-        assert_eq!(FirstFit.choose(&hosts, &big), None);
-        assert_eq!(BestFit.choose(&hosts, &big), None);
-        assert_eq!(WorstFit.choose(&hosts, &big), None);
+        for kind in PlacementKind::ALL {
+            assert_eq!(kind.choose(&hosts, &big), None, "{kind}");
+        }
     }
 
     #[test]
     fn ties_break_on_the_lowest_host_index() {
         let hosts = vec![Host::new(0, 48, 192.0), Host::new(1, 48, 192.0)];
         let spec = InstanceType::T2Small.spec();
-        assert_eq!(BestFit.choose(&hosts, &spec), Some(0));
-        assert_eq!(WorstFit.choose(&hosts, &spec), Some(0));
+        assert_eq!(PlacementKind::BestFit.choose(&hosts, &spec), Some(0));
+        assert_eq!(PlacementKind::WorstFit.choose(&hosts, &spec), Some(0));
+    }
+
+    /// The obviously correct placement: the lowest fitting index, or the
+    /// first fitting host of least (best fit) or most (worst fit) free
+    /// capacity — `min_by` keeps the first of equal elements.
+    fn reference(kind: PlacementKind, hosts: &[Host], spec: &InstanceSpec) -> Option<usize> {
+        let free = |i: usize| (hosts[i].free_vcpus(), hosts[i].free_memory_gib());
+        let order = |a: usize, b: usize| free(a).partial_cmp(&free(b)).unwrap();
+        let mut fitting = (0..hosts.len()).filter(|&i| hosts[i].fits(spec));
+        match kind {
+            PlacementKind::FirstFit => fitting.next(),
+            PlacementKind::BestFit => fitting.min_by(|&a, &b| order(a, b)),
+            PlacementKind::WorstFit => fitting.min_by(|&a, &b| order(b, a)),
+        }
+    }
+
+    #[test]
+    fn placement_equals_the_naive_reference_on_random_fleets() {
+        let mut rng = StdRng::seed_from_u64(48);
+        let (mut none_fit, mut ties) = (0, 0);
+        for _ in 0..4_000 {
+            // few distinct capacities and instance shapes, so equal free
+            // capacity is common; zero hosts and full fleets occur too
+            let hosts_n = rng.gen_range(0..7usize);
+            let mut hosts: Vec<Host> = (0..hosts_n)
+                .map(|id| {
+                    let (vcpus, memory) =
+                        [(1, 0.5), (2, 4.0), (16, 64.0), (48, 192.0)][rng.gen_range(0..4usize)];
+                    Host::new(id, vcpus, memory)
+                })
+                .collect();
+            for _ in 0..rng.gen_range(0..12usize) {
+                let spec = InstanceType::ALL[rng.gen_range(0..8usize)].spec();
+                let host = rng.gen_range(0..hosts_n.max(1));
+                if hosts.get(host).is_some_and(|h| h.fits(&spec)) {
+                    hosts[host].place(&spec);
+                }
+            }
+            let spec = InstanceType::ALL[rng.gen_range(0..8usize)].spec();
+            let fitting: Vec<_> = hosts
+                .iter()
+                .filter(|h| h.fits(&spec))
+                .map(|h| (h.free_vcpus(), h.free_memory_gib()))
+                .collect();
+            none_fit += usize::from(fitting.is_empty());
+            ties += usize::from((1..fitting.len()).any(|i| fitting[..i].contains(&fitting[i])));
+            for kind in PlacementKind::ALL {
+                assert_eq!(
+                    kind.choose(&hosts, &spec),
+                    reference(kind, &hosts, &spec),
+                    "{kind} on {hosts:?} for {spec:?}"
+                );
+            }
+        }
+        assert!(none_fit > 100 && ties > 100, "{none_fit} / {ties}");
     }
 
     #[test]
@@ -849,12 +817,13 @@ mod tests {
         let config = DatacenterConfig::paper_default().with_hosts(1, 2, 4.0);
         let mut dc = Datacenter::new(&config);
         dc.place_allocation(&nano_pair()).expect("two nanos fit");
-        assert_eq!(dc.placements().len(), 2);
-        assert_eq!(dc.hosts()[0].used_vcpus(), 2);
+        assert_eq!(dc.placements.len(), 2);
+        assert_eq!(dc.hosts[0].used_vcpus, 2);
 
         // a 16-vCPU instance fits nowhere: typed error, standing placement
         // untouched
         let too_big = vec![(group(3), vec![(InstanceType::M4_4XLarge, 1)])];
+        let before = dc.clone();
         let error = dc.place_allocation(&too_big).unwrap_err();
         assert_eq!(
             error,
@@ -865,12 +834,7 @@ mod tests {
         );
         assert!(error.to_string().contains("m4.4xlarge"));
         let _: &dyn std::error::Error = &error;
-        assert_eq!(
-            dc.placements().len(),
-            2,
-            "failed transaction changed nothing"
-        );
-        assert_eq!(dc.hosts()[0].used_vcpus(), 2);
+        assert_eq!(dc, before, "failed transaction changed nothing");
     }
 
     #[test]
@@ -974,17 +938,19 @@ mod tests {
 
     #[test]
     fn energy_and_power_interpolate_linearly() {
-        let power = PowerModel::linear(100.0, 300.0);
+        let power = PowerModel {
+            idle_watts: 100.0,
+            peak_watts: 300.0,
+        };
         assert_eq!(power.power_watts(0.0), 100.0);
         assert_eq!(power.power_watts(0.5), 200.0);
         assert_eq!(power.power_watts(1.0), 300.0);
         assert_eq!(power.power_watts(2.0), 300.0, "clamped above full load");
 
-        let mut dc = Datacenter::new(
-            &DatacenterConfig::paper_default()
-                .with_hosts(2, 2, 8.0)
-                .with_power(power),
-        );
+        let mut dc = Datacenter::new(&DatacenterConfig {
+            power,
+            ..DatacenterConfig::paper_default().with_hosts(2, 2, 8.0)
+        });
         assert_eq!(dc.energy_wh(1.0), 0.0, "empty hosts are powered off");
         dc.place_allocation(&nano_pair()).unwrap();
         // both nanos pack onto host 0 under first fit: one host at 100 %
@@ -993,7 +959,7 @@ mod tests {
         assert_eq!(dc.energy_wh(0.5), 150.0);
         dc.clear();
         assert_eq!(dc.energy_wh(1.0), 0.0);
-        assert!(dc.placements().is_empty());
+        assert!(dc.placements.is_empty());
     }
 
     #[test]

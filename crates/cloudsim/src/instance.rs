@@ -74,17 +74,15 @@ impl InstanceType {
         InstanceType::M4_10XLarge,
     ];
 
-    /// Stable wire tag: the position in [`InstanceType::ALL`] (catalogue
-    /// order, which new types must extend at the end).
+    /// Stable wire tag: the discriminant, which is the position in
+    /// [`InstanceType::ALL`] (catalogue order, which new types must extend
+    /// at the end; `wire_tags_are_catalogue_positions` pins it).
     fn wire_tag(self) -> u8 {
-        Self::ALL
-            .iter()
-            .position(|t| *t == self)
-            .expect("every instance type is in the catalogue") as u8
+        self as u8
     }
 
     /// The API name of the instance type (e.g. `"t2.nano"`).
-    pub fn api_name(self) -> &'static str {
+    fn api_name(self) -> &'static str {
         match self {
             InstanceType::T2Nano => "t2.nano",
             InstanceType::T2Micro => "t2.micro",
@@ -207,13 +205,13 @@ pub struct InstanceSpec {
 
 impl InstanceSpec {
     /// Effective sustained per-core speed including the contention factor.
-    pub fn sustained_core_speed(&self) -> f64 {
+    pub(crate) fn sustained_core_speed(&self) -> f64 {
         self.per_core_speed * self.contention_factor
     }
 
     /// Aggregate sustained throughput of the instance in work units per
     /// millisecond (all cores).
-    pub fn aggregate_throughput(&self) -> f64 {
+    pub(crate) fn aggregate_throughput(&self) -> f64 {
         self.sustained_core_speed() * f64::from(self.vcpus)
     }
 }
@@ -296,5 +294,13 @@ mod tests {
         assert_eq!(InstanceType::T2Nano.to_string(), "t2.nano");
         assert_eq!(InstanceType::M4_10XLarge.to_string(), "m4.10xlarge");
         assert_eq!(InstanceType::C4_8XLarge.api_name(), "c4.8xlarge");
+    }
+
+    #[test]
+    fn wire_tags_are_catalogue_positions() {
+        for (i, t) in InstanceType::ALL.into_iter().enumerate() {
+            assert_eq!(t as u8 as usize, i, "{t}");
+            assert_eq!(t.wire_tag() as usize, i, "{t}");
+        }
     }
 }

@@ -7,7 +7,6 @@
 
 use crate::billing::BillingMeter;
 use crate::instance::InstanceType;
-use crate::server::Server;
 use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
 use std::fmt;
 
@@ -42,17 +41,15 @@ impl fmt::Display for PoolError {
 
 impl std::error::Error for PoolError {}
 
-/// A running instance in the back-end.
+/// A running instance in the back-end: what its hourly bill needs.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RunningInstance {
+struct RunningInstance {
     /// Pool-unique id of the instance.
-    pub id: u64,
+    id: u64,
     /// The instance type.
-    pub instance_type: InstanceType,
+    instance_type: InstanceType,
     /// Simulation time at which the instance was launched, ms.
-    pub launched_at_ms: f64,
-    /// The simulated server running on the instance.
-    pub server: Server,
+    launched_at_ms: f64,
 }
 
 /// The back-end instance pool.
@@ -76,13 +73,8 @@ impl InstancePool {
             instances: Vec::new(),
             next_id: 1,
             account_cap,
-            billing: BillingMeter::new(),
+            billing: BillingMeter::default(),
         }
-    }
-
-    /// The account cap (`CC`).
-    pub fn account_cap(&self) -> usize {
-        self.account_cap
     }
 
     /// Number of running instances.
@@ -93,19 +85,6 @@ impl InstancePool {
     /// Returns `true` when no instance is running.
     pub fn is_empty(&self) -> bool {
         self.instances.is_empty()
-    }
-
-    /// The running instances.
-    pub fn instances(&self) -> &[RunningInstance] {
-        &self.instances
-    }
-
-    /// Mutable access to a running instance's server.
-    pub fn server_mut(&mut self, id: u64) -> Option<&mut Server> {
-        self.instances
-            .iter_mut()
-            .find(|i| i.id == id)
-            .map(|i| &mut i.server)
     }
 
     /// Billing accumulated so far.
@@ -119,7 +98,7 @@ impl InstancePool {
     ///
     /// Returns [`PoolError::AccountCapReached`] when the cap would be
     /// exceeded.
-    pub fn launch(&mut self, instance_type: InstanceType, now_ms: f64) -> Result<u64, PoolError> {
+    fn launch(&mut self, instance_type: InstanceType, now_ms: f64) -> Result<u64, PoolError> {
         if self.instances.len() >= self.account_cap {
             return Err(PoolError::AccountCapReached {
                 cap: self.account_cap,
@@ -131,7 +110,6 @@ impl InstancePool {
             id,
             instance_type,
             launched_at_ms: now_ms,
-            server: Server::new(instance_type),
         });
         Ok(id)
     }
@@ -142,7 +120,7 @@ impl InstancePool {
     /// # Errors
     ///
     /// Returns [`PoolError::UnknownInstance`] if no such instance is running.
-    pub fn terminate(&mut self, id: u64, now_ms: f64) -> Result<(), PoolError> {
+    fn terminate(&mut self, id: u64, now_ms: f64) -> Result<(), PoolError> {
         let idx = self
             .instances
             .iter()
@@ -211,18 +189,6 @@ impl InstancePool {
         Ok(launched)
     }
 
-    /// Counts running instances per type.
-    pub fn count_by_type(&self) -> Vec<(InstanceType, usize)> {
-        let mut counts: Vec<(InstanceType, usize)> = Vec::new();
-        for i in &self.instances {
-            match counts.iter_mut().find(|(t, _)| *t == i.instance_type) {
-                Some((_, n)) => *n += 1,
-                None => counts.push((i.instance_type, 1)),
-            }
-        }
-        counts
-    }
-
     /// Terminates every running instance (end of the experiment), billing
     /// elapsed hours.
     pub fn terminate_all(&mut self, now_ms: f64) {
@@ -244,7 +210,6 @@ impl Snapshot for RunningInstance {
         self.id.encode(out);
         self.instance_type.encode(out);
         self.launched_at_ms.encode(out);
-        self.server.encode_state(out);
     }
 }
 
@@ -254,7 +219,6 @@ impl Restore for RunningInstance {
             id: u64::decode(cur)?,
             instance_type: InstanceType::decode(cur)?,
             launched_at_ms: f64::decode(cur)?,
-            server: Server::decode_state(cur)?,
         })
     }
 }
@@ -297,6 +261,27 @@ impl Restore for InstancePool {
 mod tests {
     use super::*;
 
+    /// Running instances per type, in order of first launch.
+    fn count_by_type(pool: &InstancePool) -> Vec<(InstanceType, usize)> {
+        let mut counts: Vec<(InstanceType, usize)> = Vec::new();
+        for i in &pool.instances {
+            match counts.iter_mut().find(|(t, _)| *t == i.instance_type) {
+                Some((_, n)) => *n += 1,
+                None => counts.push((i.instance_type, 1)),
+            }
+        }
+        counts
+    }
+
+    /// A meter holding `hours` billed hours of each listed type.
+    fn billed(hours: &[(InstanceType, f64)]) -> BillingMeter {
+        let mut meter = BillingMeter::default();
+        for &(instance_type, hours) in hours {
+            meter.bill(instance_type, 1, hours);
+        }
+        meter
+    }
+
     #[test]
     fn launch_and_cap() {
         let mut pool = InstancePool::with_cap(2);
@@ -312,7 +297,11 @@ mod tests {
 
     #[test]
     fn default_cap_matches_amazon_standard_account() {
-        assert_eq!(InstancePool::new().account_cap(), 20);
+        assert_eq!(InstancePool::new().account_cap, 20);
+        assert_eq!(
+            InstancePool::new(),
+            InstancePool::with_cap(DEFAULT_ACCOUNT_CAP)
+        );
     }
 
     #[test]
@@ -320,7 +309,7 @@ mod tests {
         let mut pool = InstancePool::new();
         let id = pool.launch(InstanceType::T2Medium, 0.0).unwrap();
         pool.terminate(id, 90.0 * 60_000.0).unwrap(); // 1.5 h -> billed 2 h
-        assert_eq!(pool.billing().hours_for(InstanceType::T2Medium), 2.0);
+        assert_eq!(pool.billing(), &billed(&[(InstanceType::T2Medium, 2.0)]));
         assert!(pool.is_empty());
         assert_eq!(
             pool.terminate(id, 0.0),
@@ -343,14 +332,14 @@ mod tests {
             3_600_000.0,
         )
         .unwrap();
-        let mut counts = pool.count_by_type();
+        let mut counts = count_by_type(&pool);
         counts.sort_by_key(|(t, _)| *t);
         assert_eq!(
             counts,
             vec![(InstanceType::T2Nano, 1), (InstanceType::T2Large, 2)]
         );
         // the two terminated nanos were billed one hour each
-        assert_eq!(pool.billing().hours_for(InstanceType::T2Nano), 2.0);
+        assert_eq!(pool.billing(), &billed(&[(InstanceType::T2Nano, 2.0)]));
     }
 
     #[test]
@@ -360,7 +349,7 @@ mod tests {
             .unwrap();
         pool.apply_allocation(&[(InstanceType::M4_4XLarge, 1)], 1_000.0)
             .unwrap();
-        assert_eq!(pool.count_by_type(), vec![(InstanceType::M4_4XLarge, 1)]);
+        assert_eq!(count_by_type(&pool), vec![(InstanceType::M4_4XLarge, 1)]);
     }
 
     #[test]
@@ -376,7 +365,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, PoolError::AccountCapReached { cap: 3 });
         // nothing changed
-        assert_eq!(pool.count_by_type(), vec![(InstanceType::T2Nano, 2)]);
+        assert_eq!(count_by_type(&pool), vec![(InstanceType::T2Nano, 2)]);
     }
 
     #[test]
@@ -386,16 +375,9 @@ mod tests {
         pool.launch(InstanceType::C4_8XLarge, 0.0).unwrap();
         pool.terminate_all(30.0 * 60_000.0);
         assert!(pool.is_empty());
-        assert_eq!(pool.billing().total_hours(), 2.0);
+        let both = billed(&[(InstanceType::T2Nano, 1.0), (InstanceType::C4_8XLarge, 1.0)]);
+        assert_eq!(pool.billing(), &both);
         assert!(pool.billing().total_cost() > 1.9);
-    }
-
-    #[test]
-    fn server_mut_gives_access_to_running_server() {
-        let mut pool = InstancePool::new();
-        let id = pool.launch(InstanceType::T2Small, 0.0).unwrap();
-        assert!(pool.server_mut(id).is_some());
-        assert!(pool.server_mut(999).is_none());
     }
 
     #[test]
@@ -408,7 +390,7 @@ mod tests {
         let mut pool = InstancePool::new();
         let id = pool.launch(InstanceType::T2Large, 0.0).unwrap();
         pool.terminate(id, boundary).unwrap();
-        assert_eq!(pool.billing().hours_for(InstanceType::T2Large), 1.0);
+        assert_eq!(pool.billing(), &billed(&[(InstanceType::T2Large, 1.0)]));
     }
 
     #[test]
@@ -441,14 +423,103 @@ mod tests {
         pool.apply_allocation(&[(InstanceType::T2Nano, 2)], 0.0)
             .unwrap();
         dc.place_allocation(&modest).unwrap();
-        let placed_before = dc.placements().to_vec();
+        let placed_before = dc.clone();
 
         // 21 instances break the pool cap before any placement is attempted
         let oversized = [(InstanceType::T2Nano, 21)];
         let err = pool.apply_allocation(&oversized, 1.0).unwrap_err();
         assert_eq!(err, PoolError::AccountCapReached { cap: 3 });
-        assert_eq!(pool.count_by_type(), vec![(InstanceType::T2Nano, 2)]);
-        assert_eq!(pool.billing().total_hours(), 0.0, "no spurious billing");
-        assert_eq!(dc.placements(), placed_before.as_slice());
+        assert_eq!(count_by_type(&pool), vec![(InstanceType::T2Nano, 2)]);
+        assert_eq!(
+            pool.billing(),
+            &BillingMeter::default(),
+            "no spurious billing"
+        );
+        assert_eq!(dc, placed_before);
+    }
+
+    /// A version-9 pool payload: its running instances as
+    /// `(id, type tag, launched at)`, then the id counter, the cap and an
+    /// empty meter — the layout `Snapshot for InstancePool` writes.
+    fn pool_payload(instances: &[(u64, u8, f64)], next_id: u64, cap: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        instances.len().encode(&mut out);
+        for &(id, tag, launched_at_ms) in instances {
+            id.encode(&mut out);
+            tag.encode(&mut out);
+            launched_at_ms.encode(&mut out);
+        }
+        next_id.encode(&mut out);
+        cap.encode(&mut out);
+        BillingMeter::default().encode(&mut out);
+        out
+    }
+
+    fn restore(payload: &[u8]) -> Result<InstancePool, SnapshotError> {
+        InstancePool::decode(&mut Cursor::new(payload))
+    }
+
+    #[test]
+    fn restore_reads_the_layout_a_checkpoint_writes() {
+        let mut pool = InstancePool::with_cap(3);
+        pool.apply_allocation(
+            &[(InstanceType::T2Nano, 1), (InstanceType::C4_8XLarge, 1)],
+            5.0,
+        )
+        .unwrap();
+        let tags = (InstanceType::T2Nano as u8, InstanceType::C4_8XLarge as u8);
+        let payload = pool_payload(&[(1, tags.0, 5.0), (2, tags.1, 5.0)], 3, 3);
+        let mut written = Vec::new();
+        pool.encode(&mut written);
+        assert_eq!(written, payload);
+        assert_eq!(restore(&payload).unwrap(), pool);
+        // 17 bytes per running instance: id, type tag, launch time
+        assert_eq!(payload.len(), pool_payload(&[], 3, 3).len() + 2 * 17);
+    }
+
+    #[test]
+    fn restore_refuses_a_pool_over_its_account_cap() {
+        let payload = pool_payload(&[(1, 0, 0.0), (2, 0, 0.0)], 3, 1);
+        let refused = restore(&payload);
+        assert!(
+            matches!(
+                refused,
+                Err(SnapshotError::Malformed {
+                    context: "pool over its account cap"
+                })
+            ),
+            "{refused:?}"
+        );
+    }
+
+    #[test]
+    fn restore_refuses_an_instance_id_from_the_future() {
+        let payload = pool_payload(&[(1, 0, 0.0), (3, 0, 0.0)], 3, 20);
+        let refused = restore(&payload);
+        assert!(
+            matches!(
+                refused,
+                Err(SnapshotError::Malformed {
+                    context: "running instance id from the future"
+                })
+            ),
+            "{refused:?}"
+        );
+    }
+
+    #[test]
+    fn restore_refuses_an_unknown_instance_type_tag() {
+        let tag = InstanceType::ALL.len() as u8;
+        let payload = pool_payload(&[(1, tag, 0.0)], 2, 20);
+        let refused = restore(&payload);
+        assert!(
+            matches!(
+                refused,
+                Err(SnapshotError::Malformed {
+                    context: "instance type tag"
+                })
+            ),
+            "{refused:?}"
+        );
     }
 }

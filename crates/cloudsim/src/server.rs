@@ -20,14 +20,11 @@
 use crate::credits::CpuCreditModel;
 use crate::instance::{InstanceSpec, InstanceType};
 use mca_offload::TaskPool;
-use mca_snapshot::{Cursor, Restore, Snapshot, SnapshotError};
 use rand::Rng;
 
 /// Tunable parameters of the server model.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServerConfig {
-    /// Instance type backing the server.
-    pub instance_type: InstanceType,
+pub(crate) struct ServerConfig {
     /// Sub-linear contention exponent (`alpha`); 0.45 reproduces the
     /// degradation slopes of Fig. 4 and the ≈2.5 s perceived response time of
     /// Fig. 9b under a 50-user background load.
@@ -45,10 +42,9 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// Default configuration for an instance type.
-    pub fn for_instance(instance_type: InstanceType) -> Self {
+    fn for_instance(instance_type: InstanceType) -> Self {
         let spec = instance_type.spec();
         Self {
-            instance_type,
             contention_exponent: 0.45,
             per_request_overhead_ms: 18.0,
             service_noise: 0.10,
@@ -56,28 +52,6 @@ impl ServerConfig {
             // surrogate starts refusing work.
             max_outstanding: 60 * spec.vcpus.max(1) as usize,
         }
-    }
-}
-
-impl Snapshot for ServerConfig {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.instance_type.encode(out);
-        self.contention_exponent.encode(out);
-        self.per_request_overhead_ms.encode(out);
-        self.service_noise.encode(out);
-        self.max_outstanding.encode(out);
-    }
-}
-
-impl Restore for ServerConfig {
-    fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            instance_type: InstanceType::decode(cur)?,
-            contention_exponent: f64::decode(cur)?,
-            per_request_overhead_ms: f64::decode(cur)?,
-            service_noise: f64::decode(cur)?,
-            max_outstanding: usize::decode(cur)?,
-        })
     }
 }
 
@@ -92,57 +66,20 @@ pub struct Server {
 impl Server {
     /// Creates a server with the default configuration for `instance_type`.
     pub fn new(instance_type: InstanceType) -> Self {
-        Self::with_config(ServerConfig::for_instance(instance_type))
-    }
-
-    /// Creates a server with an explicit configuration.
-    pub fn with_config(config: ServerConfig) -> Self {
         Self {
-            config,
-            spec: config.instance_type.spec(),
-            credits: CpuCreditModel::for_instance(config.instance_type),
+            config: ServerConfig::for_instance(instance_type),
+            spec: instance_type.spec(),
+            credits: CpuCreditModel::for_instance(instance_type),
         }
     }
 
     /// The server's configuration.
-    pub fn config(&self) -> &ServerConfig {
+    pub(crate) fn config(&self) -> &ServerConfig {
         &self.config
     }
 
-    /// The instance specification backing the server.
-    pub fn spec(&self) -> &InstanceSpec {
-        &self.spec
-    }
-
-    /// Current CPU-credit state, if the instance is burstable.
-    pub fn credits(&self) -> Option<&CpuCreditModel> {
-        self.credits.as_ref()
-    }
-
-    /// Serializes the server: its configuration plus the live credit
-    /// balance (the spec is derived from the type and not checkpointed).
-    pub fn encode_state(&self, out: &mut Vec<u8>) {
-        self.config.encode(out);
-        self.credits.encode(out);
-    }
-
-    /// Rebuilds a server from [`Server::encode_state`], re-deriving the spec
-    /// and overlaying the checkpointed credit balance.
-    pub fn decode_state(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
-        let config = ServerConfig::decode(cur)?;
-        let credits = Option::<CpuCreditModel>::decode(cur)?;
-        let mut server = Self::with_config(config);
-        if server.credits.is_some() != credits.is_some() {
-            return Err(SnapshotError::Malformed {
-                context: "credit model disagrees with the instance family",
-            });
-        }
-        server.credits = credits;
-        Ok(server)
-    }
-
     /// Contention slowdown factor with `concurrent` requests in service.
-    pub fn contention_slowdown(&self, concurrent: usize) -> f64 {
+    fn contention_slowdown(&self, concurrent: usize) -> f64 {
         let n = concurrent.max(1) as f64;
         let c = f64::from(self.spec.vcpus.max(1));
         if n <= c {
@@ -174,7 +111,7 @@ impl Server {
 
     /// Sustainable throughput of the server in requests per second for tasks
     /// of `mean_work_units` work.
-    pub fn sustainable_rate_hz(&self, mean_work_units: f64) -> f64 {
+    fn sustainable_rate_hz(&self, mean_work_units: f64) -> f64 {
         1_000.0 * self.spec.aggregate_throughput() / mean_work_units.max(1e-9)
     }
 
@@ -397,7 +334,7 @@ pub struct ClosedLoopResult {
 impl ClosedLoopResult {
     fn from_samples(users: usize, samples: Vec<f64>, throttled_fraction: f64) -> Self {
         let mut sorted = samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("samples are finite"));
+        sorted.sort_by(f64::total_cmp);
         let mean = if sorted.is_empty() {
             0.0
         } else {
@@ -447,7 +384,7 @@ pub struct OpenLoopResult {
 
 impl OpenLoopResult {
     fn new(arrival_hz: f64, offered: usize, dropped: usize, mut responses: Vec<f64>) -> Self {
-        responses.sort_by(|a, b| a.partial_cmp(b).expect("responses are finite"));
+        responses.sort_by(f64::total_cmp);
         let mean = if responses.is_empty() {
             0.0
         } else {
@@ -640,7 +577,7 @@ mod tests {
         let result = server.run_open_loop(&pool, 512.0, 20_000.0, &mut rng);
         // Response time is bounded by (queue limit × mean service time).
         let bound = server.config().max_outstanding as f64
-            * (pool.mean_work_units() / server.spec().sustained_core_speed() + 40.0)
+            * (pool.mean_work_units() / server.spec.sustained_core_speed() + 40.0)
             * 1.6;
         assert!(
             result.mean_response_ms < bound,

@@ -195,7 +195,7 @@ impl ResourceAllocator {
 
     /// Creates an allocator with an explicit policy.
     pub fn with_policy(groups: AccelerationGroups, policy: AllocationPolicy) -> Self {
-        Self::configured(groups, policy, mca_cloudsim::pool::DEFAULT_ACCOUNT_CAP)
+        Self::configured(groups, policy, mca_cloudsim::DEFAULT_ACCOUNT_CAP)
     }
 
     /// [`with_policy`](Self::with_policy) and

@@ -424,10 +424,7 @@ mod tests {
         let d = datacenter.settle(&mut datacenter_pool, &allocation, &observed, 60_000.0, 0.0);
         assert_eq!(a.cost.to_bits(), d.cost.to_bits(), "cost must be identical");
         assert!(a.pool_applied && d.pool_applied);
-        assert_eq!(
-            arithmetic_pool.count_by_type(),
-            datacenter_pool.count_by_type()
-        );
+        assert_eq!(arithmetic_pool, datacenter_pool);
         // the arithmetic backend carries no datacenter signals
         assert_eq!((a.sla_violations, a.placements, a.energy_wh), (0, 0, 0.0));
         // the datacenter backend placed every instance

@@ -188,6 +188,7 @@ impl SystemConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mca_cloudsim::{Datacenter, InstancePool};
 
     #[test]
     fn paper_defaults_match_the_evaluation_setup() {
@@ -231,19 +232,15 @@ mod tests {
         let allocator = c.build_allocator();
         assert_eq!(allocator.policy(), AllocationPolicy::GreedyCheapest);
         assert_eq!(allocator.account_cap(), c.account_cap);
-        assert_eq!(c.build_pool().account_cap(), c.account_cap);
+        assert_eq!(c.build_pool(), InstancePool::with_cap(c.account_cap));
         // billing defaults to arithmetic; the datacenter knob switches the
         // engine and threads the placement policy through
         assert!(!c.build_billing().observes_demand());
-        let c = c.with_datacenter(
-            DatacenterConfig::paper_default().with_placement(mca_cloudsim::PlacementKind::BestFit),
-        );
-        let billing = c.build_billing();
+        let best_fit =
+            DatacenterConfig::paper_default().with_placement(mca_cloudsim::PlacementKind::BestFit);
+        let billing = c.with_datacenter(best_fit).build_billing();
         assert!(billing.observes_demand());
-        assert_eq!(
-            billing.datacenter().unwrap().placement_kind(),
-            mca_cloudsim::PlacementKind::BestFit
-        );
+        assert_eq!(billing.datacenter(), Some(&Datacenter::new(&best_fit)));
     }
 
     #[test]

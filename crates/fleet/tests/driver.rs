@@ -206,6 +206,33 @@ fn shared_replay_source_matches_per_tenant_bound_sources() {
 }
 
 #[test]
+fn non_finite_trace_timestamps_build_drive_and_conserve_records() {
+    // NaN and −∞ timestamps sort in the total order (−NaN first, NaN last)
+    // and window into slot 0, where `slot_of` clamps; the trace builds, the
+    // fleet drives it, and every record is served, none late or dropped
+    let tenant = TenantId(0);
+    let trace = ArrivalTrace::new(vec![
+        arrival(f64::NAN, 1),
+        arrival(1_500.0, 2),
+        arrival(f64::NEG_INFINITY, 3),
+        arrival(-f64::NAN, 4),
+        arrival(200.0, 5),
+    ]);
+    let source = ArrivalTraceSource::new(tenant, &trace, SLOT_MS, ENTRY);
+    assert_eq!(source.slot_count(), 2);
+    assert_eq!(source.clone().next_slot(0).records.len(), 4);
+    let mut engine = FleetEngine::new(config(), 2, SEED);
+    engine.add_tenant(tenant);
+    let mut driver = FleetDriver::new(engine)
+        .with_source(tenant, source)
+        .unwrap();
+    let report = driver.run_until_exhausted(8).unwrap();
+    assert_eq!(report.records, trace.len());
+    assert_eq!((report.late_records, report.dropped_records), (0, 0));
+    assert_eq!(report.exhausted_sources, 1);
+}
+
+#[test]
 fn live_stream_driving_accounts_late_records_in_the_report() {
     let tenant = TenantId(0);
     let mut engine = FleetEngine::new(config(), 2, SEED);

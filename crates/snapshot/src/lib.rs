@@ -67,8 +67,12 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"MCAS";
 /// tick that drew from them. Version 8 writes every slot history as
 /// columns — runs per slot, `(group, len)` per run, then each run's users
 /// as its first id and the gaps after it — instead of a length-prefixed
-/// vector per slot and per run. Streams of any older version are rejected.
-pub const SNAPSHOT_VERSION: u16 = 8;
+/// vector per slot and per run. Version 9 drops the simulated server each
+/// running pool instance carried (its configuration and, on a t2 instance,
+/// its CPU-credit model: 34 bytes per instance, 32 more per t2), which no
+/// restore read back into anything. Streams of any older version are
+/// rejected.
+pub const SNAPSHOT_VERSION: u16 = 9;
 
 /// The reserved end-of-stream section tag.
 pub const END_TAG: u16 = 0xFFFF;
@@ -1032,7 +1036,7 @@ mod tests {
             SnapshotReader::new(buf.as_slice()).unwrap_err(),
             SnapshotError::UnsupportedVersion {
                 found: 1,
-                supported: 8
+                supported: 9
             }
         ));
         // version 2 carried 16 bytes of scan parallelism policy inside every
@@ -1042,7 +1046,7 @@ mod tests {
             SnapshotReader::new(&b"MCAS\x02\x00\xFF\xFF"[..]).unwrap_err(),
             SnapshotError::UnsupportedVersion {
                 found: 2,
-                supported: 8
+                supported: 9
             }
         ));
         // version 3 kept a tenant's standing forecast and memo after its
@@ -1052,7 +1056,7 @@ mod tests {
             SnapshotReader::new(&b"MCAS\x03\x00\xFF\xFF"[..]).unwrap_err(),
             SnapshotError::UnsupportedVersion {
                 found: 3,
-                supported: 8
+                supported: 9
             }
         ));
         // version 4 carried a distance-kind tag and an eighth stats counter
@@ -1061,7 +1065,7 @@ mod tests {
             SnapshotReader::new(&b"MCAS\x04\x00\xFF\xFF"[..]).unwrap_err(),
             SnapshotError::UnsupportedVersion {
                 found: 4,
-                supported: 8
+                supported: 9
             }
         ));
         // version 5 carried the user-sharded tenant set in the engine
@@ -1070,7 +1074,7 @@ mod tests {
             SnapshotReader::new(&b"MCAS\x05\x00\xFF\xFF"[..]).unwrap_err(),
             SnapshotError::UnsupportedVersion {
                 found: 5,
-                supported: 8
+                supported: 9
             }
         ));
         // version 6 carried the engine seed and every tenant's RNG words;
@@ -1079,7 +1083,7 @@ mod tests {
             SnapshotReader::new(&b"MCAS\x06\x00\xFF\xFF"[..]).unwrap_err(),
             SnapshotError::UnsupportedVersion {
                 found: 6,
-                supported: 8
+                supported: 9
             }
         ));
         // version 7 carried every slot history as a tree of vectors (per
@@ -1089,7 +1093,16 @@ mod tests {
             SnapshotReader::new(&b"MCAS\x07\x00\xFF\xFF"[..]).unwrap_err(),
             SnapshotError::UnsupportedVersion {
                 found: 7,
-                supported: 8
+                supported: 9
+            }
+        ));
+        // version 8 carried a simulated server inside every running pool
+        // instance; refused, not read 34 bytes late
+        assert!(matches!(
+            SnapshotReader::new(&b"MCAS\x08\x00\xFF\xFF"[..]).unwrap_err(),
+            SnapshotError::UnsupportedVersion {
+                found: 8,
+                supported: 9
             }
         ));
     }
@@ -1199,7 +1212,7 @@ mod tests {
         // the refused sections left no bytes behind
         let stats = writer.finish().unwrap();
         assert_eq!((stats.sections, stats.bytes), (0, 8));
-        assert_eq!(buf, b"MCAS\x08\x00\xFF\xFF");
+        assert_eq!(buf, b"MCAS\x09\x00\xFF\xFF");
     }
 
     #[test]

@@ -48,18 +48,6 @@ impl WorkloadGenerator {
         }
     }
 
-    /// Convenience constructor for the paper's concurrent benchmarking mode
-    /// (1-minute burst interval).
-    pub fn concurrent(users: usize, pool: TaskPool) -> Self {
-        Self::new(
-            GenerationMode::Concurrent {
-                users,
-                burst_interval_ms: 60_000.0,
-            },
-            pool,
-        )
-    }
-
     /// Convenience constructor for the paper's inter-arrival mode with the
     /// usage-study calibration (100–5000 ms).
     pub fn inter_arrival(users: usize, pool: TaskPool) -> Self {
@@ -76,16 +64,6 @@ impl WorkloadGenerator {
     pub fn with_user_id_offset(mut self, offset: u32) -> Self {
         self.user_id_offset = offset;
         self
-    }
-
-    /// The generation mode.
-    pub fn mode(&self) -> GenerationMode {
-        self.mode
-    }
-
-    /// The task pool requests are drawn from.
-    pub fn pool(&self) -> &TaskPool {
-        &self.pool
     }
 
     /// Generates the arrival trace for a workload that stays active for
@@ -148,16 +126,30 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The paper's concurrent benchmarking mode: bursts one minute apart.
+    fn concurrent(users: usize) -> WorkloadGenerator {
+        WorkloadGenerator::new(
+            GenerationMode::Concurrent {
+                users,
+                burst_interval_ms: 60_000.0,
+            },
+            TaskPool::paper_default(),
+        )
+    }
+
     #[test]
     fn concurrent_mode_produces_bursts() {
         let mut rng = StdRng::seed_from_u64(1);
-        let gen = WorkloadGenerator::concurrent(30, TaskPool::paper_default());
+        let gen = concurrent(30);
         let trace = gen.generate(3.0 * 60_000.0, &mut rng);
         // 3 bursts (t = 0, 60 000, 120 000) of 30 users each
         assert_eq!(trace.len(), 90);
         assert_eq!(trace.distinct_users(), 30);
-        let per_minute = trace.arrivals_per_slot(60_000.0);
-        assert!(per_minute.iter().all(|&c| c == 30), "{per_minute:?}");
+        let mut per_minute = [0usize; 3];
+        for a in trace.iter() {
+            per_minute[(a.time_ms / 60_000.0) as usize] += 1;
+        }
+        assert_eq!(per_minute, [30; 3]);
     }
 
     #[test]
@@ -238,7 +230,7 @@ mod tests {
     #[should_panic(expected = "at least one user")]
     fn zero_users_panics() {
         let mut rng = StdRng::seed_from_u64(7);
-        let gen = WorkloadGenerator::concurrent(0, TaskPool::paper_default());
+        let gen = concurrent(0);
         let _ = gen.generate(1_000.0, &mut rng);
     }
 }

@@ -14,22 +14,24 @@
 //!
 //! This crate turns those modes into explicit arrival traces:
 //!
-//! * [`generator`] — the two generation modes, producing [`trace::ArrivalTrace`]s,
-//! * [`scenario`] — parameterized experiment schedules such as the
-//!   arrival-rate-doubling scenario of Fig. 8b (1 Hz → 1024 Hz, doubling every
-//!   five minutes) and ramp scenarios used to evaluate the predictor,
-//! * [`tenant`] — multi-tenant mixes: heterogeneous per-tenant load shapes
-//!   (steady / ramp / doubling) with deterministic per-slot record
-//!   generation, feeding the sharded fleet engine,
-//! * [`trace`] — the arrival trace container with per-slot aggregation.
+//! * [`WorkloadGenerator`] — the two generation modes ([`GenerationMode`]),
+//!   producing [`ArrivalTrace`]s: time-ordered [`Arrival`]s,
+//! * [`DoublingRateScenario`] — the arrival-rate-doubling schedule of
+//!   Fig. 8b (1 Hz → 1024 Hz, doubling every five minutes), and
+//!   [`RampScenario`], a user population growing or shrinking over slots,
+//! * [`TenantMix`] — multi-tenant mixes: heterogeneous per-tenant load
+//!   shapes ([`TenantScenario`]: steady / ramp / doubling) with
+//!   deterministic per-slot record generation, feeding the sharded fleet
+//!   engine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod generator;
-pub mod scenario;
-pub mod tenant;
-pub mod trace;
+mod generator;
+mod scenario;
+mod tenant;
+mod trace;
 
 pub use generator::{GenerationMode, WorkloadGenerator};
 pub use scenario::{DoublingRateScenario, RampScenario, RateStep};

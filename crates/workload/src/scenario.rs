@@ -58,11 +58,6 @@ impl DoublingRateScenario {
         }
         steps
     }
-
-    /// Total duration of the schedule, ms.
-    pub fn total_duration_ms(&self) -> f64 {
-        self.steps().len() as f64 * self.step_duration_ms
-    }
 }
 
 /// A user-population ramp across provisioning slots: the number of active
@@ -85,7 +80,7 @@ impl RampScenario {
     /// # Panics
     ///
     /// Panics if the scenario has zero slots.
-    pub fn users_in_slot(&self, index: usize) -> usize {
+    pub(crate) fn users_in_slot(&self, index: usize) -> usize {
         assert!(self.slots > 0, "ramp needs at least one slot");
         if self.slots == 1 || index + 1 >= self.slots {
             return self.end_users;
@@ -94,16 +89,16 @@ impl RampScenario {
         let users = self.start_users as f64 + t * (self.end_users as f64 - self.start_users as f64);
         users.round() as usize
     }
-
-    /// The full per-slot user counts.
-    pub fn per_slot(&self) -> Vec<usize> {
-        (0..self.slots).map(|i| self.users_in_slot(i)).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Users in every slot of the ramp.
+    fn per_slot(ramp: &RampScenario) -> Vec<usize> {
+        (0..ramp.slots).map(|i| ramp.users_in_slot(i)).collect()
+    }
 
     #[test]
     fn paper_schedule_has_eleven_steps() {
@@ -112,7 +107,8 @@ mod tests {
         assert_eq!(steps.len(), 11); // 1,2,4,...,1024
         assert_eq!(steps[0].arrival_hz, 1.0);
         assert_eq!(steps[10].arrival_hz, 1024.0);
-        assert_eq!(s.total_duration_ms(), 11.0 * 5.0 * 60_000.0);
+        let last = steps[10];
+        assert_eq!(last.start_ms + last.duration_ms, 11.0 * 5.0 * 60_000.0);
     }
 
     #[test]
@@ -142,7 +138,7 @@ mod tests {
             end_users: 100,
             slots: 10,
         };
-        let users = ramp.per_slot();
+        let users = per_slot(&ramp);
         assert_eq!(users.len(), 10);
         assert_eq!(users[0], 10);
         assert_eq!(users[9], 100);
@@ -156,13 +152,13 @@ mod tests {
             end_users: 20,
             slots: 4,
         };
-        assert_eq!(down.per_slot(), vec![50, 40, 30, 20]);
+        assert_eq!(per_slot(&down), vec![50, 40, 30, 20]);
         let single = RampScenario {
             start_users: 5,
             end_users: 9,
             slots: 1,
         };
-        assert_eq!(single.per_slot(), vec![9]);
+        assert_eq!(per_slot(&single), vec![9]);
         // beyond the ramp the last value holds
         assert_eq!(down.users_in_slot(100), 20);
     }

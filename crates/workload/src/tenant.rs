@@ -25,12 +25,12 @@ use rand::{Rng, SeedableRng};
 
 /// Stride of the per-tenant user-id space: tenant `t` owns ids
 /// `[t * STRIDE, (t + 1) * STRIDE)`, so tenant populations never collide.
-/// The 32-bit user-id space therefore holds [`MAX_TENANTS`] tenants.
+/// The 32-bit user-id space therefore holds `MAX_TENANTS` tenants.
 const USER_ID_STRIDE: u32 = 1 << 20;
 
 /// Maximum tenants a mix can hold before tenant id ranges would wrap the
 /// 32-bit user-id space.
-pub const MAX_TENANTS: usize = (u32::MAX / USER_ID_STRIDE) as usize; // 4095
+const MAX_TENANTS: usize = (u32::MAX / USER_ID_STRIDE) as usize; // 4095
 
 /// The load shape assigned to one tenant.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,7 +58,7 @@ pub enum TenantScenario {
 
 impl TenantScenario {
     /// Number of active users in slot `index`.
-    pub fn users_in_slot(&self, index: usize) -> usize {
+    pub(crate) fn users_in_slot(&self, index: usize) -> usize {
         match *self {
             TenantScenario::Steady { users } => users,
             TenantScenario::Ramp(ramp) => ramp.users_in_slot(index),
@@ -88,8 +88,8 @@ impl TenantMix {
     ///
     /// # Panics
     ///
-    /// Panics if the mix exceeds [`MAX_TENANTS`] tenants (the 32-bit
-    /// user-id space would wrap and tenant populations would collide).
+    /// Panics if the mix exceeds 4,095 tenants (the 32-bit user-id space
+    /// would wrap and tenant populations would collide).
     pub fn new(
         seed: u64,
         groups: Vec<AccelerationGroupId>,
@@ -191,11 +191,6 @@ impl TenantMix {
         (0..self.scenarios.len() as u32).map(TenantId)
     }
 
-    /// The acceleration groups tenant users are assigned to.
-    pub fn groups(&self) -> &[AccelerationGroupId] {
-        &self.groups
-    }
-
     /// The scenario assigned to `tenant`.
     ///
     /// # Panics
@@ -203,11 +198,6 @@ impl TenantMix {
     /// Panics if the tenant is not part of the mix.
     pub fn scenario_of(&self, tenant: TenantId) -> &TenantScenario {
         &self.scenarios[tenant.0 as usize]
-    }
-
-    /// Number of active users of `tenant` in slot `slot`.
-    pub fn users_in_slot(&self, tenant: TenantId, slot: usize) -> usize {
-        self.scenario_of(tenant).users_in_slot(slot)
     }
 
     /// The canonical RNG stream of `tenant`: feed it to
@@ -403,7 +393,7 @@ mod tests {
         let m = mix(4, 17);
         for t in m.tenant_ids() {
             for (slot, records) in replay(&m, t, 41).iter().enumerate() {
-                assert_eq!(records.len(), m.users_in_slot(t, slot));
+                assert_eq!(records.len(), m.scenario_of(t).users_in_slot(slot));
                 // the 60% share always populates the first group
                 assert!(records.iter().any(|(g, _)| *g == GROUPS[0]));
             }
@@ -419,14 +409,16 @@ mod tests {
     #[test]
     fn zipf_mix_sizes_follow_the_power_law() {
         let m = TenantMix::zipf(8, 800, 1.0, GROUPS.to_vec(), 5);
-        let users: Vec<usize> = (0..8).map(|t| m.users_in_slot(TenantId(t), 0)).collect();
+        let users: Vec<usize> = (0..8)
+            .map(|t| m.scenario_of(TenantId(t)).users_in_slot(0))
+            .collect();
         assert_eq!(users[0], 800, "tenant 0 carries the full max");
         assert_eq!(users[1], 400);
         assert_eq!(users[3], 200);
         assert!(users.windows(2).all(|w| w[0] >= w[1]), "monotone tail");
         assert!(users.iter().all(|&u| u >= 1), "no empty tenants");
         // the population stays constant across slots (flat ramp)
-        assert_eq!(m.users_in_slot(TenantId(0), 100), 800);
+        assert_eq!(m.scenario_of(TenantId(0)).users_in_slot(100), 800);
     }
 
     #[test]

@@ -23,12 +23,14 @@ fn main() {
         .iter()
         .map(|&ty| {
             let b = InstanceBenchmark::run(ty, &pool, &load_levels, 60_000.0, 500.0, &mut rng);
+            let first = b.points.first().map(|p| p.mean_ms).unwrap_or(0.0);
+            let last = b.points.last().map(|p| p.mean_ms).unwrap_or(0.0);
             println!(
                 "{:<12} 1 user: {:>5.0} ms   100 users: {:>6.0} ms   degradation {:>4.1}x   capacity ≈ {:>6} users",
                 ty.to_string(),
-                b.points.first().map(|p| p.mean_ms).unwrap_or(0.0),
-                b.points.last().map(|p| p.mean_ms).unwrap_or(0.0),
-                b.degradation_ratio(),
+                first,
+                last,
+                if first > 0.0 { last / first } else { 1.0 },
                 b.capacity
             );
             b

@@ -33,8 +33,8 @@ const SHARDS: usize = 4;
 const THREADS: usize = 2;
 /// The checkpoint's length and CRC-32: a different value means the wire
 /// format or the checkpointed state changed.
-const CHECKPOINT_BYTES: usize = 29_623;
-const CHECKPOINT_CRC: u32 = 0xf176_94c3;
+const CHECKPOINT_BYTES: usize = 27_631;
+const CHECKPOINT_CRC: u32 = 0xcac9_555b;
 
 fn config() -> SystemConfig {
     SystemConfig::paper_three_groups()

@@ -65,9 +65,8 @@ pub use mca_workload as workload;
 /// The most commonly used types, re-exported flat.
 pub mod prelude {
     pub use mca_cloudsim::{
-        BillingMeter, Datacenter, DatacenterConfig, Host, InstanceBenchmark, InstancePool,
-        InstanceType, LevelClassification, PlacementError, PlacementKind, PlacementPolicy,
-        PowerModel, Server, SlaModel,
+        BillingMeter, Datacenter, DatacenterConfig, InstanceBenchmark, InstancePool, InstanceType,
+        LevelClassification, PlacementError, PlacementKind, PowerModel, Server, SlaModel,
     };
     pub use mca_core::{
         accuracy, cross_validate, AccelerationGroups, Allocation, AllocationPolicy, BillingBackend,
@@ -100,10 +99,11 @@ mod tests {
         assert_eq!(pool.len(), 10);
         assert_eq!(InstanceType::ALL.len(), 8);
         // the cloudsim billing/datacenter surface is reachable flat
-        let meter = BillingMeter::new();
+        let meter = BillingMeter::default();
         assert_eq!(meter.total_cost(), 0.0);
         let datacenter = Datacenter::new(&DatacenterConfig::paper_default());
-        assert_eq!(datacenter.placement_kind(), PlacementKind::FirstFit);
+        let first_fit = DatacenterConfig::paper_default().with_placement(PlacementKind::FirstFit);
+        assert_eq!(datacenter, Datacenter::new(&first_fit));
         assert_eq!(PlacementKind::ALL.len(), 3);
     }
 }

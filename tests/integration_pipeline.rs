@@ -90,10 +90,11 @@ fn benchmark_to_groups_to_allocation_to_pool() {
     assert_eq!(sdn.log().len(), 50);
     assert_eq!(sdn.requests_dropped(), 0);
 
-    // 6. Tear the pool down and check the bill is positive and hourly-rounded.
+    // 6. Tear the pool down and check the bill is positive and hourly-rounded:
+    //    45 minutes bill one whole hour of every instance.
     pool.terminate_all(45.0 * 60_000.0);
     assert!(pool.billing().total_cost() > 0.0);
-    assert_eq!(pool.billing().total_hours() % 1.0, 0.0);
+    assert!((pool.billing().total_cost() - allocation.hourly_cost).abs() < 1e-9);
 }
 
 #[test]
