@@ -3,14 +3,20 @@
 //! digests, so a reordered sum, a skipped refactorization or a changed
 //! tie-break inside `mca-lp` is an output-check failure there — after a 15 s
 //! run. This suite pins the same figures, plus every allocation's counts and
-//! cost bits, over two forecast sweeps that solve in milliseconds. The
-//! constants were captured from the solver as it stood before its inner
-//! loops were rebuilt; they change only with a deliberate change of the
-//! arithmetic.
+//! cost bits, over two forecast sweeps that solve in milliseconds, and over
+//! a third that grows the catalogue from 6 to 48 decision variables. The
+//! constants of the first two were captured from the solver as it stood
+//! before its inner loops were rebuilt; they change only with a deliberate
+//! change of the arithmetic.
 
 use mca_cloudsim::InstanceType;
-use mca_core::{AccelerationGroups, Allocation, ResourceAllocator, SystemConfig, WorkloadForecast};
+use mca_core::{
+    AccelerationGroups, Allocation, AllocationPolicy, ResourceAllocator, SystemConfig,
+    WorkloadForecast,
+};
 use mca_offload::AccelerationGroupId;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// What a sweep of solves adds up to.
 #[derive(Debug, PartialEq, Eq)]
@@ -107,9 +113,11 @@ fn even_split(users: usize, groups: &[AccelerationGroupId]) -> WorkloadForecast 
     }
 }
 
-/// The `fleet_solver` catalogue: four groups that each offer six instance
-/// types of pairwise distinct price structure, 24 decision variables.
-fn wide_catalogue() -> SystemConfig {
+/// `groups` acceleration groups that each offer the six instance types of
+/// pairwise distinct price structure: 6 × `groups` decision variables.
+/// (`t2.micro` and `t2.medium` cost exactly twice `t2.nano` and `t2.small`;
+/// with them, equal-cost mixes turn the optimum into a plateau.)
+fn catalogue(groups: u8) -> AccelerationGroups {
     let types = vec![
         InstanceType::T2Nano,
         InstanceType::T2Small,
@@ -118,11 +126,17 @@ fn wide_catalogue() -> SystemConfig {
         InstanceType::M4_10XLarge,
         InstanceType::C4_8XLarge,
     ];
-    let assignments: Vec<(AccelerationGroupId, Vec<InstanceType>)> = (1..=4)
+    let assignments: Vec<(AccelerationGroupId, Vec<InstanceType>)> = (1..=groups)
         .map(|g| (AccelerationGroupId(g), types.clone()))
         .collect();
+    AccelerationGroups::from_assignments(&assignments, 500.0, 65.0)
+}
+
+/// The `fleet_solver` catalogue: four groups of the six types, 24 decision
+/// variables.
+fn wide_catalogue() -> SystemConfig {
     let mut config = SystemConfig::paper_three_groups();
-    config.groups = AccelerationGroups::from_assignments(&assignments, 500.0, 65.0);
+    config.groups = catalogue(4);
     config.account_cap = 2_000;
     config
 }
@@ -170,5 +184,59 @@ fn paper_three_groups_sweep_repeats_to_the_bit() {
             infeasible: 42,
             digest: 17_137_548_549_190_693_141,
         }
+    );
+}
+
+#[test]
+fn catalogue_sizes_scale_with_groups() {
+    for groups in [1u8, 2, 4, 8] {
+        let catalogue = catalogue(groups);
+        assert_eq!(catalogue.len(), usize::from(groups));
+        assert!(catalogue
+            .groups()
+            .iter()
+            .all(|g| g.instance_types.len() == 6));
+    }
+}
+
+#[test]
+fn catalogue_sweep_repeats_to_the_bit() {
+    // 1, 2, 4 and 8 groups of the six types, each under the paper's
+    // 20-instance cap per group, solving 16 seeded loads of up to 2,000
+    // users per group: loads that need double-digit instance mixes without
+    // turning every solve into a cap-bound knapsack. One of the 4-group
+    // solves branches ≈60,000 times: the plateau ROADMAP item 4 is about.
+    // (At 48 loads per size the same sweep reads 6.9 / 13.0 / 1,350.2 /
+    // 1,211.0 nodes and 13.9 / 27.9 / 1,304.2 / 1,576.5 pivots per solve.)
+    let goldens = [1u8, 2, 4, 8].map(|groups| {
+        let catalogue = catalogue(groups);
+        let ids = catalogue.ids();
+        let allocator = ResourceAllocator::with_policy(catalogue, AllocationPolicy::IlpExact)
+            .with_account_cap(20 * usize::from(groups));
+        let mut rng = StdRng::seed_from_u64(20170605 ^ u64::from(groups));
+        let forecasts = (0..16).map(|_| WorkloadForecast {
+            per_group: ids
+                .iter()
+                .map(|&id| (id, rng.gen_range(0..2_001)))
+                .collect(),
+            matched_slot: None,
+        });
+        sweep(&allocator, forecasts)
+    });
+    let golden = |nodes, pivots, phase1_skips, digest| Golden {
+        nodes,
+        pivots,
+        phase1_skips,
+        infeasible: 0,
+        digest,
+    };
+    assert_eq!(
+        goldens,
+        [
+            golden(108, 226, 90, 14_645_447_376_274_282_011),
+            golden(210, 447, 188, 2_843_305_495_160_758_915),
+            golden(62_418, 58_820, 47_698, 8_907_350_331_303_162_028),
+            golden(15_690, 20_712, 15_405, 9_172_214_749_300_880_880),
+        ]
     );
 }

@@ -6,7 +6,7 @@
 //! table of the hosted tenants' slot-builder lanes (see [`crate::ingest`]),
 //! and runs every shard's
 //! build→predict→allocate→bill cycle **in parallel** — one contiguous chunk
-//! of shards per thread ([`shard_chunks`]), the calling thread ticking the
+//! of shards per thread (`shard_chunks`), the calling thread ticking the
 //! last chunk and a scoped thread each of the others. Two properties make
 //! the parallel tick safe and reproducible:
 //!
@@ -91,7 +91,10 @@ impl Shard {
 /// `len % parts` one longer, where `parts = threads.clamp(1, len.max(1))`.
 /// Each range is ticked by one thread, so a slot ends when the range with
 /// the most work does.
-pub fn shard_chunks(len: usize, threads: usize) -> impl ExactSizeIterator<Item = Range<usize>> {
+pub(crate) fn shard_chunks(
+    len: usize,
+    threads: usize,
+) -> impl ExactSizeIterator<Item = Range<usize>> {
     let parts = threads.clamp(1, len.max(1));
     let (base, extra) = (len / parts, len % parts);
     (0..parts).map(move |part| {
@@ -323,6 +326,9 @@ impl FleetEngine {
     /// Builds the load view, runs one rebalance check and applies the
     /// planned migrations.
     fn run_rebalance_check(&mut self) -> Vec<MigrationRecord> {
+        let Some(rebalancer) = self.rebalancer.as_mut() else {
+            return Vec::new();
+        };
         let slot = self.slot_index;
         let mut loads: Vec<f64> = Vec::with_capacity(self.shards.len());
         let mut movable: Vec<Vec<(TenantId, f64)>> = Vec::with_capacity(self.shards.len());
@@ -336,10 +342,6 @@ impl FleetEngine {
             loads.push(total);
             movable.push(tenants);
         }
-        let rebalancer = self
-            .rebalancer
-            .as_mut()
-            .expect("callers check a rebalancer is configured");
         let moves = rebalancer.check(slot, &mut loads, &mut movable);
         for record in &moves {
             self.move_tenant_between_shards(record.tenant, record.from, record.to);
@@ -361,16 +363,21 @@ impl FleetEngine {
     /// the router's indirection table is updated so subsequent records
     /// follow.
     fn move_tenant_between_shards(&mut self, tenant: TenantId, from: usize, to: usize) {
-        let at = self.shards[from]
+        // both callers name a tenant `from` hosts and `to` does not: the
+        // rebalancer plans off the shards' own tenant lists and moves off
+        // the hot shard only, and `migrate_tenant` looks the tenant up
+        // first and moves it only to another shard
+        let Ok(at) = self.shards[from]
             .tenants
             .binary_search_by_key(&tenant, TenantShard::id)
-            .expect("the migration source hosts the tenant");
+        else {
+            return;
+        };
         let state = self.shards[from].tenants.remove(at);
         let destination = &mut self.shards[to];
-        let at = destination
+        let (Ok(at) | Err(at)) = destination
             .tenants
-            .binary_search_by_key(&tenant, TenantShard::id)
-            .expect_err("the migration destination does not already host the tenant");
+            .binary_search_by_key(&tenant, TenantShard::id);
         destination.tenants.insert(at, state);
         self.router.place(tenant, to);
     }
@@ -939,6 +946,103 @@ mod tests {
         let forecasts = engine.forecasts();
         assert_eq!(forecasts.len(), 6);
         assert!(forecasts.iter().all(|(_, f)| f.is_some()));
+    }
+
+    /// One slot's cost at `threads` threads, from the per-shard record
+    /// counts: the engine ticks each [`shard_chunks`] range on one thread,
+    /// and the slot ends when the range with the most records does.
+    fn projected_slot_cost(per_shard: &[u64], threads: usize) -> u64 {
+        shard_chunks(per_shard.len(), threads)
+            .map(|chunk| per_shard[chunk].iter().sum())
+            .max()
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn projected_slot_model_mirrors_the_pool_chunking() {
+        // 5 shards at 2 threads: chunks [0..3], [3..5]
+        assert_eq!(shard_chunks(5, 2).collect::<Vec<_>>(), [0..3, 3..5]);
+        assert_eq!(projected_slot_cost(&[5, 1, 1, 4, 4], 2), 8);
+        // more threads than shards: one shard per worker = critical path
+        assert_eq!(projected_slot_cost(&[5, 1, 1], 8), 5);
+        // one thread: the full serial sum
+        assert_eq!(projected_slot_cost(&[5, 1, 1], 1), 7);
+    }
+
+    /// Drives a Zipf fleet (`tenants` tenants, s = 0.8, the heaviest
+    /// `max_users` strong) on 7 shards under static hash placement and under
+    /// a rebalancer that fires at 10 % over the mean after 8 slots, in
+    /// lockstep for `slots` slots. Asserts that the two fleets' forecasts
+    /// agree after every slot and their rollups at the end. Returns the
+    /// projected work of each, each slot's heaviest [`shard_chunks`] range
+    /// at 4 threads summed over the drive, and the rebalancer's snapshot.
+    fn zipf_projected_work(
+        tenants: usize,
+        max_users: usize,
+        slots: usize,
+    ) -> (u64, u64, crate::RebalanceSnapshot) {
+        let config = SystemConfig::paper_three_groups()
+            .with_history_window(168)
+            .with_allocation_policy(mca_core::AllocationPolicy::GreedyCheapest);
+        let mix =
+            mca_workload::TenantMix::zipf(tenants, max_users, 0.8, config.groups.ids(), 20170605);
+        let drive = |mut engine: FleetEngine| {
+            engine.add_tenants(mix.tenant_ids());
+            crate::FleetDriver::new(engine).with_mix(&mix).unwrap()
+        };
+        let rebalancer = RebalancerConfig::default()
+            .with_ratio(1.1)
+            .with_warmup_slots(8);
+        let mut fleets = [
+            drive(FleetEngine::new(config.clone(), 7, 20170605)),
+            drive(FleetEngine::new(config, 7, 20170605).with_rebalancer(rebalancer)),
+        ];
+        let mut work = [0u64; 2];
+        let mut seen = [[0u64; 7]; 2];
+        for slot in 0..slots {
+            for ((fleet, work), seen) in fleets.iter_mut().zip(&mut work).zip(&mut seen) {
+                fleet.step().unwrap();
+                // the slot's records per shard: deltas of the cumulative counts
+                let per_shard: Vec<u64> = fleet
+                    .engine()
+                    .telemetry()
+                    .shards
+                    .iter()
+                    .zip(seen.iter_mut())
+                    .map(|(shard, seen)| shard.records - std::mem::replace(seen, shard.records))
+                    .collect();
+                *work += projected_slot_cost(&per_shard, 4);
+            }
+            let [fixed, rebalanced] = fleets.each_ref().map(|f| f.engine().forecasts());
+            assert_eq!(fixed, rebalanced, "slot {slot}");
+        }
+        let [fixed, rebalanced] = fleets.each_ref().map(crate::FleetDriver::engine);
+        assert_eq!(fixed.metrics(), rebalanced.metrics());
+        (work[0], work[1], rebalanced.telemetry().rebalance.unwrap())
+    }
+
+    #[test]
+    fn rebalancing_a_zipf_fleet_halves_its_projected_critical_path() {
+        // counts, not clocks: the same figures on every machine and run (a
+        // shard tick is tens of microseconds, within scheduler jitter of its
+        // neighbours; `fleet.engine.critical_path_share` on `fleet_elastic`
+        // is the measured view of the same imbalance)
+        let (fixed, rebalanced, snapshot) = zipf_projected_work(16, 300, 120);
+        assert!(snapshot.migrations > 0, "the skew must trigger moves");
+        assert_eq!((fixed, rebalanced), (101_640, 54_420));
+        let ratio = fixed as f64 / rebalanced as f64;
+        assert!(ratio >= 1.5, "static / rebalanced work {ratio:.3}");
+    }
+
+    #[test]
+    fn skewed_run_rebalances_without_perturbing_forecasts() {
+        // a few slots past the warm-up: the rebalancer moves tenants, and
+        // the drive compares both fleets' forecasts every slot
+        let slots = 30;
+        let (fixed, rebalanced, snapshot) = zipf_projected_work(8, 60, slots);
+        assert!(snapshot.migrations > 0, "the Zipf skew must trigger moves");
+        // the projected model counts records: every slot of either arm has some
+        assert!(fixed >= slots as u64 && rebalanced >= slots as u64);
     }
 
     #[test]

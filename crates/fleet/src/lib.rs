@@ -36,13 +36,13 @@
 //!   late/dropped-record accounting). Misuse surfaces as a typed
 //!   [`FleetError`] instead of a panic.
 //! * [`engine`] — [`FleetEngine`]: owns the shards and runs every shard's
-//!   tick concurrently — one contiguous chunk of shards per thread
-//!   ([`shard_chunks`]), the calling thread ticking the last chunk and a
-//!   scoped thread each of the others. Every tenant lives whole on exactly
-//!   one shard. Per-tenant forecasts are bit-identical to running each
-//!   tenant alone, whatever the shard count or thread count, because
-//!   shards share no state, the engine is a pure function of the records
-//!   it is fed and the nearest-neighbour tie-break stays first-minimum.
+//!   tick concurrently — one contiguous chunk of shards per thread, the
+//!   calling thread ticking the last chunk and a scoped thread each of the
+//!   others. Every tenant lives whole on exactly one shard. Per-tenant
+//!   forecasts are bit-identical to running each tenant alone, whatever
+//!   the shard count or thread count, because shards share no state, the
+//!   engine is a pure function of the records it is fed and the
+//!   nearest-neighbour tie-break stays first-minimum.
 //! * [`metrics`] — [`TenantMetrics`] / [`FleetMetrics`]: per-tenant
 //!   accuracy, spend, allocation volume and — under datacenter billing —
 //!   SLA, energy and placement accounting, folded (in tenant-id order, so
@@ -95,6 +95,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod driver;
 pub mod engine;
@@ -108,7 +109,7 @@ pub mod source;
 pub mod telemetry;
 
 pub use driver::{DriveReport, FleetDriver};
-pub use engine::{shard_chunks, FleetEngine};
+pub use engine::FleetEngine;
 pub use error::FleetError;
 pub use ingest::SlotRecord;
 pub use metrics::{FleetMetrics, TenantMetrics};

@@ -119,43 +119,67 @@ pub trait RecordSource {
     }
 }
 
-/// Drains a windower of tenant-tagged records into per-slot batches.
-fn drain_windower(mut windower: SlotWindower<SlotRecord>) -> Vec<Vec<SlotRecord>> {
-    let mut slots = Vec::new();
-    while !windower.is_drained() {
-        slots.push(windower.take_next());
-    }
-    slots
-}
-
 /// A precomputed per-slot batch list, **anchored at the first slot it is
 /// polled for**: recording slot `i` is served at engine slot `base + i`, so
 /// a replay source registered on a pre-ticked engine replays from its own
 /// beginning instead of silently losing its head. All replay-shaped sources
 /// share this, so they agree on the mid-run-registration contract.
+///
+/// Only the non-empty batches are kept, keyed by their recording slot, so
+/// a gap costs nothing: a trace whose last timestamp is `+∞` or huge spans
+/// up to `usize::MAX` slots and holds as many batches as it has non-empty
+/// slots.
 #[derive(Debug, Clone)]
 struct ReplaySlots {
-    slots: Vec<Vec<SlotRecord>>,
+    batches: BTreeMap<usize, Vec<SlotRecord>>,
+    /// Slots the recording spans: one past its last non-empty slot
+    /// (saturating at `usize::MAX`), 0 when it is empty.
+    len: usize,
     /// The engine slot the recording's slot 0 was served at (fixed by the
     /// first poll, so replays are deterministic in the slot sequence).
     base: Option<usize>,
 }
 
 impl ReplaySlots {
-    fn new(slots: Vec<Vec<SlotRecord>>) -> Self {
-        Self { slots, base: None }
+    /// A recording of `batches.len()` slots.
+    fn from_batches(batches: Vec<Vec<SlotRecord>>) -> Self {
+        let len = batches.len();
+        let batches = batches
+            .into_iter()
+            .enumerate()
+            .filter(|(_, batch)| !batch.is_empty())
+            .collect();
+        Self {
+            batches,
+            len,
+            base: None,
+        }
+    }
+
+    /// Every event the windower holds, one batch per slot it fell into; the
+    /// recording ends with the last of them.
+    fn from_windower(windower: SlotWindower<SlotRecord>) -> Self {
+        let (_, batches, _, _) = windower.into_parts();
+        let len = batches
+            .last_key_value()
+            .map_or(0, |(&last, _)| last.saturating_add(1));
+        Self {
+            batches,
+            len,
+            base: None,
+        }
     }
 
     fn len(&self) -> usize {
-        self.slots.len()
+        self.len
     }
 
     fn next_slot(&mut self, slot: usize) -> SourceBatch {
         let base = *self.base.get_or_insert(slot);
         let index = slot.saturating_sub(base);
         SourceBatch {
-            records: self.slots.get(index).cloned().unwrap_or_default(),
-            exhausted: index + 1 >= self.slots.len(),
+            records: self.batches.get(&index).cloned().unwrap_or_default(),
+            exhausted: index.saturating_add(1) >= self.len,
             ..SourceBatch::default()
         }
     }
@@ -164,13 +188,13 @@ impl ReplaySlots {
     /// the caller from the original recording, so only its length travels —
     /// as a fingerprint the load can check the replacement against.
     fn save_cursor(&self, out: &mut Vec<u8>) {
-        self.slots.len().encode(out);
+        self.len.encode(out);
         self.base.encode(out);
     }
 
     fn load_cursor(&mut self, cur: &mut Cursor<'_>) -> Result<(), SnapshotError> {
         let len = usize::decode(cur)?;
-        if len != self.slots.len() {
+        if len != self.len {
             return Err(SnapshotError::Malformed {
                 context: "replay source length disagrees with the checkpoint",
             });
@@ -210,7 +234,7 @@ impl ArrivalTraceSource {
             );
         }
         Self {
-            slots: ReplaySlots::new(drain_windower(windower)),
+            slots: ReplaySlots::from_windower(windower),
         }
     }
 
@@ -252,7 +276,7 @@ impl TraceLogSource {
             windower.push(time_ms, SlotRecord::new(tenant, group, user));
         }
         Self {
-            slots: ReplaySlots::new(drain_windower(windower)),
+            slots: ReplaySlots::from_windower(windower),
         }
     }
 
@@ -396,7 +420,7 @@ impl SlotBatchSource {
     /// first poll), and the stream ends with the last batch.
     pub fn new(batches: Vec<Vec<SlotRecord>>) -> Self {
         Self {
-            inner: BatchInner::Replay(ReplaySlots::new(batches)),
+            inner: BatchInner::Replay(ReplaySlots::from_batches(batches)),
         }
     }
 

@@ -3,11 +3,15 @@
 //! counts, across shard counts — and per-tenant results must be
 //! bit-identical to running each tenant alone. All runs are driven through
 //! the streaming ingestion API (`FleetDriver` over per-tenant
-//! `TenantMixSource`s), the one way records reach the engine, and the
-//! engine is a pure function of those records.
+//! `TenantMixSource`s or one shared lane), the one way records reach the
+//! engine, and the engine is a pure function of those records. Beside the
+//! identities, two counted tables: checkpoint bytes per fleet size, and
+//! what each placement policy accounts on a Zipf fleet.
 
 use mca_cloudsim::{DatacenterConfig, PlacementKind};
-use mca_core::{IndexPolicy, SystemConfig, TimeSlot, TimeSlotBuilder, WorkloadForecast};
+use mca_core::{
+    AllocationPolicy, IndexPolicy, SystemConfig, TimeSlot, TimeSlotBuilder, WorkloadForecast,
+};
 use mca_fleet::{
     DriveReport, FleetDriver, FleetEngine, FleetMetrics, RebalancerConfig, RecordSource,
     SlotBatchSource, SlotRecord, TelemetryMode, TenantMixSource, TenantShard,
@@ -15,6 +19,8 @@ use mca_fleet::{
 use mca_offload::TenantId;
 use mca_snapshot::SnapshotError;
 use mca_workload::TenantMix;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const SEED: u64 = 20170605;
 const TENANTS: usize = 12;
@@ -26,6 +32,16 @@ fn config() -> SystemConfig {
 
 fn mix() -> TenantMix {
     TenantMix::heterogeneous(TENANTS, 12, config().groups.ids(), SEED)
+}
+
+/// A week of hourly slots in the window, and greedy allocation: the drives
+/// that run past that window spend their time in ingest, prediction and
+/// billing rather than in ILP solves.
+fn week_config() -> SystemConfig {
+    SystemConfig::paper_three_groups()
+        .with_history_window(168)
+        .with_allocation_policy(AllocationPolicy::GreedyCheapest)
+        .with_index_policy(IndexPolicy::linear())
 }
 
 fn run_fleet_mode(shards: usize, threads: usize, mode: TelemetryMode) -> DriveReport {
@@ -288,21 +304,120 @@ fn datacenter_billing_does_not_move_a_forecast_or_a_prediction_metric() {
         strip_datacenter(baseline_metrics.clone()),
         "the arithmetic run carries no datacenter accounting"
     );
-    for threads in [1, 2, 4, 8] {
-        let (dc_metrics, dc_forecasts) = run_fleet_dc(4, threads, PlacementKind::FirstFit);
-        assert_eq!(dc_forecasts, baseline_forecasts, "threads={threads}");
-        assert_eq!(
-            strip_datacenter(dc_metrics.clone()),
-            baseline_metrics,
-            "threads={threads}"
-        );
-        assert!(
-            dc_metrics.total_placed_instance_slots > 0,
-            "threads={threads}"
-        );
-        assert!(dc_metrics.total_energy_wh > 0.0, "threads={threads}");
-        assert_eq!(dc_metrics.total_placement_failures, 0, "threads={threads}");
+    for placement in PlacementKind::ALL {
+        for threads in [1, 2, 4, 8] {
+            let (dc_metrics, dc_forecasts) = run_fleet_dc(4, threads, placement);
+            let at = format!("{placement}, threads={threads}");
+            assert_eq!(dc_forecasts, baseline_forecasts, "{at}");
+            assert_eq!(
+                dc_metrics.total_cost.to_bits(),
+                baseline_metrics.total_cost.to_bits(),
+                "{at}"
+            );
+            assert_eq!(
+                strip_datacenter(dc_metrics.clone()),
+                baseline_metrics,
+                "{at}"
+            );
+            assert!(dc_metrics.total_placed_instance_slots > 0, "{at}");
+            assert!(dc_metrics.total_energy_wh > 0.0, "{at}");
+            assert_eq!(dc_metrics.total_placement_failures, 0, "{at}");
+        }
     }
+}
+
+/// A Zipf fleet (`tenants` tenants, s = 0.8, the heaviest `max_users`
+/// strong) on 7 shards and 4 threads, billed arithmetically and against the
+/// paper-default datacenter under each placement policy, all four in
+/// lockstep for `slots` slots. Asserts that every arm's forecasts equal the
+/// arithmetic run's after every slot and that its total cost does to the
+/// bit; returns that cost and each policy's rollup, in
+/// [`PlacementKind::ALL`] order.
+fn zipf_placement_sweep(
+    tenants: usize,
+    max_users: usize,
+    slots: usize,
+) -> (f64, Vec<FleetMetrics>) {
+    let config = week_config();
+    let mix = TenantMix::zipf(tenants, max_users, 0.8, config.groups.ids(), SEED);
+    let drive = |config: SystemConfig| {
+        let mut engine = FleetEngine::new(config, 7, SEED).with_threads(4);
+        engine.add_tenants(mix.tenant_ids());
+        FleetDriver::new(engine)
+            .with_mix(&mix)
+            .expect("every tenant is part of the mix")
+    };
+    let mut arithmetic = drive(config.clone());
+    let mut arms: Vec<FleetDriver> = PlacementKind::ALL
+        .into_iter()
+        .map(|placement| {
+            drive(
+                config
+                    .clone()
+                    .with_datacenter(DatacenterConfig::paper_default().with_placement(placement)),
+            )
+        })
+        .collect();
+    for slot in 0..slots {
+        arithmetic.step().expect("mix sources never misbehave");
+        let forecasts = arithmetic.engine().forecasts();
+        for (arm, placement) in arms.iter_mut().zip(PlacementKind::ALL) {
+            arm.step().expect("mix sources never misbehave");
+            assert_eq!(
+                arm.engine().forecasts(),
+                forecasts,
+                "{placement}, slot {slot}"
+            );
+        }
+    }
+    let cost = arithmetic.engine().metrics().total_cost;
+    let rollups = arms
+        .iter()
+        .zip(PlacementKind::ALL)
+        .map(|(arm, placement)| {
+            let metrics = arm.engine().metrics();
+            assert_eq!(metrics.total_cost.to_bits(), cost.to_bits(), "{placement}");
+            metrics
+        })
+        .collect();
+    (cost, rollups)
+}
+
+#[test]
+fn placement_policies_bill_alike_and_spread_energy_on_a_zipf_fleet() {
+    // equal cost and equal forecasts under every policy, no placement
+    // failure on the paper-default hosts, and the tradeoff the policies
+    // exist for: at equal instances, worst-fit powers more hosts than
+    // best-fit packs them onto, and its spread instances violate no SLA
+    let (cost, rollups) = zipf_placement_sweep(12, 400, 48);
+    assert_eq!(format!("{cost:.6}"), "610.214400");
+    // (violations, dropped users, placed instance-slots, failures, Wh) of
+    // first-fit, best-fit and worst-fit
+    let counted: Vec<_> = rollups
+        .iter()
+        .map(|m| {
+            (
+                m.total_sla_violations,
+                m.total_sla_dropped_users,
+                m.total_placed_instance_slots,
+                m.total_placement_failures,
+                m.total_energy_wh,
+            )
+        })
+        .collect();
+    assert_eq!(
+        counted,
+        [
+            (94, 4_886, 1_920, 0, 144_760.0),
+            (94, 4_886, 1_920, 0, 144_760.0),
+            (0, 4_886, 1_920, 0, 355_320.0),
+        ]
+    );
+    let energy_spread = rollups[2].total_energy_wh / rollups[1].total_energy_wh;
+    assert!(
+        energy_spread >= 1.01,
+        "worst-fit / best-fit energy {energy_spread}"
+    );
 }
 
 #[test]
@@ -450,6 +565,35 @@ fn restore_then_drive_is_bit_identical_to_the_uninterrupted_run() {
             );
         }
     }
+}
+
+/// Wire bytes and sections of a [`FleetDriver::checkpoint`] taken after
+/// `warmup` slots of a heterogeneous mix of `tenants` tenants (24 users
+/// nominal) on 7 shards and 4 threads, under the logical clock (the stage
+/// histograms ride in the checkpoint, and under a wall clock their sizes
+/// vary run to run).
+fn checkpoint_size(tenants: usize, warmup: usize) -> (u64, u32) {
+    let config = week_config();
+    let mix = TenantMix::heterogeneous(tenants, 24, config.groups.ids(), SEED);
+    let mut engine = FleetEngine::new(config, 7, SEED)
+        .with_threads(4)
+        .with_telemetry(TelemetryMode::Logical);
+    engine.add_tenants(mix.tenant_ids());
+    let mut driver = FleetDriver::new(engine)
+        .with_mix(&mix)
+        .expect("every tenant is part of the mix");
+    driver.run(warmup).expect("mix sources never misbehave");
+    let mut bytes = Vec::new();
+    let stats = driver.checkpoint(&mut bytes).expect("checkpoint to memory");
+    (stats.bytes, stats.sections)
+}
+
+#[test]
+fn checkpoint_bytes_and_sections_grow_with_the_fleet_as_pinned() {
+    // the engine, its shards and one mix cursor per tenant: a changed
+    // figure is a changed wire or a changed amount of retained state
+    let sizes = [2, 4, 8].map(|tenants| checkpoint_size(tenants, 24));
+    assert_eq!(sizes, [(8_560, 12), (15_983, 12), (29_069, 12)]);
 }
 
 #[test]
@@ -609,32 +753,70 @@ fn an_indexed_fleet_resumed_midway_matches_a_linear_one() {
     }
 }
 
-#[test]
-fn fleet_forecasts_are_bit_identical_to_each_tenant_alone() {
+/// Drives [`mix`] through a fleet on `fleet` (5 shards, `threads` threads)
+/// beside a bare [`TenantShard`] per tenant on `alone` (no router, no
+/// engine, no parallelism) for `slots` slots, asserting after every slot
+/// that each fleet forecast equals its tenant's alone, and at the end that
+/// the rollups agree and every shard ticked every slot; returns the drive's
+/// report and the number of records the mix generated. The fleet reads
+/// the mix through one [`TenantMixSource`] per tenant, or, with
+/// `shuffled_lane`, through one shared [`SlotBatchSource`] lane fed every
+/// tenant's records in a seeded random order, the way concurrent arrivals
+/// reach a front-end.
+fn drive_beside_each_tenant_alone(
+    fleet: SystemConfig,
+    alone: &SystemConfig,
+    slots: usize,
+    threads: usize,
+    shuffled_lane: bool,
+) -> (DriveReport, usize) {
     let mix = mix();
-    let mut engine = FleetEngine::new(config(), 5, SEED).with_threads(4);
+    let slot_length_ms = fleet.slot_length_ms;
+    let mut engine = FleetEngine::new(fleet, 5, SEED).with_threads(threads);
     engine.add_tenants(mix.tenant_ids());
-    let mut driver = FleetDriver::new(engine).with_mix(&mix).unwrap();
-
-    // each tenant alone: a bare TenantShard (no router, no engine, no
-    // parallelism) consuming the same mix through its canonical streams
-    let mut alone: Vec<TenantShard> = mix
+    let (lane, source) = SlotBatchSource::channel();
+    let mut driver = match shuffled_lane {
+        true => FleetDriver::new(engine).with_shared_source(source),
+        false => FleetDriver::new(engine).with_mix(&mix).unwrap(),
+    };
+    let mut replicas: Vec<TenantShard> = mix
         .tenant_ids()
-        .map(|t| TenantShard::new(t, &config()))
+        .map(|t| TenantShard::new(t, alone))
         .collect();
+    // the replicas' own streams: the same draws the mix sources make
     let mut streams: Vec<_> = mix.tenant_ids().map(|t| mix.stream_for(t)).collect();
+    let mut arrival_order = StdRng::seed_from_u64(SEED);
+    let mut generated = 0;
 
-    for slot in 0..SLOTS {
-        driver.step().expect("mix sources never misbehave");
-        let now_ms = (slot + 1) as f64 * config().slot_length_ms;
-        for (tenant, stream) in alone.iter_mut().zip(&mut streams) {
+    for slot in 0..slots {
+        let now_ms = (slot + 1) as f64 * slot_length_ms;
+        let mut batch = Vec::new();
+        for (tenant, stream) in replicas.iter_mut().zip(&mut streams) {
             let records = mix.slot_records(tenant.id(), slot, stream);
+            generated += records.len();
+            batch.extend(
+                records
+                    .iter()
+                    .map(|&(g, u)| SlotRecord::new(tenant.id(), g, u)),
+            );
             let mut builder = TimeSlotBuilder::with_capacity(slot, records.len());
             builder.extend(records);
             tenant.tick(builder.build(), now_ms, &mut ());
         }
+        if shuffled_lane {
+            // Fisher–Yates: consecutive records seldom share a tenant
+            for i in (1..batch.len()).rev() {
+                batch.swap(i, arrival_order.gen_range(0..i + 1));
+            }
+            lane.push_slot(batch);
+        }
+        driver
+            .step()
+            .expect("mix sources and the lane never misroute");
         // compare after every slot, not just at the end
-        for ((fleet_id, fleet_forecast), tenant) in driver.engine().forecasts().iter().zip(&alone) {
+        for ((fleet_id, fleet_forecast), tenant) in
+            driver.engine().forecasts().iter().zip(&replicas)
+        {
             assert_eq!(*fleet_id, tenant.id());
             assert_eq!(
                 fleet_forecast.as_ref(),
@@ -645,8 +827,61 @@ fn fleet_forecasts_are_bit_identical_to_each_tenant_alone() {
     }
     // the accounting agrees too
     let rollup = driver.engine().metrics();
-    let alone_rollup = FleetMetrics::aggregate(alone.iter().map(|t| t.metrics().clone()).collect());
+    let alone_rollup =
+        FleetMetrics::aggregate(replicas.iter().map(|t| t.metrics().clone()).collect());
     assert_eq!(rollup, alone_rollup);
+    let report = driver.report();
+    let shards = &report.telemetry.shards;
+    assert!(shards.iter().all(|shard| shard.ticks == slots as u64));
+    assert_eq!(
+        shards.iter().map(|shard| shard.tenants).sum::<usize>(),
+        TENANTS
+    );
+    (report, generated)
+}
+
+#[test]
+fn fleet_forecasts_are_bit_identical_to_each_tenant_alone() {
+    drive_beside_each_tenant_alone(config(), &config(), SLOTS, 4, false);
+}
+
+#[test]
+fn a_shuffled_lane_fleet_is_bit_identical_to_tree_forced_replicas_past_eviction() {
+    // through a shuffled shared lane, against replicas that keep the
+    // summary tree from 64 retained slots while the fleet scans linearly,
+    // past the 168-slot window: the tree agrees with the serial scan through
+    // continuous eviction
+    let tree = week_config().with_index_policy(IndexPolicy::indexed().with_min_indexed_slots(64));
+    let (report, _) = drive_beside_each_tenant_alone(week_config(), &tree, 200, 2, true);
+    // the router's hash placement and the records each shard staged
+    let shards: Vec<(usize, u64)> = report
+        .telemetry
+        .shards
+        .iter()
+        .map(|shard| (shard.tenants, shard.records))
+        .collect();
+    assert_eq!(
+        shards,
+        [(3, 4_536), (1, 997), (3, 3_567), (5, 10_313), (0, 0)]
+    );
+}
+
+#[test]
+fn a_shuffled_lane_delivers_every_record_to_its_tenant_once() {
+    // the lane carries every tenant's records in one seeded random order:
+    // each arrives, once, at the shard hosting its tenant (the forecasts and
+    // rollups the drive compares would differ from the replicas' otherwise)
+    let (report, generated) = drive_beside_each_tenant_alone(config(), &config(), SLOTS, 2, true);
+    assert!(generated > 0);
+    assert_eq!(report.records, generated);
+    assert_eq!((report.late_records, report.dropped_records), (0, 0));
+    let staged: u64 = report
+        .telemetry
+        .shards
+        .iter()
+        .map(|shard| shard.records)
+        .sum();
+    assert_eq!(staged, generated as u64);
 }
 
 #[test]

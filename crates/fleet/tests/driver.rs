@@ -233,6 +233,42 @@ fn non_finite_trace_timestamps_build_drive_and_conserve_records() {
 }
 
 #[test]
+fn unbounded_trace_timestamps_build_at_once_and_drive_their_finite_slots() {
+    // `+∞` and 1e300 ms both window into slot `usize::MAX`: the replay keeps
+    // only the slots that hold records, so the source builds without one
+    // batch per gap slot, serves its finite slots and leaves the far one
+    // for a drive that never gets there
+    let tenant = TenantId(0);
+    let trace = ArrivalTrace::new(vec![
+        arrival(200.0, 1),
+        arrival(f64::INFINITY, 2),
+        arrival(1_500.0, 3),
+        arrival(1e300, 4),
+    ]);
+    let source = ArrivalTraceSource::new(tenant, &trace, SLOT_MS, ENTRY);
+    assert_eq!(source.slot_count(), usize::MAX);
+    let mut engine = FleetEngine::new(config(), 2, SEED);
+    engine.add_tenant(tenant);
+    let mut driver = FleetDriver::new(engine)
+        .with_source(tenant, source)
+        .unwrap();
+    let report = driver.run_until_exhausted(4).unwrap();
+    assert_eq!(report.metrics.slots, 4);
+    assert_eq!(report.records, 2, "slots 0 and 1 hold one record each");
+    assert_eq!((report.late_records, report.dropped_records), (0, 0));
+    assert_eq!(report.exhausted_sources, 0);
+    // the cursor carries the span, so a source rebuilt from the same trace
+    // resumes the replay
+    let mut bytes = Vec::new();
+    driver.checkpoint(&mut bytes).unwrap();
+    let rebuilt = ArrivalTraceSource::new(tenant, &trace, SLOT_MS, ENTRY);
+    let sources: Vec<(Option<TenantId>, Box<dyn RecordSource>)> =
+        vec![(Some(tenant), Box::new(rebuilt))];
+    let mut resumed = FleetDriver::restore(&mut bytes.as_slice(), &config(), sources).unwrap();
+    assert_eq!(resumed.run(2).unwrap().records, 2);
+}
+
+#[test]
 fn live_stream_driving_accounts_late_records_in_the_report() {
     let tenant = TenantId(0);
     let mut engine = FleetEngine::new(config(), 2, SEED);

@@ -13,7 +13,7 @@ use crate::{LpError, VarId};
 /// `(hourly price, concurrent users served)` of one instance type.
 type Kind = (f64, f64);
 
-/// The six distinct-price types of the `bench_allocation` catalogue with the
+/// The six distinct-price types of `ilp_golden.rs`'s catalogue sweep with the
 /// capacities the allocator derives for them (t2.nano, t2.small, t2.large,
 /// m4.4xlarge, m4.10xlarge, c4.8xlarge).
 const CATALOGUE: [Kind; 6] = [

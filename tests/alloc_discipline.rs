@@ -374,7 +374,8 @@ fn checkpoint_allocations_do_not_grow_with_users_per_tenant() {
 
 /// `groups` acceleration groups that each offer six instance types of
 /// pairwise distinct price structure: the catalogue of the end-to-end
-/// benchmark's `fleet_solver` (4 groups) and of `bench_allocation`.
+/// benchmark's `fleet_solver` (4 groups) and of `ilp_golden.rs`'s catalogue
+/// sweep.
 fn wide_catalogue(groups: u8, account_cap: usize) -> SystemConfig {
     let types = vec![
         InstanceType::T2Nano,
